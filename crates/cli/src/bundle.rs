@@ -33,9 +33,21 @@ impl Bundle {
         serde_json::to_string_pretty(self)
     }
 
-    /// Deserializes from JSON.
+    /// Deserializes from JSON. Each part checks its own invariants as it
+    /// is read; this also rejects parts whose dimensions disagree, so
+    /// [`Bundle::instance`] cannot panic on a loaded bundle.
     pub fn from_json(s: &str) -> serde_json::Result<Bundle> {
-        serde_json::from_str(s)
+        let bundle: Bundle = serde_json::from_str(s)?;
+        let (v, m) = (bundle.dag.num_tasks(), bundle.platform.num_procs());
+        let (rows, cols) = (bundle.exec.num_tasks(), bundle.exec.num_procs());
+        if (rows, cols) != (v, m) {
+            return Err(serde::Error::custom(format!(
+                "bundle parts disagree: exec is {rows}×{cols}, \
+                 but the dag has {v} tasks and the platform {m} processors"
+            ))
+            .into());
+        }
+        Ok(bundle)
     }
 }
 
@@ -73,5 +85,20 @@ mod tests {
         assert_eq!(back.algorithm, "FTSA");
         // The reassembled instance still validates the schedule.
         ftsched_core::validate::validate(&back.instance(), &back.schedule).unwrap();
+
+        // Parts that do not fit together are an error, not a panic in
+        // `instance()`.
+        let narrow = Bundle {
+            platform: Platform::uniform_delay(4, 1.0),
+            ..b.clone()
+        };
+        let short = Bundle {
+            dag: taskgraph::DagBuilder::new().build().unwrap(),
+            ..b
+        };
+        for bad in [narrow, short] {
+            let err = Bundle::from_json(&bad.to_json().unwrap()).unwrap_err();
+            assert!(err.to_string().contains("bundle parts disagree"), "{err}");
+        }
     }
 }

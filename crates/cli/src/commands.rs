@@ -95,19 +95,24 @@ pub fn schedule_cmd(args: &Args) -> Result<String, String> {
 
     let sched = run_schedule(&inst, epsilon, algorithm, &mut rng).map_err(|e| e.to_string())?;
     validate(&inst, &sched).map_err(|e| e.to_string())?;
+    let stats = ftsched_core::stats::schedule_stats(&inst, &sched);
 
+    let Instance {
+        dag,
+        platform,
+        exec,
+    } = inst;
     let bundle = Bundle {
-        dag: inst.dag.clone(),
-        platform: inst.platform.clone(),
-        exec: inst.exec.clone(),
+        dag,
+        platform,
+        exec,
         schedule: sched,
         algorithm: algorithm.name().to_string(),
     };
     let out = args.require("out")?;
-    std::fs::write(out, bundle.to_json().map_err(|e| e.to_string())?)
-        .map_err(|e| format!("writing {out}: {e}"))?;
+    let file = std::fs::File::create(out).map_err(|e| format!("writing {out}: {e}"))?;
+    serde_json::to_writer_pretty(file, &bundle).map_err(|e| format!("writing {out}: {e}"))?;
 
-    let stats = ftsched_core::stats::schedule_stats(&inst, &bundle.schedule);
     Ok(format!(
         "{} schedule, ε = {epsilon}, {} processors\n{stats}\nwrote {out}\n",
         bundle.algorithm, procs,

@@ -1,0 +1,154 @@
+//! Malformed graph and bundle files through the CLI entry point. Each
+//! must come back from `ftsched_cli::run` as an error that names the
+//! defect (exit 1 from the binary), never as a panic (exit 101) and
+//! never as an infinite weight that reaches the scheduler.
+
+use ftsched_cli::Bundle;
+use platform::Platform;
+use std::process::Command;
+
+fn scratch(name: &str) -> String {
+    std::env::temp_dir()
+        .join(format!("ftsched_malformed_{name}_{}", std::process::id()))
+        .to_string_lossy()
+        .into_owned()
+}
+
+fn run(args: &[&str]) -> Result<String, String> {
+    let argv: Vec<String> = args.iter().map(|s| s.to_string()).collect();
+    ftsched_cli::run(&argv)
+}
+
+fn schedule_args<'a>(graph: &'a str, out: &'a str) -> [&'a str; 9] {
+    [
+        "schedule",
+        "--graph",
+        graph,
+        "--procs",
+        "3",
+        "--epsilon",
+        "1",
+        "--out",
+        out,
+    ]
+}
+
+/// A one-task graph whose edge points past the task count — the input
+/// that used to panic while the adjacency was built.
+const UNKNOWN_ENDPOINT: &str =
+    r#"{"nodes": [{"work": 2.0, "label": null}], "edges": [{"src": 0, "dst": 5, "volume": 1.0}]}"#;
+
+#[test]
+fn malformed_graphs_are_named_errors() {
+    let node = r#"{"work": 2.0, "label": null}"#;
+    let two = format!("{node}, {node}");
+    let graph = |nodes: &str, edges: &str| format!(r#"{{"nodes": [{nodes}], "edges": [{edges}]}}"#);
+    let cases = [
+        (UNKNOWN_ENDPOINT.to_string(), "edge 0 names unknown task t5"),
+        (
+            graph(r#"{"work": -3.0, "label": null}"#, ""),
+            "work of t0 is negative or not finite",
+        ),
+        (
+            graph(&two, r#"{"src": 0, "dst": 1, "volume": -1.0}"#),
+            "volume of edge 0 is negative or not finite",
+        ),
+        (
+            graph(r#"{"work": 1e400, "label": null}"#, ""),
+            "number `1e400` overflows f64",
+        ),
+        (
+            graph("{\"work\": 1.0, \"label\": \"raw\nnewline\"}", ""),
+            "control character in string",
+        ),
+        (
+            format!(
+                r#"{{"deep": {}{}, "nodes": [], "edges": []}}"#,
+                "[".repeat(100_000),
+                "]".repeat(100_000)
+            ),
+            "JSON nesting too deep",
+        ),
+        (
+            format!(r#"{{"nodes": [{node}]}}"#),
+            "missing field `edges` in Dag",
+        ),
+    ];
+    let (path, out) = (scratch("graph.json"), scratch("bundle.json"));
+    for (text, expected) in cases {
+        std::fs::write(&path, &text).unwrap();
+        let err = run(&schedule_args(&path, &out)).expect_err("malformed graph accepted");
+        assert!(err.starts_with(&format!("parsing {path}: ")), "{err}");
+        assert!(err.contains(expected), "expected `{expected}` in: {err}");
+    }
+    let _ = std::fs::remove_file(&path);
+}
+
+#[test]
+fn the_binary_exits_1_not_101_on_a_bad_endpoint() {
+    let (path, out) = (scratch("endpoint.json"), scratch("endpoint-bundle.json"));
+    std::fs::write(&path, UNKNOWN_ENDPOINT).unwrap();
+    let output = Command::new(env!("CARGO_BIN_EXE_ftsched"))
+        .args(schedule_args(&path, &out))
+        .output()
+        .expect("run ftsched");
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert_eq!(output.status.code(), Some(1), "{stderr}");
+    assert!(stderr.contains("edge 0 names unknown task t5"), "{stderr}");
+    let _ = std::fs::remove_file(&path);
+}
+
+#[test]
+fn malformed_bundles_are_named_errors() {
+    let (graph, good) = (scratch("bundle-graph.json"), scratch("good-bundle.json"));
+    run(&[
+        "generate", "--family", "gauss", "--size", "4", "--out", &graph,
+    ])
+    .unwrap();
+    run(&schedule_args(&graph, &good)).unwrap();
+    let bundle = Bundle::from_json(&std::fs::read_to_string(&good).unwrap()).unwrap();
+    let compact = serde_json::to_string(&bundle).unwrap();
+    // Replaces the first number of the named array.
+    let first_of = |array: &str, with: &str| {
+        let open = compact.find(&format!("\"{array}\":[")).unwrap() + array.len() + 4;
+        let end = open + compact[open..].find(',').unwrap();
+        format!("{}{with}{}", &compact[..open], &compact[end..])
+    };
+    let mismatched = Bundle {
+        platform: Platform::uniform_delay(4, 1.0),
+        ..bundle.clone()
+    };
+    let v = bundle.dag.num_tasks();
+    let cases = [
+        (
+            first_of("times", "-2.0"),
+            "time E(0, 0) = -2 must be positive".into(),
+        ),
+        (
+            first_of("times", "0"),
+            "time E(0, 0) = 0 must be positive".into(),
+        ),
+        (
+            compact.replacen("\"times\":[", "\"times\":[1.0,", 1),
+            format!("times has {} entries, expected v·m = {v}·3", 3 * v + 1),
+        ),
+        (first_of("delay", "0.5"), "delay d(0, 0) = 0.5".into()),
+        (
+            compact.replacen("\"delay\":[", "\"delay\":[0.0,", 1),
+            "delay has 10 entries, expected m·m = 3·3".into(),
+        ),
+        (
+            mismatched.to_json().unwrap(),
+            "bundle parts disagree".into(),
+        ),
+    ];
+    let bad = scratch("bad-bundle.json");
+    for (text, expected) in cases {
+        std::fs::write(&bad, &text).unwrap();
+        let err = run(&["simulate", "--bundle", &bad]).expect_err("malformed bundle accepted");
+        assert!(err.contains(&expected), "expected `{expected}` in: {err}");
+    }
+    for path in [graph, good, bad] {
+        let _ = std::fs::remove_file(path);
+    }
+}

@@ -225,20 +225,15 @@ impl std::fmt::Display for Algorithm {
 /// Serialized as the CLI token ([`Algorithm::key`]) — the form campaign
 /// spec files use (`"algorithms": ["ftsa", "mc-ftbar"]`).
 impl serde::Serialize for Algorithm {
-    fn to_value(&self) -> serde::Value {
-        serde::Value::String(self.key().to_string())
+    fn serialize(&self, w: &mut serde::Writer<'_>) {
+        w.write_str(self.key());
     }
 }
 
 impl serde::Deserialize for Algorithm {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
-        match v {
-            serde::Value::String(s) => s.parse().map_err(serde::Error::custom),
-            other => Err(serde::Error::custom(format!(
-                "expected algorithm name string, got {}",
-                other.kind()
-            ))),
-        }
+    fn deserialize(r: &mut serde::Reader<'_>) -> Result<Self, serde::Error> {
+        let name = r.read_str()?;
+        name.parse().map_err(|e: String| r.invalid(e))
     }
 }
 
@@ -371,12 +366,12 @@ mod tests {
     #[test]
     fn algorithm_serde_round_trips_as_key_string() {
         for alg in Algorithm::ALL {
-            let v = serde::Serialize::to_value(&alg);
-            assert_eq!(v, serde::Value::String(alg.key().to_string()));
-            let back: Algorithm = serde::Deserialize::from_value(&v).unwrap();
+            let json = serde_json::to_string(&alg).unwrap();
+            assert_eq!(json, format!("\"{}\"", alg.key()));
+            let back: Algorithm = serde_json::from_str(&json).unwrap();
             assert_eq!(back, alg);
         }
-        let bad = serde::Value::String("nope".into());
-        assert!(<Algorithm as serde::Deserialize>::from_value(&bad).is_err());
+        assert!(serde_json::from_str::<Algorithm>("\"nope\"").is_err());
+        assert!(serde_json::from_str::<Algorithm>("3").is_err());
     }
 }

@@ -381,8 +381,7 @@ impl Schedule {
         self.replicas.iter()
     }
 
-    /// Per-task replica lists in nested form (allocates; tests and
-    /// serialization).
+    /// Per-task replica lists in nested form (allocates; for tests).
     pub fn replica_lists(&self) -> Vec<Vec<Replica>> {
         self.replicas.iter().map(<[Replica]>::to_vec).collect()
     }
@@ -519,9 +518,9 @@ impl Schedule {
     }
 }
 
-/// Nested mirror of [`Schedule`] — the serialized form stays the
+/// Nested mirror of [`Schedule`]'s serialized form, which stays the
 /// human-readable `Vec<Vec<…>>` shape regardless of the arena layout.
-#[derive(Serialize, Deserialize)]
+#[derive(Deserialize)]
 struct ScheduleRepr {
     epsilon: usize,
     replicas: Vec<Vec<Replica>>,
@@ -530,24 +529,32 @@ struct ScheduleRepr {
     schedule_order: Vec<TaskId>,
 }
 
+/// Written straight from the arenas, in [`ScheduleRepr`]'s shape.
 impl Serialize for Schedule {
-    fn to_value(&self) -> serde::Value {
-        let repr = ScheduleRepr {
-            epsilon: self.epsilon,
-            replicas: self.replica_lists(),
-            proc_order: (0..self.order.num_procs())
-                .map(|j| self.order.iter(j).map(|(t, k)| (t, k as u32)).collect())
-                .collect(),
-            comm: self.comm.clone(),
-            schedule_order: self.schedule_order.clone(),
-        };
-        repr.to_value()
+    fn serialize(&self, w: &mut serde::Writer<'_>) {
+        w.begin_object();
+        w.field("epsilon");
+        self.epsilon.serialize(w);
+        w.field("replicas");
+        w.seq(self.replicas.iter());
+        w.field("proc_order");
+        w.begin_array();
+        for j in 0..self.order.num_procs() {
+            w.element();
+            w.seq(self.order.iter(j).map(|(t, k)| (t, k as u32)));
+        }
+        w.end_array();
+        w.field("comm");
+        self.comm.serialize(w);
+        w.field("schedule_order");
+        self.schedule_order.serialize(w);
+        w.end_object();
     }
 }
 
 impl Deserialize for Schedule {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
-        let repr = ScheduleRepr::from_value(v)?;
+    fn deserialize(r: &mut serde::Reader<'_>) -> Result<Self, serde::Error> {
+        let repr = ScheduleRepr::deserialize(r)?;
         Ok(Schedule::from_parts(
             repr.epsilon,
             repr.replicas,

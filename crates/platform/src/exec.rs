@@ -13,7 +13,7 @@ use taskgraph::{Dag, TaskId};
 /// assert_eq!(e.time(0, 2), 3.0);
 /// assert_eq!(e.average(1), 5.0); // (4 + 5 + 6) / 3
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct ExecutionMatrix {
     v: usize,
     m: usize,
@@ -23,17 +23,38 @@ pub struct ExecutionMatrix {
 
 impl ExecutionMatrix {
     /// Builds a matrix from an explicit function of `(task, processor)`.
+    /// Panics unless `m >= 1` and every time is positive and finite.
     pub fn from_fn(v: usize, m: usize, mut f: impl FnMut(usize, usize) -> f64) -> Self {
-        assert!(m >= 1);
         let mut times = Vec::with_capacity(v * m);
         for t in 0..v {
             for p in 0..m {
-                let x = f(t, p);
-                assert!(x > 0.0 && x.is_finite(), "execution times must be positive");
-                times.push(x);
+                times.push(f(t, p));
             }
         }
-        ExecutionMatrix { v, m, times }
+        Self::from_parts(v, m, times).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// The matrix, if the parts meet the invariants: `m >= 1`, `v · m`
+    /// times, each positive and finite.
+    fn from_parts(v: usize, m: usize, times: Vec<f64>) -> Result<Self, String> {
+        if m == 0 {
+            return Err("ExecutionMatrix: need at least one processor".into());
+        }
+        if Some(times.len()) != v.checked_mul(m) {
+            return Err(format!(
+                "ExecutionMatrix: times has {} entries, expected v·m = {v}·{m}",
+                times.len()
+            ));
+        }
+        if let Some(i) = times.iter().position(|&x| !(x > 0.0 && x.is_finite())) {
+            return Err(format!(
+                "ExecutionMatrix: time E({}, {}) = {} must be positive and finite",
+                i / m,
+                i % m,
+                times[i]
+            ));
+        }
+        Ok(ExecutionMatrix { v, m, times })
     }
 
     /// *Consistent* (related-machines) heterogeneity: processor `j` has a
@@ -153,6 +174,28 @@ impl ExecutionMatrix {
     }
 }
 
+impl Deserialize for ExecutionMatrix {
+    fn deserialize(r: &mut serde::Reader<'_>) -> Result<Self, serde::Error> {
+        let (mut v, mut m, mut times) = (None, None, None);
+        r.begin_object()?;
+        while let Some(key) = r.next_key()? {
+            match &*key {
+                "v" => r.field(&mut v)?,
+                "m" => r.field(&mut m)?,
+                "times" => r.field(&mut times)?,
+                _ => r.skip_value()?,
+            }
+        }
+        let missing = |f| serde::Error::missing_field(f, "ExecutionMatrix");
+        ExecutionMatrix::from_parts(
+            v.ok_or_else(|| missing("v"))?,
+            m.ok_or_else(|| missing("m"))?,
+            times.ok_or_else(|| missing("times"))?,
+        )
+        .map_err(serde::Error::custom)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -225,6 +268,30 @@ mod tests {
         let e = ExecutionMatrix::from_fn(4, 2, |t, p| (t + p + 1) as f64);
         assert_eq!(e.num_tasks(), 4);
         assert_eq!(e.num_procs(), 2);
+    }
+
+    #[test]
+    fn deserialize_checks_from_fn_invariants() {
+        let e = ExecutionMatrix::from_fn(2, 2, |t, p| (t + p + 1) as f64);
+        let back: ExecutionMatrix =
+            serde_json::from_str(&serde_json::to_string(&e).unwrap()).unwrap();
+        assert_eq!(back.times_row(1), e.times_row(1));
+        for (bad, why) in [
+            (r#"{"v":3,"m":2,"times":[1.0,-2.0]}"#, "times has 2 entries"),
+            (r#"{"v":1,"m":2,"times":[1.0,-2.0]}"#, "E(0, 1) = -2"),
+            (r#"{"v":1,"m":2,"times":[0.0,2.0]}"#, "E(0, 0) = 0"),
+            (r#"{"v":0,"m":0,"times":[]}"#, "at least one processor"),
+            (
+                r#"{"v":4294967296,"m":4294967296,"times":[]}"#,
+                "times has 0 entries",
+            ),
+            (r#"{"m":1,"times":[]}"#, "missing field `v`"),
+        ] {
+            let err = serde_json::from_str::<ExecutionMatrix>(bad)
+                .unwrap_err()
+                .to_string();
+            assert!(err.contains(why), "{bad}: {err}");
+        }
     }
 
     #[test]

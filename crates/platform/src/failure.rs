@@ -552,8 +552,8 @@ mod tests {
         );
         assert!(scen.iter().all(|(_, t)| t == 0.0));
         // Serde round trip.
-        let v = serde::Serialize::to_value(&model);
-        let back: FailureModel = serde::Deserialize::from_value(&v).unwrap();
+        let json = serde_json::to_string(&model).unwrap();
+        let back: FailureModel = serde_json::from_str(&json).unwrap();
         assert_eq!(back, model);
     }
 
@@ -629,8 +629,8 @@ mod tests {
             FailureModel::Uniform(UniformFailures { crashes: 2 }),
             timed,
         ] {
-            let v = serde::Serialize::to_value(&model);
-            let back: FailureModel = serde::Deserialize::from_value(&v).unwrap();
+            let json = serde_json::to_string(&model).unwrap();
+            let back: FailureModel = serde_json::from_str(&json).unwrap();
             assert_eq!(back, model);
         }
     }

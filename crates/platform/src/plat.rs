@@ -14,7 +14,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(p.delay(0, 1), 0.75);
 /// assert_eq!(p.delay(2, 2), 0.0);
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct Platform {
     m: usize,
     /// Row-major `m × m` delay matrix; the diagonal is zero.
@@ -23,20 +23,42 @@ pub struct Platform {
 
 impl Platform {
     /// Builds a platform from a delay function. The diagonal is forced to
-    /// zero regardless of `f`.
+    /// zero regardless of `f`. Panics unless `m >= 1` and every delay is
+    /// finite and `>= 0`.
     pub fn from_fn(m: usize, mut f: impl FnMut(usize, usize) -> f64) -> Self {
-        assert!(m >= 1, "need at least one processor");
         let mut delay = vec![0.0; m * m];
         for k in 0..m {
             for h in 0..m {
                 if k != h {
-                    let d = f(k, h);
-                    assert!(d >= 0.0 && d.is_finite(), "delays must be finite and >= 0");
-                    delay[k * m + h] = d;
+                    delay[k * m + h] = f(k, h);
                 }
             }
         }
-        Platform { m, delay }
+        Self::from_parts(m, delay).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// The platform, if the parts meet the invariants: `m >= 1`, `m · m`
+    /// delays, each finite and `>= 0`, zero on the diagonal.
+    fn from_parts(m: usize, delay: Vec<f64>) -> Result<Self, String> {
+        if m == 0 {
+            return Err("Platform: need at least one processor".into());
+        }
+        if Some(delay.len()) != m.checked_mul(m) {
+            return Err(format!(
+                "Platform: delay has {} entries, expected m·m = {m}·{m}",
+                delay.len()
+            ));
+        }
+        for (i, &d) in delay.iter().enumerate() {
+            let (k, h) = (i / m, i % m);
+            if !(d >= 0.0 && d.is_finite()) || (k == h && d != 0.0) {
+                return Err(format!(
+                    "Platform: delay d({k}, {h}) = {d} must be finite and >= 0, \
+                     and 0 on the diagonal"
+                ));
+            }
+        }
+        Ok(Platform { m, delay })
     }
 
     /// All links share one delay (a homogeneous network).
@@ -107,6 +129,25 @@ impl Platform {
     }
 }
 
+impl Deserialize for Platform {
+    fn deserialize(r: &mut serde::Reader<'_>) -> Result<Self, serde::Error> {
+        let (mut m, mut delay) = (None, None);
+        r.begin_object()?;
+        while let Some(key) = r.next_key()? {
+            match &*key {
+                "m" => r.field(&mut m)?,
+                "delay" => r.field(&mut delay)?,
+                _ => r.skip_value()?,
+            }
+        }
+        Platform::from_parts(
+            m.ok_or_else(|| serde::Error::missing_field("m", "Platform"))?,
+            delay.ok_or_else(|| serde::Error::missing_field("delay", "Platform"))?,
+        )
+        .map_err(serde::Error::custom)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -162,6 +203,25 @@ mod tests {
         assert!((p.average_delay_fastest_links(3) - 7.0 / 3.0).abs() < 1e-12);
         // Larger count than links clamps.
         assert!(p.average_delay_fastest_links(100) > 0.0);
+    }
+
+    #[test]
+    fn deserialize_checks_from_fn_invariants() {
+        let p = Platform::from_fn(2, |_, _| 0.5);
+        let back: Platform = serde_json::from_str(&serde_json::to_string(&p).unwrap()).unwrap();
+        assert_eq!(back.delay_row(0), p.delay_row(0));
+        for (bad, why) in [
+            (r#"{"m":3,"delay":[0.0]}"#, "delay has 1 entries"),
+            (r#"{"m":0,"delay":[]}"#, "at least one processor"),
+            (r#"{"m":2,"delay":[0.0,-1.0,1.0,0.0]}"#, "d(0, 1) = -1"),
+            (r#"{"m":2,"delay":[0.5,1.0,1.0,0.0]}"#, "d(0, 0) = 0.5"),
+            (r#"{"m":2}"#, "missing field `delay`"),
+        ] {
+            let e = serde_json::from_str::<Platform>(bad)
+                .unwrap_err()
+                .to_string();
+            assert!(e.contains(why), "{bad}: {e}");
+        }
     }
 
     #[test]

@@ -293,27 +293,33 @@ impl Dag {
 /// topological order and the entry/exit sets are derived data and are
 /// rebuilt (and re-validated) on deserialization.
 impl Serialize for Dag {
-    fn to_value(&self) -> serde::Value {
-        serde::Value::Object(vec![
-            ("nodes".to_string(), self.nodes.to_value()),
-            ("edges".to_string(), self.edges.to_value()),
-        ])
+    fn serialize(&self, w: &mut serde::Writer<'_>) {
+        w.begin_object();
+        w.field("nodes");
+        self.nodes.serialize(w);
+        w.field("edges");
+        self.edges.serialize(w);
+        w.end_object();
     }
 }
 
 impl Deserialize for Dag {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
-        let nodes = Vec::<NodeData>::from_value(
-            v.get("nodes")
-                .ok_or_else(|| serde::Error::custom("Dag: missing field `nodes`"))?,
-        )?;
-        let edges = Vec::<EdgeData>::from_value(
-            v.get("edges")
-                .ok_or_else(|| serde::Error::custom("Dag: missing field `edges`"))?,
-        )?;
-        DagBuilder { nodes, edges }
-            .build()
-            .map_err(|e| serde::Error::custom(format!("Dag: invalid graph: {e}")))
+    fn deserialize(r: &mut serde::Reader<'_>) -> Result<Self, serde::Error> {
+        let (mut nodes, mut edges) = (None, None);
+        r.begin_object()?;
+        while let Some(key) = r.next_key()? {
+            match &*key {
+                "nodes" => r.field(&mut nodes)?,
+                "edges" => r.field(&mut edges)?,
+                _ => r.skip_value()?,
+            }
+        }
+        DagBuilder {
+            nodes: nodes.ok_or_else(|| serde::Error::missing_field("nodes", "Dag"))?,
+            edges: edges.ok_or_else(|| serde::Error::missing_field("edges", "Dag"))?,
+        }
+        .build()
+        .map_err(|e| serde::Error::custom(format!("Dag: invalid graph: {e}")))
     }
 }
 
@@ -334,6 +340,12 @@ pub enum GraphError {
     DuplicateEdge(TaskId, TaskId),
     /// An edge is a self-loop.
     SelfLoop(TaskId),
+    /// An edge names an endpoint that is not a task of the graph.
+    UnknownEndpoint(EdgeId, TaskId),
+    /// A task's work is negative or not finite.
+    InvalidWork(TaskId),
+    /// An edge's data volume is negative or not finite.
+    InvalidVolume(EdgeId),
 }
 
 impl fmt::Display for GraphError {
@@ -342,6 +354,13 @@ impl fmt::Display for GraphError {
             GraphError::Cyclic => write!(f, "graph contains a directed cycle"),
             GraphError::DuplicateEdge(s, d) => write!(f, "duplicate edge {s} -> {d}"),
             GraphError::SelfLoop(t) => write!(f, "self loop on {t}"),
+            GraphError::UnknownEndpoint(e, t) => {
+                write!(f, "edge {} names unknown task {t}", e.index())
+            }
+            GraphError::InvalidWork(t) => write!(f, "work of {t} is negative or not finite"),
+            GraphError::InvalidVolume(e) => {
+                write!(f, "volume of edge {} is negative or not finite", e.index())
+            }
         }
     }
 }
@@ -398,13 +417,28 @@ impl DagBuilder {
         self.nodes.len()
     }
 
-    /// Finalizes the graph, checking for self-loops, duplicate edges and
-    /// cycles (Kahn's algorithm), and assembling the flat CSR adjacency
-    /// plus the precomputed entry/exit sets.
+    /// Finalizes the graph, checking weights (finite and `>= 0`), edge
+    /// endpoints, self-loops, duplicate edges and cycles (Kahn's
+    /// algorithm), and assembling the flat CSR adjacency plus the
+    /// precomputed entry/exit sets. The checks matter for builders
+    /// filled by deserialization, which bypasses the asserting adders.
     pub fn build(self) -> Result<Dag, GraphError> {
         let v = self.nodes.len();
+        let valid = |x: f64| x >= 0.0 && x.is_finite();
+        if let Some(t) = self.nodes.iter().position(|n| !valid(n.work)) {
+            return Err(GraphError::InvalidWork(TaskId(t as u32)));
+        }
         let mut seen = std::collections::HashSet::with_capacity(self.edges.len());
-        for e in &self.edges {
+        for (i, e) in self.edges.iter().enumerate() {
+            let id = EdgeId(i as u32);
+            for t in [e.src, e.dst] {
+                if t.index() >= v {
+                    return Err(GraphError::UnknownEndpoint(id, t));
+                }
+            }
+            if !valid(e.volume) {
+                return Err(GraphError::InvalidVolume(id));
+            }
             if e.src == e.dst {
                 return Err(GraphError::SelfLoop(e.src));
             }
@@ -623,5 +657,51 @@ mod tests {
             assert_eq!(g2.preds(t), g.preds(t));
             assert_eq!(g2.succs(t), g.succs(t));
         }
+    }
+
+    #[test]
+    fn deserialized_graphs_are_validated() {
+        let node = r#"{"work": 1.0, "label": null}"#;
+        let graph =
+            |nodes: &str, edges: &str| format!(r#"{{"nodes": [{nodes}], "edges": [{edges}]}}"#);
+        let reject = |json: String, err: GraphError| {
+            let e = serde_json::from_str::<Dag>(&json).unwrap_err().to_string();
+            assert_eq!(e, format!("Dag: invalid graph: {err}"));
+        };
+        reject(
+            graph(node, r#"{"src": 0, "dst": 5, "volume": 1.0}"#),
+            GraphError::UnknownEndpoint(EdgeId(0), TaskId(5)),
+        );
+        reject(
+            graph(
+                &format!("{node}, {node}"),
+                r#"{"src": 7, "dst": 1, "volume": 1.0}"#,
+            ),
+            GraphError::UnknownEndpoint(EdgeId(0), TaskId(7)),
+        );
+        reject(
+            graph(&format!(r#"{node}, {{"work": -3.0, "label": null}}"#), ""),
+            GraphError::InvalidWork(TaskId(1)),
+        );
+        reject(
+            graph(
+                &format!("{node}, {node}"),
+                r#"{"src": 0, "dst": 1, "volume": -0.5}"#,
+            ),
+            GraphError::InvalidVolume(EdgeId(0)),
+        );
+        // Non-finite weights cannot even be spelled: an overflowing
+        // literal is a parse error, not an infinite weight.
+        let inf = graph(r#"{"work": 1e400, "label": null}"#, "");
+        assert!(serde_json::from_str::<Dag>(&inf)
+            .unwrap_err()
+            .to_string()
+            .contains("overflows f64"));
+        // Zero weights stay legal.
+        let zero = graph(
+            &format!(r#"{node}, {{"work": 0.0, "label": "z"}}"#),
+            r#"{"src": 0, "dst": 1, "volume": 0.0}"#,
+        );
+        assert_eq!(serde_json::from_str::<Dag>(&zero).unwrap().num_edges(), 1);
     }
 }

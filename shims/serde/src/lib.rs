@@ -4,19 +4,35 @@
 //! a minimal serialization framework exposing the subset of the serde API
 //! the scheduler uses: the [`Serialize`] / [`Deserialize`] traits and
 //! `#[derive(Serialize, Deserialize)]` for plain structs, tuple structs
-//! and unit/newtype enums. Instead of serde's visitor architecture, the
-//! data model is a concrete JSON-like [`Value`] tree; `serde_json` (also
-//! vendored) renders and parses that tree. Formats beyond JSON and exotic
-//! serde attributes are intentionally unsupported.
+//! and unit/newtype enums.
+//!
+//! Instead of serde's visitor architecture and intermediate data model,
+//! both directions stream JSON text directly: a type serializes by
+//! driving a [`Writer`] (objects, arrays and scalars, written as it goes
+//! into memory or an `io::Write` sink) and deserializes by pulling from a
+//! [`Reader`] (a strict RFC 8259 parser with a 128-level depth guard).
+//! Neither direction builds an intermediate tree, so memory stays at one
+//! output buffer plus the values being read. `serde_json` (also
+//! vendored) is the thin front-end over the two. Formats beyond JSON and
+//! exotic serde attributes are intentionally unsupported.
+//!
+//! Reading semantics, for derived and hand-written impls alike: unknown
+//! object keys are skipped, the first of duplicate keys wins, a missing
+//! field is an error even for an `Option` field, integral floats such as
+//! `3.0` read as integers, and enums are externally tagged (a string for
+//! a unit variant, a one-key object for a newtype variant).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod value;
+mod read;
+mod write;
 
+pub use read::Reader;
 pub use serde_derive::{Deserialize, Serialize};
-pub use value::{Number, Value};
+pub use write::Writer;
 
+use std::borrow::Cow;
 use std::fmt;
 
 /// A (de)serialization error: a plain message.
@@ -28,6 +44,11 @@ impl Error {
     pub fn custom(msg: impl Into<String>) -> Self {
         Error(msg.into())
     }
+
+    /// The error for a struct field absent from its object.
+    pub fn missing_field(field: &str, ty: &str) -> Self {
+        Error(format!("missing field `{field}` in {ty}"))
+    }
 }
 
 impl fmt::Display for Error {
@@ -38,32 +59,30 @@ impl fmt::Display for Error {
 
 impl std::error::Error for Error {}
 
-/// Types that can render themselves as a [`Value`] tree.
+/// Types that can write themselves as one JSON value.
 pub trait Serialize {
-    /// Converts `self` to the generic value tree.
-    fn to_value(&self) -> Value;
+    /// Writes `self` to `w`.
+    fn serialize(&self, w: &mut Writer<'_>);
 }
 
-/// Types that can be rebuilt from a [`Value`] tree.
+/// Types that can be read back from one JSON value.
 pub trait Deserialize: Sized {
-    /// Rebuilds `Self`, reporting structural mismatches as [`Error`]s.
-    fn from_value(v: &Value) -> Result<Self, Error>;
+    /// Reads `Self` from `r`, reporting malformed or mismatched input as
+    /// an [`Error`].
+    fn deserialize(r: &mut Reader<'_>) -> Result<Self, Error>;
 }
 
 macro_rules! impl_serde_uint {
     ($($t:ty),*) => {$(
         impl Serialize for $t {
-            fn to_value(&self) -> Value {
-                Value::Number(Number::UInt(*self as u64))
+            fn serialize(&self, w: &mut Writer<'_>) {
+                w.write_u64(*self as u64);
             }
         }
         impl Deserialize for $t {
-            fn from_value(v: &Value) -> Result<Self, Error> {
-                let n = v.as_u64().ok_or_else(|| {
-                    Error::custom(format!("expected unsigned integer, got {}", v.kind()))
-                })?;
-                <$t>::try_from(n)
-                    .map_err(|_| Error::custom(format!("integer {n} out of range")))
+            fn deserialize(r: &mut Reader<'_>) -> Result<Self, Error> {
+                let n = r.read_u64()?;
+                <$t>::try_from(n).map_err(|_| r.invalid(format_args!("integer {n} out of range")))
             }
         }
     )*};
@@ -73,17 +92,14 @@ impl_serde_uint!(u8, u16, u32, u64, usize);
 macro_rules! impl_serde_int {
     ($($t:ty),*) => {$(
         impl Serialize for $t {
-            fn to_value(&self) -> Value {
-                Value::Number(Number::Int(*self as i64))
+            fn serialize(&self, w: &mut Writer<'_>) {
+                w.write_i64(*self as i64);
             }
         }
         impl Deserialize for $t {
-            fn from_value(v: &Value) -> Result<Self, Error> {
-                let n = v.as_i64().ok_or_else(|| {
-                    Error::custom(format!("expected integer, got {}", v.kind()))
-                })?;
-                <$t>::try_from(n)
-                    .map_err(|_| Error::custom(format!("integer {n} out of range")))
+            fn deserialize(r: &mut Reader<'_>) -> Result<Self, Error> {
+                let n = r.read_i64()?;
+                <$t>::try_from(n).map_err(|_| r.invalid(format_args!("integer {n} out of range")))
             }
         }
     )*};
@@ -91,143 +107,130 @@ macro_rules! impl_serde_int {
 impl_serde_int!(i8, i16, i32, i64, isize);
 
 impl Serialize for f64 {
-    fn to_value(&self) -> Value {
-        Value::Number(Number::Float(*self))
+    fn serialize(&self, w: &mut Writer<'_>) {
+        w.write_f64(*self);
     }
 }
 
 impl Deserialize for f64 {
-    fn from_value(v: &Value) -> Result<Self, Error> {
-        v.as_f64()
-            .ok_or_else(|| Error::custom(format!("expected number, got {}", v.kind())))
+    fn deserialize(r: &mut Reader<'_>) -> Result<Self, Error> {
+        r.read_f64()
     }
 }
 
 impl Serialize for f32 {
-    fn to_value(&self) -> Value {
-        Value::Number(Number::Float(*self as f64))
+    fn serialize(&self, w: &mut Writer<'_>) {
+        w.write_f64(*self as f64);
     }
 }
 
 impl Deserialize for f32 {
-    fn from_value(v: &Value) -> Result<Self, Error> {
-        f64::from_value(v).map(|x| x as f32)
+    fn deserialize(r: &mut Reader<'_>) -> Result<Self, Error> {
+        r.read_f64().map(|x| x as f32)
     }
 }
 
 impl Serialize for bool {
-    fn to_value(&self) -> Value {
-        Value::Bool(*self)
+    fn serialize(&self, w: &mut Writer<'_>) {
+        w.write_bool(*self);
     }
 }
 
 impl Deserialize for bool {
-    fn from_value(v: &Value) -> Result<Self, Error> {
-        match v {
-            Value::Bool(b) => Ok(*b),
-            other => Err(Error::custom(format!(
-                "expected bool, got {}",
-                other.kind()
-            ))),
-        }
+    fn deserialize(r: &mut Reader<'_>) -> Result<Self, Error> {
+        r.read_bool()
     }
 }
 
 impl Serialize for String {
-    fn to_value(&self) -> Value {
-        Value::String(self.clone())
+    fn serialize(&self, w: &mut Writer<'_>) {
+        w.write_str(self);
     }
 }
 
 impl Deserialize for String {
-    fn from_value(v: &Value) -> Result<Self, Error> {
-        match v {
-            Value::String(s) => Ok(s.clone()),
-            other => Err(Error::custom(format!(
-                "expected string, got {}",
-                other.kind()
-            ))),
-        }
+    fn deserialize(r: &mut Reader<'_>) -> Result<Self, Error> {
+        r.read_str().map(Cow::into_owned)
     }
 }
 
 impl Serialize for str {
-    fn to_value(&self) -> Value {
-        Value::String(self.to_owned())
+    fn serialize(&self, w: &mut Writer<'_>) {
+        w.write_str(self);
     }
 }
 
 impl<T: Serialize + ?Sized> Serialize for &T {
-    fn to_value(&self) -> Value {
-        (**self).to_value()
+    fn serialize(&self, w: &mut Writer<'_>) {
+        (**self).serialize(w);
     }
 }
 
 impl<T: Serialize> Serialize for Option<T> {
-    fn to_value(&self) -> Value {
+    fn serialize(&self, w: &mut Writer<'_>) {
         match self {
-            None => Value::Null,
-            Some(x) => x.to_value(),
+            None => w.write_null(),
+            Some(x) => x.serialize(w),
         }
     }
 }
 
 impl<T: Deserialize> Deserialize for Option<T> {
-    fn from_value(v: &Value) -> Result<Self, Error> {
-        match v {
-            Value::Null => Ok(None),
-            other => T::from_value(other).map(Some),
+    fn deserialize(r: &mut Reader<'_>) -> Result<Self, Error> {
+        if r.read_null()? {
+            Ok(None)
+        } else {
+            T::deserialize(r).map(Some)
         }
     }
 }
 
 impl<T: Serialize> Serialize for Vec<T> {
-    fn to_value(&self) -> Value {
-        Value::Array(self.iter().map(Serialize::to_value).collect())
+    fn serialize(&self, w: &mut Writer<'_>) {
+        w.seq(self);
     }
 }
 
 impl<T: Deserialize> Deserialize for Vec<T> {
-    fn from_value(v: &Value) -> Result<Self, Error> {
-        match v {
-            Value::Array(xs) => xs.iter().map(T::from_value).collect(),
-            other => Err(Error::custom(format!(
-                "expected array, got {}",
-                other.kind()
-            ))),
+    fn deserialize(r: &mut Reader<'_>) -> Result<Self, Error> {
+        let mut out = Vec::new();
+        r.begin_array()?;
+        while r.next_element()? {
+            out.push(T::deserialize(r)?);
         }
+        Ok(out)
     }
 }
 
 impl<T: Serialize> Serialize for [T] {
-    fn to_value(&self) -> Value {
-        Value::Array(self.iter().map(Serialize::to_value).collect())
+    fn serialize(&self, w: &mut Writer<'_>) {
+        w.seq(self);
     }
 }
 
 macro_rules! impl_serde_tuple {
     ($(($($name:ident : $idx:tt),+))*) => {$(
         impl<$($name: Serialize),+> Serialize for ($($name,)+) {
-            fn to_value(&self) -> Value {
-                Value::Array(vec![$(self.$idx.to_value()),+])
+            fn serialize(&self, w: &mut Writer<'_>) {
+                w.begin_array();
+                $(
+                    w.element();
+                    self.$idx.serialize(w);
+                )+
+                w.end_array();
             }
         }
         impl<$($name: Deserialize),+> Deserialize for ($($name,)+) {
-            fn from_value(v: &Value) -> Result<Self, Error> {
+            fn deserialize(r: &mut Reader<'_>) -> Result<Self, Error> {
                 const LEN: usize = 0 $(+ { let _ = $idx; 1 })+;
-                match v {
-                    Value::Array(xs) if xs.len() == LEN => {
-                        Ok(($($name::from_value(&xs[$idx])?,)+))
-                    }
-                    Value::Array(xs) => Err(Error::custom(format!(
-                        "expected {LEN}-tuple, got array of {}",
-                        xs.len()
-                    ))),
-                    other => Err(Error::custom(format!(
-                        "expected tuple array, got {}",
-                        other.kind()
-                    ))),
-                }
+                r.begin_array()?;
+                let value = ($({
+                    let _ = $idx;
+                    r.fixed_element(LEN)?;
+                    $name::deserialize(r)?
+                },)+);
+                r.end_fixed(LEN)?;
+                Ok(value)
             }
         }
     )*};
@@ -243,32 +246,81 @@ impl_serde_tuple! {
 mod tests {
     use super::*;
 
+    fn compact<T: Serialize + ?Sized>(v: &T) -> String {
+        let mut w = Writer::new(false);
+        v.serialize(&mut w);
+        w.into_string()
+    }
+
+    fn pretty<T: Serialize + ?Sized>(v: &T) -> String {
+        let mut w = Writer::new(true);
+        v.serialize(&mut w);
+        w.into_string()
+    }
+
+    fn parse<T: Deserialize>(s: &str) -> Result<T, Error> {
+        let mut r = Reader::new(s);
+        let v = T::deserialize(&mut r)?;
+        r.finish()?;
+        Ok(v)
+    }
+
     #[test]
     fn primitives_round_trip() {
-        assert_eq!(u32::from_value(&42u32.to_value()).unwrap(), 42);
-        assert_eq!(i64::from_value(&(-7i64).to_value()).unwrap(), -7);
-        assert_eq!(f64::from_value(&1.5f64.to_value()).unwrap(), 1.5);
-        assert!(bool::from_value(&true.to_value()).unwrap());
-        assert_eq!(
-            String::from_value(&"hi".to_string().to_value()).unwrap(),
-            "hi"
-        );
+        assert_eq!(parse::<u32>(&compact(&42u32)).unwrap(), 42);
+        assert_eq!(parse::<i64>(&compact(&-7i64)).unwrap(), -7);
+        assert_eq!(compact(&i64::MIN), i64::MIN.to_string());
+        assert_eq!(parse::<f64>(&compact(&1.5f64)).unwrap(), 1.5);
+        assert!(parse::<bool>(&compact(&true)).unwrap());
+        assert_eq!(parse::<String>(&compact("hi")).unwrap(), "hi");
     }
 
     #[test]
     fn containers_round_trip() {
         let v: Vec<(usize, f64)> = vec![(1, 0.5), (2, 1.5)];
-        let round: Vec<(usize, f64)> = Deserialize::from_value(&v.to_value()).unwrap();
-        assert_eq!(round, v);
+        assert_eq!(compact(&v), "[[1,0.5],[2,1.5]]");
+        assert_eq!(parse::<Vec<(usize, f64)>>(&compact(&v)).unwrap(), v);
         let o: Option<String> = None;
-        let round: Option<String> = Deserialize::from_value(&o.to_value()).unwrap();
-        assert_eq!(round, None);
+        assert_eq!(parse::<Option<String>>(&compact(&o)).unwrap(), None);
+    }
+
+    #[test]
+    fn pretty_layout_and_empty_containers() {
+        let v: (Vec<u8>, Vec<Vec<u8>>, Option<bool>) = (vec![], vec![vec![], vec![1]], None);
+        assert_eq!(compact(&v), "[[],[[],[1]],null]");
+        assert_eq!(
+            pretty(&v),
+            "[\n  [],\n  [\n    [],\n    [\n      1\n    ]\n  ],\n  null\n]"
+        );
+    }
+
+    #[test]
+    fn escapes_and_non_finite_floats() {
+        assert_eq!(compact("a\"b\\c\n\u{1}é"), r#""a\"b\\c\n\u0001é""#);
+        assert_eq!(compact(&f64::NAN), "null");
+        assert_eq!(compact(&vec![f64::INFINITY, -0.0]), "[null,-0.0]");
     }
 
     #[test]
     fn type_mismatch_reported() {
-        assert!(u32::from_value(&Value::String("x".into())).is_err());
-        assert!(<Vec<u8>>::from_value(&Value::Bool(false)).is_err());
-        assert!(<(u8, u8)>::from_value(&Value::Array(vec![Value::Null])).is_err());
+        assert!(parse::<u32>("\"x\"").is_err());
+        assert!(parse::<u8>("256").is_err());
+        assert!(parse::<u64>("-1").is_err());
+        assert!(parse::<Vec<u8>>("false").is_err());
+        assert!(parse::<(u8, u8)>("[null]").is_err());
+        assert!(parse::<(u8, u8)>("[1]").is_err());
+        assert!(parse::<(u8, u8)>("[1,2,3]").is_err());
+        let e = parse::<u64>("[1.5]").unwrap_err();
+        assert_eq!(
+            e.to_string(),
+            "expected unsigned integer, got array at byte 0"
+        );
+    }
+
+    #[test]
+    fn integral_floats_coerce_to_integers() {
+        assert_eq!(parse::<u64>("3.0").unwrap(), 3);
+        assert_eq!(parse::<i32>("-2e1").unwrap(), -20);
+        assert!(parse::<u64>("3.5").is_err());
     }
 }

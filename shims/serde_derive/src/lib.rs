@@ -17,13 +17,13 @@ use proc_macro::{Delimiter, TokenStream, TokenTree};
 use std::fmt::Write;
 use std::iter::Peekable;
 
-/// Derives `serde::Serialize` (value-tree rendering).
+/// Derives `serde::Serialize` (writes through `serde::Writer`).
 #[proc_macro_derive(Serialize)]
 pub fn derive_serialize(input: TokenStream) -> TokenStream {
     expand(input, true)
 }
 
-/// Derives `serde::Deserialize` (value-tree parsing).
+/// Derives `serde::Deserialize` (reads through `serde::Reader`).
 #[proc_macro_derive(Deserialize)]
 pub fn derive_deserialize(input: TokenStream) -> TokenStream {
     expand(input, false)
@@ -148,23 +148,27 @@ impl Item {
         let name = &self.name;
         let body = match &self.shape {
             Shape::Struct(fields) => {
-                let mut entries = String::new();
+                let mut body = String::from("__w.begin_object();");
                 for f in fields {
                     let _ = write!(
-                        entries,
-                        "(::std::string::String::from({f:?}), \
-                         ::serde::Serialize::to_value(&self.{f})),"
+                        body,
+                        "__w.field({f:?}); ::serde::Serialize::serialize(&self.{f}, __w);"
                     );
                 }
-                format!("::serde::Value::Object(::std::vec![{entries}])")
+                body.push_str("__w.end_object();");
+                body
             }
-            Shape::TupleStruct(1) => "::serde::Serialize::to_value(&self.0)".to_string(),
+            Shape::TupleStruct(1) => "::serde::Serialize::serialize(&self.0, __w);".to_string(),
             Shape::TupleStruct(n) => {
-                let mut entries = String::new();
+                let mut body = String::from("__w.begin_array();");
                 for i in 0..*n {
-                    let _ = write!(entries, "::serde::Serialize::to_value(&self.{i}),");
+                    let _ = write!(
+                        body,
+                        "__w.element(); ::serde::Serialize::serialize(&self.{i}, __w);"
+                    );
                 }
-                format!("::serde::Value::Array(::std::vec![{entries}])")
+                body.push_str("__w.end_array();");
+                body
             }
             Shape::Enum(variants) => {
                 let mut arms = String::new();
@@ -172,16 +176,11 @@ impl Item {
                     if *payload {
                         let _ = write!(
                             arms,
-                            "{name}::{v}(__x) => ::serde::Value::Object(::std::vec![(\
-                             ::std::string::String::from({v:?}), \
-                             ::serde::Serialize::to_value(__x))]),"
+                            "{name}::{v}(__x) => {{ __w.begin_object(); __w.field({v:?}); \
+                             ::serde::Serialize::serialize(__x, __w); __w.end_object(); }}"
                         );
                     } else {
-                        let _ = write!(
-                            arms,
-                            "{name}::{v} => ::serde::Value::String(\
-                             ::std::string::String::from({v:?})),"
-                        );
+                        let _ = write!(arms, "{name}::{v} => __w.write_str({v:?}),");
                     }
                 }
                 format!("match self {{ {arms} }}")
@@ -190,7 +189,7 @@ impl Item {
         format!(
             "#[automatically_derived]\n\
              impl ::serde::Serialize for {name} {{\n\
-                 fn to_value(&self) -> ::serde::Value {{ {body} }}\n\
+                 fn serialize(&self, __w: &mut ::serde::Writer<'_>) {{ {body} }}\n\
              }}"
         )
     }
@@ -199,72 +198,79 @@ impl Item {
         let name = &self.name;
         let body = match &self.shape {
             Shape::Struct(fields) => {
+                let mut slots = String::new();
+                let mut arms = String::new();
                 let mut entries = String::new();
-                for f in fields {
+                for (i, f) in fields.iter().enumerate() {
+                    let _ = write!(slots, "let mut __f{i} = ::std::option::Option::None;");
+                    let _ = write!(arms, "{f:?} => __r.field(&mut __f{i})?,");
                     let _ = write!(
                         entries,
-                        "{f}: ::serde::Deserialize::from_value(__v.get({f:?})\
-                         .ok_or_else(|| ::serde::Error::custom(\
-                         concat!(\"missing field `\", {f:?}, \"` in {name}\")))?)?,"
+                        "{f}: __f{i}.ok_or_else(|| ::serde::Error::missing_field({f:?}, {name:?}))?,"
                     );
                 }
-                format!("::std::result::Result::Ok({name} {{ {entries} }})")
+                format!(
+                    "{slots}\n\
+                     __r.begin_object()?;\n\
+                     while let ::std::option::Option::Some(__k) = __r.next_key()? {{\n\
+                         match &*__k {{ {arms} _ => __r.skip_value()?, }}\n\
+                     }}\n\
+                     ::std::result::Result::Ok({name} {{ {entries} }})"
+                )
             }
             Shape::TupleStruct(1) => {
-                format!("::std::result::Result::Ok({name}(::serde::Deserialize::from_value(__v)?))")
+                format!(
+                    "::std::result::Result::Ok({name}(::serde::Deserialize::deserialize(__r)?))"
+                )
             }
             Shape::TupleStruct(n) => {
                 let mut entries = String::new();
-                for i in 0..*n {
-                    let _ = write!(entries, "::serde::Deserialize::from_value(&__xs[{i}])?,");
+                for _ in 0..*n {
+                    let _ = write!(
+                        entries,
+                        "{{ __r.fixed_element({n})?; ::serde::Deserialize::deserialize(__r)? }},"
+                    );
                 }
                 format!(
-                    "match __v {{\n\
-                         ::serde::Value::Array(__xs) if __xs.len() == {n} => \
-                             ::std::result::Result::Ok({name}({entries})),\n\
-                         __other => ::std::result::Result::Err(::serde::Error::custom(\
-                             format!(\"expected {n}-element array for {name}, got {{}}\", \
-                             __other.kind()))),\n\
-                     }}"
+                    "__r.begin_array()?;\n\
+                     let __value = {name}({entries});\n\
+                     __r.end_fixed({n})?;\n\
+                     ::std::result::Result::Ok(__value)"
                 )
             }
             Shape::Enum(variants) => {
-                let mut unit_arms = String::new();
-                let mut payload_arms = String::new();
+                let mut arms = String::new();
                 for (v, payload) in variants {
                     if *payload {
                         let _ = write!(
-                            payload_arms,
-                            "{v:?} => return ::std::result::Result::Ok({name}::{v}(\
-                             ::serde::Deserialize::from_value(__inner)?)),"
+                            arms,
+                            "({v:?}, true) => {{\n\
+                                 let __x = ::serde::Deserialize::deserialize(__r)?;\n\
+                                 __r.end_variant()?;\n\
+                                 ::std::result::Result::Ok({name}::{v}(__x))\n\
+                             }}"
                         );
                     } else {
                         let _ = write!(
-                            unit_arms,
-                            "{v:?} => return ::std::result::Result::Ok({name}::{v}),"
+                            arms,
+                            "({v:?}, false) => ::std::result::Result::Ok({name}::{v}),"
                         );
                     }
                 }
                 format!(
-                    "if let ::serde::Value::String(__s) = __v {{\n\
-                         match __s.as_str() {{ {unit_arms} _ => {{}} }}\n\
-                     }}\n\
-                     if let ::serde::Value::Object(__fields) = __v {{\n\
-                         if __fields.len() == 1 {{\n\
-                             let (__tag, __inner) = &__fields[0];\n\
-                             match __tag.as_str() {{ {payload_arms} _ => {{}} }}\n\
-                         }}\n\
-                     }}\n\
-                     ::std::result::Result::Err(::serde::Error::custom(\
-                         format!(\"unrecognized {name} variant encoding: {{}}\", __v.kind())))"
+                    "let (__tag, __payload) = __r.begin_variant()?;\n\
+                     match (&*__tag, __payload) {{\n\
+                         {arms}\n\
+                         _ => ::std::result::Result::Err(__r.invalid(\
+                             format_args!(\"unrecognized {name} variant `{{}}`\", __tag))),\n\
+                     }}"
                 )
             }
         };
         format!(
             "#[automatically_derived]\n\
              impl ::serde::Deserialize for {name} {{\n\
-                 #[allow(unused_variables)]\n\
-                 fn from_value(__v: &::serde::Value) \
+                 fn deserialize(__r: &mut ::serde::Reader<'_>) \
                  -> ::std::result::Result<Self, ::serde::Error> {{ {body} }}\n\
              }}"
         )

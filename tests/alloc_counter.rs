@@ -16,6 +16,10 @@
 //!   campaign — i.e. every replication after the first allocates
 //!   nothing.
 //!
+//! One contract is a constant rather than zero: streaming a bundle with
+//! `serde_json::to_writer_pretty` allocates its one output buffer, the
+//! same count at v≈500 as at v≈5000.
+//!
 //! The binary is **harness-free** (`harness = false`) and runs every
 //! check on the one main thread — no rayon pool, no libtest threads —
 //! so a counted allocation is always a real regression in the scheduler
@@ -100,7 +104,52 @@ fn main() {
     campaign_cell_loop_allocates_nothing();
     streaming_arrivals_after_warm_allocate_nothing();
     wal_append_allocates_nothing();
+    bundle_streaming_allocations_do_not_grow();
     println!("alloc_counter: zero-allocation steady-state contracts hold");
+}
+
+fn bundle_streaming_allocations_do_not_grow() {
+    // `ftsched schedule` streams its bundle through one fixed buffer:
+    // rendering allocates the same small count however large the
+    // instance, so a per-node tree (or a whole-document string) cannot
+    // come back unnoticed. Labelled Gaussian-elimination graphs with
+    // matched communications exercise every shape the bundle writes.
+    let counts: Vec<(usize, u64)> = [32usize, 100]
+        .into_iter()
+        .map(|size| {
+            let dag = gaussian_elimination(size, 10.0, 1.0);
+            let mut rng = StdRng::seed_from_u64(0xB0D1E);
+            let platform = random_platform(&mut rng, 8, 0.5, 1.0);
+            let exec = ExecutionMatrix::unrelated_with_procs(&dag, 8, &mut rng, 0.5);
+            let inst = Instance::new(dag, platform, exec);
+            let schedule = schedule(&inst, 1, Algorithm::McFtsaGreedy, &mut rng).unwrap();
+            let Instance {
+                dag,
+                platform,
+                exec,
+            } = inst;
+            let bundle = ftsched_cli::Bundle {
+                dag,
+                platform,
+                exec,
+                schedule,
+                algorithm: "MC-FTSA".into(),
+            };
+            let before = allocations();
+            serde_json::to_writer_pretty(std::io::sink(), &bundle).expect("a sink never fails");
+            (bundle.dag.num_tasks(), allocations() - before)
+        })
+        .collect();
+    assert!(counts[0].0 >= 500 && counts[1].0 >= 5000, "{counts:?}");
+    assert_eq!(
+        counts[0].1, counts[1].1,
+        "bundle streaming allocations grew with the instance: (tasks, allocations) = {counts:?}"
+    );
+    assert!(
+        counts[0].1 <= 2,
+        "bundle streaming made {} allocations (contract: one buffer)",
+        counts[0].1
+    );
 }
 
 fn wal_append_allocates_nothing() {

@@ -207,6 +207,33 @@ fn malformed_specs_bounce_and_the_server_stays_live() {
     assert_eq!(res.body, "ok\n");
 }
 
+#[test]
+fn hostile_nesting_bounces_and_the_server_stays_live() {
+    // A valid spec plus 100 000 nested arrays under a key the spec does
+    // not know: the reader skips unknown keys, but within the same
+    // 128-level depth guard, so this is an error and not a stack
+    // overflow — for the library call and for the served request.
+    let spec_json = smoke_spec().to_json().expect("spec serializes");
+    let depth = 100_000;
+    let body = spec_json.replacen(
+        '{',
+        &format!("{{\"padding\": {}{},", "[".repeat(depth), "]".repeat(depth)),
+        1,
+    );
+    let err = CampaignSpec::from_json(&body).unwrap_err();
+    assert!(err.starts_with("JSON nesting too deep"), "{err}");
+
+    let addr = spawn_server(ServeConfig::default());
+    let res = post_campaign(addr, &body);
+    assert_eq!(res.status, "HTTP/1.1 400 Bad Request", "{}", res.body);
+    assert!(res.body.contains("JSON nesting too deep"), "{}", res.body);
+    let res = request(addr, "GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n");
+    assert_eq!(res.status, "HTTP/1.1 200 OK");
+    // The same spec without the padding still runs.
+    let res = post_campaign(addr, &spec_json);
+    assert_eq!(res.status, "HTTP/1.1 200 OK", "{}", res.body);
+}
+
 /// A fresh scratch data directory for one durable-server test.
 fn scratch_dir(name: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("ftsched_serve_{name}_{}", std::process::id()));
