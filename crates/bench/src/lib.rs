@@ -10,7 +10,9 @@
 //! runs at 1/4 workers plus the warm per-cell hot path), and
 //! `scheduler` for the `schedule()` hot path itself (fig1-style
 //! instances at v ∈ {100, 500, 1000} plus the ε = 5 stress shape) —
-//! tracked against the committed `BENCH_scheduler.json` baseline. The
+//! tracked against the committed `BENCH_scheduler.json` baseline — and
+//! `json` for the JSON writer (the float kernel against `{:?}`, and a
+//! 20k-task bundle streamed to a sink; `BENCH_json.json`). The
 //! *data* the paper reports are regenerated by the
 //! `ftsched-experiments` binaries; the benches measure how long each
 //! pipeline takes, which is the subject of Table 1.

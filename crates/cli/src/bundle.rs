@@ -2,6 +2,7 @@
 //! schedule (graph, platform, execution matrix, the schedule itself and
 //! its ε).
 
+use ftsched_core::validate::validate;
 use ftsched_core::Schedule;
 use platform::{ExecutionMatrix, Instance, Platform};
 use serde::{Deserialize, Serialize};
@@ -35,11 +36,20 @@ impl Bundle {
 
     /// Deserializes from JSON. Each part checks its own invariants as it
     /// is read; this also rejects parts whose dimensions disagree, so
-    /// [`Bundle::instance`] cannot panic on a loaded bundle.
+    /// [`Bundle::instance`] cannot panic on a loaded bundle, and a
+    /// schedule that does not [`validate`] on its instance, so the
+    /// simulator never replays one that names missing tasks, processors
+    /// or replicas.
     pub fn from_json(s: &str) -> serde_json::Result<Bundle> {
-        let bundle: Bundle = serde_json::from_str(s)?;
-        let (v, m) = (bundle.dag.num_tasks(), bundle.platform.num_procs());
-        let (rows, cols) = (bundle.exec.num_tasks(), bundle.exec.num_procs());
+        let Bundle {
+            dag,
+            platform,
+            exec,
+            schedule,
+            algorithm,
+        } = serde_json::from_str(s)?;
+        let (v, m) = (dag.num_tasks(), platform.num_procs());
+        let (rows, cols) = (exec.num_tasks(), exec.num_procs());
         if (rows, cols) != (v, m) {
             return Err(serde::Error::custom(format!(
                 "bundle parts disagree: exec is {rows}×{cols}, \
@@ -47,7 +57,22 @@ impl Bundle {
             ))
             .into());
         }
-        Ok(bundle)
+        let inst = Instance::new(dag, platform, exec);
+        validate(&inst, &schedule).map_err(|e| {
+            serde::Error::custom(format!("bundle schedule does not fit its instance: {e}"))
+        })?;
+        let Instance {
+            dag,
+            platform,
+            exec,
+        } = inst;
+        Ok(Bundle {
+            dag,
+            platform,
+            exec,
+            schedule,
+            algorithm,
+        })
     }
 }
 
@@ -84,7 +109,7 @@ mod tests {
         assert_eq!(back.schedule, s);
         assert_eq!(back.algorithm, "FTSA");
         // The reassembled instance still validates the schedule.
-        ftsched_core::validate::validate(&back.instance(), &back.schedule).unwrap();
+        validate(&back.instance(), &back.schedule).unwrap();
 
         // Parts that do not fit together are an error, not a panic in
         // `instance()`.

@@ -4,8 +4,10 @@
 //! never as an infinite weight that reaches the scheduler.
 
 use ftsched_cli::Bundle;
-use platform::Platform;
+use ftsched_core::{CommSelection, Replica, Schedule};
+use platform::{Platform, ProcId};
 use std::process::Command;
+use taskgraph::TaskId;
 
 fn scratch(name: &str) -> String {
     std::env::temp_dir()
@@ -151,4 +153,115 @@ fn malformed_bundles_are_named_errors() {
     for path in [graph, good, bad] {
         let _ = std::fs::remove_file(path);
     }
+}
+
+fn golden_bundle(alg: &str) -> Bundle {
+    let path = format!(
+        "{}/../../tests/golden/json/bundle-{alg}.json",
+        env!("CARGO_MANIFEST_DIR")
+    );
+    Bundle::from_json(&std::fs::read_to_string(path).unwrap()).unwrap()
+}
+
+type Order = Vec<Vec<(TaskId, usize)>>;
+
+/// `bundle` as JSON, with its schedule's replicas, placement lists and
+/// matched pairs edited by hand.
+fn edited(
+    bundle: &Bundle,
+    edit: impl FnOnce(&mut Vec<Vec<Replica>>, &mut Order, &mut CommSelection),
+) -> String {
+    let s = &bundle.schedule;
+    let mut replicas = s.replica_lists();
+    let mut order: Order = (0..s.num_procs())
+        .map(|j| s.proc_order(j).collect())
+        .collect();
+    let mut comm = s.comm.clone();
+    edit(&mut replicas, &mut order, &mut comm);
+    let schedule = Schedule::from_parts(s.epsilon, replicas, order, comm, s.schedule_order.clone());
+    Bundle {
+        schedule,
+        ..bundle.clone()
+    }
+    .to_json()
+    .unwrap()
+}
+
+fn matched(comm: &mut CommSelection) -> &mut Vec<Vec<(usize, usize)>> {
+    match comm {
+        CommSelection::Matched(pairs) => pairs,
+        CommSelection::AllToAll => panic!("expected a matched schedule"),
+    }
+}
+
+/// Schedules that do not fit their instance: each used to panic in the
+/// simulator or replay a wrong answer with exit 0.
+#[test]
+fn bundles_whose_schedule_does_not_fit_are_named_errors() {
+    let (ftsa, mc) = (golden_bundle("ftsa"), golden_bundle("mc-ftsa"));
+    let v = ftsa.dag.num_tasks();
+    let (edges, (_, src, dst, _)) = (mc.dag.num_edges(), mc.dag.edge_list().next().unwrap());
+    let cases: [(String, String, &[&str]); 5] = [
+        (
+            // Used to print `completed`, or panic under --fail 3.
+            edited(&ftsa, |r, _, _| r[0][0].proc = ProcId(99)),
+            "task t0 placed on unknown P99".into(),
+            &["--fail", "3"],
+        ),
+        (
+            edited(&ftsa, |r, _, _| {
+                r.pop();
+            }),
+            format!(
+                "schedule has replicas for {} tasks, the graph has {v}",
+                v - 1
+            ),
+            &[],
+        ),
+        (
+            edited(&ftsa, |_, o, _| o[0].push((TaskId(999), 0))),
+            "proc P0 places unknown task t999".into(),
+            &[],
+        ),
+        (
+            edited(&mc, |_, _, c| {
+                matched(c).pop();
+            }),
+            format!(
+                "matched comm table lists {} edges, the graph has {edges}",
+                edges - 1
+            ),
+            &[],
+        ),
+        (
+            // Used to report `FAILED: a task lost all replicas` with no
+            // failure at all.
+            edited(&mc, |_, _, c| matched(c)[0] = vec![(7, 9)]),
+            format!("edge {src}->{dst} pair (7, 9) names a missing replica"),
+            &[],
+        ),
+    ];
+    let bad = scratch("unfit-bundle.json");
+    for (text, expected, extra) in cases {
+        std::fs::write(&bad, &text).unwrap();
+        let args = [&["simulate", "--bundle", bad.as_str()], extra].concat();
+        let err = run(&args).expect_err("unfit bundle accepted");
+        assert!(
+            err.starts_with(&format!("parsing {bad}: bundle schedule does not fit")),
+            "{err}"
+        );
+        assert!(err.contains(&expected), "expected `{expected}` in: {err}");
+
+        let output = Command::new(env!("CARGO_BIN_EXE_ftsched"))
+            .args(&args)
+            .output()
+            .expect("run ftsched");
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert_eq!(output.status.code(), Some(1), "{stderr}");
+        assert!(
+            stderr.contains(&expected),
+            "expected `{expected}` in: {stderr}"
+        );
+    }
+    let _ = std::fs::remove_file(&bad);
 }

@@ -1,16 +1,17 @@
 //! Ordered and priority data structures used by the `ftsched` scheduler.
 //!
-//! The FTSA algorithm of Benoit, Hakem and Robert (RR-6418, 2008) maintains
+//! The FTSA algorithm of Benoit, Hakem and Robert (RR-6418, 2008) keeps
 //! its list of free tasks `α` "using a balanced search tree data structure
 //! (AVL)" so that selecting the critical task costs `O(log ω)` where `ω` is
-//! the width of the task graph. This crate provides that substrate, built
-//! from scratch:
+//! the width of the task graph. The scheduler meets that bound with the
+//! indexed [`DaryHeap`] below; the AVL structures remain for the
+//! `ablations` bench, which compares them. Every structure is built from
+//! scratch:
 //!
 //! * [`AvlTree`] — a generic AVL-balanced ordered map with `O(log n)`
 //!   insert / remove / min / max and in-order iteration.
-//! * [`PriorityList`] — the `α` list itself: a max-priority structure over
-//!   `(priority, tie-break)` keys with stable membership queries, backed by
-//!   the AVL tree.
+//! * [`PriorityList`] — a max-priority list over `(priority, tie-break)`
+//!   keys with stable membership queries, backed by the AVL tree.
 //! * [`IndexedHeap`] — a binary min-heap with `O(log n)` decrease-key /
 //!   remove by handle, used by the discrete-event simulator and by the
 //!   greedy communication selector.

@@ -2,6 +2,12 @@
 //!
 //! A schedule is *valid* when (numbering follows the paper):
 //!
+//! 0. **Shape** — it covers exactly the instance's tasks and processors,
+//!    `ε` is below the processor count, and every task, processor,
+//!    replica and matched-pair index it names exists. Each index is
+//!    checked before it is used, so a schedule read from a file cannot
+//!    make validation index out of range, and one that validates cannot
+//!    make the simulator do so.
 //! 1. **Proposition 4.1** — every task has at least `ε + 1` replicas and
 //!    its first `ε + 1` (primary) replicas sit on pairwise distinct
 //!    processors.
@@ -33,8 +39,30 @@ const TOL: f64 = 1e-6;
 pub fn validate(inst: &Instance, sched: &Schedule) -> Result<(), ScheduleError> {
     let dag = &inst.dag;
     let plat = &inst.platform;
-    let eps1 = sched.epsilon + 1;
     let fail = |msg: String| Err(ScheduleError::Invalid(msg));
+
+    // (0) the counts; each later step range-checks the indices it reads
+    // from the schedule before it uses them.
+    let (v, m) = (dag.num_tasks(), plat.num_procs());
+    if sched.num_tasks() != v {
+        return fail(format!(
+            "schedule has replicas for {} tasks, the graph has {v}",
+            sched.num_tasks()
+        ));
+    }
+    if sched.num_procs() != m {
+        return fail(format!(
+            "schedule has placement lists for {} processors, the platform has {m}",
+            sched.num_procs()
+        ));
+    }
+    if sched.epsilon >= m {
+        return fail(format!(
+            "ε = {} needs more than the platform's {m} processors",
+            sched.epsilon
+        ));
+    }
+    let eps1 = sched.epsilon + 1;
 
     // (6) schedule_order is a complete topological order.
     if sched.schedule_order.len() != dag.num_tasks() {
@@ -46,6 +74,9 @@ pub fn validate(inst: &Instance, sched: &Schedule) -> Result<(), ScheduleError> 
     }
     let mut pos = vec![usize::MAX; dag.num_tasks()];
     for (i, t) in sched.schedule_order.iter().enumerate() {
+        if t.index() >= v {
+            return fail(format!("schedule_order names unknown task {t}"));
+        }
         if pos[t.index()] != usize::MAX {
             return fail(format!("task {t} scheduled twice"));
         }
@@ -76,7 +107,7 @@ pub fn validate(inst: &Instance, sched: &Schedule) -> Result<(), ScheduleError> 
             }
         }
         for r in reps {
-            if r.proc.index() >= plat.num_procs() {
+            if r.proc.index() >= m {
                 return fail(format!("task {t} placed on unknown {}", r.proc));
             }
             if r.start_lb < -TOL || r.finish_lb < r.start_lb - TOL || r.finish_ub < r.start_ub - TOL
@@ -91,10 +122,13 @@ pub fn validate(inst: &Instance, sched: &Schedule) -> Result<(), ScheduleError> 
     for t in dag.tasks() {
         seen[t.index()] = vec![false; sched.replicas_of(t).len()];
     }
-    for j in 0..sched.num_procs() {
+    for j in 0..m {
         let mut last_lb = f64::NEG_INFINITY;
         let mut last_ub = f64::NEG_INFINITY;
         for (t, k) in sched.proc_order(j) {
+            if t.index() >= v {
+                return fail(format!("proc P{j} places unknown task {t}"));
+            }
             let reps = sched.replicas_of(t);
             if k >= reps.len() {
                 return fail(format!("proc P{j} references missing replica {k} of {t}"));
@@ -120,6 +154,53 @@ pub fn validate(inst: &Instance, sched: &Schedule) -> Result<(), ScheduleError> 
     for t in dag.tasks() {
         if seen[t.index()].iter().any(|&s| !s) {
             return fail(format!("task {t} has replicas missing from proc_order"));
+        }
+    }
+
+    // (5) matched-communication structure, before (3) reads the pairs.
+    if let CommSelection::Matched(table) = &sched.comm {
+        if table.len() != dag.num_edges() {
+            return fail(format!(
+                "matched comm table lists {} edges, the graph has {}",
+                table.len(),
+                dag.num_edges()
+            ));
+        }
+        for (eid, src, dst, _) in dag.edge_list() {
+            let pairs = &table[eid.index()];
+            let mut ls = std::collections::HashSet::new();
+            let mut rs = std::collections::HashSet::new();
+            for &(k, d) in pairs {
+                if k >= sched.replicas_of(src).len() || d >= sched.replicas_of(dst).len() {
+                    return fail(format!(
+                        "edge {src}->{dst} pair ({k}, {d}) names a missing replica"
+                    ));
+                }
+                if !ls.insert(k) || !rs.insert(d) {
+                    return fail(format!("edge {src}->{dst} matching not one-to-one"));
+                }
+            }
+            if pairs.len() != eps1 {
+                return fail(format!(
+                    "edge {src}->{dst} has {} matched pairs, expected {eps1}",
+                    pairs.len()
+                ));
+            }
+            // Forced internal edges of Proposition 4.3.
+            for (k, s) in sched.replicas_of(src).iter().enumerate().take(eps1) {
+                if let Some(d) = sched.replicas_of(dst)[..eps1]
+                    .iter()
+                    .position(|r| r.proc == s.proc)
+                {
+                    if !pairs.contains(&(k, d)) {
+                        return fail(format!(
+                            "edge {src}->{dst}: sender on shared {} must be matched \
+                             internally (Proposition 4.3)",
+                            s.proc
+                        ));
+                    }
+                }
+            }
         }
     }
 
@@ -179,47 +260,6 @@ pub fn validate(inst: &Instance, sched: &Schedule) -> Result<(), ScheduleError> 
                                 r.start_lb
                             ));
                         }
-                    }
-                }
-            }
-        }
-    }
-
-    // (5) matched-communication structure.
-    if let CommSelection::Matched(m) = &sched.comm {
-        if m.len() != dag.num_edges() {
-            return fail("matched comm table size mismatch".into());
-        }
-        for (eid, src, dst, _) in dag.edge_list() {
-            let pairs = &m[eid.index()];
-            if pairs.len() != eps1 {
-                return fail(format!(
-                    "edge {src}->{dst} has {} matched pairs, expected {eps1}",
-                    pairs.len()
-                ));
-            }
-            let mut ls = std::collections::HashSet::new();
-            let mut rs = std::collections::HashSet::new();
-            for &(k, d) in pairs {
-                if k >= sched.replicas_of(src).len() || d >= sched.replicas_of(dst).len() {
-                    return fail(format!("edge {src}->{dst} pair out of range"));
-                }
-                if !ls.insert(k) || !rs.insert(d) {
-                    return fail(format!("edge {src}->{dst} matching not one-to-one"));
-                }
-            }
-            // Forced internal edges of Proposition 4.3.
-            for (k, s) in sched.replicas_of(src).iter().enumerate().take(eps1) {
-                if let Some(d) = sched.replicas_of(dst)[..eps1]
-                    .iter()
-                    .position(|r| r.proc == s.proc)
-                {
-                    if !pairs.contains(&(k, d)) {
-                        return fail(format!(
-                            "edge {src}->{dst}: sender on shared {} must be matched \
-                             internally (Proposition 4.3)",
-                            s.proc
-                        ));
                     }
                 }
             }

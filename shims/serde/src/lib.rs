@@ -12,7 +12,9 @@
 //! into memory or an `io::Write` sink) and deserializes by pulling from a
 //! [`Reader`] (a strict RFC 8259 parser with a 128-level depth guard).
 //! Neither direction builds an intermediate tree, so memory stays at one
-//! output buffer plus the values being read. `serde_json` (also
+//! output buffer plus the values being read. Floats are formatted by a
+//! private shortest-digit kernel whose text equals `{:?}` byte for byte
+//! (see [`Writer::write_f64`]). `serde_json` (also
 //! vendored) is the thin front-end over the two. Formats beyond JSON and
 //! exotic serde attributes are intentionally unsupported.
 //!
@@ -25,6 +27,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod float;
 mod read;
 mod write;
 

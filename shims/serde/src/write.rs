@@ -1,7 +1,6 @@
 //! The streaming JSON writer.
 
-use std::fmt::Write as _;
-use std::io;
+use std::io::{self, Write as _};
 
 /// Buffered bytes at which a [`Writer`] with a sink hands them over.
 const FLUSH_AT: usize = 1 << 16;
@@ -10,7 +9,7 @@ const FLUSH_AT: usize = 1 << 16;
 /// element, so one element's text past the mark fits without growing it.
 const SLACK: usize = 1 << 12;
 
-const SPACES: &str = "                                                                ";
+const SPACES: &[u8] = b"                                                                ";
 
 /// Streams JSON text, compact or pretty (2-space indent), into memory or
 /// an [`io::Write`] sink.
@@ -25,7 +24,8 @@ const SPACES: &str = "                                                          
 /// `{}` / `[]`. The writer keeps no per-level stack, so its memory is
 /// one buffer however deep or long the value.
 pub struct Writer<'a> {
-    buf: String,
+    /// UTF-8 text: every write is a `&str` or ASCII.
+    buf: Vec<u8>,
     sink: Option<&'a mut dyn io::Write>,
     error: Option<io::Error>,
     pretty: bool,
@@ -39,7 +39,7 @@ impl Writer<'static> {
     /// [`Writer::into_string`]).
     pub fn new(pretty: bool) -> Self {
         Writer {
-            buf: String::new(),
+            buf: Vec::new(),
             sink: None,
             error: None,
             pretty,
@@ -50,7 +50,7 @@ impl Writer<'static> {
 
     /// The text written so far.
     pub fn into_string(self) -> String {
-        self.buf
+        String::from_utf8(self.buf).expect("the writer writes only UTF-8")
     }
 }
 
@@ -59,7 +59,7 @@ impl<'a> Writer<'a> {
     /// The first I/O error stops output; [`Writer::finish`] returns it.
     pub fn with_sink(sink: &'a mut dyn io::Write, pretty: bool) -> Self {
         Writer {
-            buf: String::with_capacity(FLUSH_AT + SLACK),
+            buf: Vec::with_capacity(FLUSH_AT + SLACK),
             sink: Some(sink),
             error: None,
             pretty,
@@ -81,7 +81,7 @@ impl<'a> Writer<'a> {
     fn flush_buf(&mut self) {
         if let Some(sink) = self.sink.as_mut() {
             if self.error.is_none() {
-                if let Err(e) = sink.write_all(self.buf.as_bytes()) {
+                if let Err(e) = sink.write_all(&self.buf) {
                     self.error = Some(e);
                 }
             }
@@ -91,11 +91,11 @@ impl<'a> Writer<'a> {
 
     fn newline(&mut self) {
         if self.pretty {
-            self.buf.push('\n');
+            self.buf.push(b'\n');
             let mut n = 2 * self.level;
             while n > 0 {
                 let k = n.min(SPACES.len());
-                self.buf.push_str(&SPACES[..k]);
+                self.buf.extend_from_slice(&SPACES[..k]);
                 n -= k;
             }
         }
@@ -108,13 +108,13 @@ impl<'a> Writer<'a> {
             self.flush_buf();
         }
         if !self.first {
-            self.buf.push(',');
+            self.buf.push(b',');
         }
         self.first = false;
         self.newline();
     }
 
-    fn close(&mut self, bracket: char) {
+    fn close(&mut self, bracket: u8) {
         self.level -= 1;
         if !self.first {
             self.newline();
@@ -125,7 +125,7 @@ impl<'a> Writer<'a> {
 
     /// Opens an object.
     pub fn begin_object(&mut self) {
-        self.buf.push('{');
+        self.buf.push(b'{');
         self.level += 1;
         self.first = true;
     }
@@ -134,17 +134,18 @@ impl<'a> Writer<'a> {
     pub fn field(&mut self, key: &str) {
         self.next_member();
         self.write_str(key);
-        self.buf.push_str(if self.pretty { ": " } else { ":" });
+        self.buf
+            .extend_from_slice(if self.pretty { b": " } else { b":" });
     }
 
     /// Closes the innermost object.
     pub fn end_object(&mut self) {
-        self.close('}');
+        self.close(b'}');
     }
 
     /// Opens an array.
     pub fn begin_array(&mut self) {
-        self.buf.push('[');
+        self.buf.push(b'[');
         self.level += 1;
         self.first = true;
     }
@@ -156,7 +157,7 @@ impl<'a> Writer<'a> {
 
     /// Closes the innermost array.
     pub fn end_array(&mut self) {
-        self.close(']');
+        self.close(b']');
     }
 
     /// Writes an array of `items`.
@@ -171,12 +172,13 @@ impl<'a> Writer<'a> {
 
     /// Writes `null`.
     pub fn write_null(&mut self) {
-        self.buf.push_str("null");
+        self.buf.extend_from_slice(b"null");
     }
 
     /// Writes `true` or `false`.
     pub fn write_bool(&mut self, b: bool) {
-        self.buf.push_str(if b { "true" } else { "false" });
+        self.buf
+            .extend_from_slice(if b { b"true" } else { b"false" });
     }
 
     /// Writes an unsigned integer.
@@ -189,13 +191,14 @@ impl<'a> Writer<'a> {
         let _ = write!(self.buf, "{n}");
     }
 
-    /// Writes a float in Rust's shortest round-trip form (`{:?}`), so
-    /// it parses back to the same bits; JSON has no NaN or infinity, so
-    /// non-finite values are written as `null`, as upstream serde_json
-    /// does.
+    /// Writes a float as the shortest decimal that parses back to the
+    /// same bits, in exactly the text `format!("{x:?}")` gives (the
+    /// formatter is the crate's own Ryu kernel, checked against `{:?}`
+    /// by its tests). JSON has no NaN or infinity, so non-finite values
+    /// are written as `null`, as upstream serde_json does.
     pub fn write_f64(&mut self, x: f64) {
         if x.is_finite() {
-            let _ = write!(self.buf, "{x:?}");
+            crate::float::push_shortest(&mut self.buf, x);
         } else {
             self.write_null();
         }
@@ -203,7 +206,7 @@ impl<'a> Writer<'a> {
 
     /// Writes a string literal with JSON escapes.
     pub fn write_str(&mut self, s: &str) {
-        self.buf.push('"');
+        self.buf.push(b'"');
         let mut run = 0;
         for (i, b) in s.bytes().enumerate() {
             let escape = match b {
@@ -219,15 +222,15 @@ impl<'a> Writer<'a> {
             };
             // Every byte that needs escaping is ASCII, so `i` is a char
             // boundary.
-            self.buf.push_str(&s[run..i]);
+            self.buf.extend_from_slice(&s.as_bytes()[run..i]);
             if escape.is_empty() {
                 let _ = write!(self.buf, "\\u{b:04x}");
             } else {
-                self.buf.push_str(escape);
+                self.buf.extend_from_slice(escape.as_bytes());
             }
             run = i + 1;
         }
-        self.buf.push_str(&s[run..]);
-        self.buf.push('"');
+        self.buf.extend_from_slice(&s.as_bytes()[run..]);
+        self.buf.push(b'"');
     }
 }
