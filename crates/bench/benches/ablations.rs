@@ -1,57 +1,16 @@
 //! Component ablations for the design choices called out in DESIGN.md:
 //!
-//! * the AVL-backed priority list vs a `BTreeMap` oracle (the paper
-//!   prescribes an AVL for the free list `α`);
 //! * greedy vs bottleneck-optimal communication selection in MC-FTSA;
 //! * FTBAR with and without the minimize-start-time duplication pass;
 //! * event-queue simulation vs the analytic replay.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use ftcollections::PriorityList;
 use ftsched_bench::bench_instance;
 use ftsched_core::{ftbar::ftbar_with_options, mc_ftsa, schedule, Algorithm};
 use platform::FailureScenario;
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 use simulator::{replay::replay, simulate};
-use std::collections::BTreeMap;
-
-fn bench_priority_list(c: &mut Criterion) {
-    let mut group = c.benchmark_group("ablation/priority-list");
-    let n = 10_000usize;
-    let mut rng = StdRng::seed_from_u64(1);
-    let items: Vec<(f64, u64)> = (0..n)
-        .map(|_| (rng.gen::<f64>() * 1e6, rng.gen()))
-        .collect();
-
-    group.bench_function("avl-priority-list", |b| {
-        b.iter(|| {
-            let mut l = PriorityList::new(n);
-            for (i, &(p, tb)) in items.iter().enumerate() {
-                l.insert(i, p, tb);
-            }
-            let mut acc = 0usize;
-            while let Some(x) = l.pop() {
-                acc ^= x;
-            }
-            acc
-        })
-    });
-    group.bench_function("btreemap-baseline", |b| {
-        b.iter(|| {
-            let mut m: BTreeMap<(u64, u64), usize> = BTreeMap::new();
-            for (i, &(p, tb)) in items.iter().enumerate() {
-                m.insert((p.to_bits(), tb), i);
-            }
-            let mut acc = 0usize;
-            while let Some((&k, _)) = m.iter().next_back() {
-                acc ^= m.remove(&k).unwrap();
-            }
-            acc
-        })
-    });
-    group.finish();
-}
 
 fn bench_mc_selectors(c: &mut Criterion) {
     let mut group = c.benchmark_group("ablation/mc-selector");
@@ -143,7 +102,6 @@ fn bench_sim_engines(c: &mut Criterion) {
 
 criterion_group!(
     benches,
-    bench_priority_list,
     bench_mc_selectors,
     bench_ftbar_duplication,
     bench_ftsa_priority,

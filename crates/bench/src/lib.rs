@@ -1,21 +1,23 @@
 //! Shared fixtures for the benchmark suite.
 //!
-//! One Criterion bench target exists per table/figure of the paper
-//! (`table1`, `fig1`–`fig4`) plus `ablations` for component-level design
-//! choices (AVL vs `BTreeMap`, greedy vs bottleneck matching, FTBAR with
-//! and without the minimize-start-time pass, event-queue simulation vs
-//! analytic replay), `parallel` for the rayon-shim harness (figure
-//! sweep at 1/2/4 workers, `parallel_map` dispatch overhead),
-//! `campaign` for the declarative scenario-grid executor (whole-grid
-//! runs at 1/4 workers plus the warm per-cell hot path), and
-//! `scheduler` for the `schedule()` hot path itself (fig1-style
-//! instances at v ∈ {100, 500, 1000} plus the ε = 5 stress shape) —
-//! tracked against the committed `BENCH_scheduler.json` baseline — and
-//! `json` for the JSON writer (the float kernel against `{:?}`, and a
-//! 20k-task bundle streamed to a sink; `BENCH_json.json`). The
-//! *data* the paper reports are regenerated by the
-//! `ftsched-experiments` binaries; the benches measure how long each
-//! pipeline takes, which is the subject of Table 1.
+//! Four Criterion targets:
+//!
+//! * `scheduler` — the `schedule()` hot path itself (fig1-style
+//!   instances at v ∈ {100, 500, 1000} plus the ε = 5 stress shape and
+//!   the large-v series), tracked against the committed
+//!   `BENCH_scheduler.json` baseline;
+//! * `ablations` — component-level design choices (greedy vs bottleneck
+//!   matching, FTBAR with and without the minimize-start-time pass,
+//!   FTSA priority policies, port models, event-queue simulation vs
+//!   analytic replay);
+//! * `campaign` — the declarative scenario-grid executor (whole-grid
+//!   runs at 1/4 workers plus the warm per-cell hot path);
+//! * `json` — the JSON writer (the float kernel against `{:?}`, and a
+//!   20k-task bundle streamed to a sink; `BENCH_json.json`).
+//!
+//! The *data* the paper reports are regenerated by `ftsched campaign
+//! --preset <name>`; the benches measure how long each pipeline takes.
+//! End-to-end speed claims go through `perfbench/`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

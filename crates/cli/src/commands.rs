@@ -3,13 +3,9 @@
 use crate::args::Args;
 use crate::bundle::Bundle;
 use experiments::campaign::{presets, run_campaign_with_threads, CampaignSpec};
-use experiments::figures::{run_figure_with_threads, FigureConfig};
-use experiments::output::{
-    campaign_to_table, figure_to_table, write_campaign_outputs, write_figure_csv,
-};
+use experiments::output::{campaign_to_table, write_campaign_outputs};
 use experiments::parallel::default_threads;
 use experiments::serve::{ServeConfig, Server};
-use experiments::table1::{format_table1, run_table1_with_threads, Table1Config};
 use ftsched_core::{schedule as run_schedule, validate::validate, Algorithm};
 use platform::gen::random_platform;
 use platform::granularity::scale_to_granularity;
@@ -69,11 +65,6 @@ pub fn generate(args: &Args) -> Result<String, String> {
 
 fn parse_algorithm(name: &str) -> Result<Algorithm, String> {
     name.parse()
-}
-
-/// Parses a `--algorithms a,b,c` list (used by the experiment axes).
-fn parse_algorithm_list(list: &str) -> Result<Vec<Algorithm>, String> {
-    list.split(',').map(|s| parse_algorithm(s.trim())).collect()
 }
 
 /// `ftsched schedule`
@@ -231,115 +222,31 @@ fn threads_from(args: &Args) -> Result<usize, String> {
     Ok(if t == 0 { default_threads() } else { t })
 }
 
-/// `ftsched experiment` — drives the paper's sweeps through the rayon
-/// shim's parallel harness.
-pub fn experiment(args: &Args) -> Result<String, String> {
-    let what = args.require("what")?;
+/// `ftsched reliability` — Monte-Carlo survival estimate of a saved
+/// bundle: every processor fails independently with probability `--p`,
+/// over `--samples` draws fanned out on the parallel harness (identical
+/// figures at any `--threads`).
+pub fn reliability(args: &Args) -> Result<String, String> {
+    let path = args.require("bundle")?;
+    let s = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
+    let bundle = Bundle::from_json(&s).map_err(|e| format!("parsing {path}: {e}"))?;
+    let inst = bundle.instance();
+    let p: f64 = args.get_num("p", 0.1)?;
+    let samples: usize = args.get_num("samples", 10_000)?;
+    let seed: u64 = args.get_num("seed", 42)?;
     let threads = threads_from(args)?;
-    let reps: usize = args.get_num("reps", 10)?;
-
-    match what {
-        "fig1" | "fig2" | "fig3" | "fig4" => {
-            let mut cfg = match what {
-                "fig1" => FigureConfig::comparison("fig1", 1, reps),
-                "fig2" => FigureConfig::comparison("fig2", 2, reps),
-                "fig3" => FigureConfig::comparison("fig3", 5, reps),
-                _ => FigureConfig::small_platform(reps),
-            };
-            if let Some(list) = args.get("algorithms") {
-                cfg.extra_algorithms = parse_algorithm_list(list)?;
-            }
-            let fig = run_figure_with_threads(&cfg, threads).map_err(|e| e.to_string())?;
-            let mut out = format!(
-                "== {what}: ε = {}, {} processors, {} graphs/point, {threads} thread(s) ==\n",
-                cfg.epsilon, cfg.procs, cfg.repetitions
-            );
-            let mut series: Vec<String> = vec![
-                "FTSA-LowerBound".into(),
-                "FTSA-UpperBound".into(),
-                "FaultFree-FTSA".into(),
-                format!("FTSA with {} Crash", cfg.epsilon),
-            ];
-            if cfg.compare_algorithms {
-                series.push("MC-FTSA-LowerBound".into());
-                series.push("FTBAR-LowerBound".into());
-                series.push(format!("MC-FTSA with {} Crash", cfg.epsilon));
-                series.push(format!("FTBAR with {} Crash", cfg.epsilon));
-            }
-            for alg in &cfg.extra_algorithms {
-                for s in [
-                    format!("{}-LowerBound", alg.name()),
-                    format!("{} with {} Crash", alg.name(), cfg.epsilon),
-                ] {
-                    if !series.contains(&s) {
-                        series.push(s);
-                    }
-                }
-            }
-            let refs: Vec<&str> = series.iter().map(String::as_str).collect();
-            let _ = write!(out, "{}", figure_to_table(&fig, &refs));
-            if let Some(dir) = args.get("out") {
-                let path = write_figure_csv(&fig, std::path::Path::new(dir))
-                    .map_err(|e| format!("writing CSV: {e}"))?;
-                let _ = writeln!(out, "[csv] {}", path.display());
-            }
-            Ok(out)
-        }
-        "table1" => {
-            // Table 1's primary output is wall-clock seconds; co-running
-            // rows would contend for cores and distort exactly what the
-            // table measures. Sequential by default — a row sweep is
-            // only parallelized when --threads asks for it explicitly.
-            let threads: usize = args.get_num("threads", 1)?.max(1);
-            let mut cfg = if args.has_flag("paper") {
-                Table1Config::paper()
-            } else {
-                Table1Config::quick()
-            };
-            if let Some(list) = args.get("sizes") {
-                let sizes: Result<Vec<usize>, _> = list.split(',').map(str::parse).collect();
-                cfg.sizes = sizes.map_err(|_| "bad --sizes list (expected e.g. 100,500)")?;
-            }
-            cfg.procs = args.get_num("procs", cfg.procs)?;
-            cfg.epsilon = args.get_num("epsilon", cfg.epsilon)?;
-            if let Some(list) = args.get("algorithms") {
-                cfg.extra_algorithms = parse_algorithm_list(list)?;
-            }
-            let rows = run_table1_with_threads(&cfg, threads).map_err(|e| e.to_string())?;
-            Ok(format!(
-                "== table1: {} processors, ε = {}, {threads} thread(s) ==\n{}",
-                cfg.procs,
-                cfg.epsilon,
-                format_table1(&rows)
-            ))
-        }
-        "reliability" => {
-            let bundle_path = args.require("bundle")?;
-            let s = std::fs::read_to_string(bundle_path)
-                .map_err(|e| format!("reading {bundle_path}: {e}"))?;
-            let bundle =
-                Bundle::from_json(&s).map_err(|e| format!("parsing {bundle_path}: {e}"))?;
-            let inst = bundle.instance();
-            let p: f64 = args.get_num("p", 0.1)?;
-            let samples: usize = args.get_num("samples", 10_000)?;
-            let seed: u64 = args.get_num("seed", 42)?;
-            let mc = rayon::ThreadPoolBuilder::new()
-                .num_threads(threads)
-                .build()
-                .map_err(|e| e.to_string())?
-                .install(|| {
-                    survival_probability_monte_carlo_par(&inst, &bundle.schedule, p, samples, seed)
-                });
-            Ok(format!(
-                "Monte-Carlo reliability ({samples} samples, p = {p}, {threads} thread(s))\n\
-                 P(survive) = {:.6}\nE[latency | survival] = {:.3}\n",
-                mc.survival, mc.expected_latency
-            ))
-        }
-        other => Err(format!(
-            "unknown experiment `{other}` (expected fig1|fig2|fig3|fig4|table1|reliability)"
-        )),
-    }
+    let mc = rayon::ThreadPoolBuilder::new()
+        .num_threads(threads)
+        .build()
+        .map_err(|e| e.to_string())?
+        .install(|| {
+            survival_probability_monte_carlo_par(&inst, &bundle.schedule, p, samples, seed)
+        });
+    Ok(format!(
+        "Monte-Carlo reliability ({samples} samples, p = {p}, {threads} thread(s))\n\
+         P(survive) = {:.6}\nE[latency | survival] = {:.3}\n",
+        mc.survival, mc.expected_latency
+    ))
 }
 
 /// `ftsched campaign` — runs a declarative scenario grid: a named
@@ -347,7 +254,6 @@ pub fn experiment(args: &Args) -> Result<String, String> {
 /// (`--spec grid.json`), with streaming aggregation and unified CSV/JSON
 /// emission. Results are bit-identical at any `--threads` count.
 pub fn campaign(args: &Args) -> Result<String, String> {
-    let threads = threads_from(args)?;
     // The repetition override applies to *both* sources — a spec file
     // run with `--quick` must actually shrink, not silently ignore the
     // flag and burn the full grid.
@@ -382,11 +288,23 @@ pub fn campaign(args: &Args) -> Result<String, String> {
         if r == 0 {
             return Err("--reps must be at least 1".into());
         }
-        spec.repetitions = r;
+        // A seeding that ignores the repetition index would only redo
+        // identical work, so such specs keep their single repetition.
+        if spec.seeding.uses_repetition_index() {
+            spec.repetitions = r;
+        }
     }
     if args.has_flag("dump-spec") {
         return spec.to_json();
     }
+    // Wall-clock columns measure the algorithms; cells running at the
+    // same time would contend for cores and distort them, so a timing
+    // spec runs on one thread unless --threads asks otherwise.
+    let threads = match args.get_num("threads", 0)? {
+        0 if spec.measures.timing => 1,
+        0 => default_threads(),
+        t => t,
+    };
 
     let res = run_campaign_with_threads(&spec, threads).map_err(|e| e.to_string())?;
     let mut out = format!(
@@ -462,6 +380,7 @@ pub fn info(args: &Args) -> Result<String, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use experiments::campaign::{LayeredRange, WorkloadSpec};
 
     fn argv(s: &str) -> Args {
         Args::parse(&s.split_whitespace().map(str::to_string).collect::<Vec<_>>()).unwrap()
@@ -542,11 +461,19 @@ mod tests {
         };
         assert_eq!(stats(&msg), stats(&msg2));
 
-        let msg = experiment(&argv(&format!(
-            "--what reliability --bundle {bundle} --p 0.2 --samples 500 --threads 2"
-        )))
-        .unwrap();
-        assert!(msg.contains("P(survive)"), "{msg}");
+        // The Monte-Carlo survival estimate gives the same figures at
+        // any thread count.
+        let estimate = |threads: usize| {
+            let msg = reliability(&argv(&format!(
+                "--bundle {bundle} --p 0.2 --samples 500 --threads {threads}"
+            )))
+            .unwrap();
+            assert!(msg.contains(&format!("{threads} thread(s)")), "{msg}");
+            msg.lines().skip(1).map(String::from).collect::<Vec<_>>()
+        };
+        let figures = estimate(1);
+        assert!(figures[0].starts_with("P(survive) = "), "{figures:?}");
+        assert_eq!(figures, estimate(2));
 
         // Single-run scenario options conflict with the campaign mode.
         let err = simulate_cmd(&argv(&format!(
@@ -567,18 +494,6 @@ mod tests {
 
         let _ = std::fs::remove_file(graph);
         let _ = std::fs::remove_file(bundle);
-    }
-
-    #[test]
-    fn experiment_figure_and_table_run() {
-        let msg = experiment(&argv("--what fig4 --reps 2 --threads 2")).unwrap();
-        assert!(msg.contains("FTSA with 2 Crash"), "{msg}");
-        let msg = experiment(&argv(
-            "--what table1 --sizes 60,120 --procs 10 --epsilon 1 --threads 2",
-        ))
-        .unwrap();
-        assert!(msg.contains("Number of tasks"), "{msg}");
-        assert!(experiment(&argv("--what nope")).is_err());
     }
 
     #[test]
@@ -631,6 +546,69 @@ mod tests {
     }
 
     #[test]
+    fn reps_override_skips_specs_that_ignore_the_repetition_index() {
+        // table1 and reliability seed every repetition alike: `--quick`
+        // must not multiply their work, while ci-smoke still shrinks to
+        // the quick repetition count.
+        for name in ["table1", "table1-full", "reliability"] {
+            let spec = campaign(&argv(&format!("--preset {name} --quick --dump-spec"))).unwrap();
+            assert!(spec.contains("\"repetitions\": 1,"), "{name}: {spec}");
+        }
+        let spec = campaign(&argv("--preset ci-smoke --quick --dump-spec")).unwrap();
+        assert!(spec.contains("\"repetitions\": 10,"), "{spec}");
+
+        // A spec file asking for repeated PaperTable cells is a named
+        // error, not ten copies of one measurement.
+        let dir = tmp("campaign_table_reps");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = format!("{dir}/table.json");
+        let spec = campaign(&argv("--preset table1 --dump-spec")).unwrap();
+        std::fs::write(
+            &path,
+            spec.replace("\"repetitions\": 1,", "\"repetitions\": 2,"),
+        )
+        .unwrap();
+        let err = campaign(&argv(&format!("--spec {path}"))).unwrap_err();
+        assert!(
+            err.contains("PaperTable seeding ignores the repetition index"),
+            "{err}"
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn timing_specs_default_to_one_thread() {
+        // Wall-clock columns stay free of co-running cells unless
+        // --threads asks for more.
+        let dir = tmp("campaign_timing");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = format!("{dir}/table.json");
+        std::fs::write(&path, small_table1(&[])).unwrap();
+        let msg = campaign(&argv(&format!("--spec {path}"))).unwrap();
+        assert!(msg.contains(", 1 thread(s) =="), "{msg}");
+        let msg = campaign(&argv(&format!("--spec {path} --threads 2"))).unwrap();
+        assert!(msg.contains(", 2 thread(s) =="), "{msg}");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// The `table1` preset's `--dump-spec` file narrowed to one 60-task
+    /// row on 10 processors at ε = 1, with `extras` as its
+    /// `extra_algorithms`.
+    fn small_table1(extras: &[&str]) -> String {
+        let mut spec =
+            CampaignSpec::from_json(&campaign(&argv("--preset table1 --dump-spec")).unwrap())
+                .unwrap();
+        spec.workloads = vec![WorkloadSpec::PaperLayered(LayeredRange {
+            tasks_lo: 60,
+            tasks_hi: 60,
+        })];
+        spec.platforms[0].procs = 10;
+        spec.epsilons = vec![1];
+        spec.extra_algorithms = extras.iter().map(|a| parse_algorithm(a).unwrap()).collect();
+        spec.to_json().unwrap()
+    }
+
+    #[test]
     fn campaign_argument_errors() {
         assert!(campaign(&argv("")).unwrap_err().contains("--preset"));
         assert!(campaign(&argv("--preset nope"))
@@ -646,15 +624,13 @@ mod tests {
         assert!(generate(&argv("--family nope --out /tmp/x.json")).is_err());
         assert!(parse_algorithm("nope").is_err());
         assert!(parse_algorithm("ftbar").is_ok());
-        assert!(parse_algorithm_list("p-ftsa, mc-ftbar").is_ok());
-        assert!(parse_algorithm_list("p-ftsa,wat").is_err());
     }
 
     #[test]
     fn cross_combination_algorithms_end_to_end() {
         // The pipeline cross-combinations must be first-class citizens:
         // schedule → simulate via the CLI, and act as extra series in
-        // the experiment sweeps.
+        // campaign specs.
         let graph = tmp("g5.json");
         generate(&argv(&format!("--family gauss --size 6 --out {graph}"))).unwrap();
         for alg in ["p-ftsa", "ftsa-mst", "mc-ftbar"] {
@@ -670,17 +646,29 @@ mod tests {
         }
         let _ = std::fs::remove_file(graph);
 
-        let msg = experiment(&argv(
-            "--what fig4 --reps 2 --threads 2 --algorithms p-ftsa,mc-ftbar",
-        ))
-        .unwrap();
+        // Extra series come from `extra_algorithms` in a --dump-spec file.
+        let dir = tmp("campaign_extras");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = format!("{dir}/fig4.json");
+        let spec = campaign(&argv("--preset fig4 --reps 2 --dump-spec")).unwrap();
+        let spec = spec.replace(
+            "\"extra_algorithms\": [],",
+            "\"extra_algorithms\": [\"p-ftsa\", \"mc-ftbar\"],",
+        );
+        std::fs::write(&path, spec).unwrap();
+        let msg = campaign(&argv(&format!("--spec {path} --threads 2"))).unwrap();
         assert!(msg.contains("P-FTSA-LowerBound"), "{msg}");
         assert!(msg.contains("MC-FTBAR with 2 Crash"), "{msg}");
 
-        let msg = experiment(&argv(
-            "--what table1 --sizes 60 --procs 10 --epsilon 1 --algorithms p-ftsa,mc-ftbar",
-        ))
-        .unwrap();
-        assert!(msg.contains("P-FTSA") && msg.contains("MC-FTBAR"), "{msg}");
+        std::fs::write(&path, small_table1(&["p-ftsa", "mc-ftbar"])).unwrap();
+        let msg = campaign(&argv(&format!("--spec {path}"))).unwrap();
+        for series in [
+            "Seconds: P-FTSA",
+            "Seconds: MC-FTBAR",
+            "MC-FTBAR-LowerBound",
+        ] {
+            assert!(msg.contains(series), "{series}: {msg}");
+        }
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

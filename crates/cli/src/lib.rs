@@ -10,13 +10,14 @@
 //! * `simulate` — read a bundle, crash a chosen or random processor set,
 //!   and report the achieved latency with an ASCII Gantt chart; or run a
 //!   parallel Monte-Carlo crash campaign with `--replications`.
-//! * `experiment` — drive the paper's figure/table sweeps and the
-//!   Monte-Carlo reliability estimator through the rayon shim's parallel
+//! * `reliability` — Monte-Carlo survival estimate of a bundle under
+//!   independent processor failures, through the rayon shim's parallel
 //!   harness (`--threads` pins the worker count; results are identical
 //!   at any thread count).
-//! * `campaign` — run a declarative scenario grid: a named preset or an
-//!   arbitrary `CampaignSpec` JSON file, with streaming aggregation and
-//!   unified CSV/JSON emission (see `experiments::campaign`).
+//! * `campaign` — run a declarative scenario grid: a named preset (every
+//!   figure and table of the paper is one) or an arbitrary
+//!   `CampaignSpec` JSON file, with streaming aggregation and unified
+//!   CSV/JSON emission (see `experiments::campaign`).
 //! * `serve` — the streaming campaign service: accept `CampaignSpec`
 //!   JSON over HTTP, shard groups across workers, and chunk-stream the
 //!   statistics back byte-identical to `campaign`'s file emission; with
@@ -24,9 +25,9 @@
 //!   resumed bit-exactly after a crash (see `experiments::serve`).
 //! * `info` — structural statistics of a graph file.
 //!
-//! Argument parsing is the tiny shared `--key value` scanner from
-//! `experiments::args` — the sanctioned dependency set has no CLI
-//! parser, and the surface is small.
+//! Argument parsing is the tiny `--key value` scanner in [`args`] — the
+//! sanctioned dependency set has no CLI parser, and the surface is
+//! small.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -48,7 +49,7 @@ pub fn run(argv: &[String]) -> Result<String, String> {
         "generate" => commands::generate(&args),
         "schedule" => commands::schedule_cmd(&args),
         "simulate" => commands::simulate_cmd(&args),
-        "experiment" => commands::experiment(&args),
+        "reliability" => commands::reliability(&args),
         "campaign" => commands::campaign(&args),
         "serve" => commands::serve(&args),
         "info" => commands::info(&args),
@@ -71,14 +72,11 @@ USAGE:
   ftsched simulate --bundle bundle.json [--fail 0,3,7 | --random-failures K]
                    [--replications N [--crashes K] [--threads T]]
                    [--seed S] [--gantt]
-  ftsched experiment --what <fig1|fig2|fig3|fig4|table1|reliability>
-                     [--reps N] [--threads T] [--out DIR]
-                     [--algorithms p-ftsa,mc-ftbar,...]  (extra series, figures+table1)
-                     [--paper | --sizes 100,500] [--procs M] [--epsilon E]  (table1)
-                     [--bundle b.json] [--p P] [--samples N]  (reliability)
+  ftsched reliability --bundle bundle.json [--p P] [--samples N] [--seed S] [--threads T]
   ftsched campaign --preset <fig1|fig2|fig3|fig4|table1|table1-full|contention|reliability|timed-crash|online|ci-smoke>
                    | --spec grid.json
                    [--reps N | --quick] [--threads T] [--out DIR] [--dump-spec]
+                   (extra series: set extra_algorithms in a --dump-spec file, run it with --spec)
   ftsched serve [--addr 127.0.0.1:7878] [--threads T] [--queue N] [--data-dir DIR]
                 (POST /campaigns with a CampaignSpec JSON body streams the
                  statistics; resubmitting a spec replays the existing run;
@@ -89,8 +87,10 @@ USAGE:
 
 `--threads 0` (the default) resolves from FTSCHED_THREADS or the
 available parallelism; sweeps yield identical results at any thread
-count. Exception: table1 rows time the algorithms, so they stay
-sequential unless --threads explicitly asks otherwise.
+count. Exception: specs that time the algorithms (table1, table1-full)
+run on one thread unless --threads explicitly asks otherwise.
+--reps and --quick leave table1, table1-full and reliability at their
+single repetition (their cells do not vary by repetition).
 "
     .to_string()
 }

@@ -4,14 +4,9 @@
 //! its list of free tasks `α` "using a balanced search tree data structure
 //! (AVL)" so that selecting the critical task costs `O(log ω)` where `ω` is
 //! the width of the task graph. The scheduler meets that bound with the
-//! indexed [`DaryHeap`] below; the AVL structures remain for the
-//! `ablations` bench, which compares them. Every structure is built from
-//! scratch:
+//! indexed [`DaryHeap`] below instead of a tree. Every structure is
+//! built from scratch:
 //!
-//! * [`AvlTree`] — a generic AVL-balanced ordered map with `O(log n)`
-//!   insert / remove / min / max and in-order iteration.
-//! * [`PriorityList`] — a max-priority list over `(priority, tie-break)`
-//!   keys with stable membership queries, backed by the AVL tree.
 //! * [`IndexedHeap`] — a binary min-heap with `O(log n)` decrease-key /
 //!   remove by handle, used by the discrete-event simulator and by the
 //!   greedy communication selector.
@@ -35,19 +30,15 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod avl;
 pub mod dary;
 pub mod epoch_heap;
 pub mod fold;
 pub mod heap;
 pub mod ordf64;
-pub mod priority_list;
 pub mod select;
 
-pub use avl::AvlTree;
 pub use dary::DaryHeap;
 pub use epoch_heap::EpochHeap;
 pub use heap::IndexedHeap;
 pub use ordf64::OrdF64;
-pub use priority_list::PriorityList;
 pub use select::{select_smallest, select_smallest_into};

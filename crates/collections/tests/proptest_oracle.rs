@@ -1,56 +1,12 @@
-//! Property-based tests: the AVL tree must behave exactly like
-//! `BTreeMap`, and the indexed heap like a sorted oracle, across random
-//! operation sequences.
+//! Property-based tests: the indexed heap must behave like a sorted
+//! oracle across random operation sequences.
 
-use ftcollections::{AvlTree, IndexedHeap, OrdF64, PriorityList};
+use ftcollections::IndexedHeap;
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 
-#[derive(Debug, Clone)]
-enum MapOp {
-    Insert(i32, i32),
-    Remove(i32),
-    Get(i32),
-}
-
-fn map_op() -> impl Strategy<Value = MapOp> {
-    prop_oneof![
-        (any::<i32>(), any::<i32>()).prop_map(|(k, v)| MapOp::Insert(k % 64, v)),
-        any::<i32>().prop_map(|k| MapOp::Remove(k % 64)),
-        any::<i32>().prop_map(|k| MapOp::Get(k % 64)),
-    ]
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
-
-    #[test]
-    fn avl_matches_btreemap(ops in proptest::collection::vec(map_op(), 1..200)) {
-        let mut avl: AvlTree<i32, i32> = AvlTree::new();
-        let mut oracle: BTreeMap<i32, i32> = BTreeMap::new();
-        for op in ops {
-            match op {
-                MapOp::Insert(k, v) => {
-                    prop_assert_eq!(avl.insert(k, v), oracle.insert(k, v));
-                }
-                MapOp::Remove(k) => {
-                    prop_assert_eq!(avl.remove(&k), oracle.remove(&k));
-                }
-                MapOp::Get(k) => {
-                    prop_assert_eq!(avl.get(&k), oracle.get(&k));
-                }
-            }
-            prop_assert_eq!(avl.len(), oracle.len());
-        }
-        avl.check_invariants().map_err(TestCaseError::fail)?;
-        // Full in-order comparison at the end.
-        let got: Vec<_> = avl.iter().map(|(k, v)| (*k, *v)).collect();
-        let want: Vec<_> = oracle.iter().map(|(k, v)| (*k, *v)).collect();
-        prop_assert_eq!(got, want);
-        // Extremes agree.
-        prop_assert_eq!(avl.min().map(|(k, _)| *k), oracle.keys().next().copied());
-        prop_assert_eq!(avl.max().map(|(k, _)| *k), oracle.keys().next_back().copied());
-    }
 
     #[test]
     fn heap_pops_sorted_after_updates(
@@ -102,33 +58,5 @@ proptest! {
             heap.check_invariants().map_err(TestCaseError::fail)?;
         }
         prop_assert_eq!(heap.len(), live.len());
-    }
-
-    #[test]
-    fn priority_list_head_is_argmax(
-        items in proptest::collection::vec((0.0f64..100.0, any::<u64>()), 1..80),
-    ) {
-        let mut l = PriorityList::new(items.len());
-        for (i, (p, tb)) in items.iter().enumerate() {
-            l.insert(i, *p, *tb);
-        }
-        // Head must hold the maximum (priority, tiebreak) pair.
-        let head = l.peek().unwrap();
-        let maxkey = items
-            .iter()
-            .enumerate()
-            .max_by_key(|(_, (p, tb))| (OrdF64::new(*p), *tb))
-            .map(|(i, _)| i)
-            .unwrap();
-        prop_assert_eq!(head, maxkey);
-        // Popping everything yields strictly descending keys.
-        let mut prev: Option<(OrdF64, u64)> = None;
-        while let Some(item) = l.pop() {
-            let key = (OrdF64::new(items[item].0), items[item].1);
-            if let Some(p) = prev {
-                prop_assert!(key < p);
-            }
-            prev = Some(key);
-        }
     }
 }

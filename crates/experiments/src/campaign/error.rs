@@ -1,14 +1,14 @@
 //! Typed campaign execution errors.
 //!
-//! Every failure the campaign engine (and the drivers built on it) can
-//! hit is a [`CampaignError`] value, never a panic: a spec rejected by
+//! Every failure the campaign engine can hit is a [`CampaignError`]
+//! value, never a panic: a spec rejected by
 //! [`super::CampaignSpec::validate`], a scheduler run failing inside a
-//! cell, a stream cell evaluated without an arrival axis, or a driver
-//! asking for a series the aggregation did not produce. A service front
-//! end (`experiments::serve`) relies on this — a worker thread must not
-//! die on user input, so `validate` rejects every spec shape that could
-//! reach the executor-level variants, which then only guard direct
-//! library callers.
+//! cell, a stream cell evaluated without an arrival axis, or a failed
+//! durable-store operation. A service front end (`experiments::serve`)
+//! relies on this — a worker thread must not die on user input, so
+//! `validate` rejects every spec shape that could reach the
+//! executor-level variants, which then only guard direct library
+//! callers.
 
 use ftsched_core::ScheduleError;
 use std::fmt;
@@ -47,7 +47,7 @@ impl std::error::Error for StoreIoError {
     }
 }
 
-/// Errors raised by campaign execution and the drivers built on it.
+/// Errors raised by campaign execution.
 #[derive(Debug, Clone, PartialEq)]
 pub enum CampaignError {
     /// The spec failed [`super::CampaignSpec::validate`].
@@ -94,18 +94,6 @@ pub enum CampaignError {
         /// The underlying io error.
         source: StoreIoError,
     },
-    /// A driver looked up a series absent from the aggregated results
-    /// (see [`super::GroupResult::require_mean`]).
-    MissingSeries {
-        /// The series name that was requested.
-        series: String,
-        /// Workload label of the group.
-        workload: String,
-        /// Processor count of the group.
-        procs: usize,
-        /// ε of the group.
-        epsilon: usize,
-    },
 }
 
 impl fmt::Display for CampaignError {
@@ -146,16 +134,6 @@ impl fmt::Display for CampaignError {
                 f,
                 "campaign {campaign}: durable store failed while {operation}: {source}"
             ),
-            CampaignError::MissingSeries {
-                series,
-                workload,
-                procs,
-                epsilon,
-            } => write!(
-                f,
-                "series {series:?} missing from group (workload {workload}, \
-                 {procs} procs, eps {epsilon})"
-            ),
         }
     }
 }
@@ -193,13 +171,6 @@ mod tests {
         assert!(e.to_string().contains("fig1"));
         assert!(e.to_string().contains("FTSA"));
         assert!(std::error::Error::source(&e).is_some());
-        let e = CampaignError::MissingSeries {
-            series: "FTSA-LowerBound".into(),
-            workload: "layered".into(),
-            procs: 10,
-            epsilon: 1,
-        };
-        assert!(e.to_string().contains("FTSA-LowerBound"));
     }
 
     #[test]

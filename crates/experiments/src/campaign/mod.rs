@@ -4,10 +4,9 @@
 //! A campaign is the cross product of four axes — **workload** ×
 //! **platform** × **ε** × **repetition** — described by a serde
 //! round-trippable [`CampaignSpec`] and evaluated under one
-//! [`MeasurePlan`]. The engine replaces the pre-campaign bespoke sweeps
-//! (`figures.rs`, `table1.rs`, `extensions.rs` each hard-coded its own
-//! grid walk, seeding and aggregation); those modules are now thin
-//! conversions over this one.
+//! [`MeasurePlan`]. The engine replaced the pre-campaign bespoke sweeps,
+//! each of which hard-coded its own grid walk, seeding and aggregation;
+//! the paper's evaluations are now named specs in [`presets`].
 //!
 //! # Pipeline
 //!
@@ -74,7 +73,7 @@ pub use spec::{
     StructuredKernel, StructuredWorkload, TaskCount, TimingCap, WorkloadSpec,
 };
 
-use crate::parallel::{default_threads, parallel_map_with};
+use crate::parallel::parallel_map_with;
 use ftsched_core::{schedule_into, Algorithm, ScheduleWorkspace};
 use platform::gen::{paper_instance, random_platform, PaperInstanceConfig};
 use platform::granularity::scale_to_granularity;
@@ -922,18 +921,6 @@ impl GroupResult {
     pub fn mean(&self, name: &str) -> Option<f64> {
         self.series.iter().find(|s| s.name == name).map(|s| s.mean)
     }
-
-    /// Mean of the named series, or a typed
-    /// [`CampaignError::MissingSeries`] identifying the group — the
-    /// panic-free lookup the table/extension drivers build on.
-    pub fn require_mean(&self, name: &str) -> Result<f64, CampaignError> {
-        self.mean(name).ok_or_else(|| CampaignError::MissingSeries {
-            series: name.to_string(),
-            workload: self.workload.clone(),
-            procs: self.procs,
-            epsilon: self.epsilon,
-        })
-    }
 }
 
 /// A fully aggregated campaign.
@@ -1041,12 +1028,6 @@ pub fn finalize_group(
 fn percentile(sorted: &[f64], q: f64) -> f64 {
     let idx = ((sorted.len() - 1) as f64 * q).round() as usize;
     sorted[idx]
-}
-
-/// Runs a campaign with the default worker count
-/// ([`crate::parallel::default_threads`]).
-pub fn run_campaign(spec: &CampaignSpec) -> Result<CampaignResult, CampaignError> {
-    run_campaign_with_threads(spec, default_threads())
 }
 
 /// Evaluates one cell (offline or stream, per the spec's arrival axis)

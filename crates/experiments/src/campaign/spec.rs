@@ -419,13 +419,25 @@ pub enum Seeding {
     /// independent), crash stream at `cell_seed ^ 0xC4A5`.
     PaperFigure,
     /// The Table 1 driver's derivation: `seed ^ declared_tasks` for the
-    /// instance, a fresh `StdRng(seed)` tie stream per algorithm.
+    /// instance, a fresh `StdRng(seed)` tie stream per algorithm. The
+    /// repetition index is unused, so a spec has exactly one repetition.
     PaperTable,
     /// The contention driver's derivation.
     PaperContention,
     /// The reliability driver's derivation: one instance per spec seed,
-    /// tie streams at `seed ^ ε`.
+    /// tie streams at `seed ^ ε`. The repetition index is unused, so a
+    /// spec has exactly one repetition.
     PaperReliability,
+}
+
+impl Seeding {
+    /// Whether cell seeds depend on the repetition index. When they do
+    /// not, every repetition of a group would redo the same work, so
+    /// [`CampaignSpec::validate`] requires `repetitions == 1` and the
+    /// CLI's `--reps`/`--quick` leave such specs alone.
+    pub fn uses_repetition_index(self) -> bool {
+        !matches!(self, Seeding::PaperTable | Seeding::PaperReliability)
+    }
 }
 
 /// A declarative scenario grid: the cross product of the workload,
@@ -611,6 +623,13 @@ impl CampaignSpec {
         }
         if let Some(arr) = &self.arrivals {
             self.validate_arrivals(arr)?;
+        }
+        if self.repetitions > 1 && !self.seeding.uses_repetition_index() {
+            return Err(format!(
+                "{:?} seeding ignores the repetition index, so its {} repetitions \
+                 would repeat identical work; use repetitions = 1",
+                self.seeding, self.repetitions
+            ));
         }
         Ok(())
     }

@@ -16,11 +16,10 @@
 //!   per-worker reusable workspaces (zero allocations in the
 //!   scheduler/simulator hot path), and streams the results into
 //!   mean/stddev/percentile group statistics. The paper's evaluations
-//!   are named presets ([`campaign::presets`]), pinned bit-identical to
-//!   the pre-campaign bespoke drivers.
-//! * [`figures`] / [`table1`] / [`extensions`] — the historical result
-//!   shapes (figure points, table rows), now thin conversions over
-//!   campaign runs.
+//!   (Figures 1–4, Table 1 and the Section 7 contention and reliability
+//!   extensions) are named presets ([`campaign::presets`]), pinned
+//!   bit-identical to the pre-campaign bespoke drivers; `ftsched
+//!   campaign --preset <name>` is the one way to run them.
 //! * [`parallel`] — the deterministic parallel maps on the `rayon`
 //!   shim's pool ([`parallel::parallel_map`] and the stateful
 //!   [`parallel::parallel_map_with`]); `FTSCHED_THREADS` pins the worker
@@ -33,9 +32,7 @@
 //!   persistent idempotency records plus a checksummed write-ahead log
 //!   of rendered groups, with crash recovery that resumes interrupted
 //!   runs bit-exactly from the first missing group.
-//! * [`output`] — CSV/JSON emission and ASCII plotting.
-//! * [`args`] — the one `--key value` argument scanner shared by the
-//!   CLI and the experiment binaries.
+//! * [`output`] — CSV/JSON/text emission of campaign results.
 //!
 //! **Normalization.** The paper plots "normalized latency" without
 //! defining the constant. We divide by the instance's mean edge
@@ -48,15 +45,11 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod args;
 pub mod campaign;
-pub mod extensions;
-pub mod figures;
 pub mod output;
 pub mod parallel;
 pub mod serve;
 pub mod store;
-pub mod table1;
 
 /// Default granularity sweep of the paper: 0.2, 0.4, …, 2.0.
 pub fn paper_granularities() -> Vec<f64> {

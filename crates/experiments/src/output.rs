@@ -1,8 +1,6 @@
-//! CSV/JSON emission and ASCII plotting of experiment series.
+//! CSV/JSON/text emission of campaign results.
 
 use crate::campaign::CampaignResult;
-use crate::figures::FigureResult;
-use std::collections::BTreeSet;
 use std::fmt::Write as _;
 use std::path::Path;
 
@@ -15,50 +13,6 @@ fn csv_field(s: &str) -> String {
     } else {
         s.to_string()
     }
-}
-
-/// Renders a figure as CSV: one row per granularity, one column per
-/// series, columns sorted by name for stable diffs.
-///
-/// The series-name union is built in a single pass over the points into
-/// an ordered set (the pre-campaign version re-collected every point's
-/// full key list into one flat vector and sorted that — quadratic-ish in
-/// points × series for no benefit).
-pub fn figure_to_csv(fig: &FigureResult) -> String {
-    let mut names: BTreeSet<&str> = BTreeSet::new();
-    for p in &fig.points {
-        for k in p.series.keys() {
-            names.insert(k.as_str());
-        }
-    }
-
-    let mut out = String::new();
-    out.push_str("granularity");
-    for n in &names {
-        let _ = write!(out, ",{}", csv_field(n));
-    }
-    out.push('\n');
-    for p in &fig.points {
-        let _ = write!(out, "{:.3}", p.granularity);
-        for n in &names {
-            match p.series.get(*n) {
-                Some(v) => {
-                    let _ = write!(out, ",{v:.6}");
-                }
-                None => out.push(','),
-            }
-        }
-        out.push('\n');
-    }
-    out
-}
-
-/// Writes the figure CSV under `dir/<id>.csv`, creating `dir`.
-pub fn write_figure_csv(fig: &FigureResult, dir: &Path) -> std::io::Result<std::path::PathBuf> {
-    std::fs::create_dir_all(dir)?;
-    let path = dir.join(format!("{}.csv", fig.id));
-    std::fs::write(&path, figure_to_csv(fig))?;
-    Ok(path)
 }
 
 /// Renders a campaign as long-format CSV: one row per (group, series)
@@ -112,32 +66,6 @@ pub fn write_campaign_outputs(
     Ok((csv, json))
 }
 
-/// Prints selected series of a figure as an aligned text table (the
-/// "rows the paper reports").
-pub fn figure_to_table(fig: &FigureResult, series: &[&str]) -> String {
-    let mut out = String::new();
-    let _ = write!(out, "{:>11}", "granularity");
-    for s in series {
-        let _ = write!(out, "  {s:>24}");
-    }
-    out.push('\n');
-    for p in &fig.points {
-        let _ = write!(out, "{:>11.1}", p.granularity);
-        for s in series {
-            match p.series.get(*s) {
-                Some(v) => {
-                    let _ = write!(out, "  {v:>24.3}");
-                }
-                None => {
-                    let _ = write!(out, "  {:>24}", "-");
-                }
-            }
-        }
-        out.push('\n');
-    }
-    out
-}
-
 /// Prints a campaign as aligned text: one block per group, mean ± stddev
 /// per series.
 pub fn campaign_to_table(res: &CampaignResult) -> String {
@@ -159,152 +87,60 @@ pub fn campaign_to_table(res: &CampaignResult) -> String {
     out
 }
 
-/// Minimal ASCII line plot of one series against granularity.
-pub fn ascii_plot(fig: &FigureResult, series: &str, height: usize) -> String {
-    let values: Vec<(f64, f64)> = fig
-        .points
-        .iter()
-        .filter_map(|p| p.series.get(series).map(|&v| (p.granularity, v)))
-        .collect();
-    if values.is_empty() {
-        return format!("(no data for series {series})\n");
-    }
-    let ymax = values
-        .iter()
-        .map(|&(_, v)| v)
-        .fold(f64::NEG_INFINITY, f64::max);
-    let ymin = values.iter().map(|&(_, v)| v).fold(f64::INFINITY, f64::min);
-    let span = (ymax - ymin).max(1e-12);
-    let height = height.max(3);
-
-    let mut rows = vec![vec![' '; values.len() * 6]; height];
-    for (i, &(_, v)) in values.iter().enumerate() {
-        let level = ((v - ymin) / span * (height - 1) as f64).round() as usize;
-        let row = height - 1 - level;
-        rows[row][i * 6 + 2] = '*';
-    }
-    let mut out = format!("{series}  [{ymin:.2} .. {ymax:.2}]\n");
-    for r in rows {
-        out.push('|');
-        out.extend(r);
-        out.push('\n');
-    }
-    out.push('+');
-    out.push_str(&"-".repeat(values.len() * 6));
-    out.push('\n');
-    out.push_str(" g: ");
-    for &(g, _) in &values {
-        let _ = write!(out, "{g:>5.1} ");
-    }
-    out.push('\n');
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::figures::FigurePoint;
-    use std::collections::BTreeMap;
+    use crate::campaign::{GroupResult, SeriesStats};
 
-    fn fig() -> FigureResult {
-        let mut s1 = BTreeMap::new();
-        s1.insert("A".to_string(), 1.0);
-        s1.insert("B".to_string(), 2.0);
-        let mut s2 = BTreeMap::new();
-        s2.insert("A".to_string(), 3.0);
-        s2.insert("B".to_string(), 4.0);
-        FigureResult {
-            id: "figtest".into(),
-            points: vec![
-                FigurePoint {
-                    granularity: 0.2,
-                    series: s1,
-                },
-                FigurePoint {
-                    granularity: 0.4,
-                    series: s2,
-                },
-            ],
+    fn stats(name: &str, mean: f64) -> SeriesStats {
+        SeriesStats {
+            name: name.into(),
+            count: 1,
+            mean,
+            stddev: 0.0,
+            min: mean,
+            max: mean,
+            p50: mean,
+            p90: mean,
         }
     }
 
     #[test]
-    fn csv_shape() {
-        let csv = figure_to_csv(&fig());
-        let lines: Vec<&str> = csv.lines().collect();
-        assert_eq!(lines[0], "granularity,A,B");
-        assert!(lines[1].starts_with("0.200,1.000000,2.000000"));
-        assert_eq!(lines.len(), 3);
-    }
-
-    #[test]
     fn csv_column_order_is_stable_and_commas_escaped() {
-        // Points with disjoint, unordered key sets — including names
-        // containing commas and quotes — must produce one sorted header
-        // with RFC 4180 quoting, identical across renders.
-        let mut s1 = BTreeMap::new();
-        s1.insert("Z series".to_string(), 1.0);
-        s1.insert("With, comma".to_string(), 2.0);
-        let mut s2 = BTreeMap::new();
-        s2.insert("A first".to_string(), 3.0);
-        s2.insert("Has \"quote\"".to_string(), 4.0);
-        let f = FigureResult {
+        // Series names containing commas and quotes get RFC 4180
+        // quoting, so a comma inside a quoted name never adds a column,
+        // and renders are identical.
+        let res = CampaignResult {
             id: "esc".into(),
-            points: vec![
-                FigurePoint {
-                    granularity: 0.2,
-                    series: s1,
-                },
-                FigurePoint {
-                    granularity: 0.4,
-                    series: s2,
-                },
-            ],
+            groups: vec![GroupResult {
+                workload_index: 0,
+                workload: "paper-layered[100..150]".into(),
+                platform_index: 0,
+                procs: 4,
+                granularity: 0.2,
+                epsilon: 1,
+                series: vec![stats("Has \"quote\"", 4.0), stats("With, comma", 2.0)],
+            }],
         };
-        let csv = figure_to_csv(&f);
-        let header = csv.lines().next().unwrap();
+        let csv = campaign_to_csv(&res);
+        assert_eq!(csv, campaign_to_csv(&res), "render must be deterministic");
+        let rows: Vec<&str> = csv.lines().collect();
+        assert_eq!(rows.len(), 3);
+        let prefix = "paper-layered[100..150],4,0.200000,1,";
         assert_eq!(
-            header,
-            "granularity,A first,\"Has \"\"quote\"\"\",\"With, comma\",Z series"
+            rows[1],
+            format!(
+                "{prefix}\"Has \"\"quote\"\"\",1,4.000000000,0.000000000,\
+                 4.000000000,4.000000000,4.000000000,4.000000000"
+            )
         );
-        assert_eq!(csv, figure_to_csv(&f), "render must be deterministic");
-        // Every row has header-many fields once quotes are respected:
-        // the comma inside the quoted name must not add a column.
-        assert_eq!(header.matches("\"With, comma\"").count(), 1);
-        // Missing cells render as empty fields, preserving column count.
-        let row1 = csv.lines().nth(1).unwrap();
-        assert!(row1.starts_with("0.200,"));
-    }
-
-    #[test]
-    fn table_includes_headers_and_dashes() {
-        let t = figure_to_table(&fig(), &["A", "missing"]);
-        assert!(t.contains("granularity"));
-        assert!(t.contains('A'));
-        assert!(t.contains('-'));
-    }
-
-    #[test]
-    fn csv_written_to_disk() {
-        let dir = std::env::temp_dir().join("ftsched_csv_test");
-        let path = write_figure_csv(&fig(), &dir).unwrap();
-        let content = std::fs::read_to_string(&path).unwrap();
-        assert!(content.starts_with("granularity"));
-        let _ = std::fs::remove_file(path);
-    }
-
-    #[test]
-    fn ascii_plot_marks_points() {
-        let p = ascii_plot(&fig(), "A", 5);
-        assert!(p.contains('*'));
-        assert!(p.contains("0.2"));
-        let missing = ascii_plot(&fig(), "Z", 5);
-        assert!(missing.contains("no data"));
+        assert!(rows[2].starts_with(&format!("{prefix}\"With, comma\",1,")));
+        let columns = rows[0].split(',').count();
+        assert_eq!(rows[2].split(',').count(), columns + 1, "one quoted comma");
     }
 
     #[test]
     fn campaign_emission_round_trip_and_csv_shape() {
-        use crate::campaign::{GroupResult, SeriesStats};
         let res = CampaignResult {
             id: "emit".into(),
             groups: vec![GroupResult {

@@ -134,24 +134,6 @@ fn missing_arrivals_is_a_typed_error() {
 }
 
 #[test]
-fn missing_series_lookup_is_a_typed_error() {
-    // Former panic path: drivers `.expect(..)`-ing a series mean out of
-    // a group. `require_mean` now carries the full lookup coordinates.
-    let spec = valid_spec();
-    let res = run_campaign_with_threads(&spec, 1).unwrap();
-    let g = &res.groups[0];
-    assert!(g.require_mean("FTSA-LowerBound").is_ok());
-    let err = g
-        .require_mean("No Such Series")
-        .expect_err("series is absent");
-    match &err {
-        CampaignError::MissingSeries { series, .. } => assert_eq!(series, "No Such Series"),
-        other => panic!("expected MissingSeries, got {other}"),
-    }
-    assert!(err.to_string().contains("No Such Series"), "{err}");
-}
-
-#[test]
 fn run_campaign_validates_up_front() {
     // The engine front door re-checks the spec, so the executor paths
     // above are structurally unreachable through it.
@@ -198,5 +180,20 @@ fn validate_rejects_every_panic_feeding_shape() {
             bad.validate().is_err(),
             "non-finite platform field must be rejected"
         );
+    }
+}
+
+#[test]
+fn validate_rejects_repetitions_the_seeding_ignores() {
+    // PaperTable and PaperReliability cells do not vary by repetition, so
+    // a second repetition would only redo identical work.
+    for seeding in [Seeding::PaperTable, Seeding::PaperReliability] {
+        let mut spec = valid_spec();
+        spec.seeding = seeding;
+        let err = spec.validate().unwrap_err();
+        assert!(err.contains("ignores the repetition index"), "{err}");
+        assert!(err.contains(&format!("{seeding:?}")), "{err}");
+        spec.repetitions = 1;
+        spec.validate().unwrap();
     }
 }

@@ -10,8 +10,81 @@
 //! bit** at the same seeds. Do not "modernize" this module — its whole
 //! value is that it does not share code with the engine under test.
 
-use experiments::figures::{run_figure_with_threads, FigureConfig};
-use experiments::table1::{run_table1_with_threads, Table1Config};
+use experiments::campaign::{
+    presets::{preset, PRESET_NAMES},
+    run_campaign_with_threads, CampaignSpec, LayeredRange, PlatformSpec, WorkloadSpec,
+};
+use ftsched_core::Algorithm;
+use platform::{FailureModel, UniformFailures};
+
+/// The frozen figure driver's configuration. The tests below derive it
+/// from the preset spec under test, so parity checks the presets
+/// themselves.
+struct FigureConfig {
+    epsilon: usize,
+    procs: usize,
+    granularities: Vec<f64>,
+    repetitions: usize,
+    extra_crash_counts: Vec<usize>,
+    compare_algorithms: bool,
+    extra_algorithms: Vec<Algorithm>,
+    seed: u64,
+}
+
+impl FigureConfig {
+    /// The figure configuration a `PaperFigure` spec encodes. Spec parts
+    /// the frozen driver cannot express show up as differing series.
+    fn of(spec: &CampaignSpec) -> FigureConfig {
+        let (base, extra) = spec.measures.failures.split_at(2);
+        assert_eq!(
+            base,
+            [
+                FailureModel::Epsilon,
+                FailureModel::Uniform(UniformFailures { crashes: 0 })
+            ],
+            "{}",
+            spec.id
+        );
+        FigureConfig {
+            epsilon: spec.epsilons[0],
+            procs: spec.platforms[0].procs,
+            granularities: spec.platforms.iter().map(|p| p.granularity).collect(),
+            repetitions: spec.repetitions,
+            extra_crash_counts: extra
+                .iter()
+                .map(|fm| match fm {
+                    FailureModel::Uniform(u) => u.crashes,
+                    other => panic!("{}: unexpected failure model {other:?}", spec.id),
+                })
+                .collect(),
+            compare_algorithms: spec.algorithms.len() > 1,
+            extra_algorithms: spec.extra_algorithms.clone(),
+            seed: spec.seed,
+        }
+    }
+}
+
+/// The frozen Table 1 driver's configuration, derived from a spec like
+/// [`FigureConfig::of`].
+struct Table1Config {
+    procs: usize,
+    epsilon: usize,
+    ftbar_size_cap: usize,
+    extra_algorithms: Vec<Algorithm>,
+    seed: u64,
+}
+
+impl Table1Config {
+    fn of(spec: &CampaignSpec) -> Table1Config {
+        Table1Config {
+            procs: spec.platforms[0].procs,
+            epsilon: spec.epsilons[0],
+            ftbar_size_cap: spec.measures.timing_caps[0].max_tasks,
+            extra_algorithms: spec.extra_algorithms.clone(),
+            seed: spec.seed,
+        }
+    }
+}
 
 /// Frozen pre-campaign reference implementations (see the file docs).
 mod frozen {
@@ -344,21 +417,35 @@ mod frozen {
     }
 }
 
-fn assert_figure_matches_frozen(cfg: &FigureConfig) {
-    let reference = frozen::run_figure(cfg);
-    let campaign = run_figure_with_threads(cfg, 2).unwrap();
-    assert_eq!(campaign.points.len(), reference.len());
-    for (point, (g, series)) in campaign.points.iter().zip(reference.iter()) {
-        assert!((point.granularity - g).abs() < 1e-12);
+/// The named figure preset on a narrowed granularity sweep.
+fn narrowed_figure(name: &str, epsilon: usize, granularities: &[f64]) -> CampaignSpec {
+    let mut spec = preset(name, Some(2)).unwrap();
+    let procs = spec.platforms[0].procs;
+    spec.platforms = granularities
+        .iter()
+        .map(|&g| PlatformSpec::paper(procs, g))
+        .collect();
+    spec.epsilons = vec![epsilon];
+    spec
+}
+
+fn assert_figure_matches_frozen(spec: &CampaignSpec) {
+    let reference = frozen::run_figure(&FigureConfig::of(spec));
+    let campaign = run_campaign_with_threads(spec, 2).unwrap();
+    assert_eq!(campaign.groups.len(), reference.len());
+    for (group, (g, series)) in campaign.groups.iter().zip(reference.iter()) {
+        assert!((group.granularity - g).abs() < 1e-12);
         assert_eq!(
-            point.series.len(),
+            group.series.len(),
             series.len(),
             "series set differs at g = {g}: campaign {:?} vs frozen {:?}",
-            point.series.keys().collect::<Vec<_>>(),
+            group.series.iter().map(|s| &s.name).collect::<Vec<_>>(),
             series.keys().collect::<Vec<_>>()
         );
         for (name, &value) in series {
-            let got = point.series[name];
+            let got = group
+                .mean(name)
+                .unwrap_or_else(|| panic!("series `{name}` missing at g = {g}"));
             assert_eq!(
                 got.to_bits(),
                 value.to_bits(),
@@ -370,145 +457,168 @@ fn assert_figure_matches_frozen(cfg: &FigureConfig) {
 
 #[test]
 fn figure_presets_match_frozen_drivers_bit_for_bit() {
-    // ε = 1 (fig1 shape), ε = 2 with the extra 1-crash series (fig2
-    // shape) and the ε = 5 shape, at a reduced grid for test time — the
+    // ε = 1 (fig1), ε = 2 with the extra 1-crash series (fig2) and the
+    // ε = 5 shape (fig3), at a reduced grid for test time — the
     // seeding/stream structure is identical to the full presets.
     // ε = 0 pins the degenerate case where the frozen driver inserted
     // "FTSA with 0 Crash" twice under one BTreeMap key (identical
     // values) and the campaign engine skips the duplicate label.
-    for (eps, grans) in [
-        (0usize, vec![0.6]),
-        (1, vec![0.2, 1.0, 2.0]),
-        (2, vec![0.4, 1.6]),
-        (5, vec![0.8]),
+    for (name, eps, grans) in [
+        ("fig1", 0usize, vec![0.6]),
+        ("fig1", 1, vec![0.2, 1.0, 2.0]),
+        ("fig2", 2, vec![0.4, 1.6]),
+        ("fig3", 5, vec![0.8]),
     ] {
-        let cfg = FigureConfig {
-            granularities: grans,
-            repetitions: 2,
-            ..FigureConfig::comparison(&format!("parity-eps{eps}"), eps, 2)
-        };
-        assert_figure_matches_frozen(&cfg);
+        assert_figure_matches_frozen(&narrowed_figure(name, eps, &grans));
     }
 }
 
 #[test]
 fn fig4_small_platform_matches_frozen_driver() {
-    let cfg = FigureConfig {
-        granularities: vec![0.2, 1.2, 2.0],
-        repetitions: 2,
-        ..FigureConfig::small_platform(2)
-    };
-    assert_figure_matches_frozen(&cfg);
+    assert_figure_matches_frozen(&narrowed_figure("fig4", 2, &[0.2, 1.2, 2.0]));
 }
 
 #[test]
 fn figure_extra_algorithms_match_frozen_driver() {
-    let mut cfg = FigureConfig {
-        granularities: vec![0.6, 1.8],
-        repetitions: 2,
-        ..FigureConfig::comparison("parity-extra", 1, 2)
-    };
+    let mut spec = narrowed_figure("fig1", 1, &[0.6, 1.8]);
     // Includes a duplicate (Ftsa) to pin the skip-with-advancing-index
     // behaviour of the frozen driver.
-    cfg.extra_algorithms = vec![
-        ftsched_core::Algorithm::FtsaPressure,
-        ftsched_core::Algorithm::Ftsa,
-        ftsched_core::Algorithm::FtbarMatched,
+    spec.extra_algorithms = vec![
+        Algorithm::FtsaPressure,
+        Algorithm::Ftsa,
+        Algorithm::FtbarMatched,
     ];
-    assert_figure_matches_frozen(&cfg);
+    assert_figure_matches_frozen(&spec);
 }
 
 #[test]
 fn table1_preset_matches_frozen_latency_columns() {
-    let cfg = Table1Config {
-        sizes: vec![60, 120, 200],
-        procs: 10,
-        epsilon: 1,
-        ftbar_size_cap: 120,
-        extra_algorithms: vec![
-            ftsched_core::Algorithm::FtsaPressure,
-            ftsched_core::Algorithm::FtbarMatched,
-        ],
-        seed: 0x7AB1E1,
-    };
-    let rows = run_table1_with_threads(&cfg, 1).unwrap();
-    assert_eq!(rows.len(), cfg.sizes.len());
-    for (row, &v) in rows.iter().zip(&cfg.sizes) {
+    let mut spec = preset("table1", None).unwrap();
+    let sizes = [60, 120, 200];
+    spec.workloads = sizes
+        .map(|v| {
+            WorkloadSpec::PaperLayered(LayeredRange {
+                tasks_lo: v,
+                tasks_hi: v,
+            })
+        })
+        .to_vec();
+    spec.platforms[0].procs = 10;
+    spec.epsilons = vec![1];
+    spec.measures.timing_caps[0].max_tasks = 120;
+    spec.extra_algorithms = vec![Algorithm::FtsaPressure, Algorithm::FtbarMatched];
+    let cfg = Table1Config::of(&spec);
+    let res = run_campaign_with_threads(&spec, 1).unwrap();
+    assert_eq!(res.groups.len(), sizes.len());
+    for (g, v) in res.groups.iter().zip(sizes) {
         let reference = frozen::run_table1_row(&cfg, v);
-        assert_eq!(row.tasks, reference.tasks);
+        assert_eq!(reference.tasks, v);
+        assert_eq!(g.workload, format!("paper-layered[{v}..{v}]"));
+        let latency = |alg: &str| g.mean(&format!("{alg}-LowerBound")).map(f64::to_bits);
         assert_eq!(
-            row.ftsa_latency.to_bits(),
-            reference.ftsa_latency.to_bits(),
+            latency("FTSA"),
+            Some(reference.ftsa_latency.to_bits()),
             "FTSA latency at v = {v}"
         );
         assert_eq!(
-            row.mc_ftsa_latency.to_bits(),
-            reference.mc_ftsa_latency.to_bits(),
+            latency("MC-FTSA"),
+            Some(reference.mc_ftsa_latency.to_bits()),
             "MC-FTSA latency at v = {v}"
         );
         assert_eq!(
-            row.ftbar_latency.map(f64::to_bits),
+            latency("FTBAR"),
             reference.ftbar_latency.map(f64::to_bits),
             "FTBAR latency/cap at v = {v}"
         );
         // Wall-clock columns are machine-dependent; pin presence only.
-        assert!(row.ftsa_secs >= 0.0 && row.mc_ftsa_secs >= 0.0);
-        assert_eq!(row.ftbar_secs.is_some(), reference.ftbar_latency.is_some());
-        assert_eq!(row.extra.len(), reference.extra.len());
-        for ((name, secs, latency), (ref_name, ref_latency)) in
-            row.extra.iter().zip(&reference.extra)
-        {
-            assert_eq!(name, ref_name);
-            assert!(*secs >= 0.0);
-            assert_eq!(latency.to_bits(), ref_latency.to_bits());
+        let secs = |alg: &str| g.mean(&format!("Seconds: {alg}"));
+        assert!(secs("FTSA").unwrap() >= 0.0 && secs("MC-FTSA").unwrap() >= 0.0);
+        assert_eq!(secs("FTBAR").is_some(), reference.ftbar_latency.is_some());
+        assert_eq!(reference.extra.len(), 2);
+        for (name, ref_latency) in &reference.extra {
+            assert!(secs(name).unwrap() >= 0.0);
+            assert_eq!(
+                latency(name),
+                Some(ref_latency.to_bits()),
+                "{name} at v = {v}"
+            );
         }
     }
 }
 
 #[test]
 fn contention_preset_matches_frozen_driver() {
-    let epsilons = [1usize, 2];
-    let rows = experiments::extensions::run_contention(&epsilons, 3, 0.4, 0xC0417).unwrap();
-    let reference = frozen::run_contention(&epsilons, 3, 0.4, 0xC0417);
-    assert_eq!(rows.len(), reference.len());
-    for (row, rf) in rows.iter().zip(&reference) {
-        assert_eq!(row.epsilon, rf.epsilon);
-        assert_eq!(row.ftsa_penalty.to_bits(), rf.ftsa_penalty.to_bits());
-        assert_eq!(row.mc_penalty.to_bits(), rf.mc_penalty.to_bits());
-        assert_eq!(row.ftsa_transfers.to_bits(), rf.ftsa_transfers.to_bits());
-        assert_eq!(row.mc_transfers.to_bits(), rf.mc_transfers.to_bits());
+    let mut spec = preset("contention", Some(3)).unwrap();
+    spec.epsilons = vec![1, 2];
+    let res = run_campaign_with_threads(&spec, 2).unwrap();
+    let reference = frozen::run_contention(
+        &spec.epsilons,
+        spec.repetitions,
+        spec.platforms[0].granularity,
+        spec.seed,
+    );
+    assert_eq!(res.groups.len(), reference.len());
+    for (g, rf) in res.groups.iter().zip(&reference) {
+        assert_eq!(g.epsilon, rf.epsilon);
+        let mean = |name: &str| g.mean(name).map(f64::to_bits);
+        assert_eq!(
+            mean("OnePortPenalty: FTSA"),
+            Some(rf.ftsa_penalty.to_bits())
+        );
+        assert_eq!(
+            mean("OnePortPenalty: MC-FTSA"),
+            Some(rf.mc_penalty.to_bits())
+        );
+        assert_eq!(mean("Transfers: FTSA"), Some(rf.ftsa_transfers.to_bits()));
+        assert_eq!(mean("Transfers: MC-FTSA"), Some(rf.mc_transfers.to_bits()));
     }
 }
 
 #[test]
 fn reliability_preset_matches_frozen_driver() {
-    let rows = experiments::extensions::run_reliability(&[0, 2], &[0.1, 0.4], 8, 0x8E11).unwrap();
-    let reference = frozen::run_reliability(&[0, 2], &[0.1, 0.4], 8, 0x8E11);
-    assert_eq!(rows.len(), reference.len());
-    for (row, rf) in rows.iter().zip(&reference) {
-        assert_eq!(row.epsilon, rf.epsilon);
-        assert_eq!(row.p.to_bits(), rf.p.to_bits());
-        assert_eq!(row.survival.to_bits(), rf.survival.to_bits());
-        assert_eq!(row.design_point.to_bits(), rf.design_point.to_bits());
+    let mut spec = preset("reliability", None).unwrap();
+    spec.epsilons = vec![0, 2];
+    spec.platforms[0].procs = 8;
+    spec.measures.reliability = vec![0.1, 0.4];
+    let res = run_campaign_with_threads(&spec, 2).unwrap();
+    let reference = frozen::run_reliability(
+        &spec.epsilons,
+        &spec.measures.reliability,
+        spec.platforms[0].procs,
+        spec.seed,
+    );
+    assert_eq!(
+        reference.len(),
+        res.groups.len() * spec.measures.reliability.len()
+    );
+    for rf in &reference {
+        let g = res.groups.iter().find(|g| g.epsilon == rf.epsilon).unwrap();
+        let p = rf.p;
+        let mean = |name: &str| g.mean(name).map(f64::to_bits);
+        assert_eq!(
+            mean(&format!("P(survive) p={p}")),
+            Some(rf.survival.to_bits())
+        );
+        assert_eq!(
+            mean(&format!("DesignPoint p={p}")),
+            Some(rf.design_point.to_bits())
+        );
     }
 }
 
 #[test]
 fn full_preset_specs_run_at_reduced_scale() {
-    // The actual named presets execute end to end at tiny repetition
-    // counts; their figure conversions are exercised by the tests above.
-    for name in ["fig1", "fig4", "contention", "reliability", "ci-smoke"] {
-        let spec = experiments::campaign::presets::preset(name, Some(1)).unwrap();
-        let mut spec = spec;
-        // Shrink the heavyweight grids so the whole suite stays fast.
+    // Every named preset executes end to end at one repetition; the
+    // heavyweight grids shrink so the whole suite stays fast.
+    for name in PRESET_NAMES {
+        let mut spec = preset(name, Some(1)).unwrap();
         if name.starts_with("fig") {
             spec.platforms.truncate(2);
         }
         if name == "contention" {
             spec.epsilons.truncate(1);
         }
-        let res = experiments::campaign::run_campaign_with_threads(&spec, 2)
-            .unwrap_or_else(|e| panic!("{name}: {e}"));
+        let res = run_campaign_with_threads(&spec, 2).unwrap_or_else(|e| panic!("{name}: {e}"));
         assert_eq!(res.groups.len(), spec.num_groups());
         assert!(res.groups.iter().all(|g| !g.series.is_empty()));
     }

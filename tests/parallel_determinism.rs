@@ -4,8 +4,8 @@
 //! rayon shim returns **bit-identical** output at `threads = 1`, `2` and
 //! `available_parallelism()`, and reruns with the same seed are
 //! identical across runs. This suite enforces the contract end to end
-//! for the figure cells, the Table 1 rows, the Monte-Carlo
-//! crash-simulation replications and the reliability estimator. (The
+//! for the figure and Table 1 presets, the Monte-Carlo crash-simulation
+//! replications and the reliability estimator. (The
 //! companion wall-clock speedup measurement lives in its own binary,
 //! `tests/parallel_speedup.rs`, so nothing competes with its timing.)
 //!
@@ -13,9 +13,11 @@
 //! `FTSCHED_THREADS=4` so both the inline sequential path and the
 //! work-stealing path are exercised on every push.
 
-use experiments::figures::{run_figure_with_threads, FigureConfig};
+use experiments::campaign::{
+    presets, run_campaign_with_threads, CampaignSpec, LayeredRange, PlatformSpec, WorkloadSpec,
+};
+use experiments::output::campaign_to_json;
 use experiments::parallel::{default_threads, parallel_map};
-use experiments::table1::{run_table1_with_threads, Table1Config};
 use ftsched::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -44,81 +46,70 @@ fn pinned<R>(threads: usize, op: impl FnOnce() -> R) -> R {
         .install(op)
 }
 
-fn tiny_figure() -> FigureConfig {
-    FigureConfig {
-        granularities: vec![0.4, 1.2],
-        repetitions: 4,
-        ..FigureConfig::comparison("det", 1, 4)
-    }
+/// The fig1 preset narrowed to two granularities.
+fn tiny_figure() -> CampaignSpec {
+    let mut spec = presets::preset("fig1", Some(4)).expect("preset");
+    spec.platforms = vec![PlatformSpec::paper(20, 0.4), PlatformSpec::paper(20, 1.2)];
+    spec
 }
 
-/// Exact (bitwise) equality of two figure results.
-fn assert_figures_identical(
-    a: &experiments::figures::FigureResult,
-    b: &experiments::figures::FigureResult,
-) {
-    assert_eq!(a.points.len(), b.points.len());
-    for (pa, pb) in a.points.iter().zip(&b.points) {
-        assert_eq!(pa.granularity.to_bits(), pb.granularity.to_bits());
-        assert_eq!(
-            pa.series.keys().collect::<Vec<_>>(),
-            pb.series.keys().collect::<Vec<_>>()
-        );
-        for (name, va) in &pa.series {
-            let vb = pb.series[name];
-            assert_eq!(
-                va.to_bits(),
-                vb.to_bits(),
-                "series `{name}` at g={} differs: {va} vs {vb}",
-                pa.granularity
-            );
-        }
-    }
+/// The campaign's JSON at `threads` workers: every statistic of every
+/// series, so equal text means bit-identical results.
+fn json_at(spec: &CampaignSpec, threads: usize) -> String {
+    campaign_to_json(&run_campaign_with_threads(spec, threads).expect("valid spec"))
 }
 
 #[test]
 fn figure_cells_identical_across_thread_counts() {
-    let cfg = tiny_figure();
-    let reference = run_figure_with_threads(&cfg, 1).unwrap();
+    let spec = tiny_figure();
+    let reference = json_at(&spec, 1);
     for threads in thread_counts() {
-        let run = run_figure_with_threads(&cfg, threads).unwrap();
-        assert_figures_identical(&reference, &run);
+        assert_eq!(
+            json_at(&spec, threads),
+            reference,
+            "diverged at {threads} threads"
+        );
     }
 }
 
 #[test]
 fn figure_rerun_with_same_seed_is_identical() {
-    let cfg = tiny_figure();
-    let a = run_figure_with_threads(&cfg, 2).unwrap();
-    let b = run_figure_with_threads(&cfg, 2).unwrap();
-    assert_figures_identical(&a, &b);
+    let spec = tiny_figure();
+    assert_eq!(json_at(&spec, 2), json_at(&spec, 2));
 }
 
 #[test]
 fn table1_rows_identical_across_thread_counts() {
-    let cfg = Table1Config {
-        sizes: vec![60, 100, 140],
-        procs: 10,
-        epsilon: 1,
-        ftbar_size_cap: 140,
-        extra_algorithms: vec![],
-        seed: 0xDE7,
-    };
-    let reference = run_table1_with_threads(&cfg, 1).unwrap();
-    for threads in thread_counts() {
-        let rows = run_table1_with_threads(&cfg, threads).unwrap();
-        assert_eq!(rows.len(), reference.len());
-        for (a, b) in reference.iter().zip(&rows) {
-            // Wall-clock columns are measurements, not outputs; every
-            // deterministic column must match bitwise.
-            assert_eq!(a.tasks, b.tasks);
-            assert_eq!(a.ftsa_latency.to_bits(), b.ftsa_latency.to_bits());
-            assert_eq!(a.mc_ftsa_latency.to_bits(), b.mc_ftsa_latency.to_bits());
-            assert_eq!(
-                a.ftbar_latency.map(f64::to_bits),
-                b.ftbar_latency.map(f64::to_bits)
-            );
+    let mut spec = presets::preset("table1", None).expect("preset");
+    spec.workloads = [60, 100, 140]
+        .map(|v| {
+            WorkloadSpec::PaperLayered(LayeredRange {
+                tasks_lo: v,
+                tasks_hi: v,
+            })
+        })
+        .to_vec();
+    spec.platforms[0].procs = 10;
+    spec.epsilons = vec![1];
+    spec.measures.timing_caps[0].max_tasks = 140;
+    spec.seed = 0xDE7;
+    // Wall-clock series are measurements, not outputs; every
+    // deterministic series must match bitwise.
+    let deterministic = |threads: usize| {
+        let mut res = run_campaign_with_threads(&spec, threads).expect("valid spec");
+        for g in &mut res.groups {
+            g.series.retain(|s| !s.name.starts_with("Seconds:"));
         }
+        campaign_to_json(&res)
+    };
+    let reference = deterministic(1);
+    assert!(reference.contains("FTBAR-LowerBound"));
+    for threads in thread_counts() {
+        assert_eq!(
+            deterministic(threads),
+            reference,
+            "diverged at {threads} threads"
+        );
     }
 }
 

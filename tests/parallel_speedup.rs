@@ -1,4 +1,5 @@
-//! Wall-clock speedup of the figure sweep at 4 threads over 1 thread.
+//! Wall-clock speedup of the fig1 preset sweep at 4 threads over 1
+//! thread.
 //!
 //! This lives in its own test binary on purpose: cargo runs test
 //! binaries one at a time, so no sibling test competes for cores while
@@ -8,26 +9,25 @@
 //! minimum of three runs — the minimum is the noise-robust estimator for
 //! "how fast can this go".
 
-use experiments::figures::{run_figure_with_threads, FigureConfig};
+use experiments::campaign::{presets, run_campaign_with_threads, PlatformSpec};
 
 #[test]
 fn figure_sweep_speedup_at_four_threads() {
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let cfg = FigureConfig {
-        granularities: vec![0.4, 0.8, 1.2, 1.6],
-        repetitions: 8,
-        ..FigureConfig::comparison("speedup", 1, 8)
-    };
+    let mut spec = presets::preset("fig1", Some(8)).expect("preset");
+    spec.platforms = [0.4, 0.8, 1.2, 1.6]
+        .map(|g| PlatformSpec::paper(20, g))
+        .to_vec();
     // Warm-up run so page faults and lazy init don't skew the baseline.
-    let warm = run_figure_with_threads(&cfg, 4).unwrap();
-    assert_eq!(warm.points.len(), 4);
+    let warm = run_campaign_with_threads(&spec, 4).unwrap();
+    assert_eq!(warm.groups.len(), 4);
 
     let time = |threads: usize| {
         (0..3)
             .map(|_| {
                 let t0 = std::time::Instant::now();
-                let fig = run_figure_with_threads(&cfg, threads).unwrap();
-                assert_eq!(fig.points.len(), 4);
+                let fig = run_campaign_with_threads(&spec, threads).unwrap();
+                assert_eq!(fig.groups.len(), 4);
                 t0.elapsed().as_secs_f64()
             })
             .fold(f64::INFINITY, f64::min)

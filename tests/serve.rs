@@ -190,6 +190,18 @@ fn malformed_specs_bounce_and_the_server_stays_live() {
     assert_eq!(res.status, "HTTP/1.1 400 Bad Request", "{}", res.body);
     assert!(res.body.contains("invalid spec"), "{}", res.body);
 
+    // A table spec asking for repeated cells its seeding cannot tell
+    // apart.
+    let mut repeated = presets::preset("table1", None).expect("table1 preset");
+    repeated.repetitions = 2;
+    let res = post_campaign(addr, &repeated.to_json().expect("serializes"));
+    assert_eq!(res.status, "HTTP/1.1 400 Bad Request", "{}", res.body);
+    assert!(
+        res.body.contains("ignores the repetition index"),
+        "{}",
+        res.body
+    );
+
     // Protocol-level rejections.
     let res = request(
         addr,
