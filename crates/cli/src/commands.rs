@@ -138,13 +138,10 @@ pub fn simulate_cmd(args: &Args) -> Result<String, String> {
             return Err("--replications must be at least 1".into());
         }
         let crashes: usize = args.get_num("crashes", bundle.schedule.epsilon)?;
+        check_crash_count("crashes", crashes, inst.num_procs())?;
         let seed: u64 = args.get_num("seed", 42)?;
         let threads = threads_from(args)?;
-        let sims = rayon::ThreadPoolBuilder::new()
-            .num_threads(threads)
-            .build()
-            .map_err(|e| e.to_string())?
-            .install(|| simulate_replications(&inst, &bundle.schedule, crashes, reps, seed));
+        let sims = simulate_replications(&inst, &bundle.schedule, crashes, reps, seed, threads);
         let completed = sims.iter().filter(|s| s.completed()).count();
         let latencies: Vec<f64> = sims
             .iter()
@@ -173,14 +170,18 @@ pub fn simulate_cmd(args: &Args) -> Result<String, String> {
     let scenario = if let Some(list) = args.get("fail") {
         let ids: Result<Vec<u32>, _> = list.split(',').map(str::parse).collect();
         let ids = ids.map_err(|_| "bad --fail list (expected e.g. 0,3,7)")?;
-        for &p in &ids {
+        for (i, &p) in ids.iter().enumerate() {
             if p as usize >= inst.num_procs() {
                 return Err(format!("--fail: no processor P{p}"));
+            }
+            if ids[..i].contains(&p) {
+                return Err(format!("--fail: P{p} is listed twice"));
             }
         }
         FailureScenario::at_time_zero(ids.into_iter().map(ProcId))
     } else if let Some(k) = args.get("random-failures") {
         let k: usize = k.parse().map_err(|_| "bad --random-failures")?;
+        check_crash_count("random-failures", k, inst.num_procs())?;
         let seed: u64 = args.get_num("seed", 42)?;
         FailureScenario::uniform(&mut StdRng::seed_from_u64(seed), inst.num_procs(), k)
     } else {
@@ -215,6 +216,16 @@ pub fn simulate_cmd(args: &Args) -> Result<String, String> {
     Ok(out)
 }
 
+/// Rejects a `--{flag}` crash count above the bundle's `procs`.
+fn check_crash_count(flag: &str, crashes: usize, procs: usize) -> Result<(), String> {
+    if crashes > procs {
+        return Err(format!(
+            "--{flag} {crashes} exceeds the bundle's {procs} processors"
+        ));
+    }
+    Ok(())
+}
+
 /// Worker count from `--threads` (0 or absent = `FTSCHED_THREADS` /
 /// available parallelism via [`default_threads`]).
 fn threads_from(args: &Args) -> Result<usize, String> {
@@ -232,16 +243,17 @@ pub fn reliability(args: &Args) -> Result<String, String> {
     let bundle = Bundle::from_json(&s).map_err(|e| format!("parsing {path}: {e}"))?;
     let inst = bundle.instance();
     let p: f64 = args.get_num("p", 0.1)?;
+    if !(0.0..=1.0).contains(&p) {
+        return Err(format!("--p must be a probability in [0, 1], got {p}"));
+    }
     let samples: usize = args.get_num("samples", 10_000)?;
+    if samples == 0 {
+        return Err("--samples must be at least 1".into());
+    }
     let seed: u64 = args.get_num("seed", 42)?;
     let threads = threads_from(args)?;
-    let mc = rayon::ThreadPoolBuilder::new()
-        .num_threads(threads)
-        .build()
-        .map_err(|e| e.to_string())?
-        .install(|| {
-            survival_probability_monte_carlo_par(&inst, &bundle.schedule, p, samples, seed)
-        });
+    let mc =
+        survival_probability_monte_carlo_par(&inst, &bundle.schedule, p, samples, seed, threads);
     Ok(format!(
         "Monte-Carlo reliability ({samples} samples, p = {p}, {threads} thread(s))\n\
          P(survive) = {:.6}\nE[latency | survival] = {:.3}\n",

@@ -11,8 +11,8 @@
 //!   and report the achieved latency with an ASCII Gantt chart; or run a
 //!   parallel Monte-Carlo crash campaign with `--replications`.
 //! * `reliability` — Monte-Carlo survival estimate of a bundle under
-//!   independent processor failures, through the rayon shim's parallel
-//!   harness (`--threads` pins the worker count; results are identical
+//!   independent processor failures, through the simulator's parallel
+//!   executor (`--threads` pins the worker count; results are identical
 //!   at any thread count).
 //! * `campaign` — run a declarative scenario grid: a named preset (every
 //!   figure and table of the paper is one) or an arbitrary

@@ -265,3 +265,73 @@ fn bundles_whose_schedule_does_not_fit_are_named_errors() {
     }
     let _ = std::fs::remove_file(&bad);
 }
+
+/// Monte-Carlo options out of range for the 4-processor golden bundle,
+/// with the error each must name. Each used to panic (exit 101), the
+/// `--crashes` case inside a worker thread.
+const MONTE_CARLO_CASES: [(&[&str], &str); 7] = [
+    (
+        &["reliability", "--samples", "0"],
+        "--samples must be at least 1",
+    ),
+    (
+        &["reliability", "--p", "1.5"],
+        "--p must be a probability in [0, 1], got 1.5",
+    ),
+    (
+        &["reliability", "--p", "-0.1"],
+        "--p must be a probability in [0, 1], got -0.1",
+    ),
+    (
+        &["reliability", "--p", "nan"],
+        "--p must be a probability in [0, 1], got NaN",
+    ),
+    (
+        &["simulate", "--replications", "5", "--crashes", "99"],
+        "--crashes 99 exceeds the bundle's 4 processors",
+    ),
+    (
+        &["simulate", "--random-failures", "99"],
+        "--random-failures 99 exceeds the bundle's 4 processors",
+    ),
+    (&["simulate", "--fail", "0,0"], "--fail: P0 is listed twice"),
+];
+
+fn monte_carlo_args(case: &[&str]) -> Vec<String> {
+    let bundle = format!(
+        "{}/../../tests/golden/json/bundle-ftsa.json",
+        env!("CARGO_MANIFEST_DIR")
+    );
+    let mut args: Vec<String> = case.iter().map(|s| s.to_string()).collect();
+    args.splice(1..1, ["--bundle".to_string(), bundle]);
+    args
+}
+
+#[test]
+fn monte_carlo_options_out_of_range_are_named_errors() {
+    for (case, expected) in MONTE_CARLO_CASES {
+        let err = ftsched_cli::run(&monte_carlo_args(case)).expect_err("option accepted");
+        assert_eq!(err, expected, "{case:?}");
+    }
+    // The boundaries stay accepted.
+    for p in ["0", "1"] {
+        let args = monte_carlo_args(&["reliability", "--p", p, "--samples", "20"]);
+        ftsched_cli::run(&args).expect("p at the boundary");
+    }
+}
+
+#[test]
+fn the_binary_exits_1_not_101_on_monte_carlo_options() {
+    for (case, expected) in MONTE_CARLO_CASES {
+        let output = Command::new(env!("CARGO_BIN_EXE_ftsched"))
+            .args(monte_carlo_args(case))
+            .output()
+            .expect("run ftsched");
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert_eq!(output.status.code(), Some(1), "{case:?}: {stderr}");
+        assert!(
+            stderr.contains(expected),
+            "expected `{expected}` in: {stderr}"
+        );
+    }
+}

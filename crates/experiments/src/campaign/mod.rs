@@ -16,7 +16,7 @@
 //!    legacy modes preserving the pre-campaign derivations (see
 //!    [`Seeding`]).
 //! 2. **Execute**: [`crate::parallel::parallel_map_with`] fans cells out
-//!    over the work-stealing pool with **per-chunk reusable state**
+//!    over scoped worker threads with **per-chunk reusable state**
 //!    (one state per deterministic chunk of cells, at most 64 per
 //!    campaign) — a [`CellContext`] holding one [`ScheduleWorkspace`]
 //!    per schedule slot plus a [`CrashWorkspace`] and scenario buffers.

@@ -12,18 +12,18 @@
 //!   [`campaign::CampaignSpec`] describes a scenario grid (workload ×
 //!   platform × ε × repetitions, algorithm sets, failure models,
 //!   measurement plan); the executor enumerates cells with deterministic
-//!   per-cell seeds, fans them out over the work-stealing pool with
-//!   per-worker reusable workspaces (zero allocations in the
+//!   per-cell seeds, fans them out over scoped worker threads with
+//!   per-chunk reusable workspaces (zero allocations in the
 //!   scheduler/simulator hot path), and streams the results into
 //!   mean/stddev/percentile group statistics. The paper's evaluations
 //!   (Figures 1–4, Table 1 and the Section 7 contention and reliability
 //!   extensions) are named presets ([`campaign::presets`]), pinned
 //!   bit-identical to the pre-campaign bespoke drivers; `ftsched
 //!   campaign --preset <name>` is the one way to run them.
-//! * [`parallel`] — the deterministic parallel maps on the `rayon`
-//!   shim's pool ([`parallel::parallel_map`] and the stateful
-//!   [`parallel::parallel_map_with`]); `FTSCHED_THREADS` pins the worker
-//!   count, results are bit-identical at any thread count.
+//! * [`parallel`] — re-exports the simulator's deterministic executor
+//!   [`parallel::parallel_map_with`] and resolves the default worker
+//!   count ([`parallel::default_threads`], pinned by `FTSCHED_THREADS`);
+//!   results are bit-identical at any thread count.
 //! * [`serve`] — the streaming campaign service behind `ftsched serve`:
 //!   a hand-rolled HTTP/1.1 gateway accepting `CampaignSpec` JSON,
 //!   sharding groups across workers and chunk-streaming statistics as

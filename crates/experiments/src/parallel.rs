@@ -1,90 +1,16 @@
-//! Deterministic parallel map built on the `rayon` shim's work-stealing
-//! executor.
+//! The campaign layer's handle on the workspace's parallel executor.
 //!
-//! The figure experiments evaluate hundreds of independent (granularity,
-//! repetition) cells; this module fans them out over a pinned-size
-//! thread pool. Each cell derives its own RNG seed from its index, so
-//! results are identical whatever the thread count — the
-//! **index-derived-seed determinism contract** every sweep in this crate
-//! relies on, and which `tests/parallel_determinism.rs` (repo root)
-//! enforces end to end.
-//!
-//! Results travel through the executor's disjoint per-task slots and are
-//! recombined in index order — no lock is held while a result is stored
-//! (the earlier crossbeam implementation serialized every write-back
-//! through a `Mutex<&mut Vec<Option<T>>>`).
+//! [`parallel_map_with`] is [`simulator::parallel::parallel_map_with`],
+//! re-exported here because the campaign executor and its callers reach
+//! it through this crate. The figure experiments evaluate hundreds of
+//! independent (granularity, repetition) cells; each cell derives its
+//! own RNG seed from its index, so results are identical whatever the
+//! thread count — the **index-derived-seed determinism contract** every
+//! sweep in this crate relies on, and which `tests/parallel_determinism.rs`
+//! (repo root) enforces end to end. [`default_threads`] resolves the
+//! worker count when a caller asks for the default.
 
-use rayon::prelude::*;
-use rayon::ThreadPoolBuilder;
-
-/// Applies `f` to every index `0..n` in parallel, returning the results
-/// in index order. `f` must be deterministic in its index argument for
-/// reproducible experiments.
-pub fn parallel_map<T, F>(n: usize, threads: usize, f: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync + Send,
-{
-    assert!(threads >= 1);
-    let pool = ThreadPoolBuilder::new()
-        .num_threads(threads)
-        .build()
-        .expect("thread pool handle");
-    pool.install(|| (0..n).into_par_iter().map(f).collect())
-}
-
-/// Deterministic chunk size for [`parallel_map_with`]: a function of the
-/// cell count alone (never the worker count), so chunk boundaries — and
-/// therefore which cells share a state — are identical at any thread
-/// count. Mirrors the rayon shim's own task-splitting constant.
-fn state_chunk(n: usize) -> usize {
-    n.div_ceil(64).max(1)
-}
-
-/// [`parallel_map`] with **per-chunk reusable state**: `init` builds one
-/// `S` per deterministic chunk of indices (at most 64 chunks per call,
-/// never one per cell), and `f` receives `&mut S` alongside the index.
-/// Chunks are contiguous index ranges whose boundaries depend only on
-/// `n`, each folded sequentially by one worker of the work-stealing
-/// pool — so as long as `f(state, i)` returns the same value regardless
-/// of the state's history (the workspace-reuse contract of
-/// `ScheduleWorkspace` / `CrashWorkspace`), results are **bit-identical
-/// at any thread count**, exactly like [`parallel_map`].
-///
-/// This is what lets the campaign executor run thousands of cells while
-/// touching the allocator a bounded number of times: each chunk's state
-/// warms up on its first cell and every later cell of the chunk reuses
-/// the buffers.
-pub fn parallel_map_with<T, S, I, F>(n: usize, threads: usize, init: I, f: F) -> Vec<T>
-where
-    T: Send,
-    S: Send,
-    I: Fn() -> S + Sync + Send,
-    F: Fn(&mut S, usize) -> T + Sync + Send,
-{
-    assert!(threads >= 1);
-    if n == 0 {
-        return Vec::new();
-    }
-    let pool = ThreadPoolBuilder::new()
-        .num_threads(threads)
-        .build()
-        .expect("thread pool handle");
-    let idx: Vec<usize> = (0..n).collect();
-    let nested: Vec<Vec<T>> = pool.install(|| {
-        idx.par_chunks(state_chunk(n))
-            .map(|chunk| {
-                let mut state = init();
-                chunk.iter().map(|&i| f(&mut state, i)).collect()
-            })
-            .collect()
-    });
-    let mut out = Vec::with_capacity(n);
-    for part in nested {
-        out.extend(part);
-    }
-    out
-}
+pub use simulator::parallel::parallel_map_with;
 
 /// Number of worker threads to use: the `FTSCHED_THREADS` environment
 /// variable when set to a positive integer (the CI thread matrix uses
@@ -104,103 +30,6 @@ pub fn default_threads() -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn maps_in_order() {
-        let out = parallel_map(100, 8, |i| i * i);
-        assert_eq!(out, (0..100).map(|i| i * i).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn single_thread_matches_parallel() {
-        let a = parallel_map(37, 1, |i| i as f64 * 1.5);
-        let b = parallel_map(37, 8, |i| i as f64 * 1.5);
-        assert_eq!(a, b);
-    }
-
-    #[test]
-    fn empty_input() {
-        let out: Vec<u32> = parallel_map(0, 4, |_| unreachable!());
-        assert!(out.is_empty());
-    }
-
-    #[test]
-    fn more_threads_than_items() {
-        let out = parallel_map(3, 16, |i| i + 1);
-        assert_eq!(out, vec![1, 2, 3]);
-    }
-
-    #[test]
-    fn index_order_survives_skewed_work() {
-        // Regression test for the write-back path: early indices get the
-        // most work, so late (cheap) results land first — they must still
-        // come back in index order through the disjoint slots.
-        let out = parallel_map(64, 8, |i| {
-            let mut acc = i as u64;
-            for _ in 0..(64 - i) * 2000 {
-                acc = acc.wrapping_mul(6364136223846793005).wrapping_add(1);
-            }
-            (i, acc)
-        });
-        assert_eq!(out.len(), 64);
-        for (idx, (i, _)) in out.iter().enumerate() {
-            assert_eq!(idx, *i);
-        }
-        let again = parallel_map(64, 3, |i| {
-            let mut acc = i as u64;
-            for _ in 0..(64 - i) * 2000 {
-                acc = acc.wrapping_mul(6364136223846793005).wrapping_add(1);
-            }
-            (i, acc)
-        });
-        assert_eq!(out, again);
-    }
-
-    #[test]
-    fn map_with_state_matches_stateless_map_at_any_thread_count() {
-        // Per-worker state must be invisible in the output: same values
-        // as the stateless map, in index order, at every worker count.
-        let plain = parallel_map(150, 1, |i| (i * 31) % 17);
-        for threads in [1, 2, 8] {
-            let with_state = parallel_map_with(150, threads, Vec::<usize>::new, |scratch, i| {
-                // Use the state in a way that depends on chunk
-                // history; the *returned* value must not.
-                scratch.push(i);
-                (i * 31) % 17
-            });
-            assert_eq!(with_state, plain, "threads = {threads}");
-        }
-    }
-
-    #[test]
-    fn map_with_reuses_state_within_chunks() {
-        use std::sync::atomic::{AtomicUsize, Ordering};
-        let inits = AtomicUsize::new(0);
-        let n = 200;
-        let out = parallel_map_with(
-            n,
-            4,
-            || {
-                inits.fetch_add(1, Ordering::Relaxed);
-                0usize
-            },
-            |calls, i| {
-                *calls += 1;
-                i
-            },
-        );
-        assert_eq!(out, (0..n).collect::<Vec<_>>());
-        // One state per chunk, not per cell: far fewer inits than cells.
-        let states = inits.load(Ordering::Relaxed);
-        assert!(states <= n.div_ceil(super::state_chunk(n)));
-        assert!(states >= 1);
-    }
-
-    #[test]
-    fn map_with_empty_input() {
-        let out: Vec<u8> = parallel_map_with(0, 4, || (), |_, _| unreachable!());
-        assert!(out.is_empty());
-    }
 
     #[test]
     fn env_override_controls_default_threads() {

@@ -17,13 +17,13 @@
 //!   used to sweep it from 0.2 to 2.0 in the experiments.
 //! * [`Instance`] — a bundled `(Dag, Platform, ExecutionMatrix)` problem
 //!   instance, the input type of every scheduling algorithm.
-//! * [`OccupancyTimeline`] — persistent per-processor busy intervals and
-//!   release-time floors, the platform state that outlives a single
-//!   schedule in the streaming/online scenarios. **Occupancy contract:**
-//!   an empty timeline (all floors `0.0`) reduces every occupancy-aware
-//!   entry point — `ftsched_core::schedule_onto`, the simulator's
-//!   streaming driver — to the single-DAG semantics bit for bit; floors
-//!   are monotone non-decreasing under insert/advance/release.
+//! * [`OccupancyTimeline`] — persistent per-processor release-time
+//!   floors, the platform state that outlives a single schedule in the
+//!   streaming/online scenarios. **Occupancy contract:** an empty
+//!   timeline (all floors `0.0`) reduces every occupancy-aware entry
+//!   point — `ftsched_core::schedule_onto`, the simulator's streaming
+//!   driver — to the single-DAG semantics bit for bit; floors are
+//!   monotone non-decreasing under insert/advance.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -39,7 +39,7 @@ pub use exec::ExecutionMatrix;
 pub use failure::{
     FailureModel, FailureScenario, ProcId, TimedFailures, TimedRelativeFailures, UniformFailures,
 };
-pub use occupancy::{BusyInterval, OccupancyTimeline};
+pub use occupancy::OccupancyTimeline;
 pub use plat::Platform;
 
 use taskgraph::Dag;

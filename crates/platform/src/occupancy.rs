@@ -1,61 +1,41 @@
-//! Persistent per-processor occupancy: busy intervals plus a
-//! release-time floor that outlives a single schedule.
+//! Persistent per-processor occupancy: release-time floors that
+//! outlive a single schedule.
 //!
 //! The offline experiments schedule one DAG on an *empty* platform. The
 //! streaming/online scenario family instead lands a sequence of DAGs on
 //! processors that are already busy: each processor carries a
 //! [`OccupancyTimeline`] floor — the earliest time a *new* replica may
-//! start — plus the busy intervals behind it. The scheduler only needs
-//! the floors (processors execute their queues in order, so new work is
-//! appended after everything already planned); the intervals are kept
-//! for accounting (utilization, release bookkeeping) and for the
-//! structural invariants the proptest suite pins:
+//! start. The scheduler only needs the floors (processors execute their
+//! queues in order, so new work is appended after everything already
+//! planned), so the timeline keeps nothing else. Its invariants:
 //!
-//! * per-processor intervals are **sorted and pairwise disjoint** (they
-//!   are appended at the tail, each starting at or after the floor);
 //! * the release floor is **monotone non-decreasing** under every
-//!   operation — [`insert`](OccupancyTimeline::insert) raises it to the
-//!   interval end, [`advance`](OccupancyTimeline::advance) raises it to
-//!   a global instant, and [`release_until`](OccupancyTimeline::release_until)
-//!   only drops *recorded history*, never lowers a floor;
+//!   operation but [`reset`](OccupancyTimeline::reset) —
+//!   [`insert`](OccupancyTimeline::insert) raises it to the span end
+//!   and [`advance`](OccupancyTimeline::advance) raises it to a global
+//!   instant;
+//! * spans are appended in order: each starts at or after its
+//!   processor's floor, so spans on one processor never overlap;
 //! * an **empty timeline is behaviorally invisible**: floors of `0.0`
 //!   reduce every occupancy-aware entry point to the single-DAG
 //!   semantics bit for bit.
 //!
-//! All operations are allocation-free once the per-processor buffers are
-//! warm ([`release_until`](OccupancyTimeline::release_until) retires a
-//! prefix via a head cursor and compacts in place), so a long-running
-//! stream reaches a zero-allocation steady state.
+//! Every operation is allocation-free, so a long-running stream reaches
+//! a zero-allocation steady state.
 
-/// One contiguous busy span `[start, end)` on a processor.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct BusyInterval {
-    /// Inclusive start of the busy span.
-    pub start: f64,
-    /// Exclusive end of the busy span.
-    pub end: f64,
-}
-
-/// Per-processor busy intervals plus release-time floors; see the
-/// [module docs](self) for the invariants.
+/// Per-processor release-time floors; see the [module docs](self) for
+/// the invariants.
 #[derive(Debug, Clone, Default)]
 pub struct OccupancyTimeline {
     /// Earliest start time for new work, per processor.
     release: Vec<f64>,
-    /// Recorded busy intervals per processor, sorted, disjoint.
-    intervals: Vec<Vec<BusyInterval>>,
-    /// Per processor: number of leading intervals already released.
-    head: Vec<usize>,
 }
 
 impl OccupancyTimeline {
-    /// An empty timeline over `m` processors: all floors at `0.0`, no
-    /// recorded intervals.
+    /// An empty timeline over `m` processors: all floors at `0.0`.
     pub fn new(m: usize) -> Self {
         OccupancyTimeline {
             release: vec![0.0; m],
-            intervals: vec![Vec::new(); m],
-            head: vec![0; m],
         }
     }
 
@@ -66,14 +46,9 @@ impl OccupancyTimeline {
     }
 
     /// `true` when the timeline is behaviorally invisible: every floor
-    /// at `0.0` and no live intervals recorded.
+    /// at `0.0`.
     pub fn is_empty(&self) -> bool {
         self.release.iter().all(|&r| r == 0.0)
-            && self
-                .intervals
-                .iter()
-                .zip(&self.head)
-                .all(|(iv, &h)| iv.len() == h)
     }
 
     /// The release floor of processor `j` — the earliest time a new
@@ -89,24 +64,9 @@ impl OccupancyTimeline {
         &self.release
     }
 
-    /// The live (not yet released) busy intervals of processor `j`,
-    /// sorted and pairwise disjoint.
-    pub fn busy_intervals(&self, j: usize) -> &[BusyInterval] {
-        &self.intervals[j][self.head[j]..]
-    }
-
-    /// Total live busy time recorded on processor `j`.
-    pub fn busy_time(&self, j: usize) -> f64 {
-        self.busy_intervals(j)
-            .iter()
-            .map(|iv| iv.end - iv.start)
-            .sum()
-    }
-
-    /// Records a busy span on processor `j` and raises its floor to
-    /// `end`. Spans must be appended in order: `start` must be at or
-    /// after the current floor (up to a small numerical slack), which is
-    /// what keeps the interval list sorted and disjoint by construction.
+    /// Occupies processor `j` over the span `[start, end)`, raising its
+    /// floor to `end`. Spans must be appended in order: `start` must be
+    /// at or after the current floor (up to a small numerical slack).
     pub fn insert(&mut self, j: usize, start: f64, end: f64) {
         debug_assert!(
             start >= self.release[j] - 1e-9,
@@ -117,9 +77,6 @@ impl OccupancyTimeline {
             end >= start && start.is_finite() && end.is_finite(),
             "occupancy interval must be finite with end >= start"
         );
-        if end > start {
-            self.intervals[j].push(BusyInterval { start, end });
-        }
         if end > self.release[j] {
             self.release[j] = end;
         }
@@ -136,33 +93,9 @@ impl OccupancyTimeline {
         }
     }
 
-    /// Releases recorded history: drops every interval ending at or
-    /// before `t`. Floors are **not** lowered — release only retires
-    /// bookkeeping for work that has drained, keeping memory bounded on
-    /// an endless stream. Allocation-free: a head cursor retires the
-    /// prefix and the buffer is compacted in place when the retired
-    /// prefix dominates.
-    pub fn release_until(&mut self, t: f64) {
-        for j in 0..self.release.len() {
-            let iv = &mut self.intervals[j];
-            let mut h = self.head[j];
-            while h < iv.len() && iv[h].end <= t {
-                h += 1;
-            }
-            if h * 2 >= iv.len() && h > 0 {
-                iv.copy_within(h.., 0);
-                iv.truncate(iv.len() - h);
-                h = 0;
-            }
-            self.head[j] = h;
-        }
-    }
-
-    /// Resets to the empty state, keeping buffer capacity.
+    /// Resets every floor to `0.0`, the empty state.
     pub fn reset(&mut self) {
         self.release.iter_mut().for_each(|r| *r = 0.0);
-        self.intervals.iter_mut().for_each(Vec::clear);
-        self.head.iter_mut().for_each(|h| *h = 0);
     }
 }
 
@@ -176,7 +109,6 @@ mod tests {
         assert!(occ.is_empty());
         assert_eq!(occ.num_procs(), 4);
         assert_eq!(occ.floors(), &[0.0; 4]);
-        assert!(occ.busy_intervals(2).is_empty());
     }
 
     #[test]
@@ -188,10 +120,11 @@ mod tests {
         assert_eq!(occ.release_floor(0), 4.0);
         assert_eq!(occ.release_floor(1), 3.0);
         assert!(!occ.is_empty());
-        let iv = occ.busy_intervals(0);
-        assert_eq!(iv.len(), 2);
-        assert!(iv[0].end <= iv[1].start);
-        assert_eq!(occ.busy_time(0), 3.5);
+        // A span starting before the floor would overlap the last one.
+        if cfg!(debug_assertions) {
+            let overlapping = std::panic::catch_unwind(move || occ.insert(0, 3.0, 5.0));
+            assert!(overlapping.is_err(), "out-of-order insert accepted");
+        }
     }
 
     #[test]
@@ -199,7 +132,7 @@ mod tests {
         let mut occ = OccupancyTimeline::new(1);
         occ.insert(0, 5.0, 5.0);
         assert_eq!(occ.release_floor(0), 5.0);
-        assert!(occ.busy_intervals(0).is_empty());
+        assert!(!occ.is_empty());
     }
 
     #[test]
@@ -210,21 +143,6 @@ mod tests {
         assert_eq!(occ.floors(), &[5.0, 5.0, 7.0]);
         occ.advance(2.0); // never lowers
         assert_eq!(occ.floors(), &[5.0, 5.0, 7.0]);
-    }
-
-    #[test]
-    fn release_drops_history_without_lowering_floors() {
-        let mut occ = OccupancyTimeline::new(1);
-        occ.insert(0, 0.0, 1.0);
-        occ.insert(0, 1.0, 2.0);
-        occ.insert(0, 3.0, 4.0);
-        occ.release_until(2.0);
-        assert_eq!(occ.busy_intervals(0).len(), 1);
-        assert_eq!(occ.release_floor(0), 4.0);
-        occ.release_until(10.0);
-        assert!(occ.busy_intervals(0).is_empty());
-        assert_eq!(occ.release_floor(0), 4.0);
-        assert!(!occ.is_empty(), "nonzero floors keep the timeline visible");
     }
 
     #[test]

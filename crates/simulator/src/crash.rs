@@ -42,7 +42,6 @@ use ftsched_core::{CommSelection, Schedule};
 use platform::{FailureScenario, Instance};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use rayon::prelude::*;
 use taskgraph::TaskId;
 
 /// Delivery policy for matched (MC-FTSA) communications under failures.
@@ -719,8 +718,9 @@ pub fn simulate_outcome_from_into(
 impl CrashWorkspace {
     /// Streaming support: folds every simulated replica's busy span of
     /// the completed run into `occ` (per processor, in execution order,
-    /// so inserts are tail-appends) and returns the earliest simulated
-    /// start across all replicas (`INFINITY` when nothing ran).
+    /// so every insert starts at or past the floor) and returns the
+    /// earliest simulated start across all replicas (`INFINITY` when
+    /// nothing ran).
     pub(crate) fn fold_busy_into(&self, occ: &mut platform::OccupancyTimeline) -> f64 {
         let mut first = f64::INFINITY;
         for j in 0..self.order_off.len().saturating_sub(1) {
@@ -766,18 +766,11 @@ fn run_prepared(
     ws.run(inst);
 }
 
-/// Deterministic chunking for the parallel campaigns: depends only on
-/// the replication count, so results are identical at any thread count.
-fn campaign_chunk(replications: usize) -> usize {
-    replications.div_ceil(64).max(1)
-}
-
 /// Monte-Carlo crash campaign: simulates `replications` independent
 /// uniform `crashes`-processor fail-at-time-zero scenarios against
-/// `sched`, fanned out over the ambient rayon thread pool (pin the
-/// worker count with `ThreadPool::install` or `FTSCHED_THREADS` in the
-/// experiment layers). Each deterministic chunk of replications shares
-/// one [`CrashWorkspace`], so per-replication state is reused; only the
+/// `sched` on `threads` workers of [`crate::parallel::parallel_map_with`].
+/// Each deterministic chunk of replications shares one
+/// [`CrashWorkspace`], so per-replication state is reused; only the
 /// returned [`SimResult`] payloads allocate — prefer
 /// [`simulate_replication_outcomes`] when the per-replica traces are not
 /// needed.
@@ -786,32 +779,30 @@ fn campaign_chunk(replications: usize) -> usize {
 /// [`crate::replication_seed`]`(base_seed, r)`, so the returned vector is
 /// bit-identical whatever the thread count and stable across reruns —
 /// the contract `tests/parallel_determinism.rs` (repo root) enforces.
+///
+/// # Panics
+///
+/// If `crashes` exceeds the processor count or `threads == 0`.
 pub fn simulate_replications(
     inst: &Instance,
     sched: &Schedule,
     crashes: usize,
     replications: usize,
     base_seed: u64,
+    threads: usize,
 ) -> Vec<SimResult> {
-    let idx: Vec<u32> = (0..replications as u32).collect();
-    let nested: Vec<Vec<SimResult>> = idx
-        .par_chunks(campaign_chunk(replications))
-        .map(|chunk| {
-            let mut ws = CrashWorkspace::new();
-            ws.prepare(inst, sched, FallbackPolicy::Rerouted);
-            chunk
-                .iter()
-                .map(|&r| {
-                    prep_scenario(&mut ws, inst.num_procs(), crashes, base_seed, r);
-                    let scen = std::mem::take(&mut ws.scenario);
-                    run_prepared(inst, sched, &scen, &mut ws);
-                    ws.scenario = scen;
-                    ws.to_result(inst)
-                })
-                .collect()
-        })
-        .collect();
-    nested.into_iter().flatten().collect()
+    crate::parallel::parallel_map_with(
+        replications,
+        threads,
+        || prepared_workspace(inst, sched),
+        |ws, r| {
+            prep_scenario(ws, inst.num_procs(), crashes, base_seed, r as u32);
+            let scen = std::mem::take(&mut ws.scenario);
+            run_prepared(inst, sched, &scen, ws);
+            ws.scenario = scen;
+            ws.to_result(inst)
+        },
+    )
 }
 
 /// Scalar-result Monte-Carlo crash campaign: like
@@ -824,23 +815,21 @@ pub fn simulate_replication_outcomes(
     crashes: usize,
     replications: usize,
     base_seed: u64,
+    threads: usize,
 ) -> Vec<ReplicationOutcome> {
-    let idx: Vec<u32> = (0..replications as u32).collect();
-    let nested: Vec<Vec<ReplicationOutcome>> = idx
-        .par_chunks(campaign_chunk(replications))
-        .map(|chunk| {
-            let mut ws = CrashWorkspace::new();
-            ws.prepare(inst, sched, FallbackPolicy::Rerouted);
-            let mut out = Vec::with_capacity(chunk.len());
-            for &r in chunk {
-                out.push(replication_outcome(
-                    inst, sched, crashes, base_seed, r, &mut ws,
-                ));
-            }
-            out
-        })
-        .collect();
-    nested.into_iter().flatten().collect()
+    crate::parallel::parallel_map_with(
+        replications,
+        threads,
+        || prepared_workspace(inst, sched),
+        |ws, r| replication_outcome(inst, sched, crashes, base_seed, r as u32, ws),
+    )
+}
+
+/// A fresh workspace prepared for a replication campaign over `sched`.
+fn prepared_workspace(inst: &Instance, sched: &Schedule) -> CrashWorkspace {
+    let mut ws = CrashWorkspace::new();
+    ws.prepare(inst, sched, FallbackPolicy::Rerouted);
+    ws
 }
 
 /// Sequential zero-allocation Monte-Carlo driver: runs `replications`
@@ -1232,7 +1221,7 @@ mod tests {
         let mut r = rng(90);
         let inst = paper_instance(&mut r, &PaperInstanceConfig::default());
         let s = schedule(&inst, 2, Algorithm::Ftsa, &mut rng(90)).unwrap();
-        let sims = simulate_replications(&inst, &s, 2, 20, 0xCAFE);
+        let sims = simulate_replications(&inst, &s, 2, 20, 0xCAFE, 2);
         assert_eq!(sims.len(), 20);
         for sim in &sims {
             assert!(sim.completed(), "≤ ε crashes must not lose tasks");
@@ -1246,15 +1235,8 @@ mod tests {
         let mut r = rng(91);
         let inst = paper_instance(&mut r, &PaperInstanceConfig::default());
         let s = schedule(&inst, 1, Algorithm::Ftsa, &mut rng(91)).unwrap();
-        let run = |threads: usize| {
-            rayon::ThreadPoolBuilder::new()
-                .num_threads(threads)
-                .build()
-                .unwrap()
-                .install(|| simulate_replications(&inst, &s, 1, 16, 7))
-        };
-        let a = run(1);
-        let b = run(4);
+        let a = simulate_replications(&inst, &s, 1, 16, 7, 1);
+        let b = simulate_replications(&inst, &s, 1, 16, 7, 4);
         for (x, y) in a.iter().zip(&b) {
             assert_eq!(x.latency.to_bits(), y.latency.to_bits());
             assert_eq!(x.times, y.times);
@@ -1268,8 +1250,8 @@ mod tests {
         let mut r = rng(92);
         let inst = paper_instance(&mut r, &PaperInstanceConfig::default());
         let s = schedule(&inst, 2, Algorithm::McFtsaGreedy, &mut rng(92)).unwrap();
-        let full = simulate_replications(&inst, &s, 2, 24, 0xBEEF);
-        let scalar = simulate_replication_outcomes(&inst, &s, 2, 24, 0xBEEF);
+        let full = simulate_replications(&inst, &s, 2, 24, 0xBEEF, 2);
+        let scalar = simulate_replication_outcomes(&inst, &s, 2, 24, 0xBEEF, 2);
         let mut seq = Vec::new();
         let mut ws = CrashWorkspace::new();
         simulate_replication_outcomes_into(&inst, &s, 2, 24, 0xBEEF, &mut seq, &mut ws);

@@ -29,6 +29,14 @@
 //! mid-execution failures), and [`replay::replay`], a memoized analytic
 //! pass valid for fail-at-time-zero scenarios.
 //!
+//! [`parallel`] holds the workspace's one parallel executor,
+//! [`parallel::parallel_map_with`]. The Monte-Carlo drivers
+//! ([`simulate_replications`], [`crash::simulate_replication_outcomes`]
+//! and [`reliability::survival_probability_monte_carlo_par`]) take their
+//! worker count as a final `threads` argument and seed replication `i`
+//! with [`replication_seed`], so their results are bit-identical at any
+//! thread count.
+//!
 //! Key invariants (covered by the test suites):
 //!
 //! * `simulate(∅) == M*` for FTSA/MC-FTSA schedules, `≤ M*` for FTBAR
@@ -43,6 +51,7 @@
 
 pub mod contention;
 pub mod crash;
+pub mod parallel;
 pub mod reliability;
 pub mod replay;
 pub mod streaming;

@@ -26,7 +26,6 @@ use ftsched_core::Schedule;
 use platform::{FailureScenario, Instance, ProcId};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use rayon::prelude::*;
 
 /// Per-task replica-processor masks, deduplicated. The schedule fails
 /// under failure mask `F` iff some task mask `T` satisfies `T & F == T`.
@@ -134,8 +133,8 @@ pub fn survival_probability_monte_carlo(
 }
 
 /// Parallel Monte Carlo estimate of the survival probability and the
-/// conditional expected latency, fanned out over the ambient rayon
-/// thread pool.
+/// conditional expected latency, on `threads` workers of
+/// [`crate::parallel::parallel_map_with`].
 ///
 /// Unlike [`survival_probability_monte_carlo`] — which consumes a
 /// caller-provided RNG stream and is therefore inherently sequential —
@@ -150,13 +149,16 @@ pub fn survival_probability_monte_carlo_par(
     p: f64,
     samples: usize,
     base_seed: u64,
+    threads: usize,
 ) -> MonteCarloReliability {
     assert!((0.0..=1.0).contains(&p));
     assert!(samples > 0);
     let m = inst.num_procs();
-    let outcomes: Vec<Option<f64>> = (0..samples)
-        .into_par_iter()
-        .map(|i| {
+    let outcomes: Vec<Option<f64>> = crate::parallel::parallel_map_with(
+        samples,
+        threads,
+        || (),
+        |_, i| {
             let mut rng = StdRng::seed_from_u64(crate::replication_seed(base_seed, i as u64));
             let failed: Vec<ProcId> = (0..m as u32)
                 .map(ProcId)
@@ -165,8 +167,8 @@ pub fn survival_probability_monte_carlo_par(
             let scen = FailureScenario::at_time_zero(failed);
             let r = replay(inst, sched, &scen);
             r.completed.then_some(r.latency)
-        })
-        .collect();
+        },
+    );
     let survived = outcomes.iter().flatten().count();
     let latency_acc: f64 = outcomes.iter().flatten().sum();
     MonteCarloReliability {
@@ -294,7 +296,7 @@ mod tests {
         let s = schedule(&inst, 2, Algorithm::Ftsa, &mut StdRng::seed_from_u64(8)).unwrap();
         let p = 0.25;
         let exact = survival_probability_exact(&inst, &s, p);
-        let mc = survival_probability_monte_carlo_par(&inst, &s, p, 4000, 0xAB5EED);
+        let mc = survival_probability_monte_carlo_par(&inst, &s, p, 4000, 0xAB5EED, 2);
         assert!(
             (mc.survival - exact).abs() < 0.03,
             "parallel MC {} vs exact {exact}",
@@ -309,15 +311,8 @@ mod tests {
     fn parallel_monte_carlo_is_thread_count_invariant() {
         let inst = small_instance(6, 9);
         let s = schedule(&inst, 1, Algorithm::Ftsa, &mut StdRng::seed_from_u64(9)).unwrap();
-        let run = |threads: usize| {
-            rayon::ThreadPoolBuilder::new()
-                .num_threads(threads)
-                .build()
-                .unwrap()
-                .install(|| survival_probability_monte_carlo_par(&inst, &s, 0.3, 1000, 17))
-        };
-        let a = run(1);
-        let b = run(5);
+        let a = survival_probability_monte_carlo_par(&inst, &s, 0.3, 1000, 17, 1);
+        let b = survival_probability_monte_carlo_par(&inst, &s, 0.3, 1000, 17, 5);
         assert_eq!(a.survival.to_bits(), b.survival.to_bits());
         assert_eq!(a.expected_latency.to_bits(), b.expected_latency.to_bits());
     }

@@ -3,8 +3,8 @@
 //! The offline experiments schedule one DAG on an empty platform. This
 //! driver models the online scenario family: task graphs arrive over
 //! time (Poisson or trace-driven, [`ArrivalProcess`]) onto processors
-//! that still carry earlier work, failures consume replicas mid-stream,
-//! and completed DAGs release their recorded intervals.
+//! that still carry earlier work, and failures consume replicas
+//! mid-stream.
 //!
 //! # Two timelines
 //!
@@ -21,9 +21,8 @@
 //!   ([`crate::crash::simulate_outcome_from_into`]), so real execution
 //!   on a processor is serialized across DAGs.
 //!
-//! Both are advanced to each DAG's arrival instant (nothing can run on
-//! a DAG's behalf before it arrives) and released up to the arrival
-//! (retiring drained bookkeeping so memory stays bounded).
+//! Both are advanced to each DAG's arrival instant: nothing can run on
+//! a DAG's behalf before it arrives.
 //!
 //! # Determinism and conservation
 //!
@@ -222,12 +221,9 @@ pub fn run_stream_into(
             "stream instances must share the platform"
         );
         debug_assert!(arrival >= 0.0 && arrival.is_finite());
-        // Nothing on this DAG's behalf may run before it arrives, and
-        // intervals fully drained by now are bookkeeping we can retire.
+        // Nothing on this DAG's behalf may run before it arrives.
         ws.planned.advance(arrival);
         ws.actual.advance(arrival);
-        ws.planned.release_until(arrival);
-        ws.actual.release_until(arrival);
 
         let mut rng = StdRng::seed_from_u64(crate::replication_seed(seed, i as u64));
         let sched = ftsched_core::schedule_onto(
@@ -240,7 +236,7 @@ pub fn run_stream_into(
         )?;
 
         // Commit the planned spans: per processor in placement order,
-        // so inserts are tail-appends past the floor.
+        // so every insert starts at or past its processor's floor.
         for j in 0..m {
             for (t, k) in sched.proc_order(j) {
                 let r = sched.replicas_of(t)[k];

@@ -21,7 +21,7 @@
 //! same count at v≈500 as at v≈5000.
 //!
 //! The binary is **harness-free** (`harness = false`) and runs every
-//! check on the one main thread — no rayon pool, no libtest threads —
+//! check on the one main thread — no worker threads, no libtest threads —
 //! so a counted allocation is always a real regression in the scheduler
 //! or simulator hot path, not harness noise (see `main` for the flake
 //! this design retires).

@@ -1,23 +1,24 @@
 //! Sequential-equivalence suite for every parallelized sweep.
 //!
-//! The workspace's parallelism contract: a sweep fanned out over the
-//! rayon shim returns **bit-identical** output at `threads = 1`, `2` and
-//! `available_parallelism()`, and reruns with the same seed are
-//! identical across runs. This suite enforces the contract end to end
-//! for the figure and Table 1 presets, the Monte-Carlo crash-simulation
-//! replications and the reliability estimator. (The
-//! companion wall-clock speedup measurement lives in its own binary,
-//! `tests/parallel_speedup.rs`, so nothing competes with its timing.)
+//! The workspace's parallelism contract: a sweep fanned out through
+//! `simulator::parallel::parallel_map_with` returns **bit-identical**
+//! output at `threads = 1`, `2` and `available_parallelism()`, and
+//! reruns with the same seed are identical across runs. This suite
+//! enforces the contract end to end for the figure and Table 1 presets,
+//! the Monte-Carlo crash-simulation replications and the reliability
+//! estimator. (The companion wall-clock speedup measurement lives in its
+//! own binary, `tests/parallel_speedup.rs`, so nothing competes with its
+//! timing.)
 //!
 //! The CI thread matrix reruns this suite under `FTSCHED_THREADS=1` and
 //! `FTSCHED_THREADS=4` so both the inline sequential path and the
-//! work-stealing path are exercised on every push.
+//! scoped-thread path are exercised on every push.
 
 use experiments::campaign::{
     presets, run_campaign_with_threads, CampaignSpec, LayeredRange, PlatformSpec, WorkloadSpec,
 };
 use experiments::output::campaign_to_json;
-use experiments::parallel::{default_threads, parallel_map};
+use experiments::parallel::{default_threads, parallel_map_with};
 use ftsched::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -36,14 +37,6 @@ fn thread_counts() -> Vec<usize> {
     counts.sort_unstable();
     counts.dedup();
     counts
-}
-
-fn pinned<R>(threads: usize, op: impl FnOnce() -> R) -> R {
-    rayon::ThreadPoolBuilder::new()
-        .num_threads(threads)
-        .build()
-        .expect("pool handle")
-        .install(op)
 }
 
 /// The fig1 preset narrowed to two granularities.
@@ -123,11 +116,9 @@ fn determinism_instance() -> (Instance, Schedule) {
 #[test]
 fn crash_replications_identical_across_thread_counts() {
     let (inst, sched) = determinism_instance();
-    let reference = pinned(1, || simulate_replications(&inst, &sched, 2, 24, 0xC4A5));
+    let reference = simulate_replications(&inst, &sched, 2, 24, 0xC4A5, 1);
     for threads in thread_counts() {
-        let sims = pinned(threads, || {
-            simulate_replications(&inst, &sched, 2, 24, 0xC4A5)
-        });
+        let sims = simulate_replications(&inst, &sched, 2, 24, 0xC4A5, threads);
         assert_eq!(sims.len(), reference.len());
         for (a, b) in reference.iter().zip(&sims) {
             assert_eq!(a.latency.to_bits(), b.latency.to_bits());
@@ -140,8 +131,8 @@ fn crash_replications_identical_across_thread_counts() {
 #[test]
 fn crash_replications_rerun_identical() {
     let (inst, sched) = determinism_instance();
-    let a = pinned(2, || simulate_replications(&inst, &sched, 1, 16, 99));
-    let b = pinned(2, || simulate_replications(&inst, &sched, 1, 16, 99));
+    let a = simulate_replications(&inst, &sched, 1, 16, 99, 2);
+    let b = simulate_replications(&inst, &sched, 1, 16, 99, 2);
     for (x, y) in a.iter().zip(&b) {
         assert_eq!(x.latency.to_bits(), y.latency.to_bits());
     }
@@ -150,13 +141,9 @@ fn crash_replications_rerun_identical() {
 #[test]
 fn reliability_estimate_identical_across_thread_counts() {
     let (inst, sched) = determinism_instance();
-    let reference = pinned(1, || {
-        survival_probability_monte_carlo_par(&inst, &sched, 0.2, 2000, 0x11)
-    });
+    let reference = survival_probability_monte_carlo_par(&inst, &sched, 0.2, 2000, 0x11, 1);
     for threads in thread_counts() {
-        let mc = pinned(threads, || {
-            survival_probability_monte_carlo_par(&inst, &sched, 0.2, 2000, 0x11)
-        });
+        let mc = survival_probability_monte_carlo_par(&inst, &sched, 0.2, 2000, 0x11, threads);
         assert_eq!(reference.survival.to_bits(), mc.survival.to_bits());
         assert_eq!(
             reference.expected_latency.to_bits(),
@@ -183,14 +170,14 @@ fn parallel_map_keeps_index_derived_seed_contract() {
         let sched = schedule(&inst, 1, Algorithm::Ftsa, &mut rng).expect("schedulable");
         sched.latency_lower_bound()
     };
-    let reference = parallel_map(24, 1, cell);
+    let reference: Vec<f64> = (0..24).map(cell).collect();
     for threads in thread_counts() {
-        let got = parallel_map(24, threads, cell);
+        let got = parallel_map_with(24, threads, || (), |_, i| cell(i));
         let same = reference
             .iter()
             .zip(&got)
             .all(|(a, b)| a.to_bits() == b.to_bits());
-        assert!(same, "parallel_map diverged at {threads} threads");
+        assert!(same, "parallel_map_with diverged at {threads} threads");
     }
 }
 
@@ -250,9 +237,9 @@ fn online_campaign_json_identical_across_thread_counts() {
 
 #[test]
 fn parallel_map_with_keeps_the_determinism_contract() {
-    // Per-worker state (the campaign executor's workspace threading)
-    // must be invisible in the output: bit-identical to the stateless
-    // map at every worker count, even though chunks share mutable state.
+    // Per-chunk state (the campaign executor's workspace threading)
+    // must be invisible in the output: bit-identical to a sequential map
+    // at every worker count, even though chunks share mutable state.
     let cell = |i: usize| {
         let mut rng = StdRng::seed_from_u64(simulator::replication_seed(0x5EED, i as u64));
         let inst = paper_instance(
@@ -268,9 +255,9 @@ fn parallel_map_with_keeps_the_determinism_contract() {
             .expect("schedulable")
             .latency_lower_bound()
     };
-    let reference = experiments::parallel::parallel_map(20, 1, cell);
+    let reference: Vec<f64> = (0..20).map(cell).collect();
     for threads in thread_counts() {
-        let got = experiments::parallel::parallel_map_with(
+        let got = parallel_map_with(
             20,
             threads,
             ftsched_core::ScheduleWorkspace::new,
