@@ -4,9 +4,9 @@
 //! d-ary heap trades slightly more sibling comparisons per level for a
 //! much shallower tree and cache-friendly child blocks, which wins for
 //! the insert-heavy / pop-heavy α workload (every task enters and leaves
-//! exactly once). Like [`crate::IndexedHeap`], entries are addressed by
-//! dense caller-chosen `usize` ids through an id → position index, so
-//! membership tests and in-place key updates stay O(1)/O(log n).
+//! exactly once). Entries are addressed by dense caller-chosen `usize`
+//! ids through an id → position index, so membership tests and in-place
+//! key updates stay O(1)/O(log n).
 //!
 //! The default arity of 4 is the usual sweet spot on modern caches; any
 //! `D >= 2` works.
@@ -24,6 +24,9 @@
 /// h.push(0, 50);
 /// h.push(1, 30);
 /// h.push(2, 40);
+/// h.push(3, 60);
+/// h.decrease_key(3, 10);
+/// assert_eq!(h.pop(), Some((3, 10)));
 /// assert_eq!(h.pop(), Some((1, 30)));
 /// assert_eq!(h.pop(), Some((2, 40)));
 /// assert_eq!(h.pop(), Some((0, 50)));

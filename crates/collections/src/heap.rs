@@ -1,42 +1,16 @@
-//! An indexed binary min-heap with `O(log n)` decrease-key and removal.
-//!
-//! The discrete-event simulator keeps its event queue here, and the greedy
-//! robust-communication selector of MC-FTSA uses it to stream edges in
-//! non-decreasing weight order. Entries are identified by a caller-chosen
-//! `usize` id (dense ids expected); the heap maintains an id → position
-//! index so keys can be updated or entries removed in place.
-//!
-//! Since the d-ary generalization landed ([`crate::dary`]), the binary
-//! heap is simply the arity-2 instantiation — one implementation, two
-//! names. `DaryHeap`'s sift paths at `D = 2` are operation-for-operation
-//! identical to the original binary implementation, so pop order (and
-//! with it simulator determinism) is unchanged.
+//! Unit tests of the binary (arity-2) [`DaryHeap`]: the smallest arity
+//! the heap accepts, and the one with the deepest sift paths.
 
 use crate::dary::DaryHeap;
 
-/// A binary min-heap keyed by `P: Ord`, addressable by dense `usize` ids:
-/// the arity-2 case of [`DaryHeap`].
-///
-/// ```
-/// use ftcollections::IndexedHeap;
-///
-/// let mut h: IndexedHeap<u32> = IndexedHeap::new(8);
-/// h.push(0, 50);
-/// h.push(1, 30);
-/// h.push(2, 40);
-/// h.decrease_key(2, 10);
-/// assert_eq!(h.pop(), Some((2, 10)));
-/// assert_eq!(h.pop(), Some((1, 30)));
-/// ```
-pub type IndexedHeap<P> = DaryHeap<P, 2>;
-
-#[cfg(test)]
 mod tests {
     use super::*;
 
+    type Heap<P> = DaryHeap<P, 2>;
+
     #[test]
     fn push_pop_sorted() {
-        let mut h = IndexedHeap::new(16);
+        let mut h = Heap::new(16);
         let xs = [9, 4, 7, 1, 8, 3, 0, 6, 2, 5];
         for (id, &x) in xs.iter().enumerate() {
             h.push(id, x);
@@ -52,7 +26,7 @@ mod tests {
 
     #[test]
     fn decrease_key_reorders() {
-        let mut h = IndexedHeap::new(4);
+        let mut h = Heap::new(4);
         h.push(0, 100);
         h.push(1, 200);
         h.push(2, 300);
@@ -64,14 +38,14 @@ mod tests {
     #[test]
     #[should_panic]
     fn decrease_key_rejects_increase() {
-        let mut h = IndexedHeap::new(2);
+        let mut h = Heap::new(2);
         h.push(0, 10);
         h.decrease_key(0, 20);
     }
 
     #[test]
     fn update_key_any_direction() {
-        let mut h = IndexedHeap::new(4);
+        let mut h = Heap::new(4);
         h.push(0, 10);
         h.push(1, 20);
         h.update_key(0, 30); // increase
@@ -85,7 +59,7 @@ mod tests {
 
     #[test]
     fn remove_middle() {
-        let mut h = IndexedHeap::new(8);
+        let mut h = Heap::new(8);
         for id in 0..8 {
             h.push(id, (id * 13 % 7) as i32);
         }
@@ -98,7 +72,7 @@ mod tests {
 
     #[test]
     fn grows_past_initial_capacity() {
-        let mut h = IndexedHeap::new(1);
+        let mut h = Heap::new(1);
         for id in 0..100 {
             h.push(id, 100 - id);
         }
@@ -109,7 +83,7 @@ mod tests {
 
     #[test]
     fn priority_lookup() {
-        let mut h = IndexedHeap::new(4);
+        let mut h = Heap::new(4);
         h.push(2, 42);
         assert_eq!(h.priority(2), Some(&42));
         assert_eq!(h.priority(0), None);
@@ -117,7 +91,7 @@ mod tests {
 
     #[test]
     fn pop_empty() {
-        let mut h: IndexedHeap<i32> = IndexedHeap::new(0);
+        let mut h: Heap<i32> = Heap::new(0);
         assert_eq!(h.pop(), None);
         assert!(h.is_empty());
     }

@@ -7,11 +7,9 @@
 //! indexed [`DaryHeap`] below instead of a tree. Every structure is
 //! built from scratch:
 //!
-//! * [`IndexedHeap`] — a binary min-heap with `O(log n)` decrease-key /
-//!   remove by handle, used by the discrete-event simulator and by the
-//!   greedy communication selector.
-//! * [`DaryHeap`] — an indexed d-ary min-heap (default arity 4); the
-//!   unified list-scheduling pipeline keeps its free list `α` here
+//! * [`DaryHeap`] — an indexed d-ary min-heap (default arity 4) with
+//!   `O(log n)` decrease-key / remove by handle; the unified
+//!   list-scheduling pipeline keeps its free list `α` here
 //!   (max-ordering via `core::cmp::Reverse` keys).
 //! * [`EpochHeap`] — a lazy d-ary max-heap with epoch-tombstoned
 //!   entries and O(1) invalidation through a caller-shared epoch array;
@@ -33,12 +31,12 @@
 pub mod dary;
 pub mod epoch_heap;
 pub mod fold;
-pub mod heap;
+#[cfg(test)]
+mod heap;
 pub mod ordf64;
 pub mod select;
 
 pub use dary::DaryHeap;
 pub use epoch_heap::EpochHeap;
-pub use heap::IndexedHeap;
 pub use ordf64::OrdF64;
 pub use select::{select_smallest, select_smallest_into};

@@ -1,7 +1,7 @@
-//! Property-based tests: the indexed heap must behave like a sorted
-//! oracle across random operation sequences.
+//! Property-based tests: the indexed d-ary heap must behave like a
+//! sorted oracle across random operation sequences.
 
-use ftcollections::IndexedHeap;
+use ftcollections::DaryHeap;
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 
@@ -13,7 +13,7 @@ proptest! {
         entries in proptest::collection::vec((0usize..64, 0i64..1000), 1..100),
         updates in proptest::collection::vec((0usize..64, 0i64..1000), 0..50),
     ) {
-        let mut heap: IndexedHeap<i64> = IndexedHeap::new(64);
+        let mut heap: DaryHeap<i64> = DaryHeap::new(64);
         let mut oracle: BTreeMap<usize, i64> = BTreeMap::new();
         for (id, p) in entries {
             if !heap.contains(id) {
@@ -44,7 +44,7 @@ proptest! {
         ids in proptest::collection::vec(0usize..32, 1..64),
         kill in proptest::collection::vec(0usize..32, 0..16),
     ) {
-        let mut heap: IndexedHeap<usize> = IndexedHeap::new(32);
+        let mut heap: DaryHeap<usize> = DaryHeap::new(32);
         let mut live = std::collections::BTreeSet::new();
         for id in ids {
             if !heap.contains(id) {

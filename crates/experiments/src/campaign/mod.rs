@@ -21,12 +21,13 @@
 //!    campaign) — a [`CellContext`] holding one [`ScheduleWorkspace`]
 //!    per schedule slot plus a [`CrashWorkspace`] and scenario buffers.
 //!    Every
-//!    schedule runs through `schedule_into` and every crash simulation
-//!    through `simulate_outcome_into`, so steady-state cells perform
-//!    **zero heap allocations in the scheduler/simulator hot path**
-//!    (pinned by `tests/alloc_counter.rs` at the repo root; the
-//!    contention and exact-reliability measures are the documented
-//!    exceptions — their simulators allocate internally).
+//!    schedule runs through `schedule_into`, every crash simulation
+//!    through `simulate_outcome_into` and every contention replay
+//!    through `simulate_contention_into` on the same workspace, so
+//!    steady-state cells perform **zero heap allocations in the
+//!    scheduler/simulator hot path** (pinned by `tests/alloc_counter.rs`
+//!    at the repo root; the exact-reliability measure is the documented
+//!    exception — its mask enumeration allocates internally).
 //! 3. **Aggregate**: cell series stream into an [`Aggregator`] in cell
 //!    order (mean is the same left-fold sum the legacy drivers used, so
 //!    preset means are bit-identical), producing per-group
@@ -81,7 +82,7 @@ use platform::{ExecutionMatrix, FailureModel, FailureScenario, Instance};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
-use simulator::contention::{simulate_contention, PortModel};
+use simulator::contention::{simulate_contention_into, PortModel};
 use simulator::crash::{simulate_outcome_into, CrashWorkspace, FallbackPolicy};
 use simulator::reliability::{design_point_probability, survival_probability_exact};
 use simulator::replication_seed;
@@ -455,8 +456,8 @@ fn slot_tie_rng(spec: &CampaignSpec, seed: u64, eps: usize, slot_index: usize) -
 /// Evaluates one cell on a prebuilt instance, pushing `(key, value)`
 /// pairs into `out` (cleared first). This is the campaign hot path: with
 /// a warm `ctx` and an `out` at capacity it performs no heap allocation
-/// in the scheduler/simulator work (contention and exact-reliability
-/// measures excepted — their engines allocate internally).
+/// in the scheduler/simulator work (the exact-reliability measure
+/// excepted — its mask enumeration allocates internally).
 ///
 /// A scheduler failure inside the cell surfaces as
 /// [`CampaignError::Schedule`]; specs that pass
@@ -635,8 +636,8 @@ pub fn evaluate_cell_into(
             }
             let sched = slots[si].schedule();
             let none = FailureScenario::none();
-            let unb = simulate_contention(inst, sched, &none, PortModel::Unbounded);
-            let one = simulate_contention(inst, sched, &none, PortModel::OnePort);
+            let unb = simulate_contention_into(inst, sched, &none, PortModel::Unbounded, crash);
+            let one = simulate_contention_into(inst, sched, &none, PortModel::OnePort, crash);
             out.push((
                 SeriesKey::OnePortPenalty(slot.alg_id),
                 one.latency / unb.latency,

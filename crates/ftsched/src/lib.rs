@@ -68,9 +68,7 @@ pub mod prelude {
         simulate_into, simulate_outcome_into, simulate_replication_outcomes,
         simulate_replication_outcomes_into, CrashWorkspace, FallbackPolicy, ReplicationOutcome,
     };
-    pub use simulator::reliability::{
-        design_point_probability, survival_probability_exact, survival_probability_monte_carlo,
-    };
+    pub use simulator::reliability::{design_point_probability, survival_probability_exact};
     pub use simulator::replay::replay;
     pub use simulator::trace::{gantt, trace};
     pub use simulator::{simulate, SimOutcome, SimResult};

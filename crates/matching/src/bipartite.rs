@@ -87,26 +87,6 @@ impl BipartiteGraph {
             .map(|e| e.weight)
             .fold(None, |acc, w| Some(acc.map_or(w, |a: f64| a.min(w))))
     }
-
-    /// Left-side adjacency lists of edge indices.
-    pub fn adjacency(&self) -> Vec<Vec<usize>> {
-        let mut adj = vec![Vec::new(); self.n_left];
-        for (i, e) in self.edges.iter().enumerate() {
-            adj[e.left].push(i);
-        }
-        adj
-    }
-
-    /// Left-side adjacency restricted to edges with `weight <= threshold`.
-    pub fn adjacency_up_to(&self, threshold: f64) -> Vec<Vec<usize>> {
-        let mut adj = vec![Vec::new(); self.n_left];
-        for (i, e) in self.edges.iter().enumerate() {
-            if e.weight <= threshold {
-                adj[e.left].push(i);
-            }
-        }
-        adj
-    }
 }
 
 #[cfg(test)]
@@ -119,19 +99,6 @@ mod tests {
         g.add_edge(0, 0, 5.0);
         g.add_edge(0, 0, 2.0);
         assert_eq!(g.weight(0, 0), Some(2.0));
-    }
-
-    #[test]
-    fn adjacency_threshold_filters() {
-        let mut g = BipartiteGraph::new(2, 2);
-        g.add_edge(0, 0, 1.0);
-        g.add_edge(0, 1, 10.0);
-        g.add_edge(1, 1, 5.0);
-        let adj = g.adjacency_up_to(5.0);
-        assert_eq!(adj[0].len(), 1);
-        assert_eq!(adj[1].len(), 1);
-        let all = g.adjacency();
-        assert_eq!(all[0].len(), 2);
     }
 
     #[test]

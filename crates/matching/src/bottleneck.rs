@@ -62,9 +62,10 @@ pub fn bottleneck_matching(g: &BipartiteGraph, forced: &[(usize, usize)]) -> Opt
 
 /// Rebuilds the `≤ threshold` residual CSR adjacency and reports whether a
 /// maximum matching on it saturates every free left node. Edge indices stay
-/// in ascending order per left node — the same per-node order the previous
-/// nested-`Vec` construction produced, so the Hopcroft–Karp traversal (and
-/// therefore the selected matching) is unchanged.
+/// in ascending order per left node — the order
+/// [`maximum_matching`](crate::maximum_matching) lists them in, so the
+/// Hopcroft–Karp traversal (and therefore the selected matching) is
+/// deterministic.
 #[allow(clippy::too_many_arguments)]
 fn feasible(
     g: &BipartiteGraph,

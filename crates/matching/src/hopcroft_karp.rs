@@ -50,16 +50,32 @@ pub struct HopcroftKarpScratch {
     queue: std::collections::VecDeque<usize>,
 }
 
-/// Computes a maximum matching of `g` using Hopcroft–Karp.
+/// Computes a maximum matching of `g` using Hopcroft–Karp: builds the
+/// left-side CSR adjacency (each left node's edges in insertion order)
+/// and runs [`maximum_matching_csr_into`] on fresh buffers.
 pub fn maximum_matching(g: &BipartiteGraph) -> MatchResult {
-    maximum_matching_with_adjacency(g, &g.adjacency())
+    let edges = g.edges();
+    // A stable sort keeps each left node's edges in insertion order.
+    let mut adj_edges: Vec<usize> = (0..edges.len()).collect();
+    adj_edges.sort_by_key(|&i| edges[i].left);
+    let adj_off: Vec<usize> = (0..=g.n_left())
+        .map(|l| adj_edges.partition_point(|&i| edges[i].left < l))
+        .collect();
+    let mut scratch = HopcroftKarpScratch::default();
+    let size = maximum_matching_csr_into(g, &adj_off, &adj_edges, &mut scratch);
+    let matched = |m: &usize| (*m != usize::MAX).then_some(*m);
+    MatchResult {
+        size,
+        match_left: scratch.match_left.iter().map(matched).collect(),
+        match_right: scratch.match_right.iter().map(matched).collect(),
+    }
 }
 
-/// [`maximum_matching_with_adjacency`] over a flat CSR adjacency, reusing
-/// caller-provided buffers — the zero-allocation form used by the
-/// bottleneck selector's feasibility oracle. `adj_edges[adj_off[l]..adj_off[l + 1]]`
-/// holds the edge indices of left node `l`, in the same per-node order the
-/// nested-`Vec` layout would list them. Returns the matching size; the
+/// Hopcroft–Karp over a flat CSR adjacency, reusing caller-provided
+/// buffers — the zero-allocation form used by the bottleneck selector's
+/// feasibility oracle on its `≤ T` subgraphs.
+/// `adj_edges[adj_off[l]..adj_off[l + 1]]` holds the indices into
+/// `g.edges()` of left node `l`'s edges. Returns the matching size; the
 /// matching itself is left in `scratch.match_left` / `scratch.match_right`.
 pub fn maximum_matching_csr_into(
     g: &BipartiteGraph,
@@ -148,97 +164,6 @@ pub fn maximum_matching_csr_into(
     }
 
     size
-}
-
-/// Computes a maximum matching over a caller-filtered adjacency (e.g. the
-/// `≤ T` subgraph of the bottleneck search). `adj[l]` holds indices into
-/// `g.edges()`.
-pub fn maximum_matching_with_adjacency(g: &BipartiteGraph, adj: &[Vec<usize>]) -> MatchResult {
-    let n_left = g.n_left();
-    let n_right = g.n_right();
-    let edges = g.edges();
-
-    // match_* use usize::MAX as "unmatched" sentinel internally.
-    let mut match_left = vec![usize::MAX; n_left];
-    let mut match_right = vec![usize::MAX; n_right];
-    let mut dist = vec![INF; n_left];
-    let mut queue = std::collections::VecDeque::with_capacity(n_left);
-    let mut size = 0usize;
-
-    loop {
-        // BFS phase: layer unmatched left nodes.
-        queue.clear();
-        for l in 0..n_left {
-            if match_left[l] == usize::MAX {
-                dist[l] = 0;
-                queue.push_back(l);
-            } else {
-                dist[l] = INF;
-            }
-        }
-        let mut found_augmenting = false;
-        while let Some(l) = queue.pop_front() {
-            for &ei in &adj[l] {
-                let r = edges[ei].right;
-                let l2 = match_right[r];
-                if l2 == usize::MAX {
-                    found_augmenting = true;
-                } else if dist[l2] == INF {
-                    dist[l2] = dist[l] + 1;
-                    queue.push_back(l2);
-                }
-            }
-        }
-        if !found_augmenting {
-            break;
-        }
-
-        // DFS phase: find vertex-disjoint shortest augmenting paths.
-        fn dfs(
-            l: usize,
-            edges: &[crate::bipartite::Edge],
-            adj: &[Vec<usize>],
-            match_left: &mut [usize],
-            match_right: &mut [usize],
-            dist: &mut [u32],
-        ) -> bool {
-            for &ei in &adj[l] {
-                let r = edges[ei].right;
-                let l2 = match_right[r];
-                if l2 == usize::MAX
-                    || (dist[l2] == dist[l] + 1
-                        && dfs(l2, edges, adj, match_left, match_right, dist))
-                {
-                    match_left[l] = r;
-                    match_right[r] = l;
-                    return true;
-                }
-            }
-            dist[l] = INF;
-            false
-        }
-
-        for l in 0..n_left {
-            if match_left[l] == usize::MAX
-                && dist[l] == 0
-                && dfs(l, edges, adj, &mut match_left, &mut match_right, &mut dist)
-            {
-                size += 1;
-            }
-        }
-    }
-
-    MatchResult {
-        size,
-        match_left: match_left
-            .into_iter()
-            .map(|m| if m == usize::MAX { None } else { Some(m) })
-            .collect(),
-        match_right: match_right
-            .into_iter()
-            .map(|m| if m == usize::MAX { None } else { Some(m) })
-            .collect(),
-    }
 }
 
 /// Exhaustive maximum matching by backtracking; exponential, test oracle
@@ -336,29 +261,37 @@ mod tests {
     }
 
     #[test]
-    fn csr_variant_agrees_with_nested_adjacency() {
+    fn scratch_is_reusable_across_graphs() {
+        // A warm scratch sized by a larger graph must give a smaller one
+        // the same matching as fresh buffers do.
+        let big = graph(5, 5, &[(0, 0), (1, 1), (2, 2), (3, 3), (4, 4)]);
         let g = graph(4, 4, &[(0, 1), (1, 1), (1, 2), (2, 0), (3, 3), (3, 0)]);
-        let adj = g.adjacency();
-        let nested = maximum_matching_with_adjacency(&g, &adj);
-
-        let mut adj_off = vec![0usize; g.n_left() + 1];
-        let mut adj_edges = Vec::new();
-        for (l, list) in adj.iter().enumerate() {
-            adj_off[l + 1] = adj_off[l] + list.len();
-            adj_edges.extend_from_slice(list);
-        }
+        let csr = |g: &BipartiteGraph| {
+            let mut adj_off = vec![0usize];
+            let mut adj_edges = Vec::new();
+            for l in 0..g.n_left() {
+                adj_edges.extend((0..g.edges().len()).filter(|&i| g.edges()[i].left == l));
+                adj_off.push(adj_edges.len());
+            }
+            (adj_off, adj_edges)
+        };
         let mut scratch = HopcroftKarpScratch::default();
-        let size = maximum_matching_csr_into(&g, &adj_off, &adj_edges, &mut scratch);
+        let (off, edges) = csr(&big);
+        assert_eq!(
+            maximum_matching_csr_into(&big, &off, &edges, &mut scratch),
+            5
+        );
+        let (off, edges) = csr(&g);
+        let size = maximum_matching_csr_into(&g, &off, &edges, &mut scratch);
 
-        assert_eq!(size, nested.size);
-        for l in 0..g.n_left() {
-            let csr = (scratch.match_left[l] != usize::MAX).then_some(scratch.match_left[l]);
-            assert_eq!(csr, nested.match_left[l]);
-        }
-        for r in 0..g.n_right() {
-            let csr = (scratch.match_right[r] != usize::MAX).then_some(scratch.match_right[r]);
-            assert_eq!(csr, nested.match_right[r]);
-        }
+        let fresh = maximum_matching(&g);
+        assert_eq!(size, fresh.size);
+        assert_eq!(size, brute_force_max_matching(&g));
+        let warm = |m: &[usize]| -> Vec<Option<usize>> {
+            m.iter().map(|&x| (x != usize::MAX).then_some(x)).collect()
+        };
+        assert_eq!(warm(&scratch.match_left), fresh.match_left);
+        assert_eq!(warm(&scratch.match_right), fresh.match_right);
     }
 
     #[test]

@@ -10,7 +10,11 @@
 //! it already accounts for reduced communications" — FTSA's `e(ε+1)²`
 //! messages fight for ports, MC-FTSA's `e(ε+1)` do not.
 //!
-//! Model details (documented simplifications):
+//! The replay runs on the crash engine's event loop
+//! ([`crate::crash::CrashWorkspace`]) with sender ports of the model's
+//! capacity; the [crash module docs](crate::crash) give the event order,
+//! which decides which queued transfer gets a free port first. Model
+//! details (documented simplifications):
 //!
 //! * Contention is applied on the *sender* side only; receivers accept
 //!   any number of concurrent incoming transfers. (The symmetric
@@ -23,12 +27,12 @@
 //!   time (ties: insertion order), which keeps runs deterministic.
 //! * Failure scenarios are fail-at-time-zero (the paper's experimental
 //!   model); matched communications use the rerouted delivery policy of
-//!   [`crate::crash`].
+//!   [`crate::crash`], under which a receiver with no matched sender on
+//!   an edge is fed by any live sender.
 
-use ftcollections::{IndexedHeap, OrdF64};
-use ftsched_core::{CommSelection, Schedule};
+use crate::crash::{CrashWorkspace, FallbackPolicy};
+use ftsched_core::Schedule;
 use platform::{FailureScenario, Instance};
-use taskgraph::TaskId;
 
 /// How many concurrent outgoing transfers a processor may drive.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -69,279 +73,43 @@ pub struct ContentionResult {
     pub queueing_delay: f64,
 }
 
-#[derive(Debug, Clone, Copy)]
-struct Transfer {
-    dst_task: TaskId,
-    dst_rep: usize,
-    slot: usize,
-    duration: f64,
-    enqueued: f64,
-}
-
-#[derive(Debug, Clone, Copy)]
-enum Ev {
-    /// Replica `(task, rep)` finishes computing on `proc`.
-    Finish {
-        task: TaskId,
-        rep: usize,
-        proc: usize,
-    },
-    /// A transfer out of `proc` completes; its payload lands at the
-    /// destination replica.
-    TransferDone { proc: usize, t: Transfer },
-}
-
 /// Simulates `sched` under `scenario` with sender-side port contention.
 ///
-/// With [`PortModel::Unbounded`] the result matches
-/// [`crate::crash::simulate`] latencies (the transfer accounting differs
-/// from the base engine only in bookkeeping).
+/// With [`PortModel::Unbounded`] the latency equals
+/// [`crate::crash::simulate`]'s: both are the same replay. Builds a
+/// throwaway workspace; batch callers should hold one and use
+/// [`simulate_contention_into`].
 pub fn simulate_contention(
     inst: &Instance,
     sched: &Schedule,
     scenario: &FailureScenario,
     ports: PortModel,
 ) -> ContentionResult {
+    simulate_contention_into(inst, sched, scenario, ports, &mut CrashWorkspace::new())
+}
+
+/// [`simulate_contention`] reusing the caller's workspace — allocation-free
+/// once the workspace is warm.
+pub fn simulate_contention_into(
+    inst: &Instance,
+    sched: &Schedule,
+    scenario: &FailureScenario,
+    ports: PortModel,
+    ws: &mut CrashWorkspace,
+) -> ContentionResult {
     assert!(
         scenario.iter().all(|(_, t)| t == 0.0),
         "contention simulation supports fail-at-time-zero scenarios only"
     );
-    let capacity = ports.capacity();
-    let m = inst.num_procs();
-    let dag = &inst.dag;
-    let matched = matches!(sched.comm, CommSelection::Matched(_));
-
-    let failed: Vec<bool> = (0..m)
-        .map(|j| scenario.fails(platform::ProcId(j as u32)))
-        .collect();
-
-    // Static death marking (rerouted semantics — see crash.rs): a replica
-    // dies iff its processor failed or some predecessor lost all replicas.
-    let mut dead: Vec<Vec<bool>> = dag
-        .tasks()
-        .map(|t| {
-            sched
-                .replicas_of(t)
-                .iter()
-                .map(|r| failed[r.proc.index()])
-                .collect()
-        })
-        .collect();
-    for &t in dag.topological_order() {
-        let starved = dag
-            .preds(t)
-            .iter()
-            .any(|&(p, _)| dead[p.index()].iter().all(|&d| d));
-        if starved {
-            dead[t.index()].iter_mut().for_each(|d| *d = true);
-        }
-    }
-
-    // matched_of[eid][dst_rep] = sender index.
-    let matched_of: Vec<Vec<usize>> = match &sched.comm {
-        CommSelection::AllToAll => Vec::new(),
-        CommSelection::Matched(mm) => dag
-            .edge_list()
-            .map(|(eid, _, dst, _)| {
-                let mut v = vec![usize::MAX; sched.replicas_of(dst).len()];
-                for &(s, d) in &mm[eid.index()] {
-                    v[d] = s;
-                }
-                v
-            })
-            .collect(),
-    };
-    let mut slot_of_edge = vec![usize::MAX; dag.num_edges()];
-    for t in dag.tasks() {
-        for (slot, &(_, eid)) in dag.preds(t).iter().enumerate() {
-            slot_of_edge[eid.index()] = slot;
-        }
-    }
-
-    // Per-replica input state: satisfied flags + ready time.
-    let mut satisfied: Vec<Vec<Vec<bool>>> = dag
-        .tasks()
-        .map(|t| vec![vec![false; dag.preds(t).len()]; sched.replicas_of(t).len()])
-        .collect();
-    let mut sat_count: Vec<Vec<usize>> = dag
-        .tasks()
-        .map(|t| vec![0usize; sched.replicas_of(t).len()])
-        .collect();
-    let mut ready_time: Vec<Vec<f64>> = dag
-        .tasks()
-        .map(|t| vec![0.0f64; sched.replicas_of(t).len()])
-        .collect();
-    let mut finish_time: Vec<Vec<Option<f64>>> = dag
-        .tasks()
-        .map(|t| vec![None; sched.replicas_of(t).len()])
-        .collect();
-
-    // Per-processor compute queue state. The placement chains are
-    // materialized once so the advance loop can index a flat slice.
-    let proc_orders: Vec<Vec<(TaskId, usize)>> =
-        (0..m).map(|j| sched.proc_order(j).collect()).collect();
-    let mut ptr = vec![0usize; m];
-    let mut free_at = vec![0.0f64; m];
-
-    // Per-processor port state.
-    let mut port_busy = vec![0usize; m];
-    let mut port_queue: Vec<std::collections::VecDeque<Transfer>> =
-        vec![std::collections::VecDeque::new(); m];
-
-    let mut events: IndexedHeap<(OrdF64, usize)> = IndexedHeap::new(1024);
-    let mut event_data: Vec<Ev> = Vec::with_capacity(1024);
-    let mut transfers = 0usize;
-    let mut queueing_delay = 0.0f64;
-
-    macro_rules! push_ev {
-        ($time:expr, $ev:expr) => {{
-            let id = event_data.len();
-            event_data.push($ev);
-            events.push(id, (OrdF64::new($time), id));
-        }};
-    }
-
-    // Should sender replica `k` feed destination replica `d` on `eid`?
-    let feeds = |eid: taskgraph::EdgeId, k: usize, src: TaskId, d: usize| -> bool {
-        if !matched {
-            return true;
-        }
-        let mo = matched_of[eid.index()][d];
-        if mo == k {
-            return true;
-        }
-        // Rerouted delivery: non-matched senders step in only when the
-        // matched sender is dead.
-        mo == usize::MAX || dead[src.index()][mo]
-    };
-
-    // Start queued head replicas on processor `j` whenever possible.
-    // Returns true if progress was made.
-    macro_rules! try_advance {
-        ($j:expr, $sched:expr) => {{
-            let j = $j;
-            if !failed[j] {
-                let order = &proc_orders[j];
-                while ptr[j] < order.len() {
-                    let (t, k) = order[ptr[j]];
-                    if dead[t.index()][k] {
-                        ptr[j] += 1;
-                        continue;
-                    }
-                    if finish_time[t.index()][k].is_some() {
-                        break; // running or done
-                    }
-                    if sat_count[t.index()][k] < dag.preds(t).len() {
-                        break; // waiting for inputs
-                    }
-                    let start = ready_time[t.index()][k].max(free_at[j]);
-                    let fin = start + inst.exec.time(t.index(), j);
-                    finish_time[t.index()][k] = Some(fin);
-                    free_at[j] = fin;
-                    ptr[j] += 1;
-                    push_ev!(
-                        fin,
-                        Ev::Finish {
-                            task: t,
-                            rep: k,
-                            proc: j
-                        }
-                    );
-                }
-            }
-        }};
-    }
-
-    for j in 0..m {
-        try_advance!(j, sched);
-    }
-
-    while let Some((id, (time, _))) = events.pop() {
-        let now = time.get();
-        match event_data[id] {
-            Ev::Finish { task, rep, proc } => {
-                // Enqueue outgoing transfers; deliver intra-processor
-                // payloads immediately.
-                for &(s, eid) in dag.succs(task) {
-                    let vol = dag.volume(eid);
-                    let slot = slot_of_edge[eid.index()];
-                    for d in 0..sched.replicas_of(s).len() {
-                        if dead[s.index()][d]
-                            || satisfied[s.index()][d][slot]
-                            || !feeds(eid, rep, task, d)
-                        {
-                            continue;
-                        }
-                        let dst_proc = sched.replicas_of(s)[d].proc.index();
-                        if dst_proc == proc {
-                            satisfied[s.index()][d][slot] = true;
-                            sat_count[s.index()][d] += 1;
-                            ready_time[s.index()][d] = ready_time[s.index()][d].max(now);
-                            try_advance!(dst_proc, sched);
-                            continue;
-                        }
-                        let t = Transfer {
-                            dst_task: s,
-                            dst_rep: d,
-                            slot,
-                            duration: vol * inst.platform.delay(proc, dst_proc),
-                            enqueued: now,
-                        };
-                        if port_busy[proc] < capacity {
-                            port_busy[proc] += 1;
-                            transfers += 1;
-                            push_ev!(now + t.duration, Ev::TransferDone { proc, t });
-                        } else {
-                            port_queue[proc].push_back(t);
-                        }
-                    }
-                }
-                try_advance!(proc, sched);
-            }
-            Ev::TransferDone { proc, t } => {
-                // Payload lands.
-                let (s, d, slot) = (t.dst_task, t.dst_rep, t.slot);
-                if !dead[s.index()][d] && !satisfied[s.index()][d][slot] {
-                    satisfied[s.index()][d][slot] = true;
-                    sat_count[s.index()][d] += 1;
-                    ready_time[s.index()][d] = ready_time[s.index()][d].max(now);
-                    try_advance!(sched.replicas_of(s)[d].proc.index(), sched);
-                }
-                // Free the port and start the next queued transfer.
-                port_busy[proc] -= 1;
-                if let Some(next) = port_queue[proc].pop_front() {
-                    port_busy[proc] += 1;
-                    transfers += 1;
-                    queueing_delay += now - next.enqueued;
-                    push_ev!(now + next.duration, Ev::TransferDone { proc, t: next });
-                }
-            }
-        }
-    }
-
-    let completed = dag
-        .tasks()
-        .all(|t| (0..sched.replicas_of(t).len()).any(|k| finish_time[t.index()][k].is_some()));
-    let latency = if !completed {
-        f64::INFINITY
-    } else {
-        dag.exits()
-            .iter()
-            .map(|&t| {
-                finish_time[t.index()]
-                    .iter()
-                    .flatten()
-                    .copied()
-                    .fold(f64::INFINITY, f64::min)
-            })
-            .fold(0.0, f64::max)
-    };
-
+    ws.prepare(inst, sched, FallbackPolicy::Rerouted);
+    ws.reset_run(inst, sched, scenario, ports.capacity());
+    ws.run(inst);
+    let out = ws.outcome(inst);
     ContentionResult {
-        latency,
-        completed,
-        transfers,
-        queueing_delay,
+        latency: out.latency,
+        completed: out.completed(),
+        transfers: ws.transfers,
+        queueing_delay: ws.queueing_delay,
     }
 }
 

@@ -1,4 +1,8 @@
-//! The event-queue crash-execution engine.
+//! The crash-replay engine: one event loop that replays a schedule under
+//! processor crashes and sender-port limits. Every replay in the
+//! workspace runs here — single runs, the Monte-Carlo crash and
+//! reliability drivers, the campaign and streaming drivers, and the
+//! port-contention model of [`crate::contention`].
 //!
 //! # MC-FTSA delivery semantics
 //!
@@ -22,26 +26,71 @@
 //!   fault-free message count — the paper's `e(ε+1)` headline — is
 //!   unchanged, since fallback messages flow only after a failure.
 //!   Supported for fail-at-time-zero scenarios (the paper's experimental
-//!   model).
+//!   model). A receiver with *no* matched sender on an edge accepts the
+//!   first copy from any live sender; `validate` rejects such schedules
+//!   (the Proposition 4.3 structure check), so only hand-built ones
+//!   reach this rule.
+//!
+//! # Sender ports and event order
+//!
+//! A payload between two processors holds one of its sender's `capacity`
+//! port slots for `V · d(src, dst)`, or waits in that port's FIFO while
+//! all are busy. Crash replays give every port `usize::MAX` slots;
+//! [`crate::contention`] gives one or `k`. A payload between collocated
+//! replicas bypasses the port and lands at once. Events pop from a binary
+//! heap in `(time, push order)`:
+//!
+//! 1. After the time-0 kill cascade, processors advance in index order.
+//!    Advancing starts each head replica whose inputs are all in and
+//!    pushes its `Finish`; an overrun past the failure time kills the
+//!    rest of the queue, and every processor that cascade touched
+//!    advances before control returns.
+//! 2. A finish walks successors in CSR order, then receiver replicas in
+//!    index order: a collocated payload lands at once (its processor
+//!    advances at once), any other takes a free port slot (a `Land` at
+//!    `now + V·d`) or queues. Then the finishing processor advances.
+//! 3. A landing satisfies a receiver still waiting on that slot (its
+//!    processor advances once every slot is in), then frees the port slot
+//!    for the next queued payload, which counts as a transfer and adds
+//!    its wait to `queueing_delay`.
+//!
+//! With bounded ports, which payload gets a slot first depends on this
+//! order: it is the contention model's own. With unbounded ports no crash
+//! output depends on it, because each is built from order-free parts. A
+//! replica starts at the max of its processor's previous finish and, over
+//! its slots, each slot's first arrival — the min over its senders'
+//! arrival times, since every push lands at or after `now` and the heap
+//! pops in time order. A death is structural: a processor fails before a
+//! replica would finish, or every sender that may still feed a slot has
+//! died (a finished sender never dies, so this cannot happen while a
+//! payload is in flight). The latency is a max over exit tasks of a min
+//! over their replicas' finishes, and `lost_task` is the first task with
+//! none. No tie between equal-time events can move any of these.
+//!
+//! `events` counts popped events: finishes, and landings of payloads
+//! between processors. A collocated landing is not an event.
 //!
 //! # Memory layout / zero-allocation replications
 //!
 //! All replay state lives in a [`CrashWorkspace`] as flat arrays indexed
 //! by a dense *global replica id* (`rep_off[t] + k`) and a dense
 //! *(replica, predecessor-slot)* id (`slot_off[rid] + slot`) — no nested
-//! `Vec<Vec<…>>`, no per-replica allocation. Reusing the workspace
-//! across runs makes everything after the first replication
-//! allocation-free: [`simulate_replication_outcomes_into`] is the
-//! sequential zero-allocation driver (pinned by the root
-//! `tests/alloc_counter.rs` suite), and the parallel campaigns
-//! ([`simulate_replications`], [`simulate_replication_outcomes`]) hand
-//! each deterministic chunk of replications one workspace.
+//! `Vec<Vec<…>>`, no per-replica allocation; each sender port keeps one
+//! FIFO that is cleared, not freed. Reusing the workspace across runs makes
+//! everything after the first replication allocation-free:
+//! [`simulate_replication_outcomes_into`] is the sequential
+//! zero-allocation driver (pinned by the root `tests/alloc_counter.rs`
+//! suite), and the parallel campaigns ([`simulate_replications`],
+//! [`simulate_replication_outcomes`]) hand each deterministic chunk of
+//! replications one workspace.
 
-use ftcollections::{IndexedHeap, OrdF64};
+use ftcollections::OrdF64;
 use ftsched_core::{CommSelection, Schedule};
 use platform::{FailureScenario, Instance};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, VecDeque};
 use taskgraph::TaskId;
 
 /// Delivery policy for matched (MC-FTSA) communications under failures.
@@ -88,7 +137,8 @@ pub struct SimResult {
     /// Per task, per replica: simulated `(start, finish)`; `None` for
     /// dead replicas.
     pub times: Vec<Vec<Option<(f64, f64)>>>,
-    /// Number of events processed (diagnostics).
+    /// Number of events popped from the queue (diagnostics; see the
+    /// [module docs](self) for what counts).
     pub events: usize,
 }
 
@@ -117,7 +167,7 @@ pub struct ReplicationOutcome {
     pub latency: f64,
     /// The first task (by id) that lost every replica, if any.
     pub lost_task: Option<TaskId>,
-    /// Number of events processed (diagnostics).
+    /// Number of events popped from the queue (diagnostics).
     pub events: usize,
 }
 
@@ -138,13 +188,24 @@ enum Phase {
 
 #[derive(Debug, Clone, Copy)]
 enum Event {
-    /// Data for replica `(task, rep)` along predecessor slot `slot`.
-    Arrival { task: TaskId, rep: u32, slot: u32 },
     /// Replica `(task, rep)` on processor `proc` completes.
     Finish { task: TaskId, rep: u32, proc: u32 },
+    /// A payload sent by processor `proc` lands on replica `rid`, at its
+    /// dense (replica, slot) id `si`, freeing its port slot.
+    Land { rid: u32, si: u32, proc: u32 },
+}
+
+/// A payload waiting for a slot on its sender's port.
+#[derive(Debug, Clone, Copy)]
+struct Queued {
+    land: Event,
+    duration: f64,
+    enqueued: f64,
 }
 
 const NO_SRC: u32 = u32::MAX;
+/// Port capacity of a crash replay: no payload ever waits.
+const UNBOUNDED_PORTS: usize = usize::MAX;
 
 /// Flat, reusable crash-replay state. See the [module docs](self) for
 /// the layout; every buffer is cleared and refilled in place, so a
@@ -185,14 +246,24 @@ pub struct CrashWorkspace {
     ptr: Vec<u32>,
     free_at: Vec<f64>,
     proc_dead: Vec<bool>,
-    events: IndexedHeap<(OrdF64, usize)>,
+    events: BinaryHeap<Reverse<(OrdF64, usize)>>,
     event_data: Vec<Event>,
+    /// Processors a kill cascade touched, still to advance.
     pending_advance: Vec<u32>,
-    start_queue: Vec<(f64, TaskId, u32, u32)>,
     kill_work: Vec<(TaskId, u32)>,
     processed: usize,
     matched: bool,
     rerouted: bool,
+    // --- sender ports ----------------------------------------------------
+    capacity: usize,
+    /// Per processor: payloads holding a port slot.
+    port_busy: Vec<usize>,
+    /// Per processor: payloads waiting for a port slot.
+    port_queue: Vec<VecDeque<Queued>>,
+    /// Payloads that took a port slot.
+    pub(crate) transfers: usize,
+    /// Total time payloads waited in port FIFOs.
+    pub(crate) queueing_delay: f64,
     // --- replication-driver scratch --------------------------------------
     scenario: FailureScenario,
     ids: Vec<u32>,
@@ -226,7 +297,7 @@ impl CrashWorkspace {
 
     /// Rebuilds the shape tables for `(inst, sched)` — O(v + e + R)
     /// overwrites, allocation-free once the buffers are warm.
-    fn prepare(&mut self, inst: &Instance, sched: &Schedule, policy: FallbackPolicy) {
+    pub(crate) fn prepare(&mut self, inst: &Instance, sched: &Schedule, policy: FallbackPolicy) {
         let dag = &inst.dag;
         let m = inst.num_procs();
 
@@ -266,11 +337,10 @@ impl CrashWorkspace {
         self.matched_src.clear();
         if let CommSelection::Matched(mm) = &sched.comm {
             self.matched_off.push(0);
-            for (eid, _, dst, _) in dag.edge_list() {
+            for (_, _, dst, _) in dag.edge_list() {
                 let prev = *self.matched_off.last().expect("nonempty");
                 self.matched_off
                     .push(prev + sched.replicas_of(dst).len() as u32);
-                let _ = eid;
             }
             self.matched_src
                 .resize(*self.matched_off.last().expect("nonempty") as usize, NO_SRC);
@@ -292,8 +362,15 @@ impl CrashWorkspace {
         }
     }
 
-    /// Resets the per-run state for `scenario`.
-    fn reset_run(&mut self, inst: &Instance, sched: &Schedule, scenario: &FailureScenario) {
+    /// Resets the per-run state for `scenario`, with ports of `capacity`
+    /// concurrent payloads.
+    pub(crate) fn reset_run(
+        &mut self,
+        inst: &Instance,
+        sched: &Schedule,
+        scenario: &FailureScenario,
+        capacity: usize,
+    ) {
         let dag = &inst.dag;
         let m = inst.num_procs();
         let total_reps = self.rep_proc.len();
@@ -348,9 +425,16 @@ impl CrashWorkspace {
         self.events.clear();
         self.event_data.clear();
         self.pending_advance.clear();
-        self.start_queue.clear();
         self.kill_work.clear();
         self.processed = 0;
+
+        self.capacity = capacity;
+        self.port_busy.clear();
+        self.port_busy.resize(m, 0);
+        self.port_queue.resize_with(m, VecDeque::new);
+        self.port_queue.iter_mut().for_each(VecDeque::clear);
+        self.transfers = 0;
+        self.queueing_delay = 0.0;
     }
 
     /// Kill cascade: marks replicas dead, propagates starvation, flags
@@ -396,8 +480,21 @@ impl CrashWorkspace {
         }
     }
 
-    /// Advances processor `j`: skips dead replicas, starts the head when
-    /// its inputs are ready, detects fail-stop overruns.
+    /// Advances processor `j`, then every processor that an overrun's
+    /// kill cascade touched, until none is left.
+    fn advance(&mut self, j: usize, inst: &Instance) {
+        self.try_advance(j, inst);
+        while !self.kill_work.is_empty() {
+            self.kill_cascade(&inst.dag);
+            while let Some(k) = self.pending_advance.pop() {
+                self.try_advance(k as usize, inst);
+            }
+        }
+    }
+
+    /// Starts every head replica of processor `j` whose inputs are all
+    /// in, pushing its `Finish`; skips dead replicas; on a fail-stop
+    /// overrun, queues the rest of `j`'s queue for the kill cascade.
     fn try_advance(&mut self, j: usize, inst: &Instance) {
         if self.proc_dead[j] {
             return;
@@ -432,15 +529,100 @@ impl CrashWorkspace {
                     self.times[rid] = Some((start, finish));
                     self.free_at[j] = finish;
                     self.ptr[j] += 1;
-                    self.start_queue.push((finish, t, k, j as u32));
+                    self.push_event(
+                        finish,
+                        Event::Finish {
+                            task: t,
+                            rep: k,
+                            proc: j as u32,
+                        },
+                    );
                 }
             }
         }
     }
 
+    fn push_event(&mut self, at: f64, event: Event) {
+        let id = self.event_data.len();
+        self.event_data.push(event);
+        self.events.push(Reverse((OrdF64::new(at), id)));
+    }
+
+    /// Satisfies the dense (replica, slot) id `si` of replica `rid` at
+    /// `now`, and advances its processor once every slot is in.
+    fn land(&mut self, rid: usize, si: usize, now: f64, inst: &Instance) {
+        self.satisfied[si] = true;
+        self.satisfied_count[rid] += 1;
+        self.ready_time[rid] = self.ready_time[rid].max(now);
+        if self.satisfied_count[rid] == self.slot_off[rid + 1] - self.slot_off[rid] {
+            self.advance(self.rep_proc[rid] as usize, inst);
+        }
+    }
+
+    /// Whether sender replica `rep` feeds destination replica `d` of
+    /// edge `eid` (slot index `si`): all-to-all feeds everyone; matched
+    /// delivery feeds the matched receiver, and under rerouting also
+    /// the receivers whose matched sender died or that have none.
+    #[inline]
+    fn feeds(&self, eid: usize, d: usize, rep: u32, si: usize) -> bool {
+        if !self.matched {
+            return true;
+        }
+        let src = self.matched_src_of(eid, d);
+        src == rep || (self.rerouted && (src == NO_SRC || self.matched_dead[si]))
+    }
+
+    /// A finish at `now`: delivers the replica's payloads to every
+    /// receiver it feeds, then advances its processor.
+    fn finish(&mut self, task: TaskId, rep: u32, proc: usize, now: f64, inst: &Instance) {
+        let rid = self.rid(task, rep as usize);
+        self.phase[rid] = Phase::Done;
+        for &(s, eid) in inst.dag.succs(task) {
+            let vol = inst.dag.volume(eid);
+            let slot = self.slot_of_edge[eid.index()] as usize;
+            for d in 0..self.reps(s) {
+                let rid_s = self.rid(s, d);
+                let si = self.slot_idx(rid_s, slot);
+                if self.phase[rid_s] != Phase::Waiting
+                    || self.satisfied[si]
+                    || !self.feeds(eid.index(), d, rep, si)
+                {
+                    continue;
+                }
+                let dst = self.rep_proc[rid_s] as usize;
+                if dst == proc {
+                    self.land(rid_s, si, now, inst);
+                    continue;
+                }
+                let land = Event::Land {
+                    rid: rid_s as u32,
+                    si: si as u32,
+                    proc: proc as u32,
+                };
+                let duration = vol * inst.platform.delay(proc, dst);
+                if self.port_busy[proc] < self.capacity {
+                    self.send(proc, now + duration, land);
+                } else {
+                    self.port_queue[proc].push_back(Queued {
+                        land,
+                        duration,
+                        enqueued: now,
+                    });
+                }
+            }
+        }
+        self.advance(proc, inst);
+    }
+
+    /// Takes a slot on `proc`'s port for a payload landing at `at`.
+    fn send(&mut self, proc: usize, at: f64, land: Event) {
+        self.port_busy[proc] += 1;
+        self.transfers += 1;
+        self.push_event(at, land);
+    }
+
     /// The main event loop. `prepare` and `reset_run` must have run.
-    fn run(&mut self, inst: &Instance) {
-        let dag = &inst.dag;
+    pub(crate) fn run(&mut self, inst: &Instance) {
         let m = inst.num_procs();
 
         for j in 0..m {
@@ -453,100 +635,36 @@ impl CrashWorkspace {
                 }
             }
         }
-        self.pending_advance.extend(0..m as u32);
-        self.kill_cascade(dag);
+        self.kill_cascade(&inst.dag);
+        self.pending_advance.clear();
+        for j in 0..m {
+            self.advance(j, inst);
+        }
 
-        loop {
-            while let Some(j) = self.pending_advance.pop() {
-                self.try_advance(j as usize, inst);
-                if !self.kill_work.is_empty() {
-                    self.kill_cascade(dag);
-                }
-                // FIFO drain (the queue is taken out and restored so the
-                // loop body can push events — no allocation either way).
-                let mut sq = std::mem::take(&mut self.start_queue);
-                for (finish, t, k, j2) in sq.drain(..) {
-                    let id = self.event_data.len();
-                    self.event_data.push(Event::Finish {
-                        task: t,
-                        rep: k,
-                        proc: j2,
-                    });
-                    self.events.push(id, (OrdF64::new(finish), id));
-                }
-                self.start_queue = sq;
-            }
-
-            let Some((id, (time, _))) = self.events.pop() else {
-                break;
-            };
+        while let Some(Reverse((time, id))) = self.events.pop() {
             self.processed += 1;
             let now = time.get();
             match self.event_data[id] {
-                Event::Arrival { task, rep, slot } => {
-                    let rid = self.rid(task, rep as usize);
-                    let si = self.slot_idx(rid, slot as usize);
-                    if self.phase[rid] != Phase::Waiting || self.satisfied[si] {
-                        continue; // first-input-wins: later copies ignored
-                    }
-                    self.satisfied[si] = true;
-                    self.satisfied_count[rid] += 1;
-                    self.ready_time[rid] = self.ready_time[rid].max(now);
-                    if self.satisfied_count[rid] as usize == dag.preds(task).len() {
-                        self.pending_advance.push(self.rep_proc[rid]);
-                    }
-                }
                 Event::Finish { task, rep, proc } => {
-                    let rid = self.rid(task, rep as usize);
-                    self.phase[rid] = Phase::Done;
-                    for &(s, eid) in dag.succs(task) {
-                        let vol = dag.volume(eid);
-                        let slot = self.slot_of_edge[eid.index()];
-                        // Candidate receivers: everyone for all-to-all
-                        // and rerouted matched; the matched receivers
-                        // for strict. Iterated directly over the
-                        // destination-replica range — no index
-                        // collection per event.
-                        for d in 0..self.reps(s) {
-                            if self.matched
-                                && !self.rerouted
-                                && self.matched_src_of(eid.index(), d) != rep
-                            {
-                                continue;
-                            }
-                            let rid_s = self.rid(s, d);
-                            let si = self.slot_idx(rid_s, slot as usize);
-                            if self.phase[rid_s] != Phase::Waiting || self.satisfied[si] {
-                                continue;
-                            }
-                            // Rerouted matched delivery: a non-matched
-                            // sender only feeds receivers whose matched
-                            // sender died.
-                            if self.rerouted
-                                && self.matched_src_of(eid.index(), d) != rep
-                                && !self.matched_dead[si]
-                            {
-                                continue;
-                            }
-                            let dst_proc = self.rep_proc[rid_s] as usize;
-                            let at = now + vol * inst.platform.delay(proc as usize, dst_proc);
-                            let nid = self.event_data.len();
-                            self.event_data.push(Event::Arrival {
-                                task: s,
-                                rep: d as u32,
-                                slot,
-                            });
-                            self.events.push(nid, (OrdF64::new(at), nid));
-                        }
+                    self.finish(task, rep, proc as usize, now, inst);
+                }
+                Event::Land { rid, si, proc } => {
+                    let (rid, si, proc) = (rid as usize, si as usize, proc as usize);
+                    if self.phase[rid] == Phase::Waiting && !self.satisfied[si] {
+                        self.land(rid, si, now, inst);
                     }
-                    self.pending_advance.push(proc);
+                    self.port_busy[proc] -= 1;
+                    if let Some(q) = self.port_queue[proc].pop_front() {
+                        self.queueing_delay += now - q.enqueued;
+                        self.send(proc, now + q.duration, q.land);
+                    }
                 }
             }
         }
     }
 
     /// Scalar outcome of the completed run (no allocation).
-    fn outcome(&self, inst: &Instance) -> ReplicationOutcome {
+    pub(crate) fn outcome(&self, inst: &Instance) -> ReplicationOutcome {
         let dag = &inst.dag;
         let mut lost_task = None;
         for t in dag.tasks() {
@@ -709,7 +827,7 @@ pub fn simulate_outcome_from_into(
     );
     ws.prepare(inst, sched, policy);
     check_rerouted_scenario(ws.rerouted, scenario);
-    ws.reset_run(inst, sched, scenario);
+    ws.reset_run(inst, sched, scenario, UNBOUNDED_PORTS);
     ws.free_at.copy_from_slice(floors);
     ws.run(inst);
     ws.outcome(inst)
@@ -762,7 +880,7 @@ fn run_prepared(
     ws: &mut CrashWorkspace,
 ) {
     check_rerouted_scenario(ws.rerouted, scenario);
-    ws.reset_run(inst, sched, scenario);
+    ws.reset_run(inst, sched, scenario, UNBOUNDED_PORTS);
     ws.run(inst);
 }
 

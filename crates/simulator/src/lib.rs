@@ -24,10 +24,19 @@
 //! an empty occupancy reduces every step bit-for-bit to the offline
 //! single-DAG pair.
 //!
-//! Two engines are provided and cross-checked against each other:
-//! [`crash::simulate`], the full event-queue engine (supports
-//! mid-execution failures), and [`replay::replay`], a memoized analytic
-//! pass valid for fail-at-time-zero scenarios.
+//! One engine replays every schedule: the event loop of
+//! [`crash::CrashWorkspace`] ([`crash::simulate`] and its `_into`
+//! forms). It covers mid-execution failures, release floors, FTBAR's
+//! late duplicates and sender ports, and it serves the Monte-Carlo crash
+//! and reliability drivers, the campaign and streaming drivers, and the
+//! port-contention model ([`contention::simulate_contention`], the same
+//! loop with one or `k` slots per sender port). Its crash outputs do not
+//! depend on the order of equal-time events: every one is a min over
+//! arrivals, a max over slots and processor release times, or a
+//! structural death (the argument is in the [`crash`] module docs).
+//! [`replay::replay`], a one-pass analytic replay for fail-at-time-zero
+//! scenarios without duplicates, is kept only as the oracle the tests
+//! compare the engine against.
 //!
 //! [`parallel`] holds the workspace's one parallel executor,
 //! [`parallel::parallel_map_with`]. The Monte-Carlo drivers
@@ -57,7 +66,7 @@ pub mod replay;
 pub mod streaming;
 pub mod trace;
 
-pub use contention::{simulate_contention, ContentionResult, PortModel};
+pub use contention::{simulate_contention, simulate_contention_into, ContentionResult, PortModel};
 pub use crash::{simulate, simulate_replications, SimOutcome, SimResult};
 pub use streaming::{
     run_stream_into, ArrivalProcess, DagOutcome, PoissonArrivals, StreamWorkspace, TraceArrivals,

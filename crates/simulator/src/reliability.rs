@@ -12,16 +12,19 @@
 //!   dies iff the failure mask covers its replica-processor mask, so the
 //!   exact computation handles `m ≤ ~24` comfortably after mask
 //!   deduplication.
-//! * [`survival_probability_monte_carlo`] — samples failure patterns;
-//!   also reports the conditional expected latency `E[L | survival]`
-//!   via the analytic replay.
+//! * [`survival_probability_monte_carlo_par`] — samples failure
+//!   patterns and replays each on the crash engine
+//!   ([`crate::crash::simulate_outcome_into`], rerouted delivery), one
+//!   [`CrashWorkspace`] per executor chunk; also reports the conditional
+//!   expected latency `E[L | survival]`. Any schedule the engine replays
+//!   is covered, FTBAR's late duplicates included.
 //!
 //! For all-to-all communication the mask reduction is *exact* (Theorem
 //! 4.1's argument: a task dies iff all its replica processors fail).
 //! For matched communication under the rerouted delivery policy the same
 //! rule applies (see `crash.rs`), so both schedule families are covered.
 
-use crate::replay::replay;
+use crate::crash::{simulate_outcome_into, CrashWorkspace, FallbackPolicy};
 use ftsched_core::Schedule;
 use platform::{FailureScenario, Instance, ProcId};
 use rand::rngs::StdRng;
@@ -95,54 +98,16 @@ pub struct MonteCarloReliability {
     pub samples: usize,
 }
 
-/// Monte Carlo estimate of the survival probability and the conditional
-/// expected latency under iid per-processor failure probability `p`.
-pub fn survival_probability_monte_carlo(
-    inst: &Instance,
-    sched: &Schedule,
-    p: f64,
-    samples: usize,
-    rng: &mut impl Rng,
-) -> MonteCarloReliability {
-    assert!((0.0..=1.0).contains(&p));
-    assert!(samples > 0);
-    let m = inst.num_procs();
-    let mut survived = 0usize;
-    let mut latency_acc = 0.0f64;
-    for _ in 0..samples {
-        let failed: Vec<ProcId> = (0..m as u32)
-            .map(ProcId)
-            .filter(|_| rng.gen_bool(p))
-            .collect();
-        let scen = FailureScenario::at_time_zero(failed);
-        let r = replay(inst, sched, &scen);
-        if r.completed {
-            survived += 1;
-            latency_acc += r.latency;
-        }
-    }
-    MonteCarloReliability {
-        survival: survived as f64 / samples as f64,
-        expected_latency: if survived > 0 {
-            latency_acc / survived as f64
-        } else {
-            f64::NAN
-        },
-        samples,
-    }
-}
-
 /// Parallel Monte Carlo estimate of the survival probability and the
-/// conditional expected latency, on `threads` workers of
+/// conditional expected latency under iid per-processor failure
+/// probability `p`, on `threads` workers of
 /// [`crate::parallel::parallel_map_with`].
 ///
-/// Unlike [`survival_probability_monte_carlo`] — which consumes a
-/// caller-provided RNG stream and is therefore inherently sequential —
-/// sample `i` here draws its failure pattern from
-/// [`crate::replication_seed`]`(base_seed, i)`. The per-sample outcomes
-/// are combined in sample order on the calling thread, so the estimate
-/// (including the floating-point latency mean) is bit-identical at any
-/// thread count.
+/// Sample `i` draws its failure pattern from
+/// [`crate::replication_seed`]`(base_seed, i)` and replays it on its
+/// chunk's [`CrashWorkspace`]. The per-sample outcomes are combined in
+/// sample order on the calling thread, so the estimate (including the
+/// floating-point latency mean) is bit-identical at any thread count.
 pub fn survival_probability_monte_carlo_par(
     inst: &Instance,
     sched: &Schedule,
@@ -154,21 +119,17 @@ pub fn survival_probability_monte_carlo_par(
     assert!((0.0..=1.0).contains(&p));
     assert!(samples > 0);
     let m = inst.num_procs();
-    let outcomes: Vec<Option<f64>> = crate::parallel::parallel_map_with(
-        samples,
-        threads,
-        || (),
-        |_, i| {
+    let outcomes: Vec<Option<f64>> =
+        crate::parallel::parallel_map_with(samples, threads, CrashWorkspace::new, |ws, i| {
             let mut rng = StdRng::seed_from_u64(crate::replication_seed(base_seed, i as u64));
             let failed: Vec<ProcId> = (0..m as u32)
                 .map(ProcId)
                 .filter(|_| rng.gen_bool(p))
                 .collect();
             let scen = FailureScenario::at_time_zero(failed);
-            let r = replay(inst, sched, &scen);
-            r.completed.then_some(r.latency)
-        },
-    );
+            let r = simulate_outcome_into(inst, sched, &scen, FallbackPolicy::Rerouted, ws);
+            r.completed().then_some(r.latency)
+        });
     let survived = outcomes.iter().flatten().count();
     let latency_acc: f64 = outcomes.iter().flatten().sum();
     MonteCarloReliability {
@@ -274,12 +235,12 @@ mod tests {
 
     #[test]
     fn monte_carlo_agrees_with_exact() {
+        // One thread: every sample replays inline on the caller.
         let inst = small_instance(7, 5);
         let s = schedule(&inst, 2, Algorithm::Ftsa, &mut StdRng::seed_from_u64(5)).unwrap();
         let p = 0.25;
         let exact = survival_probability_exact(&inst, &s, p);
-        let mc =
-            survival_probability_monte_carlo(&inst, &s, p, 4000, &mut StdRng::seed_from_u64(99));
+        let mc = survival_probability_monte_carlo_par(&inst, &s, p, 4000, 99, 1);
         assert!(
             (mc.survival - exact).abs() < 0.03,
             "MC {} vs exact {exact}",
@@ -330,9 +291,27 @@ mod tests {
         let surv = survival_probability_exact(&inst, &s, 0.2);
         assert!((0.0..=1.0).contains(&surv));
         // Sanity against Monte Carlo (which uses rerouted replay).
-        let mc =
-            survival_probability_monte_carlo(&inst, &s, 0.2, 3000, &mut StdRng::seed_from_u64(7));
+        let mc = survival_probability_monte_carlo_par(&inst, &s, 0.2, 3000, 7, 2);
         assert!((mc.survival - surv).abs() < 0.04);
+    }
+
+    #[test]
+    fn ftbar_duplicates_are_thread_count_invariant() {
+        // FTBAR appends late duplicates (more than ε+1 replicas of a
+        // task), which the crash engine replays like any replica.
+        let inst = small_instance(6, 10);
+        let s = schedule(&inst, 2, Algorithm::Ftbar, &mut StdRng::seed_from_u64(10)).unwrap();
+        assert!(
+            inst.dag
+                .tasks()
+                .any(|t| s.replicas_of(t).len() > s.epsilon + 1),
+            "the instance must exercise duplicates"
+        );
+        let a = survival_probability_monte_carlo_par(&inst, &s, 0.2, 1000, 23, 1);
+        let b = survival_probability_monte_carlo_par(&inst, &s, 0.2, 1000, 23, 4);
+        assert_eq!(a.survival.to_bits(), b.survival.to_bits());
+        assert_eq!(a.expected_latency.to_bits(), b.expected_latency.to_bits());
+        assert!(a.survival > 0.0 && a.expected_latency.is_finite());
     }
 
     #[test]

@@ -5,8 +5,10 @@
 //! scheduled, every data or processor dependency of a replica points to a
 //! task earlier in `schedule_order`. The simulated times can therefore be
 //! computed by one pass in that order — no event queue — which gives an
-//! independent oracle for the discrete-event engine (the two must agree
-//! exactly; see the cross-check property tests).
+//! independent oracle for the crash engine of [`crate::crash`] (the two
+//! must agree exactly; see the cross-check property tests). No library
+//! or binary code calls it: only the tests and the `ablation/simulator`
+//! bench do.
 //!
 //! Matched (MC-FTSA) communications follow the
 //! [`Rerouted`](crate::crash::FallbackPolicy::Rerouted) policy, matching

@@ -6,6 +6,7 @@
 //! Run with: `cargo run --release -p ftsched --example reliability_and_contention`
 
 use ftsched::prelude::*;
+use ftsched::simulator::reliability::survival_probability_monte_carlo_par;
 use rand::{rngs::StdRng, SeedableRng};
 
 fn main() {
@@ -36,12 +37,13 @@ fn main() {
         let sched = schedule(&inst, eps, Algorithm::Ftsa, &mut rng).unwrap();
         for p in [0.05, 0.2] {
             let exact = survival_probability_exact(&inst, &sched, p);
-            let mc = survival_probability_monte_carlo(
+            let mc = survival_probability_monte_carlo_par(
                 &inst,
                 &sched,
                 p,
                 5_000,
-                &mut StdRng::seed_from_u64(eps as u64 * 100 + (p * 100.0) as u64),
+                eps as u64 * 100 + (p * 100.0) as u64,
+                2,
             );
             println!(
                 "{eps:>4} {p:>8.2} {exact:>12.5} {:>12.5} {:>22.5}",

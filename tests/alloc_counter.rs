@@ -14,7 +14,10 @@
 //! * a full Monte-Carlo crash campaign through
 //!   `simulate_replication_outcomes_into` after an identical warm-up
 //!   campaign — i.e. every replication after the first allocates
-//!   nothing.
+//!   nothing;
+//! * campaign cells through `evaluate_cell_into`, the one-port
+//!   contention measure included: its replays run on the cell's crash
+//!   workspace.
 //!
 //! One contract is a constant rather than zero: streaming a bundle with
 //! `serde_json::to_writer_pretty` allocates its one output buffer, the
@@ -27,7 +30,7 @@
 //! this design retires).
 
 use experiments::campaign::{
-    evaluate_cell_into, instance_for_cell, CampaignSpec, CellContext, CellCoord, CellPlan,
+    evaluate_cell_into, instance_for_cell, presets, CampaignSpec, CellContext, CellCoord, CellPlan,
     LayeredRange, MeasurePlan, PlatformSpec, Seeding, SeriesKey, WorkloadSpec,
 };
 use ftsched::prelude::*;
@@ -102,6 +105,7 @@ fn main() {
     monte_carlo_replications_after_first_allocate_nothing();
     matched_campaign_after_first_allocates_nothing();
     campaign_cell_loop_allocates_nothing();
+    contention_cell_loop_allocates_nothing();
     streaming_arrivals_after_warm_allocate_nothing();
     wal_append_allocates_nothing();
     bundle_streaming_allocations_do_not_grow();
@@ -453,36 +457,60 @@ fn campaign_cell_loop_allocates_nothing() {
             ..Default::default()
         },
     };
+    assert!(!cell_loop_series(&spec).is_empty());
+}
+
+/// Evaluates `spec`'s first cell twice to warm one `CellContext`, then
+/// five more times, asserting those allocate nothing and reproduce the
+/// warm-up series, which it returns.
+fn cell_loop_series(spec: &CampaignSpec) -> Vec<(SeriesKey, f64)> {
     spec.validate().unwrap();
-    let plan = CellPlan::new(&spec);
+    let plan = CellPlan::new(spec);
     let coord = CellCoord {
         workload: 0,
         platform: 0,
         eps: 0,
         rep: 0,
     };
-    let inst = instance_for_cell(&spec, &coord);
+    let inst = instance_for_cell(spec, &coord);
     let mut ctx = CellContext::new();
     let mut out: Vec<(SeriesKey, f64)> = Vec::new();
 
     // Warm-up: two cells size every workspace and the output buffer.
     for _ in 0..2 {
-        evaluate_cell_into(&spec, &plan, &coord, &inst, &mut ctx, &mut out).unwrap();
+        evaluate_cell_into(spec, &plan, &coord, &inst, &mut ctx, &mut out).unwrap();
     }
     let reference = out.clone();
 
     let before = allocations();
     for _ in 0..5 {
-        evaluate_cell_into(&spec, &plan, &coord, &inst, &mut ctx, &mut out).unwrap();
+        evaluate_cell_into(spec, &plan, &coord, &inst, &mut ctx, &mut out).unwrap();
     }
     let counted = allocations() - before;
     assert_eq!(
         counted, 0,
-        "steady-state campaign cell loop performed {counted} heap \
-         allocations (contract: zero)"
+        "steady-state campaign cell loop `{}` performed {counted} heap \
+         allocations (contract: zero)",
+        spec.id
     );
     assert_eq!(out, reference, "reuse must not change the cell series");
-    assert!(!out.is_empty());
+    out
+}
+
+fn contention_cell_loop_allocates_nothing() {
+    // The `contention` preset's cells replay every primary schedule
+    // (FTSA and MC-FTSA) twice, with unbounded and one-port sender
+    // ports, on the cell context's crash workspace — so a warm context
+    // replays them allocation-free too.
+    let spec = presets::preset("contention", Some(1)).unwrap();
+    assert!(spec.measures.contention);
+    let out = cell_loop_series(&spec);
+    // Both algorithms' penalty and transfer series, and one-port queues
+    // that actually slowed a schedule down.
+    assert_eq!(out.len(), 4);
+    assert!(out
+        .iter()
+        .any(|(k, v)| matches!(k, SeriesKey::OnePortPenalty(_)) && *v > 1.0));
 }
 
 fn matched_campaign_after_first_allocates_nothing() {

@@ -4,7 +4,8 @@
 //! byte against golden files.
 //!
 //! The goldens in `tests/golden/json/` were rendered by the serde shim's
-//! earlier value-tree writer, before it became a streaming one:
+//! earlier value-tree writer, before it became a streaming one (the
+//! `-reps2` campaigns excepted, see their entry):
 //!
 //! * `graph-gauss5.json` — `ftsched generate --family gauss --size 5
 //!   --seed 7`;
@@ -13,6 +14,13 @@
 //!   `mc-ftsa` (matched communications) and `ftbar`;
 //! * `ci-smoke-quick.campaign.json` — `ftsched campaign --preset ci-smoke
 //!   --quick`;
+//! * `<preset>-reps2.campaign.json` — `ftsched campaign --preset <preset>
+//!   --reps 2` for `contention`, `timed-crash` and `online`, rendered by
+//!   the binary built from commit `0c1dd5f`, before the crash-replay
+//!   engine took over port contention and Monte-Carlo reliability: they
+//!   pin the bytes of every replay path a campaign reaches (one-port
+//!   queues, mid-run fail-stops, and crashes on a pre-occupied
+//!   platform);
 //! * `spec-<preset>.json` — `ftsched campaign --preset <preset>
 //!   --dump-spec` for every preset, with the spec keys (store file names)
 //!   in `spec-keys.txt`;
@@ -143,6 +151,18 @@ fn ci_smoke_campaign_json_matches_golden() {
     let text = std::fs::read_to_string(dir.join("ci-smoke.campaign.json")).unwrap();
     assert_golden::<CampaignResult>("ci-smoke-quick.campaign", &text);
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn replay_campaign_json_matches_goldens() {
+    for preset in ["contention", "timed-crash", "online"] {
+        let dir = scratch_dir(&format!("campaign-{preset}"));
+        let out = dir.to_string_lossy().into_owned();
+        cli(&["campaign", "--preset", preset, "--reps", "2", "--out", &out]);
+        let text = std::fs::read_to_string(dir.join(format!("{preset}.campaign.json"))).unwrap();
+        assert_golden::<CampaignResult>(&format!("{preset}-reps2.campaign"), &text);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }
 
 #[test]
