@@ -1,12 +1,16 @@
-//! Component ablations for the design choices called out in DESIGN.md:
+//! Component ablations of the scheduler and simulator design choices.
+//! The scheduler ablations run a `ListScheduler` with one axis changed:
 //!
 //! * greedy vs bottleneck-optimal communication selection in MC-FTSA;
 //! * FTBAR with and without the minimize-start-time duplication pass;
+//! * FTSA's criticalness priority vs the static bottom level;
+//! * unbounded, one-port and multi-port sender models under contention;
 //! * event-queue simulation vs the analytic replay.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use ftsched_bench::bench_instance;
-use ftsched_core::{ftbar::ftbar_with_options, mc_ftsa, schedule, Algorithm};
+use ftsched_core::pipeline::{CommAxis, ListScheduler, PlacementAxis, PriorityAxis, Selector};
+use ftsched_core::{schedule, Algorithm};
 use platform::FailureScenario;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -17,13 +21,18 @@ fn bench_mc_selectors(c: &mut Criterion) {
     group.sample_size(10);
     let inst = bench_instance(125, 20, 42);
     for (name, sel) in [
-        ("greedy", mc_ftsa::Selector::Greedy),
-        ("bottleneck", mc_ftsa::Selector::Bottleneck),
+        ("greedy", Selector::Greedy),
+        ("bottleneck", Selector::Bottleneck),
     ] {
+        let mc_ftsa = ListScheduler::new(
+            PriorityAxis::Criticalness,
+            PlacementAxis::BestFinish,
+            CommAxis::Matched(sel),
+        );
         group.bench_with_input(BenchmarkId::new(name, 3), &inst, |b, inst| {
             b.iter(|| {
                 let mut rng = StdRng::seed_from_u64(7);
-                mc_ftsa::mc_ftsa(inst, 3, sel, &mut rng).unwrap()
+                mc_ftsa.run(inst, 3, &mut rng).unwrap()
             })
         });
     }
@@ -34,11 +43,16 @@ fn bench_ftbar_duplication(c: &mut Criterion) {
     let mut group = c.benchmark_group("ablation/ftbar-mst");
     group.sample_size(10);
     let inst = bench_instance(125, 20, 43);
-    for (name, mst) in [("with-duplication", true), ("without-duplication", false)] {
+    for (name, duplicate) in [("with-duplication", true), ("without-duplication", false)] {
+        let ftbar = ListScheduler::new(
+            PriorityAxis::Pressure,
+            PlacementAxis::MinStart { duplicate },
+            CommAxis::AllToAll,
+        );
         group.bench_with_input(BenchmarkId::new(name, 1), &inst, |b, inst| {
             b.iter(|| {
                 let mut rng = StdRng::seed_from_u64(7);
-                ftbar_with_options(inst, 1, mst, &mut rng).unwrap()
+                ftbar.run(inst, 1, &mut rng).unwrap()
             })
         });
     }
@@ -49,20 +63,15 @@ fn bench_ftsa_priority(c: &mut Criterion) {
     let mut group = c.benchmark_group("ablation/ftsa-priority");
     group.sample_size(10);
     let inst = bench_instance(125, 20, 45);
-    for (name, policy) in [
-        (
-            "criticalness",
-            ftsched_core::ftsa::PriorityPolicy::Criticalness,
-        ),
-        (
-            "bottom-level",
-            ftsched_core::ftsa::PriorityPolicy::BottomLevelOnly,
-        ),
+    for (name, priority) in [
+        ("criticalness", PriorityAxis::Criticalness),
+        ("bottom-level", PriorityAxis::BottomLevel),
     ] {
+        let ftsa = ListScheduler::new(priority, PlacementAxis::BestFinish, CommAxis::AllToAll);
         group.bench_with_input(BenchmarkId::new(name, 2), &inst, |b, inst| {
             b.iter(|| {
                 let mut rng = StdRng::seed_from_u64(7);
-                ftsched_core::ftsa::ftsa_with_policy(inst, 2, policy, &mut rng).unwrap()
+                ftsa.run(inst, 2, &mut rng).unwrap()
             })
         });
     }

@@ -12,9 +12,10 @@ use platform::granularity::scale_to_granularity;
 use platform::{ExecutionMatrix, FailureScenario, Instance, ProcId};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use simulator::crash::simulate_replication_outcomes;
 use simulator::reliability::survival_probability_monte_carlo_par;
+use simulator::simulate;
 use simulator::trace::gantt;
-use simulator::{simulate, simulate_replications};
 use std::fmt::Write as _;
 use taskgraph::generators::{
     erdos, fork_join, layered, ErdosConfig, ForkJoinConfig, LayeredConfig,
@@ -33,6 +34,17 @@ pub fn generate(args: &Args) -> Result<String, String> {
     let seed: u64 = args.get_num("seed", 42)?;
     let tasks: usize = args.get_num("tasks", 120)?;
     let size: usize = args.get_num("size", 8)?;
+    // The generators assert a non-empty shape: name the option instead.
+    let shape = match family {
+        "layered" | "erdos" => Some(("tasks", tasks)),
+        "forkjoin" | "stencil" | "wavefront" | "mapreduce" => Some(("size", size)),
+        _ => None,
+    };
+    if let Some((option, 0)) = shape {
+        return Err(format!(
+            "--{option} must be at least 1 for the {family} family"
+        ));
+    }
     let mut rng = StdRng::seed_from_u64(seed);
 
     let dag = match family {
@@ -71,15 +83,36 @@ fn parse_algorithm(name: &str) -> Result<Algorithm, String> {
 pub fn schedule_cmd(args: &Args) -> Result<String, String> {
     let dag = read_graph(args.require("graph")?)?;
     let procs: usize = args.require_num("procs")?;
+    if procs == 0 {
+        return Err("--procs must be at least 1".into());
+    }
     let epsilon: usize = args.require_num("epsilon")?;
     let seed: u64 = args.get_num("seed", 42)?;
     let algorithm = parse_algorithm(args.get("algorithm").unwrap_or("ftsa"))?;
+    let granularity = match args.get("granularity") {
+        None => None,
+        Some(g) => {
+            let g: f64 = g.parse().map_err(|_| "bad --granularity")?;
+            if !(g > 0.0 && g.is_finite()) {
+                return Err(format!(
+                    "--granularity must be positive and finite, got {g}"
+                ));
+            }
+            Some(g)
+        }
+    };
 
     let mut rng = StdRng::seed_from_u64(seed);
     let platform = random_platform(&mut rng, procs, 0.5, 1.0);
     let mut exec = ExecutionMatrix::unrelated_with_procs(&dag, procs, &mut rng, 0.5);
-    if let Some(g) = args.get("granularity") {
-        let g: f64 = g.parse().map_err(|_| "bad --granularity")?;
+    if let Some(g) = granularity {
+        if platform::granularity::granularity(&dag, &platform, &exec).is_none() {
+            return Err(
+                "--granularity is undefined for an instance without communication \
+                 (no edges, zero volumes or one processor)"
+                    .into(),
+            );
+        }
         scale_to_granularity(&dag, &platform, &mut exec, g);
     }
     let inst = Instance::new(dag, platform, exec);
@@ -141,13 +174,14 @@ pub fn simulate_cmd(args: &Args) -> Result<String, String> {
         check_crash_count("crashes", crashes, inst.num_procs())?;
         let seed: u64 = args.get_num("seed", 42)?;
         let threads = threads_from(args)?;
-        let sims = simulate_replications(&inst, &bundle.schedule, crashes, reps, seed, threads);
-        let completed = sims.iter().filter(|s| s.completed()).count();
-        let latencies: Vec<f64> = sims
+        let runs =
+            simulate_replication_outcomes(&inst, &bundle.schedule, crashes, reps, seed, threads);
+        let latencies: Vec<f64> = runs
             .iter()
-            .filter(|s| s.completed())
-            .map(|s| s.latency)
+            .filter(|r| r.completed())
+            .map(|r| r.latency)
             .collect();
+        let completed = latencies.len();
         let mut out = format!(
             "{reps} replications x {crashes} crash(es) on {threads} thread(s)\n\
              completed: {completed}/{reps}\n",

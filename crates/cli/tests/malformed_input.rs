@@ -335,3 +335,162 @@ fn the_binary_exits_1_not_101_on_monte_carlo_options() {
         );
     }
 }
+
+/// Degenerate shape and platform options, with the error each must name.
+/// Each used to trip an assertion (exit 101): in a graph generator, in
+/// `Platform`, or in `scale_to_granularity` (the last case: a single
+/// processor has no links, so the instance has no granularity to scale).
+const DEGENERATE_CASES: [(&[&str], &str); 12] = [
+    (
+        &["generate", "--family", "layered", "--tasks", "0"],
+        "--tasks must be at least 1 for the layered family",
+    ),
+    (
+        &["generate", "--family", "erdos", "--tasks", "0"],
+        "--tasks must be at least 1 for the erdos family",
+    ),
+    (
+        &["generate", "--family", "forkjoin", "--size", "0"],
+        "--size must be at least 1 for the forkjoin family",
+    ),
+    (
+        &["generate", "--family", "stencil", "--size", "0"],
+        "--size must be at least 1 for the stencil family",
+    ),
+    (
+        &["generate", "--family", "wavefront", "--size", "0"],
+        "--size must be at least 1 for the wavefront family",
+    ),
+    (
+        &["generate", "--family", "mapreduce", "--size", "0"],
+        "--size must be at least 1 for the mapreduce family",
+    ),
+    (
+        &["schedule", "--procs", "0", "--epsilon", "0"],
+        "--procs must be at least 1",
+    ),
+    (
+        &[
+            "schedule",
+            "--procs",
+            "3",
+            "--epsilon",
+            "1",
+            "--granularity",
+            "0",
+        ],
+        "--granularity must be positive and finite, got 0",
+    ),
+    (
+        &[
+            "schedule",
+            "--procs",
+            "3",
+            "--epsilon",
+            "1",
+            "--granularity",
+            "-1",
+        ],
+        "--granularity must be positive and finite, got -1",
+    ),
+    (
+        &[
+            "schedule",
+            "--procs",
+            "3",
+            "--epsilon",
+            "1",
+            "--granularity",
+            "nan",
+        ],
+        "--granularity must be positive and finite, got NaN",
+    ),
+    (
+        &[
+            "schedule",
+            "--procs",
+            "3",
+            "--epsilon",
+            "1",
+            "--granularity",
+            "inf",
+        ],
+        "--granularity must be positive and finite, got inf",
+    ),
+    (
+        &[
+            "schedule",
+            "--procs",
+            "1",
+            "--epsilon",
+            "0",
+            "--granularity",
+            "1",
+        ],
+        "--granularity is undefined for an instance without communication \
+         (no edges, zero volumes or one processor)",
+    ),
+];
+
+/// A case's arguments with an output file, and for `schedule` the golden
+/// gauss-5 graph as input.
+fn degenerate_args(case: &[&str], out: &str) -> Vec<String> {
+    let mut args: Vec<String> = case.iter().map(|s| s.to_string()).collect();
+    if case[0] == "schedule" {
+        let graph = format!(
+            "{}/../../tests/golden/json/graph-gauss5.json",
+            env!("CARGO_MANIFEST_DIR")
+        );
+        args.extend(["--graph".to_string(), graph]);
+    }
+    args.extend(["--out".to_string(), out.to_string()]);
+    args
+}
+
+#[test]
+fn degenerate_shape_and_platform_options_are_named_errors() {
+    let out = scratch("degenerate.json");
+    for (case, expected) in DEGENERATE_CASES {
+        let err = ftsched_cli::run(&degenerate_args(case, &out)).expect_err("option accepted");
+        assert_eq!(err, expected, "{case:?}");
+    }
+    assert!(
+        !std::path::Path::new(&out).exists(),
+        "a rejected command wrote its output"
+    );
+    // The smallest accepted values still run.
+    for case in [
+        &["generate", "--family", "layered", "--tasks", "1"][..],
+        &["generate", "--family", "mapreduce", "--size", "1"],
+        &["schedule", "--procs", "1", "--epsilon", "0"],
+        &[
+            "schedule",
+            "--procs",
+            "2",
+            "--epsilon",
+            "0",
+            "--granularity",
+            "1e-3",
+        ],
+    ] {
+        ftsched_cli::run(&degenerate_args(case, &out)).expect("smallest value accepted");
+    }
+    let _ = std::fs::remove_file(&out);
+}
+
+#[test]
+fn the_binary_exits_1_not_101_on_degenerate_options() {
+    let out = scratch("degenerate-bin.json");
+    for (case, expected) in DEGENERATE_CASES {
+        let output = Command::new(env!("CARGO_BIN_EXE_ftsched"))
+            .args(degenerate_args(case, &out))
+            .output()
+            .expect("run ftsched");
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert_eq!(output.status.code(), Some(1), "{case:?}: {stderr}");
+        assert!(
+            stderr.contains(expected),
+            "expected `{expected}` in: {stderr}"
+        );
+    }
+}

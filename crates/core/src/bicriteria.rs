@@ -14,9 +14,9 @@
 //!   end of the scheduling process.
 
 use crate::error::ScheduleError;
-use crate::ftsa::{ftsa_impl, PriorityPolicy};
 use crate::schedule::Schedule;
 use crate::workspace::ScheduleWorkspace;
+use crate::Algorithm;
 use platform::Instance;
 use rand::Rng;
 use rand::SeedableRng;
@@ -39,18 +39,9 @@ fn run_at(inst: &Instance, eps: usize, seed: u64, ws: &mut ScheduleWorkspace) ->
     // reproducible regardless of probe order.
     let mut rng =
         rand::rngs::StdRng::seed_from_u64(seed ^ (eps as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15));
-    ftsa_impl_into(inst, eps, &mut rng, ws)
-}
-
-fn ftsa_impl_into(
-    inst: &Instance,
-    eps: usize,
-    rng: &mut rand::rngs::StdRng,
-    ws: &mut ScheduleWorkspace,
-) -> bool {
-    crate::Algorithm::Ftsa
+    Algorithm::Ftsa
         .scheduler()
-        .run_into(inst, eps, rng, ws)
+        .run_into(inst, eps, &mut rng, ws)
         .is_ok()
 }
 
@@ -145,7 +136,9 @@ pub fn ftsa_both_criteria(
     rng: &mut impl Rng,
 ) -> Result<Schedule, ScheduleError> {
     let d = deadlines(inst, latency, epsilon);
-    ftsa_impl(inst, epsilon, rng, Some(&d), PriorityPolicy::Criticalness)
+    Algorithm::Ftsa
+        .scheduler()
+        .run_with_deadlines(inst, epsilon, rng, Some(&d))
 }
 
 #[cfg(test)]

@@ -1,30 +1,18 @@
 //! Latency bounds: `M*` (equation 2), `M` (equation 4), and absolute
 //! lower bounds used as sanity anchors by the test suite.
 //!
-//! * `M*` — the schedule's makespan when **no** processor fails: every
-//!   task starts on the first arriving copy of each input, so the
-//!   relevant finish per task is its *earliest* replica.
-//! * `M` — the guaranteed makespan under up to `ε` failures
-//!   (Proposition 4.2: the achieved latency `L ≤ M`): every input is
-//!   delivered by the *latest* replica.
+//! * `M*` ([`crate::Schedule::latency_lower_bound_for`]) — the
+//!   schedule's makespan when **no** processor fails: every task starts
+//!   on the first arriving copy of each input, so the relevant finish
+//!   per task is its *earliest* replica.
+//! * `M` ([`crate::Schedule::latency_upper_bound_for`]) — the guaranteed
+//!   makespan under up to `ε` failures (Proposition 4.2: the achieved
+//!   latency `L ≤ M`): every input is delivered by the *latest* replica.
 //! * [`critical_path_bound`] — no valid schedule (any algorithm, any
 //!   `ε`) can beat the DAG's critical path executed at per-task fastest
 //!   speeds with free communication.
 
-use crate::schedule::Schedule;
 use platform::Instance;
-use taskgraph::Dag;
-
-/// `M*` of equation (2) — delegates to the schedule (kept here so the
-/// formula's home is the bounds module).
-pub fn lower_bound(sched: &Schedule, dag: &Dag) -> f64 {
-    sched.latency_lower_bound_for(dag)
-}
-
-/// `M` of equation (4).
-pub fn upper_bound(sched: &Schedule, dag: &Dag) -> f64 {
-    sched.latency_upper_bound_for(dag)
-}
 
 /// Absolute latency lower bound: the critical path with every task at its
 /// fastest processor and zero communication. Any schedule's `M*` is at
@@ -55,8 +43,7 @@ pub fn max_messages(edges: usize, epsilon: usize) -> (usize, usize) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ftsa::ftsa;
-    use crate::mc_ftsa::{mc_ftsa, Selector};
+    use crate::{schedule, Algorithm};
     use platform::gen::{paper_instance, PaperInstanceConfig};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -69,9 +56,9 @@ mod tests {
             let cp = critical_path_bound(&inst);
             for eps in [0usize, 1, 2] {
                 let mut tb = StdRng::seed_from_u64(seed);
-                let f = ftsa(&inst, eps, &mut tb).unwrap();
+                let f = schedule(&inst, eps, Algorithm::Ftsa, &mut tb).unwrap();
                 assert!(f.latency_lower_bound() >= cp - 1e-6);
-                let mc = mc_ftsa(&inst, eps, Selector::Greedy, &mut tb).unwrap();
+                let mc = schedule(&inst, eps, Algorithm::McFtsaGreedy, &mut tb).unwrap();
                 assert!(mc.latency_lower_bound() >= cp - 1e-6);
             }
         }
@@ -81,9 +68,9 @@ mod tests {
     fn exit_bound_equals_global_bound() {
         let mut r = StdRng::seed_from_u64(9);
         let inst = paper_instance(&mut r, &PaperInstanceConfig::default());
-        let s = ftsa(&inst, 1, &mut StdRng::seed_from_u64(9)).unwrap();
-        assert!((lower_bound(&s, &inst.dag) - s.latency_lower_bound()).abs() < 1e-9);
-        assert!((upper_bound(&s, &inst.dag) - s.latency_upper_bound()).abs() < 1e-9);
+        let s = schedule(&inst, 1, Algorithm::Ftsa, &mut StdRng::seed_from_u64(9)).unwrap();
+        assert!((s.latency_lower_bound_for(&inst.dag) - s.latency_lower_bound()).abs() < 1e-9);
+        assert!((s.latency_upper_bound_for(&inst.dag) - s.latency_upper_bound()).abs() < 1e-9);
     }
 
     #[test]

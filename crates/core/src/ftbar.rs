@@ -1,86 +1,29 @@
-//! FTBAR — Fault Tolerance Based Active Replication (Section 5), the
-//! baseline competitor, after Girault, Kalla, Sighireanu and Sorel
-//! (DSN 2003).
-//!
-//! FTBAR is a list-scheduling algorithm built on the *schedule pressure*
-//! cost function. At step `n`, for a free task `t_i` on processor `p_j`:
-//!
-//! ```text
-//! σ(n)(t_i, p_j) = S(n)(t_i, p_j) + s(t_i) − R(n−1)
-//! ```
-//!
-//! where `S(n)` is the earliest start time of `t_i` on `p_j` given the
-//! partial schedule, `s(t_i)` the static bottom-up latest start time
-//! (computed here as the average-cost bottom level, like FTSA's `bℓ`),
-//! and `R(n−1)` the current schedule length. The algorithm:
-//!
-//! 1. for each free task, keep the `N_pf + 1` processors minimizing σ;
-//! 2. select the *most urgent* pair — the free task whose best-σ set has
-//!    the largest pressure — ties broken randomly;
-//! 3. schedule the task on those `N_pf + 1` processors;
-//! 4. run the Ahmad–Kwok *Minimize-Start-Time* pass: on every chosen
-//!    processor, duplicate the arrival-critical parent onto that
-//!    processor when doing so strictly lowers the task's start time.
-//!
-//! The per-step sweep over *all free tasks × all processors* plus the
-//! duplication pass is what drives FTBAR's `O(P·N³)` running time
-//! (Table 1 of the paper), compared to FTSA's single-task step.
-//!
-//! Fidelity note: the paper's sketch leaves `S(n)` under replication
-//! ambiguous; we use the optimistic earliest start (min over predecessor
-//! replicas, like equation 1) for the selection metric and track the
-//! pessimistic timeline separately, mirroring how the paper reports both
-//! FTBAR-LowerBound and FTBAR-UpperBound curves.
+//! Unit tests of FTBAR ([`Algorithm::Ftbar`], Section 5), the
+//! baseline, and of its Minimize-Start-Time duplication ablation.
 
 use crate::error::ScheduleError;
 use crate::pipeline::{CommAxis, ListScheduler, PlacementAxis, PriorityAxis};
-use crate::schedule::Schedule;
-use platform::Instance;
-use rand::Rng;
+use crate::{schedule, Algorithm};
 
-/// Runs FTBAR on `inst`, tolerating `epsilon` (`N_pf`) fail-stop
-/// failures. `rng` breaks urgency ties.
-pub fn ftbar(
-    inst: &Instance,
-    epsilon: usize,
-    rng: &mut impl Rng,
-) -> Result<Schedule, ScheduleError> {
-    ftbar_with_options(inst, epsilon, true, rng)
-}
-
-/// FTBAR with the Minimize-Start-Time duplication pass toggleable (the
-/// ablation benches compare both).
-///
-/// A named configuration of the [`crate::pipeline`]: schedule-pressure
-/// priority × minimize-start-time placement × all-to-all communication.
-pub fn ftbar_with_options(
-    inst: &Instance,
-    epsilon: usize,
-    minimize_start_time: bool,
-    rng: &mut impl Rng,
-) -> Result<Schedule, ScheduleError> {
-    ListScheduler::new(
-        PriorityAxis::Pressure,
-        PlacementAxis::MinStart {
-            duplicate: minimize_start_time,
-        },
-        CommAxis::AllToAll,
-    )
-    .run(inst, epsilon, rng)
-}
-
-#[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ftsa::ftsa;
     use platform::gen::{paper_instance, PaperInstanceConfig};
-    use platform::{ExecutionMatrix, Platform};
+    use platform::{ExecutionMatrix, Instance, Platform};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use taskgraph::{DagBuilder, TaskId};
 
     fn rng() -> StdRng {
         StdRng::seed_from_u64(0xF7BA)
+    }
+
+    /// FTBAR with its Minimize-Start-Time duplication pass switched off.
+    fn ftbar_without_duplication() -> ListScheduler {
+        ListScheduler::new(
+            PriorityAxis::Pressure,
+            PlacementAxis::MinStart { duplicate: false },
+            CommAxis::AllToAll,
+        )
     }
 
     fn diamond_instance(m: usize) -> Instance {
@@ -100,7 +43,7 @@ mod tests {
     fn primary_replicas_on_distinct_processors() {
         let inst = diamond_instance(4);
         for eps in [0usize, 1, 2] {
-            let s = ftbar(&inst, eps, &mut rng()).unwrap();
+            let s = schedule(&inst, eps, Algorithm::Ftbar, &mut rng()).unwrap();
             for t in inst.dag.tasks() {
                 let reps = s.replicas_of(t);
                 assert!(reps.len() > eps);
@@ -115,7 +58,7 @@ mod tests {
     fn too_few_processors_rejected() {
         let inst = diamond_instance(2);
         assert!(matches!(
-            ftbar(&inst, 2, &mut rng()),
+            schedule(&inst, 2, Algorithm::Ftbar, &mut rng()),
             Err(ScheduleError::NotEnoughProcessors { .. })
         ));
     }
@@ -123,7 +66,7 @@ mod tests {
     #[test]
     fn bounds_ordered() {
         let inst = diamond_instance(4);
-        let s = ftbar(&inst, 2, &mut rng()).unwrap();
+        let s = schedule(&inst, 2, Algorithm::Ftbar, &mut rng()).unwrap();
         assert!(s.latency_lower_bound() <= s.latency_upper_bound() + 1e-9);
     }
 
@@ -131,10 +74,11 @@ mod tests {
     fn duplication_never_hurts_lower_bound() {
         let mut r = StdRng::seed_from_u64(31);
         let inst = paper_instance(&mut r, &PaperInstanceConfig::default());
-        let with = ftbar_with_options(&inst, 1, true, &mut StdRng::seed_from_u64(1))
+        let with = schedule(&inst, 1, Algorithm::Ftbar, &mut StdRng::seed_from_u64(1))
             .unwrap()
             .latency_lower_bound();
-        let without = ftbar_with_options(&inst, 1, false, &mut StdRng::seed_from_u64(1))
+        let without = ftbar_without_duplication()
+            .run(&inst, 1, &mut StdRng::seed_from_u64(1))
             .unwrap()
             .latency_lower_bound();
         // Duplication is accepted only when it strictly lowers a start
@@ -160,10 +104,10 @@ mod tests {
                     ..Default::default()
                 },
             );
-            let f = ftsa(&inst, 1, &mut StdRng::seed_from_u64(seed))
+            let f = schedule(&inst, 1, Algorithm::Ftsa, &mut StdRng::seed_from_u64(seed))
                 .unwrap()
                 .latency_lower_bound();
-            let b = ftbar(&inst, 1, &mut StdRng::seed_from_u64(seed))
+            let b = schedule(&inst, 1, Algorithm::Ftbar, &mut StdRng::seed_from_u64(seed))
                 .unwrap()
                 .latency_lower_bound();
             if f <= b + 1e-9 {
@@ -180,7 +124,7 @@ mod tests {
     #[test]
     fn schedule_order_is_topological() {
         let inst = diamond_instance(4);
-        let s = ftbar(&inst, 1, &mut rng()).unwrap();
+        let s = schedule(&inst, 1, Algorithm::Ftbar, &mut rng()).unwrap();
         let mut pos = vec![usize::MAX; inst.num_tasks()];
         for (i, t) in s.schedule_order.iter().enumerate() {
             pos[t.index()] = i;
@@ -193,8 +137,8 @@ mod tests {
     #[test]
     fn deterministic_given_seed() {
         let inst = diamond_instance(4);
-        let a = ftbar(&inst, 1, &mut StdRng::seed_from_u64(77)).unwrap();
-        let b = ftbar(&inst, 1, &mut StdRng::seed_from_u64(77)).unwrap();
+        let a = schedule(&inst, 1, Algorithm::Ftbar, &mut StdRng::seed_from_u64(77)).unwrap();
+        let b = schedule(&inst, 1, Algorithm::Ftbar, &mut StdRng::seed_from_u64(77)).unwrap();
         assert_eq!(a.replicas, b.replicas);
     }
 
@@ -213,7 +157,7 @@ mod tests {
         let plat = Platform::uniform_delay(3, 1.0);
         let exec = ExecutionMatrix::consistent(&dag, &[1.0, 1.0, 1.0]);
         let inst = Instance::new(dag, plat, exec);
-        let s = ftbar_with_options(&inst, 0, true, &mut rng()).unwrap();
+        let s = schedule(&inst, 0, Algorithm::Ftbar, &mut rng()).unwrap();
         // c must be collocated with *some* replica of p (original or
         // duplicate), making the huge edge free.
         let cproc = s.replicas_of(c)[0].proc;

@@ -1,108 +1,27 @@
-//! FTSA — the Fault Tolerant Scheduling Algorithm (Section 4.1).
-//!
-//! A greedy list-scheduling heuristic driven by *task criticalness*: the
-//! priority of a free task is `tℓ(t) + bℓ(t)`, the length of the longest
-//! path through `t` in the partially mapped DAG. At every step the
-//! critical free task is popped from `α`, an indexed `DaryHeap`, and mapped
-//! onto the `ε + 1` processors that minimize its finish time (equation 1);
-//! successors that become free enter `α` with refreshed priorities.
-//!
-//! ```text
-//! Algorithm 4.1 (FTSA)
-//!  1: ε ← maximum number of failures supported
-//!  2: compute bℓ(t); tℓ(t) ← 0 for entry tasks
-//!  4: S ← ∅; U ← V
-//!  5: put entry tasks in α
-//!  6: while U ≠ ∅:
-//!  7:   t ← H(α)
-//!  8:   compute F(t, P_j) for all j            (equation 1)
-//!  9:   keep the ε+1 processors minimizing F   (the set P^(ε+1))
-//! 10:   schedule t on them
-//! 11:   update priorities of t's successors
-//! 12:   put t's free successors in α
-//! ```
-//!
-//! Complexity `O(e·m² + v·log ω)` (Theorem 4.2) — realized with a much
-//! smaller constant by the [`crate::pipeline`]'s incremental arrival
-//! caches. With `ε = 0` this is the fault-free variant used as the
-//! baseline in the paper's figures.
-//!
-//! Since the pipeline refactor this module is a *named configuration*:
-//! criticalness priority × best-finish placement × all-to-all
-//! communication (see [`ListScheduler`]). The golden suite pins that it
-//! still produces bit-identical schedules to the original loop.
+//! Unit tests of FTSA ([`Algorithm::Ftsa`], Section 4.1) and of its
+//! priority ablation: criticalness `tℓ + bℓ` against the static bottom
+//! level, on FTSA's best-finish placement and all-to-all communication.
 
 use crate::error::ScheduleError;
 use crate::pipeline::{CommAxis, ListScheduler, PlacementAxis, PriorityAxis};
-use crate::schedule::Schedule;
-use platform::Instance;
-use rand::Rng;
+use crate::{schedule, Algorithm};
 
-/// Runs FTSA on `inst`, tolerating `epsilon` fail-stop failures.
-///
-/// `rng` drives the paper's random tie-breaking among equal-priority free
-/// tasks; all other decisions are deterministic.
-pub fn ftsa(
-    inst: &Instance,
-    epsilon: usize,
-    rng: &mut impl Rng,
-) -> Result<Schedule, ScheduleError> {
-    ftsa_impl(inst, epsilon, rng, None, PriorityPolicy::Criticalness)
-}
-
-/// The free-task priority driving `H(α)` — the design choice Section 4.1
-/// argues for. The ablation benches compare both.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PriorityPolicy {
-    /// The paper's *criticalness* `tℓ(t) + bℓ(t)` (dynamic top level +
-    /// static bottom level): "the greater the criticalness, the more
-    /// work is to be performed along the path containing that task".
-    Criticalness,
-    /// Static bottom level only (a HEFT-style upward rank): cheaper to
-    /// maintain but blind to where predecessors actually landed.
-    BottomLevelOnly,
-}
-
-/// FTSA with an explicit priority policy (ablation entry point).
-pub fn ftsa_with_policy(
-    inst: &Instance,
-    epsilon: usize,
-    policy: PriorityPolicy,
-    rng: &mut impl Rng,
-) -> Result<Schedule, ScheduleError> {
-    ftsa_impl(inst, epsilon, rng, None, policy)
-}
-
-/// FTSA core with the Section 4.3 per-task deadline check: if the
-/// guaranteed finish time of the scheduled task on its `ε+1` processors
-/// exceeds its deadline, the run aborts with
-/// [`ScheduleError::DeadlineViolated`]
-/// ("Failed to satisfy both criteria simultaneously").
-pub(crate) fn ftsa_impl(
-    inst: &Instance,
-    epsilon: usize,
-    rng: &mut impl Rng,
-    deadlines: Option<&[f64]>,
-    policy: PriorityPolicy,
-) -> Result<Schedule, ScheduleError> {
-    let priority = match policy {
-        PriorityPolicy::Criticalness => PriorityAxis::Criticalness,
-        PriorityPolicy::BottomLevelOnly => PriorityAxis::BottomLevel,
-    };
-    ListScheduler::new(priority, PlacementAxis::BestFinish, CommAxis::AllToAll)
-        .run_with_deadlines(inst, epsilon, rng, deadlines)
-}
-
-#[cfg(test)]
 mod tests {
     use super::*;
-    use platform::{ExecutionMatrix, FailureScenario, Platform};
+    use platform::{ExecutionMatrix, FailureScenario, Instance, Platform};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use taskgraph::{DagBuilder, TaskId};
 
     fn rng() -> StdRng {
         StdRng::seed_from_u64(0xF75A)
+    }
+
+    /// FTSA's placement and communication axes under another priority:
+    /// the ablation of Section 4.1's criticalness against the static
+    /// bottom level.
+    fn ftsa_with(priority: PriorityAxis) -> ListScheduler {
+        ListScheduler::new(priority, PlacementAxis::BestFinish, CommAxis::AllToAll)
     }
 
     /// Homogeneous 3-processor platform, diamond DAG.
@@ -122,7 +41,7 @@ mod tests {
     #[test]
     fn epsilon_zero_places_one_replica_each() {
         let inst = diamond_instance();
-        let s = ftsa(&inst, 0, &mut rng()).unwrap();
+        let s = schedule(&inst, 0, Algorithm::Ftsa, &mut rng()).unwrap();
         for t in inst.dag.tasks() {
             assert_eq!(s.replicas_of(t).len(), 1);
         }
@@ -135,7 +54,7 @@ mod tests {
     fn replicas_on_distinct_processors() {
         let inst = diamond_instance();
         for eps in [0usize, 1, 2] {
-            let s = ftsa(&inst, eps, &mut rng()).unwrap();
+            let s = schedule(&inst, eps, Algorithm::Ftsa, &mut rng()).unwrap();
             for t in inst.dag.tasks() {
                 let reps = s.replicas_of(t);
                 assert_eq!(reps.len(), eps + 1);
@@ -148,7 +67,7 @@ mod tests {
     #[test]
     fn too_few_processors_rejected() {
         let inst = diamond_instance();
-        let err = ftsa(&inst, 3, &mut rng()).unwrap_err();
+        let err = schedule(&inst, 3, Algorithm::Ftsa, &mut rng()).unwrap_err();
         assert_eq!(
             err,
             ScheduleError::NotEnoughProcessors {
@@ -162,7 +81,7 @@ mod tests {
     fn lower_bound_below_upper_bound() {
         let inst = diamond_instance();
         for eps in [0usize, 1, 2] {
-            let s = ftsa(&inst, eps, &mut rng()).unwrap();
+            let s = schedule(&inst, eps, Algorithm::Ftsa, &mut rng()).unwrap();
             assert!(
                 s.latency_lower_bound() <= s.latency_upper_bound() + 1e-9,
                 "M* must not exceed M (eps={eps})"
@@ -175,15 +94,19 @@ mod tests {
         // More tolerated failures can only increase the optimistic bound
         // on a fixed platform (more replicas compete for processors).
         let inst = diamond_instance();
-        let l0 = ftsa(&inst, 0, &mut rng()).unwrap().latency_lower_bound();
-        let l2 = ftsa(&inst, 2, &mut rng()).unwrap().latency_lower_bound();
+        let l0 = schedule(&inst, 0, Algorithm::Ftsa, &mut rng())
+            .unwrap()
+            .latency_lower_bound();
+        let l2 = schedule(&inst, 2, Algorithm::Ftsa, &mut rng())
+            .unwrap()
+            .latency_lower_bound();
         assert!(l2 >= l0 - 1e-9);
     }
 
     #[test]
     fn schedule_order_is_topological() {
         let inst = diamond_instance();
-        let s = ftsa(&inst, 1, &mut rng()).unwrap();
+        let s = schedule(&inst, 1, Algorithm::Ftsa, &mut rng()).unwrap();
         let mut pos = vec![usize::MAX; inst.num_tasks()];
         for (i, t) in s.schedule_order.iter().enumerate() {
             pos[t.index()] = i;
@@ -196,7 +119,7 @@ mod tests {
     #[test]
     fn per_processor_intervals_disjoint() {
         let inst = diamond_instance();
-        let s = ftsa(&inst, 2, &mut rng()).unwrap();
+        let s = schedule(&inst, 2, Algorithm::Ftsa, &mut rng()).unwrap();
         for j in 0..s.num_procs() {
             let mut last_lb = 0.0f64;
             let mut last_ub = 0.0f64;
@@ -220,7 +143,7 @@ mod tests {
         let plat = Platform::uniform_delay(3, 1.0);
         let exec = ExecutionMatrix::consistent(&dag, &[1.0, 10.0, 1.0]);
         let inst = Instance::new(dag, plat, exec);
-        let s = ftsa(&inst, 1, &mut rng()).unwrap();
+        let s = schedule(&inst, 1, Algorithm::Ftsa, &mut rng()).unwrap();
         let reps = s.replicas_of(TaskId(0));
         assert_eq!(reps[0].proc.index(), 1, "fastest processor first");
         assert_eq!(reps[0].finish_lb, 10.0);
@@ -240,7 +163,7 @@ mod tests {
         let plat = Platform::uniform_delay(2, 1.0);
         let exec = ExecutionMatrix::consistent(&dag, &[1.0, 1.0]);
         let inst = Instance::new(dag, plat, exec);
-        let s = ftsa(&inst, 0, &mut rng()).unwrap();
+        let s = schedule(&inst, 0, Algorithm::Ftsa, &mut rng()).unwrap();
         assert_eq!(
             s.replicas_of(a)[0].proc,
             s.replicas_of(c)[0].proc,
@@ -252,8 +175,8 @@ mod tests {
     #[test]
     fn deterministic_given_seed() {
         let inst = diamond_instance();
-        let a = ftsa(&inst, 1, &mut StdRng::seed_from_u64(5)).unwrap();
-        let b = ftsa(&inst, 1, &mut StdRng::seed_from_u64(5)).unwrap();
+        let a = schedule(&inst, 1, Algorithm::Ftsa, &mut StdRng::seed_from_u64(5)).unwrap();
+        let b = schedule(&inst, 1, Algorithm::Ftsa, &mut StdRng::seed_from_u64(5)).unwrap();
         assert_eq!(a.replicas, b.replicas);
         assert_eq!(a.schedule_order, b.schedule_order);
     }
@@ -264,7 +187,7 @@ mod tests {
         let plat = Platform::uniform_delay(2, 1.0);
         let exec = ExecutionMatrix::from_fn(0, 2, |_, _| 1.0);
         let inst = Instance::new(dag, plat, exec);
-        let s = ftsa(&inst, 1, &mut rng()).unwrap();
+        let s = schedule(&inst, 1, Algorithm::Ftsa, &mut rng()).unwrap();
         assert_eq!(s.latency_lower_bound(), 0.0);
         assert_eq!(s.latency_upper_bound(), 0.0);
     }
@@ -274,18 +197,17 @@ mod tests {
         use platform::gen::{paper_instance, PaperInstanceConfig};
         let mut r = StdRng::seed_from_u64(404);
         let inst = paper_instance(&mut r, &PaperInstanceConfig::default());
-        for policy in [
-            PriorityPolicy::Criticalness,
-            PriorityPolicy::BottomLevelOnly,
-        ] {
-            let s = ftsa_with_policy(&inst, 2, policy, &mut StdRng::seed_from_u64(1)).unwrap();
+        for policy in [PriorityAxis::Criticalness, PriorityAxis::BottomLevel] {
+            let s = ftsa_with(policy)
+                .run(&inst, 2, &mut StdRng::seed_from_u64(1))
+                .unwrap();
             crate::validate::validate(&inst, &s).unwrap();
         }
     }
 
     #[test]
     fn priority_ablation_static_rank_wins_under_append_only_placement() {
-        // Ablation finding (documented in EXPERIMENTS.md): the paper's
+        // Ablation finding: the paper's
         // dynamic criticalness tℓ+bℓ pops late-arriving tasks first;
         // under FTSA's append-only processor timelines (no insertion into
         // idle gaps) those tasks reserve processors early and create
@@ -298,22 +220,14 @@ mod tests {
         for seed in 0..6u64 {
             let mut r = StdRng::seed_from_u64(seed + 700);
             let inst = paper_instance(&mut r, &PaperInstanceConfig::default());
-            crit_total += ftsa_with_policy(
-                &inst,
-                1,
-                PriorityPolicy::Criticalness,
-                &mut StdRng::seed_from_u64(seed),
-            )
-            .unwrap()
-            .latency_lower_bound();
-            static_total += ftsa_with_policy(
-                &inst,
-                1,
-                PriorityPolicy::BottomLevelOnly,
-                &mut StdRng::seed_from_u64(seed),
-            )
-            .unwrap()
-            .latency_lower_bound();
+            crit_total += ftsa_with(PriorityAxis::Criticalness)
+                .run(&inst, 1, &mut StdRng::seed_from_u64(seed))
+                .unwrap()
+                .latency_lower_bound();
+            static_total += ftsa_with(PriorityAxis::BottomLevel)
+                .run(&inst, 1, &mut StdRng::seed_from_u64(seed))
+                .unwrap()
+                .latency_lower_bound();
         }
         assert!(
             static_total < crit_total,
@@ -330,7 +244,7 @@ mod tests {
         // Smoke-test that a schedule plus a failure scenario type-check
         // together; full semantics live in the simulator crate.
         let inst = diamond_instance();
-        let s = ftsa(&inst, 1, &mut rng()).unwrap();
+        let s = schedule(&inst, 1, Algorithm::Ftsa, &mut rng()).unwrap();
         let scen = FailureScenario::uniform(&mut rng(), 3, 1);
         assert!(scen.len() <= s.epsilon);
     }

@@ -54,15 +54,8 @@ impl AverageCosts {
 }
 
 /// Computes the static bottom levels `bℓ(t)` for every task, in reverse
-/// topological order.
-pub fn bottom_levels(inst: &Instance, avg: &AverageCosts) -> Vec<f64> {
-    let mut bl = Vec::new();
-    bottom_levels_into(inst, avg, &mut bl);
-    bl
-}
-
-/// [`bottom_levels`] writing into a caller-provided buffer (cleared
-/// first) — the allocation-free form the scheduler workspace uses.
+/// topological order, into `bl` (cleared first, so the scheduler
+/// workspace reuses one buffer across runs).
 pub fn bottom_levels_into(inst: &Instance, avg: &AverageCosts, bl: &mut Vec<f64>) {
     let dag = &inst.dag;
     bl.clear();
@@ -116,7 +109,8 @@ mod tests {
     fn bottom_levels_of_chain() {
         let inst = chain_instance();
         let avg = AverageCosts::new(&inst);
-        let bl = bottom_levels(&inst, &avg);
+        let mut bl = Vec::new();
+        bottom_levels_into(&inst, &avg, &mut bl);
         // bl(t2) = 4.5
         // bl(t1) = 3.0 + 20*0.5 + 4.5 = 17.5
         // bl(t0) = 1.5 + 10*0.5 + 17.5 = 24.0
@@ -136,7 +130,8 @@ mod tests {
         let exec = ExecutionMatrix::consistent(&dag, &[1.0, 1.0]);
         let inst = Instance::new(dag, plat, exec);
         let avg = AverageCosts::new(&inst);
-        let bl = bottom_levels(&inst, &avg);
+        let mut bl = Vec::new();
+        bottom_levels_into(&inst, &avg, &mut bl);
         assert_eq!(bl[0], 2.0 + 0.0 + 20.0);
     }
 
@@ -149,7 +144,8 @@ mod tests {
         let exec = ExecutionMatrix::consistent(&dag, &[1.0, 2.0, 4.0, 8.0]);
         let inst = Instance::new(dag, plat, exec);
         let avg = AverageCosts::new(&inst);
-        let bl = bottom_levels(&inst, &avg);
+        let mut bl = Vec::new();
+        bottom_levels_into(&inst, &avg, &mut bl);
         // (8 + 4 + 2 + 1)/4 = 3.75
         assert_eq!(bl, vec![3.75]);
     }

@@ -46,25 +46,31 @@
 //! [`schedule_into`], so the golden suite pins both paths at once — and
 //! floor threading adds nothing to the steady-state allocation count.
 //!
-//! The paper's algorithms are *named configurations* of the pipeline
-//! ([`Algorithm::scheduler`]), pinned bit-for-bit to the original
-//! implementations by the golden suite (`tests/golden.rs`):
+//! The paper's algorithms are *named configurations* of the pipeline:
+//! the [`Algorithm`] variants ([`Algorithm::scheduler`] gives each one's
+//! axes), pinned bit-for-bit to the original implementations by the
+//! golden suite (`tests/golden.rs`):
 //!
-//! * [`ftsa`] — **FTSA** (Section 4.1): criticalness × best-finish ×
-//!   all-to-all. Places `ε + 1` active replicas of every task on
-//!   distinct processors, tolerating `ε` fail-stop failures
+//! * [`Algorithm::Ftsa`] — **FTSA** (Section 4.1): criticalness ×
+//!   best-finish × all-to-all. Places `ε + 1` active replicas of every
+//!   task on distinct processors, tolerating `ε` fail-stop failures
 //!   (Theorem 4.1) in time `O(e·m² + v·log ω)` (Theorem 4.2).
-//! * [`mc_ftsa`] — **MC-FTSA** (Section 4.2): criticalness ×
-//!   best-finish × matched. Cuts the replication-induced messages from
-//!   `e(ε+1)²` to `e(ε+1)` via a robust one-to-one matching per edge
-//!   (Proposition 4.3).
-//! * [`ftbar`] — **FTBAR** (Girault, Kalla, Sighireanu, Sorel,
-//!   DSN 2003), the baseline: pressure × minimize-start-time(+dup) ×
-//!   all-to-all.
+//! * [`Algorithm::McFtsaGreedy`] and [`Algorithm::McFtsaBottleneck`] —
+//!   **MC-FTSA** (Section 4.2): criticalness × best-finish × matched,
+//!   with the greedy or the bottleneck-optimal [`pipeline::Selector`].
+//!   Cuts the replication-induced messages from `e(ε+1)²` to `e(ε+1)`
+//!   via a robust one-to-one matching per edge (Proposition 4.3).
+//! * [`Algorithm::Ftbar`] — **FTBAR** (Girault, Kalla, Sighireanu,
+//!   Sorel, DSN 2003), the baseline: pressure × minimize-start-time with
+//!   duplication × all-to-all.
+//! * [`Algorithm::FtsaPressure`], [`Algorithm::FtsaMst`] and
+//!   [`Algorithm::FtbarMatched`] — cross-combinations that used to
+//!   require a fourth copy of the loop, now one line each.
 //!
-//! Cross-combinations that used to require a fourth copy of the loop are
-//! now one-liners — see [`Algorithm::FtsaPressure`], [`Algorithm::FtsaMst`]
-//! and [`Algorithm::FtbarMatched`].
+//! There are two ways to run the scheduler: an [`Algorithm`] through
+//! [`schedule()`](fn@crate::schedule), [`schedule_into`] or
+//! [`schedule_onto`], and [`pipeline::ListScheduler::new`] for any other
+//! axis triple.
 //!
 //! Supporting modules: [`bounds`] / [`validate`] (the latency bounds
 //! `M*` / `M` of eqs. (2)/(4) and structural validation), [`bicriteria`]
@@ -91,10 +97,13 @@ pub mod bicriteria;
 pub mod bounds;
 pub(crate) mod engine;
 pub mod error;
-pub mod ftbar;
-pub mod ftsa;
+#[cfg(test)]
+mod ftbar;
+#[cfg(test)]
+mod ftsa;
 pub mod levels;
-pub mod mc_ftsa;
+#[cfg(test)]
+mod mc_ftsa;
 pub mod pipeline;
 pub mod schedule;
 pub mod stats;
@@ -105,7 +114,7 @@ pub use error::ScheduleError;
 pub use schedule::{CommSelection, Replica, Schedule};
 pub use workspace::ScheduleWorkspace;
 
-use crate::pipeline::{CommAxis, ListScheduler, PlacementAxis, PriorityAxis};
+use crate::pipeline::{CommAxis, ListScheduler, PlacementAxis, PriorityAxis, Selector};
 use platform::Instance;
 use rand::Rng;
 
@@ -113,14 +122,73 @@ use rand::Rng;
 /// [`pipeline`] (see [`Algorithm::scheduler`] for the exact axes).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Algorithm {
-    /// FTSA (Section 4.1), all-to-all replica communication.
+    /// FTSA, the Fault Tolerant Scheduling Algorithm (Section 4.1):
+    /// criticalness priority × best-finish placement × all-to-all
+    /// communication.
+    ///
+    /// A greedy list-scheduling heuristic driven by *task criticalness*:
+    /// the priority of a free task is `tℓ(t) + bℓ(t)`, the length of the
+    /// longest path through `t` in the partially mapped DAG. At every
+    /// step the critical free task is popped from `α`, an indexed
+    /// `DaryHeap`, and mapped onto the `ε + 1` processors that minimize
+    /// its finish time (equation 1); successors that become free enter
+    /// `α` with refreshed priorities.
+    ///
+    /// ```text
+    /// Algorithm 4.1 (FTSA)
+    ///  1: ε ← maximum number of failures supported
+    ///  2: compute bℓ(t); tℓ(t) ← 0 for entry tasks
+    ///  4: S ← ∅; U ← V
+    ///  5: put entry tasks in α
+    ///  6: while U ≠ ∅:
+    ///  7:   t ← H(α)
+    ///  8:   compute F(t, P_j) for all j            (equation 1)
+    ///  9:   keep the ε+1 processors minimizing F   (the set P^(ε+1))
+    /// 10:   schedule t on them
+    /// 11:   update priorities of t's successors
+    /// 12:   put t's free successors in α
+    /// ```
+    ///
+    /// Complexity `O(e·m² + v·log ω)` (Theorem 4.2), realized with a
+    /// much smaller constant by the [`pipeline`]'s incremental arrival
+    /// caches. With `ε = 0` this is the fault-free variant used as the
+    /// baseline in the paper's figures. Under the Section 4.3 deadlines
+    /// it is the loop [`bicriteria::ftsa_both_criteria`] aborts early.
     Ftsa,
-    /// MC-FTSA with the greedy communication selector (the variant used
-    /// in the paper's experiments).
+    /// MC-FTSA, FTSA with Minimum Communications (Section 4.2), with the
+    /// greedy communication selector (the variant used in the paper's
+    /// experiments): criticalness priority × best-finish placement ×
+    /// [`CommAxis::Matched`]`(`[`Selector::Greedy`]`)`.
+    ///
+    /// FTSA's processor selection is kept; each precedence edge then
+    /// ships `ε + 1` messages along a robust one-to-one matching instead
+    /// of `(ε + 1)²` — `e(ε+1)` messages in total (Proposition 4.3; the
+    /// construction is in the [`pipeline`] module docs).
     McFtsaGreedy,
-    /// MC-FTSA with the bottleneck-optimal communication selector.
+    /// MC-FTSA with the bottleneck-optimal communication selector
+    /// ([`Selector::Bottleneck`]: binary search on the bottleneck
+    /// threshold with a Hopcroft–Karp feasibility oracle).
     McFtsaBottleneck,
-    /// FTBAR (Section 5), the baseline.
+    /// FTBAR, Fault Tolerance Based Active Replication (Section 5), the
+    /// baseline competitor after Girault, Kalla, Sighireanu and Sorel
+    /// (DSN 2003): schedule-pressure priority × minimize-start-time
+    /// placement with duplication × all-to-all communication.
+    ///
+    /// Each step:
+    ///
+    /// 1. for each free task, keep the `N_pf + 1 = ε + 1` processors
+    ///    minimizing the schedule pressure σ (defined, with the `S(n)`
+    ///    fidelity note, in the [`pipeline`] module docs);
+    /// 2. select the *most urgent* pair — the free task whose best-σ set
+    ///    has the largest pressure — ties broken randomly;
+    /// 3. schedule the task on those `ε + 1` processors;
+    /// 4. run the Ahmad–Kwok *Minimize-Start-Time* pass: on every chosen
+    ///    processor, duplicate the arrival-critical parent onto that
+    ///    processor when doing so strictly lowers the task's start time.
+    ///
+    /// The per-step sweep over *all free tasks × all processors* plus the
+    /// duplication pass is what drives FTBAR's `O(P·N³)` running time
+    /// (Table 1 of the paper), compared to FTSA's single-task step.
     Ftbar,
     /// Pressure-driven FTSA: FTBAR's schedule-pressure task selection
     /// with FTSA's best-finish placement and all-to-all communication.
@@ -193,12 +261,12 @@ impl Algorithm {
             Algorithm::McFtsaGreedy => ListScheduler::new(
                 PriorityAxis::Criticalness,
                 best_finish,
-                CommAxis::Matched(mc_ftsa::Selector::Greedy),
+                CommAxis::Matched(Selector::Greedy),
             ),
             Algorithm::McFtsaBottleneck => ListScheduler::new(
                 PriorityAxis::Criticalness,
                 best_finish,
-                CommAxis::Matched(mc_ftsa::Selector::Bottleneck),
+                CommAxis::Matched(Selector::Bottleneck),
             ),
             Algorithm::Ftbar => ListScheduler::new(PriorityAxis::Pressure, mst, CommAxis::AllToAll),
             Algorithm::FtsaPressure => {
@@ -210,7 +278,7 @@ impl Algorithm {
             Algorithm::FtbarMatched => ListScheduler::new(
                 PriorityAxis::Pressure,
                 PlacementAxis::MinStart { duplicate: false },
-                CommAxis::Matched(mc_ftsa::Selector::Greedy),
+                CommAxis::Matched(Selector::Greedy),
             ),
         }
     }

@@ -1,65 +1,15 @@
-//! MC-FTSA — FTSA with Minimum Communications (Section 4.2).
-//!
-//! Replicating every task `ε + 1` times is mandatory to resist `ε`
-//! failures, but duplicating every precedence edge `(ε + 1)²` times is
-//! not. MC-FTSA keeps FTSA's processor selection (equation 1) and then,
-//! for every predecessor `t'` of the freshly mapped task `t`, picks a
-//! *robust* one-to-one communication set between `A(t')` (the processors
-//! running `t'`) and `A(t)`:
-//!
-//! * a processor in `A(t') ∩ A(t)` communicates **only with itself**
-//!   (forced internal edge — the proof of Proposition 4.3 needs this);
-//! * the remaining senders/receivers are matched one-to-one, minimizing
-//!   completion times, by either the greedy selector (the paper's
-//!   experiments) or the bottleneck-optimal binary-search selector.
-//!
-//! The total message count drops from `e(ε+1)²` to `e(ε+1)`, at a small
-//! latency cost; each replica then has a *single* sender per predecessor,
-//! so its start/finish times are deterministic and the per-replica
-//! optimistic and pessimistic timelines coincide.
+//! Unit tests of MC-FTSA (Section 4.2) with both communication
+//! selectors: [`Algorithm::McFtsaGreedy`] and
+//! [`Algorithm::McFtsaBottleneck`].
 
 use crate::error::ScheduleError;
-use crate::pipeline::{CommAxis, ListScheduler, PlacementAxis, PriorityAxis};
-use crate::schedule::Schedule;
-use platform::Instance;
-use rand::Rng;
+use crate::{schedule, Algorithm};
 
-/// Which robust-communication selector to use (Section 4.2 offers both).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum Selector {
-    /// Internal edges first, then non-decreasing weight order — the
-    /// variant used in the paper's experiments.
-    Greedy,
-    /// Binary search on the bottleneck threshold with a Hopcroft–Karp
-    /// feasibility oracle — the paper's polynomial optimal variant.
-    Bottleneck,
-}
-
-/// Runs MC-FTSA on `inst`, tolerating `epsilon` fail-stop failures.
-///
-/// A named configuration of the [`crate::pipeline`]: criticalness
-/// priority × best-finish placement × matched communication.
-pub fn mc_ftsa(
-    inst: &Instance,
-    epsilon: usize,
-    selector: Selector,
-    rng: &mut impl Rng,
-) -> Result<Schedule, ScheduleError> {
-    ListScheduler::new(
-        PriorityAxis::Criticalness,
-        PlacementAxis::BestFinish,
-        CommAxis::Matched(selector),
-    )
-    .run(inst, epsilon, rng)
-}
-
-#[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ftsa::ftsa;
     use crate::schedule::CommSelection;
     use platform::gen::{paper_instance, PaperInstanceConfig};
-    use platform::{ExecutionMatrix, Platform};
+    use platform::{ExecutionMatrix, Instance, Platform};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use taskgraph::{DagBuilder, TaskId};
@@ -88,12 +38,12 @@ mod tests {
         let inst = paper_instance(&mut r, &PaperInstanceConfig::default());
         let e = inst.dag.num_edges();
         for eps in [1usize, 2, 3] {
-            let mc = mc_ftsa(&inst, eps, Selector::Greedy, &mut rng()).unwrap();
+            let mc = schedule(&inst, eps, Algorithm::McFtsaGreedy, &mut rng()).unwrap();
             assert!(
                 mc.message_count(&inst.dag) <= e * (eps + 1),
                 "MC-FTSA must ship at most e(ε+1) messages"
             );
-            let ft = ftsa(&inst, eps, &mut rng()).unwrap();
+            let ft = schedule(&inst, eps, Algorithm::Ftsa, &mut rng()).unwrap();
             assert!(ft.message_count(&inst.dag) <= e * (eps + 1) * (eps + 1));
         }
     }
@@ -102,7 +52,7 @@ mod tests {
     fn matched_comm_covers_every_edge_with_eps_plus_one_pairs() {
         let inst = diamond_instance(4);
         let eps = 2;
-        let s = mc_ftsa(&inst, eps, Selector::Greedy, &mut rng()).unwrap();
+        let s = schedule(&inst, eps, Algorithm::McFtsaGreedy, &mut rng()).unwrap();
         match &s.comm {
             CommSelection::Matched(m) => {
                 for pairs in m {
@@ -131,7 +81,7 @@ mod tests {
         let plat = Platform::uniform_delay(2, 1.0);
         let exec = ExecutionMatrix::consistent(&dag, &[1.0, 1.0]);
         let inst = Instance::new(dag, plat, exec);
-        let s = mc_ftsa(&inst, 1, Selector::Greedy, &mut rng()).unwrap();
+        let s = schedule(&inst, 1, Algorithm::McFtsaGreedy, &mut rng()).unwrap();
         assert_eq!(s.message_count(&inst.dag), 0);
         // Each replica of c starts right after the collocated replica of a.
         for r in s.replicas_of(c) {
@@ -142,7 +92,7 @@ mod tests {
     #[test]
     fn per_replica_bounds_coincide() {
         let inst = diamond_instance(4);
-        let s = mc_ftsa(&inst, 2, Selector::Greedy, &mut rng()).unwrap();
+        let s = schedule(&inst, 2, Algorithm::McFtsaGreedy, &mut rng()).unwrap();
         for t in inst.dag.tasks() {
             for r in s.replicas_of(t) {
                 assert_eq!(r.start_lb, r.start_ub);
@@ -155,8 +105,8 @@ mod tests {
     fn bottleneck_never_worse_than_greedy_on_upper_bound() {
         let mut r = StdRng::seed_from_u64(23);
         let inst = paper_instance(&mut r, &PaperInstanceConfig::default());
-        let g = mc_ftsa(&inst, 2, Selector::Greedy, &mut rng()).unwrap();
-        let b = mc_ftsa(&inst, 2, Selector::Bottleneck, &mut rng()).unwrap();
+        let g = schedule(&inst, 2, Algorithm::McFtsaGreedy, &mut rng()).unwrap();
+        let b = schedule(&inst, 2, Algorithm::McFtsaBottleneck, &mut rng()).unwrap();
         // Not a theorem globally (greedy decisions interact across steps),
         // but both must produce valid bounded schedules of similar quality.
         assert!(b.latency_upper_bound() <= g.latency_upper_bound() * 1.5);
@@ -170,15 +120,21 @@ mod tests {
         // up to tie-breaking noise; check the documented direction on a
         // deterministic instance.
         let inst = diamond_instance(4);
-        let ft = ftsa(&inst, 1, &mut StdRng::seed_from_u64(1)).unwrap();
-        let mc = mc_ftsa(&inst, 1, Selector::Greedy, &mut StdRng::seed_from_u64(1)).unwrap();
+        let ft = schedule(&inst, 1, Algorithm::Ftsa, &mut StdRng::seed_from_u64(1)).unwrap();
+        let mc = schedule(
+            &inst,
+            1,
+            Algorithm::McFtsaGreedy,
+            &mut StdRng::seed_from_u64(1),
+        )
+        .unwrap();
         assert!(mc.latency_lower_bound() >= ft.latency_lower_bound() - 1e-9);
     }
 
     #[test]
     fn epsilon_zero_single_matching() {
         let inst = diamond_instance(3);
-        let s = mc_ftsa(&inst, 0, Selector::Bottleneck, &mut rng()).unwrap();
+        let s = schedule(&inst, 0, Algorithm::McFtsaBottleneck, &mut rng()).unwrap();
         for t in inst.dag.tasks() {
             assert_eq!(s.replicas_of(t).len(), 1);
         }
@@ -193,7 +149,7 @@ mod tests {
     fn too_few_processors_rejected() {
         let inst = diamond_instance(2);
         assert!(matches!(
-            mc_ftsa(&inst, 2, Selector::Greedy, &mut rng()),
+            schedule(&inst, 2, Algorithm::McFtsaGreedy, &mut rng()),
             Err(ScheduleError::NotEnoughProcessors { .. })
         ));
     }
@@ -201,8 +157,20 @@ mod tests {
     #[test]
     fn deterministic_given_seed() {
         let inst = diamond_instance(4);
-        let a = mc_ftsa(&inst, 1, Selector::Greedy, &mut StdRng::seed_from_u64(9)).unwrap();
-        let b = mc_ftsa(&inst, 1, Selector::Greedy, &mut StdRng::seed_from_u64(9)).unwrap();
+        let a = schedule(
+            &inst,
+            1,
+            Algorithm::McFtsaGreedy,
+            &mut StdRng::seed_from_u64(9),
+        )
+        .unwrap();
+        let b = schedule(
+            &inst,
+            1,
+            Algorithm::McFtsaGreedy,
+            &mut StdRng::seed_from_u64(9),
+        )
+        .unwrap();
         assert_eq!(a.replicas, b.replicas);
         assert_eq!(a.comm, b.comm);
     }

@@ -15,12 +15,36 @@
 //! (see [`Algorithm::scheduler`](crate::Algorithm::scheduler)), and new
 //! cross-combinations — pressure-driven FTSA, FTBAR with matched
 //! communications — are one-liners rather than a fourth copy of the
-//! loop.
+//! loop. There are exactly two ways to run the loop:
+//! [`crate::schedule()`] / [`crate::schedule_into`] /
+//! [`crate::schedule_onto`] with an [`Algorithm`](crate::Algorithm)
+//! for the named configurations, and `ListScheduler::new(priority,
+//! placement, comm)` for any other axis triple.
+//!
+//! # Matched communications (MC-FTSA, Section 4.2)
+//!
+//! Replicating every task `ε + 1` times is mandatory to resist `ε`
+//! failures, but duplicating every precedence edge `(ε + 1)²` times is
+//! not. Under [`CommAxis::Matched`] the placement step keeps its
+//! processor selection and then, for every predecessor `t'` of the
+//! freshly mapped task `t`, picks a *robust* one-to-one communication
+//! set between `A(t')` (the processors running `t'`) and `A(t)`:
+//!
+//! * a processor in `A(t') ∩ A(t)` communicates **only with itself**
+//!   (a forced internal edge — the proof of Proposition 4.3 needs it);
+//! * the remaining senders and receivers are matched one-to-one,
+//!   minimizing completion times, by the [`Selector`]: greedy (the
+//!   paper's experiments) or the bottleneck-optimal binary search.
+//!
+//! The message count drops from `e(ε+1)²` to `e(ε+1)`, at a small
+//! latency cost. Each replica then has a *single* sender per
+//! predecessor, so its start and finish times are deterministic and the
+//! optimistic and pessimistic timelines coincide.
 //!
 //! # Zero-allocation steady state
 //!
 //! Every buffer the loop touches lives in a
-//! [`ScheduleWorkspace`](crate::workspace::ScheduleWorkspace):
+//! [`ScheduleWorkspace`]:
 //! [`ListScheduler::run_into`] resets and refills it in place, so
 //! repeated scheduling (pressure sweeps, bicriteria searches, experiment
 //! grids) allocates nothing after the first run — see the workspace
@@ -46,9 +70,33 @@
 //! implementations byte for byte (see `tests/golden.rs`): every
 //! floating-point expression is evaluated in the same form and the RNG
 //! is consulted in the same order. Treat any change to the loop
-//! structure, the fold expressions in [`crate::engine`] or the RNG
+//! structure, the fold expressions in `engine.rs` or the RNG
 //! discipline as a semantic change that must be justified against the
 //! golden suite.
+//!
+//! # Schedule pressure (FTBAR)
+//!
+//! [`PriorityAxis::Pressure`] is FTBAR's cost function (Girault, Kalla,
+//! Sighireanu and Sorel, DSN 2003). At step `n`, for a free task `t_i`
+//! on processor `p_j`:
+//!
+//! ```text
+//! σ(n)(t_i, p_j) = S(n)(t_i, p_j) + s(t_i) − R(n−1)
+//! ```
+//!
+//! where `S(n)` is the earliest start time of `t_i` on `p_j` given the
+//! partial schedule, `s(t_i)` the static bottom-up latest start time
+//! (computed as the average-cost bottom level, like FTSA's `bℓ`), and
+//! `R(n−1)` the current schedule length. Each free task keeps the
+//! `ε + 1` processors minimizing σ; the step selects the *most urgent*
+//! task — the one whose best-σ set has the largest pressure — ties
+//! broken randomly.
+//!
+//! Fidelity note: the paper's sketch leaves `S(n)` under replication
+//! ambiguous. The selection metric uses the optimistic earliest start
+//! (min over predecessor replicas, like equation 1), and the
+//! pessimistic timeline is tracked separately, mirroring how the paper
+//! reports both FTBAR-LowerBound and FTBAR-UpperBound curves.
 //!
 //! # Heap-driven schedule pressure
 //!
@@ -56,7 +104,7 @@
 //! *every* free task × *every* processor — `O(free · (preds + ε) · m)`
 //! per step, the dominant cost of every FTBAR run. The incremental
 //! engine caches, per free task, the eq. (1) arrival row *and* the
-//! σ-selection in a [`PressureCache`](crate::workspace::PressureCache)
+//! σ-selection in the workspace's `PressureCache`
 //! (arrival mins only **decrease**, and only when a predecessor gains a
 //! replica; per-processor ready times only **advance**), but even a
 //! cached sweep still touches every free task every step — super-linear
@@ -113,7 +161,6 @@
 
 use crate::engine::Engine;
 use crate::error::ScheduleError;
-use crate::mc_ftsa::Selector;
 use crate::schedule::{CommSelection, Replica, Schedule};
 use crate::workspace::{PressureCache, ScheduleWorkspace};
 use ftcollections::{select_smallest_into, DaryHeap, OrdF64};
@@ -171,6 +218,18 @@ pub enum CommAxis {
     /// (Section 4.2): `e(ε+1)` messages, deterministic per-replica
     /// times (the two timelines coincide).
     Matched(Selector),
+}
+
+/// Which robust-communication selector [`CommAxis::Matched`] uses
+/// (Section 4.2 offers both).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum Selector {
+    /// Internal edges first, then non-decreasing weight order — the
+    /// variant used in the paper's experiments.
+    Greedy,
+    /// Binary search on the bottleneck threshold with a Hopcroft–Karp
+    /// feasibility oracle — the paper's polynomial optimal variant.
+    Bottleneck,
 }
 
 /// One configuration of the unified pipeline.
@@ -270,7 +329,7 @@ impl ListScheduler {
         rng: &mut impl Rng,
         ws: &'w mut ScheduleWorkspace,
     ) -> Result<&'w Schedule, ScheduleError> {
-        self.run_with_deadlines_into(inst, epsilon, rng, None, None, ws)?;
+        self.run_core(inst, epsilon, rng, None, None, PressureImpl::Heap, ws)?;
         Ok(&ws.sched)
     }
 
@@ -289,7 +348,8 @@ impl ListScheduler {
         occ: &platform::OccupancyTimeline,
         ws: &'w mut ScheduleWorkspace,
     ) -> Result<&'w Schedule, ScheduleError> {
-        self.run_with_deadlines_into(inst, epsilon, rng, None, Some(occ.floors()), ws)?;
+        let floors = Some(occ.floors());
+        self.run_core(inst, epsilon, rng, None, floors, PressureImpl::Heap, ws)?;
         Ok(&ws.sched)
     }
 
@@ -305,7 +365,15 @@ impl ListScheduler {
         deadlines: Option<&[f64]>,
     ) -> Result<Schedule, ScheduleError> {
         let mut ws = ScheduleWorkspace::new();
-        self.run_with_deadlines_into(inst, epsilon, rng, deadlines, None, &mut ws)?;
+        self.run_core(
+            inst,
+            epsilon,
+            rng,
+            deadlines,
+            None,
+            PressureImpl::Heap,
+            &mut ws,
+        )?;
         Ok(ws.take_schedule())
     }
 
@@ -347,32 +415,12 @@ impl ListScheduler {
     }
 
     /// The workspace-reusing core: one loop, three axes, no allocation
-    /// in the steady state. `floors` (when `Some`) seeds the
-    /// per-processor ready times from a persistent occupancy state;
-    /// `None` is the historical empty-platform run.
-    pub(crate) fn run_with_deadlines_into(
-        &self,
-        inst: &Instance,
-        epsilon: usize,
-        rng: &mut impl Rng,
-        deadlines: Option<&[f64]>,
-        floors: Option<&[f64]>,
-        ws: &mut ScheduleWorkspace,
-    ) -> Result<(), ScheduleError> {
-        self.run_core(
-            inst,
-            epsilon,
-            rng,
-            deadlines,
-            floors,
-            PressureImpl::Heap,
-            ws,
-        )
-    }
-
-    /// [`ListScheduler::run_with_deadlines_into`] with the pressure
-    /// implementation selectable (see [`PressureImpl`]; every other
-    /// axis is unaffected by the flag).
+    /// in the steady state. `deadlines` (when `Some`) aborts the run at
+    /// the first task that misses its Section 4.3 deadline; `floors`
+    /// (when `Some`) seeds the per-processor ready times from a
+    /// persistent occupancy state (`None` is the empty-platform run);
+    /// `pimpl` picks the pressure implementation (see [`PressureImpl`];
+    /// every other axis is unaffected by it).
     #[allow(clippy::too_many_arguments)]
     fn run_core(
         &self,

@@ -188,12 +188,6 @@ impl ProcOrder {
         self.count[j] as usize
     }
 
-    /// Total number of placements across all processors.
-    #[inline]
-    pub fn total(&self) -> usize {
-        self.nodes.len()
-    }
-
     /// Appends `(task, replica index)` to processor `j`'s sequence.
     pub(crate) fn push(&mut self, j: usize, t: TaskId, k: usize) {
         let idx = self.nodes.len() as u32;
@@ -243,23 +237,6 @@ pub enum CommSelection {
     /// MC-FTSA: per DAG edge, the selected `(src_replica, dst_replica)`
     /// pairs — exactly `ε+1` messages per edge.
     Matched(Vec<Vec<(usize, usize)>>),
-}
-
-impl CommSelection {
-    /// For a destination replica `dst_rep` of the edge's target, which
-    /// source replicas feed it? `None` = all of them (all-to-all).
-    pub fn senders_for(&self, edge: taskgraph::EdgeId, dst_rep: usize) -> Option<Vec<usize>> {
-        match self {
-            CommSelection::AllToAll => None,
-            CommSelection::Matched(m) => Some(
-                m[edge.index()]
-                    .iter()
-                    .filter(|&&(_, d)| d == dst_rep)
-                    .map(|&(s, _)| s)
-                    .collect(),
-            ),
-        }
-    }
 }
 
 /// A complete fault-tolerant schedule.
@@ -392,18 +369,6 @@ impl Schedule {
         self.order.iter(j)
     }
 
-    /// Number of replicas placed on processor `j`.
-    #[inline]
-    pub fn proc_count(&self, j: usize) -> usize {
-        self.order.count(j)
-    }
-
-    /// Total number of placed replicas.
-    #[inline]
-    pub fn total_replicas(&self) -> usize {
-        self.order.total()
-    }
-
     /// Appends a replica of `t` on processor `j`, recording it in the
     /// placement order; returns the replica index.
     pub(crate) fn push_replica(&mut self, t: TaskId, j: usize, r: Replica) -> usize {
@@ -500,16 +465,6 @@ impl Schedule {
         count
     }
 
-    /// Sum over processors of busy time (lb timeline) — utilization
-    /// diagnostics for the experiment logs.
-    pub fn total_busy_time(&self) -> f64 {
-        self.replicas
-            .iter()
-            .flat_map(|rs| rs.iter())
-            .map(|r| r.finish_lb - r.start_lb)
-            .sum()
-    }
-
     /// Number of processors that execute at least one replica.
     pub fn procs_used(&self) -> usize {
         (0..self.order.num_procs())
@@ -529,7 +484,7 @@ struct ScheduleRepr {
     schedule_order: Vec<TaskId>,
 }
 
-/// Written straight from the arenas, in [`ScheduleRepr`]'s shape.
+/// Written straight from the arenas, in `ScheduleRepr`'s shape.
 impl Serialize for Schedule {
     fn serialize(&self, w: &mut serde::Writer<'_>) {
         w.begin_object();
@@ -626,20 +581,8 @@ mod tests {
     }
 
     #[test]
-    fn senders_for_lookup() {
-        let comm = CommSelection::Matched(vec![vec![(0, 1), (1, 0)]]);
-        assert_eq!(comm.senders_for(taskgraph::EdgeId(0), 0), Some(vec![1]));
-        assert_eq!(comm.senders_for(taskgraph::EdgeId(0), 1), Some(vec![0]));
-        assert_eq!(
-            CommSelection::AllToAll.senders_for(taskgraph::EdgeId(0), 0),
-            None
-        );
-    }
-
-    #[test]
     fn busy_time_and_procs_used() {
         let (_, s) = two_task_schedule();
-        assert_eq!(s.total_busy_time(), 1.0 + 2.0 + 2.0 + 3.0);
         assert_eq!(s.procs_used(), 3);
     }
 
@@ -692,7 +635,6 @@ mod tests {
             vec![(TaskId(0), 1), (TaskId(2), 0)]
         );
         assert_eq!(o.count(0), 2);
-        assert_eq!(o.total(), 4);
     }
 
     #[test]

@@ -103,7 +103,7 @@ impl fmt::Display for ScheduleStats {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ftsa::ftsa;
+    use crate::{schedule, Algorithm};
     use platform::gen::{paper_instance, PaperInstanceConfig};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -116,7 +116,7 @@ mod tests {
     #[test]
     fn basic_invariants() {
         let inst = inst();
-        let s = ftsa(&inst, 2, &mut StdRng::seed_from_u64(1)).unwrap();
+        let s = schedule(&inst, 2, Algorithm::Ftsa, &mut StdRng::seed_from_u64(1)).unwrap();
         let st = schedule_stats(&inst, &s);
         assert_eq!(st.replicas, inst.num_tasks() * 3);
         assert!(st.latency_lb <= st.latency_ub);
@@ -129,7 +129,7 @@ mod tests {
     #[test]
     fn epsilon_zero_has_no_replication_share() {
         let inst = inst();
-        let s = ftsa(&inst, 0, &mut StdRng::seed_from_u64(2)).unwrap();
+        let s = schedule(&inst, 0, Algorithm::Ftsa, &mut StdRng::seed_from_u64(2)).unwrap();
         let st = schedule_stats(&inst, &s);
         assert_eq!(st.replication_compute_share, 0.0);
         assert_eq!(st.replicas, inst.num_tasks());
@@ -138,7 +138,7 @@ mod tests {
     #[test]
     fn display_renders_all_lines() {
         let inst = inst();
-        let s = ftsa(&inst, 1, &mut StdRng::seed_from_u64(3)).unwrap();
+        let s = schedule(&inst, 1, Algorithm::Ftsa, &mut StdRng::seed_from_u64(3)).unwrap();
         let text = schedule_stats(&inst, &s).to_string();
         for key in [
             "latency",
@@ -155,7 +155,7 @@ mod tests {
     fn utilization_grows_with_replication() {
         let inst = inst();
         let u = |eps: usize| {
-            let s = ftsa(&inst, eps, &mut StdRng::seed_from_u64(4)).unwrap();
+            let s = schedule(&inst, eps, Algorithm::Ftsa, &mut StdRng::seed_from_u64(4)).unwrap();
             schedule_stats(&inst, &s).mean_utilization
         };
         assert!(u(3) > u(0), "replication must raise platform utilization");

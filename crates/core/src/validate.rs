@@ -272,8 +272,7 @@ pub fn validate(inst: &Instance, sched: &Schedule) -> Result<(), ScheduleError> 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ftsa::ftsa;
-    use crate::Algorithm;
+    use crate::{schedule, Algorithm};
     use platform::gen::{paper_instance, PaperInstanceConfig};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -297,7 +296,7 @@ mod tests {
     fn detects_shared_primary_processor() {
         let mut r = StdRng::seed_from_u64(3);
         let inst = paper_instance(&mut r, &PaperInstanceConfig::default());
-        let mut s = ftsa(&inst, 1, &mut StdRng::seed_from_u64(3)).unwrap();
+        let mut s = schedule(&inst, 1, Algorithm::Ftsa, &mut StdRng::seed_from_u64(3)).unwrap();
         // Corrupt: force both replicas of task 0 onto the same processor.
         let t0 = taskgraph::TaskId(0);
         let p = s.replicas_of(t0)[0].proc;
@@ -310,7 +309,7 @@ mod tests {
     fn detects_precedence_violation() {
         let mut r = StdRng::seed_from_u64(4);
         let inst = paper_instance(&mut r, &PaperInstanceConfig::default());
-        let mut s = ftsa(&inst, 1, &mut StdRng::seed_from_u64(4)).unwrap();
+        let mut s = schedule(&inst, 1, Algorithm::Ftsa, &mut StdRng::seed_from_u64(4)).unwrap();
         // Find a task with a predecessor and pull its start to 0.
         let t = inst
             .dag
@@ -326,7 +325,7 @@ mod tests {
     fn detects_truncated_schedule_order() {
         let mut r = StdRng::seed_from_u64(5);
         let inst = paper_instance(&mut r, &PaperInstanceConfig::default());
-        let mut s = ftsa(&inst, 1, &mut StdRng::seed_from_u64(5)).unwrap();
+        let mut s = schedule(&inst, 1, Algorithm::Ftsa, &mut StdRng::seed_from_u64(5)).unwrap();
         s.schedule_order.pop();
         assert!(validate(&inst, &s).is_err());
     }

@@ -28,7 +28,7 @@
 //!   Hopcroft–Karp buffers) live here and are reused run over run.
 //!
 //! When adding a new policy to the pipeline, route any per-step storage
-//! through a field here (cleared in [`ScheduleWorkspace::prepare`])
+//! through a field here (cleared in `ScheduleWorkspace::prepare`)
 //! instead of allocating in the loop — that keeps the allocator test
 //! green and the hot path flat.
 

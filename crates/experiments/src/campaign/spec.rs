@@ -187,13 +187,6 @@ impl WorkloadSpec {
         }
     }
 
-    /// Whether this workload goes through
-    /// [`platform::gen::paper_instance`] (which draws graph, platform and
-    /// execution matrix in one fixed RNG order).
-    pub fn is_paper_layered(&self) -> bool {
-        matches!(self, WorkloadSpec::PaperLayered(_))
-    }
-
     /// Structural validation: rejects the shapes whose generators would
     /// panic or emit an empty DAG mid-grid (an inverted `PaperLayered`
     /// range aborts `gen_range`; zero-task / zero-shape workloads have no
@@ -442,8 +435,7 @@ impl Seeding {
 
 /// A declarative scenario grid: the cross product of the workload,
 /// platform, ε and repetition axes, evaluated under one measurement
-/// plan. See the [module docs](self) and the campaign engine docs
-/// ([`crate::campaign`]).
+/// plan. See the campaign engine docs ([`crate::campaign`]).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct CampaignSpec {
     /// Campaign identifier (file stem of CSV/JSON outputs).

@@ -23,10 +23,16 @@
 //! * Malformed requests never reach a worker: a body that is not valid
 //!   JSON, does not decode as a spec, or fails
 //!   [`CampaignSpec::validate`] is a `400`; a missing `Content-Length`
-//!   is a `411`; a body over [`ServeConfig::max_body`] is a `413`;
-//!   unknown paths are `404`, unsupported methods `405`. The hardened
-//!   validator makes the executor's [`CampaignError`] paths
-//!   structurally unreachable from the wire.
+//!   is a `411`; a body over [`ServeConfig::max_body`] is a `413`; a
+//!   request line plus headers over 16 KiB is a `431`; unknown paths
+//!   are `404`, unsupported methods `405`. The hardened validator makes
+//!   the executor's [`CampaignError`] paths structurally unreachable
+//!   from the wire.
+//! * A client has 5 s from the moment a handler takes its connection to
+//!   deliver the whole request, head and body; after that the
+//!   connection is dropped. A silent or trickling client therefore
+//!   holds a handler thread for at most that long, and no request grows
+//!   a buffer past the head cap or [`ServeConfig::max_body`].
 //!
 //! Each streamed chunk carries a `;seq=<n>` chunk extension with a
 //! strictly increasing sequence number from 0 — standard de-chunkers
@@ -119,6 +125,14 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc::{sync_channel, TrySendError};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread;
+use std::time::{Duration, Instant};
+
+/// Cap on the request line plus headers, in bytes (`431` above it).
+const MAX_HEAD: u64 = 16 * 1024;
+
+/// How long a client has, once a handler takes its connection, to
+/// deliver its whole request (head and body).
+const READ_DEADLINE: Duration = Duration::from_secs(5);
 
 /// Tuning knobs of a [`Server`].
 #[derive(Debug, Clone)]
@@ -332,9 +346,42 @@ struct Request {
     expect_continue: bool,
 }
 
-fn read_request(reader: &mut BufReader<TcpStream>) -> io::Result<Request> {
+/// The read half of a connection: each read waits only for what is left
+/// of the request's [`READ_DEADLINE`], so the deadline holds however the
+/// client paces its bytes.
+struct DeadlineReader {
+    stream: TcpStream,
+    until: Instant,
+}
+
+impl Read for DeadlineReader {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        let left = self.until.saturating_duration_since(Instant::now());
+        if left.is_zero() {
+            return Err(io::Error::new(
+                io::ErrorKind::TimedOut,
+                "request not received within the read deadline",
+            ));
+        }
+        self.stream.set_read_timeout(Some(left))?;
+        self.stream.read(buf)
+    }
+}
+
+/// Reads the request line and headers, at most [`MAX_HEAD`] bytes of
+/// them; `None` when they do not fit.
+fn read_request(reader: &mut BufReader<DeadlineReader>) -> io::Result<Option<Request>> {
+    let mut head = reader.take(MAX_HEAD);
+    // A line is cut short by end of input (kept, as a truncated request)
+    // or by the cap (the head is too large).
+    let mut read_line = |buf: &mut String| -> io::Result<bool> {
+        head.read_line(buf)?;
+        Ok(buf.ends_with('\n') || head.limit() > 0)
+    };
     let mut line = String::new();
-    reader.read_line(&mut line)?;
+    if !read_line(&mut line)? {
+        return Ok(None);
+    }
     let mut parts = line.split_whitespace();
     let method = parts.next().unwrap_or_default().to_string();
     let path = parts.next().unwrap_or_default().to_string();
@@ -342,7 +389,10 @@ fn read_request(reader: &mut BufReader<TcpStream>) -> io::Result<Request> {
     let mut expect_continue = false;
     loop {
         let mut header = String::new();
-        if reader.read_line(&mut header)? == 0 {
+        if !read_line(&mut header)? {
+            return Ok(None);
+        }
+        if header.is_empty() {
             break;
         }
         let header = header.trim_end();
@@ -360,12 +410,28 @@ fn read_request(reader: &mut BufReader<TcpStream>) -> io::Result<Request> {
             }
         }
     }
-    Ok(Request {
+    Ok(Some(Request {
         method,
         path,
         content_length,
         expect_continue,
-    })
+    }))
+}
+
+/// Half-closes `stream` and drains what the client may still be sending,
+/// bounded at 8 reads × 50 ms so a slow sender cannot pin the caller.
+/// Closing with unread data turns the close into an RST that can destroy
+/// the error response before the client reads it.
+fn drain_and_close(stream: &mut TcpStream) {
+    let _ = stream.shutdown(std::net::Shutdown::Write);
+    let _ = stream.set_read_timeout(Some(Duration::from_millis(50)));
+    let mut sink = [0u8; 4096];
+    for _ in 0..8 {
+        match stream.read(&mut sink) {
+            Ok(n) if n > 0 => {}
+            _ => break,
+        }
+    }
 }
 
 /// The streaming campaign server. Bind, then [`Server::run`].
@@ -469,27 +535,14 @@ impl Server {
                 Ok(()) => {}
                 Err(TrySendError::Full(mut stream)) => {
                     // Non-blocking ingress: shed load immediately, tell
-                    // the client when to come back. Half-close and drain
-                    // whatever request bytes are in flight before
-                    // dropping — closing with unread data turns the
-                    // close into an RST that can destroy the 503 before
-                    // the client reads it. The drain is bounded (8 reads
-                    // × 50 ms) so a slow sender can't pin the acceptor.
+                    // the client when to come back.
                     let _ = write_error_with(
                         &mut stream,
                         "503 Service Unavailable",
                         &[("Retry-After", "1")],
                         "campaign queue full, retry later",
                     );
-                    let _ = stream.shutdown(std::net::Shutdown::Write);
-                    let _ = stream.set_read_timeout(Some(std::time::Duration::from_millis(50)));
-                    let mut sink = [0u8; 4096];
-                    for _ in 0..8 {
-                        match stream.read(&mut sink) {
-                            Ok(n) if n > 0 => {}
-                            _ => break,
-                        }
-                    }
+                    drain_and_close(&mut stream);
                 }
                 Err(TrySendError::Disconnected(_)) => return Ok(()),
             }
@@ -513,9 +566,20 @@ fn try_handle(
     threads: usize,
     max_body: usize,
 ) -> io::Result<()> {
-    let mut reader = BufReader::new(stream.try_clone()?);
+    let mut reader = BufReader::new(DeadlineReader {
+        stream: stream.try_clone()?,
+        until: Instant::now() + READ_DEADLINE,
+    });
     let mut stream = stream;
-    let req = read_request(&mut reader)?;
+    let Some(req) = read_request(&mut reader)? else {
+        write_error(
+            &mut stream,
+            "431 Request Header Fields Too Large",
+            "request line and headers exceed 16 KiB",
+        )?;
+        drain_and_close(&mut stream);
+        return Ok(());
+    };
     match (req.method.as_str(), req.path.as_str()) {
         ("GET", "/healthz") => write_response(&mut stream, "200 OK", &[], "ok\n"),
         ("GET", "/campaigns") => handle_listing(&mut stream, registry),

@@ -86,10 +86,63 @@ impl Table1Config {
     }
 }
 
+/// The scheduler entry points `frozen` was written against. The three
+/// paper algorithms are one-expression adapters over
+/// `ListScheduler::new(..).run(..)`, with the axes each named; the rest
+/// is re-exported from `ftsched_core`.
+mod adapters {
+    use ftsched_core::pipeline::{CommAxis, ListScheduler, PlacementAxis, PriorityAxis};
+    use ftsched_core::ScheduleError;
+    pub use ftsched_core::{schedule, Algorithm, Schedule};
+    use platform::Instance;
+    use rand::Rng;
+
+    type Run = Result<Schedule, ScheduleError>;
+
+    pub fn ftsa(inst: &Instance, eps: usize, rng: &mut impl Rng) -> Run {
+        ListScheduler::new(
+            PriorityAxis::Criticalness,
+            PlacementAxis::BestFinish,
+            CommAxis::AllToAll,
+        )
+        .run(inst, eps, rng)
+    }
+
+    pub fn ftbar(inst: &Instance, eps: usize, rng: &mut impl Rng) -> Run {
+        ListScheduler::new(
+            PriorityAxis::Pressure,
+            PlacementAxis::MinStart { duplicate: true },
+            CommAxis::AllToAll,
+        )
+        .run(inst, eps, rng)
+    }
+
+    pub mod mc_ftsa {
+        pub use ftsched_core::pipeline::Selector;
+        use ftsched_core::pipeline::{CommAxis, ListScheduler, PlacementAxis, PriorityAxis};
+        use platform::Instance;
+        use rand::Rng;
+
+        pub fn mc_ftsa(
+            inst: &Instance,
+            eps: usize,
+            sel: Selector,
+            rng: &mut impl Rng,
+        ) -> super::Run {
+            ListScheduler::new(
+                PriorityAxis::Criticalness,
+                PlacementAxis::BestFinish,
+                CommAxis::Matched(sel),
+            )
+            .run(inst, eps, rng)
+        }
+    }
+}
+
 /// Frozen pre-campaign reference implementations (see the file docs).
 mod frozen {
+    use super::adapters::{ftbar, ftsa, mc_ftsa, schedule, Algorithm, Schedule};
     use experiments::mean;
-    use ftsched_core::{ftbar::ftbar, ftsa::ftsa, mc_ftsa, schedule, Algorithm, Schedule};
     use platform::gen::{paper_instance, PaperInstanceConfig};
     use platform::{FailureScenario, Instance};
     use rand::rngs::StdRng;

@@ -50,10 +50,9 @@ pub mod prelude {
         deadlines, ftsa_both_criteria, max_epsilon_binary, max_epsilon_linear,
     };
     pub use ftsched_core::bounds::critical_path_bound;
-    pub use ftsched_core::ftbar::{ftbar, ftbar_with_options};
-    pub use ftsched_core::ftsa::{ftsa, ftsa_with_policy, PriorityPolicy};
-    pub use ftsched_core::mc_ftsa::{mc_ftsa, Selector};
-    pub use ftsched_core::pipeline::{CommAxis, ListScheduler, PlacementAxis, PriorityAxis};
+    pub use ftsched_core::pipeline::{
+        CommAxis, ListScheduler, PlacementAxis, PriorityAxis, Selector,
+    };
     pub use ftsched_core::stats::{schedule_stats, ScheduleStats};
     pub use ftsched_core::validate::validate;
     pub use ftsched_core::{

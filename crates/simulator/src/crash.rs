@@ -80,8 +80,8 @@
 //! everything after the first replication allocation-free:
 //! [`simulate_replication_outcomes_into`] is the sequential
 //! zero-allocation driver (pinned by the root `tests/alloc_counter.rs`
-//! suite), and the parallel campaigns ([`simulate_replications`],
-//! [`simulate_replication_outcomes`]) hand each deterministic chunk of
+//! suite), and the parallel campaign
+//! ([`simulate_replication_outcomes`]) hands each deterministic chunk of
 //! replications one workspace.
 
 use ftcollections::OrdF64;
@@ -886,12 +886,11 @@ fn run_prepared(
 
 /// Monte-Carlo crash campaign: simulates `replications` independent
 /// uniform `crashes`-processor fail-at-time-zero scenarios against
-/// `sched` on `threads` workers of [`crate::parallel::parallel_map_with`].
-/// Each deterministic chunk of replications shares one
-/// [`CrashWorkspace`], so per-replication state is reused; only the
-/// returned [`SimResult`] payloads allocate — prefer
-/// [`simulate_replication_outcomes`] when the per-replica traces are not
-/// needed.
+/// `sched` on `threads` workers of [`crate::parallel::parallel_map_with`]
+/// and returns one scalar [`ReplicationOutcome`] per replication. Each
+/// deterministic chunk of replications shares one [`CrashWorkspace`], so
+/// the event replay allocates nothing after each chunk's first
+/// replication.
 ///
 /// Replication `r` draws its scenario from
 /// [`crate::replication_seed`]`(base_seed, r)`, so the returned vector is
@@ -901,32 +900,6 @@ fn run_prepared(
 /// # Panics
 ///
 /// If `crashes` exceeds the processor count or `threads == 0`.
-pub fn simulate_replications(
-    inst: &Instance,
-    sched: &Schedule,
-    crashes: usize,
-    replications: usize,
-    base_seed: u64,
-    threads: usize,
-) -> Vec<SimResult> {
-    crate::parallel::parallel_map_with(
-        replications,
-        threads,
-        || prepared_workspace(inst, sched),
-        |ws, r| {
-            prep_scenario(ws, inst.num_procs(), crashes, base_seed, r as u32);
-            let scen = std::mem::take(&mut ws.scenario);
-            run_prepared(inst, sched, &scen, ws);
-            ws.scenario = scen;
-            ws.to_result(inst)
-        },
-    )
-}
-
-/// Scalar-result Monte-Carlo crash campaign: like
-/// [`simulate_replications`] but returning only the per-replication
-/// [`ReplicationOutcome`]s — the event replay allocates nothing after
-/// each chunk's first replication.
 pub fn simulate_replication_outcomes(
     inst: &Instance,
     sched: &Schedule,
@@ -1339,7 +1312,7 @@ mod tests {
         let mut r = rng(90);
         let inst = paper_instance(&mut r, &PaperInstanceConfig::default());
         let s = schedule(&inst, 2, Algorithm::Ftsa, &mut rng(90)).unwrap();
-        let sims = simulate_replications(&inst, &s, 2, 20, 0xCAFE, 2);
+        let sims = simulate_replication_outcomes(&inst, &s, 2, 20, 0xCAFE, 2);
         assert_eq!(sims.len(), 20);
         for sim in &sims {
             assert!(sim.completed(), "≤ ε crashes must not lose tasks");
@@ -1353,29 +1326,33 @@ mod tests {
         let mut r = rng(91);
         let inst = paper_instance(&mut r, &PaperInstanceConfig::default());
         let s = schedule(&inst, 1, Algorithm::Ftsa, &mut rng(91)).unwrap();
-        let a = simulate_replications(&inst, &s, 1, 16, 7, 1);
-        let b = simulate_replications(&inst, &s, 1, 16, 7, 4);
+        let a = simulate_replication_outcomes(&inst, &s, 1, 16, 7, 1);
+        let b = simulate_replication_outcomes(&inst, &s, 1, 16, 7, 4);
+        assert_eq!(a.len(), b.len());
         for (x, y) in a.iter().zip(&b) {
             assert_eq!(x.latency.to_bits(), y.latency.to_bits());
-            assert_eq!(x.times, y.times);
+            assert_eq!(x, y);
         }
     }
 
     #[test]
     fn outcomes_agree_with_full_results() {
-        // The scalar campaign must be bit-identical to the full one, and
-        // the sequential zero-allocation driver must match both.
+        // The parallel campaign must match the sequential zero-allocation
+        // driver, and each replication must equal a full `simulate` of
+        // the scenario its seed draws.
         let mut r = rng(92);
         let inst = paper_instance(&mut r, &PaperInstanceConfig::default());
         let s = schedule(&inst, 2, Algorithm::McFtsaGreedy, &mut rng(92)).unwrap();
-        let full = simulate_replications(&inst, &s, 2, 24, 0xBEEF, 2);
         let scalar = simulate_replication_outcomes(&inst, &s, 2, 24, 0xBEEF, 2);
         let mut seq = Vec::new();
         let mut ws = CrashWorkspace::new();
         simulate_replication_outcomes_into(&inst, &s, 2, 24, 0xBEEF, &mut seq, &mut ws);
-        assert_eq!(scalar.len(), full.len());
+        assert_eq!(scalar.len(), 24);
         assert_eq!(seq, scalar);
-        for (f, o) in full.iter().zip(&scalar) {
+        for (i, o) in scalar.iter().enumerate() {
+            let mut draw = StdRng::seed_from_u64(crate::replication_seed(0xBEEF, i as u64));
+            let scen = FailureScenario::uniform(&mut draw, inst.num_procs(), 2);
+            let f = simulate(&inst, &s, &scen);
             assert_eq!(f.latency.to_bits(), o.latency.to_bits());
             assert_eq!(f.completed(), o.completed());
             assert_eq!(f.events, o.events);

@@ -40,8 +40,8 @@
 //!
 //! [`parallel`] holds the workspace's one parallel executor,
 //! [`parallel::parallel_map_with`]. The Monte-Carlo drivers
-//! ([`simulate_replications`], [`crash::simulate_replication_outcomes`]
-//! and [`reliability::survival_probability_monte_carlo_par`]) take their
+//! ([`crash::simulate_replication_outcomes`] and
+//! [`reliability::survival_probability_monte_carlo_par`]) take their
 //! worker count as a final `threads` argument and seed replication `i`
 //! with [`replication_seed`], so their results are bit-identical at any
 //! thread count.
@@ -67,7 +67,7 @@ pub mod streaming;
 pub mod trace;
 
 pub use contention::{simulate_contention, simulate_contention_into, ContentionResult, PortModel};
-pub use crash::{simulate, simulate_replications, SimOutcome, SimResult};
+pub use crash::{simulate, SimOutcome, SimResult};
 pub use streaming::{
     run_stream_into, ArrivalProcess, DagOutcome, PoissonArrivals, StreamWorkspace, TraceArrivals,
 };

@@ -173,12 +173,6 @@ impl Dag {
         self.nodes[t.index()].work
     }
 
-    /// Sets the abstract computation amount of `t`.
-    pub fn set_work(&mut self, t: TaskId, work: f64) {
-        assert!(work >= 0.0 && work.is_finite());
-        self.nodes[t.index()].work = work;
-    }
-
     /// Optional label of `t`.
     pub fn label(&self, t: TaskId) -> Option<&str> {
         self.nodes[t.index()].label.as_deref()
@@ -277,15 +271,6 @@ impl Dag {
     /// Sum of all edge volumes.
     pub fn total_volume(&self) -> f64 {
         self.edges.iter().map(|e| e.volume).sum()
-    }
-
-    /// Scales every task's work by `factor` (used to calibrate
-    /// granularity; see the platform crate).
-    pub fn scale_work(&mut self, factor: f64) {
-        assert!(factor > 0.0 && factor.is_finite());
-        for n in &mut self.nodes {
-            n.work *= factor;
-        }
     }
 }
 
@@ -616,14 +601,6 @@ mod tests {
         b.add_edge(x, y, 1.0);
         b.add_edge(x, y, 2.0);
         assert_eq!(b.build().unwrap_err(), GraphError::DuplicateEdge(x, y));
-    }
-
-    #[test]
-    fn scale_work_multiplies() {
-        let mut g = diamond();
-        g.scale_work(2.0);
-        assert_eq!(g.total_work(), 20.0);
-        assert_eq!(g.work(TaskId(0)), 2.0);
     }
 
     #[test]

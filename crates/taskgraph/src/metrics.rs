@@ -8,7 +8,7 @@
 //! transitive-closure bipartite graph); an `O(v + e)` level-based lower
 //! bound is provided for large instances.
 
-use crate::graph::{Dag, TaskId};
+use crate::graph::Dag;
 use crate::topology::{descendants, level_sets};
 use matching::{maximum_matching, BipartiteGraph};
 
@@ -28,39 +28,6 @@ pub fn critical_path_length(dag: &Dag, delay_per_unit: f64) -> f64 {
         best = best.max(dist[t.index()]);
     }
     best
-}
-
-/// The tasks of one critical path (with `delay_per_unit` edge weighting),
-/// from an entry to an exit task.
-pub fn critical_path(dag: &Dag, delay_per_unit: f64) -> Vec<TaskId> {
-    let n = dag.num_tasks();
-    if n == 0 {
-        return Vec::new();
-    }
-    let mut dist = vec![0.0f64; n];
-    let mut parent: Vec<Option<TaskId>> = vec![None; n];
-    for &t in dag.topological_order() {
-        let mut arrival = 0.0f64;
-        for &(p, e) in dag.preds(t) {
-            let a = dist[p.index()] + dag.volume(e) * delay_per_unit;
-            if a > arrival {
-                arrival = a;
-                parent[t.index()] = Some(p);
-            }
-        }
-        dist[t.index()] = arrival + dag.work(t);
-    }
-    let mut cur = dag
-        .tasks()
-        .max_by(|a, b| dist[a.index()].total_cmp(&dist[b.index()]))
-        .expect("nonempty");
-    let mut path = vec![cur];
-    while let Some(p) = parent[cur.index()] {
-        path.push(p);
-        cur = p;
-    }
-    path.reverse();
-    path
 }
 
 /// Exact width `ω` (maximum antichain) via Dilworth's theorem.
@@ -138,7 +105,7 @@ pub fn stats(dag: &Dag) -> DagStats {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::graph::DagBuilder;
+    use crate::graph::{DagBuilder, TaskId};
 
     fn diamond() -> Dag {
         let mut b = DagBuilder::new();
@@ -155,10 +122,6 @@ mod tests {
         let g = diamond();
         // Longest: 1 + 3 + 4 = 8 (via t2).
         assert_eq!(critical_path_length(&g, 0.0), 8.0);
-        assert_eq!(
-            critical_path(&g, 0.0),
-            vec![TaskId(0), TaskId(2), TaskId(3)]
-        );
     }
 
     #[test]
@@ -238,6 +201,5 @@ mod tests {
         let g = DagBuilder::new().build().unwrap();
         assert_eq!(critical_path_length(&g, 1.0), 0.0);
         assert_eq!(width_exact(&g), 0);
-        assert!(critical_path(&g, 1.0).is_empty());
     }
 }

@@ -23,7 +23,6 @@ use ftsched::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use simulator::reliability::survival_probability_monte_carlo_par;
-use simulator::simulate_replications;
 
 /// Thread counts every sweep must agree across: sequential, minimal
 /// parallelism, whatever this machine offers, and the CI matrix value.
@@ -116,14 +115,13 @@ fn determinism_instance() -> (Instance, Schedule) {
 #[test]
 fn crash_replications_identical_across_thread_counts() {
     let (inst, sched) = determinism_instance();
-    let reference = simulate_replications(&inst, &sched, 2, 24, 0xC4A5, 1);
+    let reference = simulate_replication_outcomes(&inst, &sched, 2, 24, 0xC4A5, 1);
     for threads in thread_counts() {
-        let sims = simulate_replications(&inst, &sched, 2, 24, 0xC4A5, threads);
+        let sims = simulate_replication_outcomes(&inst, &sched, 2, 24, 0xC4A5, threads);
         assert_eq!(sims.len(), reference.len());
         for (a, b) in reference.iter().zip(&sims) {
             assert_eq!(a.latency.to_bits(), b.latency.to_bits());
-            assert_eq!(a.status, b.status);
-            assert_eq!(a.times, b.times);
+            assert_eq!(a, b);
         }
     }
 }
@@ -131,8 +129,8 @@ fn crash_replications_identical_across_thread_counts() {
 #[test]
 fn crash_replications_rerun_identical() {
     let (inst, sched) = determinism_instance();
-    let a = simulate_replications(&inst, &sched, 1, 16, 99, 2);
-    let b = simulate_replications(&inst, &sched, 1, 16, 99, 2);
+    let a = simulate_replication_outcomes(&inst, &sched, 1, 16, 99, 2);
+    let b = simulate_replication_outcomes(&inst, &sched, 1, 16, 99, 2);
     for (x, y) in a.iter().zip(&b) {
         assert_eq!(x.latency.to_bits(), y.latency.to_bits());
     }

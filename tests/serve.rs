@@ -456,3 +456,73 @@ fn overflow_answers_503_with_retry_after() {
     drop(hold_handler);
     drop(fill_queue);
 }
+
+/// Sends raw bytes and reads the status line of the answer, waiting at
+/// most `timeout` for it — so a server that never answers fails the
+/// test instead of hanging it.
+fn status_within(addr: SocketAddr, raw: &[u8], timeout: Duration) -> String {
+    let mut stream = TcpStream::connect(addr).expect("connect");
+    stream
+        .set_read_timeout(Some(timeout))
+        .expect("read timeout");
+    stream.write_all(raw).expect("send request");
+    let mut bytes = Vec::new();
+    stream
+        .read_to_end(&mut bytes)
+        .expect("the server answers before the client gives up");
+    let text = String::from_utf8_lossy(&bytes);
+    text.split("\r\n").next().unwrap_or_default().to_string()
+}
+
+/// A request line that never ends is cut off at the head cap with a
+/// `431`, instead of growing a buffer until the client stops sending.
+#[test]
+fn oversized_request_head_answers_431() {
+    let addr = spawn_server(ServeConfig {
+        threads: 1,
+        ..ServeConfig::default()
+    });
+    let mut raw = b"GET /".to_vec();
+    raw.resize(24 * 1024, b'a');
+    let status = status_within(addr, &raw, Duration::from_secs(10));
+    assert_eq!(status, "HTTP/1.1 431 Request Header Fields Too Large");
+    let res = request(addr, "GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n");
+    assert_eq!(res.body, "ok\n");
+}
+
+/// A client that connects and sends nothing holds the only handler
+/// until the read deadline, then is dropped, and the next request is
+/// answered.
+#[test]
+fn silent_client_is_dropped_at_the_read_deadline() {
+    let addr = spawn_server(ServeConfig {
+        threads: 1,
+        handlers: 1,
+        ..ServeConfig::default()
+    });
+    let opened = std::time::Instant::now();
+    let mut silent = TcpStream::connect(addr).expect("connect");
+    silent
+        .set_read_timeout(Some(Duration::from_secs(30)))
+        .expect("read timeout");
+    // The acceptor queues connections in order, so the handler takes the
+    // silent one first and the health check waits behind it.
+
+    let status = status_within(
+        addr,
+        b"GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n",
+        Duration::from_secs(30),
+    );
+    assert_eq!(status, "HTTP/1.1 200 OK");
+
+    let mut buf = [0u8; 64];
+    let n = silent
+        .read(&mut buf)
+        .expect("the server closes the silent connection");
+    assert_eq!(n, 0, "a silent client gets no response, only a close");
+    assert!(
+        opened.elapsed() >= Duration::from_secs(1),
+        "dropped after {:?}, before the client had time to send",
+        opened.elapsed()
+    );
+}
