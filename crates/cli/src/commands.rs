@@ -1,4 +1,6 @@
-//! Command implementations. Each returns the text to print on success.
+//! Command implementations. Each takes its arguments (after the command
+//! word), declares the options and flags it accepts at its top, and
+//! returns the text to print on success.
 
 use crate::args::Args;
 use crate::bundle::Bundle;
@@ -29,7 +31,8 @@ fn read_graph(path: &str) -> Result<Dag, String> {
 }
 
 /// `ftsched generate`
-pub fn generate(args: &Args) -> Result<String, String> {
+pub fn generate(argv: &[String]) -> Result<String, String> {
+    let args = Args::parse(argv, "--family --tasks --size --seed --out --dot", "")?;
     let family = args.require("family")?;
     let seed: u64 = args.get_num("seed", 42)?;
     let tasks: usize = args.get_num("tasks", 120)?;
@@ -80,7 +83,9 @@ fn parse_algorithm(name: &str) -> Result<Algorithm, String> {
 }
 
 /// `ftsched schedule`
-pub fn schedule_cmd(args: &Args) -> Result<String, String> {
+pub fn schedule_cmd(argv: &[String]) -> Result<String, String> {
+    let options = "--graph --procs --epsilon --algorithm --seed --granularity --out";
+    let args = Args::parse(argv, options, "")?;
     let dag = read_graph(args.require("graph")?)?;
     let procs: usize = args.require_num("procs")?;
     if procs == 0 {
@@ -106,14 +111,8 @@ pub fn schedule_cmd(args: &Args) -> Result<String, String> {
     let platform = random_platform(&mut rng, procs, 0.5, 1.0);
     let mut exec = ExecutionMatrix::unrelated_with_procs(&dag, procs, &mut rng, 0.5);
     if let Some(g) = granularity {
-        if platform::granularity::granularity(&dag, &platform, &exec).is_none() {
-            return Err(
-                "--granularity is undefined for an instance without communication \
-                 (no edges, zero volumes or one processor)"
-                    .into(),
-            );
-        }
-        scale_to_granularity(&dag, &platform, &mut exec, g);
+        // The error text starts with "granularity": name the option.
+        scale_to_granularity(&dag, &platform, &mut exec, g).map_err(|e| format!("--{e}"))?;
     }
     let inst = Instance::new(dag, platform, exec);
 
@@ -144,7 +143,9 @@ pub fn schedule_cmd(args: &Args) -> Result<String, String> {
 }
 
 /// `ftsched simulate`
-pub fn simulate_cmd(args: &Args) -> Result<String, String> {
+pub fn simulate_cmd(argv: &[String]) -> Result<String, String> {
+    let options = "--bundle --fail --random-failures --replications --crashes --threads --seed";
+    let args = Args::parse(argv, options, "--gantt")?;
     let path = args.require("bundle")?;
     let s = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
     let bundle = Bundle::from_json(&s).map_err(|e| format!("parsing {path}: {e}"))?;
@@ -173,7 +174,7 @@ pub fn simulate_cmd(args: &Args) -> Result<String, String> {
         let crashes: usize = args.get_num("crashes", bundle.schedule.epsilon)?;
         check_crash_count("crashes", crashes, inst.num_procs())?;
         let seed: u64 = args.get_num("seed", 42)?;
-        let threads = threads_from(args)?;
+        let threads = threads_from(&args)?;
         let runs =
             simulate_replication_outcomes(&inst, &bundle.schedule, crashes, reps, seed, threads);
         let latencies: Vec<f64> = runs
@@ -271,7 +272,8 @@ fn threads_from(args: &Args) -> Result<usize, String> {
 /// bundle: every processor fails independently with probability `--p`,
 /// over `--samples` draws fanned out on the parallel harness (identical
 /// figures at any `--threads`).
-pub fn reliability(args: &Args) -> Result<String, String> {
+pub fn reliability(argv: &[String]) -> Result<String, String> {
+    let args = Args::parse(argv, "--bundle --p --samples --seed --threads", "")?;
     let path = args.require("bundle")?;
     let s = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
     let bundle = Bundle::from_json(&s).map_err(|e| format!("parsing {path}: {e}"))?;
@@ -285,7 +287,7 @@ pub fn reliability(args: &Args) -> Result<String, String> {
         return Err("--samples must be at least 1".into());
     }
     let seed: u64 = args.get_num("seed", 42)?;
-    let threads = threads_from(args)?;
+    let threads = threads_from(&args)?;
     let mc =
         survival_probability_monte_carlo_par(&inst, &bundle.schedule, p, samples, seed, threads);
     Ok(format!(
@@ -299,7 +301,9 @@ pub fn reliability(args: &Args) -> Result<String, String> {
 /// preset (`--preset fig1|…|ci-smoke`) or an arbitrary spec file
 /// (`--spec grid.json`), with streaming aggregation and unified CSV/JSON
 /// emission. Results are bit-identical at any `--threads` count.
-pub fn campaign(args: &Args) -> Result<String, String> {
+pub fn campaign(argv: &[String]) -> Result<String, String> {
+    let options = "--preset --spec --reps --threads --out";
+    let args = Args::parse(argv, options, "--quick --dump-spec")?;
     // The repetition override applies to *both* sources — a spec file
     // run with `--quick` must actually shrink, not silently ignore the
     // flag and burn the full grid.
@@ -373,16 +377,17 @@ pub fn campaign(args: &Args) -> Result<String, String> {
     Ok(out)
 }
 
-/// `ftsched serve` — the sharded streaming campaign service. Binds
+/// `ftsched serve` — the streaming campaign service. Binds
 /// (recovering persisted runs first when `--data-dir` is given), prints
 /// the listening address, then blocks in the accept loop; the response
 /// bytes for a spec are identical to what `ftsched campaign` writes for
 /// it (see `experiments::serve` for the wire protocol and the
 /// durability contract).
-pub fn serve(args: &Args) -> Result<String, String> {
+pub fn serve(argv: &[String]) -> Result<String, String> {
+    let args = Args::parse(argv, "--addr --threads --queue --data-dir", "")?;
     let addr = args.get("addr").unwrap_or("127.0.0.1:7878");
     let config = ServeConfig {
-        threads: threads_from(args)?,
+        threads: threads_from(&args)?,
         queue: args.get_num("queue", 32)?,
         data_dir: args.get("data-dir").map(std::path::PathBuf::from),
         ..ServeConfig::default()
@@ -403,7 +408,8 @@ pub fn serve(args: &Args) -> Result<String, String> {
 }
 
 /// `ftsched info`
-pub fn info(args: &Args) -> Result<String, String> {
+pub fn info(argv: &[String]) -> Result<String, String> {
+    let args = Args::parse(argv, "--graph", "")?;
     let dag = read_graph(args.require("graph")?)?;
     let st = taskgraph::metrics::stats(&dag);
     Ok(format!(
@@ -428,8 +434,8 @@ mod tests {
     use super::*;
     use experiments::campaign::{LayeredRange, WorkloadSpec};
 
-    fn argv(s: &str) -> Args {
-        Args::parse(&s.split_whitespace().map(str::to_string).collect::<Vec<_>>()).unwrap()
+    fn argv(s: &str) -> Vec<String> {
+        s.split_whitespace().map(str::to_string).collect()
     }
 
     fn tmp(name: &str) -> String {

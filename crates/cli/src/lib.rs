@@ -19,7 +19,7 @@
 //!   `CampaignSpec` JSON file, with streaming aggregation and unified
 //!   CSV/JSON emission (see `experiments::campaign`).
 //! * `serve` — the streaming campaign service: accept `CampaignSpec`
-//!   JSON over HTTP, shard groups across workers, and chunk-stream the
+//!   JSON over HTTP, run its groups across workers, and chunk-stream the
 //!   statistics back byte-identical to `campaign`'s file emission; with
 //!   `--data-dir`, runs are durable — WAL-checkpointed per group and
 //!   resumed bit-exactly after a crash (see `experiments::serve`).
@@ -27,7 +27,8 @@
 //!
 //! Argument parsing is the tiny `--key value` scanner in [`args`] — the
 //! sanctioned dependency set has no CLI parser, and the surface is
-//! small.
+//! small. Each command declares the options it accepts; an unknown
+//! option is an error, never silently ignored.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -44,15 +45,15 @@ pub fn run(argv: &[String]) -> Result<String, String> {
     let Some(cmd) = argv.first() else {
         return Err(usage());
     };
-    let args = Args::parse(&argv[1..])?;
+    let args = &argv[1..];
     match cmd.as_str() {
-        "generate" => commands::generate(&args),
-        "schedule" => commands::schedule_cmd(&args),
-        "simulate" => commands::simulate_cmd(&args),
-        "reliability" => commands::reliability(&args),
-        "campaign" => commands::campaign(&args),
-        "serve" => commands::serve(&args),
-        "info" => commands::info(&args),
+        "generate" => commands::generate(args),
+        "schedule" => commands::schedule_cmd(args),
+        "simulate" => commands::simulate_cmd(args),
+        "reliability" => commands::reliability(args),
+        "campaign" => commands::campaign(args),
+        "serve" => commands::serve(args),
+        "info" => commands::info(args),
         "help" | "--help" | "-h" => Ok(usage()),
         other => Err(format!("unknown command `{other}`\n\n{}", usage())),
     }

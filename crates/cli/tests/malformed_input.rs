@@ -6,7 +6,9 @@
 use ftsched_cli::Bundle;
 use ftsched_core::{CommSelection, Replica, Schedule};
 use platform::{Platform, ProcId};
-use std::process::Command;
+use std::process::{Command, Stdio};
+use std::sync::mpsc;
+use std::time::{Duration, Instant};
 use taskgraph::TaskId;
 
 fn scratch(name: &str) -> String {
@@ -338,9 +340,10 @@ fn the_binary_exits_1_not_101_on_monte_carlo_options() {
 
 /// Degenerate shape and platform options, with the error each must name.
 /// Each used to trip an assertion (exit 101): in a graph generator, in
-/// `Platform`, or in `scale_to_granularity` (the last case: a single
-/// processor has no links, so the instance has no granularity to scale).
-const DEGENERATE_CASES: [(&[&str], &str); 12] = [
+/// `Platform`, or in `scale_to_granularity` (a single processor has no
+/// links, so the instance has no granularity to scale) — except the
+/// last, whose factor overflowed into infinite times and `NaN%` (exit 0).
+const DEGENERATE_CASES: [(&[&str], &str); 13] = [
     (
         &["generate", "--family", "layered", "--tasks", "0"],
         "--tasks must be at least 1 for the layered family",
@@ -430,6 +433,19 @@ const DEGENERATE_CASES: [(&[&str], &str); 12] = [
         "--granularity is undefined for an instance without communication \
          (no edges, zero volumes or one processor)",
     ),
+    (
+        &[
+            "schedule",
+            "--procs",
+            "3",
+            "--epsilon",
+            "1",
+            "--granularity",
+            "1e308",
+        ],
+        "--granularity 1e308 is out of range: the rescaled execution times \
+         would not be finite",
+    ),
 ];
 
 /// A case's arguments with an output file, and for `schedule` the golden
@@ -492,5 +508,123 @@ fn the_binary_exits_1_not_101_on_degenerate_options() {
             stderr.contains(expected),
             "expected `{expected}` in: {stderr}"
         );
+    }
+}
+
+/// Options a command does not declare, or declared ones in the wrong
+/// shape, with the start of the error each must name. Each used to be
+/// dropped silently: the command ran with the option ignored (exit 0),
+/// and `serve` bound and served without the data dir it was given.
+fn undeclared_option_cases() -> Vec<(Vec<String>, &'static str)> {
+    let golden = |file: &str| {
+        format!(
+            "{}/../../tests/golden/json/{file}",
+            env!("CARGO_MANIFEST_DIR")
+        )
+    };
+    let (graph, bundle) = (golden("graph-gauss5.json"), golden("bundle-ftsa.json"));
+    let (out, data) = (scratch("undeclared.json"), scratch("undeclared-data"));
+    let cases: [(&[&str], &str); 6] = [
+        (
+            &[
+                "schedule",
+                "--graph",
+                &graph,
+                "--procs",
+                "3",
+                "--epsilon",
+                "1",
+                "--granularity=0",
+                "--out",
+                &out,
+            ],
+            "unknown option `--granularity=0` (accepted: --graph --procs ",
+        ),
+        (
+            &["campaign", "--preset", "ci-smoke", "--rep", "1"],
+            "unknown option `--rep` (accepted: --preset --spec ",
+        ),
+        (
+            &["serve", "--addr", "127.0.0.1:0", "--data_dir", &data],
+            "unknown option `--data_dir` (accepted: --addr --threads ",
+        ),
+        (
+            &["simulate", "--bundle", &bundle, "--gantt", "yes"],
+            "flag --gantt takes no value, got `yes`",
+        ),
+        (
+            &["campaign", "--preset", "ci-smoke", "--quick", "5"],
+            "flag --quick takes no value, got `5`",
+        ),
+        (
+            &[
+                "schedule",
+                "--graph",
+                &graph,
+                "--procs",
+                "3",
+                "--epsilon",
+                "1",
+                "--seed",
+                "--out",
+                &out,
+            ],
+            "option --seed needs a value",
+        ),
+    ];
+    cases
+        .iter()
+        .map(|(args, expected)| (args.iter().map(|a| a.to_string()).collect(), *expected))
+        .collect()
+}
+
+/// How long a case may run: long enough for a debug build to run the
+/// ci-smoke preset the parent ran instead of failing; a `serve` that
+/// binds never returns, so without a bound the test would hang.
+const CASE_TIMEOUT: Duration = Duration::from_secs(120);
+
+#[test]
+fn undeclared_options_are_named_errors() {
+    for (args, expected) in undeclared_option_cases() {
+        let (tx, rx) = mpsc::channel();
+        let argv = args.clone();
+        std::thread::spawn(move || {
+            let _ = tx.send(ftsched_cli::run(&argv));
+        });
+        let outcome = rx
+            .recv_timeout(CASE_TIMEOUT)
+            .unwrap_or_else(|_| panic!("{args:?} did not return"));
+        let err = outcome.expect_err("option accepted");
+        assert!(err.starts_with(expected), "{args:?}: {err}");
+    }
+    assert!(!std::path::Path::new(&scratch("undeclared.json")).exists());
+    assert!(!std::path::Path::new(&scratch("undeclared-data")).exists());
+}
+
+#[test]
+fn the_binary_exits_1_on_undeclared_options() {
+    for (args, expected) in undeclared_option_cases() {
+        let mut child = Command::new(env!("CARGO_BIN_EXE_ftsched"))
+            .args(&args)
+            .stdout(Stdio::piped())
+            .stderr(Stdio::piped())
+            .spawn()
+            .expect("run ftsched");
+        let started = Instant::now();
+        while child.try_wait().expect("poll ftsched").is_none() {
+            if started.elapsed() > CASE_TIMEOUT {
+                let _ = child.kill();
+                panic!("{args:?} did not exit");
+            }
+            std::thread::sleep(Duration::from_millis(20));
+        }
+        let output = child.wait_with_output().expect("collect output");
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert_eq!(output.status.code(), Some(1), "{args:?}: {stderr}");
+        assert!(
+            stderr.contains(expected),
+            "expected `{expected}` in: {stderr}"
+        );
+        assert!(output.stdout.is_empty(), "{args:?} did work before failing");
     }
 }

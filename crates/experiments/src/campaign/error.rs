@@ -2,15 +2,18 @@
 //!
 //! Every failure the campaign engine can hit is a [`CampaignError`]
 //! value, never a panic: a spec rejected by
-//! [`super::CampaignSpec::validate`], a scheduler run failing inside a
+//! [`super::CampaignSpec::validate`], a drawn instance that cannot take
+//! its platform point's granularity, a scheduler run failing inside a
 //! cell, a stream cell evaluated without an arrival axis, or a failed
 //! durable-store operation. A service front end (`experiments::serve`)
-//! relies on this — a worker thread must not die on user input, so
-//! `validate` rejects every spec shape that could reach the
-//! executor-level variants, which then only guard direct library
-//! callers.
+//! relies on this — a worker thread must not die on user input. `validate`
+//! rejects every spec shape it can see statically; what depends on the
+//! drawn instance (a workload whose graphs have no edges, a granularity
+//! the drawn times cannot reach) surfaces as
+//! [`CampaignError::Granularity`] from the cell.
 
 use ftsched_core::ScheduleError;
+use platform::granularity::GranularityError;
 use std::fmt;
 use std::sync::Arc;
 
@@ -78,6 +81,20 @@ pub enum CampaignError {
         /// The underlying scheduler error.
         source: ScheduleError,
     },
+    /// A cell's drawn instance could not be rescaled to its platform
+    /// point's granularity.
+    Granularity {
+        /// The campaign id.
+        campaign: String,
+        /// Label of the cell's workload.
+        workload: String,
+        /// Index of the cell's platform point.
+        platform: usize,
+        /// The point's effective granularity.
+        granularity: f64,
+        /// Why the rescale failed.
+        source: GranularityError,
+    },
     /// A stream cell was evaluated on a spec without an arrival axis.
     MissingArrivals {
         /// The campaign id.
@@ -122,6 +139,17 @@ impl fmt::Display for CampaignError {
                 "campaign {campaign}: stream of {algorithm} at eps {epsilon} on \
                  {procs} procs failed: {source}"
             ),
+            CampaignError::Granularity {
+                campaign,
+                workload,
+                platform,
+                granularity,
+                source,
+            } => write!(
+                f,
+                "campaign {campaign}: workload {workload} on platform point {platform} \
+                 cannot take granularity {granularity:?}: {source}"
+            ),
             CampaignError::MissingArrivals { campaign } => write!(
                 f,
                 "campaign {campaign}: stream cell evaluated without an arrival axis"
@@ -145,6 +173,7 @@ impl std::error::Error for CampaignError {
                 Some(source)
             }
             CampaignError::Store { source, .. } => Some(source),
+            CampaignError::Granularity { source, .. } => Some(source),
             _ => None,
         }
     }

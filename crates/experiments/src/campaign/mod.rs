@@ -15,28 +15,26 @@
 //!    default [`simulator::replication_seed`]`(spec.seed, index)`, with
 //!    legacy modes preserving the pre-campaign derivations (see
 //!    [`Seeding`]).
-//! 2. **Execute**: [`crate::parallel::parallel_map_with`] fans cells out
-//!    over scoped worker threads with **per-chunk reusable state**
-//!    (one state per deterministic chunk of cells, at most 64 per
-//!    campaign) — a [`CellContext`] holding one [`ScheduleWorkspace`]
-//!    per schedule slot plus a [`CrashWorkspace`] and scenario buffers.
-//!    Every
-//!    schedule runs through `schedule_into`, every crash simulation
-//!    through `simulate_outcome_into` and every contention replay
-//!    through `simulate_contention_into` on the same workspace, so
-//!    steady-state cells perform **zero heap allocations in the
-//!    scheduler/simulator hot path** (pinned by `tests/alloc_counter.rs`
-//!    at the repo root; the exact-reliability measure is the documented
-//!    exception — its mask enumeration allocates internally).
-//! 3. **Aggregate**: cell series stream into an [`Aggregator`] in cell
-//!    order (mean is the same left-fold sum the legacy drivers used, so
-//!    preset means are bit-identical), producing per-group
-//!    mean/stddev/min/max/percentile statistics.
+//! 2. **Execute**: [`crate::parallel::parallel_map_into`] fans cells out
+//!    over scoped worker threads with **per-worker reusable state** — a
+//!    [`CellContext`] holding one [`ScheduleWorkspace`] per schedule slot
+//!    plus a [`CrashWorkspace`] and scenario buffers. Every schedule
+//!    runs through `schedule_into`, every crash simulation through
+//!    `simulate_outcome_into` and every contention replay through
+//!    `simulate_contention_into` on the same workspace, so steady-state
+//!    cells perform **zero heap allocations in the scheduler/simulator
+//!    hot path** (pinned by `tests/alloc_counter.rs` at the repo root;
+//!    the exact-reliability measure is the documented exception — its
+//!    mask enumeration allocates internally).
+//! 3. **Aggregate**: cell series reach the calling thread in cell order
+//!    and stream into an [`Aggregator`] (mean is the same left-fold sum
+//!    the legacy drivers used, so preset means are bit-identical),
+//!    producing per-group mean/stddev/min/max/percentile statistics.
 //!
-//! Chunk boundaries in the executor depend only on the cell count, so a
-//! campaign returns **bit-identical results at any thread count** —
-//! enforced end to end by `tests/parallel_determinism.rs` and the CI
-//! thread matrix.
+//! A cell's series do not depend on what its context evaluated before
+//! (`tests/campaign_parity.rs` checks every preset), so a campaign
+//! returns **bit-identical results at any thread count** — enforced end
+//! to end by `tests/parallel_determinism.rs` and the CI thread matrix.
 //!
 //! # Cell anatomy
 //!
@@ -74,11 +72,11 @@ pub use spec::{
     StructuredKernel, StructuredWorkload, TaskCount, TimingCap, WorkloadSpec,
 };
 
-use crate::parallel::parallel_map_with;
+use crate::parallel::parallel_map_into;
 use ftsched_core::{schedule_into, Algorithm, ScheduleWorkspace};
-use platform::gen::{paper_instance, random_platform, PaperInstanceConfig};
+use platform::gen::random_platform;
 use platform::granularity::scale_to_granularity;
-use platform::{ExecutionMatrix, FailureModel, FailureScenario, Instance};
+use platform::{ExecutionMatrix, FailureModel, FailureScenario, Instance, Platform};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
@@ -91,6 +89,7 @@ use simulator::streaming::{
 };
 use std::collections::BTreeMap;
 use std::time::Instant;
+use taskgraph::Dag;
 
 /// Coordinates of one cell in the campaign grid.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -173,48 +172,59 @@ fn cell_seed_with_tasks(spec: &CampaignSpec, c: &CellCoord, declared_tasks: usiz
 }
 
 /// Generates the cell's instance (graph + platform + execution matrix)
-/// from its seed. Paper-layered workloads go through
-/// [`paper_instance`] so the full RNG draw order matches the historical
-/// drivers; every other workload builds its DAG first, then the random
-/// platform, then the unrelated execution matrix, then the optional
-/// granularity rescale.
+/// from its seed: the workload's DAG first, then the random platform,
+/// then the unrelated execution matrix, then the optional granularity
+/// rescale. For paper-layered workloads this is exactly
+/// [`platform::gen::paper_instance`]'s draw order (`build_dag` draws
+/// through `paper_dag`), so the historical drivers' instances come out
+/// bit for bit.
+///
+/// # Panics
+///
+/// If the drawn instance cannot take the platform point's granularity;
+/// [`evaluate_any_cell_into`] reports that as
+/// [`CampaignError::Granularity`] instead.
 pub fn instance_for_cell(spec: &CampaignSpec, c: &CellCoord) -> Instance {
-    instance_from_seed(spec, c, cell_seed(spec, c))
+    instance_from_seed(spec, c, cell_seed(spec, c)).unwrap_or_else(|e| panic!("{e}"))
 }
 
 /// [`instance_for_cell`] with the cell seed supplied by the caller (the
 /// executor derives it once through [`CellPlan::cell_seed`]).
-fn instance_from_seed(spec: &CampaignSpec, c: &CellCoord, seed: u64) -> Instance {
+fn instance_from_seed(
+    spec: &CampaignSpec,
+    c: &CellCoord,
+    seed: u64,
+) -> Result<Instance, CampaignError> {
     let mut rng = StdRng::seed_from_u64(seed);
     let w = &spec.workloads[c.workload];
     let p = &spec.platforms[c.platform];
-    match (w, p.effective_granularity()) {
-        (WorkloadSpec::PaperLayered(r), Some(g)) => paper_instance(
-            &mut rng,
-            &PaperInstanceConfig {
-                tasks_lo: r.tasks_lo,
-                tasks_hi: r.tasks_hi,
-                procs: p.procs,
-                granularity: g,
-                heterogeneity: p.heterogeneity,
-            },
-        ),
-        // Every other combination — including an *unscaled* paper
-        // workload (granularity and ccr both unset): `build_dag`'s
-        // PaperLayered arm draws through `paper_dag`, so the RNG
-        // consumption below is identical to `paper_instance` minus the
-        // (draw-free) granularity rescale.
-        (_, eff) => {
-            let dag = w.build_dag(&mut rng);
-            let platform = random_platform(&mut rng, p.procs, 0.5, 1.0);
-            let mut exec =
-                ExecutionMatrix::unrelated_with_procs(&dag, p.procs, &mut rng, p.heterogeneity);
-            if let Some(g) = eff {
-                scale_to_granularity(&dag, &platform, &mut exec, g);
-            }
-            Instance::new(dag, platform, exec)
-        }
-    }
+    let dag = w.build_dag(&mut rng);
+    let platform = random_platform(&mut rng, p.procs, 0.5, 1.0);
+    let mut exec = ExecutionMatrix::unrelated_with_procs(&dag, p.procs, &mut rng, p.heterogeneity);
+    rescale(spec, c, &dag, &platform, &mut exec)?;
+    Ok(Instance::new(dag, platform, exec))
+}
+
+/// Applies the cell's platform point granularity, if it has one, to a
+/// freshly drawn execution matrix.
+fn rescale(
+    spec: &CampaignSpec,
+    c: &CellCoord,
+    dag: &Dag,
+    platform: &Platform,
+    exec: &mut ExecutionMatrix,
+) -> Result<(), CampaignError> {
+    let Some(g) = spec.platforms[c.platform].effective_granularity() else {
+        return Ok(());
+    };
+    scale_to_granularity(dag, platform, exec, g).map_err(|source| CampaignError::Granularity {
+        campaign: spec.id.clone(),
+        workload: spec.workloads[c.workload].label(),
+        platform: c.platform,
+        granularity: g,
+        source,
+    })?;
+    Ok(())
 }
 
 /// Normalization constant of the latency series: the instance's mean
@@ -411,11 +421,11 @@ impl CellPlan {
     }
 }
 
-/// Reusable evaluation state (one per executor chunk): one
+/// Reusable evaluation state (one per executor worker): one
 /// [`ScheduleWorkspace`] per schedule slot (so every slot's schedule
 /// stays borrowed in its own workspace through the crash phase), the
 /// crash-replay workspace, and the scenario/scratch buffers. After a
-/// chunk's first cell, the entire scheduler/simulator hot path runs
+/// worker's first cell, the entire scheduler/simulator hot path runs
 /// allocation-free.
 #[derive(Debug, Default)]
 pub struct CellContext {
@@ -678,22 +688,20 @@ fn stream_instances_from_seed(
     count: usize,
     seed: u64,
     insts: &mut Vec<Instance>,
-) {
+) -> Result<(), CampaignError> {
     insts.clear();
     let mut rng = StdRng::seed_from_u64(seed);
     let w = &spec.workloads[c.workload];
     let p = &spec.platforms[c.platform];
-    let eff = p.effective_granularity();
     let plat = random_platform(&mut rng, p.procs, 0.5, 1.0);
     for _ in 0..count {
         let dag = w.build_dag(&mut rng);
         let mut exec =
             ExecutionMatrix::unrelated_with_procs(&dag, p.procs, &mut rng, p.heterogeneity);
-        if let Some(g) = eff {
-            scale_to_granularity(&dag, &plat, &mut exec, g);
-        }
+        rescale(spec, c, &dag, &plat, &mut exec)?;
         insts.push(Instance::new(dag, plat.clone(), exec));
     }
+    Ok(())
 }
 
 /// Evaluates one **stream cell** of an arrival-axis campaign: the cell's
@@ -738,7 +746,7 @@ pub fn evaluate_stream_cell_into(
         ..
     } = ctx;
 
-    stream_instances_from_seed(spec, coord, arr.process.count(), seed, insts);
+    stream_instances_from_seed(spec, coord, arr.process.count(), seed, insts)?;
     let mut arrival_rng = StdRng::seed_from_u64(replication_seed(seed, 0xA221));
     arr.process.sample_into(&mut arrival_rng, arrivals);
     deadline_bounds.clear();
@@ -983,8 +991,8 @@ impl Aggregator {
 
 /// Renders one group's statistics from its raw per-series observations
 /// (in repetition order). This is [`Aggregator::finalize`]'s per-group
-/// step, extracted so the sharded `serve` path can render groups
-/// incrementally while staying byte-identical to the batch aggregation.
+/// step; the streaming service folds one group at a time through it, so
+/// its groups are byte-identical to the batch aggregation.
 pub fn finalize_group(
     spec: &CampaignSpec,
     plan: &CellPlan,
@@ -1033,7 +1041,7 @@ fn percentile(sorted: &[f64], q: f64) -> f64 {
 
 /// Evaluates one cell (offline or stream, per the spec's arrival axis)
 /// into `out`. The shared dispatch of the batch executor and the serve
-/// shards.
+/// groups.
 pub fn evaluate_any_cell_into(
     spec: &CampaignSpec,
     plan: &CellPlan,
@@ -1045,15 +1053,35 @@ pub fn evaluate_any_cell_into(
     if spec.arrivals.is_some() {
         evaluate_stream_cell_into(spec, plan, &coord, ctx, out)
     } else {
-        let inst = instance_from_seed(spec, &coord, plan.cell_seed(spec, &coord));
+        let inst = instance_from_seed(spec, &coord, plan.cell_seed(spec, &coord))?;
         evaluate_cell_into(spec, plan, &coord, &inst, ctx, out)
     }
 }
 
+/// Evaluates group `gi`'s repetitions in order and folds them as
+/// [`run_campaign_with_threads`] does: the streaming service's unit of
+/// work.
+pub(crate) fn evaluate_group(
+    spec: &CampaignSpec,
+    plan: &CellPlan,
+    gi: usize,
+    ctx: &mut CellContext,
+) -> Result<GroupResult, CampaignError> {
+    let reps = spec.repetitions;
+    let mut agg = Aggregator::new(1);
+    let mut out = Vec::new();
+    for index in gi * reps..(gi + 1) * reps {
+        evaluate_any_cell_into(spec, plan, index, ctx, &mut out)?;
+        agg.push_cell(0, &out);
+    }
+    let series = agg.groups.pop().unwrap_or_default();
+    Ok(finalize_group(spec, plan, gi, series))
+}
+
 /// Runs a campaign with an explicit worker count. Cells fan out through
-/// [`parallel_map_with`] with one [`CellContext`] per deterministic
-/// chunk; results are bit-identical at any `threads`. Any cell failure
-/// (unreachable for validated specs) aborts the campaign with the first
+/// [`parallel_map_into`] with one [`CellContext`] per worker and stream
+/// into the [`Aggregator`] in cell order; results are bit-identical at
+/// any `threads`. Any cell failure aborts the campaign with the first
 /// failing cell's error, in cell order.
 pub fn run_campaign_with_threads(
     spec: &CampaignSpec,
@@ -1061,16 +1089,20 @@ pub fn run_campaign_with_threads(
 ) -> Result<CampaignResult, CampaignError> {
     spec.validate().map_err(CampaignError::InvalidSpec)?;
     let plan = CellPlan::new(spec);
-    let n = spec.num_cells();
-    let cells: Vec<Result<Vec<(SeriesKey, f64)>, CampaignError>> =
-        parallel_map_with(n, threads, CellContext::new, |ctx, i| {
+    let mut agg = Aggregator::new(spec.num_groups());
+    parallel_map_into(
+        spec.num_cells(),
+        threads,
+        CellContext::new,
+        |ctx, i| {
             let mut out = Vec::new();
             evaluate_any_cell_into(spec, &plan, i, ctx, &mut out).map(|()| out)
-        });
-    let mut agg = Aggregator::new(spec.num_groups());
-    for (i, cell) in cells.into_iter().enumerate() {
-        agg.push_cell(spec.group_index(&spec.coord(i)), &cell?);
-    }
+        },
+        |i, cell| {
+            agg.push_cell(spec.group_index(&spec.coord(i)), &cell?);
+            Ok(())
+        },
+    )?;
     Ok(agg.finalize(spec, &plan))
 }
 

@@ -510,6 +510,21 @@ impl CampaignSpec {
             if !p.ccr.is_finite() {
                 return Err(format!("platform ccr {} invalid", p.ccr));
             }
+            if let Some(g) = p.effective_granularity() {
+                if !g.is_finite() {
+                    return Err(format!(
+                        "platform ccr {:?} gives the granularity {g}, which is not finite",
+                        p.ccr
+                    ));
+                }
+                if p.procs == 1 {
+                    return Err(
+                        "a one-processor platform point has no links, so it cannot take \
+                         a granularity or ccr (set both to 0)"
+                            .into(),
+                    );
+                }
+            }
             if !(p.heterogeneity.is_finite() && p.heterogeneity >= 0.0) {
                 return Err(format!(
                     "platform heterogeneity {} invalid (must be finite and >= 0)",

@@ -13,26 +13,29 @@
 //!   platform × ε × repetitions, algorithm sets, failure models,
 //!   measurement plan); the executor enumerates cells with deterministic
 //!   per-cell seeds, fans them out over scoped worker threads with
-//!   per-chunk reusable workspaces (zero allocations in the
-//!   scheduler/simulator hot path), and streams the results into
-//!   mean/stddev/percentile group statistics. The paper's evaluations
+//!   per-worker reusable workspaces (zero allocations in the
+//!   scheduler/simulator hot path), and streams the results, in cell
+//!   order, into mean/stddev/percentile group statistics. The paper's evaluations
 //!   (Figures 1–4, Table 1 and the Section 7 contention and reliability
 //!   extensions) are named presets ([`campaign::presets`]), pinned
 //!   bit-identical to the pre-campaign bespoke drivers; `ftsched
 //!   campaign --preset <name>` is the one way to run them.
 //! * [`parallel`] — re-exports the simulator's deterministic executor
-//!   [`parallel::parallel_map_with`] and resolves the default worker
+//!   [`parallel::parallel_map_into`] (and its collecting form
+//!   [`parallel::parallel_map_with`]) and resolves the default worker
 //!   count ([`parallel::default_threads`], pinned by `FTSCHED_THREADS`);
 //!   results are bit-identical at any thread count.
 //! * [`serve`] — the streaming campaign service behind `ftsched serve`:
-//!   a hand-rolled HTTP/1.1 gateway accepting `CampaignSpec` JSON,
-//!   sharding groups across workers and chunk-streaming statistics as
-//!   shards complete, byte-identical to the CLI's file emission.
+//!   a hand-rolled HTTP/1.1 gateway accepting `CampaignSpec` JSON that
+//!   runs a campaign's groups through the same executor, fold and JSON
+//!   pieces as the batch path and chunk-streams each group in order as
+//!   it completes, byte-identical to the CLI's file emission.
 //! * [`store`] — the durable run store behind `serve --data-dir`:
 //!   persistent idempotency records plus a checksummed write-ahead log
 //!   of rendered groups, with crash recovery that resumes interrupted
 //!   runs bit-exactly from the first missing group.
-//! * [`output`] — CSV/JSON/text emission of campaign results.
+//! * [`output`] — CSV/JSON/text emission of campaign results; the JSON
+//!   document's head, group and tail pieces are shared with [`serve`].
 //!
 //! **Normalization.** The paper plots "normalized latency" without
 //! defining the constant. We divide by the instance's mean edge

@@ -1,6 +1,8 @@
-//! CSV/JSON/text emission of campaign results.
+//! CSV/JSON/text emission of campaign results. The JSON document is
+//! built from pieces ([`json_head`], [`json_group`], [`JSON_TAIL`]) that
+//! the streaming service sends as chunks, so both emit the same bytes.
 
-use crate::campaign::CampaignResult;
+use crate::campaign::{CampaignResult, GroupResult};
 use std::fmt::Write as _;
 use std::path::Path;
 
@@ -49,7 +51,52 @@ pub fn campaign_to_csv(res: &CampaignResult) -> String {
 /// Renders a campaign as pretty JSON (serde round-trippable, fully
 /// deterministic — the CI thread matrix compares these byte-for-byte).
 pub fn campaign_to_json(res: &CampaignResult) -> String {
-    serde_json::to_string_pretty(res).expect("campaign results are always serializable")
+    json_document(&res.id, res.groups.iter().map(json_group))
+}
+
+/// Opening of a campaign document, up to the first group.
+pub fn json_head(id: &str) -> String {
+    let id = serde_json::to_string(&id).expect("strings always serialize");
+    format!("{{\n  \"id\": {id},\n  \"groups\": [\n")
+}
+
+/// What goes before group `gi`'s [`json_group`] piece.
+pub fn json_group_lead(gi: usize) -> &'static str {
+    if gi == 0 {
+        ""
+    } else {
+        ",\n"
+    }
+}
+
+/// Closes the `groups` array and the document after the last group.
+pub const JSON_TAIL: &str = "\n  ]\n}";
+
+/// One group, pretty-printed at its depth inside the document (every
+/// line indented four more spaces); a write-ahead-log frame's payload.
+pub fn json_group(group: &GroupResult) -> String {
+    let flat = serde_json::to_string_pretty(group).expect("groups always serialize");
+    let mut out = String::with_capacity(flat.len() + 64);
+    for (i, line) in flat.lines().enumerate() {
+        if i > 0 {
+            out.push('\n');
+        }
+        out.push_str("    ");
+        out.push_str(line);
+    }
+    out
+}
+
+/// The campaign document of `id` with `groups` ([`json_group`] pieces,
+/// in group order).
+pub fn json_document<S: AsRef<str>>(id: &str, groups: impl IntoIterator<Item = S>) -> String {
+    let mut out = json_head(id);
+    for (gi, group) in groups.into_iter().enumerate() {
+        out.push_str(json_group_lead(gi));
+        out.push_str(group.as_ref());
+    }
+    out.push_str(JSON_TAIL);
+    out
 }
 
 /// Writes `<dir>/<id>.campaign.csv` and `<dir>/<id>.campaign.json`,
@@ -137,6 +184,27 @@ mod tests {
         assert!(rows[2].starts_with(&format!("{prefix}\"With, comma\",1,")));
         let columns = rows[0].split(',').count();
         assert_eq!(rows[2].split(',').count(), columns + 1, "one quoted comma");
+    }
+
+    #[test]
+    fn json_pieces_compose_to_the_serde_document() {
+        let group = |epsilon, mean| GroupResult {
+            workload_index: 0,
+            workload: "paper-layered[100..150]".into(),
+            platform_index: 0,
+            procs: 20,
+            granularity: 0.4,
+            epsilon,
+            series: vec![stats("FTSA with 2 Crash", mean), stats("\"quoted\"", 1e-9)],
+        };
+        let res = CampaignResult {
+            id: "pieces \"x\"".into(),
+            groups: vec![group(1, 1.5), group(2, 2.25), group(3, 0.1)],
+        };
+        assert_eq!(
+            campaign_to_json(&res),
+            serde_json::to_string_pretty(&res).unwrap()
+        );
     }
 
     #[test]

@@ -1,8 +1,9 @@
 //! The campaign layer's handle on the workspace's parallel executor.
 //!
-//! [`parallel_map_with`] is [`simulator::parallel::parallel_map_with`],
-//! re-exported here because the campaign executor and its callers reach
-//! it through this crate. The figure experiments evaluate hundreds of
+//! [`parallel_map_into`] and its collecting form [`parallel_map_with`]
+//! are [`simulator::parallel`]'s, re-exported here because the campaign
+//! executor, the streaming service and their callers reach them through
+//! this crate. The figure experiments evaluate hundreds of
 //! independent (granularity, repetition) cells; each cell derives its
 //! own RNG seed from its index, so results are identical whatever the
 //! thread count — the **index-derived-seed determinism contract** every
@@ -10,7 +11,7 @@
 //! (repo root) enforces end to end. [`default_threads`] resolves the
 //! worker count when a caller asks for the default.
 
-pub use simulator::parallel::parallel_map_with;
+pub use simulator::parallel::{parallel_map_into, parallel_map_with};
 
 /// Number of worker threads to use: the `FTSCHED_THREADS` environment
 /// variable when set to a positive integer (the CI thread matrix uses

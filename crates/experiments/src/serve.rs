@@ -1,4 +1,4 @@
-//! `ftsched serve` — a sharded streaming campaign service over raw
+//! `ftsched serve` — a streaming campaign service over raw
 //! `std::net`, with optional durable runs under `--data-dir`.
 //!
 //! # Wire protocol
@@ -25,9 +25,10 @@
 //!   [`CampaignSpec::validate`] is a `400`; a missing `Content-Length`
 //!   is a `411`; a body over [`ServeConfig::max_body`] is a `413`; a
 //!   request line plus headers over 16 KiB is a `431`; unknown paths
-//!   are `404`, unsupported methods `405`. The hardened validator makes
-//!   the executor's [`CampaignError`] paths structurally unreachable
-//!   from the wire.
+//!   are `404`, unsupported methods `405`. What the validator cannot see
+//!   — a drawn instance that cannot take its granularity — comes back
+//!   from the cell as a [`CampaignError`] and halts the run loudly (see
+//!   below); a later request for the run gets a `500`.
 //! * A client has 5 s from the moment a handler takes its connection to
 //!   deliver the whole request, head and body; after that the
 //!   connection is dropped. A silent or trickling client therefore
@@ -41,16 +42,18 @@
 //!
 //! # Sharding and determinism
 //!
-//! A run shards the campaign's **group index range** across
-//! [`ServeConfig::threads`] workers: shard *i* is group *i*, covering
-//! the row-major cell range `[i·reps, (i+1)·reps)`. Workers pull group
-//! indices from a shared atomic cursor and evaluate cells through the
-//! same [`evaluate_any_cell_into`] dispatch and indexed per-cell seeds
-//! as the batch executor, then render each group with
-//! [`finalize_group`] — each group's bytes are a pure function of
+//! A run hands its missing **group index range** to the same executor
+//! as the batch path, [`parallel_map_into`], on
+//! [`ServeConfig::threads`] workers; group *i* covers the row-major
+//! cell range `[i·reps, (i+1)·reps)`. Each worker keeps one
+//! [`CellContext`] for every group it claims, evaluates the group's
+//! cells through the batch path's dispatch and per-cell seeds, folds
+//! them with the batch path's [`Aggregator`](crate::campaign::Aggregator)
+//! and [`finalize_group`](crate::campaign::finalize_group), and renders
+//! the group with [`json_group`]. A group's bytes are a pure function of
 //! `(spec, group index)`, so responses are **byte-reproducible at any
-//! shard or thread count**. The coordinator re-orders out-of-order
-//! completions and flushes groups strictly in index order.
+//! thread count**. The executor delivers groups to this thread strictly
+//! in index order, where each is made durable and then streamed.
 //!
 //! # Idempotency
 //!
@@ -73,7 +76,7 @@
 //!   and a `running` idempotency record are committed via atomic
 //!   write-rename — tmp file, `fsync`, `rename`, directory `fsync` — so
 //!   a record is always either absent or complete, never torn.
-//! * **A group is durable before it is visible.** The coordinator
+//! * **A group is durable before it is visible.** The handler thread
 //!   appends each rendered group to the run's checksummed WAL and
 //!   `fsync`s **before** writing the group's chunk to the socket; a
 //!   client can never observe bytes a crash could un-happen.
@@ -103,25 +106,25 @@
 //! a **non-blocking** bounded handoff (`try_send`; a full queue is an
 //! immediate `503` with a `Retry-After` header, the acceptor never
 //! blocks), and the per-run result sink is **lossless** — group results
-//! are never dropped. If a cell somehow fails mid-run (unreachable for
-//! validated specs), or the durable store fails a persistence
-//! operation ([`CampaignError::Store`]), the run halts loudly: the
-//! error is logged, the chunked stream is cut without its terminating
-//! chunk (clients see a transfer error, never silently truncated
-//! data), the run slot is marked failed — and the server itself stays
-//! alive.
+//! are never dropped. If a cell fails mid-run (an instance that cannot
+//! take its granularity, [`CampaignError::Granularity`]), or the durable
+//! store fails a persistence operation ([`CampaignError::Store`]), the
+//! run halts loudly: the groups before it are still made durable and
+//! streamed, no further group is started, the error is logged, the
+//! chunked stream is cut without its terminating chunk (clients see a
+//! transfer error, never silently truncated data), the run slot is
+//! marked failed — and the server itself stays alive.
 
 use crate::campaign::{
-    evaluate_any_cell_into, finalize_group, CampaignError, CampaignSpec, CellContext, CellPlan,
-    SeriesKey, StoreIoError,
+    evaluate_group, CampaignError, CampaignSpec, CellContext, CellPlan, StoreIoError,
 };
-use crate::parallel::default_threads;
-use crate::store::{key_hex, Fingerprint, RunState, Store, WalWriter};
-use std::collections::{BTreeMap, HashMap};
+use crate::output::{json_document, json_group, json_group_lead, json_head, JSON_TAIL};
+use crate::parallel::{default_threads, parallel_map_into};
+use crate::store::{fnv1a, key_hex, Fingerprint, RunState, Store, WalWriter};
+use std::collections::HashMap;
 use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc::{sync_channel, TrySendError};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread;
@@ -137,7 +140,7 @@ const READ_DEADLINE: Duration = Duration::from_secs(5);
 /// Tuning knobs of a [`Server`].
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
-    /// Shard workers per campaign run (`0` resolves like the CLI:
+    /// Executor workers per campaign run (`0` resolves like the CLI:
     /// `FTSCHED_THREADS` or the available parallelism).
     pub threads: usize,
     /// Depth of the bounded ingress queue; a connection arriving while
@@ -196,81 +199,14 @@ struct Registry {
     store: Option<Store>,
 }
 
-/// FNV-1a over the canonical spec JSON: the idempotency key.
-fn content_hash(canonical_json: &str) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for b in canonical_json.bytes() {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    h
-}
-
 /// The idempotency key of a spec: the FNV-1a content hash of its
 /// canonical JSON (16 hex digits in URLs and store file names).
 pub fn spec_key(spec: &CampaignSpec) -> u64 {
-    content_hash(&spec.to_json().expect("validated specs always re-serialize"))
-}
-
-// --- incremental rendering --------------------------------------------
-//
-// The streamed body re-creates `output::campaign_to_json` piecewise:
-// a prefix with the id and the opening of the `groups` array, one
-// re-indented pretty-printed group per chunk, and a closing suffix.
-// `render_pinned_to_batch_json` pins the equivalence byte-for-byte.
-
-fn render_prefix(id: &str) -> String {
-    let id_json = serde_json::to_string(&id).expect("strings always serialize");
-    format!("{{\n  \"id\": {id_json},\n  \"groups\": [\n")
-}
-
-const RENDER_SUFFIX: &str = "\n  ]\n}";
-
-/// Pretty-prints one group at the nesting depth it has inside the
-/// campaign document (two levels → four spaces).
-fn render_group(group: &crate::campaign::GroupResult) -> String {
-    let flat = serde_json::to_string_pretty(group).expect("groups always serialize");
-    let mut out = String::with_capacity(flat.len() + 64);
-    for (i, line) in flat.lines().enumerate() {
-        if i > 0 {
-            out.push('\n');
-        }
-        out.push_str("    ");
-        out.push_str(line);
-    }
-    out
-}
-
-/// Evaluates one group (its full repetition range) and renders it.
-/// A pure function of `(spec, plan, group index)` — the sharding
-/// invariant rests on exactly this.
-fn evaluate_group(
-    spec: &CampaignSpec,
-    plan: &CellPlan,
-    gi: usize,
-    ctx: &mut CellContext,
-) -> Result<String, CampaignError> {
-    let reps = spec.repetitions;
-    let mut series: BTreeMap<SeriesKey, Vec<f64>> = BTreeMap::new();
-    let mut out = Vec::new();
-    for rep in 0..reps {
-        out.clear();
-        evaluate_any_cell_into(spec, plan, gi * reps + rep, ctx, &mut out)?;
-        for &(key, value) in &out {
-            series.entry(key).or_default().push(value);
-        }
-    }
-    Ok(render_group(&finalize_group(spec, plan, gi, series)))
-}
-
-/// The exact rendered bytes of one group, as the server streams and
-/// checkpoints them. Exposed so fault-injection tests can fabricate
-/// partial WALs without a live server.
-#[doc(hidden)]
-pub fn rendered_group(spec: &CampaignSpec, gi: usize) -> Result<String, CampaignError> {
-    let plan = CellPlan::new(spec);
-    let mut ctx = CellContext::new();
-    evaluate_group(spec, &plan, gi, &mut ctx)
+    fnv1a(
+        spec.to_json()
+            .expect("validated specs always re-serialize")
+            .bytes(),
+    )
 }
 
 // --- HTTP plumbing -----------------------------------------------------
@@ -317,13 +253,13 @@ fn write_error_with(
 /// One chunk of a chunked response, tagged with its sequence number as
 /// a chunk extension (`<size-hex>;seq=<n>`). De-chunkers ignore the
 /// extension; protocol tests assert the numbers are gapless from 0.
-fn write_chunk(stream: &mut TcpStream, seq: u64, data: &str) -> io::Result<()> {
+fn write_chunk(stream: &mut impl Write, seq: u64, data: &str) -> io::Result<()> {
     write!(stream, "{:x};seq={}\r\n", data.len(), seq)?;
     stream.write_all(data.as_bytes())?;
     stream.write_all(b"\r\n")
 }
 
-fn write_last_chunk(stream: &mut TcpStream) -> io::Result<()> {
+fn write_last_chunk(stream: &mut impl Write) -> io::Result<()> {
     stream.write_all(b"0\r\n\r\n")?;
     stream.flush()
 }
@@ -460,15 +396,7 @@ impl Server {
             for run in store.recover()? {
                 let state = match run.record.state {
                     RunState::Completed => {
-                        let mut body = render_prefix(&run.record.campaign);
-                        for (i, group) in run.groups.iter().enumerate() {
-                            if i > 0 {
-                                body.push_str(",\n");
-                            }
-                            body.push_str(group);
-                        }
-                        body.push_str(RENDER_SUFFIX);
-                        SlotState::Done(Arc::new(body))
+                        SlotState::Done(Arc::new(json_document(&run.record.campaign, &run.groups)))
                     }
                     RunState::Running | RunState::Resumable => SlotState::Resumable {
                         groups_done: run.groups_done,
@@ -719,7 +647,7 @@ fn handle_submission(
         return write_error(stream, "400 Bad Request", &format!("invalid spec: {e}"));
     }
     let canonical = spec.to_json().expect("validated specs always re-serialize");
-    let key = content_hash(&canonical);
+    let key = fnv1a(canonical.bytes());
 
     // Idempotency-key reservation: exactly one submitter computes.
     let (slot, claim) = {
@@ -871,12 +799,7 @@ fn compute_run(
         debug_assert_eq!(groups_done, 0);
     }
 
-    let mode = if replayed.is_empty() {
-        "new"
-    } else {
-        "resumed"
-    };
-    match stream_run(stream, spec, threads, &replayed, wal.as_mut(), mode) {
+    match stream_run(stream, spec, threads, replayed, wal.as_mut()) {
         Ok(run) => {
             if let Some(store) = &registry.store {
                 if let Err(e) = store.complete_run(key, run.fingerprint) {
@@ -891,7 +814,7 @@ fn compute_run(
             settle(slot, SlotState::Done(Arc::new(run.body)));
             Ok(())
         }
-        Err((StreamError::Campaign(e), _)) => {
+        Err(StreamError::Campaign(e)) => {
             // Lossless sink, halting loudly: the failure is recorded and
             // reported, nothing is silently dropped, the server lives on.
             let msg = format!("campaign halted: {e}");
@@ -902,19 +825,15 @@ fn compute_run(
             settle(slot, SlotState::Failed(msg));
             Ok(())
         }
-        Err((StreamError::Io(e), durable)) => {
+        Err(StreamError::Io(e)) => {
             // The run itself did not fail — the client went away. The
             // slot goes back to resumable with its durable checkpoints
             // intact; a retry resumes instead of starting over.
             if let Some(store) = &registry.store {
                 let _ = store.mark_resumable(key);
             }
-            settle(
-                slot,
-                SlotState::Resumable {
-                    groups_done: durable,
-                },
-            );
+            let groups_done = wal.as_ref().map_or(0, WalWriter::next_group);
+            settle(slot, SlotState::Resumable { groups_done });
             Err(io::Error::new(e.kind(), e.to_string()))
         }
     }
@@ -931,12 +850,6 @@ impl From<io::Error> for StreamError {
     }
 }
 
-/// Attaches the durable-group count to a stream failure so the caller
-/// can settle the slot as `Resumable { groups_done }`.
-fn staged(res: Result<(), StreamError>, durable: usize) -> Result<(), (StreamError, usize)> {
-    res.map_err(|e| (e, durable))
-}
-
 struct RunOutcome {
     /// The complete response body (for idempotency replays).
     body: String,
@@ -945,129 +858,71 @@ struct RunOutcome {
     fingerprint: u64,
 }
 
-/// Streams a run: replays durable groups, shards the missing group
-/// range across workers, flushes strictly in index order — appending
-/// each new group to the WAL (fsync) **before** its chunk hits the
-/// socket. On error, also reports how many groups are durable.
+/// Streams a run: replays the durable groups, then runs the missing
+/// group range through [`parallel_map_into`] — workers evaluate and
+/// render groups, and this thread, in group index order, appends each to
+/// the WAL (fsync), folds it into the fingerprint and writes its chunk,
+/// so a group is durable **before** its chunk hits the socket.
 fn stream_run(
-    stream: &mut TcpStream,
+    stream: &mut impl Write,
     spec: &CampaignSpec,
     threads: usize,
-    replayed: &[String],
+    replayed: Vec<String>,
     mut wal: Option<&mut WalWriter>,
-    mode: &str,
-) -> Result<RunOutcome, (StreamError, usize)> {
+) -> Result<RunOutcome, StreamError> {
     let plan = CellPlan::new(spec);
-    let groups = spec.num_groups();
-    let start = replayed.len().min(groups);
-    let threads = threads.max(1).min(groups.max(1));
-    let mut durable = start;
+    let n = spec.num_groups();
+    let mut groups = replayed;
+    groups.truncate(n);
+    let start = groups.len();
+    let mode = if start == 0 { "new" } else { "resumed" };
+    write!(
+        stream,
+        "HTTP/1.1 200 OK\r\nContent-Type: application/json\r\n\
+         Transfer-Encoding: chunked\r\nX-Campaign-Run: {mode}\r\n\
+         Connection: close\r\n\r\n"
+    )?;
+    write_chunk(stream, 0, &json_head(&spec.id))?;
+    let mut seq = 1u64;
     let mut fingerprint = Fingerprint::new();
-
-    staged(
-        write!(
-            stream,
-            "HTTP/1.1 200 OK\r\nContent-Type: application/json\r\n\
-             Transfer-Encoding: chunked\r\nX-Campaign-Run: {mode}\r\n\
-             Connection: close\r\n\r\n"
-        )
-        .map_err(StreamError::Io),
-        durable,
-    )?;
-
-    let mut full = render_prefix(&spec.id);
-    let mut seq = 0u64;
-    staged(
-        write_chunk(stream, seq, &full).map_err(StreamError::Io),
-        durable,
-    )?;
-    seq += 1;
+    // Folds a group into the fingerprint and streams it as one chunk.
+    let mut emit = |gi: usize, group: &str| {
+        fingerprint.push_group(group);
+        seq += 1;
+        write_chunk(stream, seq - 1, &format!("{}{group}", json_group_lead(gi)))
+    };
 
     // Replay the durable prefix: groups 0..start come from the WAL,
     // byte-identical to what the interrupted run streamed (and what an
     // uninterrupted run would compute).
-    for (gi, group) in replayed.iter().take(start).enumerate() {
-        let piece = if gi == 0 {
-            group.clone()
-        } else {
-            format!(",\n{group}")
-        };
-        staged(
-            write_chunk(stream, seq, &piece).map_err(StreamError::Io),
-            durable,
-        )?;
-        seq += 1;
-        full.push_str(&piece);
-        fingerprint.push_group(group);
+    for (gi, group) in groups.iter().enumerate() {
+        emit(gi, group)?;
     }
-
-    let cursor = AtomicUsize::new(start);
-    let result: Result<(), StreamError> = thread::scope(|scope| {
-        // Lossless result sink: the channel holds every group, no
-        // try_send, no drops (ingress is where load is shed).
-        let (tx, rx) = sync_channel::<(usize, Result<String, CampaignError>)>(groups.max(1));
-        for _ in 0..threads {
-            let tx = tx.clone();
-            let cursor = &cursor;
-            let plan = &plan;
-            scope.spawn(move || {
-                let mut ctx = CellContext::new();
-                loop {
-                    let gi = cursor.fetch_add(1, Ordering::Relaxed);
-                    if gi >= groups {
-                        return;
-                    }
-                    let rendered = evaluate_group(spec, plan, gi, &mut ctx);
-                    let halted = rendered.is_err();
-                    if tx.send((gi, rendered)).is_err() || halted {
-                        return; // coordinator gone or run halting
-                    }
-                }
-            });
-        }
-        drop(tx);
-
-        // Coordinator: re-order completions, flush strictly in group
-        // index order — WAL first, then the wire — one chunk per group.
-        let mut pending: BTreeMap<usize, String> = BTreeMap::new();
-        let mut next_flush = start;
-        for (gi, rendered) in rx {
-            pending.insert(gi, rendered.map_err(StreamError::Campaign)?);
-            while let Some(body) = pending.remove(&next_flush) {
-                if let Some(writer) = wal.as_deref_mut() {
-                    writer.append(body.as_bytes()).map_err(|e| {
-                        StreamError::Campaign(CampaignError::Store {
-                            campaign: spec.id.clone(),
-                            operation: "appending a group frame",
-                            source: StoreIoError::new(e),
-                        })
-                    })?;
-                    durable = writer.next_group();
-                }
-                fingerprint.push_group(&body);
-                let piece = if next_flush == 0 {
-                    body
-                } else {
-                    format!(",\n{body}")
-                };
-                write_chunk(stream, seq, &piece)?;
-                seq += 1;
-                full.push_str(&piece);
-                next_flush += 1;
+    parallel_map_into(
+        n - start,
+        threads,
+        CellContext::new,
+        |ctx, k| evaluate_group(spec, &plan, start + k, ctx).map(|g| json_group(&g)),
+        |k, rendered| {
+            let group = rendered.map_err(StreamError::Campaign)?;
+            if let Some(writer) = wal.as_deref_mut() {
+                writer.append(group.as_bytes()).map_err(|e| {
+                    StreamError::Campaign(CampaignError::Store {
+                        campaign: spec.id.clone(),
+                        operation: "appending a group frame",
+                        source: StoreIoError::new(e),
+                    })
+                })?;
             }
-        }
-        Ok(())
-    });
-    staged(result, durable)?;
-
-    staged(
-        write_chunk(stream, seq, RENDER_SUFFIX).map_err(StreamError::Io),
-        durable,
+            emit(start + k, &group)?;
+            groups.push(group);
+            Ok::<(), StreamError>(())
+        },
     )?;
-    staged(write_last_chunk(stream).map_err(StreamError::Io), durable)?;
-    full.push_str(RENDER_SUFFIX);
+    write_chunk(stream, seq, JSON_TAIL)?;
+    write_last_chunk(stream)?;
     Ok(RunOutcome {
-        body: full,
+        body: json_document(&spec.id, &groups),
         fingerprint: fingerprint.finish(),
     })
 }
@@ -1075,60 +930,78 @@ fn stream_run(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::campaign::{presets, run_campaign_with_threads};
+    use crate::campaign::{presets, run_campaign_with_threads, CampaignResult};
     use crate::output::campaign_to_json;
 
-    /// The incremental renderer must be byte-identical to the batch
-    /// emission — this is the contract the CI `cmp` step and the serve
-    /// loopback tests build on.
-    #[test]
-    fn render_pinned_to_batch_json() {
+    fn smoke() -> (CampaignSpec, CampaignResult) {
         let spec = presets::preset("ci-smoke", Some(2)).expect("preset");
         let res = run_campaign_with_threads(&spec, 2).expect("valid spec");
-        let batch = campaign_to_json(&res);
+        (spec, res)
+    }
 
-        let mut incremental = render_prefix(&spec.id);
-        let plan = CellPlan::new(&spec);
-        let mut ctx = CellContext::new();
-        for gi in 0..spec.num_groups() {
-            if gi > 0 {
-                incremental.push_str(",\n");
+    /// The de-chunked body of a chunked HTTP response.
+    fn de_chunk(response: &[u8]) -> String {
+        let text = std::str::from_utf8(response).expect("UTF-8 response");
+        let (_, mut rest) = text.split_once("\r\n\r\n").expect("header block");
+        let mut body = String::new();
+        loop {
+            let (size_line, after) = rest.split_once("\r\n").expect("chunk size line");
+            let size_hex = size_line.split(';').next().unwrap_or_default();
+            let size = usize::from_str_radix(size_hex, 16).expect("hex chunk size");
+            if size == 0 {
+                return body;
             }
-            incremental.push_str(&evaluate_group(&spec, &plan, gi, &mut ctx).expect("valid spec"));
+            body.push_str(&after[..size]);
+            rest = &after[size + 2..];
         }
-        incremental.push_str(RENDER_SUFFIX);
-        assert_eq!(incremental, batch);
+    }
+
+    /// The streamed body, and the body kept for replays, are
+    /// byte-identical to the batch emission at any thread count — the
+    /// contract the CI `cmp` steps and the serve loopback tests build on.
+    #[test]
+    fn render_pinned_to_batch_json() {
+        let (spec, res) = smoke();
+        let batch = campaign_to_json(&res);
+        for threads in [1, 3] {
+            let mut wire = Vec::new();
+            let run = stream_run(&mut wire, &spec, threads, Vec::new(), None)
+                .unwrap_or_else(|_| panic!("stream at {threads} thread(s)"));
+            assert_eq!(de_chunk(&wire), batch, "threads = {threads}");
+            assert_eq!(run.body, batch, "threads = {threads}");
+        }
+        // A resumed run streams its replayed prefix and computes the rest.
+        let prefix = vec![json_group(&res.groups[0])];
+        let mut wire = Vec::new();
+        let run = stream_run(&mut wire, &spec, 2, prefix, None).unwrap_or_else(|_| panic!());
+        assert_eq!(de_chunk(&wire), batch);
+        assert_eq!(run.body, batch);
     }
 
     #[test]
     fn content_hash_collapses_formatting_not_content() {
         let a = presets::preset("ci-smoke", Some(2)).expect("preset");
-        let mut b = a.clone();
-        assert_eq!(
-            content_hash(&a.to_json().unwrap()),
-            content_hash(&b.to_json().unwrap())
-        );
-        assert_eq!(spec_key(&a), content_hash(&a.to_json().unwrap()));
-        b.seed ^= 1;
-        assert_ne!(
-            content_hash(&a.to_json().unwrap()),
-            content_hash(&b.to_json().unwrap())
-        );
+        let compact = serde_json::to_string(&a).expect("spec serializes");
+        let b = CampaignSpec::from_json(&compact).expect("compact spec parses");
+        assert_eq!(spec_key(&a), spec_key(&b));
+        assert_eq!(spec_key(&a), fnv1a(a.to_json().unwrap().bytes()));
+        let mut c = a.clone();
+        c.seed ^= 1;
+        assert_ne!(spec_key(&a), spec_key(&c));
     }
 
     /// The store's fingerprint (over raw group payloads) must be
-    /// reproducible from `rendered_group` alone — recovery relies on
+    /// reproducible from the rendered groups alone — recovery relies on
     /// re-deriving it without a live run.
     #[test]
     fn fingerprint_reproducible_from_rendered_groups() {
-        let spec = presets::preset("ci-smoke", Some(2)).expect("preset");
-        let mut a = Fingerprint::new();
-        let mut b = Fingerprint::new();
-        for gi in 0..spec.num_groups() {
-            let g = rendered_group(&spec, gi).expect("valid spec");
-            a.push_group(&g);
-            b.push_group(&g);
+        let (spec, res) = smoke();
+        let mut expected = Fingerprint::new();
+        for group in &res.groups {
+            expected.push_group(&json_group(group));
         }
-        assert_eq!(a.finish(), b.finish());
+        let run = stream_run(&mut Vec::new(), &spec, 2, Vec::new(), None)
+            .unwrap_or_else(|_| panic!("stream"));
+        assert_eq!(run.fingerprint, expected.finish());
     }
 }

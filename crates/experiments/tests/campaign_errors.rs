@@ -14,6 +14,7 @@ use experiments::campaign::{
     Seeding, TaskCount, WorkloadSpec,
 };
 use ftsched_core::Algorithm;
+use platform::granularity::GranularityError;
 use platform::{FailureModel, UniformFailures};
 use simulator::streaming::{ArrivalProcess, PoissonArrivals};
 
@@ -196,4 +197,90 @@ fn validate_rejects_repetitions_the_seeding_ignores() {
         spec.repetitions = 1;
         spec.validate().unwrap();
     }
+}
+
+#[test]
+fn granularity_that_cannot_be_applied_is_a_typed_error() {
+    // Former panic sites: the assertions in `scale_to_granularity` and
+    // `ExecutionMatrix::scale`, reached by specs that passed `validate`.
+    // What the spec shows is rejected up front: a ccr whose granularity
+    // is infinite, and a granularity on a point without links.
+    let mut tiny_ccr = valid_spec();
+    tiny_ccr.platforms[0].ccr = 1e-320;
+    let mut one_proc = valid_spec();
+    one_proc.platforms[0].procs = 1;
+    one_proc.epsilons = vec![0];
+    for (spec, expected) in [(tiny_ccr, "not finite"), (one_proc, "no links")] {
+        let err = run_campaign_with_threads(&spec, 2).expect_err("rejected up front");
+        assert!(
+            matches!(&err, CampaignError::InvalidSpec(msg) if msg.contains(expected)),
+            "expected InvalidSpec naming `{expected}`, got {err}"
+        );
+    }
+
+    // What depends on the drawn instance comes back from the cell: a
+    // granularity the drawn times cannot reach, and one-task graphs,
+    // which have no edges to carry a granularity.
+    let mut huge = valid_spec();
+    huge.platforms[0].granularity = 1e308;
+    let mut edgeless = valid_spec();
+    edgeless.workloads = vec![WorkloadSpec::Layered(TaskCount { tasks: 1 })];
+    for (spec, label, g, source) in [
+        (
+            huge,
+            "paper-layered[15..20]",
+            1e308,
+            GranularityError::OutOfRange { target: 1e308 },
+        ),
+        (
+            edgeless,
+            "layered[1]",
+            0.8,
+            GranularityError::NoCommunication,
+        ),
+    ] {
+        spec.validate().expect("passes validation");
+        let err = run_campaign_with_threads(&spec, 2).expect_err("the cell cannot rescale");
+        assert_eq!(
+            err,
+            CampaignError::Granularity {
+                campaign: "errs".into(),
+                workload: label.into(),
+                platform: 0,
+                granularity: g,
+                source,
+            }
+        );
+        assert!(err.to_string().contains("cannot take granularity"), "{err}");
+        assert!(std::error::Error::source(&err).is_some());
+    }
+
+    // Stream cells draw their instances the same way.
+    let mut stream = valid_spec();
+    stream.workloads = vec![WorkloadSpec::Layered(TaskCount { tasks: 1 })];
+    stream.repetitions = 1;
+    stream.measures = MeasurePlan {
+        bounds: false,
+        normalize: false,
+        ..Default::default()
+    };
+    stream.arrivals = Some(ArrivalSpec {
+        process: ArrivalProcess::Poisson(PoissonArrivals {
+            rate: 0.01,
+            count: 2,
+        }),
+        deadline_stretch: 3.0,
+        failures: FailureModel::Uniform(UniformFailures { crashes: 0 }),
+    });
+    let err = run_campaign_with_threads(&stream, 1).expect_err("edgeless stream");
+    assert!(
+        matches!(
+            &err,
+            CampaignError::Granularity {
+                source: GranularityError::NoCommunication,
+                ..
+            }
+        ),
+        "expected Granularity, got {err}"
+    );
 }

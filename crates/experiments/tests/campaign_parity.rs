@@ -11,8 +11,10 @@
 //! value is that it does not share code with the engine under test.
 
 use experiments::campaign::{
+    evaluate_any_cell_into,
     presets::{preset, PRESET_NAMES},
-    run_campaign_with_threads, CampaignSpec, LayeredRange, PlatformSpec, WorkloadSpec,
+    run_campaign_with_threads, CampaignSpec, CellContext, CellPlan, LayeredRange, PlatformSpec,
+    SeriesKey, WorkloadSpec,
 };
 use ftsched_core::Algorithm;
 use platform::{FailureModel, UniformFailures};
@@ -659,20 +661,59 @@ fn reliability_preset_matches_frozen_driver() {
     }
 }
 
+/// The named preset at one repetition, with the heavyweight grids
+/// shrunk so a whole-catalogue test stays fast.
+fn reduced_preset(name: &str) -> CampaignSpec {
+    let mut spec = preset(name, Some(1)).unwrap();
+    if name.starts_with("fig") {
+        spec.platforms.truncate(2);
+    }
+    if name == "contention" {
+        spec.epsilons.truncate(1);
+    }
+    spec
+}
+
 #[test]
 fn full_preset_specs_run_at_reduced_scale() {
     // Every named preset executes end to end at one repetition; the
     // heavyweight grids shrink so the whole suite stays fast.
     for name in PRESET_NAMES {
-        let mut spec = preset(name, Some(1)).unwrap();
-        if name.starts_with("fig") {
-            spec.platforms.truncate(2);
-        }
-        if name == "contention" {
-            spec.epsilons.truncate(1);
-        }
+        let spec = reduced_preset(name);
         let res = run_campaign_with_threads(&spec, 2).unwrap_or_else(|e| panic!("{name}: {e}"));
         assert_eq!(res.groups.len(), spec.num_groups());
         assert!(res.groups.iter().all(|g| !g.series.is_empty()));
+    }
+}
+
+#[test]
+fn warm_contexts_never_change_a_cell() {
+    // The executor keeps one `CellContext` per worker, and which cells a
+    // worker evaluates depends on timing. Thread invariance therefore
+    // rests on a cell's series not depending on what its context held
+    // before: every cell of every preset (online's stream cells
+    // included), evaluated through one warm context forward and then in
+    // reverse, must match a fresh context per cell bit for bit. Wall-clock
+    // `Seconds` series are the only ones left out.
+    for name in PRESET_NAMES {
+        let spec = reduced_preset(name);
+        let plan = CellPlan::new(&spec);
+        let evaluate = |ctx: &mut CellContext, i: usize| -> Vec<(SeriesKey, u64)> {
+            let mut out = Vec::new();
+            evaluate_any_cell_into(&spec, &plan, i, ctx, &mut out)
+                .unwrap_or_else(|e| panic!("{name} cell {i}: {e}"));
+            out.into_iter()
+                .filter(|(key, _)| !matches!(key, SeriesKey::Seconds(_)))
+                .map(|(key, value)| (key, value.to_bits()))
+                .collect()
+        };
+        let n = spec.num_cells();
+        let fresh: Vec<_> = (0..n)
+            .map(|i| evaluate(&mut CellContext::new(), i))
+            .collect();
+        let mut warm = CellContext::new();
+        for i in (0..n).chain((0..n).rev()) {
+            assert_eq!(evaluate(&mut warm, i), fresh[i], "{name} cell {i}");
+        }
     }
 }

@@ -69,11 +69,17 @@ pub fn paper_dag(rng: &mut impl Rng, tasks_lo: usize, tasks_hi: usize) -> Dag {
 /// with `U[tasks_lo, tasks_hi]` tasks and `U[50, 150]` volumes, symmetric
 /// link delays `U[0.5, 1]`, unrelated execution times, all rescaled to hit
 /// the target granularity exactly.
+///
+/// # Panics
+///
+/// If the granularity cannot be applied (see [`scale_to_granularity`]):
+/// one processor, a one-task graph, or a target out of range.
 pub fn paper_instance(rng: &mut impl Rng, cfg: &PaperInstanceConfig) -> Instance {
     let dag = paper_dag(rng, cfg.tasks_lo, cfg.tasks_hi);
     let platform = random_platform(rng, cfg.procs, 0.5, 1.0);
     let mut exec = ExecutionMatrix::unrelated_with_procs(&dag, cfg.procs, rng, cfg.heterogeneity);
-    scale_to_granularity(&dag, &platform, &mut exec, cfg.granularity);
+    scale_to_granularity(&dag, &platform, &mut exec, cfg.granularity)
+        .unwrap_or_else(|e| panic!("paper instance: {e}"));
     Instance::new(dag, platform, exec)
 }
 

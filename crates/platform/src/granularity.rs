@@ -12,6 +12,7 @@
 
 use crate::exec::ExecutionMatrix;
 use crate::plat::Platform;
+use std::fmt;
 use taskgraph::Dag;
 
 /// Sum over edges of the *slowest* communication time
@@ -38,21 +39,57 @@ pub fn granularity(dag: &Dag, platform: &Platform, exec: &ExecutionMatrix) -> Op
     }
 }
 
+/// Why [`scale_to_granularity`] could not rescale an instance.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum GranularityError {
+    /// The instance has no communication (no edges, zero volumes or one
+    /// processor), so its granularity is undefined.
+    NoCommunication,
+    /// The target is not positive and finite, or reaching it would take
+    /// a scale factor or execution times that are not.
+    OutOfRange {
+        /// The requested granularity.
+        target: f64,
+    },
+}
+
+impl fmt::Display for GranularityError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            GranularityError::NoCommunication => f.write_str(
+                "granularity is undefined for an instance without communication \
+                 (no edges, zero volumes or one processor)",
+            ),
+            GranularityError::OutOfRange { target } => write!(
+                f,
+                "granularity {target:?} is out of range: the rescaled execution times \
+                 would not be finite"
+            ),
+        }
+    }
+}
+
+impl std::error::Error for GranularityError {}
+
 /// Rescales `exec` in place so the instance's granularity becomes exactly
-/// `target`. Returns the applied factor. Panics if granularity is
-/// undefined (no communication) or `target` is not positive.
+/// `target`, and returns the applied factor. Leaves `exec` untouched and
+/// reports why when the granularity is undefined or the target cannot be
+/// reached with positive, finite execution times.
 pub fn scale_to_granularity(
     dag: &Dag,
     platform: &Platform,
     exec: &mut ExecutionMatrix,
     target: f64,
-) -> f64 {
-    assert!(target > 0.0 && target.is_finite());
-    let current = granularity(dag, platform, exec)
-        .expect("granularity undefined: instance has no communication");
+) -> Result<f64, GranularityError> {
+    let current = granularity(dag, platform, exec).ok_or(GranularityError::NoCommunication)?;
     let factor = target / current;
+    let fits = |x: f64| x > 0.0 && x.is_finite();
+    // No time exceeds the sum of the per-task slowest ones.
+    if !(fits(target) && fits(factor) && fits(exec.total_slowest() * factor)) {
+        return Err(GranularityError::OutOfRange { target });
+    }
     exec.scale(factor);
-    factor
+    Ok(factor)
 }
 
 #[cfg(test)]
@@ -83,7 +120,7 @@ mod tests {
     fn scaling_hits_target_exactly() {
         let (dag, platform, mut exec) = instance();
         for target in [0.2, 0.6, 1.0, 1.4, 2.0] {
-            scale_to_granularity(&dag, &platform, &mut exec, target);
+            scale_to_granularity(&dag, &platform, &mut exec, target).unwrap();
             let g = granularity(&dag, &platform, &exec).unwrap();
             assert!((g - target).abs() < 1e-9, "target {target}, got {g}");
         }
@@ -93,7 +130,7 @@ mod tests {
     fn scaling_preserves_relative_speeds() {
         let (dag, platform, mut exec) = instance();
         let ratio_before = exec.time(0, 0) / exec.time(0, 1);
-        scale_to_granularity(&dag, &platform, &mut exec, 1.5);
+        scale_to_granularity(&dag, &platform, &mut exec, 1.5).unwrap();
         let ratio_after = exec.time(0, 0) / exec.time(0, 1);
         assert!((ratio_before - ratio_after).abs() < 1e-12);
     }
@@ -114,5 +151,27 @@ mod tests {
         let platform = Platform::uniform_delay(1, 0.0);
         let exec = ExecutionMatrix::consistent(&dag, &[1.0]);
         assert_eq!(granularity(&dag, &platform, &exec), None);
+    }
+
+    #[test]
+    fn unreachable_targets_are_errors_and_leave_times_untouched() {
+        let (dag, platform, mut exec) = instance();
+        let before = exec.clone();
+        // 1e308 overflows the factor; the rest are not positive and
+        // finite.
+        for target in [1e308, 0.0, -1.0, f64::NAN, f64::INFINITY] {
+            let res = scale_to_granularity(&dag, &platform, &mut exec, target);
+            assert!(
+                matches!(res, Err(GranularityError::OutOfRange { .. })),
+                "target {target}: {res:?}"
+            );
+            assert_eq!(exec.time(0, 0).to_bits(), before.time(0, 0).to_bits());
+        }
+        let one = Platform::uniform_delay(1, 0.0);
+        let mut single = ExecutionMatrix::consistent(&dag, &[1.0]);
+        assert_eq!(
+            scale_to_granularity(&dag, &one, &mut single, 1.0),
+            Err(GranularityError::NoCommunication)
+        );
     }
 }

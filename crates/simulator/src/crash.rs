@@ -888,9 +888,8 @@ fn run_prepared(
 /// uniform `crashes`-processor fail-at-time-zero scenarios against
 /// `sched` on `threads` workers of [`crate::parallel::parallel_map_with`]
 /// and returns one scalar [`ReplicationOutcome`] per replication. Each
-/// deterministic chunk of replications shares one [`CrashWorkspace`], so
-/// the event replay allocates nothing after each chunk's first
-/// replication.
+/// worker replays all its replications on one [`CrashWorkspace`], so the
+/// event replay allocates nothing after a worker's first replication.
 ///
 /// Replication `r` draws its scenario from
 /// [`crate::replication_seed`]`(base_seed, r)`, so the returned vector is

@@ -39,7 +39,9 @@
 //! compare the engine against.
 //!
 //! [`parallel`] holds the workspace's one parallel executor,
-//! [`parallel::parallel_map_with`]. The Monte-Carlo drivers
+//! [`parallel::parallel_map_into`], which hands results to the caller in
+//! index order, and its collecting form [`parallel::parallel_map_with`].
+//! The Monte-Carlo drivers
 //! ([`crash::simulate_replication_outcomes`] and
 //! [`reliability::survival_probability_monte_carlo_par`]) take their
 //! worker count as a final `threads` argument and seed replication `i`

@@ -3,90 +3,120 @@
 //!
 //! Together with [`crate::replication_seed`] this is the determinism
 //! contract every sweep relies on. Work item `i` derives everything
-//! random from its index, and the executor returns the results in index
-//! order with chunk boundaries that depend on `n` alone, so output is
-//! bit-identical at any thread count. The campaign executor, the
-//! Monte-Carlo crash replications and the reliability estimator all run
-//! through [`parallel_map_with`]; `tests/parallel_determinism.rs` (repo
-//! root) enforces the contract end to end.
+//! random from its index, and the executor hands the results back in
+//! index order, so output is bit-identical at any thread count as long
+//! as `f(state, i)` does not depend on the state's history (which chunks
+//! a worker claims depends on timing) — the reuse contract of
+//! `ScheduleWorkspace`, `CrashWorkspace` and the campaign's
+//! `CellContext`. The campaign executor, the streaming campaign service,
+//! the Monte-Carlo crash replications and the reliability estimator all
+//! run through [`parallel_map_into`]; `tests/parallel_determinism.rs`
+//! (repo root) enforces the contract end to end.
 
+use std::convert::Infallible;
 use std::panic;
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::mpsc;
 use std::thread;
 
 /// Upper bound on the number of chunks a map is split into: enough for
-/// the workers to balance uneven chunks, few enough that per-chunk
-/// state is built a bounded number of times.
+/// the workers to balance uneven chunks.
 const MAX_CHUNKS: usize = 64;
 
-/// Applies `f` to every index `0..n` and returns the results in index
-/// order, on at most `threads` workers.
+/// Applies `f` to every index `0..n` on at most `threads` workers and
+/// hands each result to `sink` on the calling thread, in index order.
 ///
-/// The indices are cut into contiguous chunks of `n.div_ceil(64)`
-/// (at least 1), a function of `n` alone. Each chunk builds one state
-/// with `init` and calls `f(&mut state, i)` for its indices in
-/// ascending order; `min(threads, chunks)` workers claim chunks from a
-/// shared cursor and the per-chunk results are reassembled in chunk
-/// order. As long as `f(state, i)` returns the same value whatever the
-/// state's history (the reuse contract of `ScheduleWorkspace` and
-/// `CrashWorkspace`), the output is bit-identical at any thread count.
-///
-/// With one worker everything runs inline on the calling thread and no
-/// thread is spawned; empty input calls neither `init` nor `f`. A panic
-/// in `init` or `f` resumes on the caller with its original payload.
+/// The indices are cut into contiguous chunks of `n.div_ceil(64)` (at
+/// least 1). `min(threads, chunks)` scoped workers are spawned, even for
+/// one thread; each builds one state with `init`, then claims chunks
+/// from a shared cursor and calls `f(&mut state, i)` in ascending index
+/// order. `sink(i, value)` runs as soon as every earlier index has been
+/// delivered. After a sink error no further chunk is handed out, and the
+/// error is returned once the workers have finished the chunks in hand.
+/// Empty input calls none of `init`, `f` or `sink`. A panic in `init` or
+/// `f` resumes on the caller with its original payload.
 ///
 /// # Panics
 ///
 /// If `threads == 0`; callers resolve "default" to a count first.
+pub fn parallel_map_into<T, S, E, I, F, K>(
+    n: usize,
+    threads: usize,
+    init: I,
+    f: F,
+    mut sink: K,
+) -> Result<(), E>
+where
+    T: Send,
+    I: Fn() -> S + Sync,
+    F: Fn(&mut S, usize) -> T + Sync,
+    K: FnMut(usize, T) -> Result<(), E>,
+{
+    assert!(threads >= 1, "parallel_map_into needs at least one thread");
+    let chunk = n.div_ceil(MAX_CHUNKS).max(1);
+    let chunks = n.div_ceil(chunk);
+    let cursor = AtomicUsize::new(0);
+    let (tx, rx) = mpsc::channel::<(usize, T)>();
+    thread::scope(|scope| {
+        let handles: Vec<_> = (0..threads.min(chunks))
+            .map(|_| {
+                let tx = tx.clone();
+                let (cursor, init, f) = (&cursor, &init, &f);
+                scope.spawn(move || {
+                    let mut state = init();
+                    loop {
+                        let c = cursor.fetch_add(1, Ordering::Relaxed);
+                        if c >= chunks {
+                            return;
+                        }
+                        for i in c * chunk..n.min((c + 1) * chunk) {
+                            tx.send((i, f(&mut state, i)))
+                                .expect("the receiver outlives every worker");
+                        }
+                    }
+                })
+            })
+            .collect();
+        drop(tx);
+        // `pending[i]` holds a result until every earlier one is sunk.
+        let mut pending: Vec<Option<T>> = Vec::new();
+        pending.resize_with(n, || None);
+        let mut next = 0;
+        let mut outcome = Ok(());
+        'receive: for (i, value) in &rx {
+            pending[i] = Some(value);
+            while let Some(value) = pending.get_mut(next).and_then(Option::take) {
+                if let Err(e) = sink(next, value) {
+                    // Claims after this store read at least `chunks`; the
+                    // cursor publishes no data, so `Relaxed` suffices.
+                    cursor.store(chunks, Ordering::Relaxed);
+                    outcome = Err(e);
+                    break 'receive;
+                }
+                next += 1;
+            }
+        }
+        for handle in handles {
+            if let Err(payload) = handle.join() {
+                panic::resume_unwind(payload);
+            }
+        }
+        outcome
+    })
+}
+
+/// [`parallel_map_into`] collected into a `Vec`, in index order.
 pub fn parallel_map_with<T, S, I, F>(n: usize, threads: usize, init: I, f: F) -> Vec<T>
 where
     T: Send,
     I: Fn() -> S + Sync,
     F: Fn(&mut S, usize) -> T + Sync,
 {
-    assert!(threads >= 1, "parallel_map_with needs at least one thread");
-    let chunk = n.div_ceil(MAX_CHUNKS).max(1);
-    let chunks = n.div_ceil(chunk);
-    let run = |c: usize| -> Vec<T> {
-        let mut state = init();
-        (c * chunk..n.min((c + 1) * chunk))
-            .map(|i| f(&mut state, i))
-            .collect()
-    };
-    let workers = threads.min(chunks);
-    let parts: Vec<Vec<T>> = if workers <= 1 {
-        (0..chunks).map(run).collect()
-    } else {
-        // The cursor only hands out chunk numbers; results travel back
-        // through `join`, which synchronizes on its own.
-        let cursor = AtomicUsize::new(0);
-        let worker = || {
-            let mut mine = Vec::new();
-            loop {
-                let c = cursor.fetch_add(1, Ordering::Relaxed);
-                if c >= chunks {
-                    return mine;
-                }
-                mine.push((c, run(c)));
-            }
-        };
-        let mut tagged: Vec<(usize, Vec<T>)> = thread::scope(|scope| {
-            let handles: Vec<_> = (0..workers).map(|_| scope.spawn(worker)).collect();
-            handles
-                .into_iter()
-                .flat_map(|h| {
-                    h.join()
-                        .unwrap_or_else(|payload| panic::resume_unwind(payload))
-                })
-                .collect()
-        });
-        tagged.sort_unstable_by_key(|&(c, _)| c);
-        tagged.into_iter().map(|(_, part)| part).collect()
-    };
     let mut out = Vec::with_capacity(n);
-    for part in parts {
-        out.extend(part);
-    }
+    let Ok(()) = parallel_map_into(n, threads, init, f, |_, value| {
+        out.push(value);
+        Ok::<(), Infallible>(())
+    });
     out
 }
 
@@ -117,6 +147,14 @@ mod tests {
                 |_: &mut (), _| unreachable!(),
             );
             assert!(out.is_empty());
+            let into: Result<(), ()> = parallel_map_into(
+                0,
+                threads,
+                || unreachable!(),
+                |_: &mut (), _| -> u32 { unreachable!() },
+                |_, _| unreachable!(),
+            );
+            assert_eq!(into, Ok(()));
         }
     }
 
@@ -146,14 +184,14 @@ mod tests {
 
     #[test]
     fn map_with_state_matches_stateless_map_at_any_thread_count() {
-        // Per-chunk state must be invisible in the output: the same
+        // Per-worker state must be invisible in the output: the same
         // values as a sequential map, in index order, at every worker
         // count.
         let plain: Vec<usize> = (0..150).map(|i| (i * 31) % 17).collect();
         for threads in [1, 2, 8] {
             let with_state = parallel_map_with(150, threads, Vec::<usize>::new, |scratch, i| {
-                // Use the state in a way that depends on chunk
-                // history; the *returned* value must not.
+                // Use the state in a way that depends on its history;
+                // the *returned* value must not.
                 scratch.push(i);
                 (i * 31) % 17
             });
@@ -163,10 +201,11 @@ mod tests {
 
     #[test]
     fn map_with_reuses_state_within_chunks() {
-        // One state per chunk, whatever the worker count, and each
-        // chunk's calls arrive in ascending index order.
+        // One state per worker, built before its first claim whether or
+        // not a chunk is left for it, and each state sees its indices in
+        // strictly ascending order.
         let n: usize = 200;
-        let chunk = n.div_ceil(MAX_CHUNKS);
+        let chunks = n.div_ceil(n.div_ceil(MAX_CHUNKS));
         for threads in [1, 2, 4, 8] {
             let inits = AtomicUsize::new(0);
             let out = parallel_map_with(
@@ -178,14 +217,14 @@ mod tests {
                 },
                 |last, i| {
                     if let Some(l) = *last {
-                        assert_eq!(l + 1, i, "a chunk skipped or reordered an index");
+                        assert!(l < i, "a worker saw index {i} after {l}");
                     }
                     *last = Some(i);
                     i
                 },
             );
             assert_eq!(out, (0..n).collect::<Vec<_>>());
-            assert_eq!(inits.load(Ordering::Relaxed), n.div_ceil(chunk));
+            assert_eq!(inits.load(Ordering::Relaxed), threads.min(chunks));
         }
     }
 
@@ -196,10 +235,49 @@ mod tests {
     }
 
     #[test]
-    fn one_thread_runs_on_the_caller() {
+    fn sink_runs_on_the_caller_in_index_order() {
         let caller = thread::current().id();
-        let ids = parallel_map_with(100, 1, || (), |_, _| thread::current().id());
-        assert!(ids.iter().all(|&id| id == caller));
+        for threads in [1, 2, 4, 8] {
+            let mut seen = Vec::new();
+            let res: Result<(), ()> = parallel_map_into(
+                300,
+                threads,
+                || (),
+                |_, i| (i, thread::current().id()),
+                |i, (j, worker)| {
+                    assert_eq!(thread::current().id(), caller, "sink off the caller");
+                    assert_ne!(worker, caller, "f ran on the caller");
+                    assert_eq!(i, j);
+                    seen.push(i);
+                    Ok(())
+                },
+            );
+            assert_eq!(res, Ok(()));
+            assert_eq!(seen, (0..300).collect::<Vec<_>>(), "threads = {threads}");
+        }
+    }
+
+    #[test]
+    fn sink_error_is_returned_and_stops_delivery() {
+        for threads in [1, 4] {
+            let mut last = None;
+            let res = parallel_map_into(
+                500,
+                threads,
+                || (),
+                |_, i| i,
+                |i, _| {
+                    last = Some(i);
+                    if i == 123 {
+                        Err(format!("stop at {i}"))
+                    } else {
+                        Ok(())
+                    }
+                },
+            );
+            assert_eq!(res, Err("stop at 123".to_string()), "threads = {threads}");
+            assert_eq!(last, Some(123), "threads = {threads}");
+        }
     }
 
     #[test]

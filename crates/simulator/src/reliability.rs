@@ -105,7 +105,7 @@ pub struct MonteCarloReliability {
 ///
 /// Sample `i` draws its failure pattern from
 /// [`crate::replication_seed`]`(base_seed, i)` and replays it on its
-/// chunk's [`CrashWorkspace`]. The per-sample outcomes are combined in
+/// worker's [`CrashWorkspace`]. The per-sample outcomes are combined in
 /// sample order on the calling thread, so the estimate (including the
 /// floating-point latency mean) is bit-identical at any thread count.
 pub fn survival_probability_monte_carlo_par(
@@ -235,7 +235,7 @@ mod tests {
 
     #[test]
     fn monte_carlo_agrees_with_exact() {
-        // One thread: every sample replays inline on the caller.
+        // One worker thread replays every sample on one workspace.
         let inst = small_instance(7, 5);
         let s = schedule(&inst, 2, Algorithm::Ftsa, &mut StdRng::seed_from_u64(5)).unwrap();
         let p = 0.25;

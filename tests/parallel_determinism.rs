@@ -11,8 +11,8 @@
 //! timing.)
 //!
 //! The CI thread matrix reruns this suite under `FTSCHED_THREADS=1` and
-//! `FTSCHED_THREADS=4` so both the inline sequential path and the
-//! scoped-thread path are exercised on every push.
+//! `FTSCHED_THREADS=4`, so one worker and several workers (each keeping
+//! one state across the chunks it claims) are exercised on every push.
 
 use experiments::campaign::{
     presets, run_campaign_with_threads, CampaignSpec, LayeredRange, PlatformSpec, WorkloadSpec,

@@ -4,11 +4,15 @@
 //! submissions share one run, malformed specs bounce with a 4xx while
 //! the server stays live, and (with a data dir) runs survive a restart:
 //! completed runs replay byte-identically, interrupted ones resume from
-//! their WAL checkpoints bit-exactly.
+//! their WAL checkpoints bit-exactly; a spec whose granularity cannot
+//! be applied fails its run (or is rejected up front) without taking a
+//! handler thread down.
 
-use experiments::campaign::{presets, run_campaign_with_threads, CampaignSpec};
-use experiments::output::campaign_to_json;
-use experiments::serve::{rendered_group, spec_key, ServeConfig, Server};
+use experiments::campaign::{
+    presets, run_campaign_with_threads, CampaignSpec, TaskCount, WorkloadSpec,
+};
+use experiments::output::{campaign_to_json, json_group};
+use experiments::serve::{spec_key, ServeConfig, Server};
 use experiments::store::{key_hex, Store};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -330,7 +334,8 @@ fn interrupted_run_resumes_bit_exactly() {
     let key = spec_key(&spec);
     let groups = spec.num_groups();
     assert!(groups >= 2, "need a resumable tail");
-    let reference = campaign_to_json(&run_campaign_with_threads(&spec, 1).expect("valid spec"));
+    let result = run_campaign_with_threads(&spec, 1).expect("valid spec");
+    let reference = campaign_to_json(&result);
 
     for threads in [1usize, 4] {
         let dir = scratch_dir(&format!("resume_t{threads}"));
@@ -340,7 +345,7 @@ fn interrupted_run_resumes_bit_exactly() {
         let mut wal = store
             .begin_run(key, &spec.id, &spec_json, groups)
             .expect("begin run");
-        wal.append(rendered_group(&spec, 0).expect("group 0").as_bytes())
+        wal.append(json_group(&result.groups[0]).as_bytes())
             .expect("append");
         drop(wal);
         drop(store);
@@ -457,10 +462,10 @@ fn overflow_answers_503_with_retry_after() {
     drop(fill_queue);
 }
 
-/// Sends raw bytes and reads the status line of the answer, waiting at
-/// most `timeout` for it — so a server that never answers fails the
+/// Sends raw bytes and reads the whole answer, waiting at most
+/// `timeout` for each read — so a server that never answers fails the
 /// test instead of hanging it.
-fn status_within(addr: SocketAddr, raw: &[u8], timeout: Duration) -> String {
+fn response_within(addr: SocketAddr, raw: &[u8], timeout: Duration) -> String {
     let mut stream = TcpStream::connect(addr).expect("connect");
     stream
         .set_read_timeout(Some(timeout))
@@ -470,7 +475,12 @@ fn status_within(addr: SocketAddr, raw: &[u8], timeout: Duration) -> String {
     stream
         .read_to_end(&mut bytes)
         .expect("the server answers before the client gives up");
-    let text = String::from_utf8_lossy(&bytes);
+    String::from_utf8_lossy(&bytes).into_owned()
+}
+
+/// The status line of [`response_within`]'s answer.
+fn status_within(addr: SocketAddr, raw: &[u8], timeout: Duration) -> String {
+    let text = response_within(addr, raw, timeout);
     text.split("\r\n").next().unwrap_or_default().to_string()
 }
 
@@ -525,4 +535,53 @@ fn silent_client_is_dropped_at_the_read_deadline() {
         "dropped after {:?}, before the client had time to send",
         opened.elapsed()
     );
+}
+
+/// Granularity the server cannot apply. A `ccr` so small that its
+/// granularity is infinite is visible in the spec: a `400`. One-task
+/// graphs have no edges, so no granularity, which shows only once a cell
+/// draws one: the run halts with its stream cut, a resubmission gets the
+/// failure as a `500`, and the server's only handler thread survives
+/// both and still answers.
+#[test]
+fn unappliable_granularity_fails_the_run_not_the_handler() {
+    let addr = spawn_server(ServeConfig {
+        threads: 2,
+        handlers: 1,
+        ..ServeConfig::default()
+    });
+    let timeout = Duration::from_secs(30);
+    let post = |spec: &CampaignSpec| {
+        let body = spec.to_json().expect("spec serializes");
+        let raw = format!(
+            "POST /campaigns HTTP/1.1\r\nHost: loopback\r\nContent-Length: {}\r\n\
+             Connection: close\r\n\r\n{body}",
+            body.len()
+        );
+        response_within(addr, raw.as_bytes(), timeout)
+    };
+
+    let mut tiny_ccr = smoke_spec();
+    tiny_ccr.platforms[1].ccr = 1e-320;
+    let res = post(&tiny_ccr);
+    assert!(res.starts_with("HTTP/1.1 400 Bad Request"), "{res}");
+    assert!(res.contains("not finite"), "{res}");
+
+    let mut edgeless = smoke_spec();
+    edgeless.workloads = vec![WorkloadSpec::Layered(TaskCount { tasks: 1 })];
+    let first = post(&edgeless);
+    assert!(first.starts_with("HTTP/1.1 200 OK"), "{first}");
+    assert!(
+        !first.ends_with("0\r\n\r\n"),
+        "a halted run must not end its stream cleanly: {first}"
+    );
+    let again = post(&edgeless);
+    assert!(
+        again.starts_with("HTTP/1.1 500 Internal Server Error"),
+        "{again}"
+    );
+    assert!(again.contains("cannot take granularity"), "{again}");
+
+    let health = status_within(addr, b"GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n", timeout);
+    assert_eq!(health, "HTTP/1.1 200 OK");
 }
