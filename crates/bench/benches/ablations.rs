@@ -5,7 +5,7 @@
 //! * FTBAR with and without the minimize-start-time duplication pass;
 //! * FTSA's criticalness priority vs the static bottom level;
 //! * unbounded, one-port and multi-port sender models under contention;
-//! * event-queue simulation vs the analytic replay.
+//! * the static crash pass vs the event loop it is tested against.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use ftsched_bench::bench_instance;
@@ -14,7 +14,7 @@ use ftsched_core::{schedule, Algorithm};
 use platform::FailureScenario;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use simulator::{replay::replay, simulate};
+use simulator::crash::{simulate_event_loop_into, simulate_into, CrashWorkspace, FallbackPolicy};
 
 fn bench_mc_selectors(c: &mut Criterion) {
     let mut group = c.benchmark_group("ablation/mc-selector");
@@ -100,12 +100,18 @@ fn bench_sim_engines(c: &mut Criterion) {
     let mut group = c.benchmark_group("ablation/simulator");
     group.sample_size(10);
     let inst = bench_instance(125, 20, 44);
-    let sched = schedule(&inst, 2, Algorithm::Ftsa, &mut StdRng::seed_from_u64(1)).unwrap();
     let scen = FailureScenario::uniform(&mut StdRng::seed_from_u64(2), 20, 2);
-    group.bench_function("event-queue", |b| b.iter(|| simulate(&inst, &sched, &scen)));
-    group.bench_function("analytic-replay", |b| {
-        b.iter(|| replay(&inst, &sched, &scen))
-    });
+    let rerouted = FallbackPolicy::Rerouted;
+    for alg in [Algorithm::Ftsa, Algorithm::Ftbar] {
+        let sched = schedule(&inst, 2, alg, &mut StdRng::seed_from_u64(1)).unwrap();
+        let mut ws = CrashWorkspace::new();
+        group.bench_function(BenchmarkId::new("event-loop", alg.name()), |b| {
+            b.iter(|| simulate_event_loop_into(&inst, &sched, &scen, rerouted, None, &mut ws))
+        });
+        group.bench_function(BenchmarkId::new("static-pass", alg.name()), |b| {
+            b.iter(|| simulate_into(&inst, &sched, &scen, rerouted, &mut ws))
+        });
+    }
     group.finish();
 }
 

@@ -8,8 +8,8 @@
 //!   `BENCH_scheduler.json` baseline;
 //! * `ablations` — component-level design choices (greedy vs bottleneck
 //!   matching, FTBAR with and without the minimize-start-time pass,
-//!   FTSA priority policies, port models, event-queue simulation vs
-//!   analytic replay);
+//!   FTSA priority policies, port models, the static crash pass vs the
+//!   event loop);
 //! * `campaign` — the declarative scenario-grid executor (whole-grid
 //!   runs at 1/4 workers plus the warm per-cell hot path);
 //! * `json` — the JSON writer (the float kernel against `{:?}`, and a

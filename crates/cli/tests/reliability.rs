@@ -1,7 +1,7 @@
 //! `ftsched reliability` on the three golden bundles, through
 //! `ftsched_cli::run` and through the binary. FTBAR's bundle carries late
 //! duplicates (more than ε+1 replicas of a task); the Monte-Carlo
-//! estimate replays them on the crash engine like any other replica.
+//! estimate replays them through the crash pass like any other replica.
 
 use std::process::Command;
 

@@ -34,6 +34,10 @@
 //!   connection is dropped. A silent or trickling client therefore
 //!   holds a handler thread for at most that long, and no request grows
 //!   a buffer past the head cap or [`ServeConfig::max_body`].
+//! * Each write to a client may stall for 5 s. A client that stops
+//!   reading a streamed body fails the write like a hangup (see below),
+//!   so it holds a handler thread for at most that long after its
+//!   socket buffers fill.
 //!
 //! Each streamed chunk carries a `;seq=<n>` chunk extension with a
 //! strictly increasing sequence number from 0 — standard de-chunkers
@@ -136,6 +140,12 @@ const MAX_HEAD: u64 = 16 * 1024;
 /// How long a client has, once a handler takes its connection, to
 /// deliver its whole request (head and body).
 const READ_DEADLINE: Duration = Duration::from_secs(5);
+
+/// How long one write to a client may stall before the connection is
+/// dropped: a client that stops reading a streamed body fails the write
+/// like a hangup, so its run settles as resumable and the handler is
+/// free again.
+const WRITE_STALL_DEADLINE: Duration = Duration::from_secs(5);
 
 /// Tuning knobs of a [`Server`].
 #[derive(Debug, Clone)]
@@ -494,6 +504,7 @@ fn try_handle(
     threads: usize,
     max_body: usize,
 ) -> io::Result<()> {
+    stream.set_write_timeout(Some(WRITE_STALL_DEADLINE))?;
     let mut reader = BufReader::new(DeadlineReader {
         stream: stream.try_clone()?,
         until: Instant::now() + READ_DEADLINE,

@@ -90,17 +90,12 @@ impl Fingerprint {
     /// Starts a digest (FNV-1a offset basis).
     #[allow(clippy::new_without_default)]
     pub fn new() -> Fingerprint {
-        Fingerprint(0xcbf2_9ce4_8422_2325)
+        Fingerprint(wal::FNV1A_BASIS)
     }
 
     /// Folds one group payload (and a boundary marker) into the digest.
     pub fn push_group(&mut self, payload: &str) {
-        let mut h = self.0;
-        for b in payload.bytes().chain(std::iter::once(0x1E)) {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x0000_0100_0000_01B3);
-        }
-        self.0 = h;
+        self.0 = wal::fnv1a_from(self.0, payload.bytes().chain([0x1E]));
     }
 
     /// The digest value.

@@ -36,15 +36,20 @@ pub const MAGIC: &[u8; 8] = b"FTSWAL1\n";
 
 const FRAME_HEADER: usize = 4 + 8 + 8;
 
+/// The FNV-1a 64-bit offset basis: the digest of no bytes.
+pub(crate) const FNV1A_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
+
 /// FNV-1a over a byte stream — the same digest the serve layer uses for
 /// spec content hashes.
 pub fn fnv1a(bytes: impl IntoIterator<Item = u8>) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    h
+    fnv1a_from(FNV1A_BASIS, bytes)
+}
+
+/// Continues an FNV-1a digest from `state` over more bytes.
+pub(crate) fn fnv1a_from(state: u64, bytes: impl IntoIterator<Item = u8>) -> u64 {
+    bytes.into_iter().fold(state, |h, b| {
+        (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01B3)
+    })
 }
 
 fn frame_digest(group_index: u64, payload: &[u8]) -> u64 {

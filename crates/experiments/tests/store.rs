@@ -209,3 +209,14 @@ fn fnv1a_matches_reference_vectors() {
     assert_eq!(fnv1a(b"a".iter().copied()), 0xaf63_dc4c_8601_ec8c);
     assert_eq!(fnv1a(b"foobar".iter().copied()), 0x8594_4171_f739_67e8);
 }
+
+#[test]
+fn fingerprint_of_fixed_groups_is_pinned() {
+    // Completed runs keep their fingerprint on disk, and recovery
+    // re-verifies it, so the digest of a fixed run must never move.
+    let mut fp = Fingerprint::new();
+    assert_eq!(fp.finish(), 0xcbf2_9ce4_8422_2325);
+    fp.push_group(r#"{"group":0,"mean":1.5}"#);
+    fp.push_group(r#"{"group":1,"mean":2.25}"#);
+    assert_eq!(key_hex(fp.finish()), "3667f3b651eabb9d");
+}

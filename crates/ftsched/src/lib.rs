@@ -4,8 +4,8 @@
 //! *Fault Tolerant Scheduling of Precedence Task Graphs on Heterogeneous
 //! Platforms* (INRIA RR-6418 / IPDPS 2008): the **FTSA** and **MC-FTSA**
 //! heuristics, the **FTBAR** baseline, the platform/task-graph substrate
-//! they run on, and a discrete-event crash simulator to evaluate
-//! schedules under fail-stop processor failures.
+//! they run on, and a crash simulator to evaluate schedules under
+//! fail-stop processor failures.
 //!
 //! This facade crate re-exports the full public API; the implementation
 //! lives in the focused workspace crates (`ftsched-taskgraph`,
@@ -68,7 +68,6 @@ pub mod prelude {
         simulate_replication_outcomes_into, CrashWorkspace, FallbackPolicy, ReplicationOutcome,
     };
     pub use simulator::reliability::{design_point_probability, survival_probability_exact};
-    pub use simulator::replay::replay;
     pub use simulator::trace::{gantt, trace};
     pub use simulator::{simulate, SimOutcome, SimResult};
     pub use taskgraph::generators::{

@@ -10,11 +10,13 @@
 //! it already accounts for reduced communications" — FTSA's `e(ε+1)²`
 //! messages fight for ports, MC-FTSA's `e(ε+1)` do not.
 //!
-//! The replay runs on the crash engine's event loop
-//! ([`crate::crash::CrashWorkspace`]) with sender ports of the model's
-//! capacity; the [crash module docs](crate::crash) give the event order,
-//! which decides which queued transfer gets a free port first. Model
-//! details (documented simplifications):
+//! The replay runs on the event loop of [`crate::crash::CrashWorkspace`]
+//! with sender ports of the model's capacity. Bounded ports make the
+//! event order matter, which is why this model keeps the loop while
+//! crash replays run the static pass; the
+//! [crash module docs](crate::crash) give the event order, which decides
+//! which queued transfer gets a free port first. Model details
+//! (documented simplifications):
 //!
 //! * Contention is applied on the *sender* side only; receivers accept
 //!   any number of concurrent incoming transfers. (The symmetric
@@ -38,7 +40,7 @@ use platform::{FailureScenario, Instance};
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PortModel {
     /// Unlimited concurrency — the paper's base model; matches
-    /// [`crate::crash::simulate`] exactly.
+    /// [`crate::crash::simulate`] bit for bit.
     Unbounded,
     /// At most one outgoing transfer at a time.
     OnePort,
@@ -75,10 +77,10 @@ pub struct ContentionResult {
 
 /// Simulates `sched` under `scenario` with sender-side port contention.
 ///
-/// With [`PortModel::Unbounded`] the latency equals
-/// [`crate::crash::simulate`]'s: both are the same replay. Builds a
-/// throwaway workspace; batch callers should hold one and use
-/// [`simulate_contention_into`].
+/// With [`PortModel::Unbounded`] this is the event loop the static pass
+/// of [`crate::crash::simulate`] is tested against, so the latencies are
+/// equal bit for bit. Builds a throwaway workspace; batch callers should
+/// hold one and use [`simulate_contention_into`].
 pub fn simulate_contention(
     inst: &Instance,
     sched: &Schedule,
@@ -102,8 +104,7 @@ pub fn simulate_contention_into(
         "contention simulation supports fail-at-time-zero scenarios only"
     );
     ws.prepare(inst, sched, FallbackPolicy::Rerouted);
-    ws.reset_run(inst, sched, scenario, ports.capacity());
-    ws.run(inst);
+    ws.run_event_loop(inst, sched, scenario, None, ports.capacity());
     let out = ws.outcome(inst);
     ContentionResult {
         latency: out.latency,

@@ -1,8 +1,12 @@
-//! The crash-replay engine: one event loop that replays a schedule under
-//! processor crashes and sender-port limits. Every replay in the
-//! workspace runs here — single runs, the Monte-Carlo crash and
-//! reliability drivers, the campaign and streaming drivers, and the
-//! port-contention model of [`crate::contention`].
+//! Crash replay: a static pass over a schedule's processor queues, and an
+//! event loop beside it for sender ports.
+//!
+//! Every replay with unbounded ports runs the static pass of
+//! [`CrashWorkspace`]: single runs, the Monte-Carlo crash and reliability
+//! drivers, the campaign and the streaming drivers. The event loop replays
+//! the bounded ports of [`crate::contention`], takes the one case the pass
+//! hands over (see [The static pass](#the-static-pass)), and is the pass's
+//! oracle through [`simulate_event_loop_into`].
 //!
 //! # MC-FTSA delivery semantics
 //!
@@ -31,14 +35,92 @@
 //!   (the Proposition 4.3 structure check), so only hand-built ones
 //!   reach this rule.
 //!
+//! # Replica states
+//!
+//! With unbounded ports a replay has one outcome. Each replica ends in
+//! one of three states:
+//!
+//! * **dead** when its processor failed at time 0; when an earlier
+//!   replica on its processor overran the failure time, which kills the
+//!   rest of that queue; or when every possible sender of one of its
+//!   input slots is dead;
+//! * **blocked** when some slot has no finished sender, yet not all of
+//!   that slot's senders are dead. A blocked replica never starts, and
+//!   its processor queue stalls behind it;
+//! * **finished** otherwise. It starts at the max of 0, of each slot's
+//!   first arrival — the min over its finished senders of `finish + V·d`
+//!   (`finish` itself from a collocated sender) — and of the previous
+//!   finish on its processor, or the processor's release floor. It
+//!   finishes at `start + E(t, P)`.
+//!
+//! Which replicas send to a slot: under all-to-all communication, every
+//! replica of the predecessor; under strict delivery, the matched
+//! replica only (with none, the slot is never fed and never starved);
+//! under rerouted delivery, the matched replica unless it is dead or
+//! missing, and then every replica.
+//!
+//! # The static pass
+//!
+//! The pass sweeps the processor queues in schedule order. It walks
+//! `schedule_order`; for each task it advances each primary replica's
+//! processor queue up to, but not including, that primary, which
+//! computes the duplicates placed at that step, and then it computes the
+//! primaries. At the end it drains every queue. A replica reads the
+//! replica before it on its queue, which the sweep always computed
+//! first, and its senders. A sender the sweep has not reached yet is
+//! *late*: the replica reads its previous sweep's finish (none in the
+//! first sweep). Let `λ` be the number of late senders.
+//!
+//! * **One sweep.** With `λ = 0` every replica is computed from final
+//!   inputs, so the first sweep is final. FTSA, MC-FTSA, P-FTSA and
+//!   MC-FTBAR place every replica of a task at its step, and each queue
+//!   in step order, so their schedules always finish in one sweep.
+//! * **Time-0 fixpoint.** The duplication pass of FTBAR and FTSA+MST
+//!   appends a duplicate at a later step than receivers it feeds, and a
+//!   hand-built queue may run against `schedule_order`. When every
+//!   failure time is 0 (or none), deaths are structural: a pre-pass over
+//!   the DAG's topological order marks them, and the sweeps then only
+//!   compute finish times. (Without it, a receiver would take a late
+//!   sender that later starves for a live one, and stall its queue as
+//!   blocked instead of dying.) The pass sweeps again while some late
+//!   sender's finish moved. Let `L` be the replay's outcome, with a
+//!   blocked replica finishing at `+∞`.
+//!   - Every sweep is an upper bound of `L`: the rule is monotone in its
+//!     inputs, and the first sweep reads `+∞` for late senders.
+//!   - A sweep in which no late finish moved read only its own final
+//!     values, so its times solve the rule's equations.
+//!   - `L` is the greatest solution: by induction over `L`'s finishes in
+//!     time order, every solution is at most `L` at each finished
+//!     replica, since the inputs that decide that replica finished
+//!     earlier. A solution that is also an upper bound is therefore `L`.
+//!   - The pass ends within `λ + 1` sweeps. The inputs that decide a
+//!     replica's finish in `L` — the replica before it on its queue and,
+//!     per slot, the sender whose payload lands first — finished before
+//!     it started in the event loop, so the chain of deciding inputs
+//!     behind a replica holds no replica twice. A replica is exact after
+//!     one sweep more than the late senders on that chain; a late
+//!     sender's chain holds at most `λ - 1` others. So every late sender
+//!     is exact after sweep `λ`, and sweep `λ + 1` moves none of them.
+//! * **Handed to the loop.** With a positive failure time and `λ > 0`
+//!   (late duplicates under timed crashes), an overrun death depends on
+//!   times that late senders have not settled yet, so deaths are not
+//!   structural, and the pass hands the replay to the event loop. No
+//!   preset reaches this case: the timed-crash and online presets run
+//!   FTSA and MC-FTSA only.
+//!
+//! A replay of a schedule whose queues do not list each replica exactly
+//! once, on its own processor, goes to the event loop too.
+//!
 //! # Sender ports and event order
 //!
-//! A payload between two processors holds one of its sender's `capacity`
-//! port slots for `V · d(src, dst)`, or waits in that port's FIFO while
-//! all are busy. Crash replays give every port `usize::MAX` slots;
+//! The event loop replays the contention model, where bounded ports make
+//! the event order matter, and serves as the pass's oracle. A payload
+//! between two processors holds one of its sender's `capacity` port
+//! slots for `V · d(src, dst)`, or waits in that port's FIFO while all
+//! are busy; the oracle gives every port `usize::MAX` slots, and
 //! [`crate::contention`] gives one or `k`. A payload between collocated
-//! replicas bypasses the port and lands at once. Events pop from a binary
-//! heap in `(time, push order)`:
+//! replicas bypasses the port and lands at once. Events pop from a
+//! binary heap in `(time, push order)`:
 //!
 //! 1. After the time-0 kill cascade, processors advance in index order.
 //!    Advancing starts each head replica whose inputs are all in and
@@ -55,29 +137,22 @@
 //!    its wait to `queueing_delay`.
 //!
 //! With bounded ports, which payload gets a slot first depends on this
-//! order: it is the contention model's own. With unbounded ports no crash
-//! output depends on it, because each is built from order-free parts. A
-//! replica starts at the max of its processor's previous finish and, over
-//! its slots, each slot's first arrival — the min over its senders'
-//! arrival times, since every push lands at or after `now` and the heap
-//! pops in time order. A death is structural: a processor fails before a
-//! replica would finish, or every sender that may still feed a slot has
-//! died (a finished sender never dies, so this cannot happen while a
-//! payload is in flight). The latency is a max over exit tasks of a min
-//! over their replicas' finishes, and `lost_task` is the first task with
-//! none. No tie between equal-time events can move any of these.
-//!
-//! `events` counts popped events: finishes, and landings of payloads
-//! between processors. A collocated landing is not an event.
+//! order: it is the contention model's own. With unbounded ports the
+//! loop's outcome is the one [Replica states](#replica-states)
+//! describes: a slot's first landing is the min over its senders'
+//! arrivals, since every push lands at or after `now` and the heap pops
+//! in time order, and a death is structural or an overrun. No tie
+//! between equal-time events can move it.
 //!
 //! # Memory layout / zero-allocation replications
 //!
 //! All replay state lives in a [`CrashWorkspace`] as flat arrays indexed
-//! by a dense *global replica id* (`rep_off[t] + k`) and a dense
-//! *(replica, predecessor-slot)* id (`slot_off[rid] + slot`) — no nested
-//! `Vec<Vec<…>>`, no per-replica allocation; each sender port keeps one
-//! FIFO that is cleared, not freed. Reusing the workspace across runs makes
-//! everything after the first replication allocation-free:
+//! by a dense *global replica id* (`rep_off[t] + k`) and, for the event
+//! loop, a dense *(replica, predecessor-slot)* id (`slot_off[rid] +
+//! slot`) — no nested `Vec<Vec<…>>`, no per-replica allocation; each
+//! sender port keeps one FIFO that is cleared, not freed. The slot tables
+//! are built only when the event loop runs. Reusing the workspace across
+//! runs makes everything after the first replication allocation-free:
 //! [`simulate_replication_outcomes_into`] is the sequential
 //! zero-allocation driver (pinned by the root `tests/alloc_counter.rs`
 //! suite), and the parallel campaign
@@ -107,8 +182,8 @@ pub enum FallbackPolicy {
 pub enum ReplicaStatus {
     /// Completed successfully.
     Done,
-    /// Never completed: hosted on a failed processor, killed mid-run, or
-    /// starved of an input.
+    /// Never completed: hosted on a failed processor, killed mid-run,
+    /// starved of an input, or blocked.
     Dead,
 }
 
@@ -137,9 +212,6 @@ pub struct SimResult {
     /// Per task, per replica: simulated `(start, finish)`; `None` for
     /// dead replicas.
     pub times: Vec<Vec<Option<(f64, f64)>>>,
-    /// Number of events popped from the queue (diagnostics; see the
-    /// [module docs](self) for what counts).
-    pub events: usize,
 }
 
 impl SimResult {
@@ -167,8 +239,6 @@ pub struct ReplicationOutcome {
     pub latency: f64,
     /// The first task (by id) that lost every replica, if any.
     pub lost_task: Option<TaskId>,
-    /// Number of events popped from the queue (diagnostics).
-    pub events: usize,
 }
 
 impl ReplicationOutcome {
@@ -180,6 +250,7 @@ impl ReplicationOutcome {
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Phase {
+    /// Not started: blocked, or not reached yet.
     Waiting,
     Running,
     Done,
@@ -203,6 +274,16 @@ struct Queued {
     enqueued: f64,
 }
 
+/// What the static pass makes of a replica's input slots.
+enum Inputs {
+    /// Every slot has a first arrival; the latest of them.
+    Ready(f64),
+    /// Some slot has no finished sender yet not all of its senders died.
+    Blocked,
+    /// Every possible sender of some slot died.
+    Starved,
+}
+
 const NO_SRC: u32 = u32::MAX;
 /// Port capacity of a crash replay: no payload ever waits.
 const UNBOUNDED_PORTS: usize = usize::MAX;
@@ -216,12 +297,14 @@ pub struct CrashWorkspace {
     // --- schedule/instance shape (rebuilt by `prepare`) -----------------
     /// Prefix sums of per-task replica counts; `rid = rep_off[t] + k`.
     rep_off: Vec<u32>,
-    /// Prefix sums of per-replica predecessor-slot counts.
-    slot_off: Vec<u32>,
     /// Hosting processor per global replica id.
     rep_proc: Vec<u32>,
-    /// Slot of each edge within its destination's predecessor list.
-    slot_of_edge: Vec<u32>,
+    /// Index of each replica in `order_items`.
+    rep_pos: Vec<u32>,
+    /// Whether the queues list each replica exactly once, on its own
+    /// processor, and `schedule_order` names real tasks: the static
+    /// pass's precondition.
+    pass_fits: bool,
     /// Matched schedules: prefix sums of per-edge destination replica
     /// counts into `matched_src`.
     matched_off: Vec<u32>,
@@ -231,8 +314,36 @@ pub struct CrashWorkspace {
     /// Flattened per-processor placement order (prefix offsets + items).
     order_off: Vec<u32>,
     order_items: Vec<(TaskId, u32)>,
+    matched: bool,
+    rerouted: bool,
+    // --- event-loop shape (built on demand by `prepare_loop`) ------------
+    /// Whether `slot_off` and `slot_of_edge` match the prepared schedule.
+    loop_ready: bool,
+    /// Prefix sums of per-replica predecessor-slot counts.
+    slot_off: Vec<u32>,
+    /// Slot of each edge within its destination's predecessor list.
+    slot_of_edge: Vec<u32>,
     // --- per-run state ---------------------------------------------------
     fail_at: Vec<f64>,
+    /// Per processor: release floor of its first replica.
+    floor: Vec<f64>,
+    phase: Vec<Phase>,
+    times: Vec<Option<(f64, f64)>>,
+    /// Per processor: next queue position (an index into `order_items`
+    /// for the pass, an offset within the queue for the loop).
+    ptr: Vec<u32>,
+    free_at: Vec<f64>,
+    proc_dead: Vec<bool>,
+    // --- static-pass state -------------------------------------------
+    /// Per processor: a blocked replica stalls the rest of the queue.
+    stalled: Vec<bool>,
+    /// Per replica: read by a receiver before the sweep reached it.
+    late: Vec<bool>,
+    /// Number of late senders (`λ` in the module docs).
+    late_count: u32,
+    /// Sweeps of the last replay's pass; 0 when the event loop ran.
+    sweeps: u32,
+    // --- event-loop state ----------------------------------------------
     /// Per (replica, slot): first arrival received?
     satisfied: Vec<bool>,
     /// Per (replica, slot): potential senders that may still deliver.
@@ -241,19 +352,11 @@ pub struct CrashWorkspace {
     matched_dead: Vec<bool>,
     satisfied_count: Vec<u32>,
     ready_time: Vec<f64>,
-    phase: Vec<Phase>,
-    times: Vec<Option<(f64, f64)>>,
-    ptr: Vec<u32>,
-    free_at: Vec<f64>,
-    proc_dead: Vec<bool>,
     events: BinaryHeap<Reverse<(OrdF64, usize)>>,
     event_data: Vec<Event>,
     /// Processors a kill cascade touched, still to advance.
     pending_advance: Vec<u32>,
     kill_work: Vec<(TaskId, u32)>,
-    processed: usize,
-    matched: bool,
-    rerouted: bool,
     // --- sender ports ----------------------------------------------------
     capacity: usize,
     /// Per processor: payloads holding a port slot.
@@ -273,6 +376,20 @@ impl CrashWorkspace {
     /// Creates an empty workspace; buffers are sized by the first run.
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// The last replay expanded into a [`SimResult`] (the oracle tests
+    /// read it after an `_outcome_` entry).
+    #[doc(hidden)]
+    pub fn last_result(&self, inst: &Instance) -> SimResult {
+        self.to_result(inst)
+    }
+
+    /// `(sweeps, λ)` of the last replay's static pass, or `None` when the
+    /// event loop replayed it (see the [module docs](self)).
+    #[doc(hidden)]
+    pub fn last_pass(&self) -> Option<(u32, u32)> {
+        (self.sweeps > 0).then_some((self.sweeps, self.late_count))
     }
 
     #[inline]
@@ -303,34 +420,16 @@ impl CrashWorkspace {
 
         self.matched = matches!(sched.comm, CommSelection::Matched(_));
         self.rerouted = self.matched && policy == FallbackPolicy::Rerouted;
+        self.loop_ready = false;
 
         self.rep_off.clear();
         self.rep_off.push(0);
-        for t in dag.tasks() {
-            let prev = *self.rep_off.last().expect("nonempty");
-            self.rep_off.push(prev + sched.replicas_of(t).len() as u32);
-        }
-        let total_reps = *self.rep_off.last().expect("nonempty") as usize;
-
-        self.slot_off.clear();
-        self.slot_off.push(0);
         self.rep_proc.clear();
         for t in dag.tasks() {
-            let preds = dag.preds(t).len() as u32;
-            for r in sched.replicas_of(t) {
-                let prev = *self.slot_off.last().expect("nonempty");
-                self.slot_off.push(prev + preds);
-                self.rep_proc.push(r.proc.index() as u32);
-            }
-        }
-        debug_assert_eq!(self.rep_proc.len(), total_reps);
-
-        self.slot_of_edge.clear();
-        self.slot_of_edge.resize(dag.num_edges(), u32::MAX);
-        for t in dag.tasks() {
-            for (slot, &(_, eid)) in dag.preds(t).iter().enumerate() {
-                self.slot_of_edge[eid.index()] = slot as u32;
-            }
+            let reps = sched.replicas_of(t);
+            self.rep_proc
+                .extend(reps.iter().map(|r| r.proc.index() as u32));
+            self.rep_off.push(self.rep_proc.len() as u32);
         }
 
         self.matched_off.clear();
@@ -360,27 +459,342 @@ impl CrashWorkspace {
                 .extend(sched.proc_order(j).map(|(t, k)| (t, k as u32)));
             self.order_off.push(self.order_items.len() as u32);
         }
+
+        let v = dag.num_tasks();
+        self.rep_pos.clear();
+        self.rep_pos.resize(self.rep_proc.len(), u32::MAX);
+        self.pass_fits = self.order_items.len() == self.rep_proc.len()
+            && sched.schedule_order.iter().all(|t| t.index() < v);
+        for j in 0..m {
+            for idx in self.order_off[j]..self.order_off[j + 1] {
+                let (t, k) = self.order_items[idx as usize];
+                let rid = self.rid(t, k as usize);
+                if self.rep_proc[rid] as usize != j || self.rep_pos[rid] != u32::MAX {
+                    self.pass_fits = false;
+                }
+                self.rep_pos[rid] = idx;
+            }
+        }
     }
 
-    /// Resets the per-run state for `scenario`, with ports of `capacity`
-    /// concurrent payloads.
-    pub(crate) fn reset_run(
-        &mut self,
-        inst: &Instance,
-        sched: &Schedule,
-        scenario: &FailureScenario,
-        capacity: usize,
-    ) {
+    /// Builds the event loop's slot tables for the prepared schedule,
+    /// once per [`prepare`](Self::prepare).
+    fn prepare_loop(&mut self, inst: &Instance) {
+        if self.loop_ready {
+            return;
+        }
         let dag = &inst.dag;
-        let m = inst.num_procs();
-        let total_reps = self.rep_proc.len();
-        let total_slots = *self.slot_off.last().map_or(&0, |x| x) as usize;
+        self.slot_off.clear();
+        self.slot_off.push(0);
+        for t in dag.tasks() {
+            let preds = dag.preds(t).len() as u32;
+            for _ in 0..self.reps(t) {
+                let prev = *self.slot_off.last().expect("nonempty");
+                self.slot_off.push(prev + preds);
+            }
+        }
 
+        self.slot_of_edge.clear();
+        self.slot_of_edge.resize(dag.num_edges(), u32::MAX);
+        for t in dag.tasks() {
+            for (slot, &(_, eid)) in dag.preds(t).iter().enumerate() {
+                self.slot_of_edge[eid.index()] = slot as u32;
+            }
+        }
+        self.loop_ready = true;
+    }
+
+    /// Resets the per-run state both engines share for `scenario`, with
+    /// each processor released at `floors[j]` (0 when `None`).
+    fn reset_common(&mut self, m: usize, scenario: &FailureScenario, floors: Option<&[f64]>) {
+        let total_reps = self.rep_proc.len();
         self.fail_at.clear();
         self.fail_at.resize(m, f64::INFINITY);
         for (p, t) in scenario.iter() {
             self.fail_at[p.index()] = t;
         }
+        self.floor.clear();
+        match floors {
+            Some(f) => self.floor.extend_from_slice(f),
+            None => self.floor.resize(m, 0.0),
+        }
+        self.phase.clear();
+        self.phase.resize(total_reps, Phase::Waiting);
+        self.times.clear();
+        self.times.resize(total_reps, None);
+        self.ptr.clear();
+        self.ptr.resize(m, 0);
+        self.free_at.clear();
+        self.free_at.extend_from_slice(&self.floor);
+        self.proc_dead.clear();
+        self.proc_dead.resize(m, false);
+    }
+
+    // --- the static pass -------------------------------------------------
+
+    /// Replays the prepared schedule with unbounded ports: the static
+    /// pass, or the event loop for the case the pass hands over.
+    fn replay(
+        &mut self,
+        inst: &Instance,
+        sched: &Schedule,
+        scenario: &FailureScenario,
+        floors: Option<&[f64]>,
+    ) {
+        check_rerouted_scenario(self.rerouted, scenario);
+        self.reset_common(inst.num_procs(), scenario, floors);
+        if !self.pass(inst, sched) {
+            self.run_event_loop(inst, sched, scenario, floors, UNBOUNDED_PORTS);
+        }
+    }
+
+    /// The static pass over a freshly reset run; `false` hands the replay
+    /// to the event loop.
+    fn pass(&mut self, inst: &Instance, sched: &Schedule) -> bool {
+        if !self.pass_fits {
+            return false;
+        }
+        let m = inst.num_procs();
+        self.late.clear();
+        self.late.resize(self.rep_proc.len(), false);
+        self.late_count = 0;
+        self.sweeps = 0;
+
+        let mut any_dead = false;
+        for j in 0..m {
+            if self.fail_at[j] <= 0.0 {
+                self.proc_dead[j] = true;
+                any_dead = true;
+                let (lo, hi) = (self.order_off[j] as usize, self.order_off[j + 1] as usize);
+                for idx in lo..hi {
+                    let (t, k) = self.order_items[idx];
+                    let rid = self.rid(t, k as usize);
+                    self.phase[rid] = Phase::Dead;
+                }
+            }
+        }
+        let timed = self.fail_at.iter().any(|&f| f > 0.0 && f < f64::INFINITY);
+        if !timed && any_dead {
+            self.starve(inst);
+        }
+        loop {
+            self.sweeps += 1;
+            let moved = self.sweep(inst, sched);
+            if self.late_count == 0 {
+                return true;
+            }
+            if timed {
+                return false;
+            }
+            if !moved {
+                return true;
+            }
+        }
+    }
+
+    /// Time-0 deaths by starvation, in one pass over the topological
+    /// order: a replica dies when every possible sender of one of its
+    /// slots is dead (see [Replica states](self#replica-states)).
+    fn starve(&mut self, inst: &Instance) {
+        let dag = &inst.dag;
+        for &t in dag.topological_order() {
+            let lo = self.rep_off[t.index()] as usize;
+            for rid in lo..self.rep_off[t.index() + 1] as usize {
+                if self.phase[rid] == Phase::Dead {
+                    continue;
+                }
+                let starved = dag.preds(t).iter().any(|&(p, eid)| {
+                    let plo = self.rep_off[p.index()] as usize;
+                    let phi = self.rep_off[p.index() + 1] as usize;
+                    if self.matched && !self.rerouted {
+                        let src = self.matched_src_of(eid.index(), rid - lo);
+                        src != NO_SRC && self.phase[plo + src as usize] == Phase::Dead
+                    } else {
+                        plo < phi && self.phase[plo..phi].iter().all(|&ph| ph == Phase::Dead)
+                    }
+                });
+                if starved {
+                    self.phase[rid] = Phase::Dead;
+                }
+            }
+        }
+    }
+
+    /// One sweep in schedule order (see [The static pass](self#the-static-pass));
+    /// returns whether some late sender's finish moved.
+    fn sweep(&mut self, inst: &Instance, sched: &Schedule) -> bool {
+        let m = inst.num_procs();
+        for j in 0..m {
+            self.ptr[j] = self.order_off[j + usize::from(self.proc_dead[j])];
+        }
+        self.free_at.copy_from_slice(&self.floor);
+        self.stalled.clear();
+        self.stalled.resize(m, false);
+
+        let mut moved = false;
+        let primaries = sched.epsilon + 1;
+        for &t in &sched.schedule_order {
+            let lo = self.rep_off[t.index()] as usize;
+            let hi = (lo + primaries).min(self.rep_off[t.index() + 1] as usize);
+            for rid in lo..hi {
+                moved |= self.advance_to(inst, self.rep_proc[rid] as usize, self.rep_pos[rid]);
+            }
+            for rid in lo..hi {
+                let end = self.rep_pos[rid] + 1;
+                moved |= self.advance_to(inst, self.rep_proc[rid] as usize, end);
+            }
+        }
+        for j in 0..m {
+            moved |= self.advance_to(inst, j, self.order_off[j + 1]);
+        }
+        moved
+    }
+
+    /// Computes processor `j`'s queue up to position `end` (exclusive);
+    /// returns whether a late sender's finish moved.
+    fn advance_to(&mut self, inst: &Instance, j: usize, end: u32) -> bool {
+        let mut moved = false;
+        while self.ptr[j] < end {
+            let idx = self.ptr[j] as usize;
+            self.ptr[j] += 1;
+            let (t, k) = self.order_items[idx];
+            let rid = self.rid(t, k as usize);
+            if self.phase[rid] == Phase::Dead {
+                continue;
+            }
+            let old = self.times[rid].map(|(_, f)| f);
+            let new = match self.inputs(inst, t, k as usize, j) {
+                Inputs::Starved => {
+                    self.phase[rid] = Phase::Dead;
+                    continue;
+                }
+                Inputs::Ready(ready) if !self.stalled[j] => {
+                    let start = ready.max(self.free_at[j]);
+                    let finish = start + inst.exec.time(t.index(), j);
+                    if finish > self.fail_at[j] {
+                        // Fail-stop during (or before) this replica: it
+                        // and everything after it on this queue are lost.
+                        self.proc_dead[j] = true;
+                        for idx in idx..self.order_off[j + 1] as usize {
+                            let (t, k) = self.order_items[idx];
+                            let rid = self.rid(t, k as usize);
+                            self.phase[rid] = Phase::Dead;
+                        }
+                        self.ptr[j] = self.order_off[j + 1];
+                        return moved;
+                    }
+                    self.free_at[j] = finish;
+                    Some((start, finish))
+                }
+                Inputs::Ready(_) | Inputs::Blocked => None,
+            };
+            self.stalled[j] |= new.is_none();
+            self.phase[rid] = if new.is_some() {
+                Phase::Done
+            } else {
+                Phase::Waiting
+            };
+            self.times[rid] = new;
+            moved |= self.late[rid] && old != new.map(|(_, f)| f);
+        }
+        moved
+    }
+
+    /// Replica `k` of task `t` on processor `j`: the latest first arrival
+    /// over its slots, or why it has none. Flags every live sender the
+    /// sweep has not reached yet as late.
+    fn inputs(&mut self, inst: &Instance, t: TaskId, k: usize, j: usize) -> Inputs {
+        let dag = &inst.dag;
+        let mut ready = 0.0f64;
+        let mut blocked = false;
+        for &(p, eid) in dag.preds(t) {
+            let plo = self.rep_off[p.index()] as usize;
+            let phi = self.rep_off[p.index() + 1] as usize;
+            let (lo, hi) = if self.matched {
+                let src = self.matched_src_of(eid.index(), k);
+                if src == NO_SRC {
+                    if !self.rerouted {
+                        blocked = true; // strict: never fed, never starved
+                        continue;
+                    }
+                    (plo, phi)
+                } else {
+                    let s = plo + src as usize;
+                    if self.rerouted && self.phase[s] == Phase::Dead {
+                        (plo, phi)
+                    } else {
+                        (s, s + 1)
+                    }
+                }
+            } else {
+                (plo, phi)
+            };
+            let vol = dag.volume(eid);
+            let mut first = f64::INFINITY;
+            let mut fed = false;
+            let mut all_dead = true;
+            for s in lo..hi {
+                if self.phase[s] == Phase::Dead {
+                    continue;
+                }
+                all_dead = false;
+                let ps = self.rep_proc[s] as usize;
+                if self.rep_pos[s] >= self.ptr[ps] && !self.late[s] {
+                    self.late[s] = true;
+                    self.late_count += 1;
+                }
+                if let Some((_, f)) = self.times[s] {
+                    let at = if ps == j {
+                        f
+                    } else {
+                        f + vol * inst.platform.delay(ps, j)
+                    };
+                    first = first.min(at);
+                    fed = true;
+                }
+            }
+            if all_dead && lo < hi {
+                return Inputs::Starved;
+            }
+            if fed {
+                ready = ready.max(first);
+            } else {
+                blocked = true;
+            }
+        }
+        if blocked {
+            Inputs::Blocked
+        } else {
+            Inputs::Ready(ready)
+        }
+    }
+
+    // --- the event loop --------------------------------------------------
+
+    /// Replays the prepared schedule on the event loop with ports of
+    /// `capacity` concurrent payloads.
+    pub(crate) fn run_event_loop(
+        &mut self,
+        inst: &Instance,
+        sched: &Schedule,
+        scenario: &FailureScenario,
+        floors: Option<&[f64]>,
+        capacity: usize,
+    ) {
+        self.sweeps = 0;
+        self.prepare_loop(inst);
+        self.reset_common(inst.num_procs(), scenario, floors);
+        self.reset_loop(inst, sched, capacity);
+        self.run(inst);
+    }
+
+    /// Resets the event loop's own per-run state, with ports of
+    /// `capacity` concurrent payloads.
+    fn reset_loop(&mut self, inst: &Instance, sched: &Schedule, capacity: usize) {
+        let dag = &inst.dag;
+        let m = inst.num_procs();
+        let total_reps = self.rep_proc.len();
+        let total_slots = *self.slot_off.last().map_or(&0, |x| x) as usize;
 
         self.satisfied.clear();
         self.satisfied.resize(total_slots, false);
@@ -390,10 +804,6 @@ impl CrashWorkspace {
         self.satisfied_count.resize(total_reps, 0);
         self.ready_time.clear();
         self.ready_time.resize(total_reps, 0.0);
-        self.phase.clear();
-        self.phase.resize(total_reps, Phase::Waiting);
-        self.times.clear();
-        self.times.resize(total_reps, None);
 
         // `remaining` counts the senders that may still deliver per
         // (replica, slot): all replicas of the predecessor for
@@ -416,17 +826,10 @@ impl CrashWorkspace {
         }
         debug_assert_eq!(self.remaining.len(), total_slots);
 
-        self.ptr.clear();
-        self.ptr.resize(m, 0);
-        self.free_at.clear();
-        self.free_at.resize(m, 0.0);
-        self.proc_dead.clear();
-        self.proc_dead.resize(m, false);
         self.events.clear();
         self.event_data.clear();
         self.pending_advance.clear();
         self.kill_work.clear();
-        self.processed = 0;
 
         self.capacity = capacity;
         self.port_busy.clear();
@@ -621,8 +1024,9 @@ impl CrashWorkspace {
         self.push_event(at, land);
     }
 
-    /// The main event loop. `prepare` and `reset_run` must have run.
-    pub(crate) fn run(&mut self, inst: &Instance) {
+    /// The main event loop. `prepare_loop`, `reset_common` and
+    /// `reset_loop` must have run.
+    fn run(&mut self, inst: &Instance) {
         let m = inst.num_procs();
 
         for j in 0..m {
@@ -642,7 +1046,6 @@ impl CrashWorkspace {
         }
 
         while let Some(Reverse((time, id))) = self.events.pop() {
-            self.processed += 1;
             let now = time.get();
             match self.event_data[id] {
                 Event::Finish { task, rep, proc } => {
@@ -691,11 +1094,7 @@ impl CrashWorkspace {
                 })
                 .fold(0.0, f64::max)
         };
-        ReplicationOutcome {
-            latency,
-            lost_task,
-            events: self.processed,
-        }
+        ReplicationOutcome { latency, lost_task }
     }
 
     /// Expands the completed run into the nested [`SimResult`] form
@@ -733,7 +1132,6 @@ impl CrashWorkspace {
             },
             status,
             times,
-            events: out.events,
         }
     }
 }
@@ -786,7 +1184,8 @@ pub fn simulate_into(
     policy: FallbackPolicy,
     ws: &mut CrashWorkspace,
 ) -> SimResult {
-    run_into(inst, sched, scenario, policy, ws);
+    ws.prepare(inst, sched, policy);
+    ws.replay(inst, sched, scenario, None);
     ws.to_result(inst)
 }
 
@@ -800,7 +1199,8 @@ pub fn simulate_outcome_into(
     policy: FallbackPolicy,
     ws: &mut CrashWorkspace,
 ) -> ReplicationOutcome {
-    run_into(inst, sched, scenario, policy, ws);
+    ws.prepare(inst, sched, policy);
+    ws.replay(inst, sched, scenario, None);
     ws.outcome(inst)
 }
 
@@ -820,17 +1220,39 @@ pub fn simulate_outcome_from_into(
     floors: &[f64],
     ws: &mut CrashWorkspace,
 ) -> ReplicationOutcome {
+    check_floors(inst, floors);
+    ws.prepare(inst, sched, policy);
+    ws.replay(inst, sched, scenario, Some(floors));
+    ws.outcome(inst)
+}
+
+/// The event loop with unbounded ports: the oracle the static pass is
+/// tested against. Takes the same policy, scenario and optional release
+/// floors as the pass's entries and returns the full result.
+#[doc(hidden)]
+pub fn simulate_event_loop_into(
+    inst: &Instance,
+    sched: &Schedule,
+    scenario: &FailureScenario,
+    policy: FallbackPolicy,
+    floors: Option<&[f64]>,
+    ws: &mut CrashWorkspace,
+) -> SimResult {
+    if let Some(floors) = floors {
+        check_floors(inst, floors);
+    }
+    ws.prepare(inst, sched, policy);
+    check_rerouted_scenario(ws.rerouted, scenario);
+    ws.run_event_loop(inst, sched, scenario, floors, UNBOUNDED_PORTS);
+    ws.to_result(inst)
+}
+
+fn check_floors(inst: &Instance, floors: &[f64]) {
     assert_eq!(
         floors.len(),
         inst.num_procs(),
         "occupancy floors must cover all processors"
     );
-    ws.prepare(inst, sched, policy);
-    check_rerouted_scenario(ws.rerouted, scenario);
-    ws.reset_run(inst, sched, scenario, UNBOUNDED_PORTS);
-    ws.free_at.copy_from_slice(floors);
-    ws.run(inst);
-    ws.outcome(inst)
 }
 
 impl CrashWorkspace {
@@ -858,38 +1280,12 @@ impl CrashWorkspace {
     }
 }
 
-fn run_into(
-    inst: &Instance,
-    sched: &Schedule,
-    scenario: &FailureScenario,
-    policy: FallbackPolicy,
-    ws: &mut CrashWorkspace,
-) {
-    ws.prepare(inst, sched, policy);
-    run_prepared(inst, sched, scenario, ws);
-}
-
-/// The per-scenario half of a run: `ws.prepare` must already have been
-/// called for this `(inst, sched, policy)`. The replication campaigns
-/// prepare once and then only re-run this part — the shape tables are
-/// identical across a campaign.
-fn run_prepared(
-    inst: &Instance,
-    sched: &Schedule,
-    scenario: &FailureScenario,
-    ws: &mut CrashWorkspace,
-) {
-    check_rerouted_scenario(ws.rerouted, scenario);
-    ws.reset_run(inst, sched, scenario, UNBOUNDED_PORTS);
-    ws.run(inst);
-}
-
 /// Monte-Carlo crash campaign: simulates `replications` independent
 /// uniform `crashes`-processor fail-at-time-zero scenarios against
 /// `sched` on `threads` workers of [`crate::parallel::parallel_map_with`]
 /// and returns one scalar [`ReplicationOutcome`] per replication. Each
 /// worker replays all its replications on one [`CrashWorkspace`], so the
-/// event replay allocates nothing after a worker's first replication.
+/// replay allocates nothing after a worker's first replication.
 ///
 /// Replication `r` draws its scenario from
 /// [`crate::replication_seed`]`(base_seed, r)`, so the returned vector is
@@ -959,7 +1355,8 @@ fn prep_scenario(ws: &mut CrashWorkspace, m: usize, crashes: usize, base_seed: u
 }
 
 /// One replication against a workspace already `prepare`d for
-/// `(inst, sched, Rerouted)`.
+/// `(inst, sched, Rerouted)`; the shape tables are identical across a
+/// campaign, so only the per-scenario replay runs.
 fn replication_outcome(
     inst: &Instance,
     sched: &Schedule,
@@ -970,7 +1367,7 @@ fn replication_outcome(
 ) -> ReplicationOutcome {
     prep_scenario(ws, inst.num_procs(), crashes, base_seed, r);
     let scen = std::mem::take(&mut ws.scenario);
-    run_prepared(inst, sched, &scen, ws);
+    ws.replay(inst, sched, &scen, None);
     ws.scenario = scen;
     ws.outcome(inst)
 }
@@ -1354,7 +1751,6 @@ mod tests {
             let f = simulate(&inst, &s, &scen);
             assert_eq!(f.latency.to_bits(), o.latency.to_bits());
             assert_eq!(f.completed(), o.completed());
-            assert_eq!(f.events, o.events);
         }
     }
 
@@ -1373,6 +1769,61 @@ mod tests {
                 assert_eq!(reused.latency.to_bits(), fresh.latency.to_bits());
                 assert_eq!(reused.times, fresh.times);
                 assert_eq!(reused.status, fresh.status);
+            }
+        }
+    }
+
+    /// Full results of the static pass and of the event loop, which
+    /// must agree bit for bit.
+    fn pass_and_loop(
+        inst: &Instance,
+        s: &Schedule,
+        scen: &FailureScenario,
+        ws: &mut CrashWorkspace,
+    ) -> (SimResult, SimResult) {
+        let pass = simulate_into(inst, s, scen, FallbackPolicy::Rerouted, ws);
+        let oracle = simulate_event_loop_into(inst, s, scen, FallbackPolicy::Rerouted, None, ws);
+        (pass, oracle)
+    }
+
+    #[test]
+    fn static_pass_matches_event_loop_no_failures() {
+        let mut ws = CrashWorkspace::new();
+        for seed in 0..4u64 {
+            let inst = paper_instance(&mut rng(seed), &PaperInstanceConfig::default());
+            for alg in Algorithm::ALL {
+                let s = schedule(&inst, 2, alg, &mut rng(seed)).unwrap();
+                let (a, b) = pass_and_loop(&inst, &s, &FailureScenario::none(), &mut ws);
+                assert_eq!(
+                    a.latency.to_bits(),
+                    b.latency.to_bits(),
+                    "{alg:?} seed {seed}"
+                );
+                assert_eq!(a.times, b.times, "{alg:?} seed {seed}");
+            }
+        }
+    }
+
+    #[test]
+    fn static_pass_matches_event_loop_under_failures() {
+        let mut ws = CrashWorkspace::new();
+        for seed in 0..4u64 {
+            let inst = paper_instance(&mut rng(seed + 40), &PaperInstanceConfig::default());
+            for alg in Algorithm::ALL {
+                let s = schedule(&inst, 2, alg, &mut rng(seed)).unwrap();
+                for probe in 0..8u64 {
+                    let scen =
+                        FailureScenario::uniform(&mut rng(seed * 97 + probe), inst.num_procs(), 2);
+                    let (a, b) = pass_and_loop(&inst, &s, &scen, &mut ws);
+                    assert_eq!(
+                        a.latency.to_bits(),
+                        b.latency.to_bits(),
+                        "{alg:?} seed {seed} probe {probe}"
+                    );
+                    assert_eq!(a.outcome, b.outcome);
+                    assert_eq!(a.status, b.status);
+                    assert_eq!(a.times, b.times, "full trace must agree");
+                }
             }
         }
     }

@@ -1,10 +1,10 @@
-//! Discrete-event crash-execution simulator.
+//! Crash-execution simulator.
 //!
 //! The paper's Section 6 evaluates schedules "when processors crash down
 //! by computing the real execution time for a given schedule rather than
 //! just bounds". The authors' evaluation harness is not public; this
-//! crate rebuilds it as a discrete-event simulator implementing exactly
-//! the execution semantics the paper's proofs rely on:
+//! crate rebuilds it as a simulator implementing exactly the execution
+//! semantics the paper's proofs rely on:
 //!
 //! * **Fail-silent / fail-stop processors** — a failed processor computes
 //!   and sends nothing from its failure time onwards. A replica that
@@ -24,19 +24,21 @@
 //! an empty occupancy reduces every step bit-for-bit to the offline
 //! single-DAG pair.
 //!
-//! One engine replays every schedule: the event loop of
+//! Crash replays with unbounded ports run on one static pass of
 //! [`crash::CrashWorkspace`] ([`crash::simulate`] and its `_into`
-//! forms). It covers mid-execution failures, release floors, FTBAR's
-//! late duplicates and sender ports, and it serves the Monte-Carlo crash
-//! and reliability drivers, the campaign and streaming drivers, and the
-//! port-contention model ([`contention::simulate_contention`], the same
-//! loop with one or `k` slots per sender port). Its crash outputs do not
-//! depend on the order of equal-time events: every one is a min over
-//! arrivals, a max over slots and processor release times, or a
-//! structural death (the argument is in the [`crash`] module docs).
-//! [`replay::replay`], a one-pass analytic replay for fail-at-time-zero
-//! scenarios without duplicates, is kept only as the oracle the tests
-//! compare the engine against.
+//! forms). It covers mid-execution failures, release floors and FTBAR's
+//! late duplicates, and it serves the Monte-Carlo crash and reliability
+//! drivers and the campaign and streaming drivers. It sweeps the
+//! processor queues in schedule order with no event queue, and it
+//! repeats the sweep until it reaches a fixpoint when a duplicate feeds
+//! a receiver placed before it. The event loop of the same workspace
+//! replays the port-contention model
+//! ([`contention::simulate_contention`], with one or `k` slots per
+//! sender port), takes the one case the pass hands over (late
+//! duplicates under timed crashes), and is the oracle the pass is tested
+//! against bit for bit. The [`crash`] module docs give the replica
+//! states, the sweep order, the fixpoint's termination argument and the
+//! loop's event order.
 //!
 //! [`parallel`] holds the workspace's one parallel executor,
 //! [`parallel::parallel_map_into`], which hands results to the caller in
@@ -64,7 +66,6 @@ pub mod contention;
 pub mod crash;
 pub mod parallel;
 pub mod reliability;
-pub mod replay;
 pub mod streaming;
 pub mod trace;
 

@@ -13,10 +13,10 @@
 //!   exact computation handles `m ≤ ~24` comfortably after mask
 //!   deduplication.
 //! * [`survival_probability_monte_carlo_par`] — samples failure
-//!   patterns and replays each on the crash engine
+//!   patterns and replays each through the static crash pass
 //!   ([`crate::crash::simulate_outcome_into`], rerouted delivery), one
 //!   [`CrashWorkspace`] per executor chunk; also reports the conditional
-//!   expected latency `E[L | survival]`. Any schedule the engine replays
+//!   expected latency `E[L | survival]`. Any schedule the pass replays
 //!   is covered, FTBAR's late duplicates included.
 //!
 //! For all-to-all communication the mask reduction is *exact* (Theorem
@@ -298,7 +298,7 @@ mod tests {
     #[test]
     fn ftbar_duplicates_are_thread_count_invariant() {
         // FTBAR appends late duplicates (more than ε+1 replicas of a
-        // task), which the crash engine replays like any replica.
+        // task), which the crash pass replays like any replica.
         let inst = small_instance(6, 10);
         let s = schedule(&inst, 2, Algorithm::Ftbar, &mut StdRng::seed_from_u64(10)).unwrap();
         assert!(

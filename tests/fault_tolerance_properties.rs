@@ -1,9 +1,11 @@
 //! Property-based integration tests of the paper's theorems:
 //! Proposition 4.1 (distinct placement), Proposition 4.2 (`M* ≤ L ≤ M`),
-//! Theorem 4.1 (validity under ≤ ε failures), and the DES ≡ replay
-//! equivalence, over randomly drawn instances, ε values and scenarios.
+//! Theorem 4.1 (validity under ≤ ε failures), and the equivalence of
+//! the static crash pass with the discrete-event loop, over randomly
+//! drawn instances, ε values and scenarios.
 
 use ftsched::prelude::*;
+use ftsched::simulator::crash::simulate_event_loop_into;
 use proptest::prelude::*;
 use rand::{rngs::StdRng, SeedableRng};
 
@@ -81,15 +83,24 @@ proptest! {
     ) {
         let eps = eps_raw.min(procs - 1);
         let inst = make_instance(seed, procs, 40, 0.8);
-        for alg in [Algorithm::Ftsa, Algorithm::McFtsaGreedy] {
+        let mut ws = CrashWorkspace::new();
+        for alg in [Algorithm::Ftsa, Algorithm::McFtsaGreedy, Algorithm::Ftbar] {
             let mut tie = StdRng::seed_from_u64(seed);
             let sched = schedule(&inst, eps, alg, &mut tie).unwrap();
             let mut frng = StdRng::seed_from_u64(seed ^ 0xD15C);
             let scen = FailureScenario::uniform(&mut frng, procs, eps);
-            let a = simulate(&inst, &sched, &scen);
-            let b = replay(&inst, &sched, &scen);
-            prop_assert!((a.latency - b.latency).abs() < 1e-9);
-            prop_assert_eq!(a.completed(), b.completed);
+            let a = simulate_event_loop_into(
+                &inst,
+                &sched,
+                &scen,
+                FallbackPolicy::Rerouted,
+                None,
+                &mut ws,
+            );
+            let b = simulate(&inst, &sched, &scen);
+            prop_assert_eq!(a.latency.to_bits(), b.latency.to_bits());
+            prop_assert_eq!(a.completed(), b.completed());
+            prop_assert_eq!(a.times, b.times);
         }
     }
 

@@ -6,10 +6,11 @@
 //! completed runs replay byte-identically, interrupted ones resume from
 //! their WAL checkpoints bit-exactly; a spec whose granularity cannot
 //! be applied fails its run (or is rejected up front) without taking a
-//! handler thread down.
+//! handler thread down; and a client that stops reading is dropped at
+//! the write-stall deadline.
 
 use experiments::campaign::{
-    presets, run_campaign_with_threads, CampaignSpec, TaskCount, WorkloadSpec,
+    presets, run_campaign_with_threads, CampaignSpec, PlatformSpec, TaskCount, WorkloadSpec,
 };
 use experiments::output::{campaign_to_json, json_group};
 use experiments::serve::{spec_key, ServeConfig, Server};
@@ -584,4 +585,62 @@ fn unappliable_granularity_fails_the_run_not_the_handler() {
 
     let health = status_within(addr, b"GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n", timeout);
     assert_eq!(health, "HTTP/1.1 200 OK");
+}
+
+/// A client that submits and then never reads its streamed response
+/// holds the only handler until the write-stall deadline: the stalled
+/// write fails like a hangup, the run settles as resumable at its
+/// durable count, the next request is answered, and a resubmission
+/// resumes to the exact bytes.
+#[test]
+fn stalled_reader_is_dropped_at_the_write_deadline() {
+    let dir = scratch_dir("stalled-reader");
+    let mut spec = smoke_spec();
+    spec.id = "serve-stalled-reader".into();
+    spec.workloads = vec![WorkloadSpec::Layered(TaskCount { tasks: 8 })];
+    spec.platforms = (0..2000)
+        .map(|i| PlatformSpec {
+            procs: 4,
+            granularity: 0.5 + i as f64 / 1000.0,
+            ..PlatformSpec::default()
+        })
+        .collect();
+    spec.repetitions = 1;
+    let spec_json = spec.to_json().expect("spec serializes");
+    let reference = campaign_to_json(&run_campaign_with_threads(&spec, 2).expect("valid spec"));
+    assert!(
+        reference.len() > 8 << 20,
+        "the body ({} bytes) must outgrow the loopback socket buffers",
+        reference.len()
+    );
+
+    let addr = spawn_server(ServeConfig {
+        threads: 2,
+        handlers: 1,
+        data_dir: Some(dir.clone()),
+        ..ServeConfig::default()
+    });
+    let mut stalled = TcpStream::connect(addr).expect("connect");
+    stalled
+        .write_all(
+            format!(
+                "POST /campaigns HTTP/1.1\r\nHost: loopback\r\nContent-Length: {}\r\n\
+                 Connection: close\r\n\r\n{spec_json}",
+                spec_json.len()
+            )
+            .as_bytes(),
+        )
+        .expect("send request");
+    // Never read: the handler streams until the socket buffers fill.
+
+    let timeout = Duration::from_secs(60);
+    let health = status_within(addr, b"GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n", timeout);
+    assert_eq!(health, "HTTP/1.1 200 OK");
+
+    let retry = post_campaign(addr, &spec_json);
+    assert_eq!(retry.status, "HTTP/1.1 200 OK", "{}", retry.body);
+    assert_eq!(retry.header("X-Campaign-Run"), Some("resumed"));
+    assert_eq!(retry.body, reference);
+    drop(stalled);
+    let _ = std::fs::remove_dir_all(&dir);
 }
