@@ -397,7 +397,7 @@ pub fn serve(argv: &[String]) -> Result<String, String> {
     let local = server.local_addr().map_err(|e| e.to_string())?;
     println!(
         "ftsched serve listening on http://{local} \
-         (POST /campaigns, GET /campaigns[/<key>], GET /healthz{})",
+         (POST /campaigns, GET /campaigns[/<key>], GET /healthz, GET /metrics{})",
         if durable { ", durable runs on" } else { "" }
     );
     // The port line is parsed by supervisors and tests spawning the

@@ -21,7 +21,8 @@
 //! * `serve` — the streaming campaign service: accept `CampaignSpec`
 //!   JSON over HTTP, run its groups across workers, and chunk-stream the
 //!   statistics back byte-identical to `campaign`'s file emission; with
-//!   `--data-dir`, runs are durable — WAL-checkpointed per group and
+//!   `--data-dir`, runs are durable — every group WAL-checkpointed
+//!   (one `fsync` per batch of ready groups) before it is streamed, and
 //!   resumed bit-exactly after a crash (see `experiments::serve`).
 //! * `info` — structural statistics of a graph file.
 //!

@@ -1098,8 +1098,10 @@ pub fn run_campaign_with_threads(
             let mut out = Vec::new();
             evaluate_any_cell_into(spec, &plan, i, ctx, &mut out).map(|()| out)
         },
-        |i, cell| {
-            agg.push_cell(spec.group_index(&spec.coord(i)), &cell?);
+        |first, run| {
+            for (k, cell) in run.enumerate() {
+                agg.push_cell(spec.group_index(&spec.coord(first + k)), &cell?);
+            }
             Ok(())
         },
     )?;

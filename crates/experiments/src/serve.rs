@@ -8,6 +8,15 @@
 //! dependency and needs none):
 //!
 //! * `GET /healthz` → `200 ok` — liveness probe.
+//! * `GET /metrics` → `200` with Prometheus text (`text/plain;
+//!   version=0.0.4`): the always-on WAL counters
+//!   `ftsched_wal_frames_total` (group frames committed),
+//!   `ftsched_wal_syncs_total` (`fsync`s that committed them, one per
+//!   batch) and `ftsched_wal_bytes_total` (their bytes, frame headers
+//!   included), summed over every run since bind; all zero without a
+//!   data dir. Frames equal the groups appended to the WALs on disk; a
+//!   run that appends frames syncs at least once and at most once per
+//!   frame.
 //! * `POST /campaigns` with a [`CampaignSpec`] JSON body → `200` with
 //!   `Transfer-Encoding: chunked` and `Content-Type: application/json`.
 //!   The de-chunked body is **byte-identical** to the file the CLI
@@ -34,10 +43,12 @@
 //!   connection is dropped. A silent or trickling client therefore
 //!   holds a handler thread for at most that long, and no request grows
 //!   a buffer past the head cap or [`ServeConfig::max_body`].
-//! * Each write to a client may stall for 5 s. A client that stops
-//!   reading a streamed body fails the write like a hangup (see below),
-//!   so it holds a handler thread for at most that long after its
-//!   socket buffers fill.
+//! * A response goes out in slices of at most 64 KiB, and the client
+//!   has 5 s to take each one, however it paces its reads within the
+//!   slice: a client must read at least 64 KiB per 5 s (about 13 KB/s)
+//!   while a response is pending. One that stops reading a streamed body
+//!   fails the write like a hangup (see below), so it holds a handler
+//!   thread for at most 5 s after its socket buffers fill.
 //!
 //! Each streamed chunk carries a `;seq=<n>` chunk extension with a
 //! strictly increasing sequence number from 0 — standard de-chunkers
@@ -56,8 +67,10 @@
 //! and [`finalize_group`](crate::campaign::finalize_group), and renders
 //! the group with [`json_group`]. A group's bytes are a pure function of
 //! `(spec, group index)`, so responses are **byte-reproducible at any
-//! thread count**. The executor delivers groups to this thread strictly
-//! in index order, where each is made durable and then streamed.
+//! thread count**. The executor delivers groups to the handler thread
+//! strictly in index order, a run of ready groups at a time; each run is
+//! made durable and then streamed as one batch (see below). How groups
+//! split into batches depends on timing; the bytes on the wire never do.
 //!
 //! # Idempotency
 //!
@@ -81,16 +94,24 @@
 //!   write-rename — tmp file, `fsync`, `rename`, directory `fsync` — so
 //!   a record is always either absent or complete, never torn.
 //! * **A group is durable before it is visible.** The handler thread
-//!   appends each rendered group to the run's checksummed WAL and
-//!   `fsync`s **before** writing the group's chunk to the socket; a
-//!   client can never observe bytes a crash could un-happen.
+//!   commits groups in batches (group commit): each time the executor
+//!   hands it the run of groups rendered and next in order, it appends
+//!   all their frames to the run's checksummed WAL with one write and
+//!   one `fsync`, and only **then** writes all their chunks to the
+//!   socket in one write. A client can never observe bytes a crash could
+//!   un-happen, and the WAL prefix is always exactly groups `0..k`. A
+//!   batch that fails to commit streams none of its groups. The batch
+//!   is whatever is ready — there is no size cap and no linger timer —
+//!   so a slow `fsync` lets more groups pile up for the next one.
 //! * **Completion is a single record flip.** After the last group frame
 //!   is durable, the record moves `running → completed` with the result
 //!   fingerprint (rolling FNV-1a over the group payloads); that atomic
 //!   rename is the commit point of the whole run.
 //! * **Recovery trusts only persisted state.** On bind the server scans
 //!   the data dir: orphaned tmp files are deleted, torn WAL tails are
-//!   truncated back to the last whole checksummed frame, `running`
+//!   truncated back to the last whole checksummed frame (a WAL without
+//!   a whole magic header, such as the empty file a crash before its
+//!   header was synced leaves, is rewritten fresh), `running`
 //!   records are demoted to `resumable` (the process died mid-run), and
 //!   `completed` records are re-verified against the replayed WAL —
 //!   a fingerprint mismatch demotes to `resumable` rather than serving
@@ -100,9 +121,11 @@
 //!   replays those frames and re-executes only groups `k..n`, and
 //!   because group bytes are pure functions of `(spec, group index)`
 //!   the final body is byte-identical to an uninterrupted run at any
-//!   thread count. A client hangup mid-stream likewise releases the run
-//!   slot as `resumable` — completed-group checkpoints are never
-//!   discarded with the connection.
+//!   thread count. The replayed prefix goes out in the same write as the
+//!   response head. A client hangup mid-stream likewise releases the run
+//!   slot as `resumable` at its count of `fsync`ed frames —
+//!   completed-group checkpoints are never discarded with the
+//!   connection.
 //!
 //! # Backpressure and failure policy
 //!
@@ -114,10 +137,12 @@
 //! take its granularity, [`CampaignError::Granularity`]), or the durable
 //! store fails a persistence operation ([`CampaignError::Store`]), the
 //! run halts loudly: the groups before it are still made durable and
-//! streamed, no further group is started, the error is logged, the
-//! chunked stream is cut without its terminating chunk (clients see a
-//! transfer error, never silently truncated data), the run slot is
-//! marked failed — and the server itself stays alive.
+//! streamed (a failing group ends its batch, and the groups ahead of it
+//! in the batch are committed and sent first), no further group is
+//! started, the error is logged, the chunked stream is cut without its
+//! terminating chunk (clients see a transfer error, never silently
+//! truncated data), the run slot is marked failed — and the server
+//! itself stays alive.
 
 use crate::campaign::{
     evaluate_group, CampaignError, CampaignSpec, CellContext, CellPlan, StoreIoError,
@@ -141,11 +166,18 @@ const MAX_HEAD: u64 = 16 * 1024;
 /// deliver its whole request (head and body).
 const READ_DEADLINE: Duration = Duration::from_secs(5);
 
-/// How long one write to a client may stall before the connection is
-/// dropped: a client that stops reading a streamed body fails the write
-/// like a hangup, so its run settles as resumable and the handler is
-/// free again.
+/// How long a client has to take each [`WRITE_SLICE`] of a response
+/// before the connection is dropped: a client that stops reading a
+/// streamed body fails the write like a hangup, so its run settles as
+/// resumable and the handler is free again.
 const WRITE_STALL_DEADLINE: Duration = Duration::from_secs(5);
+
+/// The most of a response one [`DeadlineWriter`] write hands the socket
+/// under one [`WRITE_STALL_DEADLINE`].
+const WRITE_SLICE: usize = 64 * 1024;
+
+/// The chunk that ends a chunked body.
+const LAST_CHUNK: &[u8] = b"0\r\n\r\n";
 
 /// Tuning knobs of a [`Server`].
 #[derive(Debug, Clone)]
@@ -222,13 +254,14 @@ pub fn spec_key(spec: &CampaignSpec) -> u64 {
 // --- HTTP plumbing -----------------------------------------------------
 
 fn write_response(
-    stream: &mut TcpStream,
+    stream: &mut impl Write,
     status: &str,
+    content_type: &str,
     extra_headers: &[(&str, &str)],
     body: &str,
 ) -> io::Result<()> {
     let mut head = format!(
-        "HTTP/1.1 {status}\r\nContent-Type: application/json\r\nContent-Length: {}\r\nConnection: close\r\n",
+        "HTTP/1.1 {status}\r\nContent-Type: {content_type}\r\nContent-Length: {}\r\nConnection: close\r\n",
         body.len()
     );
     for (k, v) in extra_headers {
@@ -243,12 +276,12 @@ fn write_response(
     stream.flush()
 }
 
-fn write_error(stream: &mut TcpStream, status: &str, message: &str) -> io::Result<()> {
+fn write_error(stream: &mut impl Write, status: &str, message: &str) -> io::Result<()> {
     write_error_with(stream, status, &[], message)
 }
 
 fn write_error_with(
-    stream: &mut TcpStream,
+    stream: &mut impl Write,
     status: &str,
     extra_headers: &[(&str, &str)],
     message: &str,
@@ -257,32 +290,49 @@ fn write_error_with(
         "{{\n  \"error\": {}\n}}",
         serde_json::to_string(&message).expect("strings always serialize")
     );
-    write_response(stream, status, extra_headers, &body)
+    write_response(stream, status, "application/json", extra_headers, &body)
 }
 
-/// One chunk of a chunked response, tagged with its sequence number as
-/// a chunk extension (`<size-hex>;seq=<n>`). De-chunkers ignore the
-/// extension; protocol tests assert the numbers are gapless from 0.
-fn write_chunk(stream: &mut impl Write, seq: u64, data: &str) -> io::Result<()> {
-    write!(stream, "{:x};seq={}\r\n", data.len(), seq)?;
-    stream.write_all(data.as_bytes())?;
-    stream.write_all(b"\r\n")
+/// Appends the status line and headers of a chunked campaign response
+/// whose `X-Campaign-Run` is `mode`.
+fn push_chunked_head(wire: &mut Vec<u8>, mode: &str) {
+    write!(
+        wire,
+        "HTTP/1.1 200 OK\r\nContent-Type: application/json\r\n\
+         Transfer-Encoding: chunked\r\nX-Campaign-Run: {mode}\r\n\
+         Connection: close\r\n\r\n"
+    )
+    .expect("writing to a Vec cannot fail");
 }
 
-fn write_last_chunk(stream: &mut impl Write) -> io::Result<()> {
-    stream.write_all(b"0\r\n\r\n")?;
-    stream.flush()
+/// Appends one chunk of a chunked response, the concatenation of
+/// `parts`, tagged with its sequence number as a chunk extension
+/// (`<size-hex>;seq=<n>`). De-chunkers ignore the extension; protocol
+/// tests assert the numbers are gapless from 0.
+fn push_chunk(wire: &mut Vec<u8>, seq: usize, parts: &[&str]) {
+    let len: usize = parts.iter().map(|p| p.len()).sum();
+    write!(wire, "{len:x};seq={seq}\r\n").expect("writing to a Vec cannot fail");
+    for part in parts {
+        wire.extend_from_slice(part.as_bytes());
+    }
+    wire.extend_from_slice(b"\r\n");
+}
+
+/// Sends `wire` in one write and empties it for the next batch.
+fn send(stream: &mut impl Write, wire: &mut Vec<u8>) -> io::Result<()> {
+    stream.write_all(wire)?;
+    stream.flush()?;
+    wire.clear();
+    Ok(())
 }
 
 /// Streams a settled run's exact body as a single replayed chunk.
-fn replay_existing(stream: &mut TcpStream, body: &str) -> io::Result<()> {
-    stream.write_all(
-        b"HTTP/1.1 200 OK\r\nContent-Type: application/json\r\n\
-          Transfer-Encoding: chunked\r\nX-Campaign-Run: existing\r\n\
-          Connection: close\r\n\r\n",
-    )?;
-    write_chunk(stream, 0, body)?;
-    write_last_chunk(stream)
+fn replay_existing(stream: &mut impl Write, body: &str) -> io::Result<()> {
+    let mut wire = Vec::with_capacity(body.len() + 256);
+    push_chunked_head(&mut wire, "existing");
+    push_chunk(&mut wire, 0, &[body]);
+    wire.extend_from_slice(LAST_CHUNK);
+    send(stream, &mut wire)
 }
 
 struct Request {
@@ -311,6 +361,45 @@ impl Read for DeadlineReader {
         }
         self.stream.set_read_timeout(Some(left))?;
         self.stream.read(buf)
+    }
+}
+
+/// The write half of a connection: each write hands the socket at most
+/// [`WRITE_SLICE`] bytes and gives them one [`WRITE_STALL_DEADLINE`] in
+/// all. Partial progress within the slice keeps the clock running, so
+/// however the client paces its reads (the kernel's zero-window probes
+/// free a little buffer now and then), it must take each slice within
+/// the deadline or the write fails.
+struct DeadlineWriter {
+    stream: TcpStream,
+}
+
+impl Write for DeadlineWriter {
+    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+        let slice = &buf[..buf.len().min(WRITE_SLICE)];
+        let until = Instant::now() + WRITE_STALL_DEADLINE;
+        let mut sent = 0;
+        while sent < slice.len() {
+            let left = until.saturating_duration_since(Instant::now());
+            if left.is_zero() {
+                return Err(io::Error::new(
+                    io::ErrorKind::TimedOut,
+                    "client did not take the response within the write deadline",
+                ));
+            }
+            self.stream.set_write_timeout(Some(left))?;
+            match self.stream.write(&slice[sent..]) {
+                Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
+                Ok(k) => sent += k,
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(e) => return Err(e),
+            }
+        }
+        Ok(sent)
+    }
+
+    fn flush(&mut self) -> io::Result<()> {
+        self.stream.flush()
     }
 }
 
@@ -504,23 +593,25 @@ fn try_handle(
     threads: usize,
     max_body: usize,
 ) -> io::Result<()> {
-    stream.set_write_timeout(Some(WRITE_STALL_DEADLINE))?;
     let mut reader = BufReader::new(DeadlineReader {
         stream: stream.try_clone()?,
         until: Instant::now() + READ_DEADLINE,
     });
-    let mut stream = stream;
+    let mut stream = DeadlineWriter { stream };
     let Some(req) = read_request(&mut reader)? else {
         write_error(
             &mut stream,
             "431 Request Header Fields Too Large",
             "request line and headers exceed 16 KiB",
         )?;
-        drain_and_close(&mut stream);
+        drain_and_close(&mut stream.stream);
         return Ok(());
     };
     match (req.method.as_str(), req.path.as_str()) {
-        ("GET", "/healthz") => write_response(&mut stream, "200 OK", &[], "ok\n"),
+        ("GET", "/healthz") => {
+            write_response(&mut stream, "200 OK", "application/json", &[], "ok\n")
+        }
+        ("GET", "/metrics") => handle_metrics(&mut stream, registry),
         ("GET", "/campaigns") => handle_listing(&mut stream, registry),
         ("GET", path) if path.starts_with("/campaigns/") => {
             let key_text = &path["/campaigns/".len()..];
@@ -567,9 +658,42 @@ fn try_handle(
     }
 }
 
+/// `GET /metrics`: the store's WAL counters in the Prometheus text
+/// format, all zero without a data dir. Each counter is read on its own,
+/// so a scrape taken while a batch commits may split it.
+fn handle_metrics(stream: &mut impl Write, registry: &Registry) -> io::Result<()> {
+    let (syncs, frames, bytes) = registry.store.as_ref().map_or((0, 0, 0), |store| {
+        let c = store.wal_counters();
+        (c.syncs(), c.frames(), c.bytes())
+    });
+    let mut body = String::new();
+    for (name, help, value) in [
+        (
+            "ftsched_wal_syncs_total",
+            "WAL fsyncs that committed group frames, one per batch.",
+            syncs,
+        ),
+        (
+            "ftsched_wal_frames_total",
+            "WAL group frames committed (written and fsynced).",
+            frames,
+        ),
+        (
+            "ftsched_wal_bytes_total",
+            "Bytes of committed WAL frames, frame headers included.",
+            bytes,
+        ),
+    ] {
+        body.push_str(&format!(
+            "# HELP {name} {help}\n# TYPE {name} counter\n{name} {value}\n"
+        ));
+    }
+    write_response(stream, "200 OK", "text/plain; version=0.0.4", &[], &body)
+}
+
 /// `GET /campaigns`: a point-in-time JSON listing of the registry,
 /// sorted by key.
-fn handle_listing(stream: &mut TcpStream, registry: &Registry) -> io::Result<()> {
+fn handle_listing(stream: &mut impl Write, registry: &Registry) -> io::Result<()> {
     let mut entries: Vec<(u64, String, usize, &'static str, usize)> = {
         let runs = registry.runs.lock().expect("registry lock");
         runs.iter()
@@ -604,7 +728,7 @@ fn handle_listing(stream: &mut TcpStream, registry: &Registry) -> io::Result<()>
         body.push_str("\n  ");
     }
     body.push_str("]\n}");
-    write_response(stream, "200 OK", &[], &body)
+    write_response(stream, "200 OK", "application/json", &[], &body)
 }
 
 /// What a connection holding a run slot is entitled to do with it.
@@ -643,7 +767,7 @@ fn settle(slot: &RunSlot, state: SlotState) {
 }
 
 fn handle_submission(
-    stream: &mut TcpStream,
+    stream: &mut impl Write,
     registry: &Registry,
     threads: usize,
     body: &str,
@@ -701,7 +825,7 @@ fn handle_submission(
 
 /// `GET /campaigns/<key>`: replay, wait, or resume a registered run.
 fn handle_lookup(
-    stream: &mut TcpStream,
+    stream: &mut impl Write,
     registry: &Registry,
     threads: usize,
     key: u64,
@@ -761,7 +885,7 @@ fn handle_lookup(
 /// caller has already flipped the slot to `Running`.
 #[allow(clippy::too_many_arguments)]
 fn compute_run(
-    stream: &mut TcpStream,
+    stream: &mut impl Write,
     registry: &Registry,
     slot: &RunSlot,
     key: u64,
@@ -870,10 +994,13 @@ struct RunOutcome {
 }
 
 /// Streams a run: replays the durable groups, then runs the missing
-/// group range through [`parallel_map_into`] — workers evaluate and
-/// render groups, and this thread, in group index order, appends each to
-/// the WAL (fsync), folds it into the fingerprint and writes its chunk,
-/// so a group is durable **before** its chunk hits the socket.
+/// group range through [`parallel_map_into`]. Workers evaluate and
+/// render groups; this thread takes each run of ready groups as one
+/// batch: it appends all their WAL frames and `fsync`s once, then folds
+/// them into the fingerprint and writes all their chunks in one write,
+/// so a group is durable **before** any byte of its chunk hits the
+/// socket. A failing group ends its batch: the groups before it are
+/// committed and streamed, then its error is returned.
 fn stream_run(
     stream: &mut impl Write,
     spec: &CampaignSpec,
@@ -886,52 +1013,62 @@ fn stream_run(
     let mut groups = replayed;
     groups.truncate(n);
     let start = groups.len();
-    let mode = if start == 0 { "new" } else { "resumed" };
-    write!(
-        stream,
-        "HTTP/1.1 200 OK\r\nContent-Type: application/json\r\n\
-         Transfer-Encoding: chunked\r\nX-Campaign-Run: {mode}\r\n\
-         Connection: close\r\n\r\n"
-    )?;
-    write_chunk(stream, 0, &json_head(&spec.id))?;
-    let mut seq = 1u64;
     let mut fingerprint = Fingerprint::new();
-    // Folds a group into the fingerprint and streams it as one chunk.
-    let mut emit = |gi: usize, group: &str| {
-        fingerprint.push_group(group);
-        seq += 1;
-        write_chunk(stream, seq - 1, &format!("{}{group}", json_group_lead(gi)))
+    // Renders `groups[from..]` into `wire`, one chunk each; group `gi`
+    // is chunk `gi + 1`, after the head.
+    let mut push_groups = |wire: &mut Vec<u8>, groups: &[String], from: usize| {
+        for (gi, group) in groups.iter().enumerate().skip(from) {
+            fingerprint.push_group(group);
+            push_chunk(wire, gi + 1, &[json_group_lead(gi), group]);
+        }
     };
 
-    // Replay the durable prefix: groups 0..start come from the WAL,
-    // byte-identical to what the interrupted run streamed (and what an
-    // uninterrupted run would compute).
-    for (gi, group) in groups.iter().enumerate() {
-        emit(gi, group)?;
-    }
+    // The head, then the durable prefix: groups 0..start come from the
+    // WAL, byte-identical to what the interrupted run streamed (and what
+    // an uninterrupted run would compute).
+    let mut wire = Vec::new();
+    push_chunked_head(&mut wire, if start == 0 { "new" } else { "resumed" });
+    push_chunk(&mut wire, 0, &[&json_head(&spec.id)]);
+    push_groups(&mut wire, &groups, 0);
+    send(stream, &mut wire)?;
     parallel_map_into(
         n - start,
         threads,
         CellContext::new,
         |ctx, k| evaluate_group(spec, &plan, start + k, ctx).map(|g| json_group(&g)),
-        |k, rendered| {
-            let group = rendered.map_err(StreamError::Campaign)?;
-            if let Some(writer) = wal.as_deref_mut() {
-                writer.append(group.as_bytes()).map_err(|e| {
-                    StreamError::Campaign(CampaignError::Store {
-                        campaign: spec.id.clone(),
-                        operation: "appending a group frame",
-                        source: StoreIoError::new(e),
-                    })
-                })?;
+        |_, run| {
+            let from = groups.len();
+            let mut failure = None;
+            for rendered in run {
+                match rendered {
+                    Ok(group) => groups.push(group),
+                    Err(e) => {
+                        failure = Some(e);
+                        break;
+                    }
+                }
             }
-            emit(start + k, &group)?;
-            groups.push(group);
-            Ok::<(), StreamError>(())
+            if let Some(writer) = wal.as_deref_mut() {
+                writer
+                    .append_batch(groups[from..].iter().map(String::as_bytes))
+                    .map_err(|e| {
+                        StreamError::Campaign(CampaignError::Store {
+                            campaign: spec.id.clone(),
+                            operation: "appending group frames",
+                            source: StoreIoError::new(e),
+                        })
+                    })?;
+            }
+            if groups.len() > from {
+                push_groups(&mut wire, &groups, from);
+                send(stream, &mut wire)?;
+            }
+            failure.map_or(Ok(()), |e| Err(StreamError::Campaign(e)))
         },
     )?;
-    write_chunk(stream, seq, JSON_TAIL)?;
-    write_last_chunk(stream)?;
+    push_chunk(&mut wire, n + 1, &[JSON_TAIL]);
+    wire.extend_from_slice(LAST_CHUNK);
+    send(stream, &mut wire)?;
     Ok(RunOutcome {
         body: json_document(&spec.id, &groups),
         fingerprint: fingerprint.finish(),
@@ -941,7 +1078,7 @@ fn stream_run(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::campaign::{presets, run_campaign_with_threads, CampaignResult};
+    use crate::campaign::{presets, run_campaign_with_threads, CampaignResult, PlatformSpec};
     use crate::output::campaign_to_json;
 
     fn smoke() -> (CampaignSpec, CampaignResult) {
@@ -1014,5 +1151,82 @@ mod tests {
         let run = stream_run(&mut Vec::new(), &spec, 2, Vec::new(), None)
             .unwrap_or_else(|_| panic!("stream"));
         assert_eq!(run.fingerprint, expected.finish());
+    }
+
+    /// A socket stand-in that checks, on every write, that each group
+    /// chunk written so far already has its frame in the WAL file.
+    struct WalOrderedWire {
+        wal: std::path::PathBuf,
+        groups: usize,
+        wire: Vec<u8>,
+        writes: usize,
+    }
+
+    impl Write for WalOrderedWire {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.wire.extend_from_slice(buf);
+            self.writes += 1;
+            // Group `gi` travels as chunk `seq = gi + 1`; the tail is `n + 1`.
+            let text = String::from_utf8_lossy(&self.wire);
+            let streamed = text
+                .split(";seq=")
+                .skip(1)
+                .filter_map(|rest| rest.split("\r\n").next()?.parse::<usize>().ok())
+                .max()
+                .map_or(0, |seq| seq.min(self.groups));
+            let durable = crate::store::wal::read(&self.wal)?.groups.len();
+            assert!(
+                durable >= streamed,
+                "group {} reached the socket before its WAL frame ({durable} frames)",
+                streamed - 1
+            );
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    /// A group's frame is in the WAL before any byte of its chunk is
+    /// written to the socket, at one thread and several, and the whole
+    /// run takes fewer socket writes than it has groups plus two.
+    #[test]
+    fn chunks_follow_their_wal_frames() {
+        let mut spec = presets::preset("ci-smoke", Some(1)).expect("preset");
+        spec.platforms = (0..6)
+            .map(|i| PlatformSpec::paper(8, 0.4 + 0.2 * i as f64))
+            .collect();
+        let n = spec.num_groups();
+        for threads in [1, 3] {
+            let dir = std::env::temp_dir().join(format!(
+                "ftsched_serve_order_t{threads}_{}",
+                std::process::id()
+            ));
+            let _ = std::fs::remove_dir_all(&dir);
+            let store = Store::open(&dir).expect("store");
+            let canonical = spec.to_json().expect("spec serializes");
+            let key = fnv1a(canonical.bytes());
+            let mut writer = store
+                .begin_run(key, &spec.id, &canonical, n)
+                .expect("begin run");
+            let mut wire = WalOrderedWire {
+                wal: store.wal_path(key),
+                groups: n,
+                wire: Vec::new(),
+                writes: 0,
+            };
+            let run = stream_run(&mut wire, &spec, threads, Vec::new(), Some(&mut writer))
+                .unwrap_or_else(|_| panic!("stream at {threads} thread(s)"));
+            assert_eq!(de_chunk(&wire.wire), run.body, "threads = {threads}");
+            assert_eq!(writer.next_group(), n);
+            // The head, at most one write per group, the tail.
+            assert!(
+                wire.writes <= n + 2,
+                "{} writes for {n} groups",
+                wire.writes
+            );
+            let _ = std::fs::remove_dir_all(&dir);
+        }
     }
 }

@@ -17,12 +17,16 @@
 //!   or the new version, never a torn mix;
 //! * `<key>.wal` — the checksummed, length-prefixed group WAL
 //!   ([`wal`]): frame *i* is the rendered bytes of group *i*, `fsync`ed
-//!   before the group is exposed to any client.
+//!   before the group is exposed to any client. Frames are appended in
+//!   batches ([`WalWriter::append_batch`]), one `fsync` per batch; a
+//!   frame is committed when the call that wrote it returns, and the
+//!   store's [`WalCounters`] count committed frames, syncs and bytes.
 //!
 //! # Recovery
 //!
 //! [`Store::recover`] (run once at server bind) deletes orphaned tmp
-//! files, truncates every WAL back to its valid frame prefix, demotes
+//! files, cuts every WAL back to its valid frame prefix ([`wal::repair`];
+//! a WAL without a whole magic header is rewritten fresh), demotes
 //! in-flight `running` records to `resumable`, and re-verifies the
 //! result fingerprint of `completed` runs against the replayed WAL —
 //! a completed run whose WAL no longer reproduces its fingerprint is
@@ -37,12 +41,13 @@
 
 pub mod wal;
 
-pub use wal::{fnv1a, WalWriter};
+pub use wal::{fnv1a, WalCounters, WalWriter};
 
 use serde::{Deserialize, Serialize};
 use std::fs;
 use std::io::{self, Write};
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 
 /// Lifecycle state of a persisted run (`running → resumable →
 /// completed | failed`; `running` only ever appears in a live process —
@@ -133,6 +138,7 @@ pub struct PersistedRun {
 #[derive(Debug)]
 pub struct Store {
     dir: PathBuf,
+    counters: Arc<WalCounters>,
 }
 
 /// Hex form of an idempotency key, as used in file names and URLs.
@@ -145,12 +151,20 @@ impl Store {
     pub fn open(dir: impl Into<PathBuf>) -> io::Result<Store> {
         let dir = dir.into();
         fs::create_dir_all(&dir)?;
-        Ok(Store { dir })
+        Ok(Store {
+            dir,
+            counters: Arc::default(),
+        })
     }
 
     /// The data directory.
     pub fn dir(&self) -> &Path {
         &self.dir
+    }
+
+    /// Running totals over every WAL writer this store handed out.
+    pub fn wal_counters(&self) -> &WalCounters {
+        &self.counters
     }
 
     fn run_path(&self, key: u64) -> PathBuf {
@@ -223,7 +237,7 @@ impl Store {
             fingerprint: None,
             error: None,
         })?;
-        WalWriter::create(&self.wal_path(key))
+        Ok(WalWriter::create(&self.wal_path(key))?.counted_by(&self.counters))
     }
 
     /// The persisted canonical spec of a run.
@@ -231,21 +245,19 @@ impl Store {
         fs::read_to_string(self.spec_path(key))
     }
 
-    /// Claims a resumable run: re-reads and re-truncates the WAL (a
-    /// second crash may have torn it again since recovery), marks the
-    /// record `running`, and returns the replayed group payloads plus a
-    /// writer positioned at the first missing group.
+    /// Claims a resumable run: re-reads and repairs the WAL (a second
+    /// crash may have torn it again since recovery), marks the record
+    /// `running`, and returns the replayed group payloads plus a writer
+    /// positioned at the first missing group.
     pub fn resume_run(&self, key: u64) -> io::Result<(Vec<String>, WalWriter)> {
-        let contents = wal::read(&self.wal_path(key))?;
-        if contents.truncated_tail {
-            wal::truncate_to(&self.wal_path(key), contents.valid_len)?;
-        }
+        let contents = wal::repair(&self.wal_path(key))?;
         self.update_record(key, |r| {
             r.state = RunState::Running;
             r.fingerprint = None;
             r.error = None;
         })?;
-        let writer = WalWriter::open_at(&self.wal_path(key), contents.groups.len())?;
+        let writer = WalWriter::open_at(&self.wal_path(key), contents.groups.len())?
+            .counted_by(&self.counters);
         Ok((contents.groups, writer))
     }
 
@@ -274,7 +286,7 @@ impl Store {
     }
 
     /// Recovery bootstrap: scans the data directory, cleans orphaned
-    /// tmp files, truncates torn WAL tails, demotes `running` records
+    /// tmp files, repairs every WAL, demotes `running` records
     /// to `resumable`, verifies completed runs' fingerprints (demoting
     /// on mismatch), and returns every persisted run sorted by key.
     pub fn recover(&self) -> io::Result<Vec<PersistedRun>> {
@@ -305,11 +317,7 @@ impl Store {
             let mut record = self.read_record(key)?;
             let wal_path = self.wal_path(key);
             let contents = if wal_path.exists() {
-                let c = wal::read(&wal_path)?;
-                if c.truncated_tail {
-                    wal::truncate_to(&wal_path, c.valid_len)?;
-                }
-                c
+                wal::repair(&wal_path)?
             } else {
                 // A record committed before its WAL creation crashed:
                 // materialize the empty WAL it promises.

@@ -11,25 +11,30 @@
 //! flip anywhere in a frame is caught either by the length failing to
 //! line up or by the checksum. Frames are appended strictly in group
 //! order — frame *i* carries group *i*, enforced on both the write side
-//! ([`WalWriter::append`] numbers frames itself) and the read side
+//! ([`WalWriter::append_batch`] numbers frames itself) and the read side
 //! ([`read`] stops at the first out-of-sequence frame). A recovered WAL
 //! therefore can never replay a group twice or skip one: its valid
 //! prefix is exactly groups `0..k`.
 //!
 //! # Durability
 //!
-//! [`WalWriter::append`] encodes the frame into a reusable scratch
-//! buffer (zero steady-state heap allocations once the buffer is sized
-//! — pinned by `tests/alloc_counter.rs`), writes it with a single
-//! `write_all`, and `fsync`s the file before returning: a frame is
-//! **committed** exactly when `append` returns. A crash mid-write
-//! leaves a torn tail; [`read`] reports the length of the valid prefix
-//! and [`truncate_to`] cuts the file back to it, after which appends
-//! continue from the first missing group.
+//! [`WalWriter::append_batch`] encodes a batch of frames into a reusable
+//! scratch buffer (zero steady-state heap allocations once the buffer is
+//! sized — pinned by `tests/alloc_counter.rs`), writes them with a single
+//! `write_all`, and `fsync`s the file once before returning: every frame
+//! of the batch is **committed** exactly when the call that wrote it
+//! returns `Ok`, and none is before. [`WalWriter::append`] is the
+//! one-frame batch. A crash mid-write leaves a torn tail, possibly in
+//! the middle of a batch; [`read`] reports the length of the valid
+//! prefix and [`repair`] cuts the file back to it, after which appends
+//! continue from the first missing group. [`WalCounters`] keep running
+//! totals of committed frames, syncs and bytes.
 
 use std::fs::{File, OpenOptions};
 use std::io::{self, Read, Write};
 use std::path::Path;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 /// File magic: identifies (and versions) the frame format.
 pub const MAGIC: &[u8; 8] = b"FTSWAL1\n";
@@ -61,6 +66,33 @@ fn frame_digest(group_index: u64, payload: &[u8]) -> u64 {
     )
 }
 
+/// Running totals of committed WAL writes, shared by every writer of a
+/// [`Store`](super::Store). Relaxed atomics: they are statistics and
+/// publish no other data.
+#[derive(Debug, Default)]
+pub struct WalCounters {
+    frames: AtomicU64,
+    syncs: AtomicU64,
+    bytes: AtomicU64,
+}
+
+impl WalCounters {
+    /// Group frames committed (written and `fsync`ed).
+    pub fn frames(&self) -> u64 {
+        self.frames.load(Ordering::Relaxed)
+    }
+
+    /// `fsync`s that committed frames: one per batch.
+    pub fn syncs(&self) -> u64 {
+        self.syncs.load(Ordering::Relaxed)
+    }
+
+    /// Bytes of committed frames, frame headers included.
+    pub fn bytes(&self) -> u64 {
+        self.bytes.load(Ordering::Relaxed)
+    }
+}
+
 /// Append handle over a WAL file. Frames are numbered by the writer —
 /// callers supply payloads only, so a frame's group index can never
 /// diverge from its position.
@@ -69,6 +101,7 @@ pub struct WalWriter {
     file: File,
     buf: Vec<u8>,
     next_group: usize,
+    counters: Arc<WalCounters>,
 }
 
 impl WalWriter {
@@ -82,41 +115,73 @@ impl WalWriter {
             file,
             buf: Vec::new(),
             next_group: 0,
+            counters: Arc::default(),
         })
     }
 
     /// Opens an existing WAL for appending after recovery: the file must
-    /// already be truncated to a valid prefix of `next_group` frames
-    /// (see [`read`] / [`truncate_to`]).
+    /// already be cut back to a valid prefix of `next_group` frames
+    /// (see [`repair`]).
     pub fn open_at(path: &Path, next_group: usize) -> io::Result<WalWriter> {
         let file = OpenOptions::new().append(true).open(path)?;
         Ok(WalWriter {
             file,
             buf: Vec::new(),
             next_group,
+            counters: Arc::default(),
         })
     }
 
-    /// The group index the next [`WalWriter::append`] will commit.
+    /// Counts this writer's commits into `counters` from now on.
+    pub(super) fn counted_by(mut self, counters: &Arc<WalCounters>) -> WalWriter {
+        self.counters = Arc::clone(counters);
+        self
+    }
+
+    /// The group index the next appended frame will carry.
     pub fn next_group(&self) -> usize {
         self.next_group
     }
 
     /// Appends one group frame and `fsync`s: the frame is durable when
-    /// this returns. Steady-state appends reuse the encode buffer and
-    /// perform no heap allocation once it is sized.
+    /// this returns. The one-frame case of [`WalWriter::append_batch`].
     pub fn append(&mut self, payload: &[u8]) -> io::Result<()> {
-        let gi = self.next_group as u64;
+        self.append_batch([payload])
+    }
+
+    /// Appends one frame per payload, numbered on from
+    /// [`WalWriter::next_group`], with one `write_all` and one `fsync`:
+    /// the frames are durable when this returns `Ok`. After an error
+    /// none of them counts as committed and the writer's position is
+    /// unchanged. An empty batch writes and syncs nothing. Steady-state
+    /// batches reuse the encode buffer and perform no heap allocation
+    /// once it is sized.
+    pub fn append_batch<'p>(
+        &mut self,
+        payloads: impl IntoIterator<Item = &'p [u8]>,
+    ) -> io::Result<()> {
         self.buf.clear();
-        self.buf
-            .extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        self.buf.extend_from_slice(&gi.to_le_bytes());
-        self.buf
-            .extend_from_slice(&frame_digest(gi, payload).to_le_bytes());
-        self.buf.extend_from_slice(payload);
+        let mut frames = 0;
+        for payload in payloads {
+            let gi = (self.next_group + frames) as u64;
+            self.buf
+                .extend_from_slice(&(payload.len() as u32).to_le_bytes());
+            self.buf.extend_from_slice(&gi.to_le_bytes());
+            self.buf
+                .extend_from_slice(&frame_digest(gi, payload).to_le_bytes());
+            self.buf.extend_from_slice(payload);
+            frames += 1;
+        }
+        if frames == 0 {
+            return Ok(());
+        }
         self.file.write_all(&self.buf)?;
         self.file.sync_data()?;
-        self.next_group += 1;
+        self.next_group += frames;
+        let c = &self.counters;
+        c.frames.fetch_add(frames as u64, Ordering::Relaxed);
+        c.syncs.fetch_add(1, Ordering::Relaxed);
+        c.bytes.fetch_add(self.buf.len() as u64, Ordering::Relaxed);
         Ok(())
     }
 }
@@ -178,8 +243,9 @@ pub fn read(path: &Path) -> io::Result<WalContents> {
 }
 
 /// Truncates a WAL back to a valid prefix reported by [`read`]. With
-/// `valid_len == 0` the file is rewritten as a fresh empty WAL (magic
-/// only), so a condemned header never survives recovery.
+/// `valid_len` shorter than the magic header the file is rewritten as a
+/// fresh empty WAL (magic only), so a condemned header never survives
+/// recovery.
 pub fn truncate_to(path: &Path, valid_len: u64) -> io::Result<()> {
     if valid_len < MAGIC.len() as u64 {
         let mut file = File::create(path)?;
@@ -189,6 +255,19 @@ pub fn truncate_to(path: &Path, valid_len: u64) -> io::Result<()> {
     let file = OpenOptions::new().write(true).open(path)?;
     file.set_len(valid_len)?;
     file.sync_all()
+}
+
+/// Reads a WAL's valid prefix ([`read`]) and cuts the file back to it
+/// ([`truncate_to`]) wherever appends could not follow it: a torn or
+/// corrupt tail is dropped, and a file without a whole magic header —
+/// an empty one included, as a crash between creating the file and
+/// syncing its header leaves — is rewritten as a fresh WAL.
+pub fn repair(path: &Path) -> io::Result<WalContents> {
+    let contents = read(path)?;
+    if contents.truncated_tail || contents.valid_len < MAGIC.len() as u64 {
+        truncate_to(path, contents.valid_len)?;
+    }
+    Ok(contents)
 }
 
 #[cfg(test)]

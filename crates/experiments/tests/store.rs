@@ -3,7 +3,10 @@
 //!
 //! * recovery after truncating a WAL at **any** byte never replays a
 //!   group twice or skips one: the recovered prefix is exactly groups
-//!   `0..k`, and resuming appends `k..n` so every group appears once;
+//!   `0..k`, and resuming appends `k..n` so every group appears once —
+//!   also when the frames were written in batches, one `fsync` each;
+//! * a WAL cut to zero bytes (a crash before its magic header was
+//!   synced) is rewritten fresh before a resumed run appends to it;
 //! * a corrupted frame (bit flip) condemns the tail, never a valid
 //!   prefix;
 //! * the run-record state machine recovers as specified: `running`
@@ -45,8 +48,62 @@ fn write_wal(path: &std::path::Path, groups: &[String]) {
     }
 }
 
+/// Writes `groups` to a fresh WAL in batches of the given sizes (cycled;
+/// the last batch takes what is left).
+fn write_wal_in_batches(path: &std::path::Path, groups: &[String], sizes: &[usize]) {
+    let mut w = WalWriter::create(path).expect("create wal");
+    let mut rest = groups;
+    for &size in sizes.iter().cycle() {
+        if rest.is_empty() {
+            break;
+        }
+        let (batch, tail) = rest.split_at(size.min(rest.len()));
+        w.append_batch(batch.iter().map(String::as_bytes))
+            .expect("append batch");
+        rest = tail;
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Frames written in batches (one `write_all` and one `fsync` each)
+    /// are the same bytes as frames written one at a time, so a cut at
+    /// any byte — mid-batch included — recovers exactly groups `0..k`,
+    /// and batches appended after recovery continue the sequence.
+    #[test]
+    fn batched_wal_cut_at_any_byte_recovers_an_exact_prefix(
+        n in 1usize..12,
+        sizes in collection::vec(1usize..5, 1..4),
+        cut_frac in 0.0f64..1.0,
+    ) {
+        let dir = scratch("batched");
+        fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("run.wal");
+        let groups = payloads(n);
+        write_wal_in_batches(&path, &groups, &sizes);
+        let one_by_one = dir.join("single.wal");
+        write_wal(&one_by_one, &groups);
+        prop_assert_eq!(fs::read(&path).unwrap(), fs::read(&one_by_one).unwrap());
+
+        let full = fs::metadata(&path).unwrap().len();
+        let cut = (full as f64 * cut_frac) as u64;
+        let file = fs::OpenOptions::new().write(true).open(&path).unwrap();
+        file.set_len(cut).unwrap();
+        drop(file);
+
+        let contents = wal::repair(&path).unwrap();
+        let k = contents.groups.len();
+        prop_assert_eq!(&contents.groups[..], &groups[..k], "prefix must be exact");
+        let mut w = WalWriter::open_at(&path, k).unwrap();
+        for batch in groups[k..].chunks(sizes[0]) {
+            w.append_batch(batch.iter().map(String::as_bytes)).unwrap();
+        }
+        let recovered = wal::read(&path).unwrap();
+        prop_assert_eq!(recovered.groups, groups);
+        prop_assert!(!recovered.truncated_tail);
+        let _ = fs::remove_dir_all(&dir);
+    }
 
     /// Truncate a WAL at a random byte offset, recover, resume: every
     /// group is replayed or re-appended exactly once, in order.
@@ -219,4 +276,65 @@ fn fingerprint_of_fixed_groups_is_pinned() {
     fp.push_group(r#"{"group":0,"mean":1.5}"#);
     fp.push_group(r#"{"group":1,"mean":2.25}"#);
     assert_eq!(key_hex(fp.finish()), "3667f3b651eabb9d");
+}
+
+/// A crash between creating a run's WAL and syncing its magic header
+/// leaves a zero-length file behind a committed `running` record. The
+/// resumed run must rewrite it as a fresh WAL before appending: frames
+/// appended after zero bytes would make the whole file unreadable, so
+/// every fsynced group would be thrown away at the next recovery.
+#[test]
+fn zero_length_wal_is_rewritten_before_a_resumed_run_appends() {
+    let dir = scratch("zero-length");
+    let store = Store::open(&dir).unwrap();
+    let key = 0x5A;
+    let groups = payloads(2);
+    drop(store.begin_run(key, "demo", "{}", 2).unwrap());
+    fs::OpenOptions::new()
+        .write(true)
+        .open(store.wal_path(key))
+        .unwrap()
+        .set_len(0)
+        .unwrap();
+
+    let runs = store.recover().unwrap();
+    assert_eq!(runs[0].record.state, RunState::Resumable);
+    assert_eq!(runs[0].groups_done, 0);
+    let (replayed, mut w) = store.resume_run(key).unwrap();
+    assert!(replayed.is_empty());
+    w.append(groups[0].as_bytes()).unwrap();
+    w.append(groups[1].as_bytes()).unwrap();
+    drop(w);
+
+    assert_eq!(wal::read(&store.wal_path(key)).unwrap().groups, groups);
+    let runs = store.recover().unwrap();
+    assert_eq!(runs[0].groups_done, 2, "the appended frames must survive");
+    let _ = fs::remove_dir_all(&dir);
+}
+
+/// One batch is one `fsync`: the store's counters see every frame and
+/// byte its writers commit, and a sync per batch, not per frame.
+#[test]
+fn store_counters_count_one_sync_per_batch() {
+    let dir = scratch("counters");
+    let store = Store::open(&dir).unwrap();
+    let groups = payloads(7);
+    let mut w = store.begin_run(0x9, "demo", "{}", 7).unwrap();
+    w.append_batch(groups[..4].iter().map(String::as_bytes))
+        .unwrap();
+    w.append_batch(std::iter::empty()).unwrap();
+    w.append(groups[4].as_bytes()).unwrap();
+    drop(w);
+    store.recover().unwrap();
+    let (_, mut w) = store.resume_run(0x9).unwrap();
+    w.append_batch(groups[5..].iter().map(String::as_bytes))
+        .unwrap();
+
+    let counters = store.wal_counters();
+    assert_eq!(counters.frames(), 7);
+    assert_eq!(counters.syncs(), 3, "an empty batch syncs nothing");
+    let wal_len = fs::metadata(store.wal_path(0x9)).unwrap().len();
+    assert_eq!(counters.bytes(), wal_len - wal::MAGIC.len() as u64);
+    assert_eq!(wal::read(&store.wal_path(0x9)).unwrap().groups, groups);
+    let _ = fs::remove_dir_all(&dir);
 }

@@ -42,7 +42,8 @@
 //!
 //! [`parallel`] holds the workspace's one parallel executor,
 //! [`parallel::parallel_map_into`], which hands results to the caller in
-//! index order, and its collecting form [`parallel::parallel_map_with`].
+//! index order, each run of ready results in one sink call, and its
+//! collecting form [`parallel::parallel_map_with`].
 //! The Monte-Carlo drivers
 //! ([`crash::simulate_replication_outcomes`] and
 //! [`reliability::survival_probability_monte_carlo_par`]) take their

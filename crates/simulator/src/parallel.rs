@@ -12,6 +12,14 @@
 //! the Monte-Carlo crash replications and the reliability estimator all
 //! run through [`parallel_map_into`]; `tests/parallel_determinism.rs`
 //! (repo root) enforces the contract end to end.
+//!
+//! The sink receives results in runs: whenever the calling thread wakes
+//! for a result, it takes every result already sent and hands over, in
+//! one call, the [`ReadyRun`] of those now next in index order. A sink
+//! that must pay a fixed cost per delivery — the streaming service's
+//! WAL `fsync` — pays it once per run instead of once per result; how
+//! the indices split into runs depends on timing, the values and their
+//! order never do.
 
 use std::convert::Infallible;
 use std::panic;
@@ -23,18 +31,47 @@ use std::thread;
 /// the workers to balance uneven chunks.
 const MAX_CHUNKS: usize = 64;
 
+/// A run of consecutive results handed to a [`parallel_map_into`] sink:
+/// every result already received whose index is next in order, yielded
+/// in index order. It borrows the executor's reorder buffer, so handing
+/// it over allocates nothing.
+pub struct ReadyRun<'a, T>(std::slice::IterMut<'a, Option<T>>);
+
+impl<T> Iterator for ReadyRun<'_, T> {
+    type Item = T;
+
+    fn next(&mut self) -> Option<T> {
+        self.0.next().map(|slot| {
+            slot.take()
+                .expect("a ready run holds only received results")
+        })
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        self.0.size_hint()
+    }
+}
+
+impl<T> ExactSizeIterator for ReadyRun<'_, T> {}
+
 /// Applies `f` to every index `0..n` on at most `threads` workers and
-/// hands each result to `sink` on the calling thread, in index order.
+/// hands the results to `sink` on the calling thread, in index order, a
+/// run at a time.
 ///
 /// The indices are cut into contiguous chunks of `n.div_ceil(64)` (at
 /// least 1). `min(threads, chunks)` scoped workers are spawned, even for
 /// one thread; each builds one state with `init`, then claims chunks
 /// from a shared cursor and calls `f(&mut state, i)` in ascending index
-/// order. `sink(i, value)` runs as soon as every earlier index has been
-/// delivered. After a sink error no further chunk is handed out, and the
-/// error is returned once the workers have finished the chunks in hand.
-/// Empty input calls none of `init`, `f` or `sink`. A panic in `init` or
-/// `f` resumes on the caller with its original payload.
+/// order. Each time the calling thread wakes for a result it also takes
+/// every other result already sent, then calls `sink(first, run)` once
+/// with the [`ReadyRun`] of all results from index `first` on that are
+/// now contiguous. The runs partition `0..n` in ascending order; their
+/// lengths depend on timing, never their contents. A result the sink
+/// leaves in its run is dropped when the map returns. After a sink error
+/// no further chunk is handed out, and the error is returned once the
+/// workers have finished the chunks in hand. Empty input calls none of
+/// `init`, `f` or `sink`. A panic in `init` or `f` resumes on the caller
+/// with its original payload.
 ///
 /// # Panics
 ///
@@ -50,7 +87,7 @@ where
     T: Send,
     I: Fn() -> S + Sync,
     F: Fn(&mut S, usize) -> T + Sync,
-    K: FnMut(usize, T) -> Result<(), E>,
+    K: FnMut(usize, ReadyRun<'_, T>) -> Result<(), E>,
 {
     assert!(threads >= 1, "parallel_map_into needs at least one thread");
     let chunk = n.div_ceil(MAX_CHUNKS).max(1);
@@ -78,23 +115,28 @@ where
             })
             .collect();
         drop(tx);
-        // `pending[i]` holds a result until every earlier one is sunk.
+        // `pending[i]` holds a result until the run holding it is sunk.
         let mut pending: Vec<Option<T>> = Vec::new();
         pending.resize_with(n, || None);
         let mut next = 0;
         let mut outcome = Ok(());
-        'receive: for (i, value) in &rx {
+        while let Ok((i, value)) = rx.recv() {
             pending[i] = Some(value);
-            while let Some(value) = pending.get_mut(next).and_then(Option::take) {
-                if let Err(e) = sink(next, value) {
-                    // Claims after this store read at least `chunks`; the
-                    // cursor publishes no data, so `Relaxed` suffices.
-                    cursor.store(chunks, Ordering::Relaxed);
-                    outcome = Err(e);
-                    break 'receive;
-                }
-                next += 1;
+            for (i, value) in rx.try_iter() {
+                pending[i] = Some(value);
             }
+            let ready = pending[next..].iter().take_while(|v| v.is_some()).count();
+            if ready == 0 {
+                continue;
+            }
+            if let Err(e) = sink(next, ReadyRun(pending[next..next + ready].iter_mut())) {
+                // Claims after this store read at least `chunks`; the
+                // cursor publishes no data, so `Relaxed` suffices.
+                cursor.store(chunks, Ordering::Relaxed);
+                outcome = Err(e);
+                break;
+            }
+            next += ready;
         }
         for handle in handles {
             if let Err(payload) = handle.join() {
@@ -113,8 +155,8 @@ where
     F: Fn(&mut S, usize) -> T + Sync,
 {
     let mut out = Vec::with_capacity(n);
-    let Ok(()) = parallel_map_into(n, threads, init, f, |_, value| {
-        out.push(value);
+    let Ok(()) = parallel_map_into(n, threads, init, f, |_, run| {
+        out.extend(run);
         Ok::<(), Infallible>(())
     });
     out
@@ -123,6 +165,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::AtomicBool;
 
     #[test]
     fn maps_in_order() {
@@ -244,11 +287,13 @@ mod tests {
                 threads,
                 || (),
                 |_, i| (i, thread::current().id()),
-                |i, (j, worker)| {
+                |first, run| {
                     assert_eq!(thread::current().id(), caller, "sink off the caller");
-                    assert_ne!(worker, caller, "f ran on the caller");
-                    assert_eq!(i, j);
-                    seen.push(i);
+                    for (k, (j, worker)) in run.enumerate() {
+                        assert_ne!(worker, caller, "f ran on the caller");
+                        assert_eq!(first + k, j);
+                        seen.push(j);
+                    }
                     Ok(())
                 },
             );
@@ -266,18 +311,108 @@ mod tests {
                 threads,
                 || (),
                 |_, i| i,
-                |i, _| {
-                    last = Some(i);
-                    if i == 123 {
-                        Err(format!("stop at {i}"))
-                    } else {
-                        Ok(())
+                |_, run| {
+                    for i in run {
+                        last = Some(i);
+                        if i == 123 {
+                            return Err(format!("stop at {i}"));
+                        }
                     }
+                    Ok(())
                 },
             );
             assert_eq!(res, Err("stop at 123".to_string()), "threads = {threads}");
             assert_eq!(last, Some(123), "threads = {threads}");
         }
+    }
+
+    #[test]
+    fn runs_partition_the_indices_in_ascending_order() {
+        // Skewed work makes late chunks finish first, so results pile up
+        // and come out in runs longer than one.
+        let skewed = |_: &mut (), i: usize| {
+            let mut acc = i as u64;
+            for _ in 0..(200 - i) * 500 {
+                acc = acc.wrapping_mul(6364136223846793005).wrapping_add(1);
+            }
+            (i, acc)
+        };
+        let reference: Vec<(usize, u64)> = (0..200).map(|i| skewed(&mut (), i)).collect();
+        for threads in [1, 2, 8] {
+            let mut runs = Vec::new();
+            let mut values = Vec::new();
+            let res: Result<(), ()> = parallel_map_into(
+                200,
+                threads,
+                || (),
+                skewed,
+                |first, run| {
+                    runs.push((first, run.len()));
+                    values.extend(run);
+                    Ok(())
+                },
+            );
+            assert_eq!(res, Ok(()));
+            let mut next = 0;
+            for &(first, len) in &runs {
+                assert_eq!(first, next, "threads = {threads}: runs {runs:?}");
+                assert!(len >= 1, "threads = {threads}: an empty run");
+                next += len;
+            }
+            assert_eq!(next, 200, "threads = {threads}: runs {runs:?}");
+            assert_eq!(values, reference, "threads = {threads}");
+        }
+    }
+
+    #[test]
+    fn sink_error_mid_run_stops_delivery() {
+        // One worker, forced into a known interleaving: index 1 waits
+        // until the sink has taken the run [0], and the sink holds that
+        // run until index 9 has started, so indices 1..=8 are all sent
+        // and the second run holds at least them. The error at 5 falls
+        // inside that run: 6.. must never reach the sink.
+        let sunk_first = AtomicBool::new(false);
+        let started_last = AtomicBool::new(false);
+        let mut runs = Vec::new();
+        let mut seen = Vec::new();
+        let res = parallel_map_into(
+            10,
+            1,
+            || (),
+            |_, i| {
+                if i == 1 {
+                    while !sunk_first.load(Ordering::SeqCst) {
+                        thread::yield_now();
+                    }
+                }
+                if i == 9 {
+                    started_last.store(true, Ordering::SeqCst);
+                }
+                i
+            },
+            |first, run| {
+                runs.push((first, run.len()));
+                if first == 0 {
+                    sunk_first.store(true, Ordering::SeqCst);
+                    while !started_last.load(Ordering::SeqCst) {
+                        thread::yield_now();
+                    }
+                }
+                for i in run {
+                    seen.push(i);
+                    if i == 5 {
+                        return Err(format!("stop at {i}"));
+                    }
+                }
+                Ok(())
+            },
+        );
+        assert_eq!(res, Err("stop at 5".to_string()));
+        assert_eq!(runs[0], (0, 1));
+        assert_eq!(runs.len(), 2, "no run after the error: {runs:?}");
+        assert_eq!(runs[1].0, 1);
+        assert!(runs[1].1 >= 8, "the error must fall mid-run: {runs:?}");
+        assert_eq!(seen, (0..=5).collect::<Vec<_>>());
     }
 
     #[test]

@@ -17,7 +17,8 @@
 //!   nothing;
 //! * campaign cells through `evaluate_cell_into`, the one-port
 //!   contention measure included: its replays run on the cell's crash
-//!   workspace.
+//!   workspace;
+//! * WAL appends, one frame or a batch of frames per `fsync`.
 //!
 //! One contract is a constant rather than zero: streaming a bundle with
 //! `serde_json::to_writer_pretty` allocates its one output buffer, the
@@ -181,10 +182,28 @@ fn wal_append_allocates_nothing() {
          across 8 checkpoints (contract: zero)"
     );
 
-    // The measured frames are real: all ten appends replay.
+    // The serve sink commits each run of ready groups as one batch:
+    // every frame into the same scratch buffer, one write, one fsync. A
+    // warm batch sizes the buffer for three frames; steady-state batches
+    // of that shape then allocate nothing either.
+    let batch = || [payload.as_slice(); 3];
+    writer.append_batch(batch()).expect("warm batch");
+    let before = allocations();
+    for _ in 0..8 {
+        writer.append_batch(batch()).expect("steady-state batch");
+    }
+    let counted = allocations() - before;
+    assert_eq!(
+        counted, 0,
+        "steady-state WAL batch appends performed {counted} heap allocations \
+         across 8 batches (contract: zero)"
+    );
+
+    // The measured frames are real: all ten appends and the 27 batched
+    // frames replay.
     drop(writer);
     let contents = wal::read(&path).expect("read WAL");
-    assert_eq!(contents.groups.len(), 10);
+    assert_eq!(contents.groups.len(), 10 + 27);
     assert!(!contents.truncated_tail);
     let _ = std::fs::remove_file(&path);
 }

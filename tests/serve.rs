@@ -6,20 +6,22 @@
 //! completed runs replay byte-identically, interrupted ones resume from
 //! their WAL checkpoints bit-exactly; a spec whose granularity cannot
 //! be applied fails its run (or is rejected up front) without taking a
-//! handler thread down; and a client that stops reading is dropped at
-//! the write-stall deadline.
+//! handler thread down, with exactly the groups before the failing one
+//! durable and streamed; a client that stops reading is dropped at the
+//! write-stall deadline; and `GET /metrics` counts exactly the WAL
+//! frames on disk.
 
 use experiments::campaign::{
     presets, run_campaign_with_threads, CampaignSpec, PlatformSpec, TaskCount, WorkloadSpec,
 };
-use experiments::output::{campaign_to_json, json_group};
+use experiments::output::{campaign_to_json, json_group, json_group_lead, json_head};
 use experiments::serve::{spec_key, ServeConfig, Server};
-use experiments::store::{key_hex, Store};
+use experiments::store::{key_hex, wal, Store};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::path::PathBuf;
 use std::thread;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Binds a server on an ephemeral loopback port, runs its accept loop
 /// on a background thread, and returns the address to dial.
@@ -607,7 +609,9 @@ fn stalled_reader_is_dropped_at_the_write_deadline() {
         .collect();
     spec.repetitions = 1;
     let spec_json = spec.to_json().expect("spec serializes");
+    let computing = Instant::now();
     let reference = campaign_to_json(&run_campaign_with_threads(&spec, 2).expect("valid spec"));
+    let compute = computing.elapsed();
     assert!(
         reference.len() > 8 << 20,
         "the body ({} bytes) must outgrow the loopback socket buffers",
@@ -632,15 +636,179 @@ fn stalled_reader_is_dropped_at_the_write_deadline() {
         )
         .expect("send request");
     // Never read: the handler streams until the socket buffers fill.
+    let submitted = Instant::now();
 
     let timeout = Duration::from_secs(60);
     let health = status_within(addr, b"GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n", timeout);
     assert_eq!(health, "HTTP/1.1 200 OK");
+    // The handler came free one write-stall deadline (5 s) after the
+    // socket buffers filled, which takes at most the run's compute time:
+    // the kernel's zero-window probes, which free a little buffer now
+    // and then, do not stretch the deadline.
+    let held = submitted.elapsed();
+    let bound = Duration::from_secs(5) + 2 * compute + Duration::from_secs(2);
+    assert!(
+        held < bound,
+        "the stalled reader held the handler for {held:?} (bound {bound:?}, compute {compute:?})"
+    );
 
     let retry = post_campaign(addr, &spec_json);
     assert_eq!(retry.status, "HTTP/1.1 200 OK", "{}", retry.body);
     assert_eq!(retry.header("X-Campaign-Run"), Some("resumed"));
     assert_eq!(retry.body, reference);
     drop(stalled);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The chunks of a chunked body that may be cut short, and whether the
+/// terminating chunk arrived.
+fn chunks_of(mut rest: &str) -> (Vec<&str>, bool) {
+    let mut chunks = Vec::new();
+    while let Some((size_line, after)) = rest.split_once("\r\n") {
+        let size_hex = size_line.split(';').next().unwrap_or_default();
+        let size = usize::from_str_radix(size_hex, 16).expect("hex chunk size");
+        if size == 0 {
+            return (chunks, true);
+        }
+        chunks.push(&after[..size]);
+        rest = &after[size + 2..];
+    }
+    (chunks, false)
+}
+
+/// A group that fails mid-run, after good ones, at two threads: the WAL
+/// holds exactly the groups before the first failing one, the body
+/// streams exactly those, and the stream is cut.
+#[test]
+fn failing_group_leaves_exactly_the_groups_before_it_durable_and_streamed() {
+    let dir = scratch_dir("failing-group");
+    let mut good = smoke_spec();
+    good.id = "serve-failing-group".into();
+    good.workloads.truncate(1);
+    good.platforms = (0..6)
+        .map(|i| PlatformSpec::paper(8, 0.4 + 0.2 * i as f64))
+        .collect();
+    let reference = run_campaign_with_threads(&good, 2).expect("valid spec");
+    let mut spec = good.clone();
+    spec.workloads
+        .push(WorkloadSpec::Layered(TaskCount { tasks: 1 }));
+    let k = good.num_groups();
+    assert!(spec.num_groups() > k);
+
+    let addr = spawn_server(ServeConfig {
+        threads: 2,
+        data_dir: Some(dir.clone()),
+        ..ServeConfig::default()
+    });
+    let body = spec.to_json().expect("spec serializes");
+    let raw = format!(
+        "POST /campaigns HTTP/1.1\r\nHost: loopback\r\nContent-Length: {}\r\n\
+         Connection: close\r\n\r\n{body}",
+        body.len()
+    );
+    let res = response_within(addr, raw.as_bytes(), Duration::from_secs(30));
+    let (head, payload) = res.split_once("\r\n\r\n").expect("header block");
+    assert!(head.starts_with("HTTP/1.1 200 OK"), "{res}");
+
+    let expected: Vec<String> = reference.groups.iter().map(json_group).collect();
+    let durable = wal::read(&Store::open(&dir).expect("store").wal_path(spec_key(&spec)))
+        .expect("read WAL")
+        .groups;
+    assert_eq!(durable, expected, "the WAL must hold exactly groups 0..{k}");
+
+    let (chunks, terminated) = chunks_of(payload);
+    assert!(!terminated, "a halted run must not end its stream cleanly");
+    assert_eq!(chunks.len(), k + 1, "the head, then the {k} good groups");
+    assert_eq!(chunks[0], json_head(&spec.id));
+    for (gi, group) in expected.iter().enumerate() {
+        assert_eq!(chunks[gi + 1], format!("{}{group}", json_group_lead(gi)));
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The scraped counters of `GET /metrics`, by name.
+fn metrics(addr: SocketAddr) -> Vec<(String, u64)> {
+    let res = request(addr, "GET /metrics HTTP/1.1\r\nHost: x\r\n\r\n");
+    assert_eq!(res.status, "HTTP/1.1 200 OK");
+    assert_eq!(
+        res.header("Content-Type"),
+        Some("text/plain; version=0.0.4")
+    );
+    res.body
+        .lines()
+        .filter(|l| !l.starts_with('#'))
+        .map(|l| {
+            let (name, value) = l.split_once(' ').expect("name value");
+            (name.to_string(), value.parse().expect("integer counter"))
+        })
+        .collect()
+}
+
+fn counter(scraped: &[(String, u64)], name: &str) -> u64 {
+    scraped
+        .iter()
+        .find(|(n, _)| n == name)
+        .unwrap_or_else(|| panic!("no {name} in {scraped:?}"))
+        .1
+}
+
+/// `GET /metrics` against ground truth: after fresh runs on a data-dir
+/// server, the frame counter equals the frames in the runs' WALs, the
+/// byte counter their bytes past the magic header, and each run took at
+/// least one and at most one sync per frame. Without a data dir every
+/// counter reads zero.
+#[test]
+fn wal_metrics_match_the_frames_on_disk() {
+    let names = [
+        "ftsched_wal_frames_total",
+        "ftsched_wal_syncs_total",
+        "ftsched_wal_bytes_total",
+    ];
+    let plain = spawn_server(ServeConfig {
+        threads: 2,
+        ..ServeConfig::default()
+    });
+    assert_eq!(
+        post_campaign(plain, &smoke_spec().to_json().unwrap()).status,
+        "HTTP/1.1 200 OK"
+    );
+    let scraped = metrics(plain);
+    for name in names {
+        assert_eq!(counter(&scraped, name), 0, "{name} without a data dir");
+    }
+
+    let dir = scratch_dir("metrics");
+    let addr = spawn_server(ServeConfig {
+        threads: 2,
+        data_dir: Some(dir.clone()),
+        ..ServeConfig::default()
+    });
+    let mut keys = Vec::new();
+    for seed in 0..3 {
+        let mut spec = smoke_spec();
+        spec.platforms = (0..4)
+            .map(|i| PlatformSpec::paper(8, 0.4 + 0.3 * i as f64))
+            .collect();
+        spec.seed ^= seed;
+        let res = post_campaign(addr, &spec.to_json().expect("spec serializes"));
+        assert_eq!(res.header("X-Campaign-Run"), Some("new"), "{}", res.body);
+        keys.push(spec_key(&spec));
+    }
+    let scraped = metrics(addr);
+    let store = Store::open(&dir).expect("store");
+    let (mut frames, mut bytes) = (0, 0);
+    for &key in &keys {
+        let path = store.wal_path(key);
+        frames += wal::read(&path).expect("read WAL").groups.len() as u64;
+        bytes += std::fs::metadata(&path).expect("WAL metadata").len() - wal::MAGIC.len() as u64;
+    }
+    let syncs = counter(&scraped, "ftsched_wal_syncs_total");
+    assert_eq!(counter(&scraped, "ftsched_wal_frames_total"), frames);
+    assert_eq!(counter(&scraped, "ftsched_wal_bytes_total"), bytes);
+    assert!(
+        keys.len() as u64 <= syncs && syncs <= frames,
+        "{} runs, {syncs} syncs, {frames} frames",
+        keys.len()
+    );
     let _ = std::fs::remove_dir_all(&dir);
 }
