@@ -1,15 +1,51 @@
 //! The self-contained *bundle* file: everything needed to re-simulate a
 //! schedule (graph, platform, execution matrix, the schedule itself and
 //! its ε).
+//!
+//! A bundle has one layout, written as two halves: the instance half
+//! (`{`, then `dag`, `platform` and `exec`) and the schedule half
+//! (`schedule`, `algorithm`, then `}`). [`Bundle`]'s `Serialize` is the
+//! two in a row, and `ftsched schedule` streams the same two into its
+//! output file with the scheduler running in between, so a bundle file
+//! is byte for byte [`Bundle::to_json`] of the same run.
 
 use ftsched_core::validate::validate;
 use ftsched_core::Schedule;
 use platform::{ExecutionMatrix, Instance, Platform};
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Serialize, Writer};
 use taskgraph::Dag;
 
-/// A serializable scheduling artifact.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+/// Opens a bundle object and writes its instance half: the members that
+/// depend only on the instance, which exists before any schedule does.
+pub(crate) fn write_instance_half(
+    w: &mut Writer<'_>,
+    dag: &Dag,
+    platform: &Platform,
+    exec: &ExecutionMatrix,
+) {
+    w.begin_object();
+    w.field("dag");
+    dag.serialize(w);
+    w.field("platform");
+    platform.serialize(w);
+    w.field("exec");
+    exec.serialize(w);
+}
+
+/// Writes a bundle's schedule half after [`write_instance_half`] and
+/// closes the object.
+pub(crate) fn write_schedule_half(w: &mut Writer<'_>, schedule: &Schedule, algorithm: &str) {
+    w.field("schedule");
+    schedule.serialize(w);
+    w.field("algorithm");
+    w.write_str(algorithm);
+    w.end_object();
+}
+
+/// A serializable scheduling artifact. It serializes as its instance
+/// half then its schedule half (see the module docs), the one layout
+/// `ftsched schedule` also streams.
+#[derive(Debug, Clone, Deserialize)]
 pub struct Bundle {
     /// The task graph.
     pub dag: Dag,
@@ -21,6 +57,14 @@ pub struct Bundle {
     pub schedule: Schedule,
     /// Which algorithm produced it (display name).
     pub algorithm: String,
+}
+
+/// The instance half, then the schedule half.
+impl Serialize for Bundle {
+    fn serialize(&self, w: &mut Writer<'_>) {
+        write_instance_half(w, &self.dag, &self.platform, &self.exec);
+        write_schedule_half(w, &self.schedule, &self.algorithm);
+    }
 }
 
 impl Bundle {

@@ -3,12 +3,15 @@
 //! returns the text to print on success.
 
 use crate::args::Args;
-use crate::bundle::Bundle;
+use crate::bundle::{write_instance_half, write_schedule_half, Bundle};
 use experiments::campaign::{presets, run_campaign_with_threads, CampaignSpec};
 use experiments::output::{campaign_to_table, write_campaign_outputs};
 use experiments::parallel::default_threads;
 use experiments::serve::{ServeConfig, Server};
-use ftsched_core::{schedule as run_schedule, validate::validate, Algorithm};
+use ftsched_core::stats::{schedule_stats, ScheduleStats};
+use ftsched_core::{
+    schedule as run_schedule, validate::validate, Algorithm, Schedule, ScheduleError,
+};
 use platform::gen::random_platform;
 use platform::granularity::scale_to_granularity;
 use platform::{ExecutionMatrix, FailureScenario, Instance, ProcId};
@@ -19,6 +22,10 @@ use simulator::reliability::survival_probability_monte_carlo_par;
 use simulator::simulate;
 use simulator::trace::gantt;
 use std::fmt::Write as _;
+use std::fs::{self, File};
+use std::panic;
+use std::sync::{mpsc, OnceLock};
+use std::thread;
 use taskgraph::generators::{
     erdos, fork_join, layered, ErdosConfig, ForkJoinConfig, LayeredConfig,
 };
@@ -83,6 +90,22 @@ fn parse_algorithm(name: &str) -> Result<Algorithm, String> {
 }
 
 /// `ftsched schedule`
+///
+/// Runs as two stages at once. A scoped render thread owns the output
+/// file and one JSON writer from the first byte to the last: it streams
+/// the bundle's instance half (`dag`, `platform`, `exec`) while the
+/// calling thread schedules, then, handed the schedule, the schedule
+/// half (`schedule`, `algorithm`) while the calling thread validates it
+/// and computes its stats. The file is byte for byte
+/// [`Bundle::to_json`] of the same run.
+///
+/// The file exists before the schedule does, so everything the input
+/// decides is checked before it is created: `--out` is given,
+/// `ε + 1 ≤ --procs`, and the granularity applies. If the scheduler
+/// still fails, `validate` rejects the schedule or a write fails, the
+/// error is returned as before, and the output is removed when it is a
+/// regular file; nothing else (a device, FIFO, directory or symlink,
+/// say `--out /dev/stdout`) is unlinked.
 pub fn schedule_cmd(argv: &[String]) -> Result<String, String> {
     let options = "--graph --procs --epsilon --algorithm --seed --granularity --out";
     let args = Args::parse(argv, options, "")?;
@@ -106,6 +129,10 @@ pub fn schedule_cmd(argv: &[String]) -> Result<String, String> {
             Some(g)
         }
     };
+    let out = args.require("out")?;
+    if epsilon + 1 > procs {
+        return Err(ScheduleError::NotEnoughProcessors { epsilon, procs }.to_string());
+    }
 
     let mut rng = StdRng::seed_from_u64(seed);
     let platform = random_platform(&mut rng, procs, 0.5, 1.0);
@@ -116,30 +143,62 @@ pub fn schedule_cmd(argv: &[String]) -> Result<String, String> {
     }
     let inst = Instance::new(dag, platform, exec);
 
-    let sched = run_schedule(&inst, epsilon, algorithm, &mut rng).map_err(|e| e.to_string())?;
-    validate(&inst, &sched).map_err(|e| e.to_string())?;
-    let stats = ftsched_core::stats::schedule_stats(&inst, &sched);
-
-    let Instance {
-        dag,
-        platform,
-        exec,
-    } = inst;
-    let bundle = Bundle {
-        dag,
-        platform,
-        exec,
-        schedule: sched,
-        algorithm: algorithm.name().to_string(),
-    };
-    let out = args.require("out")?;
-    let file = std::fs::File::create(out).map_err(|e| format!("writing {out}: {e}"))?;
-    serde_json::to_writer_pretty(file, &bundle).map_err(|e| format!("writing {out}: {e}"))?;
-
+    let stats = schedule_and_render(&inst, epsilon, algorithm, &mut rng, out)?;
     Ok(format!(
         "{} schedule, ε = {epsilon}, {} processors\n{stats}\nwrote {out}\n",
-        bundle.algorithm, procs,
+        algorithm.name(),
+        procs,
     ))
+}
+
+/// Creates `out` and runs the two stages of [`schedule_cmd`] on `inst`.
+/// The schedule is handed over through a one-slot channel whose sender
+/// lives on the calling thread, so an early return or an unwind drops it
+/// and the render thread stops instead of waiting; a panic on the render
+/// thread resumes here with its original payload. Errors keep the
+/// sequential order: scheduler, then `validate`, then the write.
+fn schedule_and_render(
+    inst: &Instance,
+    epsilon: usize,
+    algorithm: Algorithm,
+    rng: &mut StdRng,
+    out: &str,
+) -> Result<ScheduleStats, String> {
+    let mut file = File::create(out).map_err(|e| format!("writing {out}: {e}"))?;
+    let schedule = OnceLock::new();
+    let outcome = thread::scope(|scope| {
+        let (tx, rx) = mpsc::sync_channel::<&Schedule>(1);
+        let render = scope.spawn(move || {
+            let mut w = serde::Writer::with_sink(&mut file, true);
+            write_instance_half(&mut w, &inst.dag, &inst.platform, &inst.exec);
+            // A closed channel means the schedule failed, and its error
+            // is the one returned.
+            let Ok(sched) = rx.recv() else {
+                return Ok(());
+            };
+            write_schedule_half(&mut w, sched, algorithm.name());
+            w.finish()
+        });
+        let stats = run_schedule(inst, epsilon, algorithm, rng)
+            .map_err(|e| e.to_string())
+            .and_then(|sched| {
+                let sched = schedule.get_or_init(|| sched);
+                // The render thread only exits early on a panic, which
+                // the join below resumes.
+                let _ = tx.send(sched);
+                validate(inst, sched).map_err(|e| e.to_string())?;
+                Ok(schedule_stats(inst, sched))
+            });
+        drop(tx);
+        let written = render.join().unwrap_or_else(|p| panic::resume_unwind(p));
+        let stats = stats?;
+        written.map_err(|e| format!("writing {out}: {e}"))?;
+        Ok(stats)
+    });
+    if outcome.is_err() && fs::symlink_metadata(out).is_ok_and(|m| m.is_file()) {
+        let _ = fs::remove_file(out);
+    }
+    outcome
 }
 
 /// `ftsched simulate`
@@ -469,6 +528,40 @@ mod tests {
 
         let _ = std::fs::remove_file(graph);
         let _ = std::fs::remove_file(bundle);
+    }
+
+    /// The scheduler fails after the output exists (here `ε + 1 > m`,
+    /// which `schedule_cmd` rejects earlier): the render thread must
+    /// stop rather than wait for a schedule, the scheduler's error comes
+    /// back, and the partly written regular file is removed.
+    #[test]
+    fn a_late_scheduler_failure_stops_the_render_thread_and_removes_the_file() {
+        let out = tmp("late-failure.json");
+        let (tx, rx) = mpsc::channel();
+        let path = out.clone();
+        // A render thread left waiting would hang the call: time it out.
+        thread::spawn(move || {
+            let mut rng = StdRng::seed_from_u64(4);
+            let dag = layered(&mut rng, &LayeredConfig::paper(2000));
+            let platform = random_platform(&mut rng, 2, 0.5, 1.0);
+            let exec = ExecutionMatrix::unrelated_with_procs(&dag, 2, &mut rng, 0.5);
+            let inst = Instance::new(dag, platform, exec);
+            for algorithm in [Algorithm::Ftsa, Algorithm::Ftbar] {
+                let outcome = schedule_and_render(&inst, 2, algorithm, &mut rng, &path);
+                let left = std::path::Path::new(&path).exists();
+                let _ = tx.send((algorithm, outcome.map(|_| ()), left));
+            }
+        });
+        for _ in 0..2 {
+            let (algorithm, outcome, left) = rx
+                .recv_timeout(std::time::Duration::from_secs(120))
+                .expect("schedule_and_render returned");
+            assert_eq!(
+                outcome.unwrap_err(),
+                "cannot tolerate 2 failures with only 2 processors (need at least 3)"
+            );
+            assert!(!left, "{algorithm} left {out}");
+        }
     }
 
     #[test]

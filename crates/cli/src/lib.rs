@@ -6,7 +6,15 @@
 //!   workload) as JSON, optionally with a Graphviz DOT rendering.
 //! * `schedule` — read a graph, draw a paper-style random platform, run
 //!   one of the algorithms, and write a self-contained *bundle* (graph +
-//!   platform + execution matrix + schedule) for later simulation.
+//!   platform + execution matrix + schedule) for later simulation. Two
+//!   stages run at once: a scoped render thread streams the bundle's
+//!   instance half into the file while the calling thread schedules, and
+//!   its schedule half while the calling thread validates the schedule
+//!   and computes its stats. The file is byte for byte
+//!   [`Bundle::to_json`] of the same run. Input errors are found before
+//!   the file is created; a later failure (scheduler, `validate` or a
+//!   write) removes the output if it is a regular file and unlinks
+//!   nothing else.
 //! * `simulate` — read a bundle, crash a chosen or random processor set,
 //!   and report the achieved latency with an ASCII Gantt chart; or run a
 //!   parallel Monte-Carlo crash campaign with `--replications`.

@@ -342,8 +342,11 @@ fn the_binary_exits_1_not_101_on_monte_carlo_options() {
 /// Each used to trip an assertion (exit 101): in a graph generator, in
 /// `Platform`, or in `scale_to_granularity` (a single processor has no
 /// links, so the instance has no granularity to scale) — except the
-/// last, whose factor overflowed into infinite times and `NaN%` (exit 0).
-const DEGENERATE_CASES: [(&[&str], &str); 13] = [
+/// `1e308` granularity, whose factor overflowed into infinite times and
+/// `NaN%` (exit 0), and the last, which was always a named error but is
+/// now found before `schedule` creates its output file (which exists
+/// before the schedule does), as the no-output assertion checks.
+const DEGENERATE_CASES: [(&[&str], &str); 14] = [
     (
         &["generate", "--family", "layered", "--tasks", "0"],
         "--tasks must be at least 1 for the layered family",
@@ -446,6 +449,10 @@ const DEGENERATE_CASES: [(&[&str], &str); 13] = [
         "--granularity 1e308 is out of range: the rescaled execution times \
          would not be finite",
     ),
+    (
+        &["schedule", "--procs", "2", "--epsilon", "2"],
+        "cannot tolerate 2 failures with only 2 processors (need at least 3)",
+    ),
 ];
 
 /// A case's arguments with an output file, and for `schedule` the golden
@@ -509,6 +516,96 @@ fn the_binary_exits_1_not_101_on_degenerate_options() {
             "expected `{expected}` in: {stderr}"
         );
     }
+}
+
+/// `schedule` outputs that fail on write, with the error each must name:
+/// an existing directory (`File::create` fails) and, where it exists,
+/// `/dev/full`, which takes no bytes, so the render thread's writer
+/// fails. Returns the cases and the directory, which holds one file.
+fn write_failure_cases(name: &str) -> (Vec<(String, String)>, String) {
+    let dir = scratch(name);
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("create the output directory");
+    std::fs::write(format!("{dir}/kept.txt"), "kept").expect("fill the output directory");
+    let mut cases = vec![(
+        dir.clone(),
+        format!("writing {dir}: Is a directory (os error 21)"),
+    )];
+    if std::path::Path::new("/dev/full").exists() {
+        cases.push((
+            "/dev/full".to_string(),
+            "writing /dev/full: No space left on device (os error 28)".to_string(),
+        ));
+    }
+    (cases, dir)
+}
+
+/// The failed `schedule` unlinked and changed neither output: the
+/// directory still holds its one file, and `/dev/full` is still a
+/// character device.
+fn assert_outputs_untouched(dir: &str) {
+    let entries: Vec<_> = std::fs::read_dir(dir)
+        .expect("the output directory is still there")
+        .map(|e| e.expect("read the output directory").file_name())
+        .collect();
+    assert_eq!(entries, ["kept.txt"], "{dir}");
+    assert_eq!(
+        std::fs::read_to_string(format!("{dir}/kept.txt")).unwrap(),
+        "kept"
+    );
+    #[cfg(unix)]
+    if std::path::Path::new("/dev/full").exists() {
+        use std::os::unix::fs::FileTypeExt;
+        let meta = std::fs::symlink_metadata("/dev/full").expect("stat /dev/full");
+        assert!(meta.file_type().is_char_device(), "/dev/full was replaced");
+    }
+    let _ = std::fs::remove_dir_all(dir);
+}
+
+fn golden_graph() -> String {
+    format!(
+        "{}/../../tests/golden/json/graph-gauss5.json",
+        env!("CARGO_MANIFEST_DIR")
+    )
+}
+
+#[test]
+fn schedule_write_failures_are_named_errors() {
+    let graph = golden_graph();
+    let (cases, dir) = write_failure_cases("write-failure");
+    for (out, expected) in &cases {
+        let err = run(&schedule_args(&graph, out)).expect_err("the write failed");
+        assert_eq!(&err, expected, "{out}");
+        // Input errors are found before the output is opened.
+        let mut too_few = schedule_args(&graph, out);
+        (too_few[4], too_few[6]) = ("2", "2");
+        let err = run(&too_few).expect_err("ε = 2 needs 3 processors");
+        assert_eq!(
+            err, "cannot tolerate 2 failures with only 2 processors (need at least 3)",
+            "{out}"
+        );
+    }
+    assert_outputs_untouched(&dir);
+}
+
+#[test]
+fn the_binary_exits_1_not_101_on_schedule_write_failures() {
+    let graph = golden_graph();
+    let (cases, dir) = write_failure_cases("write-failure-bin");
+    for (out, expected) in &cases {
+        let output = Command::new(env!("CARGO_BIN_EXE_ftsched"))
+            .args(schedule_args(&graph, out))
+            .output()
+            .expect("run ftsched");
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert_eq!(output.status.code(), Some(1), "{out}: {stderr}");
+        assert!(
+            stderr.contains(expected.as_str()),
+            "expected `{expected}` in: {stderr}"
+        );
+        assert!(output.stdout.is_empty(), "{out}: reported success");
+    }
+    assert_outputs_untouched(&dir);
 }
 
 /// Options a command does not declare, or declared ones in the wrong

@@ -143,6 +143,79 @@ fn cli_graph_and_bundle_files_match_goldens() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// `ftsched schedule` renders its bundle on a second thread, the instance
+/// half while the scheduler runs and the schedule half while `validate`
+/// runs. Its file must still be byte for byte the library rendering of
+/// the same run, for every algorithm and ε, run after run: the goldens
+/// above pin three algorithms at ε = 1 on a 14-task graph, this pins all
+/// of them on that graph and on a 2000-task layered one.
+#[test]
+fn cli_bundles_equal_library_bundles_for_every_algorithm() {
+    let dir = scratch_dir("every_algorithm");
+    let path = |name: &str| dir.join(name).to_string_lossy().into_owned();
+    let layered = path("layered-2000.json");
+    cli(&[
+        "generate", "--family", "layered", "--tasks", "2000", "--seed", "5", "--out", &layered,
+    ]);
+    let gauss = Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("../../tests/golden/json/graph-gauss5.json")
+        .to_string_lossy()
+        .into_owned();
+    let (seed, out) = (3, path("bundle.json"));
+    for (graph, procs) in [(&gauss, 4usize), (&layered, 6)] {
+        let dag = taskgraph::io::from_json(&std::fs::read_to_string(graph).unwrap()).unwrap();
+        for alg in Algorithm::ALL {
+            for eps in 0..=2usize {
+                // The library calls `schedule` makes, rendered in memory.
+                let mut rng = StdRng::seed_from_u64(seed);
+                let platform = random_platform(&mut rng, procs, 0.5, 1.0);
+                let exec = ExecutionMatrix::unrelated_with_procs(&dag, procs, &mut rng, 0.5);
+                let inst = Instance::new(dag.clone(), platform, exec);
+                let schedule = schedule(&inst, eps, alg, &mut rng).unwrap();
+                let Instance {
+                    dag: bundle_dag,
+                    platform,
+                    exec,
+                } = inst;
+                let want = Bundle {
+                    dag: bundle_dag,
+                    platform,
+                    exec,
+                    schedule,
+                    algorithm: alg.name().to_string(),
+                }
+                .to_json()
+                .unwrap();
+
+                let (procs, eps, seed) = (procs.to_string(), eps.to_string(), seed.to_string());
+                let args = [
+                    "schedule",
+                    "--graph",
+                    graph,
+                    "--procs",
+                    &procs,
+                    "--epsilon",
+                    &eps,
+                    "--algorithm",
+                    alg.key(),
+                    "--seed",
+                    &seed,
+                    "--out",
+                    &out,
+                ];
+                let what = format!("{} ε = {eps} on {graph}", alg.key());
+                cli(&args);
+                let first = std::fs::read_to_string(&out).unwrap();
+                assert_same(&format!("{what} (first run)"), &first, &want);
+                cli(&args);
+                let second = std::fs::read_to_string(&out).unwrap();
+                assert_same(&format!("{what} (second run)"), &second, &first);
+            }
+        }
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn ci_smoke_campaign_json_matches_golden() {
     let dir = scratch_dir("campaign");
