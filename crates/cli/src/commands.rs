@@ -23,6 +23,7 @@ use simulator::simulate;
 use simulator::trace::gantt;
 use std::fmt::Write as _;
 use std::fs::{self, File};
+use std::io::Write as _;
 use std::panic;
 use std::sync::{mpsc, OnceLock};
 use std::thread;
@@ -99,17 +100,19 @@ fn parse_algorithm(name: &str) -> Result<Algorithm, String> {
 /// and computes its stats. The file is byte for byte
 /// [`Bundle::to_json`] of the same run.
 ///
-/// The file exists before the schedule does, so everything the input
-/// decides is checked before it is created: `--out` is given,
-/// `ε + 1 ≤ --procs`, and the granularity applies. If the scheduler
-/// still fails, `validate` rejects the schedule or a write fails, the
-/// error is returned as before, and the output is removed when it is a
-/// regular file; nothing else (a device, FIFO, directory or symlink,
-/// say `--out /dev/stdout`) is unlinked.
+/// Every option that needs no graph is checked before the graph is
+/// read, so a typo costs no parse of a large graph. The file exists
+/// before the schedule does, so everything the input decides is checked
+/// before it is created: `--out` is given, `ε + 1 ≤ --procs`, and the
+/// granularity applies to the graph. If the scheduler still fails,
+/// `validate` rejects the schedule or a write fails, the error is
+/// returned as before, and the output is removed when it is a regular
+/// file; nothing else (a device, FIFO, directory or symlink, say
+/// `--out /dev/stdout`) is unlinked.
 pub fn schedule_cmd(argv: &[String]) -> Result<String, String> {
     let options = "--graph --procs --epsilon --algorithm --seed --granularity --out";
     let args = Args::parse(argv, options, "")?;
-    let dag = read_graph(args.require("graph")?)?;
+    let graph = args.require("graph")?;
     let procs: usize = args.require_num("procs")?;
     if procs == 0 {
         return Err("--procs must be at least 1".into());
@@ -134,6 +137,7 @@ pub fn schedule_cmd(argv: &[String]) -> Result<String, String> {
         return Err(ScheduleError::NotEnoughProcessors { epsilon, procs }.to_string());
     }
 
+    let dag = read_graph(graph)?;
     let mut rng = StdRng::seed_from_u64(seed);
     let platform = random_platform(&mut rng, procs, 0.5, 1.0);
     let mut exec = ExecutionMatrix::unrelated_with_procs(&dag, procs, &mut rng, 0.5);
@@ -454,14 +458,17 @@ pub fn serve(argv: &[String]) -> Result<String, String> {
     let durable = config.data_dir.is_some();
     let server = Server::bind(addr, config).map_err(|e| format!("binding {addr}: {e}"))?;
     let local = server.local_addr().map_err(|e| e.to_string())?;
-    println!(
+    // The port line is parsed by supervisors and tests spawning the
+    // binary with piped stdout; flush pushes it past the pipe's buffer.
+    let mut stdout = std::io::stdout();
+    writeln!(
+        stdout,
         "ftsched serve listening on http://{local} \
          (POST /campaigns, GET /campaigns[/<key>], GET /healthz, GET /metrics{})",
         if durable { ", durable runs on" } else { "" }
-    );
-    // The port line is parsed by supervisors and tests spawning the
-    // binary with piped stdout; push it past the pipe's block buffer.
-    std::io::Write::flush(&mut std::io::stdout()).map_err(|e| e.to_string())?;
+    )
+    .and_then(|()| stdout.flush())
+    .map_err(|e| format!("writing stdout: {e}"))?;
     server.run().map_err(|e| format!("serve: {e}"))?;
     Ok(String::new())
 }

@@ -11,10 +11,10 @@
 //!   instance half into the file while the calling thread schedules, and
 //!   its schedule half while the calling thread validates the schedule
 //!   and computes its stats. The file is byte for byte
-//!   [`Bundle::to_json`] of the same run. Input errors are found before
-//!   the file is created; a later failure (scheduler, `validate` or a
-//!   write) removes the output if it is a regular file and unlinks
-//!   nothing else.
+//!   [`Bundle::to_json`] of the same run. Options are checked before
+//!   the graph is read, and input errors are found before the file is
+//!   created; a later failure (scheduler, `validate` or a write) removes
+//!   the output if it is a regular file and unlinks nothing else.
 //! * `simulate` — read a bundle, crash a chosen or random processor set,
 //!   and report the achieved latency with an ASCII Gantt chart; or run a
 //!   parallel Monte-Carlo crash campaign with `--replications`.
@@ -33,6 +33,10 @@
 //!   (one `fsync` per batch of ready groups) before it is streamed, and
 //!   resumed bit-exactly after a crash (see `experiments::serve`).
 //! * `info` — structural statistics of a graph file.
+//!
+//! The binary prints a command's text on stdout; a stdout it cannot
+//! write (closed, or a full device) is an error like any other, `exit
+//! 1` with `error: writing stdout: …` on stderr.
 //!
 //! Argument parsing is the tiny `--key value` scanner in [`args`] — the
 //! sanctioned dependency set has no CLI parser, and the surface is

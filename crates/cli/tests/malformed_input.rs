@@ -470,12 +470,34 @@ fn degenerate_args(case: &[&str], out: &str) -> Vec<String> {
     args
 }
 
+/// Whether a `schedule` case's error needs the graph: the granularity
+/// checks that scale the drawn instance, which come after the read.
+fn needs_the_graph(expected: &str) -> bool {
+    expected.starts_with("--granularity is undefined")
+        || expected.starts_with("--granularity 1e308 is out of range")
+}
+
 #[test]
 fn degenerate_shape_and_platform_options_are_named_errors() {
-    let out = scratch("degenerate.json");
+    let (out, missing) = (scratch("degenerate.json"), scratch("no-such-graph.json"));
     for (case, expected) in DEGENERATE_CASES {
-        let err = ftsched_cli::run(&degenerate_args(case, &out)).expect_err("option accepted");
+        let args = degenerate_args(case, &out);
+        let err = ftsched_cli::run(&args).expect_err("option accepted");
         assert_eq!(err, expected, "{case:?}");
+        if case[0] != "schedule" {
+            continue;
+        }
+        // Options are checked before the graph is read: a missing graph
+        // file changes no answer that does not need the graph.
+        let graph_at = args.iter().position(|a| a == "--graph").unwrap() + 1;
+        let mut args = args;
+        args[graph_at] = missing.clone();
+        let err = ftsched_cli::run(&args).expect_err("option accepted");
+        if needs_the_graph(expected) {
+            assert!(err.starts_with(&format!("reading {missing}: ")), "{err}");
+        } else {
+            assert_eq!(err, expected, "{case:?} with a missing graph");
+        }
     }
     assert!(
         !std::path::Path::new(&out).exists(),
@@ -516,6 +538,45 @@ fn the_binary_exits_1_not_101_on_degenerate_options() {
             "expected `{expected}` in: {stderr}"
         );
     }
+}
+
+/// A stdout that takes no bytes (`/dev/full`, where it exists) makes the
+/// binary exit 1 with a named error, not panic in its last print
+/// (exit 101); `generate` still writes its graph file first.
+#[test]
+fn the_binary_exits_1_not_101_when_stdout_is_full() {
+    if !std::path::Path::new("/dev/full").exists() {
+        return;
+    }
+    let graph = scratch("stdout-full-graph.json");
+    let cases: [&[&str]; 2] = [
+        &["help"],
+        &[
+            "generate", "--family", "gauss", "--size", "4", "--out", &graph,
+        ],
+    ];
+    for args in cases {
+        let full = std::fs::OpenOptions::new()
+            .write(true)
+            .open("/dev/full")
+            .expect("open /dev/full");
+        let output = Command::new(env!("CARGO_BIN_EXE_ftsched"))
+            .args(args)
+            .stdout(full)
+            .output()
+            .expect("run ftsched");
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert_eq!(output.status.code(), Some(1), "{args:?}: {stderr}");
+        assert_eq!(
+            stderr, "error: writing stdout: No space left on device (os error 28)\n",
+            "{args:?}"
+        );
+    }
+    assert!(
+        std::path::Path::new(&graph).exists(),
+        "generate wrote no graph"
+    );
+    let _ = std::fs::remove_file(&graph);
 }
 
 /// `schedule` outputs that fail on write, with the error each must name:

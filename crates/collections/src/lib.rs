@@ -15,9 +15,10 @@
 //!   entries and O(1) invalidation through a caller-shared epoch array;
 //!   the incremental pressure engine keys its urgency queue and the
 //!   per-processor guard queues here.
-//! * [`select_smallest`] — deterministic `O(m · k)` partial selection of
-//!   the `k` smallest candidates, bit-equal to a stable sort-then-
-//!   truncate; backs the `ε + 1`-processor selection of the scheduler.
+//! * [`select_smallest_into`] — deterministic `O(m · k)` partial
+//!   selection of the `k` smallest candidates into a reused buffer,
+//!   bit-equal to a stable sort-then-truncate; backs the
+//!   `ε + 1`-processor selection of the scheduler.
 //! * [`fold`] — elementwise min/max folds over contiguous `f64`
 //!   rows, bit-identical to their scalar references; the scheduler's
 //!   arrival-cache read/write folds stream through these.
@@ -39,4 +40,4 @@ pub mod select;
 pub use dary::DaryHeap;
 pub use epoch_heap::EpochHeap;
 pub use ordf64::OrdF64;
-pub use select::{select_smallest, select_smallest_into};
+pub use select::select_smallest_into;

@@ -4,36 +4,25 @@
 //! minimizing a score" out of `m` candidates. Allocating all `m` pairs
 //! and fully sorting them costs `O(m log m)` per task; since `ε + 1 ≪ m`
 //! in every paper configuration, a bounded insertion into a `k`-slot
-//! buffer does the same job in `O(m · k)` comparisons with a single
-//! small allocation — and `k` is a small constant, so this is O(m).
+//! buffer does the same job in `O(m · k)` comparisons with no allocation
+//! once the buffer has grown — and `k` is a small constant, so this is
+//! O(m).
 //!
 //! The result is *defined* to equal the first `k` elements of the
 //! stable-by-index full sort: candidates are ordered by
 //! `(value, index)` with [`f64::total_cmp`] on the value. The golden
 //! bit-identity suite relies on this equivalence.
 
-/// Returns the `count` smallest `(index, value(index))` pairs over
-/// `0..m`, ordered by `(value, index)` ascending — exactly the
-/// `count`-prefix of sorting all candidates by `(value, index)`.
+/// Writes the `count` smallest `(index, value(index))` pairs over `0..m`
+/// into `best`, ordered by `(value, index)` ascending — exactly the
+/// `count`-prefix of sorting all candidates by `(value, index)`. `best`
+/// is cleared first and reused, so the scheduler's steady state
+/// allocates nothing here.
 ///
 /// `value` is invoked once per index, in increasing index order.
 ///
 /// # Panics
 /// Panics (in debug builds) if `count > m`.
-pub fn select_smallest(
-    m: usize,
-    count: usize,
-    value: impl FnMut(usize) -> f64,
-) -> Vec<(usize, f64)> {
-    let mut best: Vec<(usize, f64)> = Vec::with_capacity(count);
-    select_smallest_into(m, count, value, &mut best);
-    best
-}
-
-/// [`select_smallest`] writing into a caller-provided buffer — the
-/// zero-allocation form the scheduler's steady state uses. `best` is
-/// cleared first; after the call it holds exactly the `count`-prefix of
-/// the stable-by-index full sort.
 pub fn select_smallest_into(
     m: usize,
     count: usize,
@@ -66,6 +55,12 @@ pub fn select_smallest_into(
 mod tests {
     use super::*;
 
+    fn smallest(m: usize, count: usize, value: impl FnMut(usize) -> f64) -> Vec<(usize, f64)> {
+        let mut best = Vec::new();
+        select_smallest_into(m, count, value, &mut best);
+        best
+    }
+
     /// Oracle: full stable sort by (value, index), then truncate.
     fn oracle(values: &[f64], count: usize) -> Vec<(usize, f64)> {
         let mut all: Vec<(usize, f64)> = values.iter().copied().enumerate().collect();
@@ -79,7 +74,7 @@ mod tests {
         let vals = [5.0, 1.0, 3.0, 1.0, 4.0, 1.0, 2.0, 0.5];
         for count in 0..=vals.len() {
             assert_eq!(
-                select_smallest(vals.len(), count, |j| vals[j]),
+                smallest(vals.len(), count, |j| vals[j]),
                 oracle(&vals, count),
                 "count={count}"
             );
@@ -89,7 +84,7 @@ mod tests {
     #[test]
     fn ties_keep_lower_indices() {
         let vals = [2.0, 2.0, 2.0, 2.0];
-        assert_eq!(select_smallest(4, 2, |j| vals[j]), vec![(0, 2.0), (1, 2.0)]);
+        assert_eq!(smallest(4, 2, |j| vals[j]), vec![(0, 2.0), (1, 2.0)]);
     }
 
     #[test]
@@ -106,7 +101,7 @@ mod tests {
             let vals: Vec<f64> = (0..m).map(|_| next()).collect();
             for count in [0, 1.min(m), 2.min(m), m / 2, m] {
                 assert_eq!(
-                    select_smallest(m, count, |j| vals[j]),
+                    smallest(m, count, |j| vals[j]),
                     oracle(&vals, count),
                     "m={m} count={count}"
                 );
@@ -117,7 +112,7 @@ mod tests {
     #[test]
     fn negative_zero_and_infinities_total_order() {
         let vals = [0.0, -0.0, f64::INFINITY, f64::NEG_INFINITY, 1.0];
-        assert_eq!(select_smallest(5, 5, |j| vals[j]), oracle(&vals, 5));
+        assert_eq!(smallest(5, 5, |j| vals[j]), oracle(&vals, 5));
     }
 
     #[test]

@@ -39,10 +39,10 @@
 //! root pins it with a counting allocator).
 //!
 //! Placement can start from a **pre-occupied platform**: [`schedule_onto`]
-//! takes a [`platform::OccupancyTimeline`] and seeds every processor's
-//! ready time from its release floor instead of `0.0`, which is what the
-//! streaming (online-arrival) scenario family builds on. The occupancy
-//! contract is strict — an empty timeline reduces bit-for-bit to
+//! takes one release floor per processor (`floors: &[f64]`) and seeds
+//! every processor's ready time from it instead of `0.0`, which is what
+//! the streaming (online-arrival) scenario family builds on. The floor
+//! contract is strict — all-zero floors reduce bit-for-bit to
 //! [`schedule_into`], so the golden suite pins both paths at once — and
 //! floor threading adds nothing to the steady-state allocation count.
 //!
@@ -368,29 +368,28 @@ pub fn schedule_into<'w>(
     algorithm.scheduler().run_into(inst, epsilon, rng, ws)
 }
 
-/// [`schedule_into`] onto a **pre-occupied platform**: every
-/// per-processor ready time starts from the occupancy timeline's
-/// release floor instead of `0.0`, so the eq. (1)/(3) placement queries
-/// and the produced replica times live in the stream's absolute clock.
+/// [`schedule_into`] onto a **pre-occupied platform**: processor `j`'s
+/// ready time starts from its release floor `floors[j]` instead of
+/// `0.0` (one floor per processor; a length mismatch panics), so the
+/// eq. (1)/(3) placement queries and the produced replica times live in
+/// the stream's absolute clock.
 ///
-/// Contract (pinned by the golden suite and the occupancy proptests):
-/// an [`OccupancyTimeline::is_empty`](platform::OccupancyTimeline::is_empty)
-/// state is **bit-identical** to [`schedule_into`]. The schedule is not
-/// folded back into `occ`; callers (e.g. the simulator's streaming
-/// driver) insert the replica intervals they consider committed.
+/// Contract (pinned by the golden suite and `tests/schedule_onto.rs`):
+/// all-zero floors are **bit-identical** to [`schedule_into`]. The
+/// schedule is not folded back into `floors`; callers (e.g. the
+/// simulator's streaming driver) raise the floors past the replica
+/// spans they consider committed.
 ///
 /// ```
-/// use ftsched_core::{schedule_into, schedule_onto, Algorithm, ScheduleWorkspace};
+/// use ftsched_core::{schedule_onto, Algorithm, ScheduleWorkspace};
 /// use platform::gen::{paper_instance, PaperInstanceConfig};
-/// use platform::OccupancyTimeline;
 /// use rand::{rngs::StdRng, SeedableRng};
 ///
 /// let mut rng = StdRng::seed_from_u64(1);
 /// let inst = paper_instance(&mut rng, &PaperInstanceConfig::default());
 /// let mut ws = ScheduleWorkspace::new();
-/// let mut occ = OccupancyTimeline::new(inst.num_procs());
-/// occ.advance(10.0); // the DAG arrives at t = 10
-/// let sched = schedule_onto(&inst, 1, Algorithm::Ftsa, &mut StdRng::seed_from_u64(7), &occ, &mut ws)
+/// let floors = vec![10.0; inst.num_procs()]; // the DAG arrives at t = 10
+/// let sched = schedule_onto(&inst, 1, Algorithm::Ftsa, &mut StdRng::seed_from_u64(7), &floors, &mut ws)
 ///     .unwrap();
 /// assert!(sched.latency_lower_bound() >= 10.0);
 /// ```
@@ -399,10 +398,12 @@ pub fn schedule_onto<'w>(
     epsilon: usize,
     algorithm: Algorithm,
     rng: &mut impl Rng,
-    occ: &platform::OccupancyTimeline,
+    floors: &[f64],
     ws: &'w mut ScheduleWorkspace,
 ) -> Result<&'w Schedule, ScheduleError> {
-    algorithm.scheduler().run_onto(inst, epsilon, rng, occ, ws)
+    algorithm
+        .scheduler()
+        .run_onto(inst, epsilon, rng, floors, ws)
 }
 
 #[cfg(test)]

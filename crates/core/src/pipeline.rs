@@ -334,21 +334,22 @@ impl ListScheduler {
     }
 
     /// [`ListScheduler::run_into`] on a *pre-occupied* platform: the
-    /// eq. (1)/(3) placement queries start from `occ`'s per-processor
-    /// release floors instead of time 0, so replica times come out in
-    /// the stream's absolute clock. An empty timeline is bit-identical
-    /// to [`ListScheduler::run_into`] (the golden suite's conservation
-    /// contract). The produced schedule is *not* folded back into `occ`
-    /// — callers decide which replicas actually occupy the platform.
+    /// eq. (1)/(3) placement queries start from the release floors (one
+    /// per processor; a length mismatch panics) instead of time 0, so
+    /// replica times come out in the stream's absolute clock. All-zero
+    /// floors are bit-identical to [`ListScheduler::run_into`] (the
+    /// golden suite's conservation contract). The produced schedule is
+    /// *not* folded back into `floors` — callers decide which replicas
+    /// actually occupy the platform.
     pub fn run_onto<'w>(
         &self,
         inst: &Instance,
         epsilon: usize,
         rng: &mut impl Rng,
-        occ: &platform::OccupancyTimeline,
+        floors: &[f64],
         ws: &'w mut ScheduleWorkspace,
     ) -> Result<&'w Schedule, ScheduleError> {
-        let floors = Some(occ.floors());
+        let floors = Some(floors);
         self.run_core(inst, epsilon, rng, None, floors, PressureImpl::Heap, ws)?;
         Ok(&ws.sched)
     }

@@ -1,10 +1,9 @@
-//! `schedule_onto` occupancy contract: an empty timeline is
+//! `schedule_onto` release-floor contract: all-zero floors are
 //! bit-identical to `schedule_into`, and nonzero floors shift every
 //! replica into the stream's absolute clock without reordering work.
 
 use ftsched_core::{schedule_into, schedule_onto, Algorithm, ScheduleWorkspace};
 use platform::gen::{paper_instance, PaperInstanceConfig};
-use platform::OccupancyTimeline;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -16,15 +15,14 @@ fn rng(seed: u64) -> StdRng {
 fn empty_occupancy_is_bit_identical_to_schedule_into() {
     for seed in 0..3u64 {
         let inst = paper_instance(&mut rng(seed), &PaperInstanceConfig::default());
-        let occ = OccupancyTimeline::new(inst.num_procs());
-        assert!(occ.is_empty());
+        let floors = vec![0.0; inst.num_procs()];
         for alg in Algorithm::ALL {
             for eps in [0usize, 1, 2] {
                 let mut ws_a = ScheduleWorkspace::new();
                 let mut ws_b = ScheduleWorkspace::new();
                 let a = schedule_into(&inst, eps, alg, &mut rng(seed + 7), &mut ws_a).unwrap();
                 let b =
-                    schedule_onto(&inst, eps, alg, &mut rng(seed + 7), &occ, &mut ws_b).unwrap();
+                    schedule_onto(&inst, eps, alg, &mut rng(seed + 7), &floors, &mut ws_b).unwrap();
                 assert_eq!(
                     a.latency_lower_bound().to_bits(),
                     b.latency_lower_bound().to_bits(),
@@ -53,16 +51,15 @@ fn empty_occupancy_is_bit_identical_to_schedule_into() {
 #[test]
 fn advanced_floors_shift_all_starts_past_the_arrival() {
     let inst = paper_instance(&mut rng(42), &PaperInstanceConfig::default());
-    let mut occ = OccupancyTimeline::new(inst.num_procs());
-    occ.advance(100.0);
+    let floors = vec![100.0; inst.num_procs()];
     for alg in Algorithm::ALL {
         let mut ws = ScheduleWorkspace::new();
-        let s = schedule_onto(&inst, 1, alg, &mut rng(42), &occ, &mut ws).unwrap();
+        let s = schedule_onto(&inst, 1, alg, &mut rng(42), &floors, &mut ws).unwrap();
         for t in inst.dag.tasks() {
             for r in s.replicas_of(t) {
                 assert!(
                     r.start_lb >= 100.0 - 1e-9,
-                    "{alg:?}: replica starts before the occupancy floor"
+                    "{alg:?}: replica starts before the release floor"
                 );
             }
         }
@@ -93,15 +90,20 @@ fn per_processor_floors_steer_placement_and_times() {
 
     // Empty platform: both tasks pick fast P0 (finish at 2.0).
     let mut ws = ScheduleWorkspace::new();
-    let empty = OccupancyTimeline::new(2);
-    let s = schedule_onto(&inst, 0, Algorithm::Ftsa, &mut rng(1), &empty, &mut ws).unwrap();
+    let s = schedule_onto(&inst, 0, Algorithm::Ftsa, &mut rng(1), &[0.0; 2], &mut ws).unwrap();
     assert_eq!(s.replicas_of(t0)[0].proc.index(), 0);
     assert!((s.latency_lower_bound() - 2.0).abs() < 1e-9);
 
     // P0 occupied until t = 50: the chain reroutes to slow-but-free P1.
-    let mut occ = OccupancyTimeline::new(2);
-    occ.insert(0, 0.0, 50.0);
-    let s = schedule_onto(&inst, 0, Algorithm::Ftsa, &mut rng(1), &occ, &mut ws).unwrap();
+    let s = schedule_onto(
+        &inst,
+        0,
+        Algorithm::Ftsa,
+        &mut rng(1),
+        &[50.0, 0.0],
+        &mut ws,
+    )
+    .unwrap();
     assert_eq!(s.replicas_of(t0)[0].proc.index(), 1);
     assert_eq!(s.replicas_of(t1)[0].proc.index(), 1);
     assert!((s.replicas_of(t0)[0].start_lb - 0.0).abs() < 1e-9);
@@ -109,9 +111,7 @@ fn per_processor_floors_steer_placement_and_times() {
 
     // P0 occupied only until t = 3: waiting for the fast processor wins
     // again (3 + 1 + 1 = 5 < 20), and the start honors the floor.
-    let mut occ = OccupancyTimeline::new(2);
-    occ.insert(0, 0.0, 3.0);
-    let s = schedule_onto(&inst, 0, Algorithm::Ftsa, &mut rng(1), &occ, &mut ws).unwrap();
+    let s = schedule_onto(&inst, 0, Algorithm::Ftsa, &mut rng(1), &[3.0, 0.0], &mut ws).unwrap();
     assert_eq!(s.replicas_of(t0)[0].proc.index(), 0);
     assert!((s.replicas_of(t0)[0].start_lb - 3.0).abs() < 1e-9);
     assert!((s.latency_lower_bound() - 5.0).abs() < 1e-9);

@@ -32,17 +32,18 @@
 //! * Malformed requests never reach a worker: a body that is not valid
 //!   JSON, does not decode as a spec, or fails
 //!   [`CampaignSpec::validate`] is a `400`; a missing `Content-Length`
-//!   is a `411`; a body over [`ServeConfig::max_body`] is a `413`; a
-//!   request line plus headers over 16 KiB is a `431`; unknown paths
-//!   are `404`, unsupported methods `405`. What the validator cannot see
-//!   — a drawn instance that cannot take its granularity — comes back
-//!   from the cell as a [`CampaignError`] and halts the run loudly (see
-//!   below); a later request for the run gets a `500`.
+//!   is a `411`; a `Content-Length` over 1 MiB is a `413`, sent
+//!   without reading the body; a request line plus headers over 16 KiB
+//!   is a `431`; unknown paths are `404`, unsupported methods `405`.
+//!   What the validator cannot see — a drawn instance that cannot take
+//!   its granularity — comes back from the cell as a [`CampaignError`]
+//!   and halts the run loudly (see below); a later request for the run
+//!   gets a `500`.
 //! * A client has 5 s from the moment a handler takes its connection to
 //!   deliver the whole request, head and body; after that the
 //!   connection is dropped. A silent or trickling client therefore
 //!   holds a handler thread for at most that long, and no request grows
-//!   a buffer past the head cap or [`ServeConfig::max_body`].
+//!   a buffer past the head or body cap.
 //! * A response goes out in slices of at most 64 KiB, and the client
 //!   has 5 s to take each one, however it paces its reads within the
 //!   slice: a client must read at least 64 KiB per 5 s (about 13 KB/s)
@@ -162,6 +163,9 @@ use std::time::{Duration, Instant};
 /// Cap on the request line plus headers, in bytes (`431` above it).
 const MAX_HEAD: u64 = 16 * 1024;
 
+/// Cap on a request body, in bytes (`413` above it).
+const MAX_BODY: usize = 1 << 20;
+
 /// How long a client has, once a handler takes its connection, to
 /// deliver its whole request (head and body).
 const READ_DEADLINE: Duration = Duration::from_secs(5);
@@ -190,8 +194,6 @@ pub struct ServeConfig {
     pub queue: usize,
     /// Connection-handler threads (concurrent in-flight requests).
     pub handlers: usize,
-    /// Request body cap in bytes (`413` above it).
-    pub max_body: usize,
     /// Durable run store directory (`None` keeps PR 7's in-memory-only
     /// registry). At most one live server per directory.
     pub data_dir: Option<PathBuf>,
@@ -203,7 +205,6 @@ impl Default for ServeConfig {
             threads: 0,
             queue: 32,
             handlers: 4,
-            max_body: 1 << 20,
             data_dir: None,
         }
     }
@@ -547,11 +548,10 @@ impl Server {
         for _ in 0..self.config.handlers.max(1) {
             let rx = Arc::clone(&rx);
             let registry = Arc::clone(&self.registry);
-            let max_body = self.config.max_body;
             thread::spawn(move || loop {
                 let next = rx.lock().expect("ingress lock").recv();
                 match next {
-                    Ok(stream) => handle_connection(stream, &registry, threads, max_body),
+                    Ok(stream) => handle_connection(stream, &registry, threads),
                     Err(_) => return,
                 }
             });
@@ -578,21 +578,16 @@ impl Server {
     }
 }
 
-fn handle_connection(stream: TcpStream, registry: &Registry, threads: usize, max_body: usize) {
+fn handle_connection(stream: TcpStream, registry: &Registry, threads: usize) {
     let peer = stream.peer_addr().ok();
-    if let Err(e) = try_handle(stream, registry, threads, max_body) {
+    if let Err(e) = try_handle(stream, registry, threads) {
         // An I/O failure on one connection (client hung up mid-stream,
         // …) must never take the server down.
         eprintln!("serve: connection {peer:?} dropped: {e}");
     }
 }
 
-fn try_handle(
-    stream: TcpStream,
-    registry: &Registry,
-    threads: usize,
-    max_body: usize,
-) -> io::Result<()> {
+fn try_handle(stream: TcpStream, registry: &Registry, threads: usize) -> io::Result<()> {
     let mut reader = BufReader::new(DeadlineReader {
         stream: stream.try_clone()?,
         until: Instant::now() + READ_DEADLINE,
@@ -634,7 +629,7 @@ fn try_handle(
                     "POST /campaigns needs a Content-Length",
                 );
             };
-            if len > max_body {
+            if len > MAX_BODY {
                 return write_error(
                     &mut stream,
                     "413 Content Too Large",

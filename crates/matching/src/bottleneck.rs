@@ -16,7 +16,6 @@
 
 use crate::bipartite::BipartiteGraph;
 use crate::hopcroft_karp::{maximum_matching_csr_into, HopcroftKarpScratch};
-use crate::Matching;
 
 /// Reusable buffers for [`bottleneck_matching_into`]: the fixed-endpoint
 /// marks, the sorted threshold candidates, the flat CSR adjacency of the
@@ -31,33 +30,6 @@ pub struct BottleneckScratch {
     adj_cursor: Vec<usize>,
     adj_edges: Vec<usize>,
     hk: HopcroftKarpScratch,
-}
-
-/// Finds a left-perfect matching minimizing the maximum selected edge
-/// weight, subject to `forced` pairs being selected. Returns `None` when no
-/// left-perfect matching exists at all.
-///
-/// `forced` pairs must reference existing edges and be pairwise disjoint in
-/// both endpoints.
-///
-/// ```
-/// use matching::{BipartiteGraph, bottleneck_matching};
-/// let mut g = BipartiteGraph::new(2, 2);
-/// g.add_edge(0, 0, 1.0);
-/// g.add_edge(0, 1, 9.0);
-/// g.add_edge(1, 0, 2.0);
-/// g.add_edge(1, 1, 3.0);
-/// let m = bottleneck_matching(&g, &[]).unwrap();
-/// assert_eq!(m.bottleneck, 3.0); // {0-0, 1-1} beats {0-1, 1-0}
-/// ```
-pub fn bottleneck_matching(g: &BipartiteGraph, forced: &[(usize, usize)]) -> Option<Matching> {
-    let mut scratch = BottleneckScratch::default();
-    let mut pairs = Vec::with_capacity(g.n_left());
-    if bottleneck_matching_into(g, forced, &mut scratch, &mut pairs) {
-        Some(Matching::from_pairs(g, pairs))
-    } else {
-        None
-    }
 }
 
 /// Rebuilds the `≤ threshold` residual CSR adjacency and reports whether a
@@ -103,12 +75,28 @@ fn feasible(
     free_left.iter().all(|&l| hk.match_left[l] != usize::MAX)
 }
 
-/// [`bottleneck_matching`] writing the selected pairs into a caller-provided
-/// buffer — the zero-allocation form used by the scheduler's matched
-/// placement. `pairs` is cleared first and, on success (`true`), holds the
-/// forced pairs followed by the optimal free assignment in `free_left`
-/// order — exactly the pair sequence [`bottleneck_matching`] records. On
-/// failure (`false`) `pairs` holds only the forced pairs.
+/// Finds a left-perfect matching minimizing the maximum selected edge
+/// weight, subject to `forced` pairs being selected. Allocation-free once
+/// `scratch` and `pairs` have grown — the form the scheduler's matched
+/// placement uses.
+///
+/// `forced` pairs must reference existing edges and be pairwise disjoint in
+/// both endpoints. `pairs` is cleared first and, on success (`true`),
+/// holds the forced pairs followed by the optimal free assignment in
+/// left-node order. Returns `false` when no left-perfect matching exists
+/// at all; `pairs` then holds only the forced pairs.
+///
+/// ```
+/// use matching::{bottleneck_matching_into, BipartiteGraph, BottleneckScratch};
+/// let mut g = BipartiteGraph::new(2, 2);
+/// g.add_edge(0, 0, 1.0);
+/// g.add_edge(0, 1, 9.0);
+/// g.add_edge(1, 0, 2.0);
+/// g.add_edge(1, 1, 3.0);
+/// let mut pairs = Vec::new();
+/// assert!(bottleneck_matching_into(&g, &[], &mut BottleneckScratch::default(), &mut pairs));
+/// assert_eq!(pairs, [(0, 0), (1, 1)]); // bottleneck 3 beats {0-1, 1-0}'s 9
+/// ```
 pub fn bottleneck_matching_into(
     g: &BipartiteGraph,
     forced: &[(usize, usize)],
@@ -203,6 +191,7 @@ pub fn bottleneck_matching_into(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::test_util::{bottleneck, is_left_perfect, optimal};
 
     fn weighted(n: usize, edges: &[(usize, usize, f64)]) -> BipartiteGraph {
         let mut g = BipartiteGraph::new(n, n);
@@ -267,50 +256,50 @@ mod tests {
                 (2, 2, 3.0),
             ],
         );
-        let m = bottleneck_matching(&g, &[]).unwrap();
-        assert!(m.is_left_perfect(3));
-        assert_eq!(m.bottleneck, brute_bottleneck(&g, &[]).unwrap());
-        assert_eq!(m.bottleneck, 3.0); // 0->1(1), 1->0(2), 2->2(3)
+        let m = optimal(&g, &[]).unwrap();
+        assert!(is_left_perfect(&m, 3));
+        assert_eq!(bottleneck(&g, &m), brute_bottleneck(&g, &[]).unwrap());
+        assert_eq!(bottleneck(&g, &m), 3.0); // 0->1(1), 1->0(2), 2->2(3)
     }
 
     #[test]
     fn infeasible_returns_none() {
         // Left node 1 has no edges.
         let g = weighted(2, &[(0, 0, 1.0), (0, 1, 2.0)]);
-        assert!(bottleneck_matching(&g, &[]).is_none());
+        assert!(optimal(&g, &[]).is_none());
     }
 
     #[test]
     fn forced_edge_respected_even_if_heavy() {
         let g = weighted(2, &[(0, 0, 100.0), (0, 1, 1.0), (1, 0, 1.0), (1, 1, 1.0)]);
-        let m = bottleneck_matching(&g, &[(0, 0)]).unwrap();
-        assert!(m.pairs.contains(&(0, 0)));
-        assert!(m.pairs.contains(&(1, 1)));
-        assert_eq!(m.bottleneck, 100.0);
+        let m = optimal(&g, &[(0, 0)]).unwrap();
+        assert!(m.contains(&(0, 0)));
+        assert!(m.contains(&(1, 1)));
+        assert_eq!(bottleneck(&g, &m), 100.0);
     }
 
     #[test]
     fn all_forced() {
         let g = weighted(2, &[(0, 0, 3.0), (1, 1, 7.0)]);
-        let m = bottleneck_matching(&g, &[(0, 0), (1, 1)]).unwrap();
-        assert_eq!(m.pairs.len(), 2);
-        assert_eq!(m.bottleneck, 7.0);
-        assert!(m.is_left_perfect(2));
+        let m = optimal(&g, &[(0, 0), (1, 1)]).unwrap();
+        assert_eq!(m.len(), 2);
+        assert_eq!(bottleneck(&g, &m), 7.0);
+        assert!(is_left_perfect(&m, 2));
     }
 
     #[test]
     fn forced_blocking_makes_infeasible() {
         // Forcing 0->0 leaves node 1 with no free right node.
         let g = weighted(2, &[(0, 0, 1.0), (1, 0, 1.0)]);
-        assert!(bottleneck_matching(&g, &[(0, 0)]).is_none());
+        assert!(optimal(&g, &[(0, 0)]).is_none());
     }
 
     #[test]
     fn single_node() {
         let g = weighted(1, &[(0, 0, 42.0)]);
-        let m = bottleneck_matching(&g, &[]).unwrap();
-        assert_eq!(m.pairs, vec![(0, 0)]);
-        assert_eq!(m.bottleneck, 42.0);
+        let m = optimal(&g, &[]).unwrap();
+        assert_eq!(m, vec![(0, 0)]);
+        assert_eq!(bottleneck(&g, &m), 42.0);
     }
 
     #[test]
@@ -330,9 +319,13 @@ mod tests {
                     g.add_edge(l, r, next());
                 }
             }
-            let m = bottleneck_matching(&g, &[]).unwrap();
-            assert!(m.is_left_perfect(n));
-            assert_eq!(m.bottleneck, brute_bottleneck(&g, &[]).unwrap(), "n={n}");
+            let m = optimal(&g, &[]).unwrap();
+            assert!(is_left_perfect(&m, n));
+            assert_eq!(
+                bottleneck(&g, &m),
+                brute_bottleneck(&g, &[]).unwrap(),
+                "n={n}"
+            );
         }
     }
 }

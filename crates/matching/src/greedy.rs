@@ -9,37 +9,6 @@
 //! otherwise we proceed to the next edge."
 
 use crate::bipartite::BipartiteGraph;
-use crate::Matching;
-
-/// Greedily selects a left-perfect matching: `forced` (internal) pairs
-/// first, then remaining edges in non-decreasing weight order, keeping an
-/// edge iff both endpoints are still unsaturated.
-///
-/// Returns `None` if the greedy pass fails to saturate every left node
-/// (cannot happen on MC-FTSA's graphs, where every non-internal left node
-/// is connected to *all* right nodes, but callers with sparser graphs must
-/// handle it).
-///
-/// ```
-/// use matching::{BipartiteGraph, greedy_matching};
-/// let mut g = BipartiteGraph::new(2, 2);
-/// g.add_edge(0, 0, 5.0);
-/// g.add_edge(0, 1, 1.0);
-/// g.add_edge(1, 0, 2.0);
-/// g.add_edge(1, 1, 3.0);
-/// let m = greedy_matching(&g, &[]).unwrap();
-/// // Greedy takes 0-1 (w=1), then 1-0 (w=2).
-/// assert_eq!(m.bottleneck, 2.0);
-/// ```
-pub fn greedy_matching(g: &BipartiteGraph, forced: &[(usize, usize)]) -> Option<Matching> {
-    let mut scratch = GreedyScratch::default();
-    let mut pairs = Vec::with_capacity(g.n_left());
-    if greedy_matching_into(g, forced, &mut scratch, &mut pairs) {
-        Some(Matching::from_pairs(g, pairs))
-    } else {
-        None
-    }
-}
 
 /// Reusable buffers for [`greedy_matching_into`].
 #[derive(Debug, Clone, Default)]
@@ -49,11 +18,31 @@ pub struct GreedyScratch {
     order: Vec<u32>,
 }
 
-/// [`greedy_matching`] writing the selected pairs into a caller-provided
-/// buffer — the zero-allocation form used by the scheduler's matched
-/// placement. `pairs` is cleared first and, on success (`true`), holds
-/// the forced pairs followed by the greedy picks in non-decreasing
-/// weight order — exactly the pair sequence [`greedy_matching`] records.
+/// Greedily selects a left-perfect matching: `forced` (internal) pairs
+/// first, then remaining edges in non-decreasing weight order, keeping an
+/// edge iff both endpoints are still unsaturated. Allocation-free once
+/// `scratch` and `pairs` have grown — the form the scheduler's matched
+/// placement uses.
+///
+/// `pairs` is cleared first and, on success (`true`), holds the forced
+/// pairs followed by the greedy picks in non-decreasing weight order.
+/// Returns `false` if the greedy pass fails to saturate every left node
+/// (cannot happen on MC-FTSA's graphs, where every non-internal left node
+/// is connected to *all* right nodes, but callers with sparser graphs must
+/// handle it).
+///
+/// ```
+/// use matching::{greedy_matching_into, BipartiteGraph, GreedyScratch};
+/// let mut g = BipartiteGraph::new(2, 2);
+/// g.add_edge(0, 0, 5.0);
+/// g.add_edge(0, 1, 1.0);
+/// g.add_edge(1, 0, 2.0);
+/// g.add_edge(1, 1, 3.0);
+/// let mut pairs = Vec::new();
+/// assert!(greedy_matching_into(&g, &[], &mut GreedyScratch::default(), &mut pairs));
+/// // Greedy takes 0-1 (w=1), then 1-0 (w=2).
+/// assert_eq!(pairs, [(0, 1), (1, 0)]);
+/// ```
 pub fn greedy_matching_into(
     g: &BipartiteGraph,
     forced: &[(usize, usize)],
@@ -113,6 +102,7 @@ pub fn greedy_matching_into(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::test_util::{bottleneck, greedy, is_left_perfect, optimal};
 
     fn complete(n: usize, w: impl Fn(usize, usize) -> f64) -> BipartiteGraph {
         let mut g = BipartiteGraph::new(n, n);
@@ -127,28 +117,28 @@ mod tests {
     #[test]
     fn selects_cheapest_available() {
         let g = complete(3, |l, r| (l * 3 + r) as f64);
-        let m = greedy_matching(&g, &[]).unwrap();
-        assert!(m.is_left_perfect(3));
+        let m = greedy(&g, &[]).unwrap();
+        assert!(is_left_perfect(&m, 3));
         // Greedy picks (0,0)=0, then (1,1)=4, then (2,2)=8.
-        assert_eq!(m.pairs, vec![(0, 0), (1, 1), (2, 2)]);
+        assert_eq!(m, vec![(0, 0), (1, 1), (2, 2)]);
     }
 
     #[test]
     fn forced_internal_first() {
         // The forced pair is the *worst* edge, yet must be selected.
         let g = complete(2, |l, r| if (l, r) == (0, 0) { 99.0 } else { 1.0 });
-        let m = greedy_matching(&g, &[(0, 0)]).unwrap();
-        assert!(m.pairs.contains(&(0, 0)));
-        assert_eq!(m.pairs.len(), 2);
-        assert_eq!(m.bottleneck, 99.0);
+        let m = greedy(&g, &[(0, 0)]).unwrap();
+        assert!(m.contains(&(0, 0)));
+        assert_eq!(m.len(), 2);
+        assert_eq!(bottleneck(&g, &m), 99.0);
     }
 
     #[test]
     fn greedy_always_succeeds_on_complete_graphs() {
         for n in 1..6 {
             let g = complete(n, |l, r| ((l * 7 + r * 13) % 10) as f64);
-            let m = greedy_matching(&g, &[]).unwrap();
-            assert!(m.is_left_perfect(n));
+            let m = greedy(&g, &[]).unwrap();
+            assert!(is_left_perfect(&m, n));
         }
     }
 
@@ -157,7 +147,7 @@ mod tests {
         let mut g = BipartiteGraph::new(2, 2);
         g.add_edge(0, 0, 1.0);
         g.add_edge(1, 0, 2.0); // both left nodes only reach right 0
-        assert!(greedy_matching(&g, &[]).is_none());
+        assert!(greedy(&g, &[]).is_none());
     }
 
     #[test]
@@ -169,20 +159,20 @@ mod tests {
         g.add_edge(0, 1, 1.0);
         g.add_edge(1, 0, 9.0);
         g.add_edge(1, 1, 5.0);
-        let m = greedy_matching(&g, &[]).unwrap();
-        assert!(m.is_left_perfect(2));
-        assert_eq!(m.pairs, vec![(0, 1), (1, 0)]);
-        assert_eq!(m.bottleneck, 9.0);
-        let opt = crate::bottleneck_matching(&g, &[]).unwrap();
-        assert_eq!(opt.bottleneck, 5.0);
-        assert!(opt.bottleneck <= m.bottleneck);
+        let m = greedy(&g, &[]).unwrap();
+        assert!(is_left_perfect(&m, 2));
+        assert_eq!(m, vec![(0, 1), (1, 0)]);
+        assert_eq!(bottleneck(&g, &m), 9.0);
+        let opt = optimal(&g, &[]).unwrap();
+        assert_eq!(bottleneck(&g, &opt), 5.0);
+        assert!(bottleneck(&g, &opt) <= bottleneck(&g, &m));
     }
 
     #[test]
     fn deterministic_tie_breaking() {
         let g = complete(4, |_, _| 1.0);
-        let a = greedy_matching(&g, &[]).unwrap();
-        let b = greedy_matching(&g, &[]).unwrap();
+        let a = greedy(&g, &[]).unwrap();
+        let b = greedy(&g, &[]).unwrap();
         assert_eq!(a, b);
     }
 }

@@ -7,16 +7,20 @@
 //! `A(t')` (senders) and `A(t)` (receivers), with *forced* internal edges
 //! whenever a processor belongs to both sets (Proposition 4.3).
 //!
-//! Two selectors are offered, exactly as the paper describes:
+//! Two selectors are offered, exactly as the paper describes. Both write
+//! the selected pairs into a caller-held buffer with caller-held scratch,
+//! so the scheduler's matched placement allocates nothing once warm:
 //!
-//! * [`bottleneck_matching`] — the polynomial-time optimal variant: binary
-//!   search on the threshold `T` over the set of edge weights, feasibility
-//!   decided by a maximum-matching ([Hopcroft–Karp][hopcroft_karp]) run on
-//!   the `≤ T` subgraph.
-//! * [`greedy_matching`] — the greedy variant used in the paper's
-//!   experiments: forced internal edges first, then edges in non-decreasing
-//!   weight order, keeping an edge iff it saturates a new left node *and* a
-//!   new right node.
+//! * [`bottleneck_matching_into`] — the polynomial-time optimal variant:
+//!   binary search on the threshold `T` over the set of edge weights,
+//!   feasibility decided by a maximum-matching
+//!   ([Hopcroft–Karp][hopcroft_karp]) run on the `≤ T` subgraph.
+//! * [`greedy_matching_into`] — the greedy variant used in the paper's
+//!   experiments: forced internal edges first, then edges in
+//!   non-decreasing weight order, keeping an edge iff it saturates a new
+//!   left node *and* a new right node.
+//!
+//! [`maximum_matching`] also serves the task graph's exact width.
 //!
 //! The crate is self-contained and generic; the scheduler core builds the
 //! per-predecessor bipartite graphs and interprets the returned pairs.
@@ -30,37 +34,44 @@ pub mod greedy;
 pub mod hopcroft_karp;
 
 pub use bipartite::{BipartiteGraph, Edge};
-pub use bottleneck::{bottleneck_matching, bottleneck_matching_into, BottleneckScratch};
-pub use greedy::{greedy_matching, greedy_matching_into, GreedyScratch};
+pub use bottleneck::{bottleneck_matching_into, BottleneckScratch};
+pub use greedy::{greedy_matching_into, GreedyScratch};
 pub use hopcroft_karp::{maximum_matching, HopcroftKarpScratch, MatchResult};
 
-/// A selected set of communications: one `(left, right)` pair per edge of
-/// the matching, plus the bottleneck (largest selected weight).
-#[derive(Debug, Clone, PartialEq)]
-pub struct Matching {
-    /// Selected `(left, right)` pairs, including any forced edges.
-    pub pairs: Vec<(usize, usize)>,
-    /// The largest weight among selected edges (`-inf` if empty).
-    pub bottleneck: f64,
-}
+/// Owned-result wrappers and checks over the selectors' pair lists.
+#[cfg(test)]
+pub(crate) mod test_util {
+    use super::*;
 
-impl Matching {
-    /// Builds a matching and computes its bottleneck from the graph.
-    pub(crate) fn from_pairs(g: &BipartiteGraph, pairs: Vec<(usize, usize)>) -> Self {
-        let bottleneck = pairs
-            .iter()
-            .map(|&(l, r)| g.weight(l, r).expect("selected pair must be an edge"))
-            .fold(f64::NEG_INFINITY, f64::max);
-        Matching { pairs, bottleneck }
+    /// The greedy selection's pairs, or `None` when it fails.
+    pub fn greedy(g: &BipartiteGraph, forced: &[(usize, usize)]) -> Option<Vec<(usize, usize)>> {
+        let mut pairs = Vec::new();
+        greedy_matching_into(g, forced, &mut GreedyScratch::default(), &mut pairs).then_some(pairs)
     }
 
-    /// True iff every left node in `0..n_left` appears exactly once and no
-    /// right node appears twice — i.e. the pairs form a left-perfect
-    /// matching (what Proposition 4.3 calls a *robust* set).
-    pub fn is_left_perfect(&self, n_left: usize) -> bool {
+    /// The bottleneck-optimal selection's pairs, or `None` when no
+    /// left-perfect matching exists.
+    pub fn optimal(g: &BipartiteGraph, forced: &[(usize, usize)]) -> Option<Vec<(usize, usize)>> {
+        let mut pairs = Vec::new();
+        let scratch = &mut BottleneckScratch::default();
+        bottleneck_matching_into(g, forced, scratch, &mut pairs).then_some(pairs)
+    }
+
+    /// The largest weight among the selected pairs (`-inf` if empty).
+    pub fn bottleneck(g: &BipartiteGraph, pairs: &[(usize, usize)]) -> f64 {
+        pairs
+            .iter()
+            .map(|&(l, r)| g.weight(l, r).expect("selected pair must be an edge"))
+            .fold(f64::NEG_INFINITY, f64::max)
+    }
+
+    /// Whether every left node in `0..n_left` appears exactly once and
+    /// no right node twice — a left-perfect matching, what
+    /// Proposition 4.3 calls a *robust* set.
+    pub fn is_left_perfect(pairs: &[(usize, usize)], n_left: usize) -> bool {
         let mut left_seen = vec![false; n_left];
         let mut right_seen = std::collections::HashSet::new();
-        for &(l, r) in &self.pairs {
+        for &(l, r) in pairs {
             if l >= n_left || left_seen[l] || !right_seen.insert(r) {
                 return false;
             }

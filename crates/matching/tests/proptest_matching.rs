@@ -3,10 +3,44 @@
 //! robustness condition of Proposition 4.3.
 
 use matching::{
-    bottleneck_matching, greedy_matching, hopcroft_karp::brute_force_max_matching,
-    maximum_matching, BipartiteGraph,
+    bottleneck_matching_into, greedy_matching_into, hopcroft_karp::brute_force_max_matching,
+    maximum_matching, BipartiteGraph, BottleneckScratch, GreedyScratch,
 };
 use proptest::prelude::*;
+
+type Pairs = Vec<(usize, usize)>;
+
+fn greedy(g: &BipartiteGraph, forced: &[(usize, usize)]) -> Option<Pairs> {
+    let mut pairs = Vec::new();
+    greedy_matching_into(g, forced, &mut GreedyScratch::default(), &mut pairs).then_some(pairs)
+}
+
+fn optimal(g: &BipartiteGraph, forced: &[(usize, usize)]) -> Option<Pairs> {
+    let mut pairs = Vec::new();
+    let scratch = &mut BottleneckScratch::default();
+    bottleneck_matching_into(g, forced, scratch, &mut pairs).then_some(pairs)
+}
+
+/// The largest weight among the selected pairs.
+fn bottleneck(g: &BipartiteGraph, pairs: &[(usize, usize)]) -> f64 {
+    pairs
+        .iter()
+        .map(|&(l, r)| g.weight(l, r).expect("selected pair must be an edge"))
+        .fold(f64::NEG_INFINITY, f64::max)
+}
+
+/// Every left node in `0..n_left` exactly once, no right node twice.
+fn is_left_perfect(pairs: &[(usize, usize)], n_left: usize) -> bool {
+    let mut left_seen = vec![false; n_left];
+    let mut right_seen = std::collections::HashSet::new();
+    for &(l, r) in pairs {
+        if l >= n_left || left_seen[l] || !right_seen.insert(r) {
+            return false;
+        }
+        left_seen[l] = true;
+    }
+    left_seen.iter().all(|&s| s)
+}
 
 fn arb_graph(max_n: usize) -> impl Strategy<Value = BipartiteGraph> {
     (1..=max_n, 1..=max_n).prop_flat_map(|(nl, nr)| {
@@ -54,8 +88,9 @@ proptest! {
     #[test]
     fn bottleneck_is_optimal_on_complete(g in arb_complete(5)) {
         let n = g.n_left();
-        let m = bottleneck_matching(&g, &[]).unwrap();
-        prop_assert!(m.is_left_perfect(n));
+        let m = optimal(&g, &[]).unwrap();
+        prop_assert!(is_left_perfect(&m, n));
+        let ours = bottleneck(&g, &m);
         // Every permutation has bottleneck >= ours.
         let mut perm: Vec<usize> = (0..n).collect();
         let mut all_ge = true;
@@ -65,7 +100,7 @@ proptest! {
                 .enumerate()
                 .map(|(l, &r)| g.weight(l, r).unwrap())
                 .fold(f64::NEG_INFINITY, f64::max);
-            if b < m.bottleneck - 1e-12 {
+            if b < ours - 1e-12 {
                 all_ge = false;
             }
         });
@@ -75,10 +110,10 @@ proptest! {
     #[test]
     fn greedy_valid_and_bounded_by_bottleneck(g in arb_complete(6)) {
         let n = g.n_left();
-        let greedy = greedy_matching(&g, &[]).unwrap();
-        let opt = bottleneck_matching(&g, &[]).unwrap();
-        prop_assert!(greedy.is_left_perfect(n));
-        prop_assert!(opt.bottleneck <= greedy.bottleneck + 1e-12);
+        let picked = greedy(&g, &[]).unwrap();
+        let opt = optimal(&g, &[]).unwrap();
+        prop_assert!(is_left_perfect(&picked, n));
+        prop_assert!(bottleneck(&g, &opt) <= bottleneck(&g, &picked) + 1e-12);
     }
 
     #[test]
@@ -88,12 +123,12 @@ proptest! {
     ) {
         let n = g.n_left();
         let forced: Vec<(usize, usize)> = (0..k.min(n)).map(|i| (i, i)).collect();
-        for m in [greedy_matching(&g, &forced), bottleneck_matching(&g, &forced)] {
+        for m in [greedy(&g, &forced), optimal(&g, &forced)] {
             let m = m.unwrap();
             for f in &forced {
-                prop_assert!(m.pairs.contains(f));
+                prop_assert!(m.contains(f));
             }
-            prop_assert!(m.is_left_perfect(n));
+            prop_assert!(is_left_perfect(&m, n));
         }
     }
 
@@ -129,8 +164,8 @@ proptest! {
                 }
             }
         }
-        let m = greedy_matching(&g, &forced).unwrap();
-        prop_assert!(m.is_left_perfect(n));
+        let m = greedy(&g, &forced).unwrap();
+        prop_assert!(is_left_perfect(&m, n));
 
         // Enumerate all eps-subsets of involved processors as failures and
         // check at least one selected (sender, receiver) pair is fully
@@ -140,7 +175,7 @@ proptest! {
         procs.dedup();
         for_each_subset(&procs, eps, &mut |failed| {
             let alive = |p: usize| !failed.contains(&p);
-            let ok = m.pairs.iter().any(|&(l, r)| {
+            let ok = m.iter().any(|&(l, r)| {
                 alive(sender_procs[l]) && alive(receiver_procs[r])
             });
             assert!(ok, "no surviving communication for failures {failed:?}");

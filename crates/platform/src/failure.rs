@@ -98,29 +98,32 @@ impl FailureScenario {
             .extend(ids[..count].iter().map(|&i| (ProcId(i), 0.0)));
     }
 
+    /// Redraws this scenario in place with every processor of `0..m`
+    /// failing at time 0 independently with probability `p`: one
+    /// `gen_bool(p)` per processor, in index order. Allocation-free once
+    /// the internal buffer has capacity.
+    pub fn refill_independent(&mut self, rng: &mut impl Rng, m: usize, p: f64) {
+        self.failures.clear();
+        for j in 0..m as u32 {
+            if rng.gen_bool(p) {
+                self.failures.push((ProcId(j), 0.0));
+            }
+        }
+    }
+
     /// Empties the scenario in place (no failures), keeping capacity.
     pub fn clear(&mut self) {
         self.failures.clear();
-    }
-
-    /// Like [`FailureScenario::uniform`] but with failure times drawn
-    /// uniformly in `[0, horizon]` — the mid-execution crash extension.
-    /// Delegates to [`FailureScenario::refill_uniform_timed`], the single
-    /// home of the timed draw.
-    pub fn uniform_timed(rng: &mut impl Rng, m: usize, count: usize, horizon: f64) -> Self {
-        let mut scenario = Self::none();
-        let mut ids = Vec::new();
-        scenario.refill_uniform_timed(rng, m, count, horizon, &mut ids);
-        scenario
     }
 
     /// Redraws this scenario in place with `count` distinct processors
     /// (same partial Fisher–Yates as [`FailureScenario::refill_uniform`],
     /// so the *processor* draw is bit-identical at the same RNG state)
     /// and failure times drawn uniformly in `[0, horizon]`, one per
-    /// chosen processor in draw order. `horizon == 0` degenerates to the
-    /// fail-at-time-zero model without consuming any further randomness.
-    /// Allocation-free once `ids` and the internal buffer have capacity.
+    /// chosen processor in draw order — the mid-execution crash
+    /// extension. `horizon == 0` degenerates to the fail-at-time-zero
+    /// model without consuming any further randomness. Allocation-free
+    /// once `ids` and the internal buffer have capacity.
     pub fn refill_uniform_timed(
         &mut self,
         rng: &mut impl Rng,
@@ -224,8 +227,8 @@ pub struct TimedRelativeFailures {
 ///   **bit-identical** to [`FailureScenario::refill_uniform`] at the
 ///   same RNG state — the paper's uniform fail-at-time-zero model;
 /// * [`FailureModel::Timed`] draws are bit-identical to
-///   [`FailureScenario::uniform_timed`]: failure times are finite and
-///   within `[0, horizon]`;
+///   [`FailureScenario::refill_uniform_timed`] at the same RNG state:
+///   failure times are finite and within `[0, horizon]`;
 /// * drawn processors are always pairwise distinct, and a model whose
 ///   crash count exceeds the processor count is rejected (panic at the
 ///   draw, `Err` from spec-level validation in the campaign layer).
@@ -355,6 +358,13 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
+    fn timed_draw(seed: u64, m: usize, count: usize, horizon: f64) -> FailureScenario {
+        let mut scenario = FailureScenario::none();
+        let rng = &mut StdRng::seed_from_u64(seed);
+        scenario.refill_uniform_timed(rng, m, count, horizon, &mut Vec::new());
+        scenario
+    }
+
     #[test]
     fn empty_scenario() {
         let s = FailureScenario::none();
@@ -412,8 +422,7 @@ mod tests {
 
     #[test]
     fn timed_failures_within_horizon() {
-        let mut rng = StdRng::seed_from_u64(4);
-        let s = FailureScenario::uniform_timed(&mut rng, 10, 3, 100.0);
+        let s = timed_draw(4, 10, 3, 100.0);
         for (_, t) in s.iter() {
             assert!((0.0..=100.0).contains(&t));
         }
@@ -427,15 +436,42 @@ mod tests {
     }
 
     #[test]
-    fn refill_uniform_timed_matches_uniform_timed_bit_for_bit() {
+    fn refill_uniform_timed_draws_the_processors_of_refill_uniform() {
+        // A reused scenario and scratch draw what fresh ones draw, and
+        // the processors are those of the time-0 draw at the same state.
         let mut scratch = Vec::new();
-        let mut scen = FailureScenario::none();
+        let (mut timed, mut at_zero) = (FailureScenario::none(), FailureScenario::none());
         for seed in 0..20u64 {
-            let fresh =
-                FailureScenario::uniform_timed(&mut StdRng::seed_from_u64(seed), 12, 4, 37.5);
-            scen.refill_uniform_timed(&mut StdRng::seed_from_u64(seed), 12, 4, 37.5, &mut scratch);
-            assert_eq!(scen, fresh, "seed {seed}");
+            timed.refill_uniform_timed(&mut StdRng::seed_from_u64(seed), 12, 4, 37.5, &mut scratch);
+            assert_eq!(timed, timed_draw(seed, 12, 4, 37.5), "seed {seed}");
+            at_zero.refill_uniform(&mut StdRng::seed_from_u64(seed), 12, 4, &mut scratch);
+            let procs = |s: &FailureScenario| s.iter().map(|(p, _)| p).collect::<Vec<_>>();
+            assert_eq!(procs(&timed), procs(&at_zero), "seed {seed}");
         }
+    }
+
+    #[test]
+    fn refill_independent_draws_one_bool_per_processor_in_order() {
+        let mut scen = FailureScenario::new(vec![(ProcId(9), 3.0)]);
+        for seed in 0..20u64 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            scen.refill_independent(&mut rng, 8, 0.3);
+            let mut reference = StdRng::seed_from_u64(seed);
+            let expected: Vec<(ProcId, f64)> = (0..8)
+                .filter(|_| reference.gen_bool(0.3))
+                .map(|j| (ProcId(j), 0.0))
+                .collect();
+            assert_eq!(scen, FailureScenario::new(expected), "seed {seed}");
+            // Both generators consumed the same draws.
+            assert_eq!(
+                rng.gen_range(0..1_000_000),
+                reference.gen_range(0..1_000_000)
+            );
+        }
+        scen.refill_independent(&mut StdRng::seed_from_u64(1), 5, 0.0);
+        assert!(scen.is_empty());
+        scen.refill_independent(&mut StdRng::seed_from_u64(1), 5, 1.0);
+        assert_eq!(scen.len(), 5);
     }
 
     #[test]
@@ -481,10 +517,8 @@ mod tests {
                 assert!(p.index() < 9);
                 assert!(t.is_finite() && (0.0..=25.0).contains(&t), "t = {t}");
             }
-            // Bit-identical to the owned constructor at the same state.
-            let fresh =
-                FailureScenario::uniform_timed(&mut StdRng::seed_from_u64(seed), 9, 4, 25.0);
-            assert_eq!(scen, fresh);
+            // Bit-identical to the scenario draw at the same state.
+            assert_eq!(scen, timed_draw(seed, 9, 4, 25.0));
         }
     }
 
@@ -532,9 +566,7 @@ mod tests {
             }
             // Bit-identical to the absolute-horizon draw at the resolved
             // horizon — TimedRelative is Timed with a late-bound horizon.
-            let fresh =
-                FailureScenario::uniform_timed(&mut StdRng::seed_from_u64(seed), 8, 3, 30.0);
-            assert_eq!(scen, fresh);
+            assert_eq!(scen, timed_draw(seed, 8, 3, 30.0));
         }
         // Zero fraction degenerates to fail-at-time-zero, still drawable.
         let zero = FailureModel::TimedRelative(TimedRelativeFailures {

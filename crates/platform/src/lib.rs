@@ -17,13 +17,14 @@
 //!   used to sweep it from 0.2 to 2.0 in the experiments.
 //! * [`Instance`] — a bundled `(Dag, Platform, ExecutionMatrix)` problem
 //!   instance, the input type of every scheduling algorithm.
-//! * [`OccupancyTimeline`] — persistent per-processor release-time
-//!   floors, the platform state that outlives a single schedule in the
-//!   streaming/online scenarios. **Occupancy contract:** an empty
-//!   timeline (all floors `0.0`) reduces every occupancy-aware entry
-//!   point — `ftsched_core::schedule_onto`, the simulator's streaming
-//!   driver — to the single-DAG semantics bit for bit; floors are
-//!   monotone non-decreasing under insert/advance.
+//!
+//! The platform state that outlives a single schedule in the
+//! streaming/online scenarios is a plain `&[f64]` of release floors, one
+//! per processor: the earliest time new work may start there.
+//! `ftsched_core::schedule_onto` plans from them, the simulator's crash
+//! replay runs from them, and its streaming driver raises them; all-zero
+//! floors reduce both entry points to the single-DAG semantics bit for
+//! bit.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -32,14 +33,12 @@ pub mod exec;
 pub mod failure;
 pub mod gen;
 pub mod granularity;
-pub mod occupancy;
 pub mod plat;
 
 pub use exec::ExecutionMatrix;
 pub use failure::{
     FailureModel, FailureScenario, ProcId, TimedFailures, TimedRelativeFailures, UniformFailures,
 };
-pub use occupancy::OccupancyTimeline;
 pub use plat::Platform;
 
 use taskgraph::Dag;

@@ -215,15 +215,6 @@ pub struct SimResult {
 }
 
 impl SimResult {
-    /// Simulated finish of the earliest completed replica of `t`.
-    pub fn earliest_finish(&self, t: TaskId) -> Option<f64> {
-        self.times[t.index()]
-            .iter()
-            .flatten()
-            .map(|&(_, f)| f)
-            .min_by(f64::total_cmp)
-    }
-
     /// Whether the application completed.
     pub fn completed(&self) -> bool {
         matches!(self.outcome, SimOutcome::Completed)
@@ -1148,11 +1139,19 @@ fn check_rerouted_scenario(rerouted: bool, scenario: &FailureScenario) {
 /// Simulates `sched` under `scenario` with the default policy:
 /// [`FallbackPolicy::Rerouted`] for matched schedules (requires
 /// fail-at-time-zero scenarios), plain first-input-wins for all-to-all.
+///
+/// Builds a throwaway [`CrashWorkspace`]; batch callers should hold one
+/// and use [`simulate_outcome_into`] (scalar result, allocation-free) or
+/// [`simulate_into`] (full result).
 pub fn simulate(inst: &Instance, sched: &Schedule, scenario: &FailureScenario) -> SimResult {
-    simulate_with(inst, sched, scenario, FallbackPolicy::Rerouted)
+    let ws = &mut CrashWorkspace::new();
+    simulate_into(inst, sched, scenario, FallbackPolicy::Rerouted, ws)
 }
 
-/// Simulates with an explicit matched-communication policy.
+/// Simulates `sched` under `scenario` with an explicit
+/// matched-communication policy, reusing the caller's workspace for the
+/// replay state; only the returned [`SimResult`]'s nested payload
+/// allocates.
 ///
 /// Failure time 0 means the processor never runs anything (the paper's
 /// experimental model); positive times model mid-execution fail-stops
@@ -1161,22 +1160,6 @@ pub fn simulate(inst: &Instance, sched: &Schedule, scenario: &FailureScenario) -
 /// finishing at or before the instant completes and its messages are
 /// delivered — fail-silent semantics). Rerouted matched delivery is
 /// restricted to fail-at-time-zero scenarios.
-///
-/// Builds a throwaway [`CrashWorkspace`]; batch callers should hold one
-/// and use [`simulate_outcome_into`] (scalar result, allocation-free) or
-/// [`simulate_into`] (full result).
-pub fn simulate_with(
-    inst: &Instance,
-    sched: &Schedule,
-    scenario: &FailureScenario,
-    policy: FallbackPolicy,
-) -> SimResult {
-    let mut ws = CrashWorkspace::new();
-    simulate_into(inst, sched, scenario, policy, &mut ws)
-}
-
-/// [`simulate_with`] reusing the caller's workspace for the replay state;
-/// only the returned [`SimResult`]'s nested payload allocates.
 pub fn simulate_into(
     inst: &Instance,
     sched: &Schedule,
@@ -1189,9 +1172,8 @@ pub fn simulate_into(
     ws.to_result(inst)
 }
 
-/// [`simulate_with`] reusing the caller's workspace and returning only
-/// the scalar [`ReplicationOutcome`] — fully allocation-free once the
-/// workspace is warm.
+/// [`simulate_into`] returning only the scalar [`ReplicationOutcome`] —
+/// fully allocation-free once the workspace is warm.
 pub fn simulate_outcome_into(
     inst: &Instance,
     sched: &Schedule,
@@ -1205,11 +1187,10 @@ pub fn simulate_outcome_into(
 }
 
 /// [`simulate_outcome_into`] on a **pre-occupied platform**: each
-/// processor becomes free for this DAG's replicas only at
-/// `floors[j]` (a persistent occupancy floor, typically
-/// `OccupancyTimeline::floors()` from the streaming driver) instead of
-/// `0.0`. Failure times in `scenario` are interpreted on the same
-/// absolute clock. All-zero floors are bit-identical to
+/// processor becomes free for this DAG's replicas only at its release
+/// floor `floors[j]` (typically the streaming driver's actual floors)
+/// instead of `0.0`. Failure times in `scenario` are interpreted on the
+/// same absolute clock. All-zero floors are bit-identical to
 /// [`simulate_outcome_into`]. Allocation-free once the workspace is
 /// warm.
 pub fn simulate_outcome_from_into(
@@ -1256,12 +1237,12 @@ fn check_floors(inst: &Instance, floors: &[f64]) {
 }
 
 impl CrashWorkspace {
-    /// Streaming support: folds every simulated replica's busy span of
-    /// the completed run into `occ` (per processor, in execution order,
-    /// so every insert starts at or past the floor) and returns the
-    /// earliest simulated start across all replicas (`INFINITY` when
-    /// nothing ran).
-    pub(crate) fn fold_busy_into(&self, occ: &mut platform::OccupancyTimeline) -> f64 {
+    /// Streaming support: raises the release `floors` past every
+    /// simulated replica's busy span of the completed run (per processor,
+    /// in execution order, so every span starts at or past its floor)
+    /// and returns the earliest simulated start across all replicas
+    /// (`INFINITY` when nothing ran).
+    pub(crate) fn fold_busy_into(&self, floors: &mut [f64]) -> f64 {
         let mut first = f64::INFINITY;
         for j in 0..self.order_off.len().saturating_sub(1) {
             let lo = self.order_off[j] as usize;
@@ -1269,7 +1250,7 @@ impl CrashWorkspace {
             for &(t, k) in &self.order_items[lo..hi] {
                 let rid = self.rid(t, k as usize);
                 if let Some((s, f)) = self.times[rid] {
-                    occ.insert(j, s, f);
+                    crate::streaming::occupy(floors, j, s, f);
                     if s < first {
                         first = s;
                     }
@@ -1312,7 +1293,7 @@ pub fn simulate_replication_outcomes(
 }
 
 /// A fresh workspace prepared for a replication campaign over `sched`.
-fn prepared_workspace(inst: &Instance, sched: &Schedule) -> CrashWorkspace {
+pub(crate) fn prepared_workspace(inst: &Instance, sched: &Schedule) -> CrashWorkspace {
     let mut ws = CrashWorkspace::new();
     ws.prepare(inst, sched, FallbackPolicy::Rerouted);
     ws
@@ -1341,22 +1322,10 @@ pub fn simulate_replication_outcomes_into(
     }
 }
 
-/// Draws replication `r`'s scenario into `ws.scenario` exactly as the
-/// pre-workspace implementation drew it (same seed derivation, same RNG
-/// consumption), reusing the workspace scratch.
-fn prep_scenario(ws: &mut CrashWorkspace, m: usize, crashes: usize, base_seed: u64, r: u32) {
-    let mut rng = StdRng::seed_from_u64(crate::replication_seed(base_seed, r as u64));
-    if crashes == 0 {
-        ws.scenario.clear();
-    } else {
-        let CrashWorkspace { scenario, ids, .. } = ws;
-        scenario.refill_uniform(&mut rng, m, crashes, ids);
-    }
-}
-
 /// One replication against a workspace already `prepare`d for
 /// `(inst, sched, Rerouted)`; the shape tables are identical across a
-/// campaign, so only the per-scenario replay runs.
+/// campaign, so only the per-scenario replay runs. Replication `r` draws
+/// its scenario from [`crate::replication_seed`]`(base_seed, r)`.
 fn replication_outcome(
     inst: &Instance,
     sched: &Schedule,
@@ -1365,8 +1334,29 @@ fn replication_outcome(
     r: u32,
     ws: &mut CrashWorkspace,
 ) -> ReplicationOutcome {
-    prep_scenario(ws, inst.num_procs(), crashes, base_seed, r);
-    let scen = std::mem::take(&mut ws.scenario);
+    let mut rng = StdRng::seed_from_u64(crate::replication_seed(base_seed, r as u64));
+    let m = inst.num_procs();
+    replay_drawn(inst, sched, ws, |scenario, ids| {
+        if crashes == 0 {
+            scenario.clear();
+        } else {
+            scenario.refill_uniform(&mut rng, m, crashes, ids);
+        }
+    })
+}
+
+/// The step of the Monte-Carlo drivers, on a workspace already
+/// `prepare`d for `(inst, sched, Rerouted)`: `draw` redraws the
+/// workspace's scenario in place (with its processor-id scratch), and
+/// the replay runs from it. Allocation-free once the workspace is warm.
+pub(crate) fn replay_drawn(
+    inst: &Instance,
+    sched: &Schedule,
+    ws: &mut CrashWorkspace,
+    draw: impl FnOnce(&mut FailureScenario, &mut Vec<u32>),
+) -> ReplicationOutcome {
+    let mut scen = std::mem::take(&mut ws.scenario);
+    draw(&mut scen, &mut ws.ids);
     ws.replay(inst, sched, &scen, None);
     ws.scenario = scen;
     ws.outcome(inst)
@@ -1506,9 +1496,10 @@ mod tests {
         let mut r = rng(12);
         let inst = paper_instance(&mut r, &PaperInstanceConfig::default());
         let s = schedule(&inst, 2, Algorithm::McFtsaGreedy, &mut rng(12)).unwrap();
+        let mut ws = CrashWorkspace::new();
         for probe in 0..10u64 {
             let scen = FailureScenario::uniform(&mut rng(probe), inst.num_procs(), 2);
-            let sim = simulate_with(&inst, &s, &scen, FallbackPolicy::Strict);
+            let sim = simulate_into(&inst, &s, &scen, FallbackPolicy::Strict, &mut ws);
             if !sim.completed() {
                 continue; // the composition gap: allowed under strict
             }
@@ -1577,12 +1568,13 @@ mod tests {
         );
 
         let scen = FailureScenario::at_time_zero([ProcId(0)]);
-        let strict = simulate_with(&inst, &sched, &scen, FallbackPolicy::Strict);
+        let mut ws = CrashWorkspace::new();
+        let strict = simulate_into(&inst, &sched, &scen, FallbackPolicy::Strict, &mut ws);
         assert!(
             !strict.completed(),
             "strict matched delivery must exhibit the composition gap"
         );
-        let rerouted = simulate_with(&inst, &sched, &scen, FallbackPolicy::Rerouted);
+        let rerouted = simulate_into(&inst, &sched, &scen, FallbackPolicy::Rerouted, &mut ws);
         assert!(rerouted.completed(), "rerouting must recover the join task");
     }
 

@@ -19,10 +19,10 @@
 //!
 //! Beyond single-schedule replay, [`streaming`] drives whole **DAG
 //! streams** on a shared platform: arrivals (Poisson or trace-driven)
-//! schedule onto the persistent [`platform::OccupancyTimeline`] left by
-//! earlier DAGs, failures strike mid-stream on the absolute clock, and
-//! an empty occupancy reduces every step bit-for-bit to the offline
-//! single-DAG pair.
+//! schedule onto the per-processor release floors (a plain `Vec<f64>`)
+//! left by earlier DAGs, failures strike mid-stream on the absolute
+//! clock, and all-zero floors reduce every step bit-for-bit to the
+//! offline single-DAG pair.
 //!
 //! Crash replays with unbounded ports run on one static pass of
 //! [`crash::CrashWorkspace`] ([`crash::simulate`] and its `_into`

@@ -13,22 +13,27 @@
 //!   exact computation handles `m ≤ ~24` comfortably after mask
 //!   deduplication.
 //! * [`survival_probability_monte_carlo_par`] — samples failure
-//!   patterns and replays each through the static crash pass
-//!   ([`crate::crash::simulate_outcome_into`], rerouted delivery), one
-//!   [`CrashWorkspace`] per executor chunk; also reports the conditional
-//!   expected latency `E[L | survival]`. Any schedule the pass replays
-//!   is covered, FTBAR's late duplicates included.
+//!   patterns and replays each through the static crash pass (rerouted
+//!   delivery) on its worker's [`CrashWorkspace`], prepared once for the
+//!   schedule: like the crash-replication driver, a sample only redraws
+//!   the scenario in place ([`FailureScenario::refill_independent`]) and
+//!   replays it. Also reports the conditional expected latency
+//!   `E[L | survival]`. Any schedule the pass replays is covered, FTBAR's
+//!   late duplicates included.
+//!
+//! [`CrashWorkspace`]: crate::crash::CrashWorkspace
+//! [`FailureScenario::refill_independent`]: platform::FailureScenario::refill_independent
 //!
 //! For all-to-all communication the mask reduction is *exact* (Theorem
 //! 4.1's argument: a task dies iff all its replica processors fail).
 //! For matched communication under the rerouted delivery policy the same
 //! rule applies (see `crash.rs`), so both schedule families are covered.
 
-use crate::crash::{simulate_outcome_into, CrashWorkspace, FallbackPolicy};
+use crate::crash::{prepared_workspace, replay_drawn};
 use ftsched_core::Schedule;
-use platform::{FailureScenario, Instance, ProcId};
+use platform::Instance;
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 
 /// Per-task replica-processor masks, deduplicated. The schedule fails
 /// under failure mask `F` iff some task mask `T` satisfies `T & F == T`.
@@ -104,10 +109,12 @@ pub struct MonteCarloReliability {
 /// [`crate::parallel::parallel_map_with`].
 ///
 /// Sample `i` draws its failure pattern from
-/// [`crate::replication_seed`]`(base_seed, i)` and replays it on its
-/// worker's [`CrashWorkspace`]. The per-sample outcomes are combined in
-/// sample order on the calling thread, so the estimate (including the
-/// floating-point latency mean) is bit-identical at any thread count.
+/// [`crate::replication_seed`]`(base_seed, i)`, one `gen_bool(p)` per
+/// processor in index order, and replays it on its worker's
+/// [`CrashWorkspace`](crate::crash::CrashWorkspace), prepared once per
+/// worker. The per-sample outcomes are combined in sample order on the
+/// calling thread, so the estimate (including the floating-point latency
+/// mean) is bit-identical at any thread count.
 pub fn survival_probability_monte_carlo_par(
     inst: &Instance,
     sched: &Schedule,
@@ -119,17 +126,18 @@ pub fn survival_probability_monte_carlo_par(
     assert!((0.0..=1.0).contains(&p));
     assert!(samples > 0);
     let m = inst.num_procs();
-    let outcomes: Vec<Option<f64>> =
-        crate::parallel::parallel_map_with(samples, threads, CrashWorkspace::new, |ws, i| {
+    let outcomes: Vec<Option<f64>> = crate::parallel::parallel_map_with(
+        samples,
+        threads,
+        || prepared_workspace(inst, sched),
+        |ws, i| {
             let mut rng = StdRng::seed_from_u64(crate::replication_seed(base_seed, i as u64));
-            let failed: Vec<ProcId> = (0..m as u32)
-                .map(ProcId)
-                .filter(|_| rng.gen_bool(p))
-                .collect();
-            let scen = FailureScenario::at_time_zero(failed);
-            let r = simulate_outcome_into(inst, sched, &scen, FallbackPolicy::Rerouted, ws);
+            let r = replay_drawn(inst, sched, ws, |scenario, _| {
+                scenario.refill_independent(&mut rng, m, p)
+            });
             r.completed().then_some(r.latency)
-        });
+        },
+    );
     let survived = outcomes.iter().flatten().count();
     let latency_acc: f64 = outcomes.iter().flatten().sum();
     MonteCarloReliability {
@@ -168,8 +176,9 @@ mod tests {
     use super::*;
     use ftsched_core::{schedule, Algorithm};
     use platform::gen::{paper_instance, PaperInstanceConfig};
+    use platform::{FailureScenario, ProcId};
     use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use rand::{Rng, SeedableRng};
 
     fn small_instance(procs: usize, seed: u64) -> Instance {
         let mut r = StdRng::seed_from_u64(seed);
@@ -312,6 +321,49 @@ mod tests {
         assert_eq!(a.survival.to_bits(), b.survival.to_bits());
         assert_eq!(a.expected_latency.to_bits(), b.expected_latency.to_bits());
         assert!(a.survival > 0.0 && a.expected_latency.is_finite());
+    }
+
+    #[test]
+    fn monte_carlo_equals_a_per_sample_simulate_reference() {
+        // Each sample drawn and replayed on its own, through a fresh
+        // scenario and `simulate`: the prepared-workspace driver must
+        // give the same bits at any thread count.
+        let inst = small_instance(6, 11);
+        let (p, samples, seed) = (0.25, 300, 31);
+        for alg in [Algorithm::Ftsa, Algorithm::McFtsaGreedy, Algorithm::Ftbar] {
+            let s = schedule(&inst, 2, alg, &mut StdRng::seed_from_u64(11)).unwrap();
+            let mut latencies = Vec::new();
+            for i in 0..samples {
+                let mut rng = StdRng::seed_from_u64(crate::replication_seed(seed, i as u64));
+                let failed: Vec<ProcId> = (0..inst.num_procs() as u32)
+                    .map(ProcId)
+                    .filter(|_| rng.gen_bool(p))
+                    .collect();
+                let sim = crate::simulate(&inst, &s, &FailureScenario::at_time_zero(failed));
+                if sim.completed() {
+                    latencies.push(sim.latency);
+                }
+            }
+            assert!(
+                latencies.len() < samples && !latencies.is_empty(),
+                "{alg:?}: the draw must both kill and spare the schedule"
+            );
+            let survival = latencies.len() as f64 / samples as f64;
+            let expected = latencies.iter().sum::<f64>() / latencies.len() as f64;
+            for threads in [1, 4] {
+                let mc = survival_probability_monte_carlo_par(&inst, &s, p, samples, seed, threads);
+                assert_eq!(
+                    mc.survival.to_bits(),
+                    survival.to_bits(),
+                    "{alg:?} x{threads}"
+                );
+                assert_eq!(
+                    mc.expected_latency.to_bits(),
+                    expected.to_bits(),
+                    "{alg:?} x{threads}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -6,23 +6,26 @@
 //! that still carry earlier work, and failures consume replicas
 //! mid-stream.
 //!
-//! # Two timelines
+//! # Two floor vectors
 //!
-//! The driver threads **two** [`OccupancyTimeline`]s through the
+//! The driver threads **two** vectors of per-processor release floors
+//! (the earliest time new work may start on each processor) through the
 //! stream:
 //!
-//! * **planned** — fed by each schedule's optimistic replica spans
-//!   (`start_lb..finish_lb`); its floors seed the *next* DAG's
+//! * **planned** — raised past each schedule's optimistic replica spans
+//!   (`start_lb..finish_lb`); it seeds the *next* DAG's
 //!   [`ftsched_core::schedule_onto`] call. The scheduler plans against
 //!   what it promised, not against what failures later did — it has no
 //!   failure oracle.
-//! * **actual** — fed by the *simulated* spans under the failure
-//!   scenario; its floors seed each DAG's crash replay
+//! * **actual** — raised past the *simulated* spans under the failure
+//!   scenario; it seeds each DAG's crash replay
 //!   ([`crate::crash::simulate_outcome_from_into`]), so real execution
 //!   on a processor is serialized across DAGs.
 //!
-//! Both are advanced to each DAG's arrival instant: nothing can run on
-//! a DAG's behalf before it arrives.
+//! Both are raised to each DAG's arrival instant: nothing can run on a
+//! DAG's behalf before it arrives. A floor never falls within a stream,
+//! and spans are folded in per processor in queue order, so each starts
+//! at or past its processor's floor.
 //!
 //! # Determinism and conservation
 //!
@@ -30,8 +33,8 @@
 //! [`crate::replication_seed`]`(seed, i)`, so a stream is bit-identical
 //! across reruns and thread counts. A single DAG arriving at `t = 0`
 //! on an empty stream reduces exactly to the offline
-//! `schedule_into` + `simulate_outcome_into` pair — the occupancy
-//! contract pinned by the platform/core test suites.
+//! `schedule_into` + `simulate_outcome_into` pair — the release-floor
+//! contract pinned by the core and simulator test suites.
 //!
 //! # Zero-allocation steady state
 //!
@@ -41,7 +44,7 @@
 
 use crate::crash::{self, CrashWorkspace, FallbackPolicy};
 use ftsched_core::{Algorithm, ScheduleError, ScheduleWorkspace};
-use platform::{FailureScenario, Instance, OccupancyTimeline};
+use platform::{FailureScenario, Instance};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
@@ -156,8 +159,8 @@ impl DagOutcome {
 pub struct StreamWorkspace {
     sched_ws: ScheduleWorkspace,
     crash_ws: CrashWorkspace,
-    planned: OccupancyTimeline,
-    actual: OccupancyTimeline,
+    planned: Vec<f64>,
+    actual: Vec<f64>,
 }
 
 impl StreamWorkspace {
@@ -167,19 +170,34 @@ impl StreamWorkspace {
     }
 
     fn reset(&mut self, m: usize) {
-        if self.planned.num_procs() != m {
-            self.planned = OccupancyTimeline::new(m);
-            self.actual = OccupancyTimeline::new(m);
-        } else {
-            self.planned.reset();
-            self.actual.reset();
+        for floors in [&mut self.planned, &mut self.actual] {
+            floors.clear();
+            floors.resize(m, 0.0);
         }
     }
 }
 
+/// Raises processor `j`'s release floor past the busy span
+/// `[start, end)`. Spans come in order on each processor: `start` must
+/// be at or after the floor (up to a small numerical slack).
+pub(crate) fn occupy(floors: &mut [f64], j: usize, start: f64, end: f64) {
+    debug_assert!(
+        start >= floors[j] - 1e-9,
+        "busy span out of order on P{j}: start {start} < floor {}",
+        floors[j]
+    );
+    assert!(
+        end >= start && start.is_finite() && end.is_finite(),
+        "busy span must be finite with end >= start"
+    );
+    if end > floors[j] {
+        floors[j] = end;
+    }
+}
+
 /// Runs a whole DAG stream: for each `(instance, arrival)` pair in
-/// arrival order, schedules onto the planned occupancy, simulates the
-/// schedule from the actual occupancy floors under `scenario` (failure
+/// arrival order, schedules onto the planned floors, simulates the
+/// schedule from the actual floors under `scenario` (failure
 /// times on the absolute stream clock), and folds both outcomes
 /// forward. One `DagOutcome` per DAG is pushed to `out` (cleared
 /// first). `policy` governs matched (MC-FTSA) delivery under failures:
@@ -222,8 +240,11 @@ pub fn run_stream_into(
         );
         debug_assert!(arrival >= 0.0 && arrival.is_finite());
         // Nothing on this DAG's behalf may run before it arrives.
-        ws.planned.advance(arrival);
-        ws.actual.advance(arrival);
+        for floor in ws.planned.iter_mut().chain(&mut ws.actual) {
+            if *floor < arrival {
+                *floor = arrival;
+            }
+        }
 
         let mut rng = StdRng::seed_from_u64(crate::replication_seed(seed, i as u64));
         let sched = ftsched_core::schedule_onto(
@@ -236,11 +257,11 @@ pub fn run_stream_into(
         )?;
 
         // Commit the planned spans: per processor in placement order,
-        // so every insert starts at or past its processor's floor.
+        // so every span starts at or past its processor's floor.
         for j in 0..m {
             for (t, k) in sched.proc_order(j) {
                 let r = sched.replicas_of(t)[k];
-                ws.planned.insert(j, r.start_lb, r.finish_lb);
+                occupy(&mut ws.planned, j, r.start_lb, r.finish_lb);
             }
         }
         let planned_finish = sched.latency_lower_bound();
@@ -250,7 +271,7 @@ pub fn run_stream_into(
             sched,
             scenario,
             policy,
-            ws.actual.floors(),
+            &ws.actual,
             &mut ws.crash_ws,
         );
         let first_start = ws.crash_ws.fold_busy_into(&mut ws.actual);
@@ -579,6 +600,59 @@ mod tests {
         )
         .unwrap();
         assert_eq!(a, b);
+    }
+
+    #[test]
+    fn occupy_raises_floors_past_spans_in_order() {
+        let mut floors = [0.0; 2];
+        occupy(&mut floors, 0, 0.0, 2.0);
+        occupy(&mut floors, 0, 2.5, 4.0);
+        occupy(&mut floors, 1, 1.0, 3.0);
+        assert_eq!(floors, [4.0, 3.0]);
+        // A zero-length span still raises the floor to its start.
+        occupy(&mut floors, 1, 5.0, 5.0);
+        assert_eq!(floors, [4.0, 5.0]);
+        // A span starting before the floor would overlap the last one.
+        if cfg!(debug_assertions) {
+            let overlapping = std::panic::catch_unwind(move || occupy(&mut floors, 0, 3.0, 5.0));
+            assert!(overlapping.is_err(), "out-of-order span accepted");
+        }
+        let inverted = std::panic::catch_unwind(|| occupy(&mut [0.0], 0, 2.0, 1.0));
+        assert!(inverted.is_err(), "inverted span accepted");
+        let infinite = std::panic::catch_unwind(|| occupy(&mut [0.0], 0, 1.0, f64::INFINITY));
+        assert!(infinite.is_err(), "infinite span accepted");
+    }
+
+    #[test]
+    fn floors_cover_the_last_arrival_and_every_simulated_span() {
+        // After a stream, no floor lies before the last arrival, and the
+        // actual floors reach the last simulated finish; a rerun on the
+        // same workspace starts from zero floors and ends the same.
+        let insts = small_instances(4, 6, 77);
+        let arrivals = [0.0, 5.0, 5.0, 40.0];
+        let run = |ws: &mut StreamWorkspace| {
+            let mut out = Vec::new();
+            run_stream_into(
+                &insts,
+                &arrivals,
+                1,
+                Algorithm::Ftsa,
+                &FailureScenario::none(),
+                FallbackPolicy::Strict,
+                3,
+                ws,
+                &mut out,
+            )
+            .unwrap();
+            (ws.planned.clone(), ws.actual.clone(), out)
+        };
+        let mut ws = StreamWorkspace::new();
+        let first = run(&mut ws);
+        let (planned, actual, out) = &first;
+        assert!(planned.iter().chain(actual).all(|&f| f >= 40.0));
+        let latest = actual.iter().copied().fold(f64::NEG_INFINITY, f64::max);
+        assert!(out.iter().all(|o| o.finish <= latest), "{actual:?}");
+        assert_eq!(run(&mut ws), first);
     }
 
     #[test]

@@ -503,6 +503,39 @@ fn oversized_request_head_answers_431() {
     assert_eq!(res.body, "ok\n");
 }
 
+/// A `Content-Length` over the 1 MiB body cap is answered `413` from the
+/// head alone: the client sends no body, and the answer comes long
+/// before the 5 s read deadline, so the server never waited for one. A
+/// body of exactly 1 MiB is still read (and, not being JSON, is a
+/// `400`), and the only handler answers afterwards.
+#[test]
+fn oversized_body_answers_413_without_reading_it() {
+    let addr = spawn_server(ServeConfig {
+        threads: 1,
+        handlers: 1,
+        ..ServeConfig::default()
+    });
+    let head = |len: usize| {
+        format!("POST /campaigns HTTP/1.1\r\nHost: x\r\nContent-Length: {len}\r\n\r\n").into_bytes()
+    };
+    let started = Instant::now();
+    let status = status_within(addr, &head((1 << 20) + 1), Duration::from_secs(30));
+    assert_eq!(status, "HTTP/1.1 413 Content Too Large");
+    assert!(
+        started.elapsed() < Duration::from_secs(4),
+        "answered after {:?}: the server waited for the body",
+        started.elapsed()
+    );
+
+    let mut at_cap = head(1 << 20);
+    at_cap.resize(at_cap.len() + (1 << 20), b' ');
+    let status = status_within(addr, &at_cap, Duration::from_secs(30));
+    assert_eq!(status, "HTTP/1.1 400 Bad Request");
+
+    let res = request(addr, "GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n");
+    assert_eq!(res.body, "ok\n");
+}
+
 /// A client that connects and sends nothing holds the only handler
 /// until the read deadline, then is dropped, and the next request is
 /// answered.
