@@ -17,7 +17,7 @@ use platform::granularity::scale_to_granularity;
 use platform::{ExecutionMatrix, FailureScenario, Instance, ProcId};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use simulator::crash::simulate_replication_outcomes;
+use simulator::crash::summarize_replications;
 use simulator::reliability::survival_probability_monte_carlo_par;
 use simulator::simulate;
 use simulator::trace::gantt;
@@ -238,22 +238,14 @@ pub fn simulate_cmd(argv: &[String]) -> Result<String, String> {
         check_crash_count("crashes", crashes, inst.num_procs())?;
         let seed: u64 = args.get_num("seed", 42)?;
         let threads = threads_from(&args)?;
-        let runs =
-            simulate_replication_outcomes(&inst, &bundle.schedule, crashes, reps, seed, threads);
-        let latencies: Vec<f64> = runs
-            .iter()
-            .filter(|r| r.completed())
-            .map(|r| r.latency)
-            .collect();
-        let completed = latencies.len();
+        let runs = summarize_replications(&inst, &bundle.schedule, crashes, reps, seed, threads);
+        let completed = runs.completed;
         let mut out = format!(
             "{reps} replications x {crashes} crash(es) on {threads} thread(s)\n\
              completed: {completed}/{reps}\n",
         );
-        if !latencies.is_empty() {
-            let mean = latencies.iter().sum::<f64>() / latencies.len() as f64;
-            let min = latencies.iter().copied().fold(f64::INFINITY, f64::min);
-            let max = latencies.iter().copied().fold(0.0f64, f64::max);
+        if let Some(mean) = runs.mean_latency() {
+            let (min, max) = (runs.latency_min, runs.latency_max);
             let _ = writeln!(
                 out,
                 "latency over completed runs: mean {mean:.3}, min {min:.3}, max {max:.3}\n\

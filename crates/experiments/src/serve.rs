@@ -50,6 +50,13 @@
 //!   while a response is pending. One that stops reading a streamed body
 //!   fails the write like a hangup (see below), so it holds a handler
 //!   thread for at most 5 s after its socket buffers fill.
+//! * One request per connection: after the response (or a request that
+//!   ends short of its `Content-Length`, which gets none) the server
+//!   half-closes and discards whatever else the client sends until it
+//!   has been idle for 50 ms, at most 1 MiB or 500 ms in all. Bytes
+//!   pipelined after a request are never read as a second request, and
+//!   closing with them unread cannot turn the close into a reset that
+//!   cuts the response short.
 //!
 //! Each streamed chunk carries a `;seq=<n>` chunk extension with a
 //! strictly increasing sequence number from 0 — standard de-chunkers
@@ -455,16 +462,26 @@ fn read_request(reader: &mut BufReader<DeadlineReader>) -> io::Result<Option<Req
 }
 
 /// Half-closes `stream` and drains what the client may still be sending,
-/// bounded at 8 reads × 50 ms so a slow sender cannot pin the caller.
-/// Closing with unread data turns the close into an RST that can destroy
-/// the error response before the client reads it.
+/// until it has been idle for 50 ms, at most [`MAX_BODY`] bytes or
+/// 500 ms in all, so a fast sender cannot pin the caller. Closing with
+/// unread data turns the close into an RST that can destroy the
+/// response before the client reads it.
 fn drain_and_close(stream: &mut TcpStream) {
     let _ = stream.shutdown(std::net::Shutdown::Write);
-    let _ = stream.set_read_timeout(Some(Duration::from_millis(50)));
-    let mut sink = [0u8; 4096];
-    for _ in 0..8 {
+    let until = Instant::now() + Duration::from_millis(500);
+    let mut sink = [0u8; 16 << 10];
+    let mut drained = 0;
+    while drained < MAX_BODY {
+        let left = until.saturating_duration_since(Instant::now());
+        if left.is_zero()
+            || stream
+                .set_read_timeout(Some(left.min(Duration::from_millis(50))))
+                .is_err()
+        {
+            break;
+        }
         match stream.read(&mut sink) {
-            Ok(n) if n > 0 => {}
+            Ok(n) if n > 0 => drained += n,
             _ => break,
         }
     }
@@ -587,51 +604,56 @@ fn handle_connection(stream: TcpStream, registry: &Registry, threads: usize) {
     }
 }
 
+/// Answers the one request on `stream`, then half-closes it and drains
+/// what the client still sends (see [`drain_and_close`]), also when the
+/// request failed.
 fn try_handle(stream: TcpStream, registry: &Registry, threads: usize) -> io::Result<()> {
     let mut reader = BufReader::new(DeadlineReader {
         stream: stream.try_clone()?,
         until: Instant::now() + READ_DEADLINE,
     });
     let mut stream = DeadlineWriter { stream };
-    let Some(req) = read_request(&mut reader)? else {
-        write_error(
-            &mut stream,
+    let answered = answer(&mut reader, &mut stream, registry, threads);
+    drain_and_close(&mut stream.stream);
+    answered
+}
+
+/// Reads the request and writes its one response.
+fn answer(
+    reader: &mut BufReader<DeadlineReader>,
+    stream: &mut DeadlineWriter,
+    registry: &Registry,
+    threads: usize,
+) -> io::Result<()> {
+    let Some(req) = read_request(reader)? else {
+        return write_error(
+            stream,
             "431 Request Header Fields Too Large",
             "request line and headers exceed 16 KiB",
-        )?;
-        drain_and_close(&mut stream.stream);
-        return Ok(());
+        );
     };
     match (req.method.as_str(), req.path.as_str()) {
-        ("GET", "/healthz") => {
-            write_response(&mut stream, "200 OK", "application/json", &[], "ok\n")
-        }
-        ("GET", "/metrics") => handle_metrics(&mut stream, registry),
-        ("GET", "/campaigns") => handle_listing(&mut stream, registry),
+        ("GET", "/healthz") => write_response(stream, "200 OK", "application/json", &[], "ok\n"),
+        ("GET", "/metrics") => handle_metrics(stream, registry),
+        ("GET", "/campaigns") => handle_listing(stream, registry),
         ("GET", path) if path.starts_with("/campaigns/") => {
             let key_text = &path["/campaigns/".len()..];
             match u64::from_str_radix(key_text, 16) {
-                Ok(key) if key_text.len() == 16 => {
-                    handle_lookup(&mut stream, registry, threads, key)
-                }
-                _ => write_error(
-                    &mut stream,
-                    "404 Not Found",
-                    "campaign keys are 16 hex digits",
-                ),
+                Ok(key) if key_text.len() == 16 => handle_lookup(stream, registry, threads, key),
+                _ => write_error(stream, "404 Not Found", "campaign keys are 16 hex digits"),
             }
         }
         ("POST", "/campaigns") => {
             let Some(len) = req.content_length else {
                 return write_error(
-                    &mut stream,
+                    stream,
                     "411 Length Required",
                     "POST /campaigns needs a Content-Length",
                 );
             };
             if len > MAX_BODY {
                 return write_error(
-                    &mut stream,
+                    stream,
                     "413 Content Too Large",
                     "campaign spec exceeds the body limit",
                 );
@@ -644,12 +666,12 @@ fn try_handle(stream: TcpStream, registry: &Registry, threads: usize) -> io::Res
             reader.read_exact(&mut body)?;
             let body = match String::from_utf8(body) {
                 Ok(s) => s,
-                Err(_) => return write_error(&mut stream, "400 Bad Request", "body is not UTF-8"),
+                Err(_) => return write_error(stream, "400 Bad Request", "body is not UTF-8"),
             };
-            handle_submission(&mut stream, registry, threads, &body)
+            handle_submission(stream, registry, threads, &body)
         }
-        ("GET" | "POST", _) => write_error(&mut stream, "404 Not Found", "no such resource"),
-        _ => write_error(&mut stream, "405 Method Not Allowed", "unsupported method"),
+        ("GET" | "POST", _) => write_error(stream, "404 Not Found", "no such resource"),
+        _ => write_error(stream, "405 Method Not Allowed", "unsupported method"),
     }
 }
 

@@ -64,8 +64,9 @@ pub mod prelude {
     pub use platform::{ExecutionMatrix, FailureScenario, Instance, Platform, ProcId};
     pub use simulator::contention::{simulate_contention, ContentionResult, PortModel};
     pub use simulator::crash::{
-        simulate_into, simulate_outcome_into, simulate_replication_outcomes,
-        simulate_replication_outcomes_into, CrashWorkspace, FallbackPolicy, ReplicationOutcome,
+        simulate_into, simulate_outcome_into, simulate_replication_outcomes_into,
+        summarize_replications, CrashWorkspace, FallbackPolicy, ReplicationOutcome,
+        ReplicationSummary,
     };
     pub use simulator::reliability::{design_point_probability, survival_probability_exact};
     pub use simulator::trace::{gantt, trace};

@@ -30,9 +30,49 @@ impl fmt::Display for ProcId {
 
 /// A set of fail-stop failures: each failed processor with its failure
 /// time (time 0 = the processor never executes anything).
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+///
+/// Its JSON is `{"failures": [[proc, time], …]}`. Reading it checks
+/// [`FailureScenario::new`]'s invariants, so a repeated processor or a
+/// negative time is a named [`serde::Error`], never a later panic.
+#[derive(Debug, Clone, Default, PartialEq, Serialize)]
 pub struct FailureScenario {
     failures: Vec<(ProcId, f64)>,
+}
+
+/// The first invariant `failures` breaks: a processor listed twice, or
+/// a time that is negative or not finite.
+fn scenario_error(failures: &[(ProcId, f64)]) -> Option<String> {
+    let mut seen = std::collections::HashSet::new();
+    failures.iter().find_map(|&(p, t)| {
+        if !seen.insert(p) {
+            Some(format!("duplicate failure for {p}"))
+        } else if !(t >= 0.0 && t.is_finite()) {
+            Some(format!(
+                "failure time of {p} must be finite and >= 0, got {t}"
+            ))
+        } else {
+            None
+        }
+    })
+}
+
+impl Deserialize for FailureScenario {
+    fn deserialize(r: &mut serde::Reader<'_>) -> Result<Self, serde::Error> {
+        let mut failures = None;
+        r.begin_object()?;
+        while let Some(key) = r.next_key()? {
+            match &*key {
+                "failures" => r.field(&mut failures)?,
+                _ => r.skip_value()?,
+            }
+        }
+        let failures: Vec<(ProcId, f64)> =
+            failures.ok_or_else(|| serde::Error::missing_field("failures", "FailureScenario"))?;
+        match scenario_error(&failures) {
+            Some(e) => Err(serde::Error::custom(format!("FailureScenario: {e}"))),
+            None => Ok(FailureScenario { failures }),
+        }
+    }
 }
 
 impl FailureScenario {
@@ -46,13 +86,8 @@ impl FailureScenario {
     /// # Panics
     /// Panics on duplicate processors or negative/non-finite times.
     pub fn new(failures: Vec<(ProcId, f64)>) -> Self {
-        let mut seen = std::collections::HashSet::new();
-        for &(p, t) in &failures {
-            assert!(seen.insert(p), "duplicate failure for {p}");
-            assert!(
-                t >= 0.0 && t.is_finite(),
-                "failure time must be finite and >= 0"
-            );
+        if let Some(e) = scenario_error(&failures) {
+            panic!("{e}");
         }
         FailureScenario { failures }
     }

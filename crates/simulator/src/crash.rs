@@ -155,9 +155,10 @@
 //! runs makes everything after the first replication allocation-free:
 //! [`simulate_replication_outcomes_into`] is the sequential
 //! zero-allocation driver (pinned by the root `tests/alloc_counter.rs`
-//! suite), and the parallel campaign
-//! ([`simulate_replication_outcomes`]) hands each deterministic chunk of
-//! replications one workspace.
+//! suite), and the parallel campaign ([`summarize_replications`]) gives
+//! each worker one workspace and folds the outcomes into a
+//! [`ReplicationSummary`] as they come back in order, so its memory does
+//! not grow with the replication count.
 
 use ftcollections::OrdF64;
 use ftsched_core::{CommSelection, Schedule};
@@ -236,6 +237,56 @@ impl ReplicationOutcome {
     /// Whether every task completed at least one replica.
     pub fn completed(&self) -> bool {
         self.lost_task.is_none()
+    }
+}
+
+/// A Monte-Carlo campaign folded in replication order: how many runs
+/// completed, and the sum, minimum and maximum of their latencies.
+/// [`add`](ReplicationSummary::add) is a left fold, so the sum has the
+/// same bits at any thread count.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct ReplicationSummary {
+    /// Replications folded.
+    pub replications: usize,
+    /// Replications in which every task completed.
+    pub completed: usize,
+    /// Sum of the completed runs' latencies, in replication order from
+    /// `-0.0` (the start `Iterator::sum` uses).
+    pub latency_sum: f64,
+    /// Smallest completed latency (`INFINITY` when none completed).
+    pub latency_min: f64,
+    /// Largest completed latency (`0.0` when none completed; latencies
+    /// are never negative).
+    pub latency_max: f64,
+}
+
+impl Default for ReplicationSummary {
+    fn default() -> Self {
+        ReplicationSummary {
+            replications: 0,
+            completed: 0,
+            latency_sum: -0.0,
+            latency_min: f64::INFINITY,
+            latency_max: 0.0,
+        }
+    }
+}
+
+impl ReplicationSummary {
+    /// Folds in the next replication: its latency if it completed.
+    pub fn add(&mut self, completed_latency: Option<f64>) {
+        self.replications += 1;
+        if let Some(latency) = completed_latency {
+            self.completed += 1;
+            self.latency_sum += latency;
+            self.latency_min = f64::min(self.latency_min, latency);
+            self.latency_max = f64::max(self.latency_max, latency);
+        }
+    }
+
+    /// Mean latency of the completed runs (`None` when none completed).
+    pub fn mean_latency(&self) -> Option<f64> {
+        (self.completed > 0).then(|| self.latency_sum / self.completed as f64)
     }
 }
 
@@ -1263,33 +1314,59 @@ impl CrashWorkspace {
 
 /// Monte-Carlo crash campaign: simulates `replications` independent
 /// uniform `crashes`-processor fail-at-time-zero scenarios against
-/// `sched` on `threads` workers of [`crate::parallel::parallel_map_with`]
-/// and returns one scalar [`ReplicationOutcome`] per replication. Each
-/// worker replays all its replications on one [`CrashWorkspace`], so the
-/// replay allocates nothing after a worker's first replication.
+/// `sched` on `threads` workers and folds their outcomes into one
+/// [`ReplicationSummary`]. Each worker replays all its replications on
+/// one [`CrashWorkspace`], so the replay allocates nothing after a
+/// worker's first replication, and no outcome outlives its fold.
 ///
 /// Replication `r` draws its scenario from
-/// [`crate::replication_seed`]`(base_seed, r)`, so the returned vector is
-/// bit-identical whatever the thread count and stable across reruns —
-/// the contract `tests/parallel_determinism.rs` (repo root) enforces.
+/// [`crate::replication_seed`]`(base_seed, r)` and is folded in
+/// replication order, so the summary is bit-identical whatever the
+/// thread count and stable across reruns — the contract
+/// `tests/parallel_determinism.rs` (repo root) enforces.
 ///
 /// # Panics
 ///
 /// If `crashes` exceeds the processor count or `threads == 0`.
-pub fn simulate_replication_outcomes(
+pub fn summarize_replications(
     inst: &Instance,
     sched: &Schedule,
     crashes: usize,
     replications: usize,
     base_seed: u64,
     threads: usize,
-) -> Vec<ReplicationOutcome> {
-    crate::parallel::parallel_map_with(
-        replications,
+) -> ReplicationSummary {
+    fold_replays(inst, sched, replications, threads, |ws, r| {
+        replication_outcome(inst, sched, crashes, base_seed, r as u32, ws)
+    })
+}
+
+/// Runs `step(ws, i)` for every sample `i < samples` on `threads`
+/// workers of [`crate::parallel::parallel_map_into`], each with a
+/// workspace [`prepared_workspace`] made once, and folds the outcomes
+/// into a [`ReplicationSummary`] in the executor's in-order sink.
+pub(crate) fn fold_replays(
+    inst: &Instance,
+    sched: &Schedule,
+    samples: usize,
+    threads: usize,
+    step: impl Fn(&mut CrashWorkspace, usize) -> ReplicationOutcome + Sync,
+) -> ReplicationSummary {
+    let mut summary = ReplicationSummary::default();
+    let Ok(()) = crate::parallel::parallel_map_into(
+        samples,
         threads,
         || prepared_workspace(inst, sched),
-        |ws, r| replication_outcome(inst, sched, crashes, base_seed, r as u32, ws),
-    )
+        |ws, i| {
+            let outcome = step(ws, i);
+            outcome.completed().then_some(outcome.latency)
+        },
+        |_, run| {
+            run.for_each(|latency| summary.add(latency));
+            Ok::<(), std::convert::Infallible>(())
+        },
+    );
+    summary
 }
 
 /// A fresh workspace prepared for a replication campaign over `sched`.
@@ -1303,8 +1380,8 @@ pub(crate) fn prepared_workspace(inst: &Instance, sched: &Schedule) -> CrashWork
 /// scenarios into `out` (cleared first) reusing `ws` throughout. After
 /// the first replication on a warm workspace, the entire campaign
 /// performs **no** heap allocation — the counting-allocator regression
-/// test at the repo root pins this. Bit-identical to
-/// [`simulate_replication_outcomes`].
+/// test at the repo root pins this. Folded in order, the outcomes give
+/// [`summarize_replications`]' summary bit for bit.
 pub fn simulate_replication_outcomes_into(
     inst: &Instance,
     sched: &Schedule,
@@ -1700,13 +1777,11 @@ mod tests {
         let mut r = rng(90);
         let inst = paper_instance(&mut r, &PaperInstanceConfig::default());
         let s = schedule(&inst, 2, Algorithm::Ftsa, &mut rng(90)).unwrap();
-        let sims = simulate_replication_outcomes(&inst, &s, 2, 20, 0xCAFE, 2);
-        assert_eq!(sims.len(), 20);
-        for sim in &sims {
-            assert!(sim.completed(), "≤ ε crashes must not lose tasks");
-            assert!(sim.latency <= s.latency_upper_bound() + 1e-6);
-            assert!(sim.latency >= s.latency_lower_bound() - 1e-6);
-        }
+        let sum = summarize_replications(&inst, &s, 2, 20, 0xCAFE, 2);
+        assert_eq!(sum.replications, 20);
+        assert_eq!(sum.completed, 20, "≤ ε crashes must not lose tasks");
+        assert!(sum.latency_max <= s.latency_upper_bound() + 1e-6);
+        assert!(sum.latency_min >= s.latency_lower_bound() - 1e-6);
     }
 
     #[test]
@@ -1714,30 +1789,35 @@ mod tests {
         let mut r = rng(91);
         let inst = paper_instance(&mut r, &PaperInstanceConfig::default());
         let s = schedule(&inst, 1, Algorithm::Ftsa, &mut rng(91)).unwrap();
-        let a = simulate_replication_outcomes(&inst, &s, 1, 16, 7, 1);
-        let b = simulate_replication_outcomes(&inst, &s, 1, 16, 7, 4);
-        assert_eq!(a.len(), b.len());
-        for (x, y) in a.iter().zip(&b) {
-            assert_eq!(x.latency.to_bits(), y.latency.to_bits());
-            assert_eq!(x, y);
-        }
+        let a = summarize_replications(&inst, &s, 1, 16, 7, 1);
+        let b = summarize_replications(&inst, &s, 1, 16, 7, 4);
+        assert_eq!(a.latency_sum.to_bits(), b.latency_sum.to_bits());
+        assert_eq!(a, b);
     }
 
     #[test]
     fn outcomes_agree_with_full_results() {
-        // The parallel campaign must match the sequential zero-allocation
-        // driver, and each replication must equal a full `simulate` of
-        // the scenario its seed draws.
+        // The parallel campaign's summary must be the sequential
+        // zero-allocation driver's outcomes folded in order, and each
+        // replication must equal a full `simulate` of the scenario its
+        // seed draws.
         let mut r = rng(92);
         let inst = paper_instance(&mut r, &PaperInstanceConfig::default());
         let s = schedule(&inst, 2, Algorithm::McFtsaGreedy, &mut rng(92)).unwrap();
-        let scalar = simulate_replication_outcomes(&inst, &s, 2, 24, 0xBEEF, 2);
         let mut seq = Vec::new();
         let mut ws = CrashWorkspace::new();
         simulate_replication_outcomes_into(&inst, &s, 2, 24, 0xBEEF, &mut seq, &mut ws);
-        assert_eq!(scalar.len(), 24);
-        assert_eq!(seq, scalar);
-        for (i, o) in scalar.iter().enumerate() {
+        assert_eq!(seq.len(), 24);
+        let mut folded = ReplicationSummary::default();
+        for o in &seq {
+            folded.add(o.completed().then_some(o.latency));
+        }
+        for threads in [1, 2, 4] {
+            let sum = summarize_replications(&inst, &s, 2, 24, 0xBEEF, threads);
+            assert_eq!(sum.latency_sum.to_bits(), folded.latency_sum.to_bits());
+            assert_eq!(sum, folded);
+        }
+        for (i, o) in seq.iter().enumerate() {
             let mut draw = StdRng::seed_from_u64(crate::replication_seed(0xBEEF, i as u64));
             let scen = FailureScenario::uniform(&mut draw, inst.num_procs(), 2);
             let f = simulate(&inst, &s, &scen);

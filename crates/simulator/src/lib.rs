@@ -45,11 +45,13 @@
 //! index order, each run of ready results in one sink call, and its
 //! collecting form [`parallel::parallel_map_with`].
 //! The Monte-Carlo drivers
-//! ([`crash::simulate_replication_outcomes`] and
+//! ([`crash::summarize_replications`] and
 //! [`reliability::survival_probability_monte_carlo_par`]) take their
-//! worker count as a final `threads` argument and seed replication `i`
-//! with [`replication_seed`], so their results are bit-identical at any
-//! thread count.
+//! worker count as a final `threads` argument, seed replication `i`
+//! with [`replication_seed`] and fold the outcomes in replication order
+//! as the executor hands them back, so their results are bit-identical
+//! at any thread count and their memory does not grow with the sample
+//! count.
 //!
 //! Key invariants (covered by the test suites):
 //!

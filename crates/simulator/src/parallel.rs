@@ -21,6 +21,7 @@
 //! the indices split into runs depends on timing, the values and their
 //! order never do.
 
+use std::collections::{vec_deque, VecDeque};
 use std::convert::Infallible;
 use std::panic;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -35,7 +36,7 @@ const MAX_CHUNKS: usize = 64;
 /// every result already received whose index is next in order, yielded
 /// in index order. It borrows the executor's reorder buffer, so handing
 /// it over allocates nothing.
-pub struct ReadyRun<'a, T>(std::slice::IterMut<'a, Option<T>>);
+pub struct ReadyRun<'a, T>(vec_deque::IterMut<'a, Option<T>>);
 
 impl<T> Iterator for ReadyRun<'_, T> {
     type Item = T;
@@ -67,9 +68,11 @@ impl<T> ExactSizeIterator for ReadyRun<'_, T> {}
 /// with the [`ReadyRun`] of all results from index `first` on that are
 /// now contiguous. The runs partition `0..n` in ascending order; their
 /// lengths depend on timing, never their contents. A result the sink
-/// leaves in its run is dropped when the map returns. After a sink error
-/// no further chunk is handed out, and the error is returned once the
-/// workers have finished the chunks in hand. Empty input calls none of
+/// leaves in its run is dropped once the sink returns. The reorder
+/// buffer holds only the results that arrived ahead of the next one in
+/// order, so a sink that folds its runs keeps memory flat in `n`. After
+/// a sink error no further chunk is handed out, and the error is
+/// returned once the workers have finished the chunks in hand. Empty input calls none of
 /// `init`, `f` or `sink`. A panic in `init` or `f` resumes on the caller
 /// with its original payload.
 ///
@@ -115,21 +118,30 @@ where
             })
             .collect();
         drop(tx);
-        // `pending[i]` holds a result until the run holding it is sunk.
-        let mut pending: Vec<Option<T>> = Vec::new();
-        pending.resize_with(n, || None);
+        // `pending[k]` holds result `next + k` until the run holding it
+        // is sunk.
+        let mut pending: VecDeque<Option<T>> = VecDeque::new();
         let mut next = 0;
         let mut outcome = Ok(());
-        while let Ok((i, value)) = rx.recv() {
-            pending[i] = Some(value);
-            for (i, value) in rx.try_iter() {
-                pending[i] = Some(value);
+        let hold = |pending: &mut VecDeque<Option<T>>, next: usize, (i, value): (usize, T)| {
+            let k = i - next;
+            if k >= pending.len() {
+                pending.resize_with(k + 1, || None);
             }
-            let ready = pending[next..].iter().take_while(|v| v.is_some()).count();
+            pending[k] = Some(value);
+        };
+        while let Ok(received) = rx.recv() {
+            hold(&mut pending, next, received);
+            for received in rx.try_iter() {
+                hold(&mut pending, next, received);
+            }
+            let ready = pending.iter().take_while(|v| v.is_some()).count();
             if ready == 0 {
                 continue;
             }
-            if let Err(e) = sink(next, ReadyRun(pending[next..next + ready].iter_mut())) {
+            let sunk = sink(next, ReadyRun(pending.range_mut(..ready)));
+            pending.drain(..ready);
+            if let Err(e) = sunk {
                 // Claims after this store read at least `chunks`; the
                 // cursor publishes no data, so `Relaxed` suffices.
                 cursor.store(chunks, Ordering::Relaxed);

@@ -29,7 +29,7 @@
 //! For matched communication under the rerouted delivery policy the same
 //! rule applies (see `crash.rs`), so both schedule families are covered.
 
-use crate::crash::{prepared_workspace, replay_drawn};
+use crate::crash::{fold_replays, replay_drawn};
 use ftsched_core::Schedule;
 use platform::Instance;
 use rand::rngs::StdRng;
@@ -106,15 +106,17 @@ pub struct MonteCarloReliability {
 /// Parallel Monte Carlo estimate of the survival probability and the
 /// conditional expected latency under iid per-processor failure
 /// probability `p`, on `threads` workers of
-/// [`crate::parallel::parallel_map_with`].
+/// [`crate::parallel::parallel_map_into`].
 ///
 /// Sample `i` draws its failure pattern from
 /// [`crate::replication_seed`]`(base_seed, i)`, one `gen_bool(p)` per
 /// processor in index order, and replays it on its worker's
 /// [`CrashWorkspace`](crate::crash::CrashWorkspace), prepared once per
-/// worker. The per-sample outcomes are combined in sample order on the
-/// calling thread, so the estimate (including the floating-point latency
-/// mean) is bit-identical at any thread count.
+/// worker. The executor's sink folds each outcome into a
+/// [`ReplicationSummary`](crate::crash::ReplicationSummary) in sample
+/// order on the calling thread, so the estimate (including the
+/// floating-point latency mean) is bit-identical at any thread count,
+/// and memory does not grow with `samples`.
 pub fn survival_probability_monte_carlo_par(
     inst: &Instance,
     sched: &Schedule,
@@ -126,27 +128,15 @@ pub fn survival_probability_monte_carlo_par(
     assert!((0.0..=1.0).contains(&p));
     assert!(samples > 0);
     let m = inst.num_procs();
-    let outcomes: Vec<Option<f64>> = crate::parallel::parallel_map_with(
-        samples,
-        threads,
-        || prepared_workspace(inst, sched),
-        |ws, i| {
-            let mut rng = StdRng::seed_from_u64(crate::replication_seed(base_seed, i as u64));
-            let r = replay_drawn(inst, sched, ws, |scenario, _| {
-                scenario.refill_independent(&mut rng, m, p)
-            });
-            r.completed().then_some(r.latency)
-        },
-    );
-    let survived = outcomes.iter().flatten().count();
-    let latency_acc: f64 = outcomes.iter().flatten().sum();
+    let runs = fold_replays(inst, sched, samples, threads, |ws, i| {
+        let mut rng = StdRng::seed_from_u64(crate::replication_seed(base_seed, i as u64));
+        replay_drawn(inst, sched, ws, |scenario, _| {
+            scenario.refill_independent(&mut rng, m, p)
+        })
+    });
     MonteCarloReliability {
-        survival: survived as f64 / samples as f64,
-        expected_latency: if survived > 0 {
-            latency_acc / survived as f64
-        } else {
-            f64::NAN
-        },
+        survival: runs.completed as f64 / samples as f64,
+        expected_latency: runs.mean_latency().unwrap_or(f64::NAN),
         samples,
     }
 }

@@ -112,6 +112,26 @@ impl CsrAdjacency {
     fn degree(&self, t: TaskId) -> usize {
         (self.off[t.index() + 1] - self.off[t.index()]) as usize
     }
+
+    /// The smallest edge id whose `(owner, neighbor)` pair an earlier
+    /// edge already has. A row lists its edges in id order, so its first
+    /// repeat is its smallest; `stamp[n]` holds the last owner whose row
+    /// held neighbor `n`, so no per-row reset is needed.
+    fn first_repeat(&self, v: usize) -> Option<EdgeId> {
+        let mut stamp = vec![u32::MAX; v];
+        let mut first: Option<EdgeId> = None;
+        for owner in 0..v {
+            let row = &self.items[self.off[owner] as usize..self.off[owner + 1] as usize];
+            for &(n, e) in row {
+                if stamp[n.index()] == owner as u32 {
+                    first = Some(first.map_or(e, |f| f.min(e)));
+                    break;
+                }
+                stamp[n.index()] = owner as u32;
+            }
+        }
+        first
+    }
 }
 
 /// A weighted directed acyclic task graph.
@@ -413,44 +433,53 @@ impl DagBuilder {
         if let Some(t) = self.nodes.iter().position(|n| !valid(n.work)) {
             return Err(GraphError::InvalidWork(TaskId(t as u32)));
         }
-        let mut seen = std::collections::HashSet::with_capacity(self.edges.len());
-        for (i, e) in self.edges.iter().enumerate() {
+        // The first edge that fails a check of its own. Only the edges
+        // before it can be duplicates reported ahead of it, and they are
+        // the ones the successor CSR is built from.
+        let bad = self.edges.iter().enumerate().find_map(|(i, e)| {
             let id = EdgeId(i as u32);
-            for t in [e.src, e.dst] {
-                if t.index() >= v {
-                    return Err(GraphError::UnknownEndpoint(id, t));
-                }
-            }
-            if !valid(e.volume) {
-                return Err(GraphError::InvalidVolume(id));
-            }
-            if e.src == e.dst {
-                return Err(GraphError::SelfLoop(e.src));
-            }
-            if !seen.insert((e.src, e.dst)) {
-                return Err(GraphError::DuplicateEdge(e.src, e.dst));
-            }
+            let error = if let Some(t) = [e.src, e.dst].into_iter().find(|t| t.index() >= v) {
+                GraphError::UnknownEndpoint(id, t)
+            } else if !valid(e.volume) {
+                GraphError::InvalidVolume(id)
+            } else if e.src == e.dst {
+                GraphError::SelfLoop(e.src)
+            } else {
+                return None;
+            };
+            Some((i, error))
+        });
+        let checked = bad.as_ref().map_or(self.edges.len(), |&(i, _)| i);
+        let succs = CsrAdjacency::build(v, &self.edges[..checked], |e| (e.src, e.dst));
+        if let Some(id) = succs.first_repeat(v) {
+            let e = &self.edges[id.index()];
+            return Err(GraphError::DuplicateEdge(e.src, e.dst));
+        }
+        if let Some((_, error)) = bad {
+            return Err(error);
         }
         let preds = CsrAdjacency::build(v, &self.edges, |e| (e.dst, e.src));
-        let succs = CsrAdjacency::build(v, &self.edges, |e| (e.src, e.dst));
         let mut pred_slot = vec![0u32; self.edges.len()];
         for (slot, &(_, eid)) in preds.items.iter().enumerate() {
             pred_slot[eid.index()] = slot as u32;
         }
 
-        // Kahn's algorithm: topological order + cycle detection.
-        let mut indeg: Vec<usize> = (0..v as u32).map(|t| preds.degree(TaskId(t))).collect();
-        let mut queue: std::collections::VecDeque<TaskId> = (0..v as u32)
+        // Kahn's algorithm: topological order + cycle detection. `topo`
+        // is its own FIFO queue, seeded with the entries in id order.
+        let entries: Vec<TaskId> = (0..v as u32)
             .map(TaskId)
-            .filter(|t| indeg[t.index()] == 0)
+            .filter(|&t| preds.degree(t) == 0)
             .collect();
+        let mut indeg: Vec<u32> = preds.off.windows(2).map(|w| w[1] - w[0]).collect();
         let mut topo = Vec::with_capacity(v);
-        while let Some(t) = queue.pop_front() {
-            topo.push(t);
+        topo.extend_from_slice(&entries);
+        let mut head = 0;
+        while let Some(&t) = topo.get(head) {
+            head += 1;
             for &(s, _) in succs.row(t) {
                 indeg[s.index()] -= 1;
                 if indeg[s.index()] == 0 {
-                    queue.push_back(s);
+                    topo.push(s);
                 }
             }
         }
@@ -458,10 +487,6 @@ impl DagBuilder {
             return Err(GraphError::Cyclic);
         }
 
-        let entries: Vec<TaskId> = (0..v as u32)
-            .map(TaskId)
-            .filter(|&t| preds.degree(t) == 0)
-            .collect();
         let exits: Vec<TaskId> = (0..v as u32)
             .map(TaskId)
             .filter(|&t| succs.degree(t) == 0)
@@ -601,6 +626,86 @@ mod tests {
         b.add_edge(x, y, 1.0);
         b.add_edge(x, y, 2.0);
         assert_eq!(b.build().unwrap_err(), GraphError::DuplicateEdge(x, y));
+    }
+
+    /// `build`'s first error, found the way it was before the stamp
+    /// array: one pass in edge-id order, each edge's own checks first,
+    /// then a hash set of the pairs seen so far.
+    fn reference_first_error(b: &DagBuilder) -> Option<GraphError> {
+        let v = b.nodes.len();
+        let valid = |x: f64| x >= 0.0 && x.is_finite();
+        if let Some(t) = b.nodes.iter().position(|n| !valid(n.work)) {
+            return Some(GraphError::InvalidWork(TaskId(t as u32)));
+        }
+        let mut seen = std::collections::HashSet::new();
+        for (i, e) in b.edges.iter().enumerate() {
+            let id = EdgeId(i as u32);
+            for t in [e.src, e.dst] {
+                if t.index() >= v {
+                    return Some(GraphError::UnknownEndpoint(id, t));
+                }
+            }
+            if !valid(e.volume) {
+                return Some(GraphError::InvalidVolume(id));
+            }
+            if e.src == e.dst {
+                return Some(GraphError::SelfLoop(e.src));
+            }
+            if !seen.insert((e.src, e.dst)) {
+                return Some(GraphError::DuplicateEdge(e.src, e.dst));
+            }
+        }
+        None
+    }
+
+    #[test]
+    fn first_error_in_edge_order_matches_a_hash_set_reference() {
+        let mut state = 0x2545_F491_4F6C_DD1Du64;
+        let mut next = move |bound: u64| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state % bound
+        };
+        let mut kinds = std::collections::HashMap::new();
+        for _ in 0..4000 {
+            let v = 2 + next(11) as u32;
+            let mut b = DagBuilder::new();
+            for _ in 0..v {
+                b.add_task(1.0);
+            }
+            // Forward edges (so no cycle) with occasional defects: an
+            // endpoint past the tasks, a bad volume, a self-loop, or a
+            // repeat of an earlier edge.
+            for _ in 0..next(3 * v as u64 + 1) {
+                let src = next(v as u64 - 1) as u32;
+                let mut e = EdgeData {
+                    src: TaskId(src),
+                    dst: TaskId(src + 1 + next((v - 1 - src) as u64) as u32),
+                    volume: 1.0,
+                };
+                match next(40) {
+                    0 => e.dst = TaskId(v + next(3) as u32),
+                    1 => e.volume = if next(2) == 0 { -1.0 } else { f64::NAN },
+                    2 => e.dst = e.src,
+                    3..=9 if !b.edges.is_empty() => {
+                        let k = next(b.edges.len() as u64) as usize;
+                        e = b.edges[k];
+                    }
+                    _ => {}
+                }
+                b.edges.push(e);
+            }
+            let want = reference_first_error(&b);
+            let got = b.clone().build().err();
+            *kinds
+                .entry(format!("{want:?}").chars().take(12).collect::<String>())
+                .or_insert(0) += 1;
+            assert_eq!(got, want, "edges {:?}", b.edges);
+        }
+        // Every error kind the edges can raise was drawn, and so were
+        // valid graphs.
+        assert!(kinds.len() >= 5, "{kinds:?}");
     }
 
     #[test]

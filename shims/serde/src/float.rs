@@ -302,7 +302,8 @@ fn decimal_length(v: u64) -> usize {
 /// The eight decimal digits of `v < 10^8` as ASCII, most significant
 /// first. The two 4-digit halves, then their 2-digit quarters, then the
 /// single digits are split in parallel lanes of one `u64`.
-fn eight_digits(v: u32) -> [u8; 8] {
+#[inline]
+pub(crate) fn eight_digits(v: u32) -> [u8; 8] {
     let x = (v / 10_000) as u64 | ((v % 10_000) as u64) << 32;
     // 32-bit lanes: n / 100 = n * 5243 >> 19 for n < 10^4.
     let hundreds = ((x * 5243) >> 19) & 0x0000_007f_0000_007f;
@@ -399,7 +400,7 @@ pub(crate) fn push_shortest(text: &mut Vec<u8>, x: f64) {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
 
     fn text(x: f64) -> String {
@@ -421,10 +422,10 @@ mod tests {
     }
 
     /// splitmix64: a fixed-seed stream of well-mixed 64-bit patterns.
-    struct Bits(u64);
+    pub(crate) struct Bits(pub(crate) u64);
 
     impl Bits {
-        fn next(&mut self) -> u64 {
+        pub(crate) fn next(&mut self) -> u64 {
             self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
             let mut z = self.0;
             z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);

@@ -18,6 +18,27 @@
 //! vendored) is the thin front-end over the two. Formats beyond JSON and
 //! exotic serde attributes are intentionally unsupported.
 //!
+//! Both directions keep `core::fmt` and per-byte cursor updates off the
+//! per-token path:
+//!
+//! * Integers are written by a digit kernel: up to three 8-digit SWAR
+//!   blocks (the float kernel's), the first cut to its significant
+//!   digits. The tests compare it with `{}` on every `10^k - 1`, `10^k`
+//!   and `2^k ± 1`, the `u64`/`i64` extremes and 10^6 random values; an
+//!   ignored release test checks 10^8 more.
+//! * A string with no byte to escape, such as every derived key and
+//!   every label, is copied whole after one scan; only a string with a
+//!   quote, a backslash or a control character takes the escaping path.
+//! * The reader scans whitespace, strings and digit runs with a local
+//!   index over the input bytes and accumulates an integer's value in
+//!   the same pass; only a float's text goes through
+//!   `str::parse::<f64>`, so no float's bits can differ from Rust's own
+//!   parser.
+//! * The writer's event methods and the reader's pull methods are
+//!   `#[inline]`, so `Serialize` and `Deserialize` impls in other
+//!   crates compile them into their own loops without link-time
+//!   optimization.
+//!
 //! Reading semantics, for derived and hand-written impls alike: unknown
 //! object keys are skipped, the first of duplicate keys wins, a missing
 //! field is an error even for an `Option` field, integral floats such as
@@ -318,6 +339,18 @@ mod tests {
             e.to_string(),
             "expected unsigned integer, got array at byte 0"
         );
+    }
+
+    #[test]
+    fn integers_past_64_bits_read_as_floats() {
+        // 20 digits: `u64::MAX` is still an integer, one more is not.
+        assert_eq!(parse::<u64>("18446744073709551615").unwrap(), u64::MAX);
+        let above = parse::<f64>("18446744073709551616").unwrap();
+        assert_eq!(above, 18446744073709551616.0);
+        assert_eq!(parse::<f64>("99999999999999999999").unwrap(), 1e20);
+        assert_eq!(parse::<i64>("-9223372036854775808").unwrap(), i64::MIN);
+        let below = parse::<f64>("-9223372036854775809").unwrap();
+        assert_eq!(below, -9223372036854775808.0);
     }
 
     #[test]

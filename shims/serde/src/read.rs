@@ -32,6 +32,12 @@ enum Number {
 /// control characters in strings, lone surrogates, trailing
 /// characters) plus numbers that overflow `f64` and nesting deeper than
 /// 128 levels, skipped values included.
+///
+/// Whitespace, strings and digit runs are scanned with a local index
+/// over the input bytes, and an integer's value is accumulated while its
+/// digits are scanned; only a float's text goes through
+/// `str::parse::<f64>`. The pull methods are `#[inline]`, so a
+/// `Deserialize` impl in another crate compiles them into its own loop.
 pub struct Reader<'a> {
     src: &'a str,
     pos: usize,
@@ -66,18 +72,29 @@ impl<'a> Reader<'a> {
 
     /// An error about the value being read, positioned at its first
     /// byte.
+    #[cold]
     pub fn invalid(&self, msg: impl fmt::Display) -> Error {
         Error::custom(format!("{msg} at byte {}", self.start))
     }
 
+    #[cold]
     fn err(&self, msg: &str) -> Error {
         Error::custom(format!("{msg} at byte {}", self.pos))
     }
 
+    /// [`err`](Reader::err) at byte `at`, which becomes the position.
+    #[cold]
+    fn err_at(&mut self, at: usize, msg: &str) -> Error {
+        self.pos = at;
+        self.err(msg)
+    }
+
+    #[inline]
     fn peek(&self) -> Option<u8> {
         self.src.as_bytes().get(self.pos).copied()
     }
 
+    #[inline]
     fn eat(&mut self, b: u8) -> bool {
         if self.peek() == Some(b) {
             self.pos += 1;
@@ -87,13 +104,18 @@ impl<'a> Reader<'a> {
         }
     }
 
+    #[inline]
     fn skip_ws(&mut self) {
-        while matches!(self.peek(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
-            self.pos += 1;
+        let bytes = self.src.as_bytes();
+        let mut i = self.pos;
+        while let Some(b' ' | b'\t' | b'\n' | b'\r') = bytes.get(i) {
+            i += 1;
         }
+        self.pos = i;
     }
 
     /// Moves to the next value and returns its first byte.
+    #[inline]
     fn start_value(&mut self) -> Result<u8, Error> {
         self.skip_ws();
         self.start = self.pos;
@@ -106,6 +128,7 @@ impl<'a> Reader<'a> {
 
     /// The error for a value starting with `b` where `expected` was
     /// wanted.
+    #[cold]
     fn mismatch(&self, expected: &str, b: u8) -> Error {
         let kind = match b {
             b'n' => "null",
@@ -130,6 +153,7 @@ impl<'a> Reader<'a> {
 
     /// Consumes a `null` if one comes next; any other value is left
     /// unread.
+    #[inline]
     pub fn read_null(&mut self) -> Result<bool, Error> {
         if self.start_value()? == b'n' {
             self.literal("null")?;
@@ -140,6 +164,7 @@ impl<'a> Reader<'a> {
     }
 
     /// Reads `true` or `false`.
+    #[inline]
     pub fn read_bool(&mut self) -> Result<bool, Error> {
         match self.start_value()? {
             b't' => self.literal("true").map(|()| true),
@@ -148,6 +173,7 @@ impl<'a> Reader<'a> {
         }
     }
 
+    #[inline]
     fn read_number(&mut self, expected: &str) -> Result<Number, Error> {
         match self.start_value()? {
             b'-' | b'0'..=b'9' => self.number(),
@@ -155,6 +181,7 @@ impl<'a> Reader<'a> {
         }
     }
 
+    #[cold]
     fn not_a(&self, expected: &str) -> Error {
         let text = &self.src[self.start..self.pos];
         self.invalid(format_args!("expected {expected}, got `{text}`"))
@@ -162,6 +189,7 @@ impl<'a> Reader<'a> {
 
     /// Reads a non-negative integer; an integral float such as `3.0`
     /// also qualifies.
+    #[inline]
     pub fn read_u64(&mut self) -> Result<u64, Error> {
         let n = match self.read_number("unsigned integer")? {
             Number::UInt(n) => Some(n),
@@ -176,6 +204,7 @@ impl<'a> Reader<'a> {
 
     /// Reads an integer in `i64` range; an integral float such as `-3.0`
     /// also qualifies.
+    #[inline]
     pub fn read_i64(&mut self) -> Result<i64, Error> {
         let n = match self.read_number("integer")? {
             Number::Int(n) => Some(n),
@@ -191,6 +220,7 @@ impl<'a> Reader<'a> {
     }
 
     /// Reads any number as an `f64` (always finite).
+    #[inline]
     pub fn read_f64(&mut self) -> Result<f64, Error> {
         Ok(match self.read_number("number")? {
             Number::Float(f) => f,
@@ -200,6 +230,7 @@ impl<'a> Reader<'a> {
     }
 
     /// Reads a string, borrowed from the input unless it has escapes.
+    #[inline]
     pub fn read_str(&mut self) -> Result<Cow<'a, str>, Error> {
         match self.start_value()? {
             b'"' => self.string(),
@@ -209,12 +240,14 @@ impl<'a> Reader<'a> {
 
     /// Opens an array; read its elements with
     /// [`next_element`](Reader::next_element).
+    #[inline]
     pub fn begin_array(&mut self) -> Result<(), Error> {
         self.open(b'[', "array")
     }
 
     /// Whether another element of the innermost array follows (it is
     /// then the next value to read); `false` consumes the closing `]`.
+    #[inline]
     pub fn next_element(&mut self) -> Result<bool, Error> {
         self.skip_ws();
         if self.eat(b']') {
@@ -229,12 +262,14 @@ impl<'a> Reader<'a> {
 
     /// Opens an object; read its members with
     /// [`next_key`](Reader::next_key).
+    #[inline]
     pub fn begin_object(&mut self) -> Result<(), Error> {
         self.open(b'{', "object")
     }
 
     /// The key of the next member of the innermost object (its value is
     /// the next value to read); `None` consumes the closing `}`.
+    #[inline]
     pub fn next_key(&mut self) -> Result<Option<Cow<'a, str>>, Error> {
         self.skip_ws();
         if self.eat(b'}') {
@@ -261,6 +296,7 @@ impl<'a> Reader<'a> {
     /// Reads the value of the member [`next_key`](Reader::next_key) just
     /// returned into `slot`. The first of duplicate keys wins: a filled
     /// slot makes this skip the value instead.
+    #[inline]
     pub fn field<T: Deserialize>(&mut self, slot: &mut Option<T>) -> Result<(), Error> {
         if slot.is_none() {
             *slot = Some(T::deserialize(self)?);
@@ -272,6 +308,7 @@ impl<'a> Reader<'a> {
 
     /// Steps into the next element of an array that must hold exactly
     /// `len` elements.
+    #[inline]
     pub fn fixed_element(&mut self, len: usize) -> Result<(), Error> {
         if self.next_element()? {
             Ok(())
@@ -281,6 +318,7 @@ impl<'a> Reader<'a> {
     }
 
     /// Closes an array that must hold exactly `len` elements.
+    #[inline]
     pub fn end_fixed(&mut self, len: usize) -> Result<(), Error> {
         if self.next_element()? {
             Err(self.err(&format!("expected an array of {len}, got more")))
@@ -341,6 +379,7 @@ impl<'a> Reader<'a> {
         }
     }
 
+    #[inline]
     fn open(&mut self, bracket: u8, kind: &str) -> Result<(), Error> {
         let b = self.start_value()?;
         if b != bracket {
@@ -352,6 +391,7 @@ impl<'a> Reader<'a> {
         Ok(())
     }
 
+    #[inline]
     fn close(&mut self) {
         self.depth -= 1;
         // The closed container was a member of its parent.
@@ -359,13 +399,22 @@ impl<'a> Reader<'a> {
     }
 
     /// Reads a string token (the cursor is on its opening quote).
+    #[inline]
     fn string(&mut self) -> Result<Cow<'a, str>, Error> {
-        self.pos += 1;
-        let run = self.pos;
-        self.plain_run();
-        if self.eat(b'"') {
-            return Ok(Cow::Borrowed(&self.src[run..self.pos - 1]));
+        let run = self.pos + 1;
+        let end = plain_end(self.src.as_bytes(), run);
+        if self.src.as_bytes().get(end) == Some(&b'"') {
+            self.pos = end + 1;
+            return Ok(Cow::Borrowed(&self.src[run..end]));
         }
+        self.pos = end;
+        self.escaped_string(run)
+    }
+
+    /// The rest of a string token whose plain run from `run` stopped
+    /// short of its closing quote (the cursor is where it stopped).
+    #[inline(never)]
+    fn escaped_string(&mut self, run: usize) -> Result<Cow<'a, str>, Error> {
         let mut out = String::from(&self.src[run..self.pos]);
         loop {
             match self.peek() {
@@ -381,19 +430,10 @@ impl<'a> Reader<'a> {
                 Some(b) if b < 0x20 => return Err(self.err("control character in string")),
                 Some(_) => {
                     let run = self.pos;
-                    self.plain_run();
+                    self.pos = plain_end(self.src.as_bytes(), run);
                     out.push_str(&self.src[run..self.pos]);
                 }
             }
-        }
-    }
-
-    /// Advances over bytes that stand for themselves in a string. It
-    /// stops only at ASCII bytes (or the end), so the cursor stays on a
-    /// char boundary.
-    fn plain_run(&mut self) {
-        while matches!(self.peek(), Some(b) if b >= 0x20 && b != b'"' && b != b'\\') {
-            self.pos += 1;
         }
     }
 
@@ -450,60 +490,99 @@ impl<'a> Reader<'a> {
         Ok(code)
     }
 
-    /// Reads a number token (the cursor is on its first byte).
+    /// Reads a number token (the cursor is on its first byte). An
+    /// integer's value is accumulated as its digits are scanned; a float
+    /// (a fraction or an exponent), or an integer outside `u64` and
+    /// `i64`, is parsed from its text.
+    #[inline]
     fn number(&mut self) -> Result<Number, Error> {
+        let bytes = self.src.as_bytes();
         let start = self.pos;
-        let _ = self.eat(b'-');
+        let neg = bytes[start] == b'-';
+        let digits = start + neg as usize;
+        let mut i = digits;
+        let mut n = 0u64;
+        while let Some(&b) = bytes.get(i) {
+            let d = b.wrapping_sub(b'0');
+            if d > 9 {
+                break;
+            }
+            n = n.wrapping_mul(10).wrapping_add(u64::from(d));
+            i += 1;
+        }
         // RFC 8259 grammar: the integer part is `0` or a nonzero digit
         // followed by digits — no leading zeros, at least one digit.
-        let int_digits = self.digit_run();
+        let int_digits = i - digits;
         match int_digits {
-            0 => return Err(self.err("number has no integer digits")),
+            0 => return Err(self.err_at(i, "number has no integer digits")),
             1 => {}
-            _ if self.src.as_bytes()[self.pos - int_digits] == b'0' => {
-                return Err(self.err("number has a leading zero"));
+            _ if bytes[digits] == b'0' => {
+                return Err(self.err_at(i, "number has a leading zero"));
             }
             _ => {}
         }
         let mut is_float = false;
-        if self.eat(b'.') {
+        if bytes.get(i) == Some(&b'.') {
             is_float = true;
-            if self.digit_run() == 0 {
-                return Err(self.err("number has no digits after the decimal point"));
+            let fraction = i + 1;
+            i = digit_end(bytes, fraction);
+            if i == fraction {
+                return Err(self.err_at(i, "number has no digits after the decimal point"));
             }
         }
-        if matches!(self.peek(), Some(b'e' | b'E')) {
+        if let Some(b'e' | b'E') = bytes.get(i) {
             is_float = true;
-            self.pos += 1;
-            if !self.eat(b'+') {
-                let _ = self.eat(b'-');
+            i += 1;
+            if let Some(b'+' | b'-') = bytes.get(i) {
+                i += 1;
             }
-            if self.digit_run() == 0 {
-                return Err(self.err("number has no exponent digits"));
-            }
-        }
-        let text = &self.src[start..self.pos];
-        if !is_float {
-            if let Ok(u) = text.parse::<u64>() {
-                return Ok(Number::UInt(u));
-            }
-            if let Ok(i) = text.parse::<i64>() {
-                return Ok(Number::Int(i));
+            let exponent = i;
+            i = digit_end(bytes, exponent);
+            if i == exponent {
+                return Err(self.err_at(i, "number has no exponent digits"));
             }
         }
+        self.pos = i;
+        // Up to 19 digits cannot wrap; 20 digits wrapped when they sort
+        // above `u64::MAX`'s (same length, so text order is value order).
+        let exact = int_digits < 20
+            || int_digits == 20 && &bytes[digits..digits + 20] <= b"18446744073709551615";
+        if !is_float && exact {
+            if !neg {
+                return Ok(Number::UInt(n));
+            }
+            if n <= 1 << 63 {
+                return Ok(Number::Int((n as i64).wrapping_neg()));
+            }
+        }
+        let text = &self.src[start..i];
         match text.parse::<f64>() {
             Ok(f) if f.is_finite() => Ok(Number::Float(f)),
             Ok(_) => Err(self.invalid(format_args!("number `{text}` overflows f64"))),
             Err(_) => Err(self.err("invalid number")),
         }
     }
+}
 
-    /// Consumes a run of ASCII digits, returning how many were consumed.
-    fn digit_run(&mut self) -> usize {
-        let start = self.pos;
-        while matches!(self.peek(), Some(b) if b.is_ascii_digit()) {
-            self.pos += 1;
+/// The end of the run of bytes from `i` that stand for themselves in a
+/// string. It stops only at ASCII bytes (or the end), so it is a char
+/// boundary.
+#[inline]
+fn plain_end(bytes: &[u8], mut i: usize) -> usize {
+    while let Some(&b) = bytes.get(i) {
+        if b < 0x20 || b == b'"' || b == b'\\' {
+            break;
         }
-        self.pos - start
+        i += 1;
     }
+    i
+}
+
+/// The end of the run of ASCII digits from `i`.
+#[inline]
+fn digit_end(bytes: &[u8], mut i: usize) -> usize {
+    while let Some(b'0'..=b'9') = bytes.get(i) {
+        i += 1;
+    }
+    i
 }

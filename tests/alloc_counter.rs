@@ -24,6 +24,12 @@
 //! `serde_json::to_writer_pretty` allocates its one output buffer, the
 //! same count at v≈500 as at v≈5000.
 //!
+//! The allocator also tracks live heap bytes and their peak, for one
+//! contract about memory rather than calls: the Monte-Carlo drivers
+//! (`survival_probability_monte_carlo_par` and `summarize_replications`)
+//! fold their samples as they arrive, so their peak does not grow with
+//! the sample count.
+//!
 //! The binary is **harness-free** (`harness = false`) and runs every
 //! check on the one main thread — no worker threads, no libtest threads —
 //! so a counted allocation is always a real regression in the scheduler
@@ -38,33 +44,52 @@ use ftsched::prelude::*;
 use ftsched_core::{schedule_into, ScheduleWorkspace};
 use platform::{FailureModel, UniformFailures};
 use rand::{rngs::StdRng, SeedableRng};
-use simulator::crash::{simulate_replication_outcomes_into, CrashWorkspace, ReplicationOutcome};
+use simulator::crash::{
+    simulate_replication_outcomes_into, summarize_replications, CrashWorkspace, ReplicationOutcome,
+};
+use simulator::reliability::survival_probability_monte_carlo_par;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 struct CountingAllocator;
 
 static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+static LIVE_BYTES: AtomicU64 = AtomicU64::new(0);
+static PEAK_BYTES: AtomicU64 = AtomicU64::new(0);
 
-// SAFETY: pure pass-through to the system allocator plus a relaxed
-// counter bump; no layout or pointer is altered.
+fn grew(bytes: usize) {
+    let live = LIVE_BYTES.fetch_add(bytes as u64, Ordering::Relaxed) + bytes as u64;
+    PEAK_BYTES.fetch_max(live, Ordering::Relaxed);
+}
+
+fn shrank(bytes: usize) {
+    LIVE_BYTES.fetch_sub(bytes as u64, Ordering::Relaxed);
+}
+
+// SAFETY: pure pass-through to the system allocator plus relaxed
+// counter updates; no layout or pointer is altered.
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        grew(layout.size());
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
         ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        grew(layout.size());
         unsafe { System.alloc_zeroed(layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        grew(new_size);
+        shrank(layout.size());
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        shrank(layout.size());
         unsafe { System.dealloc(ptr, layout) }
     }
 }
@@ -74,6 +99,15 @@ static GLOBAL: CountingAllocator = CountingAllocator;
 
 fn allocations() -> u64 {
     ALLOCATIONS.load(Ordering::Relaxed)
+}
+
+/// Peak live heap bytes while `f` runs, above the live bytes it started
+/// with.
+fn peak_growth(f: impl FnOnce()) -> u64 {
+    let base = LIVE_BYTES.load(Ordering::Relaxed);
+    PEAK_BYTES.store(base, Ordering::Relaxed);
+    f();
+    PEAK_BYTES.load(Ordering::Relaxed) - base
 }
 
 fn test_instance() -> Instance {
@@ -110,6 +144,7 @@ fn main() {
     streaming_arrivals_after_warm_allocate_nothing();
     wal_append_allocates_nothing();
     bundle_streaming_allocations_do_not_grow();
+    monte_carlo_driver_memory_does_not_grow_with_samples();
     println!("alloc_counter: zero-allocation steady-state contracts hold");
 }
 
@@ -439,6 +474,44 @@ fn monte_carlo_replications_after_first_allocate_nothing() {
     );
     assert_eq!(out, warm, "reuse must not change the outcomes");
     assert!(out.iter().all(ReplicationOutcome::completed));
+}
+
+fn monte_carlo_driver_memory_does_not_grow_with_samples() {
+    // Both drivers fold each sample into a running summary in the
+    // executor's in-order sink, so a hundred times the samples costs no
+    // more memory for results. On one worker thread the only thing that
+    // can grow is the channel's backlog while the calling thread waits
+    // for a CPU (24k queued samples would fill the slack). Collecting one
+    // outcome per sample before folding costs 16–24 bytes a sample, and
+    // an executor reorder buffer with a slot per index 24–32 more, so
+    // either grows the peak by at least 1.6 MB at 10^5 samples.
+    const SLACK: u64 = 768 << 10;
+    let text = std::fs::read_to_string(concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../../tests/golden/json/bundle-ftsa.json"
+    ))
+    .expect("the golden FTSA bundle is readable");
+    let bundle = ftsched_cli::Bundle::from_json(&text).expect("the golden bundle parses");
+    let inst = bundle.instance();
+    let sched = &bundle.schedule;
+    let mut peaks = Vec::new();
+    for samples in [1_000, 100_000] {
+        let reliability = peak_growth(|| {
+            let r = survival_probability_monte_carlo_par(&inst, sched, 0.2, samples, 7, 1);
+            assert_eq!(r.samples, samples);
+        });
+        let replications = peak_growth(|| {
+            let r = summarize_replications(&inst, sched, 1, samples, 5, 1);
+            assert_eq!(r.replications, samples);
+        });
+        peaks.push((samples, reliability, replications));
+    }
+    let (small, large) = (peaks[0], peaks[1]);
+    assert!(
+        large.1 <= small.1 + SLACK && large.2 <= small.2 + SLACK,
+        "Monte-Carlo driver peak heap grew with the sample count: \
+         (samples, reliability bytes, replication bytes) = {peaks:?}"
+    );
 }
 
 fn campaign_cell_loop_allocates_nothing() {

@@ -115,25 +115,22 @@ fn determinism_instance() -> (Instance, Schedule) {
 #[test]
 fn crash_replications_identical_across_thread_counts() {
     let (inst, sched) = determinism_instance();
-    let reference = simulate_replication_outcomes(&inst, &sched, 2, 24, 0xC4A5, 1);
+    let reference = summarize_replications(&inst, &sched, 2, 24, 0xC4A5, 1);
+    assert_eq!(reference.replications, 24);
     for threads in thread_counts() {
-        let sims = simulate_replication_outcomes(&inst, &sched, 2, 24, 0xC4A5, threads);
-        assert_eq!(sims.len(), reference.len());
-        for (a, b) in reference.iter().zip(&sims) {
-            assert_eq!(a.latency.to_bits(), b.latency.to_bits());
-            assert_eq!(a, b);
-        }
+        let sum = summarize_replications(&inst, &sched, 2, 24, 0xC4A5, threads);
+        assert_eq!(sum.latency_sum.to_bits(), reference.latency_sum.to_bits());
+        assert_eq!(sum, reference, "diverged at {threads} threads");
     }
 }
 
 #[test]
 fn crash_replications_rerun_identical() {
     let (inst, sched) = determinism_instance();
-    let a = simulate_replication_outcomes(&inst, &sched, 1, 16, 99, 2);
-    let b = simulate_replication_outcomes(&inst, &sched, 1, 16, 99, 2);
-    for (x, y) in a.iter().zip(&b) {
-        assert_eq!(x.latency.to_bits(), y.latency.to_bits());
-    }
+    let a = summarize_replications(&inst, &sched, 1, 16, 99, 2);
+    let b = summarize_replications(&inst, &sched, 1, 16, 99, 2);
+    assert_eq!(a.latency_sum.to_bits(), b.latency_sum.to_bits());
+    assert_eq!(a, b);
 }
 
 #[test]

@@ -315,6 +315,32 @@ fn failure_scenarios_round_trip() {
 }
 
 #[test]
+fn failure_scenarios_reject_a_repeated_processor() {
+    let e =
+        serde_json::from_str::<FailureScenario>(r#"{"failures": [[3, 0.0], [7, 1.0], [3, 2.5]]}"#)
+            .unwrap_err();
+    assert_eq!(e.to_string(), "FailureScenario: duplicate failure for P3");
+}
+
+#[test]
+fn failure_scenarios_reject_a_negative_or_unspellable_time() {
+    let e = serde_json::from_str::<FailureScenario>(r#"{"failures": [[3, 0.0], [7, -0.5]]}"#)
+        .unwrap_err();
+    assert_eq!(
+        e.to_string(),
+        "FailureScenario: failure time of P7 must be finite and >= 0, got -0.5"
+    );
+    // JSON cannot spell an infinite time: an overflowing literal is a
+    // parse error before the scenario is checked.
+    let e = serde_json::from_str::<FailureScenario>(r#"{"failures": [[3, 1e400]]}"#).unwrap_err();
+    assert_eq!(e.to_string(), "number `1e400` overflows f64 at byte 18");
+    // Zero and negative zero are legal times.
+    let ok: FailureScenario =
+        serde_json::from_str(r#"{"failures": [[3, 0.0], [7, -0.0]]}"#).unwrap();
+    assert_eq!(ok.failure_time(ProcId(7)), Some(0.0));
+}
+
+#[test]
 fn dot_export_of_workloads() {
     let dag = gaussian_elimination(5, 1.0, 1.0);
     let dot = taskgraph::io::to_dot(&dag);

@@ -845,3 +845,122 @@ fn wal_metrics_match_the_frames_on_disk() {
     );
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// A `POST /campaigns` whose body stops short of its `Content-Length`
+/// registers no run. A client that goes quiet holds the only handler
+/// until the 5 s read deadline; one that half-closes frees it at once.
+/// Either way the connection is closed without a response, `/healthz`
+/// answers afterwards, and the full spec is then a new run.
+#[test]
+fn truncated_body_registers_no_run_and_frees_the_handler() {
+    let dir = scratch_dir("truncated");
+    let addr = spawn_server(ServeConfig {
+        threads: 1,
+        handlers: 1,
+        data_dir: Some(dir.clone()),
+        ..ServeConfig::default()
+    });
+    let spec_json = smoke_spec().to_json().expect("spec serializes");
+    let short = format!(
+        "POST /campaigns HTTP/1.1\r\nHost: x\r\nContent-Length: {}\r\n\r\n{}",
+        spec_json.len(),
+        &spec_json[..spec_json.len() / 2]
+    );
+    for half_close in [false, true] {
+        let sent = Instant::now();
+        let mut truncated = TcpStream::connect(addr).expect("connect");
+        truncated
+            .set_read_timeout(Some(Duration::from_secs(30)))
+            .expect("read timeout");
+        truncated.write_all(short.as_bytes()).expect("send");
+        if half_close {
+            truncated
+                .shutdown(std::net::Shutdown::Write)
+                .expect("half-close");
+        }
+        // Queued behind the truncated request on the only handler.
+        let status = status_within(
+            addr,
+            b"GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n",
+            Duration::from_secs(30),
+        );
+        assert_eq!(status, "HTTP/1.1 200 OK");
+        let freed = sent.elapsed();
+        let bound = if half_close { 2 } else { 5 + 5 };
+        assert!(
+            freed < Duration::from_secs(bound),
+            "handler freed {freed:?} after a truncated body (half-close: {half_close})"
+        );
+        let mut rest = Vec::new();
+        truncated
+            .read_to_end(&mut rest)
+            .expect("the server closes the connection");
+        assert!(
+            rest.is_empty(),
+            "a truncated body got a response: {:?}",
+            String::from_utf8_lossy(&rest)
+        );
+    }
+    let res = post_campaign(addr, &spec_json);
+    assert_eq!(res.status, "HTTP/1.1 200 OK", "{}", res.body);
+    assert_eq!(res.header("X-Campaign-Run"), Some("new"));
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Bytes pipelined after a complete request are never read as a second
+/// request: the client gets exactly one response, byte for byte the one
+/// it would get alone, and a clean end of stream rather than a reset
+/// that could cut it short. The server stays up.
+#[test]
+fn pipelined_garbage_gets_no_second_response() {
+    let addr = spawn_server(ServeConfig {
+        threads: 1,
+        handlers: 1,
+        ..ServeConfig::default()
+    });
+    let spec = smoke_spec();
+    let spec_json = spec.to_json().expect("spec serializes");
+    let reference = post_campaign(addr, &spec_json);
+    assert_eq!(reference.status, "HTTP/1.1 200 OK", "{}", reference.body);
+    let health = b"GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n";
+    let post = format!(
+        "POST /campaigns HTTP/1.1\r\nHost: x\r\nContent-Length: {}\r\n\r\n{spec_json}",
+        spec_json.len()
+    );
+    // Garbage, a second well-formed request, and more than the server's
+    // 8 KiB read buffer holds, so some of it is still unread in the
+    // socket when the response ends. It stays under the default 128 KiB
+    // socket receive buffer, so the client's write cannot block while
+    // the server computes.
+    let mut garbage = health.to_vec();
+    garbage.extend_from_slice(b"\x00\xffnot http\r\n\r\n");
+    garbage.resize(64 << 10, b'#');
+    for first in [&health[..], post.as_bytes()] {
+        let mut raw = first.to_vec();
+        raw.extend_from_slice(&garbage);
+        let mut stream = TcpStream::connect(addr).expect("connect");
+        stream
+            .set_read_timeout(Some(Duration::from_secs(30)))
+            .expect("read timeout");
+        stream.write_all(&raw).expect("send");
+        let mut bytes = Vec::new();
+        stream
+            .read_to_end(&mut bytes)
+            .expect("the response ends with a clean close, not a reset");
+        let text = String::from_utf8(bytes).expect("responses are UTF-8");
+        assert_eq!(
+            text.matches("HTTP/1.1 ").count(),
+            1,
+            "pipelined bytes got a second response: {text:?}"
+        );
+        let (_, payload) = text.split_once("\r\n\r\n").expect("header block");
+        if first == health {
+            assert_eq!(payload, "ok\n");
+        } else {
+            let (body, _) = de_chunk(payload);
+            assert_eq!(body, reference.body);
+        }
+    }
+    let res = request(addr, "GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n");
+    assert_eq!(res.body, "ok\n");
+}
