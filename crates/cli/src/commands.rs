@@ -71,8 +71,9 @@ pub fn generate(argv: &[String]) -> Result<String, String> {
     };
 
     let out = args.require("out")?;
-    let json = taskgraph::io::to_json(&dag).map_err(|e| e.to_string())?;
-    std::fs::write(out, json).map_err(|e| format!("writing {out}: {e}"))?;
+    let file = File::create(out).map_err(|e| format!("writing {out}: {e}"))?;
+    // Streamed, so the text is never held whole in memory.
+    serde_json::to_writer_pretty(file, &dag).map_err(|e| format!("writing {out}: {e}"))?;
     let mut msg = format!(
         "wrote {out}: {} tasks, {} edges ({family})\n",
         dag.num_tasks(),

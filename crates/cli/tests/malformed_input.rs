@@ -189,7 +189,7 @@ fn edited(
     .unwrap()
 }
 
-fn matched(comm: &mut CommSelection) -> &mut Vec<Vec<(usize, usize)>> {
+fn matched(comm: &mut CommSelection) -> &mut Vec<(u32, u32)> {
     match comm {
         CommSelection::Matched(pairs) => pairs,
         CommSelection::AllToAll => panic!("expected a matched schedule"),
@@ -226,8 +226,10 @@ fn bundles_whose_schedule_does_not_fit_are_named_errors() {
             &[],
         ),
         (
+            // One edge short: its ε + 1 pairs go.
             edited(&mc, |_, _, c| {
-                matched(c).pop();
+                let pairs = matched(c);
+                pairs.truncate(pairs.len() - (mc.schedule.epsilon + 1));
             }),
             format!(
                 "matched comm table lists {} edges, the graph has {edges}",
@@ -238,7 +240,7 @@ fn bundles_whose_schedule_does_not_fit_are_named_errors() {
         (
             // Used to report `FAILED: a task lost all replicas` with no
             // failure at all.
-            edited(&mc, |_, _, c| matched(c)[0] = vec![(7, 9)]),
+            edited(&mc, |_, _, c| matched(c)[0] = (7, 9)),
             format!("edge {src}->{dst} pair (7, 9) names a missing replica"),
             &[],
         ),
@@ -262,6 +264,52 @@ fn bundles_whose_schedule_does_not_fit_are_named_errors() {
         assert_eq!(output.status.code(), Some(1), "{stderr}");
         assert!(
             stderr.contains(&expected),
+            "expected `{expected}` in: {stderr}"
+        );
+    }
+    let _ = std::fs::remove_file(&bad);
+}
+
+/// Schedules the bundle reader rejects before `validate` runs: an edge
+/// whose pair count is not ε + 1, which the flat matched table cannot
+/// hold, and an ε so large that reserving ε + 1 replica slots per task
+/// used to abort the process on allocation.
+#[test]
+fn unreadable_schedules_are_named_errors() {
+    let mc = serde_json::to_string(&golden_bundle("mc-ftsa")).unwrap();
+    // Drops the last pair of edge 0.
+    let at = mc.find(r#""Matched":["#).unwrap() + r#""Matched":["#.len();
+    let end = at + mc[at..].find("]]").unwrap();
+    let cut = at + mc[at..end].rfind(",[").unwrap();
+    let ragged = format!("{}{}", &mc[..cut], &mc[end + 1..]);
+    let huge = serde_json::to_string(&golden_bundle("ftsa"))
+        .unwrap()
+        .replacen(r#""epsilon":1,"#, r#""epsilon":1000000000000,"#, 1);
+    let cases = [
+        (
+            ragged,
+            "matched comm table: edge 0 has 1 pairs, expected ε + 1 = 2",
+        ),
+        (
+            huge,
+            "ε = 1000000000000 needs more than the platform's 4 processors",
+        ),
+    ];
+    let bad = scratch("unreadable-bundle.json");
+    for (text, expected) in cases {
+        std::fs::write(&bad, &text).unwrap();
+        let args = ["simulate", "--bundle", bad.as_str()];
+        let err = run(&args).expect_err("unreadable bundle accepted");
+        assert!(err.contains(expected), "expected `{expected}` in: {err}");
+
+        let output = Command::new(env!("CARGO_BIN_EXE_ftsched"))
+            .args(args)
+            .output()
+            .expect("run ftsched");
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert_eq!(output.status.code(), Some(1), "{stderr}");
+        assert!(
+            stderr.contains(expected),
             "expected `{expected}` in: {stderr}"
         );
     }

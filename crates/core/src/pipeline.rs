@@ -442,27 +442,18 @@ impl ListScheduler {
 
         ws.prepare(inst, epsilon, floors);
 
-        // Recycle the previous run's matched table: clearing the inner
-        // vectors keeps their capacity, so MC-FTSA's steady state stays
-        // allocation-free.
-        let mut comm_tbl: Option<Vec<Vec<(usize, usize)>>> = match self.comm {
-            CommAxis::AllToAll => None,
-            CommAxis::Matched(_) => {
-                let tbl = match std::mem::replace(&mut ws.sched.comm, CommSelection::AllToAll) {
-                    CommSelection::Matched(mut t) => {
-                        for inner in &mut t {
-                            inner.clear();
-                        }
-                        t.resize_with(dag.num_edges(), Vec::new);
-                        t
-                    }
-                    CommSelection::AllToAll => vec![Vec::new(); dag.num_edges()],
-                };
-                debug_assert_eq!(tbl.len(), dag.num_edges());
-                debug_assert!(tbl.iter().all(Vec::is_empty));
-                Some(tbl)
+        // The matched table is cleared and resized in place, ε + 1 slots
+        // per edge, so MC-FTSA's steady state stays allocation-free.
+        match (self.comm, &mut ws.sched.comm) {
+            (CommAxis::AllToAll, comm) => *comm = CommSelection::AllToAll,
+            (CommAxis::Matched(_), CommSelection::Matched(tbl)) => {
+                tbl.clear();
+                tbl.resize(dag.num_edges() * replicas, (0, 0));
             }
-        };
+            (CommAxis::Matched(_), comm) => {
+                *comm = CommSelection::Matched(vec![(0, 0); dag.num_edges() * replicas]);
+            }
+        }
 
         let ScheduleWorkspace {
             sched,
@@ -593,19 +584,8 @@ impl ListScheduler {
                     eng.flush_out_edges(t);
                 }
                 CommAxis::Matched(selector) => place_matched(
-                    &mut eng,
-                    t,
-                    procs,
-                    replicas,
-                    selector,
-                    comm_tbl.as_mut().expect("matched comm allocates its table"),
-                    arrival,
-                    senders,
-                    graph,
-                    forced,
-                    pairs,
-                    greedy,
-                    bottleneck,
+                    &mut eng, t, procs, replicas, selector, arrival, senders, graph, forced, pairs,
+                    greedy, bottleneck,
                 ),
             }
             eng.sched.schedule_order.push(t);
@@ -672,11 +652,6 @@ impl ListScheduler {
                 rng,
             );
         }
-
-        sched.comm = match comm_tbl {
-            None => CommSelection::AllToAll,
-            Some(tbl) => CommSelection::Matched(tbl),
-        };
         Ok(())
     }
 }
@@ -1360,8 +1335,9 @@ fn try_duplicate_critical_parent(eng: &mut Engine<'_>, t: TaskId, j: usize) -> O
 /// robust one-to-one communication set between the predecessor's
 /// replicas and the destination processors, then place each replica
 /// with its deterministic matched times (the two timelines coincide).
-/// All scratch comes from the workspace; with either selector the step
-/// performs no allocation in steady state.
+/// Each predecessor edge's pairs fill that edge's slots of the
+/// schedule's matched table. All scratch comes from the workspace; with
+/// either selector the step performs no allocation in steady state.
 #[allow(clippy::too_many_arguments)]
 fn place_matched(
     eng: &mut Engine<'_>,
@@ -1369,7 +1345,6 @@ fn place_matched(
     procs: &[usize],
     replicas: usize,
     selector: Selector,
-    comm: &mut [Vec<(usize, usize)>],
     arrival: &mut Vec<f64>,
     senders: &mut Vec<Replica>,
     g: &mut BipartiteGraph,
@@ -1428,12 +1403,17 @@ fn place_matched(
             }
         }
 
-        for &(k, r) in pairs.iter() {
+        let CommSelection::Matched(table) = &mut eng.sched.comm else {
+            unreachable!("run_core gives matched placement a matched table");
+        };
+        let slots = &mut table[eid.index() * replicas..][..replicas];
+        debug_assert_eq!(pairs.len(), replicas, "a perfect matching");
+        for (slot, &(k, r)) in slots.iter_mut().zip(pairs.iter()) {
             let srep = &senders[k];
             let q = procs[r];
             let a = srep.finish_lb + vol * inst.platform.delay(srep.proc.index(), q);
             arrival[r] = arrival[r].max(a);
-            comm[eid.index()].push((k, r));
+            *slot = (k as u32, r as u32);
         }
     }
 

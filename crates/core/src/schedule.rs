@@ -32,9 +32,15 @@
 //! per-processor allocations. Consumers that want a flat per-processor
 //! slice (the crash simulator) materialize it once into their workspace.
 //!
-//! Both arenas serialize in the human-readable nested form
-//! (`Vec<Vec<…>>`) and compare ([`PartialEq`]) by logical content, so
-//! stride padding and node-pool interleaving never leak.
+//! The matched table ([`CommSelection::Matched`]) holds exactly `ε + 1`
+//! `(sender, receiver)` replica pairs per edge (Proposition 4.3), so it
+//! is one flat vector with stride `ε + 1`: edge `e`'s pairs, in the order
+//! the matcher selected them, start at `e·(ε+1)`.
+//!
+//! All three serialize in the human-readable nested form (`Vec<Vec<…>>`,
+//! one pair list per edge) and the arenas compare ([`PartialEq`]) by
+//! logical content, so stride padding and node-pool interleaving never
+//! leak.
 
 use platform::ProcId;
 use serde::{Deserialize, Serialize};
@@ -229,14 +235,14 @@ impl PartialEq for ProcOrder {
 }
 
 /// How replica-to-replica communications are orchestrated.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum CommSelection {
     /// Every replica of the source sends to every replica of the
     /// destination (FTSA, FTBAR): up to `(ε+1)²` messages per edge.
     AllToAll,
-    /// MC-FTSA: per DAG edge, the selected `(src_replica, dst_replica)`
-    /// pairs — exactly `ε+1` messages per edge.
-    Matched(Vec<Vec<(usize, usize)>>),
+    /// MC-FTSA: the selected `(src_replica, dst_replica)` pairs, exactly
+    /// `ε+1` per DAG edge, edge-major (see the [module docs](self)).
+    Matched(Vec<(u32, u32)>),
 }
 
 /// A complete fault-tolerant schedule.
@@ -286,8 +292,6 @@ impl Schedule {
         self.replicas.reset(num_tasks, epsilon + 1);
         self.order.reset(num_procs);
         self.schedule_order.clear();
-        // `comm` is reset by the pipeline, which recycles a matched
-        // table's inner buffers when one is present.
     }
 
     /// Builds a schedule from nested per-task replica lists and
@@ -299,12 +303,9 @@ impl Schedule {
         comm: CommSelection,
         schedule_order: Vec<TaskId>,
     ) -> Self {
-        let stride = replica_lists
-            .iter()
-            .map(Vec::len)
-            .max()
-            .unwrap_or(0)
-            .max(epsilon + 1);
+        // Sized by the lists alone, not by `ε + 1`: a file's ε is
+        // checked only later, by `validate`.
+        let stride = replica_lists.iter().map(Vec::len).max().unwrap_or(0).max(1);
         let mut replicas = ReplicaArena::default();
         replicas.reset(replica_lists.len(), stride);
         for (t, reps) in replica_lists.iter().enumerate() {
@@ -452,9 +453,10 @@ impl Schedule {
                     }
                 }
                 CommSelection::Matched(m) => {
-                    for &(si, di) in &m[eid.index()] {
-                        let sp = self.replicas_of(src)[si].proc;
-                        let dp = self.replicas_of(dst)[di].proc;
+                    let w = self.epsilon + 1;
+                    for &(si, di) in &m[eid.index() * w..][..w] {
+                        let sp = self.replicas_of(src)[si as usize].proc;
+                        let dp = self.replicas_of(dst)[di as usize].proc;
                         if sp != dp {
                             count += 1;
                         }
@@ -480,8 +482,15 @@ struct ScheduleRepr {
     epsilon: usize,
     replicas: Vec<Vec<Replica>>,
     proc_order: Vec<Vec<(TaskId, u32)>>,
-    comm: CommSelection,
+    comm: CommRepr,
     schedule_order: Vec<TaskId>,
+}
+
+/// [`CommSelection`] as JSON spells it: one pair list per edge.
+#[derive(Deserialize)]
+enum CommRepr {
+    AllToAll,
+    Matched(Vec<Vec<(u32, u32)>>),
 }
 
 /// Written straight from the arenas, in `ScheduleRepr`'s shape.
@@ -500,7 +509,15 @@ impl Serialize for Schedule {
         }
         w.end_array();
         w.field("comm");
-        self.comm.serialize(w);
+        match &self.comm {
+            CommSelection::AllToAll => w.write_str("AllToAll"),
+            CommSelection::Matched(pairs) => {
+                w.begin_object();
+                w.field("Matched");
+                w.seq(pairs.chunks(self.epsilon + 1));
+                w.end_object();
+            }
+        }
         w.field("schedule_order");
         self.schedule_order.serialize(w);
         w.end_object();
@@ -510,6 +527,19 @@ impl Serialize for Schedule {
 impl Deserialize for Schedule {
     fn deserialize(r: &mut serde::Reader<'_>) -> Result<Self, serde::Error> {
         let repr = ScheduleRepr::deserialize(r)?;
+        let comm = match repr.comm {
+            CommRepr::AllToAll => CommSelection::AllToAll,
+            CommRepr::Matched(edges) => {
+                let eps1 = repr.epsilon as u128 + 1; // a file's ε may be usize::MAX
+                if let Some(e) = edges.iter().position(|p| p.len() as u128 != eps1) {
+                    return Err(serde::Error::custom(format!(
+                        "matched comm table: edge {e} has {} pairs, expected ε + 1 = {eps1}",
+                        edges[e].len()
+                    )));
+                }
+                CommSelection::Matched(edges.concat())
+            }
+        };
         Ok(Schedule::from_parts(
             repr.epsilon,
             repr.replicas,
@@ -517,7 +547,7 @@ impl Deserialize for Schedule {
                 .into_iter()
                 .map(|seq| seq.into_iter().map(|(t, k)| (t, k as usize)).collect())
                 .collect(),
-            repr.comm,
+            comm,
             repr.schedule_order,
         ))
     }
@@ -575,7 +605,7 @@ mod tests {
     #[test]
     fn message_count_matched() {
         let (dag, mut s) = two_task_schedule();
-        s.comm = CommSelection::Matched(vec![vec![(0, 1), (1, 0)]]);
+        s.comm = CommSelection::Matched(vec![(0, 1), (1, 0)]);
         // (rep0@P0 → rep1@P2) inter; (rep1@P1 → rep0@P1) intra → 1.
         assert_eq!(s.message_count(&dag), 1);
     }

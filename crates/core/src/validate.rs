@@ -89,6 +89,7 @@ pub fn validate(inst: &Instance, sched: &Schedule) -> Result<(), ScheduleError> 
     }
 
     // (1) replica counts and primary distinctness.
+    let mut width = 0;
     for t in dag.tasks() {
         let reps = sched.replicas_of(t);
         if reps.len() < eps1 {
@@ -97,9 +98,9 @@ pub fn validate(inst: &Instance, sched: &Schedule) -> Result<(), ScheduleError> 
                 reps.len()
             ));
         }
-        let mut procs = std::collections::HashSet::new();
-        for r in &reps[..eps1] {
-            if !procs.insert(r.proc) {
+        width = width.max(reps.len());
+        for (i, r) in reps[..eps1].iter().enumerate() {
+            if reps[..i].iter().any(|q| q.proc == r.proc) {
                 return fail(format!(
                     "Proposition 4.1 violated: primary replicas of {t} share {}",
                     r.proc
@@ -117,11 +118,9 @@ pub fn validate(inst: &Instance, sched: &Schedule) -> Result<(), ScheduleError> 
         }
     }
 
-    // (2) per-processor sequences.
-    let mut seen = vec![vec![false; 0]; dag.num_tasks()];
-    for t in dag.tasks() {
-        seen[t.index()] = vec![false; sched.replicas_of(t).len()];
-    }
+    // (2) per-processor sequences, with one mark per replica: `width`
+    // slots per task, replica `k` of `t` at `t·width + k`.
+    let mut seen = vec![false; v * width];
     for j in 0..m {
         let mut last_lb = f64::NEG_INFINITY;
         let mut last_ub = f64::NEG_INFINITY;
@@ -133,10 +132,11 @@ pub fn validate(inst: &Instance, sched: &Schedule) -> Result<(), ScheduleError> 
             if k >= reps.len() {
                 return fail(format!("proc P{j} references missing replica {k} of {t}"));
             }
-            if seen[t.index()][k] {
+            let mark = &mut seen[t.index() * width + k];
+            if *mark {
                 return fail(format!("replica {k} of {t} placed twice"));
             }
-            seen[t.index()][k] = true;
+            *mark = true;
             let r = reps[k];
             if r.proc.index() != j {
                 return fail(format!(
@@ -152,47 +152,37 @@ pub fn validate(inst: &Instance, sched: &Schedule) -> Result<(), ScheduleError> 
         }
     }
     for t in dag.tasks() {
-        if seen[t.index()].iter().any(|&s| !s) {
+        if seen[t.index() * width..][..sched.replicas_of(t).len()].contains(&false) {
             return fail(format!("task {t} has replicas missing from proc_order"));
         }
     }
 
     // (5) matched-communication structure, before (3) reads the pairs.
     if let CommSelection::Matched(table) = &sched.comm {
-        if table.len() != dag.num_edges() {
+        if table.len() != dag.num_edges() * eps1 {
+            // Fractional when a table built in code is ragged.
             return fail(format!(
                 "matched comm table lists {} edges, the graph has {}",
-                table.len(),
+                table.len() as f64 / eps1 as f64,
                 dag.num_edges()
             ));
         }
-        for (eid, src, dst, _) in dag.edge_list() {
-            let pairs = &table[eid.index()];
-            let mut ls = std::collections::HashSet::new();
-            let mut rs = std::collections::HashSet::new();
-            for &(k, d) in pairs {
-                if k >= sched.replicas_of(src).len() || d >= sched.replicas_of(dst).len() {
+        for ((_, src, dst, _), pairs) in dag.edge_list().zip(table.chunks_exact(eps1)) {
+            let (senders, receivers) = (sched.replicas_of(src), sched.replicas_of(dst));
+            for (i, &(k, d)) in pairs.iter().enumerate() {
+                if k as usize >= senders.len() || d as usize >= receivers.len() {
                     return fail(format!(
                         "edge {src}->{dst} pair ({k}, {d}) names a missing replica"
                     ));
                 }
-                if !ls.insert(k) || !rs.insert(d) {
+                if pairs[..i].iter().any(|&(k2, d2)| k2 == k || d2 == d) {
                     return fail(format!("edge {src}->{dst} matching not one-to-one"));
                 }
             }
-            if pairs.len() != eps1 {
-                return fail(format!(
-                    "edge {src}->{dst} has {} matched pairs, expected {eps1}",
-                    pairs.len()
-                ));
-            }
             // Forced internal edges of Proposition 4.3.
-            for (k, s) in sched.replicas_of(src).iter().enumerate().take(eps1) {
-                if let Some(d) = sched.replicas_of(dst)[..eps1]
-                    .iter()
-                    .position(|r| r.proc == s.proc)
-                {
-                    if !pairs.contains(&(k, d)) {
+            for (k, s) in senders.iter().enumerate().take(eps1) {
+                if let Some(d) = receivers[..eps1].iter().position(|r| r.proc == s.proc) {
+                    if !pairs.contains(&(k as u32, d as u32)) {
                         return fail(format!(
                             "edge {src}->{dst}: sender on shared {} must be matched \
                              internally (Proposition 4.3)",
@@ -245,13 +235,13 @@ pub fn validate(inst: &Instance, sched: &Schedule) -> Result<(), ScheduleError> 
                         }
                     }
                     CommSelection::Matched(m) => {
-                        let pairs = &m[eid.index()];
-                        let Some(&(k, _)) = pairs.iter().find(|&&(_, d)| d == ri) else {
+                        let pairs = &m[eid.index() * eps1..][..eps1];
+                        let Some(&(k, _)) = pairs.iter().find(|&&(_, d)| d as usize == ri) else {
                             return fail(format!(
                                 "no matched sender for {t} replica {ri} on edge {p}->{t}"
                             ));
                         };
-                        let s = &senders[k];
+                        let s = &senders[k as usize];
                         let arrive = s.finish_lb + vol * plat.delay(s.proc.index(), r.proc.index());
                         if arrive > r.start_lb + TOL {
                             return fail(format!(

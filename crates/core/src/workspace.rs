@@ -20,12 +20,10 @@
 //! * The produced [`Schedule`] stays owned by the workspace; `run_into`
 //!   returns `&Schedule`. Clone it (or [`ScheduleWorkspace::take_schedule`])
 //!   to keep it beyond the next run.
-//! * A matched-communication table found in the previous run's
-//!   `Schedule` is recycled: its per-edge `Vec`s are cleared, not
-//!   dropped, so MC-FTSA's steady state is allocation-free too — for
-//!   both selectors: the greedy scratch and the bottleneck selector's
-//!   binary-search working set (thresholds, residual CSR adjacency,
-//!   Hopcroft–Karp buffers) live here and are reused run over run.
+//! * MC-FTSA's steady state is allocation-free too, for both selectors:
+//!   the greedy scratch and the bottleneck selector's binary-search
+//!   working set (thresholds, residual CSR adjacency, Hopcroft–Karp
+//!   buffers) live here and are reused run over run.
 //!
 //! When adding a new policy to the pipeline, route any per-step storage
 //! through a field here (cleared in `ScheduleWorkspace::prepare`)

@@ -53,7 +53,7 @@ fn digest(sched: &Schedule) -> String {
             let _ = writeln!(out, "comm all-to-all");
         }
         CommSelection::Matched(m) => {
-            for (eid, pairs) in m.iter().enumerate() {
+            for (eid, pairs) in m.chunks(sched.epsilon + 1).enumerate() {
                 let ps: Vec<String> = pairs.iter().map(|&(s, d)| format!("{s}>{d}")).collect();
                 let _ = writeln!(out, "comm e{eid} {}", ps.join(" "));
             }

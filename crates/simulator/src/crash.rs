@@ -151,8 +151,10 @@
 //! loop, a dense *(replica, predecessor-slot)* id (`slot_off[rid] +
 //! slot`) — no nested `Vec<Vec<…>>`, no per-replica allocation; each
 //! sender port keeps one FIFO that is cleared, not freed. The slot tables
-//! are built only when the event loop runs. Reusing the workspace across
-//! runs makes everything after the first replication allocation-free:
+//! are built only when the event loop runs. A matched table is copied as
+//! it is, and a receiver's sender found by scanning its edge's pairs.
+//! Reusing the workspace across runs makes everything after the first
+//! replication allocation-free:
 //! [`simulate_replication_outcomes_into`] is the sequential
 //! zero-allocation driver (pinned by the root `tests/alloc_counter.rs`
 //! suite), and the parallel campaign ([`summarize_replications`]) gives
@@ -347,12 +349,10 @@ pub struct CrashWorkspace {
     /// processor, and `schedule_order` names real tasks: the static
     /// pass's precondition.
     pass_fits: bool,
-    /// Matched schedules: prefix sums of per-edge destination replica
-    /// counts into `matched_src`.
-    matched_off: Vec<u32>,
-    /// Matched schedules: per (edge, dst replica), the matched source
-    /// replica index (`NO_SRC` when unmatched).
-    matched_src: Vec<u32>,
+    /// Matched schedules: a copy of the schedule's matched table.
+    pairs: Vec<(u32, u32)>,
+    /// `ε + 1`: primary replicas per task, and matched pairs per edge.
+    primaries: usize,
     /// Flattened per-processor placement order (prefix offsets + items).
     order_off: Vec<u32>,
     order_items: Vec<(TaskId, u32)>,
@@ -449,9 +449,13 @@ impl CrashWorkspace {
         self.slot_off[rid] as usize + slot
     }
 
+    /// The matched sender of receiver replica `d` on edge `eid`, or
+    /// `NO_SRC` when no pair names it.
     #[inline]
     fn matched_src_of(&self, eid: usize, d: usize) -> u32 {
-        self.matched_src[self.matched_off[eid] as usize + d]
+        let pairs = &self.pairs[eid * self.primaries..][..self.primaries];
+        let pair = pairs.iter().find(|&&(_, r)| r as usize == d);
+        pair.map_or(NO_SRC, |&(s, _)| s)
     }
 
     /// Rebuilds the shape tables for `(inst, sched)` — O(v + e + R)
@@ -460,7 +464,12 @@ impl CrashWorkspace {
         let dag = &inst.dag;
         let m = inst.num_procs();
 
+        self.pairs.clear();
+        if let CommSelection::Matched(pairs) = &sched.comm {
+            self.pairs.extend_from_slice(pairs);
+        }
         self.matched = matches!(sched.comm, CommSelection::Matched(_));
+        self.primaries = sched.epsilon + 1;
         self.rerouted = self.matched && policy == FallbackPolicy::Rerouted;
         self.loop_ready = false;
 
@@ -472,25 +481,6 @@ impl CrashWorkspace {
             self.rep_proc
                 .extend(reps.iter().map(|r| r.proc.index() as u32));
             self.rep_off.push(self.rep_proc.len() as u32);
-        }
-
-        self.matched_off.clear();
-        self.matched_src.clear();
-        if let CommSelection::Matched(mm) = &sched.comm {
-            self.matched_off.push(0);
-            for (_, _, dst, _) in dag.edge_list() {
-                let prev = *self.matched_off.last().expect("nonempty");
-                self.matched_off
-                    .push(prev + sched.replicas_of(dst).len() as u32);
-            }
-            self.matched_src
-                .resize(*self.matched_off.last().expect("nonempty") as usize, NO_SRC);
-            for (eid, _, _, _) in dag.edge_list() {
-                let base = self.matched_off[eid.index()] as usize;
-                for &(s, d) in &mm[eid.index()] {
-                    self.matched_src[base + d] = s as u32;
-                }
-            }
         }
 
         self.order_off.clear();
@@ -674,10 +664,9 @@ impl CrashWorkspace {
         self.stalled.resize(m, false);
 
         let mut moved = false;
-        let primaries = sched.epsilon + 1;
         for &t in &sched.schedule_order {
             let lo = self.rep_off[t.index()] as usize;
-            let hi = (lo + primaries).min(self.rep_off[t.index() + 1] as usize);
+            let hi = (lo + self.primaries).min(self.rep_off[t.index() + 1] as usize);
             for rid in lo..hi {
                 moved |= self.advance_to(inst, self.rep_proc[rid] as usize, self.rep_pos[rid]);
             }
@@ -895,32 +884,43 @@ impl CrashWorkspace {
             self.pending_advance.push(self.rep_proc[rid]);
             for &(s, eid) in dag.succs(t) {
                 let slot = self.slot_of_edge[eid.index()] as usize;
-                let sreps = self.reps(s);
-                // Who loses a potential sender? All receivers for
-                // all-to-all and rerouted matched delivery (the latter
-                // additionally flags the matched receivers for fallback
-                // delivery); only the matched receivers for strict.
-                if self.matched && self.rerouted {
-                    for d in 0..sreps {
-                        if self.matched_src_of(eid.index(), d) == k {
-                            let si = self.slot_idx(self.rid(s, d), slot);
+                // Who loses a potential sender? Only the receivers `t`'s
+                // replica is matched to, under strict delivery; every
+                // receiver under all-to-all and rerouted delivery, the
+                // latter also flagging the matched ones for fallback.
+                if self.matched {
+                    let w = self.primaries;
+                    for i in eid.index() * w..(eid.index() + 1) * w {
+                        let (src, d) = self.pairs[i];
+                        if src != k {
+                            continue;
+                        }
+                        let si = self.slot_idx(self.rid(s, d as usize), slot);
+                        if self.rerouted {
                             self.matched_dead[si] = true;
+                        } else {
+                            self.lose_sender(s, d, si);
                         }
                     }
                 }
-                for d in 0..sreps {
-                    if self.matched && !self.rerouted && self.matched_src_of(eid.index(), d) != k {
-                        continue;
-                    }
-                    let rid_s = self.rid(s, d);
-                    let si = self.slot_idx(rid_s, slot);
-                    if self.phase[rid_s] == Phase::Waiting && !self.satisfied[si] {
-                        self.remaining[si] -= 1;
-                        if self.remaining[si] == 0 {
-                            self.kill_work.push((s, d as u32));
-                        }
+                if !self.matched || self.rerouted {
+                    for d in 0..self.reps(s) {
+                        let si = self.slot_idx(self.rid(s, d), slot);
+                        self.lose_sender(s, d as u32, si);
                     }
                 }
+            }
+        }
+    }
+
+    /// Receiver replica `d` of `s` loses a potential sender at its dense
+    /// (replica, slot) id `si`; the last one lost kills it.
+    fn lose_sender(&mut self, s: TaskId, d: u32, si: usize) {
+        let rid = self.rid(s, d as usize);
+        if self.phase[rid] == Phase::Waiting && !self.satisfied[si] {
+            self.remaining[si] -= 1;
+            if self.remaining[si] == 0 {
+                self.kill_work.push((s, d));
             }
         }
     }
@@ -1609,8 +1609,8 @@ mod tests {
         let a = bd.add_task(1.0);
         let b = bd.add_task(1.0);
         let t = bd.add_task(1.0);
-        let e_at = bd.add_edge(a, t, 1.0);
-        let e_bt = bd.add_edge(b, t, 1.0);
+        bd.add_edge(a, t, 1.0);
+        bd.add_edge(b, t, 1.0);
         let dag = bd.build().unwrap();
         let plat = Platform::uniform_delay(5, 1.0);
         let exec = ExecutionMatrix::consistent(&dag, &[1.0; 5]);
@@ -1623,9 +1623,6 @@ mod tests {
             start_ub: s,
             finish_ub: f,
         };
-        let mut matched = vec![Vec::new(); 2];
-        matched[e_at.index()] = vec![(0usize, 0usize), (1, 1)];
-        matched[e_bt.index()] = vec![(0usize, 1usize), (1, 0)];
         let sched = ftsched_core::Schedule::from_parts(
             1,
             vec![
@@ -1640,7 +1637,8 @@ mod tests {
                 vec![(t, 0)],
                 vec![(t, 1)],
             ],
-            CommSelection::Matched(matched),
+            // Edge 0 is a → t, edge 1 is b → t.
+            CommSelection::Matched(vec![(0, 0), (1, 1), (0, 1), (1, 0)]),
             vec![a, b, t],
         );
 

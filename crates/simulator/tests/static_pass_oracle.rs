@@ -247,31 +247,36 @@ fn check_all_small_failure_sets(inst: &Instance, sched: &Schedule) -> u32 {
 
 #[test]
 fn strict_slot_without_matched_sender_is_never_fed() {
-    // a → t; t's second replica has no matched sender on the edge.
-    let (inst, t) = unit_instance(2, &[(0, 1)], 4);
+    // a → t; t's third replica, on P4, is named by no pair of the edge.
+    let (inst, t) = unit_instance(2, &[(0, 1)], 5);
     let sched = Schedule::from_parts(
         1,
         vec![
             vec![replica(0, 0.0, 1.0), replica(1, 0.0, 1.0)],
-            vec![replica(2, 2.0, 3.0), replica(3, 2.0, 3.0)],
+            vec![
+                replica(2, 2.0, 3.0),
+                replica(3, 2.0, 3.0),
+                replica(4, 2.0, 3.0),
+            ],
         ],
         vec![
             vec![(t[0], 0)],
             vec![(t[0], 1)],
             vec![(t[1], 0)],
             vec![(t[1], 1)],
+            vec![(t[1], 2)],
         ],
-        CommSelection::Matched(vec![vec![(0, 0)]]),
+        CommSelection::Matched(vec![(0, 0), (1, 1)]),
         t.clone(),
     );
     check_all_small_failure_sets(&inst, &sched);
     let mut ws = CrashWorkspace::new();
     let none = FailureScenario::none();
     let strict = simulate_into(&inst, &sched, &none, FallbackPolicy::Strict, &mut ws);
-    assert_eq!(strict.times[1][1], None, "strict: never fed");
+    assert_eq!(strict.times[1][2], None, "strict: never fed");
     let rerouted = simulate_into(&inst, &sched, &none, FallbackPolicy::Rerouted, &mut ws);
     assert!(
-        rerouted.times[1][1].is_some(),
+        rerouted.times[1][2].is_some(),
         "rerouted: fed by any sender"
     );
 }
@@ -295,7 +300,7 @@ fn composition_gap_agrees_with_the_loop() {
             vec![(j, 0)],
             vec![(j, 1)],
         ],
-        CommSelection::Matched(vec![vec![(0, 0), (1, 1)], vec![(0, 1), (1, 0)]]),
+        CommSelection::Matched(vec![(0, 0), (1, 1), (0, 1), (1, 0)]),
         vec![a, b, j],
     );
     check_all_small_failure_sets(&inst, &sched);

@@ -1,4 +1,4 @@
-//! Topological utilities: levels, reachability, connectivity.
+//! Topological utilities: levels, descendant sets, connectivity.
 
 use crate::graph::{Dag, TaskId};
 
@@ -86,31 +86,8 @@ pub fn descendants(dag: &Dag) -> Vec<TaskSet> {
     reach
 }
 
-/// Whether `b` is reachable from `a` (strictly; a task does not reach
-/// itself). Convenience wrapper computing a fresh traversal, `O(v + e)`.
-pub fn reaches(dag: &Dag, a: TaskId, b: TaskId) -> bool {
-    if a == b {
-        return false;
-    }
-    let mut stack = vec![a];
-    let mut seen = vec![false; dag.num_tasks()];
-    while let Some(t) = stack.pop() {
-        for &(s, _) in dag.succs(t) {
-            if s == b {
-                return true;
-            }
-            if !seen[s.index()] {
-                seen[s.index()] = true;
-                stack.push(s);
-            }
-        }
-    }
-    false
-}
-
 /// Whether the underlying undirected graph is connected (trivially true
-/// for `v <= 1`). Random generators use this to decide whether to add
-/// linking edges.
+/// for `v <= 1`). The generators' tests use it as their oracle.
 pub fn is_weakly_connected(dag: &Dag) -> bool {
     let n = dag.num_tasks();
     if n <= 1 {
@@ -180,20 +157,6 @@ mod tests {
         assert_eq!(d[3].count(), 0);
         assert!(d[0].contains(3));
         assert!(!d[2].contains(0));
-    }
-
-    #[test]
-    fn reaches_matches_descendants() {
-        let g = chain(4);
-        let d = descendants(&g);
-        for a in g.tasks() {
-            for b2 in g.tasks() {
-                assert_eq!(
-                    reaches(&g, a, b2),
-                    a != b2 && d[a.index()].contains(b2.index())
-                );
-            }
-        }
     }
 
     #[test]

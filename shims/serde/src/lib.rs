@@ -42,8 +42,9 @@
 //! Reading semantics, for derived and hand-written impls alike: unknown
 //! object keys are skipped, the first of duplicate keys wins, a missing
 //! field is an error even for an `Option` field, integral floats such as
-//! `3.0` read as integers, and enums are externally tagged (a string for
-//! a unit variant, a one-key object for a newtype variant).
+//! `3.0` read as integers, `-0` reads as the float `-0.0` (and as the
+//! integer 0), and enums are externally tagged (a string for a unit
+//! variant, a one-key object for a newtype variant).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -351,6 +352,17 @@ mod tests {
         assert_eq!(parse::<i64>("-9223372036854775808").unwrap(), i64::MIN);
         let below = parse::<f64>("-9223372036854775809").unwrap();
         assert_eq!(below, -9223372036854775808.0);
+    }
+
+    #[test]
+    fn negative_zero_keeps_its_sign() {
+        let bits = |text: &str| parse::<f64>(text).unwrap().to_bits();
+        assert_eq!(bits("-0"), (-0.0f64).to_bits());
+        assert_eq!(bits("0"), 0.0f64.to_bits());
+        assert_eq!(bits("-0.0"), (-0.0f64).to_bits());
+        assert_eq!(bits("-0e0"), (-0.0f64).to_bits());
+        assert_eq!(parse::<i64>("-0").unwrap(), 0);
+        assert_eq!(parse::<u64>("-0").unwrap(), 0);
     }
 
     #[test]

@@ -219,12 +219,15 @@ impl<'a> Reader<'a> {
         n.ok_or_else(|| self.not_a("integer"))
     }
 
-    /// Reads any number as an `f64` (always finite).
+    /// Reads any number as an `f64` (always finite). `-0` keeps its
+    /// sign, as `-0.0` and `str::parse::<f64>("-0")` do.
     #[inline]
     pub fn read_f64(&mut self) -> Result<f64, Error> {
         Ok(match self.read_number("number")? {
             Number::Float(f) => f,
             Number::UInt(n) => n as f64,
+            // Only `-0` reads as `Int(0)`: `0` is `UInt(0)`.
+            Number::Int(0) => -0.0,
             Number::Int(n) => n as f64,
         })
     }

@@ -210,6 +210,13 @@ fn cli_bundles_equal_library_bundles_for_every_algorithm() {
                 cli(&args);
                 let second = std::fs::read_to_string(&out).unwrap();
                 assert_same(&format!("{what} (second run)"), &second, &first);
+                // The file reads back, and renders the same bytes again.
+                let back = Bundle::from_json(&first).unwrap_or_else(|e| panic!("{what}: {e}"));
+                assert_same(
+                    &format!("{what} (read back)"),
+                    &back.to_json().unwrap(),
+                    &first,
+                );
             }
         }
     }
