@@ -165,7 +165,7 @@ fn golden_bundle(alg: &str) -> Bundle {
     Bundle::from_json(&std::fs::read_to_string(path).unwrap()).unwrap()
 }
 
-type Order = Vec<Vec<(TaskId, usize)>>;
+type Order = Vec<Vec<(TaskId, u32)>>;
 
 /// `bundle` as JSON, with its schedule's replicas, placement lists and
 /// matched pairs edited by hand.
@@ -176,7 +176,7 @@ fn edited(
     let s = &bundle.schedule;
     let mut replicas = s.replica_lists();
     let mut order: Order = (0..s.num_procs())
-        .map(|j| s.proc_order(j).collect())
+        .map(|j| s.proc_order(j).to_vec())
         .collect();
     let mut comm = s.comm.clone();
     edit(&mut replicas, &mut order, &mut comm);
@@ -272,8 +272,10 @@ fn bundles_whose_schedule_does_not_fit_are_named_errors() {
 
 /// Schedules the bundle reader rejects before `validate` runs: an edge
 /// whose pair count is not ε + 1, which the flat matched table cannot
-/// hold, and an ε so large that reserving ε + 1 replica slots per task
-/// used to abort the process on allocation.
+/// hold, an ε so large that reserving ε + 1 replica slots per task
+/// used to abort the process on allocation, and a task with more
+/// replicas than processors, whose count used to size every task's
+/// slots in the replica arena.
 #[test]
 fn unreadable_schedules_are_named_errors() {
     let mc = serde_json::to_string(&golden_bundle("mc-ftsa")).unwrap();
@@ -285,6 +287,10 @@ fn unreadable_schedules_are_named_errors() {
     let huge = serde_json::to_string(&golden_bundle("ftsa"))
         .unwrap()
         .replacen(r#""epsilon":1,"#, r#""epsilon":1000000000000,"#, 1);
+    let crowded = edited(&golden_bundle("ftsa"), |r, _, _| {
+        let extra = r[0][0];
+        r[0].extend([extra; 5]);
+    });
     let cases = [
         (
             ragged,
@@ -293,6 +299,10 @@ fn unreadable_schedules_are_named_errors() {
         (
             huge,
             "ε = 1000000000000 needs more than the platform's 4 processors",
+        ),
+        (
+            crowded,
+            "task t0 has 7 replicas, more than the schedule's 4 processors",
         ),
     ];
     let bad = scratch("unreadable-bundle.json");

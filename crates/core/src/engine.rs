@@ -2,9 +2,10 @@
 //! arrival caches, used by every configuration of the list-scheduling
 //! pipeline.
 //!
-//! The engine *borrows* its state — the growing [`Schedule`] plus the
-//! per-processor ready times `r(P_j)` and the flat per-(edge, processor)
-//! arrival cache — from a [`crate::workspace::ScheduleWorkspace`], so
+//! The engine *borrows* its state — the growing [`Schedule`], the
+//! placement log, the per-processor ready times `r(P_j)` and the flat
+//! per-(edge, processor) arrival cache — from a
+//! [`crate::workspace::ScheduleWorkspace`], so
 //! repeated runs reuse every buffer and the steady state allocates
 //! nothing. It implements the arrival terms of equations (1) and (3):
 //!
@@ -72,6 +73,9 @@ use taskgraph::{EdgeId, TaskId};
 pub(crate) struct Engine<'a> {
     pub inst: &'a Instance,
     pub sched: &'a mut Schedule,
+    /// Every placement's `(task, replica index)`, in placement order;
+    /// the pipeline builds the schedule's per-processor order from it.
+    log: &'a mut Vec<(TaskId, u32)>,
     /// `r(P_j)` on the optimistic timeline.
     pub ready_lb: &'a mut [f64],
     /// `r(P_j)` on the pessimistic timeline.
@@ -87,10 +91,11 @@ pub(crate) struct Engine<'a> {
 impl<'a> Engine<'a> {
     /// Wraps freshly reset workspace buffers. `ready_lb`/`ready_ub` must
     /// be zeroed at length `m`; `arrive_lb` must be `+∞`-filled at
-    /// length `e · m`; `sched` must be an empty skeleton.
+    /// length `e · m`; `sched` must be an empty skeleton and `log` empty.
     pub fn new(
         inst: &'a Instance,
         sched: &'a mut Schedule,
+        log: &'a mut Vec<(TaskId, u32)>,
         ready_lb: &'a mut [f64],
         ready_ub: &'a mut [f64],
         arrive_lb: &'a mut [f64],
@@ -101,6 +106,7 @@ impl<'a> Engine<'a> {
         Engine {
             inst,
             sched,
+            log,
             ready_lb,
             ready_ub,
             arrive_lb,
@@ -208,7 +214,7 @@ impl<'a> Engine<'a> {
 
     /// Places a replica with explicit times (matched-communication
     /// placement computes them from its selected senders). Updates ready
-    /// times and placement order; outgoing-edge folds are deferred to
+    /// times and logs the placement; outgoing-edge folds are deferred to
     /// [`Engine::flush_out_edges`].
     pub fn place_with_times_deferred(
         &mut self,
@@ -228,7 +234,8 @@ impl<'a> Engine<'a> {
             start_ub,
             finish_ub,
         };
-        let idx = self.sched.push_replica(t, j, rep);
+        let idx = self.sched.replicas.push(t, rep);
+        self.log.push((t, idx as u32));
         self.ready_lb[j] = finish_lb;
         self.ready_ub[j] = finish_ub;
         idx

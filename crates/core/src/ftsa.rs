@@ -123,8 +123,8 @@ mod tests {
         for j in 0..s.num_procs() {
             let mut last_lb = 0.0f64;
             let mut last_ub = 0.0f64;
-            for (t, k) in s.proc_order(j) {
-                let r = s.replicas_of(t)[k];
+            for &(t, k) in s.proc_order(j) {
+                let r = s.replicas_of(t)[k as usize];
                 assert!(r.start_lb >= last_lb - 1e-9);
                 assert!(r.start_ub >= last_ub - 1e-9);
                 last_lb = r.finish_lb;

@@ -215,15 +215,6 @@ impl Algorithm {
         Algorithm::FtbarMatched,
     ];
 
-    /// The four algorithms evaluated in the paper, whose schedules are
-    /// pinned bit-for-bit by the golden suite.
-    pub const PAPER: [Algorithm; 4] = [
-        Algorithm::Ftsa,
-        Algorithm::McFtsaGreedy,
-        Algorithm::McFtsaBottleneck,
-        Algorithm::Ftbar,
-    ];
-
     /// Short display name used in experiment tables.
     pub fn name(self) -> &'static str {
         match self {
@@ -425,11 +416,6 @@ mod tests {
         }
         assert!("nope".parse::<Algorithm>().is_err());
         assert_eq!(format!("{}", Algorithm::FtbarMatched), "MC-FTBAR");
-    }
-
-    #[test]
-    fn all_contains_paper_prefix() {
-        assert_eq!(&Algorithm::ALL[..4], &Algorithm::PAPER[..]);
     }
 
     #[test]

@@ -457,6 +457,7 @@ impl ListScheduler {
 
         let ScheduleWorkspace {
             sched,
+            log,
             ready_lb,
             ready_ub,
             arrive_lb,
@@ -516,7 +517,7 @@ impl ListScheduler {
             }
         };
 
-        let mut eng = Engine::new(inst, sched, ready_lb, ready_ub, arrive_lb);
+        let mut eng = Engine::new(inst, sched, log, ready_lb, ready_ub, arrive_lb);
 
         while let Some((t, suggested)) = select_next(
             &mut sel, &eng, alpha, free, token, pressure, bl, replicas, row, chosen, sweep,
@@ -652,6 +653,7 @@ impl ListScheduler {
                 rng,
             );
         }
+        sched.order.rebuild(m, log, &sched.replicas);
         Ok(())
     }
 }
@@ -685,33 +687,17 @@ fn select_next(
                 if free.is_empty() {
                     return None;
                 }
-                // Exhaustive reference sweep: every free task re-runs
-                // the full σ-selection every step. The winning set is
-                // kept in `chosen` by swapping the two scratch buffers.
-                let mut best: Option<(usize, f64, u64)> = None;
-                for (fi, &t) in free.iter().enumerate() {
-                    eng.arrival_row_lb(t, row);
-                    select_smallest_into(
-                        m,
-                        replicas,
-                        |j| {
-                            let start = row[j].max(eng.ready_lb[j]);
-                            start + s_latest[t.index()] - r
-                        },
-                        sweep,
-                    );
-                    let urgency = sweep.last().expect("replicas >= 1").1;
-                    let tok = token[t.index()];
-                    let better = match &best {
-                        None => true,
-                        Some((_, u, bt)) => urgency > *u || (urgency == *u && tok > *bt),
-                    };
-                    if better {
-                        best = Some((fi, urgency, tok));
-                        std::mem::swap(chosen, sweep);
-                    }
-                }
-                let (fi, _, _) = best.expect("free list nonempty");
+                let fi = exhaustive_argmax(
+                    eng,
+                    free,
+                    token,
+                    s_latest,
+                    replicas,
+                    r,
+                    row,
+                    sweep,
+                    Some(chosen),
+                );
                 return Some((free.swap_remove(fi), true));
             }
             // Heap-driven selection, three phases (see the workspace
@@ -1000,31 +986,11 @@ fn select_next(
                 // argmax cross-check (debug builds only).
                 #[cfg(debug_assertions)]
                 {
-                    let mut xbest: Option<(TaskId, f64, u64)> = None;
-                    for &ft in free.iter() {
-                        eng.arrival_row_lb(ft, row);
-                        select_smallest_into(
-                            m,
-                            replicas,
-                            |j| {
-                                let start = row[j].max(eng.ready_lb[j]);
-                                start + s_latest[ft.index()] - r
-                            },
-                            sweep,
-                        );
-                        let urgency = sweep.last().expect("replicas >= 1").1;
-                        let tok = token[ft.index()];
-                        let better = match &xbest {
-                            None => true,
-                            Some((_, u, bt)) => urgency > *u || (urgency == *u && tok > *bt),
-                        };
-                        if better {
-                            xbest = Some((ft, urgency, tok));
-                        }
-                    }
-                    let (xt, _, _) = xbest.expect("free list nonempty");
+                    let xi = exhaustive_argmax(
+                        eng, free, token, s_latest, replicas, r, row, sweep, None,
+                    );
                     assert_eq!(
-                        xt, t,
+                        free[xi], t,
                         "heap-driven pressure selection diverged from the exhaustive argmax"
                     );
                 }
@@ -1037,6 +1003,52 @@ fn select_next(
             Some((t, true))
         }
     }
+}
+
+/// The exhaustive `(σ, token)` argmax over the free list, FTBAR's
+/// reference sweep: every free task re-runs the full σ-selection against
+/// the current schedule length `r`. Returns the winner's index in
+/// `free`; with `chosen` given, the winner's σ set is left there (the
+/// two scratch buffers swap whenever the lead changes).
+#[allow(clippy::too_many_arguments)]
+fn exhaustive_argmax(
+    eng: &Engine<'_>,
+    free: &[TaskId],
+    token: &[u64],
+    s_latest: &[f64],
+    replicas: usize,
+    r: f64,
+    row: &mut Vec<f64>,
+    sweep: &mut Vec<(usize, f64)>,
+    mut chosen: Option<&mut Vec<(usize, f64)>>,
+) -> usize {
+    let m = eng.inst.num_procs();
+    let mut best: Option<(usize, f64, u64)> = None;
+    for (fi, &t) in free.iter().enumerate() {
+        eng.arrival_row_lb(t, row);
+        select_smallest_into(
+            m,
+            replicas,
+            |j| {
+                let start = row[j].max(eng.ready_lb[j]);
+                start + s_latest[t.index()] - r
+            },
+            sweep,
+        );
+        let urgency = sweep.last().expect("replicas >= 1").1;
+        let tok = token[t.index()];
+        let better = match &best {
+            None => true,
+            Some((_, u, bt)) => urgency > *u || (urgency == *u && tok > *bt),
+        };
+        if better {
+            best = Some((fi, urgency, tok));
+            if let Some(chosen) = chosen.as_deref_mut() {
+                std::mem::swap(chosen, sweep);
+            }
+        }
+    }
+    best.expect("free list nonempty").0
 }
 
 /// Refreshes successor priorities after `t` was placed and releases the

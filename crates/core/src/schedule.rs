@@ -26,11 +26,13 @@
 //! can push a task past the stride; the arena then doubles the stride
 //! and repacks once (amortized — duplication beyond `ε + 1` is rare).
 //!
-//! Per-processor placement order uses a grow-in-place linked arena
-//! ([`ProcOrder`]): one node pool plus per-processor head/tail cursors,
-//! so appends never relocate earlier entries and a schedule performs no
-//! per-processor allocations. Consumers that want a flat per-processor
-//! slice (the crash simulator) materialize it once into their workspace.
+//! The per-processor placement order ([`ProcOrder`]) is CSR: `m + 1`
+//! offsets and one `(task, replica index)` vector, so
+//! [`Schedule::proc_order`] is an O(1) slice view. The pipeline logs
+//! each placement during a run and builds the CSR once at its end, by a
+//! stable counting sort on the placed replicas' processors; `validate`,
+//! the JSON writer, the streaming driver and the crash replay read the
+//! slices in place.
 //!
 //! The matched table ([`CommSelection::Matched`]) holds exactly `ε + 1`
 //! `(sender, receiver)` replica pairs per edge (Proposition 4.3), so it
@@ -38,9 +40,8 @@
 //! the matcher selected them, start at `e·(ε+1)`.
 //!
 //! All three serialize in the human-readable nested form (`Vec<Vec<…>>`,
-//! one pair list per edge) and the arenas compare ([`PartialEq`]) by
-//! logical content, so stride padding and node-pool interleaving never
-//! leak.
+//! one pair list per edge), and the replica arena compares
+//! ([`PartialEq`]) by logical content, so stride padding never leaks.
 
 use platform::ProcId;
 use serde::{Deserialize, Serialize};
@@ -150,87 +151,47 @@ impl PartialEq for ReplicaArena {
     }
 }
 
-const NONE: u32 = u32::MAX;
-
-#[derive(Debug, Clone, Copy)]
-struct OrderNode {
-    task: TaskId,
-    rep: u32,
-    next: u32,
-}
-
-/// Grow-in-place per-processor placement order: a single node pool with
-/// per-processor linked chains. Appending is O(1), never moves earlier
-/// entries, and performs no per-processor allocation.
-#[derive(Debug, Clone, Default)]
+/// Per-processor placement order in CSR form: processor `j`'s
+/// `(task, replica index)` pairs, in placement order, are
+/// `items[off[j]..off[j + 1]]`. See the [module docs](self).
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct ProcOrder {
-    head: Vec<u32>,
-    tail: Vec<u32>,
-    count: Vec<u32>,
-    nodes: Vec<OrderNode>,
+    /// `m + 1` offsets into `items`.
+    off: Vec<u32>,
+    items: Vec<(TaskId, u32)>,
 }
 
 impl ProcOrder {
-    /// Clears and resizes for `num_procs` processors, reusing buffers.
-    pub(crate) fn reset(&mut self, num_procs: usize) {
-        self.head.clear();
-        self.head.resize(num_procs, NONE);
-        self.tail.clear();
-        self.tail.resize(num_procs, NONE);
-        self.count.clear();
-        self.count.resize(num_procs, 0);
-        self.nodes.clear();
-    }
-
-    /// Number of processors.
-    #[inline]
-    pub fn num_procs(&self) -> usize {
-        self.head.len()
-    }
-
-    /// Number of replicas placed on processor `j`.
-    #[inline]
-    pub fn count(&self, j: usize) -> usize {
-        self.count[j] as usize
-    }
-
-    /// Appends `(task, replica index)` to processor `j`'s sequence.
-    pub(crate) fn push(&mut self, j: usize, t: TaskId, k: usize) {
-        let idx = self.nodes.len() as u32;
-        self.nodes.push(OrderNode {
-            task: t,
-            rep: k as u32,
-            next: NONE,
-        });
-        if self.tail[j] == NONE {
-            self.head[j] = idx;
-        } else {
-            self.nodes[self.tail[j] as usize].next = idx;
+    /// Rebuilds the order from `log`, a run's placements in the order
+    /// they happened, by a stable counting sort on each replica's
+    /// processor (read from `replicas`). `off` first counts, then serves
+    /// as the write cursor, then shifts back into offsets, so the sort
+    /// needs no scratch and reuses both buffers.
+    pub(crate) fn rebuild(
+        &mut self,
+        num_procs: usize,
+        log: &[(TaskId, u32)],
+        replicas: &ReplicaArena,
+    ) {
+        let proc_of = |(t, k): (TaskId, u32)| replicas.slice(t)[k as usize].proc.index();
+        self.off.clear();
+        self.off.resize(num_procs + 1, 0);
+        for &e in log {
+            self.off[proc_of(e) + 1] += 1;
         }
-        self.tail[j] = idx;
-        self.count[j] += 1;
-    }
-
-    /// Iterates processor `j`'s placements in execution order.
-    pub fn iter(&self, j: usize) -> impl Iterator<Item = (TaskId, usize)> + '_ {
-        let mut cur = self.head[j];
-        std::iter::from_fn(move || {
-            if cur == NONE {
-                return None;
-            }
-            let n = self.nodes[cur as usize];
-            cur = n.next;
-            Some((n.task, n.rep as usize))
-        })
-    }
-}
-
-impl PartialEq for ProcOrder {
-    /// Logical equality: same per-processor sequences, regardless of how
-    /// the chains interleave inside the node pool.
-    fn eq(&self, other: &Self) -> bool {
-        self.head.len() == other.head.len()
-            && (0..self.head.len()).all(|j| self.iter(j).eq(other.iter(j)))
+        for j in 0..num_procs {
+            self.off[j + 1] += self.off[j];
+        }
+        self.items.clear();
+        self.items.resize(log.len(), (TaskId(0), 0));
+        for &e in log {
+            let cursor = &mut self.off[proc_of(e)];
+            self.items[*cursor as usize] = e;
+            *cursor += 1;
+        }
+        // Each cursor stopped at the start of the next processor's run.
+        self.off.copy_within(0..num_procs, 1);
+        self.off[0] = 0;
     }
 }
 
@@ -254,7 +215,7 @@ pub struct Schedule {
     /// `ε + 1` are the *primary* replicas on pairwise distinct
     /// processors; FTBAR's minimize-start-time pass may append extras.
     pub(crate) replicas: ReplicaArena,
-    /// Per processor: placement order as `(task, replica index)` chains.
+    /// Per processor: placement order as `(task, replica index)` pairs.
     pub(crate) order: ProcOrder,
     /// Communication orchestration.
     pub comm: CommSelection,
@@ -264,33 +225,24 @@ pub struct Schedule {
 
 impl Default for Schedule {
     fn default() -> Self {
-        Schedule::empty(0, 0, 0)
+        Schedule {
+            epsilon: 0,
+            replicas: ReplicaArena::default(),
+            order: ProcOrder::default(),
+            comm: CommSelection::AllToAll,
+            schedule_order: Vec::new(),
+        }
     }
 }
 
 impl Schedule {
-    /// Creates an empty schedule skeleton with `ε + 1` replica slots
-    /// reserved per task.
-    pub(crate) fn empty(num_tasks: usize, num_procs: usize, epsilon: usize) -> Self {
-        let mut replicas = ReplicaArena::default();
-        replicas.reset(num_tasks, epsilon + 1);
-        let mut order = ProcOrder::default();
-        order.reset(num_procs);
-        Schedule {
-            epsilon,
-            replicas,
-            order,
-            comm: CommSelection::AllToAll,
-            schedule_order: Vec::with_capacity(num_tasks),
-        }
-    }
-
-    /// Clears the schedule in place for reuse, keeping every buffer's
-    /// capacity (the zero-allocation steady-state contract).
-    pub(crate) fn reset(&mut self, num_tasks: usize, num_procs: usize, epsilon: usize) {
+    /// Clears the replicas in place for a run over `num_tasks` tasks,
+    /// keeping every buffer's capacity (the zero-allocation steady-state
+    /// contract). The order keeps the last run's until the pipeline
+    /// rebuilds it at the end of the next.
+    pub(crate) fn reset(&mut self, num_tasks: usize, epsilon: usize) {
         self.epsilon = epsilon;
         self.replicas.reset(num_tasks, epsilon + 1);
-        self.order.reset(num_procs);
         self.schedule_order.clear();
     }
 
@@ -299,7 +251,7 @@ impl Schedule {
     pub fn from_parts(
         epsilon: usize,
         replica_lists: Vec<Vec<Replica>>,
-        proc_order: Vec<Vec<(TaskId, usize)>>,
+        proc_order: Vec<Vec<(TaskId, u32)>>,
         comm: CommSelection,
         schedule_order: Vec<TaskId>,
     ) -> Self {
@@ -313,13 +265,15 @@ impl Schedule {
                 replicas.push(TaskId(t as u32), r);
             }
         }
-        let mut order = ProcOrder::default();
-        order.reset(proc_order.len());
-        for (j, seq) in proc_order.iter().enumerate() {
-            for &(t, k) in seq {
-                order.push(j, t, k);
-            }
-        }
+        let mut off = vec![0];
+        off.extend(proc_order.iter().scan(0, |n, seq| {
+            *n += seq.len() as u32;
+            Some(*n)
+        }));
+        let order = ProcOrder {
+            off,
+            items: proc_order.concat(),
+        };
         Schedule {
             epsilon,
             replicas,
@@ -338,7 +292,7 @@ impl Schedule {
     /// Number of processors the schedule spans.
     #[inline]
     pub fn num_procs(&self) -> usize {
-        self.order.num_procs()
+        self.order.off.len().saturating_sub(1)
     }
 
     /// Replicas of task `t`.
@@ -366,16 +320,9 @@ impl Schedule {
 
     /// Placement order of processor `j` as `(task, replica index)` pairs.
     #[inline]
-    pub fn proc_order(&self, j: usize) -> impl Iterator<Item = (TaskId, usize)> + '_ {
-        self.order.iter(j)
-    }
-
-    /// Appends a replica of `t` on processor `j`, recording it in the
-    /// placement order; returns the replica index.
-    pub(crate) fn push_replica(&mut self, t: TaskId, j: usize, r: Replica) -> usize {
-        let k = self.replicas.push(t, r);
-        self.order.push(j, t, k);
-        k
+    pub fn proc_order(&self, j: usize) -> &[(TaskId, u32)] {
+        let off = &self.order.off;
+        &self.order.items[off[j] as usize..off[j + 1] as usize]
     }
 
     /// The latency lower bound `M*` (equation 2): the makespan achieved
@@ -469,9 +416,7 @@ impl Schedule {
 
     /// Number of processors that execute at least one replica.
     pub fn procs_used(&self) -> usize {
-        (0..self.order.num_procs())
-            .filter(|&j| self.order.count(j) != 0)
-            .count()
+        self.order.off.windows(2).filter(|w| w[0] != w[1]).count()
     }
 }
 
@@ -503,9 +448,9 @@ impl Serialize for Schedule {
         w.seq(self.replicas.iter());
         w.field("proc_order");
         w.begin_array();
-        for j in 0..self.order.num_procs() {
+        for j in 0..self.num_procs() {
             w.element();
-            w.seq(self.order.iter(j).map(|(t, k)| (t, k as u32)));
+            w.seq(self.proc_order(j).iter());
         }
         w.end_array();
         w.field("comm");
@@ -540,13 +485,21 @@ impl Deserialize for Schedule {
                 CommSelection::Matched(edges.concat())
             }
         };
+        // The arena strides by the longest list, so a list longer than
+        // the processor count (which `validate` rejects anyway) is
+        // refused before it sizes one.
+        let m = repr.proc_order.len();
+        if let Some(t) = repr.replicas.iter().position(|reps| reps.len() > m) {
+            return Err(serde::Error::custom(format!(
+                "task {} has {} replicas, more than the schedule's {m} processors",
+                TaskId(t as u32),
+                repr.replicas[t].len()
+            )));
+        }
         Ok(Schedule::from_parts(
             repr.epsilon,
             repr.replicas,
-            repr.proc_order
-                .into_iter()
-                .map(|seq| seq.into_iter().map(|(t, k)| (t, k as usize)).collect())
-                .collect(),
+            repr.proc_order,
             comm,
             repr.schedule_order,
         ))
@@ -650,21 +603,28 @@ mod tests {
 
     #[test]
     fn proc_order_chains_interleaved_pushes() {
-        let mut o = ProcOrder::default();
-        o.reset(2);
-        o.push(0, TaskId(0), 0);
-        o.push(1, TaskId(0), 1);
-        o.push(0, TaskId(1), 0);
-        o.push(1, TaskId(2), 0);
+        // An interleaved log over three processors, P1 left idle: the
+        // rebuild keeps each processor's placements in log order.
+        let mut s = Schedule::default();
+        s.reset(3, 1);
+        let mut log = Vec::new();
+        for (t, j) in [(0, 0), (0, 2), (1, 0), (2, 2), (1, 2)] {
+            let k = s.replicas.push(TaskId(t), mk_replica(j, 0.0, 1.0));
+            log.push((TaskId(t), k as u32));
+        }
+        s.order.rebuild(3, &log, &s.replicas);
+        assert_eq!(s.num_procs(), 3);
+        assert_eq!(s.proc_order(0), [(TaskId(0), 0), (TaskId(1), 0)]);
+        assert_eq!(s.proc_order(1), []);
         assert_eq!(
-            o.iter(0).collect::<Vec<_>>(),
-            vec![(TaskId(0), 0), (TaskId(1), 0)]
+            s.proc_order(2),
+            [(TaskId(0), 1), (TaskId(2), 0), (TaskId(1), 1)]
         );
-        assert_eq!(
-            o.iter(1).collect::<Vec<_>>(),
-            vec![(TaskId(0), 1), (TaskId(2), 0)]
-        );
-        assert_eq!(o.count(0), 2);
+        assert_eq!(s.procs_used(), 2);
+        // A rebuild over a shorter log reuses the buffers.
+        s.order.rebuild(3, &log[..1], &s.replicas);
+        assert_eq!(s.proc_order(0), [(TaskId(0), 0)]);
+        assert_eq!(s.proc_order(2), []);
     }
 
     #[test]
@@ -674,9 +634,6 @@ mod tests {
         let back: Schedule = serde_json::from_str(&json).unwrap();
         assert_eq!(back, s);
         assert_eq!(back.replicas_of(TaskId(1))[1].proc, ProcId(2));
-        assert_eq!(
-            back.proc_order(1).collect::<Vec<_>>(),
-            vec![(TaskId(0), 1), (TaskId(1), 0)]
-        );
+        assert_eq!(back.proc_order(1), [(TaskId(0), 1), (TaskId(1), 0)]);
     }
 }

@@ -124,11 +124,12 @@ pub fn validate(inst: &Instance, sched: &Schedule) -> Result<(), ScheduleError> 
     for j in 0..m {
         let mut last_lb = f64::NEG_INFINITY;
         let mut last_ub = f64::NEG_INFINITY;
-        for (t, k) in sched.proc_order(j) {
+        for &(t, k) in sched.proc_order(j) {
             if t.index() >= v {
                 return fail(format!("proc P{j} places unknown task {t}"));
             }
             let reps = sched.replicas_of(t);
+            let k = k as usize;
             if k >= reps.len() {
                 return fail(format!("proc P{j} references missing replica {k} of {t}"));
             }

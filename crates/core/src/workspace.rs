@@ -19,7 +19,13 @@
 //!   instance allocates once and then plateaus again.
 //! * The produced [`Schedule`] stays owned by the workspace; `run_into`
 //!   returns `&Schedule`. Clone it (or [`ScheduleWorkspace::take_schedule`])
-//!   to keep it beyond the next run.
+//!   to keep it beyond the next run. After a run that returned `Err`, the
+//!   workspace's schedule is not a result: its replicas are partial and
+//!   its per-processor order is the previous run's.
+//! * The per-processor order is written once per run. Every placement
+//!   appends `(task, replica index)` to a placement log, and the run's
+//!   end sorts the log by processor (a stable counting sort) into the
+//!   schedule's CSR order. Nothing reads the order during a run.
 //! * MC-FTSA's steady state is allocation-free too, for both selectors:
 //!   the greedy scratch and the bottleneck selector's binary-search
 //!   working set (thresholds, residual CSR adjacency, Hopcroft–Karp
@@ -253,6 +259,9 @@ impl PressureCache {
 pub struct ScheduleWorkspace {
     /// The output schedule (arenas reused across runs).
     pub(crate) sched: Schedule,
+    /// Engine: the run's placements as `(task, replica index)`, in
+    /// placement order (see the [module docs](self)).
+    pub(crate) log: Vec<(TaskId, u32)>,
     /// Engine: optimistic per-processor ready times.
     pub(crate) ready_lb: Vec<f64>,
     /// Engine: pessimistic per-processor ready times.
@@ -331,7 +340,8 @@ impl ScheduleWorkspace {
         let dag = &inst.dag;
         let v = dag.num_tasks();
         let m = inst.num_procs();
-        self.sched.reset(v, m, epsilon);
+        self.sched.reset(v, epsilon);
+        self.log.clear();
         self.ready_lb.clear();
         self.ready_ub.clear();
         match floors {

@@ -209,11 +209,6 @@ impl FailureScenario {
             .map(|&(_, t)| t)
     }
 
-    /// Whether `p` fails (at any time) in this scenario.
-    pub fn fails(&self, p: ProcId) -> bool {
-        self.failure_time(p).is_some()
-    }
-
     /// Iterates over `(processor, time)` pairs.
     pub fn iter(&self) -> impl Iterator<Item = (ProcId, f64)> + '_ {
         self.failures.iter().copied()
@@ -404,7 +399,7 @@ mod tests {
     fn empty_scenario() {
         let s = FailureScenario::none();
         assert!(s.is_empty());
-        assert!(!s.fails(ProcId(0)));
+        assert!(s.failure_time(ProcId(0)).is_none());
     }
 
     #[test]
@@ -425,7 +420,7 @@ mod tests {
         let s = FailureScenario::uniform(&mut rng, 4, 4);
         assert_eq!(s.len(), 4);
         for p in 0..4 {
-            assert!(s.fails(ProcId(p)));
+            assert!(s.failure_time(ProcId(p)).is_some());
         }
     }
 

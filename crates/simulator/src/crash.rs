@@ -146,15 +146,21 @@
 //!
 //! # Memory layout / zero-allocation replications
 //!
-//! All replay state lives in a [`CrashWorkspace`] as flat arrays indexed
-//! by a dense *global replica id* (`rep_off[t] + k`) and, for the event
-//! loop, a dense *(replica, predecessor-slot)* id (`slot_off[rid] +
-//! slot`) — no nested `Vec<Vec<…>>`, no per-replica allocation; each
-//! sender port keeps one FIFO that is cleared, not freed. The slot tables
-//! are built only when the event loop runs. A matched table is copied as
-//! it is, and a receiver's sender found by scanning its edge's pairs.
-//! Reusing the workspace across runs makes everything after the first
-//! replication allocation-free:
+//! The replay reads the schedule in place: each processor's queue is a
+//! [`Schedule::proc_order`] slice, a receiver's matched sender is found
+//! by scanning its edge's pairs in the schedule's matched table, and a
+//! receiver's slot on edge `eid` is `dag.pred_slot(eid)` less the start
+//! of its task's [`taskgraph::Dag::pred_range`]. All the state the replay
+//! owns lives in a [`CrashWorkspace`] as flat arrays indexed by a dense
+//! *global replica id* (`rep_off[t] + k`) and, for the event loop, a
+//! dense *(replica, predecessor-slot)* id (`slot_off[rid] + slot`) — no
+//! nested `Vec<Vec<…>>`, no per-replica allocation; each sender port
+//! keeps one FIFO that is cleared, not freed. `rep_pos` holds each
+//! replica's position within its processor's queue and `ptr` each
+//! processor's next position, in both engines. `prepare` rebuilds
+//! `rep_off`, `rep_proc` and `rep_pos` per call; `slot_off` is built
+//! only when the event loop runs. Reusing the workspace across runs
+//! makes everything after the first replication allocation-free:
 //! [`simulate_replication_outcomes_into`] is the sequential
 //! zero-allocation driver (pinned by the root `tests/alloc_counter.rs`
 //! suite), and the parallel campaign ([`summarize_replications`]) gives
@@ -180,16 +186,6 @@ pub enum FallbackPolicy {
     Rerouted,
 }
 
-/// Status of a replica at the end of the simulation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ReplicaStatus {
-    /// Completed successfully.
-    Done,
-    /// Never completed: hosted on a failed processor, killed mid-run,
-    /// starved of an input, or blocked.
-    Dead,
-}
-
 /// Whether the application survived the scenario.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SimOutcome {
@@ -210,10 +206,10 @@ pub struct SimResult {
     pub latency: f64,
     /// Outcome of the run.
     pub outcome: SimOutcome,
-    /// Per task, per replica: final status.
-    pub status: Vec<Vec<ReplicaStatus>>,
-    /// Per task, per replica: simulated `(start, finish)`; `None` for
-    /// dead replicas.
+    /// Per task, per replica: simulated `(start, finish)` of a replica
+    /// that ran to completion; `None` for one that never did (hosted on
+    /// a failed processor, killed mid-run, starved of an input, or
+    /// blocked).
     pub times: Vec<Vec<Option<(f64, f64)>>>,
 }
 
@@ -343,36 +339,28 @@ pub struct CrashWorkspace {
     rep_off: Vec<u32>,
     /// Hosting processor per global replica id.
     rep_proc: Vec<u32>,
-    /// Index of each replica in `order_items`.
+    /// Position of each replica within its processor's queue
+    /// ([`Schedule::proc_order`]).
     rep_pos: Vec<u32>,
     /// Whether the queues list each replica exactly once, on its own
     /// processor, and `schedule_order` names real tasks: the static
     /// pass's precondition.
     pass_fits: bool,
-    /// Matched schedules: a copy of the schedule's matched table.
-    pairs: Vec<(u32, u32)>,
-    /// `ε + 1`: primary replicas per task, and matched pairs per edge.
-    primaries: usize,
-    /// Flattened per-processor placement order (prefix offsets + items).
-    order_off: Vec<u32>,
-    order_items: Vec<(TaskId, u32)>,
     matched: bool,
     rerouted: bool,
     // --- event-loop shape (built on demand by `prepare_loop`) ------------
-    /// Whether `slot_off` and `slot_of_edge` match the prepared schedule.
+    /// Whether `slot_off` matches the prepared schedule.
     loop_ready: bool,
     /// Prefix sums of per-replica predecessor-slot counts.
     slot_off: Vec<u32>,
-    /// Slot of each edge within its destination's predecessor list.
-    slot_of_edge: Vec<u32>,
     // --- per-run state ---------------------------------------------------
     fail_at: Vec<f64>,
     /// Per processor: release floor of its first replica.
     floor: Vec<f64>,
     phase: Vec<Phase>,
     times: Vec<Option<(f64, f64)>>,
-    /// Per processor: next queue position (an index into `order_items`
-    /// for the pass, an offset within the queue for the loop).
+    /// Per processor: the next position within its queue, in both
+    /// engines.
     ptr: Vec<u32>,
     free_at: Vec<f64>,
     proc_dead: Vec<bool>,
@@ -449,27 +437,16 @@ impl CrashWorkspace {
         self.slot_off[rid] as usize + slot
     }
 
-    /// The matched sender of receiver replica `d` on edge `eid`, or
-    /// `NO_SRC` when no pair names it.
-    #[inline]
-    fn matched_src_of(&self, eid: usize, d: usize) -> u32 {
-        let pairs = &self.pairs[eid * self.primaries..][..self.primaries];
-        let pair = pairs.iter().find(|&&(_, r)| r as usize == d);
-        pair.map_or(NO_SRC, |&(s, _)| s)
-    }
-
-    /// Rebuilds the shape tables for `(inst, sched)` — O(v + e + R)
-    /// overwrites, allocation-free once the buffers are warm.
+    /// Rebuilds the shape tables for `(inst, sched)` — O(v + R)
+    /// overwrites, allocation-free once the buffers are warm. The replay
+    /// reads the queues, the matched table and the DAG's pred slots from
+    /// `sched` and `inst` in place, so every replay after it must be
+    /// given the same two.
     pub(crate) fn prepare(&mut self, inst: &Instance, sched: &Schedule, policy: FallbackPolicy) {
         let dag = &inst.dag;
         let m = inst.num_procs();
 
-        self.pairs.clear();
-        if let CommSelection::Matched(pairs) = &sched.comm {
-            self.pairs.extend_from_slice(pairs);
-        }
         self.matched = matches!(sched.comm, CommSelection::Matched(_));
-        self.primaries = sched.epsilon + 1;
         self.rerouted = self.matched && policy == FallbackPolicy::Rerouted;
         self.loop_ready = false;
 
@@ -483,33 +460,24 @@ impl CrashWorkspace {
             self.rep_off.push(self.rep_proc.len() as u32);
         }
 
-        self.order_off.clear();
-        self.order_off.push(0);
-        self.order_items.clear();
-        for j in 0..m {
-            self.order_items
-                .extend(sched.proc_order(j).map(|(t, k)| (t, k as u32)));
-            self.order_off.push(self.order_items.len() as u32);
-        }
-
         let v = dag.num_tasks();
+        let queued: usize = (0..m).map(|j| sched.proc_order(j).len()).sum();
         self.rep_pos.clear();
         self.rep_pos.resize(self.rep_proc.len(), u32::MAX);
-        self.pass_fits = self.order_items.len() == self.rep_proc.len()
-            && sched.schedule_order.iter().all(|t| t.index() < v);
+        self.pass_fits =
+            queued == self.rep_proc.len() && sched.schedule_order.iter().all(|t| t.index() < v);
         for j in 0..m {
-            for idx in self.order_off[j]..self.order_off[j + 1] {
-                let (t, k) = self.order_items[idx as usize];
+            for (pos, &(t, k)) in sched.proc_order(j).iter().enumerate() {
                 let rid = self.rid(t, k as usize);
                 if self.rep_proc[rid] as usize != j || self.rep_pos[rid] != u32::MAX {
                     self.pass_fits = false;
                 }
-                self.rep_pos[rid] = idx;
+                self.rep_pos[rid] = pos as u32;
             }
         }
     }
 
-    /// Builds the event loop's slot tables for the prepared schedule,
+    /// Builds the event loop's slot table for the prepared schedule,
     /// once per [`prepare`](Self::prepare).
     fn prepare_loop(&mut self, inst: &Instance) {
         if self.loop_ready {
@@ -523,14 +491,6 @@ impl CrashWorkspace {
             for _ in 0..self.reps(t) {
                 let prev = *self.slot_off.last().expect("nonempty");
                 self.slot_off.push(prev + preds);
-            }
-        }
-
-        self.slot_of_edge.clear();
-        self.slot_of_edge.resize(dag.num_edges(), u32::MAX);
-        for t in dag.tasks() {
-            for (slot, &(_, eid)) in dag.preds(t).iter().enumerate() {
-                self.slot_of_edge[eid.index()] = slot as u32;
             }
         }
         self.loop_ready = true;
@@ -597,9 +557,7 @@ impl CrashWorkspace {
             if self.fail_at[j] <= 0.0 {
                 self.proc_dead[j] = true;
                 any_dead = true;
-                let (lo, hi) = (self.order_off[j] as usize, self.order_off[j + 1] as usize);
-                for idx in lo..hi {
-                    let (t, k) = self.order_items[idx];
+                for &(t, k) in sched.proc_order(j) {
                     let rid = self.rid(t, k as usize);
                     self.phase[rid] = Phase::Dead;
                 }
@@ -607,7 +565,7 @@ impl CrashWorkspace {
         }
         let timed = self.fail_at.iter().any(|&f| f > 0.0 && f < f64::INFINITY);
         if !timed && any_dead {
-            self.starve(inst);
+            self.starve(inst, sched);
         }
         loop {
             self.sweeps += 1;
@@ -627,7 +585,7 @@ impl CrashWorkspace {
     /// Time-0 deaths by starvation, in one pass over the topological
     /// order: a replica dies when every possible sender of one of its
     /// slots is dead (see [Replica states](self#replica-states)).
-    fn starve(&mut self, inst: &Instance) {
+    fn starve(&mut self, inst: &Instance, sched: &Schedule) {
         let dag = &inst.dag;
         for &t in dag.topological_order() {
             let lo = self.rep_off[t.index()] as usize;
@@ -639,7 +597,7 @@ impl CrashWorkspace {
                     let plo = self.rep_off[p.index()] as usize;
                     let phi = self.rep_off[p.index() + 1] as usize;
                     if self.matched && !self.rerouted {
-                        let src = self.matched_src_of(eid.index(), rid - lo);
+                        let src = matched_src_of(sched, eid.index(), rid - lo);
                         src != NO_SRC && self.phase[plo + src as usize] == Phase::Dead
                     } else {
                         plo < phi && self.phase[plo..phi].iter().all(|&ph| ph == Phase::Dead)
@@ -657,7 +615,12 @@ impl CrashWorkspace {
     fn sweep(&mut self, inst: &Instance, sched: &Schedule) -> bool {
         let m = inst.num_procs();
         for j in 0..m {
-            self.ptr[j] = self.order_off[j + usize::from(self.proc_dead[j])];
+            // A processor dead at time 0 starts past its queue's end.
+            self.ptr[j] = if self.proc_dead[j] {
+                sched.proc_order(j).len() as u32
+            } else {
+                0
+            };
         }
         self.free_at.copy_from_slice(&self.floor);
         self.stalled.clear();
@@ -666,35 +629,37 @@ impl CrashWorkspace {
         let mut moved = false;
         for &t in &sched.schedule_order {
             let lo = self.rep_off[t.index()] as usize;
-            let hi = (lo + self.primaries).min(self.rep_off[t.index() + 1] as usize);
+            let hi = (lo + sched.epsilon + 1).min(self.rep_off[t.index() + 1] as usize);
             for rid in lo..hi {
-                moved |= self.advance_to(inst, self.rep_proc[rid] as usize, self.rep_pos[rid]);
+                let j = self.rep_proc[rid] as usize;
+                moved |= self.advance_to(inst, sched, j, self.rep_pos[rid]);
             }
             for rid in lo..hi {
-                let end = self.rep_pos[rid] + 1;
-                moved |= self.advance_to(inst, self.rep_proc[rid] as usize, end);
+                let j = self.rep_proc[rid] as usize;
+                moved |= self.advance_to(inst, sched, j, self.rep_pos[rid] + 1);
             }
         }
         for j in 0..m {
-            moved |= self.advance_to(inst, j, self.order_off[j + 1]);
+            moved |= self.advance_to(inst, sched, j, sched.proc_order(j).len() as u32);
         }
         moved
     }
 
     /// Computes processor `j`'s queue up to position `end` (exclusive);
     /// returns whether a late sender's finish moved.
-    fn advance_to(&mut self, inst: &Instance, j: usize, end: u32) -> bool {
+    fn advance_to(&mut self, inst: &Instance, sched: &Schedule, j: usize, end: u32) -> bool {
+        let queue = sched.proc_order(j);
         let mut moved = false;
         while self.ptr[j] < end {
-            let idx = self.ptr[j] as usize;
+            let pos = self.ptr[j] as usize;
             self.ptr[j] += 1;
-            let (t, k) = self.order_items[idx];
+            let (t, k) = queue[pos];
             let rid = self.rid(t, k as usize);
             if self.phase[rid] == Phase::Dead {
                 continue;
             }
             let old = self.times[rid].map(|(_, f)| f);
-            let new = match self.inputs(inst, t, k as usize, j) {
+            let new = match self.inputs(inst, sched, t, k as usize, j) {
                 Inputs::Starved => {
                     self.phase[rid] = Phase::Dead;
                     continue;
@@ -706,12 +671,11 @@ impl CrashWorkspace {
                         // Fail-stop during (or before) this replica: it
                         // and everything after it on this queue are lost.
                         self.proc_dead[j] = true;
-                        for idx in idx..self.order_off[j + 1] as usize {
-                            let (t, k) = self.order_items[idx];
+                        for &(t, k) in &queue[pos..] {
                             let rid = self.rid(t, k as usize);
                             self.phase[rid] = Phase::Dead;
                         }
-                        self.ptr[j] = self.order_off[j + 1];
+                        self.ptr[j] = queue.len() as u32;
                         return moved;
                     }
                     self.free_at[j] = finish;
@@ -734,7 +698,14 @@ impl CrashWorkspace {
     /// Replica `k` of task `t` on processor `j`: the latest first arrival
     /// over its slots, or why it has none. Flags every live sender the
     /// sweep has not reached yet as late.
-    fn inputs(&mut self, inst: &Instance, t: TaskId, k: usize, j: usize) -> Inputs {
+    fn inputs(
+        &mut self,
+        inst: &Instance,
+        sched: &Schedule,
+        t: TaskId,
+        k: usize,
+        j: usize,
+    ) -> Inputs {
         let dag = &inst.dag;
         let mut ready = 0.0f64;
         let mut blocked = false;
@@ -742,7 +713,7 @@ impl CrashWorkspace {
             let plo = self.rep_off[p.index()] as usize;
             let phi = self.rep_off[p.index() + 1] as usize;
             let (lo, hi) = if self.matched {
-                let src = self.matched_src_of(eid.index(), k);
+                let src = matched_src_of(sched, eid.index(), k);
                 if src == NO_SRC {
                     if !self.rerouted {
                         blocked = true; // strict: never fed, never starved
@@ -816,7 +787,7 @@ impl CrashWorkspace {
         self.prepare_loop(inst);
         self.reset_common(inst.num_procs(), scenario, floors);
         self.reset_loop(inst, sched, capacity);
-        self.run(inst);
+        self.run(inst, sched);
     }
 
     /// Resets the event loop's own per-run state, with ports of
@@ -847,7 +818,7 @@ impl CrashWorkspace {
             for rep in 0..reps {
                 for &(p, eid) in preds {
                     let senders = if self.matched && !self.rerouted {
-                        u32::from(self.matched_src_of(eid.index(), rep) != NO_SRC)
+                        u32::from(matched_src_of(sched, eid.index(), rep) != NO_SRC)
                     } else {
                         sched.replicas_of(p).len() as u32
                     };
@@ -874,7 +845,7 @@ impl CrashWorkspace {
     /// Kill cascade: marks replicas dead, propagates starvation, flags
     /// matched-dead slots in rerouted mode, and queues the touched
     /// processors for re-advancement.
-    fn kill_cascade(&mut self, dag: &taskgraph::Dag) {
+    fn kill_cascade(&mut self, dag: &taskgraph::Dag, sched: &Schedule) {
         while let Some((t, k)) = self.kill_work.pop() {
             let rid = self.rid(t, k as usize);
             if self.phase[rid] != Phase::Waiting {
@@ -883,15 +854,14 @@ impl CrashWorkspace {
             self.phase[rid] = Phase::Dead;
             self.pending_advance.push(self.rep_proc[rid]);
             for &(s, eid) in dag.succs(t) {
-                let slot = self.slot_of_edge[eid.index()] as usize;
+                let slot = dag.pred_slot(eid) - dag.pred_range(s).start;
                 // Who loses a potential sender? Only the receivers `t`'s
                 // replica is matched to, under strict delivery; every
                 // receiver under all-to-all and rerouted delivery, the
                 // latter also flagging the matched ones for fallback.
-                if self.matched {
-                    let w = self.primaries;
-                    for i in eid.index() * w..(eid.index() + 1) * w {
-                        let (src, d) = self.pairs[i];
+                if let CommSelection::Matched(table) = &sched.comm {
+                    let w = sched.epsilon + 1;
+                    for &(src, d) in &table[eid.index() * w..][..w] {
                         if src != k {
                             continue;
                         }
@@ -927,12 +897,12 @@ impl CrashWorkspace {
 
     /// Advances processor `j`, then every processor that an overrun's
     /// kill cascade touched, until none is left.
-    fn advance(&mut self, j: usize, inst: &Instance) {
-        self.try_advance(j, inst);
+    fn advance(&mut self, j: usize, inst: &Instance, sched: &Schedule) {
+        self.try_advance(j, inst, sched);
         while !self.kill_work.is_empty() {
-            self.kill_cascade(&inst.dag);
+            self.kill_cascade(&inst.dag, sched);
             while let Some(k) = self.pending_advance.pop() {
-                self.try_advance(k as usize, inst);
+                self.try_advance(k as usize, inst, sched);
             }
         }
     }
@@ -940,14 +910,12 @@ impl CrashWorkspace {
     /// Starts every head replica of processor `j` whose inputs are all
     /// in, pushing its `Finish`; skips dead replicas; on a fail-stop
     /// overrun, queues the rest of `j`'s queue for the kill cascade.
-    fn try_advance(&mut self, j: usize, inst: &Instance) {
+    fn try_advance(&mut self, j: usize, inst: &Instance, sched: &Schedule) {
         if self.proc_dead[j] {
             return;
         }
-        let lo = self.order_off[j] as usize;
-        let hi = self.order_off[j + 1] as usize;
-        while lo + (self.ptr[j] as usize) < hi {
-            let (t, k) = self.order_items[lo + self.ptr[j] as usize];
+        let queue = sched.proc_order(j);
+        while let Some(&(t, k)) = queue.get(self.ptr[j] as usize) {
             let rid = self.rid(t, k as usize);
             match self.phase[rid] {
                 Phase::Dead => {
@@ -964,10 +932,8 @@ impl CrashWorkspace {
                         // Fail-stop during (or before) this replica: it
                         // and everything after it on this queue are lost.
                         self.proc_dead[j] = true;
-                        let at = lo + self.ptr[j] as usize;
-                        for idx in at..hi {
-                            self.kill_work.push(self.order_items[idx]);
-                        }
+                        let rest = &queue[self.ptr[j] as usize..];
+                        self.kill_work.extend_from_slice(rest);
                         return;
                     }
                     self.phase[rid] = Phase::Running;
@@ -995,12 +961,12 @@ impl CrashWorkspace {
 
     /// Satisfies the dense (replica, slot) id `si` of replica `rid` at
     /// `now`, and advances its processor once every slot is in.
-    fn land(&mut self, rid: usize, si: usize, now: f64, inst: &Instance) {
+    fn land(&mut self, rid: usize, si: usize, now: f64, inst: &Instance, sched: &Schedule) {
         self.satisfied[si] = true;
         self.satisfied_count[rid] += 1;
         self.ready_time[rid] = self.ready_time[rid].max(now);
         if self.satisfied_count[rid] == self.slot_off[rid + 1] - self.slot_off[rid] {
-            self.advance(self.rep_proc[rid] as usize, inst);
+            self.advance(self.rep_proc[rid] as usize, inst, sched);
         }
     }
 
@@ -1009,34 +975,43 @@ impl CrashWorkspace {
     /// delivery feeds the matched receiver, and under rerouting also
     /// the receivers whose matched sender died or that have none.
     #[inline]
-    fn feeds(&self, eid: usize, d: usize, rep: u32, si: usize) -> bool {
+    fn feeds(&self, sched: &Schedule, eid: usize, d: usize, rep: u32, si: usize) -> bool {
         if !self.matched {
             return true;
         }
-        let src = self.matched_src_of(eid, d);
+        let src = matched_src_of(sched, eid, d);
         src == rep || (self.rerouted && (src == NO_SRC || self.matched_dead[si]))
     }
 
     /// A finish at `now`: delivers the replica's payloads to every
     /// receiver it feeds, then advances its processor.
-    fn finish(&mut self, task: TaskId, rep: u32, proc: usize, now: f64, inst: &Instance) {
+    fn finish(
+        &mut self,
+        task: TaskId,
+        rep: u32,
+        proc: usize,
+        now: f64,
+        inst: &Instance,
+        sched: &Schedule,
+    ) {
+        let dag = &inst.dag;
         let rid = self.rid(task, rep as usize);
         self.phase[rid] = Phase::Done;
-        for &(s, eid) in inst.dag.succs(task) {
-            let vol = inst.dag.volume(eid);
-            let slot = self.slot_of_edge[eid.index()] as usize;
+        for &(s, eid) in dag.succs(task) {
+            let vol = dag.volume(eid);
+            let slot = dag.pred_slot(eid) - dag.pred_range(s).start;
             for d in 0..self.reps(s) {
                 let rid_s = self.rid(s, d);
                 let si = self.slot_idx(rid_s, slot);
                 if self.phase[rid_s] != Phase::Waiting
                     || self.satisfied[si]
-                    || !self.feeds(eid.index(), d, rep, si)
+                    || !self.feeds(sched, eid.index(), d, rep, si)
                 {
                     continue;
                 }
                 let dst = self.rep_proc[rid_s] as usize;
                 if dst == proc {
-                    self.land(rid_s, si, now, inst);
+                    self.land(rid_s, si, now, inst, sched);
                     continue;
                 }
                 let land = Event::Land {
@@ -1056,7 +1031,7 @@ impl CrashWorkspace {
                 }
             }
         }
-        self.advance(proc, inst);
+        self.advance(proc, inst, sched);
     }
 
     /// Takes a slot on `proc`'s port for a payload landing at `at`.
@@ -1068,35 +1043,31 @@ impl CrashWorkspace {
 
     /// The main event loop. `prepare_loop`, `reset_common` and
     /// `reset_loop` must have run.
-    fn run(&mut self, inst: &Instance) {
+    fn run(&mut self, inst: &Instance, sched: &Schedule) {
         let m = inst.num_procs();
 
         for j in 0..m {
             if self.fail_at[j] <= 0.0 {
                 self.proc_dead[j] = true;
-                let lo = self.order_off[j] as usize;
-                let hi = self.order_off[j + 1] as usize;
-                for idx in lo..hi {
-                    self.kill_work.push(self.order_items[idx]);
-                }
+                self.kill_work.extend_from_slice(sched.proc_order(j));
             }
         }
-        self.kill_cascade(&inst.dag);
+        self.kill_cascade(&inst.dag, sched);
         self.pending_advance.clear();
         for j in 0..m {
-            self.advance(j, inst);
+            self.advance(j, inst, sched);
         }
 
         while let Some(Reverse((time, id))) = self.events.pop() {
             let now = time.get();
             match self.event_data[id] {
                 Event::Finish { task, rep, proc } => {
-                    self.finish(task, rep, proc as usize, now, inst);
+                    self.finish(task, rep, proc as usize, now, inst, sched);
                 }
                 Event::Land { rid, si, proc } => {
                     let (rid, si, proc) = (rid as usize, si as usize, proc as usize);
                     if self.phase[rid] == Phase::Waiting && !self.satisfied[si] {
-                        self.land(rid, si, now, inst);
+                        self.land(rid, si, now, inst, sched);
                     }
                     self.port_busy[proc] -= 1;
                     if let Some(q) = self.port_queue[proc].pop_front() {
@@ -1144,20 +1115,13 @@ impl CrashWorkspace {
     fn to_result(&self, inst: &Instance) -> SimResult {
         let dag = &inst.dag;
         let out = self.outcome(inst);
-        let status: Vec<Vec<ReplicaStatus>> = dag
-            .tasks()
-            .map(|t| {
-                let lo = self.rep_off[t.index()] as usize;
-                let hi = self.rep_off[t.index() + 1] as usize;
-                self.phase[lo..hi]
-                    .iter()
-                    .map(|p| match p {
-                        Phase::Done => ReplicaStatus::Done,
-                        _ => ReplicaStatus::Dead,
-                    })
-                    .collect()
-            })
-            .collect();
+        // A replay sets a replica's times only when it runs to completion,
+        // and ends with nothing running.
+        debug_assert!(self
+            .phase
+            .iter()
+            .zip(&self.times)
+            .all(|(&p, t)| (p == Phase::Done) == t.is_some()));
         let times: Vec<Vec<Option<(f64, f64)>>> = dag
             .tasks()
             .map(|t| {
@@ -1172,10 +1136,24 @@ impl CrashWorkspace {
                 None => SimOutcome::Completed,
                 Some(lost_task) => SimOutcome::Failed { lost_task },
             },
-            status,
             times,
         }
     }
+}
+
+/// The matched sender of receiver replica `d` on edge `eid`, read from
+/// the schedule's matched table, or `NO_SRC` when no pair names it (and
+/// for an all-to-all schedule).
+#[inline]
+fn matched_src_of(sched: &Schedule, eid: usize, d: usize) -> u32 {
+    let CommSelection::Matched(table) = &sched.comm else {
+        return NO_SRC;
+    };
+    let w = sched.epsilon + 1;
+    let pair = table[eid * w..][..w]
+        .iter()
+        .find(|&&(_, r)| r as usize == d);
+    pair.map_or(NO_SRC, |&(s, _)| s)
 }
 
 fn check_rerouted_scenario(rerouted: bool, scenario: &FailureScenario) {
@@ -1289,16 +1267,15 @@ fn check_floors(inst: &Instance, floors: &[f64]) {
 
 impl CrashWorkspace {
     /// Streaming support: raises the release `floors` past every
-    /// simulated replica's busy span of the completed run (per processor,
-    /// in execution order, so every span starts at or past its floor)
+    /// simulated replica's busy span of the completed replay of `sched`
+    /// (per processor, in queue order, so every span starts at or past
+    /// its floor)
     /// and returns the earliest simulated start across all replicas
     /// (`INFINITY` when nothing ran).
-    pub(crate) fn fold_busy_into(&self, floors: &mut [f64]) -> f64 {
+    pub(crate) fn fold_busy_into(&self, sched: &Schedule, floors: &mut [f64]) -> f64 {
         let mut first = f64::INFINITY;
-        for j in 0..self.order_off.len().saturating_sub(1) {
-            let lo = self.order_off[j] as usize;
-            let hi = self.order_off[j + 1] as usize;
-            for &(t, k) in &self.order_items[lo..hi] {
+        for j in 0..sched.num_procs() {
+            for &(t, k) in sched.proc_order(j) {
                 let rid = self.rid(t, k as usize);
                 if let Some((s, f)) = self.times[rid] {
                     crate::streaming::occupy(floors, j, s, f);
@@ -1700,7 +1677,6 @@ mod tests {
         for t in inst.dag.tasks() {
             for (k, r) in s.replicas_of(t).iter().enumerate() {
                 if r.proc == ProcId(0) {
-                    assert_eq!(sim.status[t.index()][k], ReplicaStatus::Dead);
                     assert!(sim.times[t.index()][k].is_none());
                 }
             }
@@ -1725,8 +1701,8 @@ mod tests {
         assert_eq!(s.replicas_of(c)[0].proc, ProcId(0));
         let scen = FailureScenario::new(vec![(ProcId(0), 15.0)]);
         let sim = simulate(&inst, &s, &scen);
-        assert_eq!(sim.status[a.index()][0], ReplicaStatus::Done);
-        assert_eq!(sim.status[c.index()][0], ReplicaStatus::Dead);
+        assert!(sim.times[a.index()][0].is_some());
+        assert!(sim.times[c.index()][0].is_none());
         assert!(!sim.completed());
     }
 
@@ -1838,7 +1814,6 @@ mod tests {
                 let fresh = simulate(&inst, &s, &scen);
                 assert_eq!(reused.latency.to_bits(), fresh.latency.to_bits());
                 assert_eq!(reused.times, fresh.times);
-                assert_eq!(reused.status, fresh.status);
             }
         }
     }
@@ -1891,7 +1866,6 @@ mod tests {
                         "{alg:?} seed {seed} probe {probe}"
                     );
                     assert_eq!(a.outcome, b.outcome);
-                    assert_eq!(a.status, b.status);
                     assert_eq!(a.times, b.times, "full trace must agree");
                 }
             }

@@ -259,8 +259,8 @@ pub fn run_stream_into(
         // Commit the planned spans: per processor in placement order,
         // so every span starts at or past its processor's floor.
         for j in 0..m {
-            for (t, k) in sched.proc_order(j) {
-                let r = sched.replicas_of(t)[k];
+            for &(t, k) in sched.proc_order(j) {
+                let r = sched.replicas_of(t)[k as usize];
                 occupy(&mut ws.planned, j, r.start_lb, r.finish_lb);
             }
         }
@@ -274,7 +274,7 @@ pub fn run_stream_into(
             &ws.actual,
             &mut ws.crash_ws,
         );
-        let first_start = ws.crash_ws.fold_busy_into(&mut ws.actual);
+        let first_start = ws.crash_ws.fold_busy_into(sched, &mut ws.actual);
 
         out.push(DagOutcome {
             arrival,

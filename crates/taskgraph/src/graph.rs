@@ -204,13 +204,6 @@ impl Dag {
         self.edges[e.index()].volume
     }
 
-    /// Endpoints `(src, dst)` of edge `e`.
-    #[inline]
-    pub fn endpoints(&self, e: EdgeId) -> (TaskId, TaskId) {
-        let d = &self.edges[e.index()];
-        (d.src, d.dst)
-    }
-
     /// Immediate predecessors `Γ⁻(t)` with the connecting edges.
     #[inline]
     pub fn preds(&self, t: TaskId) -> &[(TaskId, EdgeId)] {

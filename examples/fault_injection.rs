@@ -72,11 +72,7 @@ fn main() {
         println!(
             "  fail(P0 @ {tau:>8.1}) → latency {:.1} ({} replicas lost)",
             sim.latency,
-            sim.status
-                .iter()
-                .flatten()
-                .filter(|s| matches!(s, simulator::crash::ReplicaStatus::Dead))
-                .count()
+            sim.times.iter().flatten().filter(|t| t.is_none()).count()
         );
     }
 }

@@ -9,8 +9,11 @@
 # The commands, with TASKS = 100000 unless given:
 #   generate --family layered --tasks TASKS --seed 7
 #   schedule --procs 20 --seed 11 for every algorithm key at ε = 0, 1, 2
-#   on each bundle with a matched table:
+#   on each bundle:
 #     simulate --replications 50 --crashes 1 --seed 5 --threads 2
+#     simulate --random-failures 1 --seed 3 --gantt
+#   (the Gantt text prints every executed replica's times)
+#   on each bundle with a matched table:
 #     reliability --p 0.2 --samples 200 --threads 2
 #   campaign --preset ci-smoke --quick
 # Each step is compared as soon as both binaries ran it, and a bundle is
@@ -79,13 +82,14 @@ for alg in $algorithms; do
         both "schedule-$alg-e$eps" schedule --graph graph.json --procs 20 --epsilon "$eps" \
             --algorithm "$alg" --seed 11 --out "$b"
         same "$b"
-        steps=$((steps + 1))
+        both "simulate-$alg-e$eps" simulate --bundle "$b" --replications 50 --crashes 1 \
+            --seed 5 --threads 2
+        both "gantt-$alg-e$eps" simulate --bundle "$b" --random-failures 1 --seed 3 --gantt
+        steps=$((steps + 3))
         if grep -q '"Matched"' "$work/old/$b"; then
-            both "simulate-$alg-e$eps" simulate --bundle "$b" --replications 50 --crashes 1 \
-                --seed 5 --threads 2
             both "reliability-$alg-e$eps" reliability --bundle "$b" --p 0.2 --samples 200 \
                 --threads 2
-            steps=$((steps + 2))
+            steps=$((steps + 1))
         fi
         rm -f "$work/old/$b" "$work/new/$b"
     done
