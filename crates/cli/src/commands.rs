@@ -3,18 +3,16 @@
 //! returns the text to print on success.
 
 use crate::args::Args;
-use crate::bundle::{write_instance_half, write_schedule_half, Bundle};
+use crate::bundle::{write_bundle, Bundle};
 use experiments::campaign::{presets, run_campaign_with_threads, CampaignSpec};
 use experiments::output::{campaign_to_table, write_campaign_outputs};
 use experiments::parallel::default_threads;
 use experiments::serve::{ServeConfig, Server};
 use ftsched_core::stats::{schedule_stats, ScheduleStats};
-use ftsched_core::{
-    schedule as run_schedule, validate::validate, Algorithm, Schedule, ScheduleError,
-};
+use ftsched_core::{schedule as run_schedule, validate::validate, Algorithm, ScheduleError};
 use platform::gen::random_platform;
 use platform::granularity::scale_to_granularity;
-use platform::{ExecutionMatrix, FailureScenario, Instance, ProcId};
+use platform::{ExecutionMatrix, FailureScenario, Instance, ProcId, MAX_PROCS};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use simulator::crash::summarize_replications;
@@ -24,9 +22,6 @@ use simulator::trace::gantt;
 use std::fmt::Write as _;
 use std::fs::{self, File};
 use std::io::Write as _;
-use std::panic;
-use std::sync::{mpsc, OnceLock};
-use std::thread;
 use taskgraph::generators::{
     erdos, fork_join, layered, ErdosConfig, ForkJoinConfig, LayeredConfig,
 };
@@ -93,23 +88,23 @@ fn parse_algorithm(name: &str) -> Result<Algorithm, String> {
 
 /// `ftsched schedule`
 ///
-/// Runs as two stages at once. A scoped render thread owns the output
-/// file and one JSON writer from the first byte to the last: it streams
-/// the bundle's instance half (`dag`, `platform`, `exec`) while the
-/// calling thread schedules, then, handed the schedule, the schedule
-/// half (`schedule`, `algorithm`) while the calling thread validates it
-/// and computes its stats. The file is byte for byte
-/// [`Bundle::to_json`] of the same run.
+/// Writes the bundle on two threads through [`write_bundle`]: a scoped
+/// render thread streams `dag` into the output file and renders the
+/// instance's pieces while the calling thread schedules; the calling
+/// thread then validates the schedule, computes its stats, and renders
+/// the remaining pieces beside the render thread. The pieces reach the
+/// file in order, so it is byte for byte [`Bundle::to_json`] of the
+/// same run.
 ///
 /// Every option that needs no graph is checked before the graph is
 /// read, so a typo costs no parse of a large graph. The file exists
 /// before the schedule does, so everything the input decides is checked
 /// before it is created: `--out` is given, `ε + 1 ≤ --procs`, and the
 /// granularity applies to the graph. If the scheduler still fails,
-/// `validate` rejects the schedule or a write fails, the error is
-/// returned as before, and the output is removed when it is a regular
-/// file; nothing else (a device, FIFO, directory or symlink, say
-/// `--out /dev/stdout`) is unlinked.
+/// `validate` rejects the schedule or a write fails, the first of
+/// these errors, in that order, is returned, and the output is removed
+/// when it is a regular file; nothing else (a device, FIFO, directory
+/// or symlink, say `--out /dev/stdout`) is unlinked.
 pub fn schedule_cmd(argv: &[String]) -> Result<String, String> {
     let options = "--graph --procs --epsilon --algorithm --seed --granularity --out";
     let args = Args::parse(argv, options, "")?;
@@ -117,6 +112,9 @@ pub fn schedule_cmd(argv: &[String]) -> Result<String, String> {
     let procs: usize = args.require_num("procs")?;
     if procs == 0 {
         return Err("--procs must be at least 1".into());
+    }
+    if procs > MAX_PROCS {
+        return Err(format!("--procs must be at most {MAX_PROCS}, got {procs}"));
     }
     let epsilon: usize = args.require_num("epsilon")?;
     let seed: u64 = args.get_num("seed", 42)?;
@@ -156,12 +154,9 @@ pub fn schedule_cmd(argv: &[String]) -> Result<String, String> {
     ))
 }
 
-/// Creates `out` and runs the two stages of [`schedule_cmd`] on `inst`.
-/// The schedule is handed over through a one-slot channel whose sender
-/// lives on the calling thread, so an early return or an unwind drops it
-/// and the render thread stops instead of waiting; a panic on the render
-/// thread resumes here with its original payload. Errors keep the
-/// sequential order: scheduler, then `validate`, then the write.
+/// Creates `out` and writes the bundle of [`schedule_cmd`] into it, the
+/// check being `validate` and the stats. On an error the output is
+/// removed when it is a regular file.
 fn schedule_and_render(
     inst: &Instance,
     epsilon: usize,
@@ -169,34 +164,18 @@ fn schedule_and_render(
     rng: &mut StdRng,
     out: &str,
 ) -> Result<ScheduleStats, String> {
-    let mut file = File::create(out).map_err(|e| format!("writing {out}: {e}"))?;
-    let schedule = OnceLock::new();
-    let outcome = thread::scope(|scope| {
-        let (tx, rx) = mpsc::sync_channel::<&Schedule>(1);
-        let render = scope.spawn(move || {
-            let mut w = serde::Writer::with_sink(&mut file, true);
-            write_instance_half(&mut w, &inst.dag, &inst.platform, &inst.exec);
-            // A closed channel means the schedule failed, and its error
-            // is the one returned.
-            let Ok(sched) = rx.recv() else {
-                return Ok(());
-            };
-            write_schedule_half(&mut w, sched, algorithm.name());
-            w.finish()
-        });
-        let stats = run_schedule(inst, epsilon, algorithm, rng)
-            .map_err(|e| e.to_string())
-            .and_then(|sched| {
-                let sched = schedule.get_or_init(|| sched);
-                // The render thread only exits early on a panic, which
-                // the join below resumes.
-                let _ = tx.send(sched);
-                validate(inst, sched).map_err(|e| e.to_string())?;
-                Ok(schedule_stats(inst, sched))
-            });
-        drop(tx);
-        let written = render.join().unwrap_or_else(|p| panic::resume_unwind(p));
-        let stats = stats?;
+    let file = File::create(out).map_err(|e| format!("writing {out}: {e}"))?;
+    let (stats, written) = write_bundle(
+        &file,
+        inst,
+        algorithm.name(),
+        || run_schedule(inst, epsilon, algorithm, rng).map_err(|e| e.to_string()),
+        |sched| {
+            validate(inst, sched).map_err(|e| e.to_string())?;
+            Ok(schedule_stats(inst, sched))
+        },
+    );
+    let outcome = stats.and_then(|stats| {
         written.map_err(|e| format!("writing {out}: {e}"))?;
         Ok(stats)
     });
@@ -492,6 +471,8 @@ pub fn info(argv: &[String]) -> Result<String, String> {
 mod tests {
     use super::*;
     use experiments::campaign::{LayeredRange, WorkloadSpec};
+    use std::sync::mpsc;
+    use std::thread;
 
     fn argv(s: &str) -> Vec<String> {
         s.split_whitespace().map(str::to_string).collect()

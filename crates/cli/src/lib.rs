@@ -6,15 +6,18 @@
 //!   workload) as JSON, optionally with a Graphviz DOT rendering.
 //! * `schedule` — read a graph, draw a paper-style random platform, run
 //!   one of the algorithms, and write a self-contained *bundle* (graph +
-//!   platform + execution matrix + schedule) for later simulation. Two
-//!   stages run at once: a scoped render thread streams the bundle's
-//!   instance half into the file while the calling thread schedules, and
-//!   its schedule half while the calling thread validates the schedule
-//!   and computes its stats. The file is byte for byte
-//!   [`Bundle::to_json`] of the same run. Options are checked before
-//!   the graph is read, and input errors are found before the file is
-//!   created; a later failure (scheduler, `validate` or a write) removes
-//!   the output if it is a regular file and unlinks nothing else.
+//!   platform + execution matrix + schedule) for later simulation. The
+//!   bundle's text is cut into ordered pieces that two threads render
+//!   (see [`bundle`]): a scoped render thread streams `dag` into the
+//!   file and renders the instance's pieces while the calling thread
+//!   schedules; once the schedule is validated and its stats computed,
+//!   the calling thread pulls pieces beside it. The pieces reach the
+//!   file in order, so it is byte for byte [`Bundle::to_json`] of the
+//!   same run. Options are checked before the graph is read (`--procs`
+//!   at most [`platform::MAX_PROCS`]), and input errors are found before
+//!   the file is created; a later failure (scheduler, `validate` or a
+//!   write) removes the output if it is a regular file and unlinks
+//!   nothing else.
 //! * `simulate` — read a bundle, crash a chosen or random processor set,
 //!   and report the achieved latency with an ASCII Gantt chart; or run a
 //!   parallel Monte-Carlo crash campaign with `--replications`.

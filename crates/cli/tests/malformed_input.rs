@@ -404,7 +404,7 @@ fn the_binary_exits_1_not_101_on_monte_carlo_options() {
 /// `NaN%` (exit 0), and the last, which was always a named error but is
 /// now found before `schedule` creates its output file (which exists
 /// before the schedule does), as the no-output assertion checks.
-const DEGENERATE_CASES: [(&[&str], &str); 14] = [
+const DEGENERATE_CASES: [(&[&str], &str); 15] = [
     (
         &["generate", "--family", "layered", "--tasks", "0"],
         "--tasks must be at least 1 for the layered family",
@@ -432,6 +432,10 @@ const DEGENERATE_CASES: [(&[&str], &str); 14] = [
     (
         &["schedule", "--procs", "0", "--epsilon", "0"],
         "--procs must be at least 1",
+    ),
+    (
+        &["schedule", "--procs", "1000000", "--epsilon", "1"],
+        "--procs must be at most 4096, got 1000000",
     ),
     (
         &[
@@ -639,7 +643,7 @@ fn the_binary_exits_1_not_101_when_stdout_is_full() {
 
 /// `schedule` outputs that fail on write, with the error each must name:
 /// an existing directory (`File::create` fails) and, where it exists,
-/// `/dev/full`, which takes no bytes, so the render thread's writer
+/// `/dev/full`, which takes no bytes, so the first piece's write
 /// fails. Returns the cases and the directory, which holds one file.
 fn write_failure_cases(name: &str) -> (Vec<(String, String)>, String) {
     let dir = scratch(name);
@@ -725,6 +729,80 @@ fn the_binary_exits_1_not_101_on_schedule_write_failures() {
         assert!(output.stdout.is_empty(), "{out}: reported success");
     }
     assert_outputs_untouched(&dir);
+}
+
+/// `/dev/full` under a bundle of many pieces, written by the calling
+/// thread and the render thread: the first write error still comes
+/// back named, from `run` and from the binary (exit 1), and the device
+/// is left as it was.
+#[test]
+fn a_full_device_fails_a_bundle_of_many_pieces() {
+    if !std::path::Path::new("/dev/full").exists() {
+        return;
+    }
+    let graph = scratch("many-pieces-graph.json");
+    run(&[
+        "generate", "--family", "layered", "--tasks", "5000", "--seed", "7", "--out", &graph,
+    ])
+    .expect("generate");
+    let args = [
+        "schedule",
+        "--graph",
+        &graph,
+        "--procs",
+        "8",
+        "--epsilon",
+        "2",
+        "--algorithm",
+        "mc-ftsa",
+        "--out",
+        "/dev/full",
+    ];
+    let expected = "writing /dev/full: No space left on device (os error 28)";
+    assert_eq!(run(&args).expect_err("the write failed"), expected);
+    let output = Command::new(env!("CARGO_BIN_EXE_ftsched"))
+        .args(args)
+        .output()
+        .expect("run ftsched");
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert_eq!(output.status.code(), Some(1), "{stderr}");
+    assert!(
+        stderr.contains(expected),
+        "expected `{expected}` in: {stderr}"
+    );
+    assert!(output.stdout.is_empty(), "reported success");
+    let dir = scratch("many-pieces-untouched");
+    std::fs::create_dir_all(&dir).expect("create a directory to check");
+    std::fs::write(format!("{dir}/kept.txt"), "kept").expect("fill it");
+    assert_outputs_untouched(&dir);
+    let _ = std::fs::remove_file(graph);
+}
+
+/// A campaign spec whose platform point asks for more processors than a
+/// platform may have is refused before any platform is drawn, from
+/// `run` and from the binary (exit 1), instead of aborting on a
+/// terabyte delay matrix.
+#[test]
+fn a_campaign_spec_with_too_many_processors_is_a_named_error() {
+    let spec = run(&["campaign", "--preset", "ci-smoke", "--dump-spec"]).expect("dump");
+    let mut spec = experiments::campaign::CampaignSpec::from_json(&spec).expect("parse");
+    spec.platforms[0].procs = 1_000_000;
+    let path = scratch("too-many-procs.json");
+    std::fs::write(&path, spec.to_json().expect("serialize")).expect("write the spec");
+    let expected = "platform point with 1000000 processors (at most 4096)";
+    let err = run(&["campaign", "--spec", &path]).expect_err("too many processors");
+    assert!(err.contains(expected), "{err}");
+    let output = Command::new(env!("CARGO_BIN_EXE_ftsched"))
+        .args(["campaign", "--spec", &path])
+        .output()
+        .expect("run ftsched");
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert_eq!(output.status.code(), Some(1), "{stderr}");
+    assert!(
+        stderr.contains(expected),
+        "expected `{expected}` in: {stderr}"
+    );
+    let _ = std::fs::remove_file(path);
 }
 
 /// Options a command does not declare, or declared ones in the wrong

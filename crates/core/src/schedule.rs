@@ -45,6 +45,7 @@
 
 use platform::ProcId;
 use serde::{Deserialize, Serialize};
+use std::ops::Range;
 use taskgraph::{Dag, TaskId};
 
 /// One placed copy of a task.
@@ -438,34 +439,121 @@ enum CommRepr {
     Matched(Vec<Vec<(u32, u32)>>),
 }
 
-/// Written straight from the arenas, in `ScheduleRepr`'s shape.
-impl Serialize for Schedule {
-    fn serialize(&self, w: &mut serde::Writer<'_>) {
-        w.begin_object();
-        w.field("epsilon");
-        self.epsilon.serialize(w);
-        w.field("replicas");
-        w.seq(self.replicas.iter());
-        w.field("proc_order");
-        w.begin_array();
-        for j in 0..self.num_procs() {
-            w.element();
-            w.seq(self.proc_order(j).iter());
-        }
-        w.end_array();
-        w.field("comm");
-        match &self.comm {
-            CommSelection::AllToAll => w.write_str("AllToAll"),
-            CommSelection::Matched(pairs) => {
+/// A part of a [`Schedule`]'s JSON text, in [`Schedule::json_parts`]
+/// order. The `Serialize` impl writes those parts; a writer can also
+/// cut the range parts into smaller ranges and render each on its own
+/// (see [`serde::Writer::resume`]).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum JsonPart {
+    /// `{`, `epsilon`, and `replicas` up to its first list.
+    Head,
+    /// The replica lists of these tasks.
+    Replicas(Range<usize>),
+    /// The `]` of `replicas`, and `proc_order` up to its first list.
+    ProcOrderHead,
+    /// The placement lists of these processors.
+    ProcOrder(Range<usize>),
+    /// The `]` of `proc_order`, and `comm`: all of it when all-to-all,
+    /// up to the first pair list when matched.
+    CommHead,
+    /// The matched pair lists of these edges.
+    Matched(Range<usize>),
+    /// The matched table's close, `schedule_order` and `}`.
+    Tail,
+}
+
+impl Schedule {
+    /// The parts of the schedule's JSON text in order, each range over
+    /// every task, processor and matched edge (none when all-to-all).
+    pub fn json_parts(&self) -> [JsonPart; 7] {
+        let edges = match &self.comm {
+            CommSelection::AllToAll => 0,
+            CommSelection::Matched(pairs) => pairs.len().div_ceil(self.epsilon + 1),
+        };
+        [
+            JsonPart::Head,
+            JsonPart::Replicas(0..self.num_tasks()),
+            JsonPart::ProcOrderHead,
+            JsonPart::ProcOrder(0..self.num_procs()),
+            JsonPart::CommHead,
+            JsonPart::Matched(0..edges),
+            JsonPart::Tail,
+        ]
+    }
+
+    /// Writes one part of the schedule's JSON text, straight from the
+    /// arenas in `ScheduleRepr`'s shape.
+    pub fn write_json_part(&self, w: &mut serde::Writer<'_>, part: &JsonPart) {
+        let matched = match &self.comm {
+            CommSelection::AllToAll => None,
+            CommSelection::Matched(pairs) => Some(pairs),
+        };
+        match part {
+            JsonPart::Head => {
                 w.begin_object();
-                w.field("Matched");
-                w.seq(pairs.chunks(self.epsilon + 1));
+                w.field("epsilon");
+                self.epsilon.serialize(w);
+                w.field("replicas");
+                w.begin_array();
+            }
+            JsonPart::Replicas(tasks) => {
+                for t in tasks.clone() {
+                    w.element();
+                    w.seq(self.replicas.slice(TaskId(t as u32)));
+                }
+            }
+            JsonPart::ProcOrderHead => {
+                w.end_array();
+                w.field("proc_order");
+                w.begin_array();
+            }
+            JsonPart::ProcOrder(procs) => {
+                for j in procs.clone() {
+                    w.element();
+                    w.seq(self.proc_order(j));
+                }
+            }
+            JsonPart::CommHead => {
+                w.end_array();
+                w.field("comm");
+                if matched.is_some() {
+                    w.begin_object();
+                    w.field("Matched");
+                    w.begin_array();
+                } else {
+                    w.write_str("AllToAll");
+                }
+            }
+            JsonPart::Matched(edges) => {
+                if let Some(pairs) = matched {
+                    let stride = self.epsilon + 1;
+                    // A hand-built table may end in a short edge.
+                    let end = (edges.end * stride).min(pairs.len());
+                    for edge in pairs[edges.start * stride..end].chunks(stride) {
+                        w.element();
+                        w.seq(edge);
+                    }
+                }
+            }
+            JsonPart::Tail => {
+                if matched.is_some() {
+                    w.end_array();
+                    w.end_object();
+                }
+                w.field("schedule_order");
+                self.schedule_order.serialize(w);
                 w.end_object();
             }
         }
-        w.field("schedule_order");
-        self.schedule_order.serialize(w);
-        w.end_object();
+    }
+}
+
+/// The [`JsonPart`]s in order.
+impl Serialize for Schedule {
+    fn serialize(&self, w: &mut serde::Writer<'_>) {
+        for part in &self.json_parts() {
+            self.write_json_part(w, part);
+        }
     }
 }
 

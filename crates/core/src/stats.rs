@@ -19,8 +19,9 @@ pub struct ScheduleStats {
     /// Mean processor utilization on the optimistic timeline:
     /// busy time / (m · M*).
     pub mean_utilization: f64,
-    /// Max/min busy-time ratio across *used* processors (1.0 = perfectly
-    /// balanced; ∞ if some used processor has zero busy time).
+    /// Max/min busy-time ratio across *used* processors, those with
+    /// positive busy time (1.0 = perfectly balanced, and 1.0 when no
+    /// processor is busy).
     pub load_imbalance: f64,
     /// Fraction of total busy time spent on replicas beyond the first
     /// copy of each task — the raw compute cost of fault tolerance.
@@ -49,13 +50,13 @@ pub fn schedule_stats(inst: &Instance, sched: &Schedule) -> ScheduleStats {
         }
     }
 
-    let used: Vec<f64> = busy.iter().copied().filter(|&b| b > 0.0).collect();
-    let load_imbalance = match (
-        used.iter().copied().fold(f64::NEG_INFINITY, f64::max),
-        used.iter().copied().fold(f64::INFINITY, f64::min),
-    ) {
-        (max, min) if min > 0.0 => max / min,
-        _ => f64::INFINITY,
+    let mut used = busy.iter().copied().filter(|&b| b > 0.0);
+    let load_imbalance = match used.next() {
+        None => 1.0,
+        Some(b) => {
+            let (max, min) = used.fold((b, b), |(max, min), b| (max.max(b), min.min(b)));
+            max / min
+        }
     };
 
     ScheduleStats {
@@ -148,6 +149,26 @@ mod tests {
             "imbalance",
         ] {
             assert!(text.contains(key), "missing {key} in:\n{text}");
+        }
+    }
+
+    #[test]
+    fn an_empty_schedule_is_balanced_and_prints_no_nan() {
+        let mut r = StdRng::seed_from_u64(5);
+        let dag = taskgraph::DagBuilder::new().build().unwrap();
+        let platform = platform::gen::random_platform(&mut r, 3, 0.5, 1.0);
+        let exec = platform::ExecutionMatrix::unrelated_with_procs(&dag, 3, &mut r, 0.5);
+        let inst = Instance::new(dag, platform, exec);
+        for alg in [Algorithm::Ftsa, Algorithm::McFtsaGreedy, Algorithm::Ftbar] {
+            let s = schedule(&inst, 1, alg, &mut r).unwrap();
+            let st = schedule_stats(&inst, &s);
+            assert_eq!(st.load_imbalance, 1.0, "{alg}");
+            let text = st.to_string();
+            assert!(
+                text.contains("load imbalance:        1.00x"),
+                "{alg}:\n{text}"
+            );
+            assert!(!text.contains("NaN"), "{alg}:\n{text}");
         }
     }
 

@@ -504,6 +504,13 @@ impl CampaignSpec {
             if p.procs == 0 {
                 return Err("platform point with zero processors".into());
             }
+            if p.procs > platform::MAX_PROCS {
+                return Err(format!(
+                    "platform point with {} processors (at most {})",
+                    p.procs,
+                    platform::MAX_PROCS
+                ));
+            }
             if !p.granularity.is_finite() {
                 return Err(format!("platform granularity {} invalid", p.granularity));
             }
@@ -822,6 +829,18 @@ mod tests {
         let mut bad = ok;
         bad.repetitions = 0;
         assert!(bad.validate().is_err());
+    }
+
+    #[test]
+    fn validation_bounds_the_processor_count() {
+        let mut spec = small_spec();
+        spec.platforms[0].procs = platform::MAX_PROCS;
+        assert_eq!(spec.validate(), Ok(()));
+        spec.platforms[0].procs = platform::MAX_PROCS + 1;
+        assert_eq!(
+            spec.validate(),
+            Err("platform point with 4097 processors (at most 4096)".into())
+        );
     }
 
     #[test]

@@ -2,6 +2,7 @@
 
 use rand::Rng;
 use serde::{Deserialize, Serialize};
+use std::ops::Range;
 use taskgraph::{Dag, TaskId};
 
 /// The `v × m` matrix of task execution times: `E(t, P_j)` is the time
@@ -13,7 +14,7 @@ use taskgraph::{Dag, TaskId};
 /// assert_eq!(e.time(0, 2), 3.0);
 /// assert_eq!(e.average(1), 5.0); // (4 + 5 + 6) / 3
 /// ```
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct ExecutionMatrix {
     v: usize,
     m: usize,
@@ -171,6 +172,59 @@ impl ExecutionMatrix {
     /// paper's granularity.
     pub fn total_slowest(&self) -> f64 {
         (0..self.v).map(|t| self.slowest(t)).sum()
+    }
+}
+
+/// A part of an [`ExecutionMatrix`]'s JSON text. The `Serialize` impl
+/// writes `Head`, `Times` over every entry, then `Close`; a writer can
+/// also cut `times` into ranges and render each on its own (see
+/// [`serde::Writer::resume`]).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum JsonPart {
+    /// `{`, `v`, `m`, and `times` up to its first entry.
+    Head,
+    /// These entries of the row-major `times`.
+    Times(Range<usize>),
+    /// The `]` of `times` and the matrix's `}`.
+    Close,
+}
+
+impl ExecutionMatrix {
+    /// Writes one part of the matrix's JSON text.
+    pub fn write_json_part(&self, w: &mut serde::Writer<'_>, part: &JsonPart) {
+        match part {
+            JsonPart::Head => {
+                w.begin_object();
+                w.field("v");
+                self.v.serialize(w);
+                w.field("m");
+                self.m.serialize(w);
+                w.field("times");
+                w.begin_array();
+            }
+            JsonPart::Times(range) => {
+                for x in &self.times[range.clone()] {
+                    w.element();
+                    x.serialize(w);
+                }
+            }
+            JsonPart::Close => {
+                w.end_array();
+                w.end_object();
+            }
+        }
+    }
+}
+
+impl Serialize for ExecutionMatrix {
+    fn serialize(&self, w: &mut serde::Writer<'_>) {
+        for part in [
+            JsonPart::Head,
+            JsonPart::Times(0..self.times.len()),
+            JsonPart::Close,
+        ] {
+            self.write_json_part(w, &part);
+        }
     }
 }
 

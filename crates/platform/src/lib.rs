@@ -43,6 +43,13 @@ pub use plat::Platform;
 
 use taskgraph::Dag;
 
+/// The most processors a drawn platform may have. A platform holds
+/// `m²` link delays, so the bound keeps one draw at 128 MiB; the
+/// entry points that take a processor count from their input
+/// (`ftsched schedule --procs`, a campaign spec's platform points) check
+/// it before anything is drawn.
+pub const MAX_PROCS: usize = 4096;
+
 /// A complete scheduling problem instance: the task graph, the platform
 /// and the execution-time matrix binding them.
 #[derive(Debug, Clone)]

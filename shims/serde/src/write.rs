@@ -25,7 +25,9 @@ const INDENT: &[u8; 65] = b"\n                                                  
 /// and one `write_*` call per scalar. Separators, newlines and
 /// indentation follow from the calls, and empty containers render as
 /// `{}` / `[]`. The writer keeps no per-level stack, so its memory is
-/// one buffer however deep or long the value.
+/// one buffer however deep or long the value, and its layout state is
+/// just its [`position`](Writer::position): a value can be rendered in
+/// pieces by writers [resumed](Writer::resume) at each piece's start.
 ///
 /// The event methods are `#[inline]`, so a `Serialize` impl in another
 /// crate compiles them into its own loop. Integers are written by a
@@ -60,6 +62,21 @@ impl Writer<'static> {
         }
     }
 
+    /// An in-memory writer that appends to `buf` from a position inside
+    /// a value: `level` open containers, and `first` when the innermost
+    /// has no member yet. The writer keeps no other state, so it writes
+    /// exactly the bytes a writer at that position writes next, and a
+    /// value can be rendered in pieces, each by its own writer, then
+    /// joined in order. [`Writer::position`] reads a writer's position.
+    pub fn resume(buf: Vec<u8>, pretty: bool, (level, first): (usize, bool)) -> Self {
+        Writer {
+            buf,
+            level,
+            first,
+            ..Writer::new(pretty)
+        }
+    }
+
     /// The text written so far.
     pub fn into_string(self) -> String {
         String::from_utf8(self.buf).expect("the writer writes only UTF-8")
@@ -79,6 +96,12 @@ impl<'a> Writer<'a> {
             level: 0,
             first: true,
         }
+    }
+
+    /// Where the writer is inside the value: open containers, and
+    /// whether the innermost has no member yet (see [`Writer::resume`]).
+    pub fn position(&self) -> (usize, bool) {
+        (self.level, self.first)
     }
 
     /// Hands the buffered tail to the sink and flushes it.
@@ -433,6 +456,46 @@ mod tests {
             want.push(']');
         }
         assert_eq!(w.into_string(), want);
+    }
+
+    #[test]
+    fn a_value_rendered_in_pieces_joins_to_the_whole() {
+        // `{"a": [[1, 2], [], [3]], "b": {}}`, cut after every event:
+        // each piece, by a writer resumed where the whole one stood,
+        // writes exactly the whole one's next bytes.
+        let events: [fn(&mut Writer<'_>); 19] = [
+            |w| w.begin_object(),
+            |w| w.field("a"),
+            |w| w.begin_array(),
+            |w| w.element(),
+            |w| w.seq([1u8, 2]),
+            |w| w.element(),
+            |w| w.begin_array(),
+            |w| w.end_array(),
+            |w| w.element(),
+            |w| w.begin_array(),
+            |w| w.element(),
+            |w| w.write_u64(3),
+            |w| w.end_array(),
+            |w| w.end_array(),
+            |w| w.field("b"),
+            |w| w.begin_object(),
+            |w| w.end_object(),
+            |w| w.end_object(),
+            |_| {},
+        ];
+        for pretty in [false, true] {
+            let mut whole = Writer::new(pretty);
+            let mut joined = Vec::new();
+            for event in events {
+                let mut piece = Writer::resume(Vec::new(), pretty, whole.position());
+                event(&mut piece);
+                event(&mut whole);
+                assert_eq!(piece.position(), whole.position());
+                joined.extend_from_slice(piece.into_string().as_bytes());
+            }
+            assert_eq!(String::from_utf8(joined).unwrap(), whole.into_string());
+        }
     }
 
     #[track_caller]

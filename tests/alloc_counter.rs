@@ -149,12 +149,17 @@ fn main() {
 }
 
 fn bundle_streaming_allocations_do_not_grow() {
-    // `ftsched schedule` streams its bundle through one fixed buffer:
+    // `ftsched schedule` streams its bundle through fixed buffers:
     // rendering allocates the same small count however large the
     // instance, so a per-node tree (or a whole-document string) cannot
     // come back unnoticed. Labelled Gaussian-elimination graphs with
     // matched communications exercise every shape the bundle writes.
-    let counts: Vec<(usize, u64)> = [32usize, 100]
+    // Both forms are pinned: the one writer of `Bundle`'s `Serialize`,
+    // and the two workers of `write_bundle` (one reusable piece buffer
+    // per thread, beside the thread and the `dag` writer's buffer),
+    // counted on a second call, after the process's first-thread set-up.
+    let path = std::env::temp_dir().join(format!("ftsched_alloc_bundle_{}", std::process::id()));
+    let counts: Vec<(usize, u64, u64)> = [32usize, 100]
         .into_iter()
         .map(|size| {
             let dag = gaussian_elimination(size, 10.0, 1.0);
@@ -163,32 +168,51 @@ fn bundle_streaming_allocations_do_not_grow() {
             let exec = ExecutionMatrix::unrelated_with_procs(&dag, 8, &mut rng, 0.5);
             let inst = Instance::new(dag, platform, exec);
             let schedule = schedule(&inst, 1, Algorithm::McFtsaGreedy, &mut rng).unwrap();
-            let Instance {
-                dag,
-                platform,
-                exec,
-            } = inst;
             let bundle = ftsched_cli::Bundle {
-                dag,
-                platform,
-                exec,
-                schedule,
+                dag: inst.dag.clone(),
+                platform: inst.platform.clone(),
+                exec: inst.exec.clone(),
+                schedule: schedule.clone(),
                 algorithm: "MC-FTSA".into(),
             };
             let before = allocations();
             serde_json::to_writer_pretty(std::io::sink(), &bundle).expect("a sink never fails");
-            (bundle.dag.num_tasks(), allocations() - before)
+            let streamed = allocations() - before;
+
+            let file = std::fs::File::create(&path).expect("create the bundle file");
+            let mut two_workers = 0;
+            for s in [schedule.clone(), schedule] {
+                let before = allocations();
+                let (checked, written) = ftsched_cli::bundle::write_bundle(
+                    &file,
+                    &inst,
+                    "MC-FTSA",
+                    || Ok(s),
+                    |_| Ok(()),
+                );
+                two_workers = allocations() - before;
+                checked.expect("no check to fail");
+                written.expect("write the bundle");
+            }
+            (bundle.dag.num_tasks(), streamed, two_workers)
         })
         .collect();
+    let _ = std::fs::remove_file(&path);
     assert!(counts[0].0 >= 500 && counts[1].0 >= 5000, "{counts:?}");
     assert_eq!(
         counts[0].1, counts[1].1,
-        "bundle streaming allocations grew with the instance: (tasks, allocations) = {counts:?}"
+        "bundle streaming allocations grew with the instance: \
+         (tasks, streamed, two workers) = {counts:?}"
     );
     assert!(
         counts[0].1 <= 2,
         "bundle streaming made {} allocations (contract: one buffer)",
         counts[0].1
+    );
+    assert_eq!(
+        counts[0].2, counts[1].2,
+        "two-worker bundle allocations grew with the instance: \
+         (tasks, streamed, two workers) = {counts:?}"
     );
 }
 

@@ -143,9 +143,9 @@ fn cli_graph_and_bundle_files_match_goldens() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// `ftsched schedule` renders its bundle on a second thread, the instance
-/// half while the scheduler runs and the schedule half while `validate`
-/// runs. Its file must still be byte for byte the library rendering of
+/// `ftsched schedule` renders its bundle's pieces on two threads, the
+/// instance's while the scheduler runs and the schedule's on both once
+/// it is validated. Its file must still be byte for byte the library rendering of
 /// the same run, for every algorithm and ε, run after run: the goldens
 /// above pin three algorithms at ε = 1 on a 14-task graph, this pins all
 /// of them on that graph and on a 2000-task layered one.

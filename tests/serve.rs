@@ -227,6 +227,26 @@ fn malformed_specs_bounce_and_the_server_stays_live() {
 }
 
 #[test]
+fn a_platform_point_with_too_many_processors_answers_400() {
+    // One platform draw holds `procs²` delays: a million processors
+    // would ask for 8 TB and abort the whole server, so `validate`
+    // refuses the spec before any cell runs.
+    let addr = spawn_server(ServeConfig::default());
+    let mut spec = smoke_spec();
+    spec.platforms[0].procs = 1_000_000;
+    let res = post_campaign(addr, &spec.to_json().expect("serializes"));
+    assert_eq!(res.status, "HTTP/1.1 400 Bad Request", "{}", res.body);
+    assert!(
+        res.body
+            .contains("platform point with 1000000 processors (at most 4096)"),
+        "{}",
+        res.body
+    );
+    let res = request(addr, "GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n");
+    assert_eq!(res.status, "HTTP/1.1 200 OK");
+}
+
+#[test]
 fn hostile_nesting_bounces_and_the_server_stays_live() {
     // A valid spec plus 100 000 nested arrays under a key the spec does
     // not know: the reader skips unknown keys, but within the same
