@@ -4,7 +4,10 @@
 
 use crate::args::Args;
 use crate::bundle::{write_bundle, Bundle};
-use experiments::campaign::{presets, run_campaign_with_threads, CampaignSpec};
+use experiments::campaign::{
+    presets, run_campaign_with_threads, CampaignSpec, ForkJoinShape, StructuredKernel,
+    StructuredWorkload, TaskCount, WorkloadSpec,
+};
 use experiments::output::{campaign_to_table, write_campaign_outputs};
 use experiments::parallel::default_threads;
 use experiments::serve::{ServeConfig, Server};
@@ -22,10 +25,6 @@ use simulator::trace::gantt;
 use std::fmt::Write as _;
 use std::fs::{self, File};
 use std::io::Write as _;
-use taskgraph::generators::{
-    erdos, fork_join, layered, ErdosConfig, ForkJoinConfig, LayeredConfig,
-};
-use taskgraph::workloads;
 use taskgraph::Dag;
 
 fn read_graph(path: &str) -> Result<Dag, String> {
@@ -40,30 +39,37 @@ pub fn generate(argv: &[String]) -> Result<String, String> {
     let seed: u64 = args.get_num("seed", 42)?;
     let tasks: usize = args.get_num("tasks", 120)?;
     let size: usize = args.get_num("size", 8)?;
-    // The generators assert a non-empty shape: name the option instead.
-    let shape = match family {
-        "layered" | "erdos" => Some(("tasks", tasks)),
-        "forkjoin" | "stencil" | "wavefront" | "mapreduce" => Some(("size", size)),
-        _ => None,
-    };
-    if let Some((option, 0)) = shape {
-        return Err(format!(
-            "--{option} must be at least 1 for the {family} family"
-        ));
-    }
-    let mut rng = StdRng::seed_from_u64(seed);
-
-    let dag = match family {
-        "layered" => layered(&mut rng, &LayeredConfig::paper(tasks)),
-        "erdos" => erdos(&mut rng, &ErdosConfig::sparse(tasks)),
-        "forkjoin" => fork_join(&mut rng, &ForkJoinConfig::new(size, size)),
-        "gauss" => workloads::gaussian_elimination(size.max(2), 10.0, 1.0),
-        "fft" => workloads::fft(size.next_power_of_two().max(2), 10.0, 20.0),
-        "stencil" => workloads::stencil_1d(size, size, 10.0, 15.0),
-        "wavefront" => workloads::wavefront(size, size, 10.0, 15.0),
-        "mapreduce" => workloads::map_reduce(size, size / 2 + 1, 20.0, 30.0, 10.0),
+    // Each family is a campaign workload: `--tasks` or `--size` sets its
+    // shape, and the graph is what a campaign draws for it.
+    let kernel = |kernel| WorkloadSpec::Structured(StructuredWorkload { kernel, size });
+    let (workload, name, value) = match family {
+        "layered" => (WorkloadSpec::Layered(TaskCount { tasks }), "tasks", tasks),
+        "erdos" => (WorkloadSpec::Erdos(TaskCount { tasks }), "tasks", tasks),
+        "forkjoin" => {
+            let shape = ForkJoinShape {
+                width: size,
+                depth: size,
+            };
+            (WorkloadSpec::ForkJoin(shape), "size", size)
+        }
+        "gauss" => (kernel(StructuredKernel::GaussianElimination), "size", size),
+        "fft" => (kernel(StructuredKernel::Fft), "size", size),
+        "stencil" => (kernel(StructuredKernel::Stencil1d), "size", size),
+        "wavefront" => (kernel(StructuredKernel::Wavefront), "size", size),
+        "mapreduce" => (kernel(StructuredKernel::MapReduce), "size", size),
         other => return Err(format!("unknown graph family `{other}`")),
     };
+    // The generators assert a non-empty shape: name the option instead
+    // (`gauss` and `fft` round a small size up).
+    if value == 0 && !matches!(family, "gauss" | "fft") {
+        return Err(format!(
+            "--{name} must be at least 1 for the {family} family"
+        ));
+    }
+    workload
+        .check_size()
+        .map_err(|e| format!("--{name} {value} {e}"))?;
+    let dag = workload.build_dag(&mut StdRng::seed_from_u64(seed));
 
     let out = args.require("out")?;
     let file = File::create(out).map_err(|e| format!("writing {out}: {e}"))?;
@@ -470,9 +476,10 @@ pub fn info(argv: &[String]) -> Result<String, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use experiments::campaign::{LayeredRange, WorkloadSpec};
+    use experiments::campaign::LayeredRange;
     use std::sync::mpsc;
     use std::thread;
+    use taskgraph::generators::{layered, LayeredConfig};
 
     fn argv(s: &str) -> Vec<String> {
         s.split_whitespace().map(str::to_string).collect()

@@ -404,10 +404,32 @@ fn the_binary_exits_1_not_101_on_monte_carlo_options() {
 /// `NaN%` (exit 0), and the last, which was always a named error but is
 /// now found before `schedule` creates its output file (which exists
 /// before the schedule does), as the no-output assertion checks.
-const DEGENERATE_CASES: [(&[&str], &str); 15] = [
+const DEGENERATE_CASES: [(&[&str], &str); 20] = [
     (
         &["generate", "--family", "layered", "--tasks", "0"],
         "--tasks must be at least 1 for the layered family",
+    ),
+    // Shapes past `taskgraph::generators::MAX_TASKS` (2^20), refused
+    // from the shape alone: nothing is drawn.
+    (
+        &["generate", "--family", "layered", "--tasks", "1048577"],
+        "--tasks 1048577 draws 1048577 tasks, more than the 1048576 a graph may have",
+    ),
+    (
+        &["generate", "--family", "erdos", "--tasks", "100000000000"],
+        "--tasks 100000000000 draws 100000000000 tasks, more than the 1048576 a graph may have",
+    ),
+    (
+        &["generate", "--family", "wavefront", "--size", "1025"],
+        "--size 1025 draws 1050625 tasks, more than the 1048576 a graph may have",
+    ),
+    (
+        &["generate", "--family", "stencil", "--size", "10000000000"],
+        "--size 10000000000 draws a task count that overflows",
+    ),
+    (
+        &["generate", "--family", "mapreduce", "--size", "1448"],
+        "--size 1448 draws a shuffle of 1049800 edges, more than the 1048576 a graph may have",
     ),
     (
         &["generate", "--family", "erdos", "--tasks", "0"],

@@ -21,6 +21,12 @@
 ///
 /// `value` is invoked once per index, in increasing index order.
 ///
+/// `count == 2` (ε = 1, the paper's default, behind every eq. (1) and σ
+/// query of such a run) keeps two running minima instead of the
+/// buffer: a candidate displaces one only when strictly smaller under
+/// [`f64::total_cmp`], so on ties the lower index stays ahead, as in
+/// the stable sort.
+///
 /// # Panics
 /// Panics (in debug builds) if `count > m`.
 pub fn select_smallest_into(
@@ -31,6 +37,28 @@ pub fn select_smallest_into(
 ) {
     debug_assert!(count <= m, "cannot select {count} of {m} candidates");
     best.clear();
+    if count == 2 && m >= 2 {
+        let (v0, v1) = (value(0), value(1));
+        let (mut lo, mut hi) = if v1.total_cmp(&v0).is_lt() {
+            ((1, v1), (0, v0))
+        } else {
+            ((0, v0), (1, v1))
+        };
+        for j in 2..m {
+            let v = value(j);
+            if v.total_cmp(&hi.1).is_lt() {
+                if v.total_cmp(&lo.1).is_lt() {
+                    hi = lo;
+                    lo = (j, v);
+                } else {
+                    hi = (j, v);
+                }
+            }
+        }
+        best.push(lo);
+        best.push(hi);
+        return;
+    }
     for j in 0..m {
         let v = value(j);
         if best.len() == count {
@@ -112,7 +140,67 @@ mod tests {
     #[test]
     fn negative_zero_and_infinities_total_order() {
         let vals = [0.0, -0.0, f64::INFINITY, f64::NEG_INFINITY, 1.0];
-        assert_eq!(smallest(5, 5, |j| vals[j]), oracle(&vals, 5));
+        for count in 0..=vals.len() {
+            assert_eq!(smallest(5, count, |j| vals[j]), oracle(&vals, count));
+        }
+    }
+
+    /// Bitwise comparison: `==` on the pairs would equate ±0.0.
+    fn assert_same_bits(got: &[(usize, f64)], want: &[(usize, f64)], what: &str) {
+        let bits =
+            |v: &[(usize, f64)]| v.iter().map(|&(j, x)| (j, x.to_bits())).collect::<Vec<_>>();
+        assert_eq!(bits(got), bits(want), "{what}");
+    }
+
+    #[test]
+    fn every_count_meets_the_oracle() {
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let specials = [0.0, -0.0, f64::INFINITY, f64::NEG_INFINITY, 1.0, -1.0];
+        for m in [1usize, 2, 3, 7, 20, 50, 64] {
+            for round in 0..40 {
+                let vals: Vec<f64> = (0..m)
+                    .map(|_| {
+                        state ^= state << 13;
+                        state ^= state >> 7;
+                        state ^= state << 17;
+                        // Few distinct values, so ties are common; every
+                        // fourth round mixes in ±0.0 and ±∞.
+                        if round % 4 == 3 && state % 3 == 0 {
+                            specials[(state >> 8) as usize % specials.len()]
+                        } else {
+                            (state % 7) as f64 - 3.0
+                        }
+                    })
+                    .collect();
+                for count in 0..=m {
+                    assert_same_bits(
+                        &smallest(m, count, |j| vals[j]),
+                        &oracle(&vals, count),
+                        &format!("m={m} count={count} vals={vals:?}"),
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn count_two_orders_signed_zeros_infinities_and_ties() {
+        let cases: [&[f64]; 7] = [
+            &[0.0, -0.0],
+            &[-0.0, 0.0, -0.0],
+            &[f64::INFINITY, f64::INFINITY, f64::INFINITY],
+            &[f64::NEG_INFINITY, 3.0, f64::NEG_INFINITY],
+            &[2.0, 1.0, 1.0, 2.0, 1.0],
+            &[5.0, 5.0, 4.0, 4.0],
+            &[1.0, 0.0, -0.0, 0.0, -0.0],
+        ];
+        for vals in cases {
+            assert_same_bits(
+                &smallest(vals.len(), 2, |j| vals[j]),
+                &oracle(vals, 2),
+                &format!("{vals:?}"),
+            );
+        }
     }
 
     #[test]

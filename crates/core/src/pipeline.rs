@@ -132,7 +132,17 @@
 //!   timestamp and qualify as a prefix pop (the bound is monotone in
 //!   `s`). The class is absorbing — ready times only grow and arrival
 //!   rows only shrink — which is what turns a frontier of tens of
-//!   thousands of rivals into ~3 evaluations per step at v = 100k.
+//!   thousands of rivals into about 1.4 evaluations per step at
+//!   v = 100k. An FRD task is never evaluated: for it every σ start is
+//!   its processor's ready time, since `a_j ≤ amax ≤ rdmin ≤ rd_j`, so
+//!   its score on `p_j` is `fl(fl(rd_j + s) − r)`, and the `(ε+1)`-th
+//!   smallest of those is that function of `rd₍ε₊₁₎` (the function is
+//!   weakly monotone, and order statistics commute with it) — the very
+//!   value the FRD drain qualifies on. The drain ranks qualifiers by it
+//!   and requeues them untouched; an evaluation that finds a fresh row
+//!   fully ready-dominated stops there, before the σ selection; and
+//!   only the step's winner, if it is FRD, gets its σ set, from one
+//!   selection over `(rd_j + s) − r`, the reference's scores.
 //! * **lazy** — tasks whose *bound* lost: parked in urgency- and
 //!   start-keyed overflow heaps, resurfacing only when the losing bound
 //!   itself becomes competitive.
@@ -718,6 +728,10 @@ fn select_next(
             // ready-dominated rivals stay hot, so their eval ↔ fire
             // cycle never touches a heap.
             //
+            // **FRD drain.** Fully-ready-dominated tasks whose exact
+            // urgency reaches the threshold are a prefix of their heap;
+            // they are ranked by that urgency without an evaluation.
+            //
             // **Lazy drains.** Lazy tasks whose bound parts reach the
             // threshold are popped — qualifying tasks form a *prefix*
             // of each lazy heap's order (the key → bound-part mapping
@@ -729,18 +743,20 @@ fn select_next(
             // already clean).
             //
             // **Pick.** Every task that could win is now clean or was
-            // evaluated this step. The clean side's winner is the main
-            // heap's top *tie group*: entries whose `fl(raw − r)` all
-            // equal the top's (the `− r` subtraction can collapse
-            // distinct raw keys, and the reference breaks those ties
-            // by token). The group is popped, the max token wins, and
-            // the losers are re-pushed after the loop (re-pushing
-            // mid-loop would pop them again). That winner then meets
-            // the best unpromoted candidate on `(σ, token)`. `R(n−1)`
-            // is subtracted fresh everywhere, so every comparison that
-            // runs is bitwise the reference sweep's, and the winner —
-            // the unique argmax of `(σ, token)`, an order-independent
-            // property — matches.
+            // ranked this step (evaluated, or FRD). The clean side's
+            // winner is the main heap's top *tie group*: entries whose
+            // `fl(raw − r)` all equal the top's (the `− r` subtraction
+            // can collapse distinct raw keys, and the reference breaks
+            // those ties by token). The group is popped, the max token
+            // wins, and the losers are re-pushed after the loop
+            // (re-pushing mid-loop would pop them again). That winner
+            // then meets the best unpromoted candidate on `(σ, token)`.
+            // `R(n−1)` is subtracted fresh everywhere, so every
+            // comparison that runs is bitwise the reference sweep's, and
+            // the winner — the unique argmax of `(σ, token)`, an
+            // order-independent property — matches. Its σ set is the
+            // cached one, or, for an FRD winner, derived from the ready
+            // times.
             if pc.free_len == 0 {
                 return None;
             }
@@ -758,18 +774,26 @@ fn select_next(
             // `(ε+1)`-th smallest (every FRD task's exact σ slot).
             let rdmin = eng.ready_lb.iter().fold(f64::INFINITY, |a, &b| a.min(b));
             let (rdk, _) = kth_smallest_score(eng.ready_lb, eng.ready_lb, 0.0, 0.0, replicas, row);
-            // Best `(σ, token)` among tasks evaluated this step that
-            // did not promote to clean — they hold no heap entries, so
-            // the pick phase must see them through this channel.
-            let mut cand: Option<(f64, u64, u32)> = None;
+            // Best `(σ, token, id, derived)` among tasks ranked this
+            // step that are not clean — they hold no main-heap entries,
+            // so the pick phase must see them through this channel.
+            // `derived` marks an FRD task: its σ set is not cached and
+            // is derived from the ready times if it wins.
+            let mut cand: Option<(f64, u64, u32, bool)> = None;
+            let offer = |cand: &mut Option<(f64, u64, u32, bool)>, u: f64, id: u32, derived| {
+                let tok = token[id as usize];
+                if cand.map_or(true, |(cu, ct, _, _)| u > cu || (u == cu && tok > ct)) {
+                    *cand = Some((u, tok, id, derived));
+                }
+            };
             let mut evaluate = |pc: &mut PressureCache,
                                 id: u32,
                                 bu: &mut Option<f64>,
-                                cand: &mut Option<(f64, u64, u32)>|
+                                cand: &mut Option<(f64, u64, u32, bool)>|
              -> Disposition {
                 let ti = id as usize;
                 let disp = evaluate_pressure_task(
-                    eng, pc, token, s_latest, replicas, m, ti, sweep, r, rdmin,
+                    eng, pc, token, s_latest, replicas, m, ti, sweep, r, rdmin, rdk,
                 );
                 // fl(fl(start + s) − r): bitwise the reference σ.
                 let u = pc.urgency[ti] - r;
@@ -777,31 +801,32 @@ fn select_next(
                     *bu = Some(u);
                 }
                 if disp != Disposition::Clean {
-                    let tok = token[ti];
-                    if cand.map_or(true, |(cu, ct, _)| u > cu || (u == cu && tok > ct)) {
-                        *cand = Some((u, tok, id));
-                    }
+                    offer(cand, u, id, disp == Disposition::Frd);
                 }
                 disp
             };
             // FRD drain: every fully-ready-dominated task's exact
             // urgency is `rd₍ε+1₎ + s − r`, monotone in its key `s`, so
-            // qualifiers are a heap prefix. Evaluated tasks re-enter
-            // after the drain — their urgency qualifies against itself,
-            // so re-pushing mid-loop would pop them forever.
+            // qualifiers are a heap prefix, and a qualifier needs no
+            // evaluation: the value is already exact (see
+            // `evaluate_pressure_task`). Popped tasks re-enter after the
+            // drain — their urgency qualifies against itself, so
+            // re-pushing mid-loop would pop them forever. Their entries
+            // stay live: no epoch bump, the same key.
             if pc.frd.raw_len() > cap {
                 pc.frd.compact(&pc.epoch);
             }
             pc.requeue.clear();
-            while let Some((id, _)) = pc
+            while let Some((id, key)) = pc
                 .frd
                 .pop_if(&pc.epoch, |k| bu.map_or(true, |b| (rdk + k.get()) - r >= b))
             {
-                match evaluate(pc, id, &mut bu, &mut cand) {
-                    Disposition::Clean => {}
-                    Disposition::Frd => pc.requeue.push(id),
-                    Disposition::Hot => pc.hot.push(id),
+                let u = (rdk + key.get()) - r;
+                if bu.map_or(true, |b| u > b) {
+                    bu = Some(u);
                 }
+                offer(&mut cand, u, id, true);
+                pc.requeue.push(id);
             }
             while let Some(id) = pc.requeue.pop() {
                 let ti = id as usize;
@@ -939,21 +964,21 @@ fn select_next(
                 }
                 wmain = Some((gid, gkey));
             }
-            let wid: u32 = match (wmain, cand) {
-                (Some((mid, mkey)), Some((cu, ctok, cid))) => {
+            let (wid, derived) = match (wmain, cand) {
+                (Some((mid, mkey)), Some((cu, ctok, cid, derived))) => {
                     let mu = mkey.0.get() - r;
                     if cu > mu || (cu == mu && ctok > mkey.1) {
                         // The clean group survives intact, top included.
                         pc.popped.push((mid, mkey));
-                        cid
+                        (cid, derived)
                     } else {
-                        mid
+                        (mid, false)
                     }
                 }
-                (Some((mid, _)), None) => mid,
-                (None, Some((_, _, cid))) => cid,
+                (Some((mid, _)), None) => (mid, false),
+                (None, Some((_, _, cid, derived))) => (cid, derived),
                 (None, None) => {
-                    unreachable!("a free task is always clean or evaluated this step")
+                    unreachable!("a free task is always clean or ranked this step")
                 }
             };
             for &(id, key) in pc.popped.iter() {
@@ -972,13 +997,20 @@ fn select_next(
             }
             pc.in_free[ti] = false;
             pc.epoch[ti] = pc.epoch[ti].wrapping_add(1);
-            let base = ti * replicas;
-            chosen.clear();
-            for i in 0..replicas {
-                chosen.push((
-                    pc.proc[base + i] as usize,
-                    (pc.start[base + i] + s_latest[ti]) - r,
-                ));
+            if derived {
+                // An FRD winner's σ starts are the ready times, so its σ
+                // set is the reference's selection over `(rd_j + s) − r`.
+                let s = s_latest[ti];
+                select_smallest_into(m, replicas, |j| (eng.ready_lb[j] + s) - r, chosen);
+            } else {
+                let base = ti * replicas;
+                chosen.clear();
+                for i in 0..replicas {
+                    chosen.push((
+                        pc.proc[base + i] as usize,
+                        (pc.start[base + i] + s_latest[ti]) - r,
+                    ));
+                }
             }
             let t = TaskId(ti as u32);
             if pimpl.uses_free_list() {
@@ -1192,20 +1224,22 @@ fn kth_smallest_score(
 }
 
 /// Re-evaluates a dirty free task exactly: re-runs the `O(preds · m)`
-/// arrival row fold (stale tasks only) and the `O(m · (ε+1))`
-/// σ-selection, then bumps the task's epoch (tombstoning any old
-/// entries everywhere). If the fresh σ set is *stable* — every σ start
-/// strictly above its processor's ready time — the task promotes to
-/// clean: the exact `(raw urgency, token)` main key is pushed and one
-/// guard per σ processor is armed at the cached start. A ready-dominated
-/// task stays dirty: arming its guards would just fire them on the next
+/// arrival row fold (stale tasks only) and bumps the task's epoch
+/// (tombstoning any old entries everywhere). A row that is fully ready-
+/// dominated (max arrival ≤ `rdmin`) ends there: the task's raw urgency
+/// is `rdk + s` (see the module docs), the σ selection and the other
+/// cache writes are skipped, and the task stays dirty as
+/// [`Disposition::Frd`]. Otherwise the `O(m · (ε+1))` σ-selection runs.
+/// If the fresh σ set is *stable* — every σ start strictly above its
+/// processor's ready time — the task promotes to clean: the exact
+/// `(raw urgency, token)` main key is pushed and one guard per σ
+/// processor is armed at the cached start. A ready-dominated task stays
+/// dirty and hot: arming its guards would just fire them on the next
 /// placement over its σ procs, so the heap round trip is skipped
-/// entirely, and the returned [`Disposition`] tells the caller which
-/// dirty sub-family it belongs to (fully ready-dominated or hot — the
-/// caller does the corresponding push; nothing is pushed here). The
-/// float expressions match the reference sweep exactly, so the cached
-/// σ-set and urgency are bitwise the values the exhaustive loop would
-/// compute.
+/// entirely. The caller does the push the returned [`Disposition`]
+/// names; nothing is pushed here for a dirty task. The float expressions
+/// match the reference sweep exactly, so the cached σ-set and urgency
+/// are bitwise the values the exhaustive loop would compute.
 #[allow(clippy::too_many_arguments)]
 fn evaluate_pressure_task(
     eng: &Engine<'_>,
@@ -1218,16 +1252,27 @@ fn evaluate_pressure_task(
     sweep: &mut Vec<(usize, f64)>,
     r: f64,
     rdmin: f64,
+    rdk: f64,
 ) -> Disposition {
     let base = ti * replicas;
     let rbase = ti * m;
-    pc.stats.evals += 1;
     if pc.stale[ti] {
         pc.stats.folds += 1;
         eng.arrival_row_lb_slice(TaskId(ti as u32), &mut pc.row[rbase..rbase + m]);
         pc.stale[ti] = false;
     }
     let arow = &pc.row[rbase..rbase + m];
+    let amax = arow.iter().fold(f64::NEG_INFINITY, |a, &b| a.max(b));
+    pc.epoch[ti] = pc.epoch[ti].wrapping_add(1);
+    if amax <= rdmin {
+        // Fully ready-dominated: every start is its ready time, so the
+        // urgency is `rd₍ε+1₎ + s`, and the σ set is derived only if
+        // the task wins (the FRD family is absorbing).
+        pc.dirty[ti] = true;
+        pc.urgency[ti] = rdk + s_latest[ti];
+        return Disposition::Frd;
+    }
+    pc.stats.evals += 1;
     select_smallest_into(
         m,
         replicas,
@@ -1237,7 +1282,6 @@ fn evaluate_pressure_task(
         },
         sweep,
     );
-    let amax = arow.iter().fold(f64::NEG_INFINITY, |a, &b| a.max(b));
     let mut stable = true;
     for (i, &(j, _)) in sweep.iter().enumerate() {
         let start = arow[j].max(eng.ready_lb[j]);
@@ -1250,7 +1294,6 @@ fn evaluate_pressure_task(
         }
     }
     pc.urgency[ti] = pc.start[base + replicas - 1] + s_latest[ti];
-    pc.epoch[ti] = pc.epoch[ti].wrapping_add(1);
     if stable {
         pc.dirty[ti] = false;
         let ep = pc.epoch[ti];
@@ -1263,11 +1306,7 @@ fn evaluate_pressure_task(
         Disposition::Clean
     } else {
         pc.dirty[ti] = true;
-        if amax <= rdmin {
-            Disposition::Frd
-        } else {
-            Disposition::Hot
-        }
+        Disposition::Hot
     }
 }
 
@@ -1449,10 +1488,12 @@ mod complexity {
     /// Pins the heap-driven engine's complexity claim at the counter
     /// level, where it can't be blurred by machine noise: on the bench
     /// shape the per-step evaluation count must stay O(1) as v grows
-    /// (measured ≈ 3.3 at every size from 5k to 100k; the PR 8 two-pass
-    /// sweep sat at ≈ 800 for v = 100k). A regression that quietly
-    /// reverts a family to per-step sweeping shows up here as an
-    /// evals/step explosion long before the wall-clock benches notice.
+    /// (measured 1.54, 1.45 and 1.42 at v = 2000, 5000 and 10000, and
+    /// 1.39 at v = 100k; ≈ 3.3 while FRD pops were still evaluated, and
+    /// ≈ 800 for the two-pass sweep at v = 100k). A regression that quietly
+    /// reverts a family to per-step sweeping, or evaluates
+    /// fully-ready-dominated tasks again, shows up here as a count long
+    /// before the wall-clock benches notice.
     #[test]
     fn evaluations_per_step_stay_bounded() {
         let mut per_step = Vec::new();
@@ -1478,9 +1519,9 @@ mod complexity {
         }
         for (i, &eps) in per_step.iter().enumerate() {
             assert!(
-                eps < 16.0,
-                "evals/step = {eps:.1} at size index {i} — heap-driven \
-                 selection is sweeping again (expected ≈ 3)"
+                eps < 2.0,
+                "evals/step = {eps:.2} at size index {i} — heap-driven \
+                 selection evaluates FRD tasks or sweeps again (expected ≈ 1.5)"
             );
         }
         // Constant, not merely sub-linear: growing v 5× may not even

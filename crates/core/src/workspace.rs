@@ -81,7 +81,9 @@ pub(crate) type AlphaKey = Reverse<(OrdF64, u64)>;
 ///   [`frd`](Self::frd) heap keyed by its fold-time `s(t)` and
 ///   qualification pops as a *prefix* (the bound is monotone in `s`).
 ///   The class is absorbing — ready times only grow, arrival rows only
-///   shrink — and absorbs the bulk of a wide frontier.
+///   shrink — and absorbs the bulk of a wide frontier. Its tasks are
+///   ranked by that urgency and never evaluated; their cached σ sets
+///   are not kept, and a winner's is derived from the ready times.
 /// * **lazy** — its 6-flop *bound* lost a hot sweep: parked in the
 ///   [`dstat`](Self::dstat) heap (keyed by cached raw urgency) and one
 ///   [`dproc`](Self::dproc)`[j]` heap per cached σ processor (keyed
@@ -97,8 +99,8 @@ pub(crate) type AlphaKey = Reverse<(OrdF64, u64)>;
 /// re-enters the clean family only through a full re-evaluation (row
 /// refold if stale + `O(m · (ε+1))` σ-selection) that lands stable —
 /// exactly the tasks the PR 8 two-pass scan re-evaluated, but found in
-/// `O(log)` per evaluation instead of an `O(free)` sweep, and ~3 per
-/// step in the large-v regime.
+/// `O(log)` per evaluation instead of an `O(free)` sweep, and about 1.4
+/// per step in the large-v regime.
 ///
 /// Everything is keyed by *r_len-free raw urgencies* (`start + s(t)`,
 /// without the `− R(n−1)` term): the current `R(n−1)` is subtracted at
@@ -169,10 +171,10 @@ pub(crate) struct PressureCache {
     /// monotone in `s`, making qualifiers a heap prefix — the bulk of
     /// the frontier rivals cost nothing per step.
     pub frd: EpochHeap<OrdF64>,
-    /// Per-step scratch: fully-ready-dominated tasks evaluated this
-    /// step, re-pushed into [`frd`](Self::frd) after the drain
-    /// (re-pushing mid-loop would pop them again — their exact urgency
-    /// qualifies against itself).
+    /// Per-step scratch: fully-ready-dominated tasks ranked this step,
+    /// re-pushed into [`frd`](Self::frd) after the drain (re-pushing
+    /// mid-loop would pop them again — their exact urgency qualifies
+    /// against itself).
     pub requeue: Vec<u32>,
     /// Number of free (released, unselected) tasks — the heap path's
     /// replacement for the reference sweep's free list length.
@@ -197,7 +199,8 @@ pub(crate) struct PressureStats {
     /// Selection steps taken.
     pub steps: u64,
     /// Full σ re-evaluations (row folds counted separately via
-    /// [`PressureStats::folds`]).
+    /// [`PressureStats::folds`]). A fully-ready-dominated task is ranked
+    /// without one, and deriving an FRD winner's σ set is not one either.
     pub evals: u64,
     /// Guard firings (clean → dirty demotions from ready advances).
     pub fires: u64,

@@ -140,13 +140,96 @@ fn assert_bit_identical(
     Ok(())
 }
 
+/// The oracle: on a random instance, the incremental sweep and the
+/// exhaustive reference produce the same (task, σ-set) sequence — and
+/// therefore bit-identical schedules — for every pressure algorithm.
+fn incremental_matches_reference(
+    family: Family,
+    seed: u64,
+    size: usize,
+    procs: usize,
+    eps_raw: usize,
+) -> Result<(), TestCaseError> {
+    let eps = eps_raw.min(procs - 1);
+    let dag = build(family, seed, size);
+    let mut rng = StdRng::seed_from_u64(seed ^ 0x51C);
+    let platform = random_platform(&mut rng, procs, 0.5, 1.0);
+    let exec = ExecutionMatrix::unrelated_with_procs(&dag, procs, &mut rng, 0.5);
+    let inst = Instance::new(dag, platform, exec);
+    let mut ws = ScheduleWorkspace::new();
+    for alg in PRESSURE_ALGS {
+        let inc = {
+            let mut tie = StdRng::seed_from_u64(seed);
+            schedule_into(&inst, eps, alg, &mut tie, &mut ws)
+                .unwrap()
+                .clone()
+        };
+        let reference = {
+            let mut tie = StdRng::seed_from_u64(seed);
+            alg.scheduler()
+                .run_into_reference_pressure(&inst, eps, &mut tie, &mut ws)
+                .unwrap()
+                .clone()
+        };
+        assert_bit_identical(&inst, alg, eps, &inc, &reference)?;
+        // Checked heap path: per-step exhaustive argmax debug-assert
+        // inside, bit-identical schedule outside.
+        let checked = {
+            let mut tie = StdRng::seed_from_u64(seed);
+            alg.scheduler()
+                .run_into_xcheck_pressure(&inst, eps, &mut tie, &mut ws)
+                .unwrap()
+                .clone()
+        };
+        assert_bit_identical(&inst, alg, eps, &checked, &reference)?;
+    }
+    Ok(())
+}
+
+/// Workspace reuse across shapes must not leak cache state between
+/// runs: interleaving different instances, ε values and algorithms
+/// through one workspace stays bit-identical to the reference.
+fn warm_reuse_matches_reference(
+    seed: u64,
+    size_a: usize,
+    size_b: usize,
+) -> Result<(), TestCaseError> {
+    let dag_a = build(Family::Layered, seed, size_a);
+    let dag_b = build(Family::Erdos, seed ^ 1, size_b);
+    let mut rng = StdRng::seed_from_u64(seed ^ 0xCA11);
+    let procs = 5;
+    let mk = |dag: Dag, rng: &mut StdRng| {
+        let platform = random_platform(rng, procs, 0.5, 1.0);
+        let exec = ExecutionMatrix::unrelated_with_procs(&dag, procs, rng, 0.5);
+        Instance::new(dag, platform, exec)
+    };
+    let inst_a = mk(dag_a, &mut rng);
+    let inst_b = mk(dag_b, &mut rng);
+    let mut ws = ScheduleWorkspace::new();
+    // Interleave shapes and ε through the same warm workspace.
+    for (inst, eps) in [(&inst_a, 1), (&inst_b, 2), (&inst_a, 0), (&inst_b, 1)] {
+        let inc = {
+            let mut tie = StdRng::seed_from_u64(seed);
+            schedule_into(inst, eps, Algorithm::Ftbar, &mut tie, &mut ws)
+                .unwrap()
+                .clone()
+        };
+        let reference = {
+            let mut tie = StdRng::seed_from_u64(seed);
+            Algorithm::Ftbar
+                .scheduler()
+                .run_into_reference_pressure(inst, eps, &mut tie, &mut ws)
+                .unwrap()
+                .clone()
+        };
+        assert_bit_identical(inst, Algorithm::Ftbar, eps, &inc, &reference)?;
+    }
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(40))]
 
-    /// The oracle: on random instances, the incremental sweep and the
-    /// exhaustive reference produce the same (task, σ-set) sequence —
-    /// and therefore bit-identical schedules — for every pressure
-    /// algorithm and every ε.
     #[test]
     fn incremental_pressure_matches_reference(
         family in family_strategy(),
@@ -155,80 +238,46 @@ proptest! {
         procs in 3usize..9,
         eps_raw in 0usize..3,
     ) {
-        let eps = eps_raw.min(procs - 1);
-        let dag = build(family, seed, size);
-        let mut rng = StdRng::seed_from_u64(seed ^ 0x51C);
-        let platform = random_platform(&mut rng, procs, 0.5, 1.0);
-        let exec = ExecutionMatrix::unrelated_with_procs(&dag, procs, &mut rng, 0.5);
-        let inst = Instance::new(dag, platform, exec);
-        let mut ws = ScheduleWorkspace::new();
-        for alg in PRESSURE_ALGS {
-            let inc = {
-                let mut tie = StdRng::seed_from_u64(seed);
-                schedule_into(&inst, eps, alg, &mut tie, &mut ws)
-                    .unwrap()
-                    .clone()
-            };
-            let reference = {
-                let mut tie = StdRng::seed_from_u64(seed);
-                alg.scheduler()
-                    .run_into_reference_pressure(&inst, eps, &mut tie, &mut ws)
-                    .unwrap()
-                    .clone()
-            };
-            assert_bit_identical(&inst, alg, eps, &inc, &reference)?;
-            // Checked heap path: per-step exhaustive argmax debug-assert
-            // inside, bit-identical schedule outside.
-            let checked = {
-                let mut tie = StdRng::seed_from_u64(seed);
-                alg.scheduler()
-                    .run_into_xcheck_pressure(&inst, eps, &mut tie, &mut ws)
-                    .unwrap()
-                    .clone()
-            };
-            assert_bit_identical(&inst, alg, eps, &checked, &reference)?;
-        }
+        incremental_matches_reference(family, seed, size, procs, eps_raw)?;
     }
 
-    /// Workspace reuse across shapes must not leak cache state between
-    /// runs: interleaving different instances, ε values and algorithms
-    /// through one workspace stays bit-identical to the reference.
     #[test]
     fn warm_workspace_reuse_stays_identical(
         seed in 0u64..3_000,
         size_a in 4usize..30,
         size_b in 4usize..30,
     ) {
-        let dag_a = build(Family::Layered, seed, size_a);
-        let dag_b = build(Family::Erdos, seed ^ 1, size_b);
-        let mut rng = StdRng::seed_from_u64(seed ^ 0xCA11);
-        let procs = 5;
-        let mk = |dag: Dag, rng: &mut StdRng| {
-            let platform = random_platform(rng, procs, 0.5, 1.0);
-            let exec = ExecutionMatrix::unrelated_with_procs(&dag, procs, rng, 0.5);
-            Instance::new(dag, platform, exec)
-        };
-        let inst_a = mk(dag_a, &mut rng);
-        let inst_b = mk(dag_b, &mut rng);
-        let mut ws = ScheduleWorkspace::new();
-        // Interleave shapes and ε through the same warm workspace.
-        for (inst, eps) in [(&inst_a, 1), (&inst_b, 2), (&inst_a, 0), (&inst_b, 1)] {
-            let inc = {
-                let mut tie = StdRng::seed_from_u64(seed);
-                schedule_into(inst, eps, Algorithm::Ftbar, &mut tie, &mut ws)
-                    .unwrap()
-                    .clone()
-            };
-            let reference = {
-                let mut tie = StdRng::seed_from_u64(seed);
-                Algorithm::Ftbar
-                    .scheduler()
-                    .run_into_reference_pressure(inst, eps, &mut tie, &mut ws)
-                    .unwrap()
-                    .clone()
-            };
-            assert_bit_identical(inst, Algorithm::Ftbar, eps, &inc, &reference)?;
-        }
+        warm_reuse_matches_reference(seed, size_a, size_b)?;
+    }
+}
+
+// The same two properties at 2000 cases each: about 80 per family × ε ×
+// algorithm cell. Too slow for a debug run; CI runs them in release
+// (`cargo test --release -p ftsched-core --test pressure_incremental --
+// --ignored`).
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(2000))]
+
+    #[test]
+    #[ignore = "2000 cases; run in release with --ignored"]
+    fn incremental_pressure_matches_reference_many_cases(
+        family in family_strategy(),
+        seed in 0u64..1_000_000,
+        size in 4usize..40,
+        procs in 3usize..9,
+        eps_raw in 0usize..3,
+    ) {
+        incremental_matches_reference(family, seed, size, procs, eps_raw)?;
+    }
+
+    #[test]
+    #[ignore = "2000 cases; run in release with --ignored"]
+    fn warm_workspace_reuse_stays_identical_many_cases(
+        seed in 0u64..1_000_000,
+        size_a in 4usize..30,
+        size_b in 4usize..30,
+    ) {
+        warm_reuse_matches_reference(seed, size_a, size_b)?;
     }
 }
 

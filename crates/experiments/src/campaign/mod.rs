@@ -69,7 +69,7 @@ mod spec;
 pub use error::{CampaignError, StoreIoError};
 pub use spec::{
     ArrivalSpec, CampaignSpec, ForkJoinShape, LayeredRange, MeasurePlan, PlatformSpec, Seeding,
-    StructuredKernel, StructuredWorkload, TaskCount, TimingCap, WorkloadSpec,
+    ShapeTooLarge, StructuredKernel, StructuredWorkload, TaskCount, TimingCap, WorkloadSpec,
 };
 
 use crate::parallel::parallel_map_into;
@@ -329,8 +329,7 @@ pub struct CellPlan {
     /// mirroring the duplicate-extra-algorithm rule.
     pub failure_skip: Vec<Vec<bool>>,
     /// Declared task count per workload index
-    /// ([`WorkloadSpec::declared_tasks`], cached here because it builds
-    /// the kernel graph for structured workloads).
+    /// ([`WorkloadSpec::declared_tasks`]).
     pub workload_tasks: Vec<usize>,
 }
 

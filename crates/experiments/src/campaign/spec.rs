@@ -15,7 +15,7 @@ use serde::{Deserialize, Serialize};
 use simulator::streaming::ArrivalProcess;
 use taskgraph::generators::{
     erdos, fork_join, layered, series_parallel, ErdosConfig, ForkJoinConfig, LayeredConfig,
-    SeriesParallelConfig,
+    SeriesParallelConfig, MAX_TASKS,
 };
 use taskgraph::{workloads, Dag};
 
@@ -110,6 +110,33 @@ impl StructuredKernel {
             StructuredKernel::Wavefront => workloads::wavefront(size, size, 10.0, 15.0),
         }
     }
+
+    /// The number of tasks [`build`](Self::build) draws at `size`,
+    /// computed from the shape alone; `None` when it overflows `usize`.
+    pub fn task_count(self, size: usize) -> Option<usize> {
+        match self {
+            // Per step k of an n × n tile grid, with a = n − 1 − k: one
+            // potrf, a trsm, a syrk and a(a − 1)/2 gemm tasks.
+            StructuredKernel::Cholesky => {
+                let n = size.max(2);
+                let gemm = n.checked_mul(n - 1)?.checked_mul(n - 2)? / 6;
+                n.checked_mul(n)?.checked_add(gemm)
+            }
+            // An input row and one butterfly row per stage.
+            StructuredKernel::Fft => {
+                let n = size.checked_next_power_of_two()?.max(2);
+                n.checked_mul(n.trailing_zeros() as usize + 1)
+            }
+            // Per step, a pivot and one update per remaining column.
+            StructuredKernel::GaussianElimination => {
+                let n = size.max(2);
+                (n - 1).checked_add(n.checked_mul(n - 1)? / 2)
+            }
+            StructuredKernel::Stencil1d | StructuredKernel::Wavefront => size.checked_mul(size),
+            // Split, mappers, reducers and collect.
+            StructuredKernel::MapReduce => size.checked_add(size / 2 + 3),
+        }
+    }
 }
 
 /// One point of the workload axis.
@@ -149,15 +176,13 @@ impl WorkloadSpec {
     /// Declared task count: the spec-stated bound for the random
     /// families (`tasks_hi` for ranges — actual draws can only be
     /// smaller or equal) and the **exact** task count for structured
-    /// kernels (computed by building the kernel graph once — a size
-    /// parameter of 50 means ~20k Cholesky tasks, so comparing caps
-    /// against the raw parameter would make them silently ineffective).
-    /// Timing caps compare against this, and the `PaperTable` seeding
-    /// mode derives its per-cell seed from it (matching the pre-campaign
-    /// Table 1 driver, which XORed the row's task count into the seed).
-    /// Deterministic; O(kernel size) for structured workloads, so cache
-    /// it (as [`crate::campaign::CellPlan`] does) rather than calling it
-    /// per cell.
+    /// kernels ([`StructuredKernel::task_count`] — a size parameter of
+    /// 50 means ~20k Cholesky tasks, so comparing caps against the raw
+    /// parameter would make them silently ineffective; a count past
+    /// `usize` reads as `usize::MAX`). Timing caps compare against this,
+    /// and the `PaperTable` seeding mode derives its per-cell seed from
+    /// it (matching the pre-campaign Table 1 driver, which XORed the
+    /// row's task count into the seed).
     pub fn declared_tasks(&self) -> usize {
         match self {
             WorkloadSpec::PaperLayered(r) => r.tasks_hi,
@@ -165,8 +190,48 @@ impl WorkloadSpec {
                 t.tasks
             }
             WorkloadSpec::ForkJoin(s) => s.width * s.depth + 2,
-            WorkloadSpec::Structured(s) => s.kernel.build(s.size).num_tasks(),
+            WorkloadSpec::Structured(s) => s.kernel.task_count(s.size).unwrap_or(usize::MAX),
         }
+    }
+
+    /// The most tasks the workload draws, computed from its shape alone
+    /// (exact except for the random families whose draws vary); `None`
+    /// when it overflows `usize`.
+    pub fn task_count(&self) -> Option<usize> {
+        match self {
+            WorkloadSpec::PaperLayered(r) => Some(r.tasks_hi),
+            WorkloadSpec::Layered(t) | WorkloadSpec::Erdos(t) => Some(t.tasks),
+            // At most twice the target: a parallel split whose second
+            // branch has no budget left still gets a task.
+            WorkloadSpec::SeriesParallel(t) => t.tasks.max(2).checked_mul(2),
+            // A source, then per stage `depth` branches and a join.
+            WorkloadSpec::ForkJoin(s) => {
+                s.width.checked_mul(s.depth.checked_add(1)?)?.checked_add(1)
+            }
+            WorkloadSpec::Structured(s) => s.kernel.task_count(s.size),
+        }
+    }
+
+    /// Checks the drawn graph's size against
+    /// [`MAX_TASKS`](taskgraph::generators::MAX_TASKS) before anything is
+    /// drawn.
+    pub fn check_size(&self) -> Result<(), ShapeTooLarge> {
+        let tasks = self.task_count().ok_or(ShapeTooLarge::Overflow)?;
+        if tasks > MAX_TASKS {
+            return Err(ShapeTooLarge::Tasks(tasks));
+        }
+        // Map-reduce's all-to-all shuffle outgrows its tasks.
+        if let WorkloadSpec::Structured(StructuredWorkload {
+            kernel: StructuredKernel::MapReduce,
+            size,
+        }) = *self
+        {
+            let edges = size.saturating_mul(size / 2 + 1);
+            if edges > MAX_TASKS {
+                return Err(ShapeTooLarge::Shuffle(edges));
+            }
+        }
+        Ok(())
     }
 
     /// Builds the task graph, consuming `rng` only for the random
@@ -190,8 +255,11 @@ impl WorkloadSpec {
     /// Structural validation: rejects the shapes whose generators would
     /// panic or emit an empty DAG mid-grid (an inverted `PaperLayered`
     /// range aborts `gen_range`; zero-task / zero-shape workloads have no
-    /// schedulable graph). Part of [`CampaignSpec::validate`].
+    /// schedulable graph) and the shapes too large to draw (see
+    /// [`WorkloadSpec::check_size`]). Part of [`CampaignSpec::validate`].
     pub fn validate(&self) -> Result<(), String> {
+        self.check_size()
+            .map_err(|e| format!("workload {}: {e}", self.label()))?;
         match self {
             WorkloadSpec::PaperLayered(r) => {
                 if r.tasks_lo == 0 {
@@ -232,6 +300,35 @@ impl WorkloadSpec {
             }
         }
         Ok(())
+    }
+}
+
+/// Why [`WorkloadSpec::check_size`] refuses a shape; its text says what
+/// the shape would draw.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ShapeTooLarge {
+    /// The task count overflows `usize`.
+    Overflow,
+    /// More tasks than [`MAX_TASKS`](taskgraph::generators::MAX_TASKS).
+    Tasks(usize),
+    /// A map-reduce shuffle of more edges than
+    /// [`MAX_TASKS`](taskgraph::generators::MAX_TASKS).
+    Shuffle(usize),
+}
+
+impl std::fmt::Display for ShapeTooLarge {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let max = MAX_TASKS;
+        match self {
+            ShapeTooLarge::Overflow => write!(f, "draws a task count that overflows"),
+            ShapeTooLarge::Tasks(n) => {
+                write!(f, "draws {n} tasks, more than the {max} a graph may have")
+            }
+            ShapeTooLarge::Shuffle(e) => write!(
+                f,
+                "draws a shuffle of {e} edges, more than the {max} a graph may have"
+            ),
+        }
     }
 }
 
@@ -742,6 +839,7 @@ impl CampaignSpec {
 mod tests {
     use super::*;
     use platform::{TimedFailures, UniformFailures};
+    use rand::SeedableRng;
 
     fn small_spec() -> CampaignSpec {
         CampaignSpec {
@@ -841,6 +939,124 @@ mod tests {
             spec.validate(),
             Err("platform point with 4097 processors (at most 4096)".into())
         );
+    }
+
+    #[test]
+    fn validation_bounds_the_task_count() {
+        let max = MAX_TASKS;
+        let with = |w: WorkloadSpec| {
+            let mut spec = small_spec();
+            spec.workloads = vec![w];
+            spec.validate()
+        };
+        let layered =
+            |tasks_lo, tasks_hi| WorkloadSpec::PaperLayered(LayeredRange { tasks_lo, tasks_hi });
+        let kernel = |kernel, size| WorkloadSpec::Structured(StructuredWorkload { kernel, size });
+        // At the bound: validation draws nothing, so nothing is drawn here.
+        assert_eq!(with(layered(1, max)), Ok(()));
+        assert_eq!(with(kernel(StructuredKernel::Wavefront, 1024)), Ok(()));
+        assert_eq!(
+            with(layered(1, max + 1)),
+            Err(format!(
+                "workload paper-layered[1..{}]: draws {} tasks, more than the {max} a graph may have",
+                max + 1,
+                max + 1
+            ))
+        );
+        let huge = 100_000_000_000;
+        assert_eq!(
+            with(layered(huge, huge)),
+            Err(format!(
+                "workload paper-layered[{huge}..{huge}]: draws {huge} tasks, more than the \
+                 {max} a graph may have"
+            ))
+        );
+        assert_eq!(
+            with(kernel(StructuredKernel::Wavefront, 1025)),
+            Err(format!(
+                "workload wavefront[1025]: draws 1050625 tasks, more than the {max} a graph may have"
+            ))
+        );
+        assert_eq!(
+            with(kernel(StructuredKernel::Stencil1d, 1 << 33)),
+            Err(format!(
+                "workload stencil_1d[{}]: draws a task count that overflows",
+                1u64 << 33
+            ))
+        );
+        assert_eq!(
+            with(WorkloadSpec::ForkJoin(ForkJoinShape {
+                width: usize::MAX,
+                depth: 1
+            })),
+            Err(format!(
+                "workload fork-join[{}x1]: draws a task count that overflows",
+                usize::MAX
+            ))
+        );
+        // 1448 · 725 = 1 049 800 shuffle edges over 2176 tasks.
+        assert_eq!(
+            with(kernel(StructuredKernel::MapReduce, 1448)),
+            Err(format!(
+                "workload map_reduce[1448]: draws a shuffle of 1049800 edges, more than the \
+                 {max} a graph may have"
+            ))
+        );
+        assert_eq!(with(kernel(StructuredKernel::MapReduce, 1447)), Ok(()));
+    }
+
+    #[test]
+    fn task_counts_are_the_drawn_counts() {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(3);
+        for size in (0..=24).chain([31, 32, 33, 50]) {
+            for kernel in StructuredKernel::ALL {
+                if size == 0
+                    && !matches!(
+                        kernel,
+                        StructuredKernel::Cholesky
+                            | StructuredKernel::Fft
+                            | StructuredKernel::GaussianElimination
+                    )
+                {
+                    continue; // the generator asserts a non-empty grid
+                }
+                let w = WorkloadSpec::Structured(StructuredWorkload { kernel, size });
+                let drawn = kernel.build(size).num_tasks();
+                assert_eq!(w.task_count(), Some(drawn), "{}", w.label());
+                assert_eq!(w.declared_tasks(), drawn, "{}", w.label());
+            }
+        }
+        for (width, depth) in [(1, 1), (2, 5), (7, 3)] {
+            let w = WorkloadSpec::ForkJoin(ForkJoinShape { width, depth });
+            assert_eq!(
+                w.task_count(),
+                Some(w.build_dag(&mut rng).num_tasks()),
+                "{}",
+                w.label()
+            );
+        }
+        for w in [
+            WorkloadSpec::Layered(TaskCount { tasks: 40 }),
+            WorkloadSpec::Erdos(TaskCount { tasks: 40 }),
+            WorkloadSpec::PaperLayered(LayeredRange {
+                tasks_lo: 40,
+                tasks_hi: 40,
+            }),
+        ] {
+            assert_eq!(
+                w.task_count(),
+                Some(w.build_dag(&mut rng).num_tasks()),
+                "{}",
+                w.label()
+            );
+        }
+        // Random series-parallel graphs stay within their count.
+        for tasks in [1, 2, 3, 40, 400] {
+            let w = WorkloadSpec::SeriesParallel(TaskCount { tasks });
+            for _ in 0..20 {
+                assert!(w.build_dag(&mut rng).num_tasks() <= w.task_count().unwrap());
+            }
+        }
     }
 
     #[test]

@@ -22,6 +22,16 @@ use crate::graph::{Dag, DagBuilder, TaskId};
 use crate::topology::levels;
 use rand::Rng;
 
+/// The most tasks a drawn graph may have. A drawn layered task costs
+/// about 160 bytes with its edges (`ftsched generate` peaks at 19 MB for
+/// 100k tasks and 67 MB for 400k), so one draw at the bound peaks near
+/// 170 MB. The entry points that take a graph's shape from their input
+/// (`ftsched generate --tasks/--size`, a campaign spec's workloads)
+/// compute its task count with checked arithmetic and check it before
+/// anything is drawn; a map-reduce shuffle, whose edges grow as
+/// mappers × reducers, is held to the same number of edges.
+pub const MAX_TASKS: usize = 1 << 20;
+
 /// Inclusive range helper for drawing uniform values.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Range {

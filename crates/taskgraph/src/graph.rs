@@ -303,21 +303,77 @@ impl Serialize for Dag {
 
 impl Deserialize for Dag {
     fn deserialize(r: &mut serde::Reader<'_>) -> Result<Self, serde::Error> {
-        let (mut nodes, mut edges) = (None, None);
-        r.begin_object()?;
-        while let Some(key) = r.next_key()? {
-            match &*key {
-                "nodes" => r.field(&mut nodes)?,
-                "edges" => r.field(&mut edges)?,
-                _ => r.skip_value()?,
-            }
+        read_dag(r, None::<EdgeTail<'_, fn() -> TailResult>>)
+    }
+}
+
+/// A reader state: `(byte offset, open containers, no member yet)`, as
+/// [`serde::Reader::position`] returns it.
+pub(crate) type ReadState = (usize, usize, bool);
+
+/// What a reader resumed inside an `edges` array read from there to the
+/// array's end: the edges and the state after its `]`, or the error.
+pub(crate) type TailResult = Result<(Vec<EdgeData>, ReadState), serde::Error>;
+
+/// The rest of an `edges` array read by another reader (see
+/// [`crate::io::from_json`]): that reader resumed from `at` in `src`, and
+/// `join` waits for its [`TailResult`].
+pub(crate) struct EdgeTail<'a, J> {
+    pub src: &'a str,
+    pub at: ReadState,
+    pub join: J,
+}
+
+/// The one body of `Dag`'s `Deserialize` and of
+/// [`crate::io::from_json`]. With a `tail`, the first `edges` member
+/// takes the other reader's result at the first element boundary where
+/// this reader stands in `tail.at` (see [`read_edges`]).
+pub(crate) fn read_dag<'a, J: FnOnce() -> TailResult>(
+    r: &mut serde::Reader<'a>,
+    mut tail: Option<EdgeTail<'a, J>>,
+) -> Result<Dag, serde::Error> {
+    let (mut nodes, mut edges) = (None, None);
+    r.begin_object()?;
+    while let Some(key) = r.next_key()? {
+        match &*key {
+            "nodes" => r.field(&mut nodes)?,
+            // The first of duplicate keys wins, as `Reader::field` does.
+            "edges" if edges.is_none() => edges = Some(read_edges(r, tail.take())?),
+            _ => r.skip_value()?,
         }
-        DagBuilder {
-            nodes: nodes.ok_or_else(|| serde::Error::missing_field("nodes", "Dag"))?,
-            edges: edges.ok_or_else(|| serde::Error::missing_field("edges", "Dag"))?,
+    }
+    DagBuilder {
+        nodes: nodes.ok_or_else(|| serde::Error::missing_field("nodes", "Dag"))?,
+        edges: edges.ok_or_else(|| serde::Error::missing_field("edges", "Dag"))?,
+    }
+    .build()
+    .map_err(|e| serde::Error::custom(format!("Dag: invalid graph: {e}")))
+}
+
+/// Reads an `edges` array as `Vec<EdgeData>`'s `Deserialize` does,
+/// except that before an element, standing in `tail.at`, it takes the
+/// other reader's edges and end state, or its error, instead of reading
+/// on. That reader started in the same state over the same text, so its
+/// result is what this reader would have read: the same edges, or the
+/// same error at the same byte offset.
+fn read_edges<'a, J: FnOnce() -> TailResult>(
+    r: &mut serde::Reader<'a>,
+    mut tail: Option<EdgeTail<'a, J>>,
+) -> Result<Vec<EdgeData>, serde::Error> {
+    let mut edges = Vec::new();
+    r.begin_array()?;
+    loop {
+        if tail.as_ref().is_some_and(|t| r.position() == t.at) {
+            let t = tail.take().expect("a tail stands here");
+            let (rest, end) = (t.join)()?;
+            edges.extend(rest);
+            *r = serde::Reader::resume(t.src, end);
+            return Ok(edges);
         }
-        .build()
-        .map_err(|e| serde::Error::custom(format!("Dag: invalid graph: {e}")))
+        if !r.next_element()? {
+            return Ok(edges);
+        }
+        edges.push(EdgeData::deserialize(r)?);
     }
 }
 

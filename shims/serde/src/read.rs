@@ -60,6 +60,36 @@ impl<'a> Reader<'a> {
         }
     }
 
+    /// A reader resumed inside `src` at byte `pos`, with `depth` open
+    /// containers, and `first` when the innermost has no member yet: the
+    /// reading twin of [`Writer::resume`](crate::Writer::resume). From a
+    /// position, a reader's behaviour depends only on the text and that
+    /// triple (the first byte of the value being read only positions
+    /// errors, and every read sets it before an error can use it), so a
+    /// reader resumed where another stands reads what that one reads
+    /// next: the same values, or the same error at the same byte offset.
+    /// [`Reader::position`] reads a reader's triple.
+    ///
+    /// # Panics
+    /// If `pos` is not a char boundary of `src`.
+    pub fn resume(src: &'a str, (pos, depth, first): (usize, usize, bool)) -> Self {
+        assert!(src.is_char_boundary(pos), "cannot resume at byte {pos}");
+        Reader {
+            src,
+            pos,
+            start: pos,
+            depth,
+            first,
+        }
+    }
+
+    /// Where the reader stands: the byte offset, the open containers, and
+    /// whether the innermost has no member yet (see [`Reader::resume`]).
+    #[inline]
+    pub fn position(&self) -> (usize, usize, bool) {
+        (self.pos, self.depth, self.first)
+    }
+
     /// Checks that only whitespace follows the value just read.
     pub fn finish(&mut self) -> Result<(), Error> {
         self.skip_ws();

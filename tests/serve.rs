@@ -12,7 +12,8 @@
 //! frames on disk.
 
 use experiments::campaign::{
-    presets, run_campaign_with_threads, CampaignSpec, PlatformSpec, TaskCount, WorkloadSpec,
+    presets, run_campaign_with_threads, CampaignSpec, LayeredRange, PlatformSpec, TaskCount,
+    WorkloadSpec,
 };
 use experiments::output::{campaign_to_json, json_group, json_group_lead, json_head};
 use experiments::serve::{spec_key, ServeConfig, Server};
@@ -242,6 +243,28 @@ fn a_platform_point_with_too_many_processors_answers_400() {
         "{}",
         res.body
     );
+    let res = request(addr, "GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n");
+    assert_eq!(res.status, "HTTP/1.1 200 OK");
+}
+
+#[test]
+fn a_workload_with_too_many_tasks_answers_400() {
+    // A paper-layered range up to 10^11 tasks would ask for about 20 TB
+    // at its first cell; `validate` refuses it from its shape alone,
+    // nothing drawn. The bound + 1 is refused the same way.
+    let addr = spawn_server(ServeConfig::default());
+    let max = taskgraph::generators::MAX_TASKS;
+    for tasks_hi in [max + 1, 100_000_000_000] {
+        let mut spec = smoke_spec();
+        spec.workloads = vec![WorkloadSpec::PaperLayered(LayeredRange {
+            tasks_lo: tasks_hi,
+            tasks_hi,
+        })];
+        let res = post_campaign(addr, &spec.to_json().expect("serializes"));
+        assert_eq!(res.status, "HTTP/1.1 400 Bad Request", "{}", res.body);
+        let why = format!("draws {tasks_hi} tasks, more than the {max} a graph may have");
+        assert!(res.body.contains(&why), "{}", res.body);
+    }
     let res = request(addr, "GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n");
     assert_eq!(res.status, "HTTP/1.1 200 OK");
 }
