@@ -3,11 +3,11 @@
 //! The incremental schedule-pressure engine needs a priority queue over
 //! per-task urgency keys where a key *invalidation* is O(1): tasks are
 //! re-keyed whenever a bound tightens, and the per-processor guard
-//! queues re-key whole batches per placement. An indexed heap (like
-//! [`crate::DaryHeap`]) pays `O(log n)` per remove and needs a position
-//! index per instance — too much for `m + 1` heaps over the same id
-//! universe. This heap instead never removes eagerly: every entry
-//! carries the **epoch** of its id at push time, the caller keeps one
+//! queues re-key whole batches per placement. An indexed heap pays
+//! `O(log n)` per remove and needs an id → position index per instance
+//! — too much for `m + 1` heaps over the same id universe. This heap
+//! instead never removes eagerly: every entry carries the **epoch** of
+//! its id at push time, the caller keeps one
 //! shared `epochs: &[u32]` array (one slot per id, shared across any
 //! number of heaps), and bumping `epochs[id]` tombstones *all* of that
 //! id's outstanding entries in *all* heaps at once. Stale entries are
@@ -16,8 +16,7 @@
 //!
 //! The heap is a **max**-heap over `K: Ord` (the scheduler's urgency
 //! keys embed a random tie-break token, so tops are unique and pop
-//! order is deterministic); min-at-top uses `core::cmp::Reverse` keys,
-//! exactly as [`crate::DaryHeap`] does for max-ordering.
+//! order is deterministic); min-at-top uses `core::cmp::Reverse` keys.
 
 /// One lazily-deleted heap entry.
 #[derive(Debug, Clone, Copy)]

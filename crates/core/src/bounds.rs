@@ -16,10 +16,12 @@ use platform::Instance;
 
 /// Absolute latency lower bound: the critical path with every task at its
 /// fastest processor and zero communication. Any schedule's `M*` is at
-/// least this.
-pub fn critical_path_bound(inst: &Instance) -> f64 {
+/// least this. `dist` is scratch for each task's finish on that path; a
+/// warm buffer makes the call allocation-free.
+pub fn critical_path_bound(inst: &Instance, dist: &mut Vec<f64>) -> f64 {
     let dag = &inst.dag;
-    let mut dist = vec![0.0f64; dag.num_tasks()];
+    dist.clear();
+    dist.resize(dag.num_tasks(), 0.0);
     let mut best = 0.0f64;
     for &t in dag.topological_order() {
         let arr = dag
@@ -53,7 +55,7 @@ mod tests {
         for seed in 0..5u64 {
             let mut r = StdRng::seed_from_u64(seed);
             let inst = paper_instance(&mut r, &PaperInstanceConfig::default());
-            let cp = critical_path_bound(&inst);
+            let cp = critical_path_bound(&inst, &mut Vec::new());
             for eps in [0usize, 1, 2] {
                 let mut tb = StdRng::seed_from_u64(seed);
                 let f = schedule(&inst, eps, Algorithm::Ftsa, &mut tb).unwrap();

@@ -10,7 +10,7 @@ mod tests {
     use super::*;
     use platform::{ExecutionMatrix, FailureScenario, Instance, Platform};
     use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use rand::{Rng, SeedableRng};
     use taskgraph::{DagBuilder, TaskId};
 
     fn rng() -> StdRng {
@@ -190,6 +190,35 @@ mod tests {
         let s = schedule(&inst, 1, Algorithm::Ftsa, &mut rng()).unwrap();
         assert_eq!(s.latency_lower_bound(), 0.0);
         assert_eq!(s.latency_upper_bound(), 0.0);
+    }
+
+    #[test]
+    fn equal_priorities_pop_in_decreasing_token_order() {
+        // 64 independent tasks with identical costs: every criticalness
+        // and bottom level is equal, so the free list's random tie token
+        // alone orders the pops. The pipeline draws one token per entry
+        // task, in entry order, before it schedules anything.
+        let mut b = DagBuilder::new();
+        for _ in 0..64 {
+            b.add_task(10.0);
+        }
+        let dag = b.build().unwrap();
+        let plat = Platform::uniform_delay(4, 1.0);
+        let exec = ExecutionMatrix::consistent(&dag, &[1.0; 4]);
+        let inst = Instance::new(dag, plat, exec);
+        let mut tokens = rng();
+        let mut expected: Vec<(u64, TaskId)> = inst
+            .dag
+            .entries()
+            .iter()
+            .map(|&t| (tokens.gen(), t))
+            .collect();
+        expected.sort_unstable_by(|a, b| b.cmp(a));
+        let expected: Vec<TaskId> = expected.into_iter().map(|(_, t)| t).collect();
+        for policy in [PriorityAxis::Criticalness, PriorityAxis::BottomLevel] {
+            let s = ftsa_with(policy).run(&inst, 1, &mut rng()).unwrap();
+            assert_eq!(s.schedule_order, expected, "{policy:?}");
+        }
     }
 
     #[test]

@@ -129,10 +129,11 @@ pub enum Algorithm {
     /// A greedy list-scheduling heuristic driven by *task criticalness*:
     /// the priority of a free task is `tℓ(t) + bℓ(t)`, the length of the
     /// longest path through `t` in the partially mapped DAG. At every
-    /// step the critical free task is popped from `α`, an indexed
-    /// `DaryHeap`, and mapped onto the `ε + 1` processors that minimize
-    /// its finish time (equation 1); successors that become free enter
-    /// `α` with refreshed priorities.
+    /// step the critical free task is popped from `α`, a binary max-heap
+    /// (`O(log ω)` per pop, the bound the paper's AVL tree gives), and
+    /// mapped onto the `ε + 1` processors that minimize its finish time
+    /// (equation 1); successors that become free enter `α` with
+    /// refreshed priorities.
     ///
     /// ```text
     /// Algorithm 4.1 (FTSA)

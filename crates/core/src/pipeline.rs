@@ -173,7 +173,7 @@ use crate::engine::Engine;
 use crate::error::ScheduleError;
 use crate::schedule::{CommSelection, Replica, Schedule};
 use crate::workspace::{PressureCache, ScheduleWorkspace};
-use ftcollections::{select_smallest_into, DaryHeap, OrdF64};
+use ftcollections::{select_smallest_into, OrdF64};
 use matching::{
     bottleneck_matching_into, greedy_matching_into, BipartiteGraph, BottleneckScratch,
     GreedyScratch,
@@ -181,6 +181,7 @@ use matching::{
 use platform::Instance;
 use rand::Rng;
 use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 use taskgraph::TaskId;
 
 /// How the next free task is selected (the `H(α)` of Section 4.1, or
@@ -288,7 +289,8 @@ impl PressureImpl {
 /// `α` of FTSA, or FTBAR's urgency heap (see the module docs).
 enum SelKind {
     /// Priority-ranked free list `α`; the key is `(priority, random
-    /// tie-break)`, so the heap head is exactly the paper's `H(α)`.
+    /// tie-break, task)`, so the heap head is exactly the paper's `H(α)`.
+    /// Keys are unique, so the pop order depends on them alone.
     Ranked {
         /// Whether the priority is `tℓ + bℓ` (true) or `bℓ` alone.
         dynamic: bool,
@@ -497,7 +499,7 @@ impl ListScheduler {
         let mut sel = match self.priority {
             PriorityAxis::Criticalness | PriorityAxis::BottomLevel => {
                 for &t in dag.entries() {
-                    alpha.push(t.index(), Reverse((OrdF64::new(bl[t.index()]), rng.gen())));
+                    alpha.push((OrdF64::new(bl[t.index()]), rng.gen(), t.0));
                 }
                 SelKind::Ranked {
                     dynamic: matches!(self.priority, PriorityAxis::Criticalness),
@@ -675,7 +677,7 @@ impl ListScheduler {
 fn select_next(
     sel: &mut SelKind,
     eng: &Engine<'_>,
-    alpha: &mut DaryHeap<crate::workspace::AlphaKey, 4>,
+    alpha: &mut BinaryHeap<(OrdF64, u64, u32)>,
     free: &mut Vec<TaskId>,
     token: &mut [u64],
     pc: &mut PressureCache,
@@ -687,8 +689,8 @@ fn select_next(
 ) -> Option<(TaskId, bool)> {
     match sel {
         SelKind::Ranked { .. } => {
-            let (ti, _) = alpha.pop()?;
-            Some((TaskId(ti as u32), false))
+            let (_, _, t) = alpha.pop()?;
+            Some((TaskId(t), false))
         }
         SelKind::Pressure { r_len, pimpl } => {
             let m = eng.inst.num_procs();
@@ -1090,7 +1092,7 @@ fn after_schedule(
     sel: &mut SelKind,
     t: TaskId,
     eng: &Engine<'_>,
-    alpha: &mut DaryHeap<crate::workspace::AlphaKey, 4>,
+    alpha: &mut BinaryHeap<(OrdF64, u64, u32)>,
     free: &mut Vec<TaskId>,
     token: &mut [u64],
     pc: &mut PressureCache,
@@ -1121,7 +1123,7 @@ fn after_schedule(
                 waiting_preds[si] -= 1;
                 if waiting_preds[si] == 0 {
                     let priority = if *dynamic { tl[si] + bl[si] } else { bl[si] };
-                    alpha.push(si, Reverse((OrdF64::new(priority), rng.gen())));
+                    alpha.push((OrdF64::new(priority), rng.gen(), s.0));
                 }
             }
         }

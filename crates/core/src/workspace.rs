@@ -38,15 +38,12 @@
 
 use crate::levels::AverageCosts;
 use crate::schedule::{Replica, Schedule};
-use ftcollections::{DaryHeap, EpochHeap, OrdF64};
+use ftcollections::{EpochHeap, OrdF64};
 use matching::{BipartiteGraph, BottleneckScratch, GreedyScratch};
 use platform::Instance;
 use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 use taskgraph::TaskId;
-
-/// Priority key of the ranked free list `α`: max-heap over
-/// `(priority, random tie-break)`.
-pub(crate) type AlphaKey = Reverse<(OrdF64, u64)>;
 
 /// Incremental state of FTBAR's heap-driven schedule-pressure
 /// selection: per free task, the eq. (1) arrival row and the
@@ -277,8 +274,9 @@ pub struct ScheduleWorkspace {
     pub(crate) bl: Vec<f64>,
     /// Unscheduled-predecessor counts.
     pub(crate) waiting_preds: Vec<u32>,
-    /// Ranked free list `α` (criticalness / bottom-level priorities).
-    pub(crate) alpha: DaryHeap<AlphaKey, 4>,
+    /// Ranked free list `α`: a max-heap of `(priority, random tie
+    /// token, task)`, each free task pushed once, when it is released.
+    pub(crate) alpha: BinaryHeap<(OrdF64, u64, u32)>,
     /// Dynamic top levels `tℓ`.
     pub(crate) tl: Vec<f64>,
     /// FTBAR's plain free list.

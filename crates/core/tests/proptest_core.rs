@@ -83,7 +83,7 @@ proptest! {
         let platform = random_platform(&mut rng, procs, 0.5, 1.0);
         let exec = ExecutionMatrix::unrelated_with_procs(&dag, procs, &mut rng, 0.5);
         let inst = Instance::new(dag, platform, exec);
-        let cp = critical_path_bound(&inst);
+        let cp = critical_path_bound(&inst, &mut Vec::new());
         // Every algorithm — the four paper configurations and the
         // pipeline cross-combinations alike — must stay valid and
         // bound-consistent on every family.

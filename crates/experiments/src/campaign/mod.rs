@@ -73,6 +73,7 @@ pub use spec::{
 };
 
 use crate::parallel::parallel_map_into;
+use ftsched_core::bounds::critical_path_bound;
 use ftsched_core::{schedule_into, Algorithm, ScheduleWorkspace};
 use platform::gen::random_platform;
 use platform::granularity::scale_to_granularity;
@@ -84,9 +85,7 @@ use simulator::contention::{simulate_contention_into, PortModel};
 use simulator::crash::{simulate_outcome_into, CrashWorkspace, FallbackPolicy};
 use simulator::reliability::{design_point_probability, survival_probability_exact};
 use simulator::replication_seed;
-use simulator::streaming::{
-    isolated_lower_bound_into, run_stream_into, DagOutcome, StreamWorkspace,
-};
+use simulator::streaming::{run_stream_into, DagOutcome, StreamWorkspace};
 use std::collections::BTreeMap;
 use std::time::Instant;
 use taskgraph::Dag;
@@ -137,21 +136,7 @@ impl CampaignSpec {
 }
 
 /// Derives the cell's base RNG seed per the spec's [`Seeding`] mode.
-/// Standalone form — recomputes the workload's declared task count for
-/// `PaperTable` seeding (which builds the kernel graph for structured
-/// workloads); plan-holding callers should use [`CellPlan::cell_seed`],
-/// which reads the cached count instead.
 pub fn cell_seed(spec: &CampaignSpec, c: &CellCoord) -> u64 {
-    let tasks = match spec.seeding {
-        Seeding::PaperTable => spec.workloads[c.workload].declared_tasks(),
-        _ => 0,
-    };
-    cell_seed_with_tasks(spec, c, tasks)
-}
-
-/// [`cell_seed`] with the workload's declared task count supplied by the
-/// caller (only consulted under `PaperTable` seeding).
-fn cell_seed_with_tasks(spec: &CampaignSpec, c: &CellCoord, declared_tasks: usize) -> u64 {
     match spec.seeding {
         Seeding::Indexed => replication_seed(spec.seed, spec.cell_index(c) as u64),
         Seeding::PaperFigure => {
@@ -163,7 +148,7 @@ fn cell_seed_with_tasks(spec: &CampaignSpec, c: &CellCoord, declared_tasks: usiz
                 .wrapping_add((g * 1e6) as u64)
                 .wrapping_add(c.rep as u64)
         }
-        Seeding::PaperTable => spec.seed ^ declared_tasks as u64,
+        Seeding::PaperTable => spec.seed ^ workload_tasks(&spec.workloads[c.workload]) as u64,
         Seeding::PaperContention => {
             (spec.seed ^ ((spec.epsilons[c.eps] as u64) << 32)) | c.rep as u64
         }
@@ -189,7 +174,7 @@ pub fn instance_for_cell(spec: &CampaignSpec, c: &CellCoord) -> Instance {
 }
 
 /// [`instance_for_cell`] with the cell seed supplied by the caller (the
-/// executor derives it once through [`CellPlan::cell_seed`]).
+/// executor derives it once per cell).
 fn instance_from_seed(
     spec: &CampaignSpec,
     c: &CellCoord,
@@ -328,8 +313,8 @@ pub struct CellPlan {
     /// downstream). Skipped models draw nothing from the crash stream,
     /// mirroring the duplicate-extra-algorithm rule.
     pub failure_skip: Vec<Vec<bool>>,
-    /// Declared task count per workload index
-    /// ([`WorkloadSpec::declared_tasks`]).
+    /// Task count per workload index ([`WorkloadSpec::task_count`]; an
+    /// overflow reads as `usize::MAX`).
     pub workload_tasks: Vec<usize>,
 }
 
@@ -402,7 +387,7 @@ impl CellPlan {
             slots,
             alg_names,
             failure_skip,
-            workload_tasks: spec.workloads.iter().map(|w| w.declared_tasks()).collect(),
+            workload_tasks: spec.workloads.iter().map(workload_tasks).collect(),
         }
     }
 
@@ -411,13 +396,13 @@ impl CellPlan {
         slot.cap
             .is_some_and(|cap| self.workload_tasks[workload] > cap)
     }
+}
 
-    /// [`cell_seed`] through the plan's cached task counts — avoids
-    /// rebuilding structured kernel graphs per cell under `PaperTable`
-    /// seeding.
-    pub fn cell_seed(&self, spec: &CampaignSpec, c: &CellCoord) -> u64 {
-        cell_seed_with_tasks(spec, c, self.workload_tasks[c.workload])
-    }
+/// The task count that timing caps compare against and `PaperTable`
+/// seeding XORs into the seed: [`WorkloadSpec::task_count`], which
+/// [`CampaignSpec::validate`] bounds (an overflow reads as `usize::MAX`).
+fn workload_tasks(w: &WorkloadSpec) -> usize {
+    w.task_count().unwrap_or(usize::MAX)
 }
 
 /// Reusable evaluation state (one per executor worker): one
@@ -481,7 +466,7 @@ pub fn evaluate_cell_into(
 ) -> Result<(), CampaignError> {
     let eps = spec.epsilons[coord.eps];
     let m = inst.num_procs();
-    let seed = plan.cell_seed(spec, coord);
+    let seed = cell_seed(spec, coord);
     let meas = &spec.measures;
     let norm = if meas.normalize {
         normalization(inst)
@@ -730,7 +715,7 @@ pub fn evaluate_stream_cell_into(
     };
     let eps = spec.epsilons[coord.eps];
     let m = spec.platforms[coord.platform].procs;
-    let seed = plan.cell_seed(spec, coord);
+    let seed = cell_seed(spec, coord);
     out.clear();
 
     let CellContext {
@@ -752,7 +737,7 @@ pub fn evaluate_stream_cell_into(
     deadline_bounds.extend(
         insts
             .iter()
-            .map(|inst| isolated_lower_bound_into(inst, lb_scratch)),
+            .map(|inst| critical_path_bound(inst, lb_scratch)),
     );
     // One failure draw per cell, shared by every algorithm — the same
     // identical-failures protocol as the offline phase 2 (and the same
@@ -1052,7 +1037,7 @@ pub fn evaluate_any_cell_into(
     if spec.arrivals.is_some() {
         evaluate_stream_cell_into(spec, plan, &coord, ctx, out)
     } else {
-        let inst = instance_from_seed(spec, &coord, plan.cell_seed(spec, &coord))?;
+        let inst = instance_from_seed(spec, &coord, cell_seed(spec, &coord))?;
         evaluate_cell_into(spec, plan, &coord, &inst, ctx, out)
     }
 }
@@ -1275,6 +1260,30 @@ mod tests {
         assert_eq!(res.groups[0].workload, "wavefront[4]");
         for g in &res.groups {
             assert!(g.mean("FTSA with 1 Crash").unwrap().is_finite());
+        }
+    }
+
+    #[test]
+    fn timing_caps_compare_against_the_drawn_task_count() {
+        // Fork-join 2 × 5 draws 2 · (5 + 1) + 1 = 13 tasks, one over the cap.
+        let mut spec = tiny_spec();
+        spec.workloads = vec![WorkloadSpec::ForkJoin(ForkJoinShape { width: 2, depth: 5 })];
+        spec.platforms = vec![PlatformSpec::paper(6, 1.0)];
+        spec.algorithms = vec![Algorithm::Ftsa, Algorithm::Ftbar];
+        spec.measures.timing_caps = vec![TimingCap {
+            algorithm: Algorithm::Ftbar,
+            max_tasks: 12,
+        }];
+        let res = run_campaign_with_threads(&spec, 1).unwrap();
+        for g in &res.groups {
+            assert!(g.mean("FTSA-LowerBound").is_some());
+            let ftbar: Vec<&str> = g
+                .series
+                .iter()
+                .map(|s| s.name.as_str())
+                .filter(|n| n.contains("FTBAR"))
+                .collect();
+            assert!(ftbar.is_empty(), "capped FTBAR ran: {ftbar:?}");
         }
     }
 

@@ -38,9 +38,9 @@ pub struct TaskCount {
 /// Shape of a fork–join generator workload.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ForkJoinShape {
-    /// Parallel branches per stage.
-    pub width: usize,
     /// Number of fork–join stages.
+    pub width: usize,
+    /// Parallel branches per stage.
     pub depth: usize,
 }
 
@@ -173,30 +173,12 @@ impl WorkloadSpec {
         }
     }
 
-    /// Declared task count: the spec-stated bound for the random
-    /// families (`tasks_hi` for ranges — actual draws can only be
-    /// smaller or equal) and the **exact** task count for structured
-    /// kernels ([`StructuredKernel::task_count`] — a size parameter of
-    /// 50 means ~20k Cholesky tasks, so comparing caps against the raw
-    /// parameter would make them silently ineffective; a count past
-    /// `usize` reads as `usize::MAX`). Timing caps compare against this,
-    /// and the `PaperTable` seeding mode derives its per-cell seed from
-    /// it (matching the pre-campaign Table 1 driver, which XORed the
-    /// row's task count into the seed).
-    pub fn declared_tasks(&self) -> usize {
-        match self {
-            WorkloadSpec::PaperLayered(r) => r.tasks_hi,
-            WorkloadSpec::Layered(t) | WorkloadSpec::Erdos(t) | WorkloadSpec::SeriesParallel(t) => {
-                t.tasks
-            }
-            WorkloadSpec::ForkJoin(s) => s.width * s.depth + 2,
-            WorkloadSpec::Structured(s) => s.kernel.task_count(s.size).unwrap_or(usize::MAX),
-        }
-    }
-
-    /// The most tasks the workload draws, computed from its shape alone
-    /// (exact except for the random families whose draws vary); `None`
-    /// when it overflows `usize`.
+    /// The most tasks the workload draws, computed from its shape alone:
+    /// exact for the fixed shapes, `tasks_hi` for `PaperLayered` and
+    /// twice the target for series-parallel; `None` when it overflows
+    /// `usize`. Timing caps compare against it, and `PaperTable` seeding
+    /// XORs it into the cell seed (as the pre-campaign Table 1 driver
+    /// XORed in its row's task count).
     pub fn task_count(&self) -> Option<usize> {
         match self {
             WorkloadSpec::PaperLayered(r) => Some(r.tasks_hi),
@@ -384,14 +366,15 @@ impl PlatformSpec {
 }
 
 /// A timing cap: skip `algorithm` entirely (no seconds, no bounds) in
-/// cells whose workload declares more than `max_tasks` tasks — Table 1's
+/// cells whose workload can draw more than `max_tasks` tasks
+/// ([`WorkloadSpec::task_count`]) — Table 1's
 /// "FTBAR at 5000 tasks takes minutes by design" escape hatch,
 /// generalized.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct TimingCap {
     /// The algorithm to cap.
     pub algorithm: Algorithm,
-    /// Largest declared task count the algorithm still runs at.
+    /// Largest task count the algorithm still runs at.
     pub max_tasks: usize,
 }
 
@@ -475,7 +458,7 @@ pub struct ArrivalSpec {
     pub process: ArrivalProcess,
     /// Per-DAG deadline = arrival + stretch × the DAG's isolated
     /// critical-path lower bound
-    /// ([`simulator::streaming::isolated_lower_bound_into`]).
+    /// ([`ftsched_core::bounds::critical_path_bound`]).
     pub deadline_stretch: f64,
     /// Failure model of the stream, drawn once per cell on the absolute
     /// stream clock and shared by every algorithm (the paper's
@@ -508,7 +491,7 @@ pub enum Seeding {
     /// seed, one tie stream shared across the paper algorithms (extras
     /// independent), crash stream at `cell_seed ^ 0xC4A5`.
     PaperFigure,
-    /// The Table 1 driver's derivation: `seed ^ declared_tasks` for the
+    /// The Table 1 driver's derivation: `seed ^ task_count` for the
     /// instance, a fresh `StdRng(seed)` tie stream per algorithm. The
     /// repetition index is unused, so a spec has exactly one repetition.
     PaperTable,
@@ -1023,7 +1006,6 @@ mod tests {
                 let w = WorkloadSpec::Structured(StructuredWorkload { kernel, size });
                 let drawn = kernel.build(size).num_tasks();
                 assert_eq!(w.task_count(), Some(drawn), "{}", w.label());
-                assert_eq!(w.declared_tasks(), drawn, "{}", w.label());
             }
         }
         for (width, depth) in [(1, 1), (2, 5), (7, 3)] {
@@ -1138,17 +1120,16 @@ mod tests {
             size: 6,
         });
         assert_eq!(w.label(), "map_reduce[6]");
-        // Structured workloads declare the *actual* task count (the
-        // timing caps compare against it), not the size parameter:
+        // Structured workloads count the *actual* tasks (the timing caps
+        // compare against them), not the size parameter:
         // map_reduce(6, 4) = 6 mappers + 4 reducers + source + sink.
-        assert_eq!(w.declared_tasks(), 12);
-        // Every kernel builds a non-empty DAG and declares its exact
-        // task count.
+        assert_eq!(w.task_count(), Some(12));
+        // Every kernel builds a non-empty DAG and counts its exact tasks.
         for kernel in StructuredKernel::ALL {
             let dag = kernel.build(4);
             assert!(dag.num_tasks() > 0, "{kernel:?}");
             let w = WorkloadSpec::Structured(StructuredWorkload { kernel, size: 4 });
-            assert_eq!(w.declared_tasks(), dag.num_tasks(), "{kernel:?}");
+            assert_eq!(w.task_count(), Some(dag.num_tasks()), "{kernel:?}");
         }
     }
 

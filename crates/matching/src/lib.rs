@@ -20,8 +20,6 @@
 //!   non-decreasing weight order, keeping an edge iff it saturates a new
 //!   left node *and* a new right node.
 //!
-//! [`maximum_matching`] also serves the task graph's exact width.
-//!
 //! The crate is self-contained and generic; the scheduler core builds the
 //! per-predecessor bipartite graphs and interprets the returned pairs.
 

@@ -100,8 +100,7 @@ impl FailureScenario {
     /// Draws `count` distinct processors uniformly from `0..m`, all
     /// failing at time 0 ("processors that fail during the schedule
     /// process are chosen uniformly", Section 6). Delegates to
-    /// [`FailureScenario::refill_uniform`], the single home of the
-    /// partial Fisher–Yates draw.
+    /// [`FailureScenario::refill_uniform`].
     pub fn uniform(rng: &mut impl Rng, m: usize, count: usize) -> Self {
         let mut scenario = Self::none();
         let mut ids = Vec::new();
@@ -109,9 +108,10 @@ impl FailureScenario {
         scenario
     }
 
-    /// Redraws this scenario in place — a partial Fisher–Yates for
-    /// `count` distinct fail-at-time-zero processors, reusing `ids` as
-    /// scratch. This is the allocation-free form the Monte-Carlo crash
+    /// Redraws this scenario in place with `count` distinct
+    /// fail-at-time-zero processors, reusing `ids` as scratch: the timed
+    /// draw at horizon 0, which takes no randomness beyond the processor
+    /// draw. This is the allocation-free form the Monte-Carlo crash
     /// campaigns use between replications; [`FailureScenario::uniform`]
     /// is the owned convenience wrapper around it.
     pub fn refill_uniform(
@@ -121,16 +121,7 @@ impl FailureScenario {
         count: usize,
         ids: &mut Vec<u32>,
     ) {
-        assert!(count <= m, "cannot fail more processors than exist");
-        ids.clear();
-        ids.extend(0..m as u32);
-        for i in 0..count {
-            let j = rng.gen_range(i..ids.len());
-            ids.swap(i, j);
-        }
-        self.failures.clear();
-        self.failures
-            .extend(ids[..count].iter().map(|&i| (ProcId(i), 0.0)));
+        self.refill_uniform_timed(rng, m, count, 0.0, ids);
     }
 
     /// Redraws this scenario in place with every processor of `0..m`
@@ -151,14 +142,14 @@ impl FailureScenario {
         self.failures.clear();
     }
 
-    /// Redraws this scenario in place with `count` distinct processors
-    /// (same partial Fisher–Yates as [`FailureScenario::refill_uniform`],
-    /// so the *processor* draw is bit-identical at the same RNG state)
-    /// and failure times drawn uniformly in `[0, horizon]`, one per
-    /// chosen processor in draw order — the mid-execution crash
-    /// extension. `horizon == 0` degenerates to the fail-at-time-zero
-    /// model without consuming any further randomness. Allocation-free
-    /// once `ids` and the internal buffer have capacity.
+    /// Redraws this scenario in place with `count` distinct processors,
+    /// drawn by a partial Fisher–Yates over `ids`, and failure times
+    /// drawn uniformly in `[0, horizon]`, one per chosen processor in
+    /// draw order — the mid-execution crash extension. `horizon == 0`
+    /// is the fail-at-time-zero model
+    /// ([`FailureScenario::refill_uniform`]) and consumes no further
+    /// randomness. Allocation-free once `ids` and the internal buffer
+    /// have capacity.
     pub fn refill_uniform_timed(
         &mut self,
         rng: &mut impl Rng,

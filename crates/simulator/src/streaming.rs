@@ -287,44 +287,11 @@ pub fn run_stream_into(
     Ok(())
 }
 
-/// Optimistic isolated makespan lower bound of one DAG: the longest
-/// path where every task runs at its fastest execution time and
-/// communications are free. Used as the per-DAG deadline base
-/// (`deadline = arrival + stretch · bound`) — unlike the schedule's
-/// `M*` it is independent of the platform's occupancy, so deadlines
-/// don't stretch under load. `scratch` is reused (allocation-free when
-/// warm).
-pub fn isolated_lower_bound_into(inst: &Instance, scratch: &mut Vec<f64>) -> f64 {
-    let dag = &inst.dag;
-    let v = dag.num_tasks();
-    scratch.clear();
-    scratch.resize(v, 0.0);
-    let mut best: f64 = 0.0;
-    for &t in dag.topological_order() {
-        let exec = inst
-            .exec
-            .times_row(t.index())
-            .iter()
-            .copied()
-            .fold(f64::INFINITY, f64::min);
-        let ready = dag
-            .preds(t)
-            .iter()
-            .map(|&(p, _)| scratch[p.index()])
-            .fold(0.0, f64::max);
-        let finish = ready + exec;
-        scratch[t.index()] = finish;
-        if finish > best {
-            best = finish;
-        }
-    }
-    best
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::crash::simulate_outcome_into;
+    use ftsched_core::bounds::critical_path_bound;
     use ftsched_core::schedule_into;
     use platform::gen::{paper_instance, PaperInstanceConfig};
     use platform::ProcId;
@@ -660,7 +627,7 @@ mod tests {
         let insts = small_instances(3, 8, 66);
         let mut scratch = Vec::new();
         for inst in &insts {
-            let bound = isolated_lower_bound_into(inst, &mut scratch);
+            let bound = critical_path_bound(inst, &mut scratch);
             assert!(bound > 0.0);
             let mut ws = ScheduleWorkspace::new();
             let s = schedule_into(inst, 1, Algorithm::Ftsa, &mut rng(1), &mut ws).unwrap();

@@ -60,7 +60,7 @@ pub fn fork_join(rng: &mut impl Rng, cfg: &ForkJoinConfig) -> Dag {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::metrics::{width_exact, width_lower_bound};
+    use crate::metrics::stats;
     use crate::topology::is_weakly_connected;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -80,8 +80,7 @@ mod tests {
     fn width_equals_branch_width() {
         let mut rng = StdRng::seed_from_u64(2);
         let g = fork_join(&mut rng, &ForkJoinConfig::new(2, 7));
-        assert_eq!(width_exact(&g), 7);
-        assert_eq!(width_lower_bound(&g), 7);
+        assert_eq!(stats(&g).width_lb, 7);
     }
 
     #[test]

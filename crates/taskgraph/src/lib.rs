@@ -20,8 +20,8 @@
 //! * [`workloads`] — structured application graphs: Gaussian elimination,
 //!   FFT butterfly, 1-D stencil/wavefront sweeps, and map–reduce, used by
 //!   the examples and extended benchmarks.
-//! * [`metrics`] — critical paths, levels, exact width (via the matching
-//!   crate), degree statistics.
+//! * [`metrics`] — critical paths, a level-based width bound, degree
+//!   statistics.
 //! * [`io`] — DOT export and JSON (de)serialization.
 
 #![forbid(unsafe_code)]

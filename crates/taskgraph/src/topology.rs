@@ -1,4 +1,4 @@
-//! Topological utilities: levels, descendant sets, connectivity.
+//! Topological utilities: levels and connectivity.
 
 use crate::graph::{Dag, TaskId};
 
@@ -28,62 +28,6 @@ pub fn level_sets(dag: &Dag) -> Vec<Vec<TaskId>> {
         sets[lv[t.index()]].push(t);
     }
     sets
-}
-
-/// A packed bitset over task ids, used for transitive reachability.
-#[derive(Debug, Clone)]
-pub struct TaskSet {
-    words: Vec<u64>,
-}
-
-impl TaskSet {
-    /// Creates an empty set over `n` tasks.
-    pub fn new(n: usize) -> Self {
-        TaskSet {
-            words: vec![0; n.div_ceil(64)],
-        }
-    }
-
-    /// Inserts task index `i`.
-    #[inline]
-    pub fn insert(&mut self, i: usize) {
-        self.words[i / 64] |= 1 << (i % 64);
-    }
-
-    /// Membership test.
-    #[inline]
-    pub fn contains(&self, i: usize) -> bool {
-        (self.words[i / 64] >> (i % 64)) & 1 == 1
-    }
-
-    /// In-place union.
-    pub fn union_with(&mut self, other: &TaskSet) {
-        for (a, b) in self.words.iter_mut().zip(&other.words) {
-            *a |= *b;
-        }
-    }
-
-    /// Number of members.
-    pub fn count(&self) -> usize {
-        self.words.iter().map(|w| w.count_ones() as usize).sum()
-    }
-}
-
-/// Computes per-task descendant sets: `reach[t]` contains every task
-/// strictly reachable from `t`. `O(v·e/64)` time, `O(v²/64)` space.
-pub fn descendants(dag: &Dag) -> Vec<TaskSet> {
-    let n = dag.num_tasks();
-    let mut reach: Vec<TaskSet> = (0..n).map(|_| TaskSet::new(n)).collect();
-    for &t in dag.topological_order().iter().rev() {
-        // reach[t] = union over successors s of ({s} ∪ reach[s]).
-        let mut acc = TaskSet::new(n);
-        for &(s, _) in dag.succs(t) {
-            acc.insert(s.index());
-            acc.union_with(&reach[s.index()]);
-        }
-        reach[t.index()] = acc;
-    }
-    reach
 }
 
 /// Whether the underlying undirected graph is connected (trivially true
@@ -150,16 +94,6 @@ mod tests {
     }
 
     #[test]
-    fn descendants_of_chain() {
-        let g = chain(4);
-        let d = descendants(&g);
-        assert_eq!(d[0].count(), 3);
-        assert_eq!(d[3].count(), 0);
-        assert!(d[0].contains(3));
-        assert!(!d[2].contains(0));
-    }
-
-    #[test]
     fn connectivity() {
         let g = chain(4);
         assert!(is_weakly_connected(&g));
@@ -168,20 +102,5 @@ mod tests {
         b.add_task(1.0);
         let g2 = b.build().unwrap();
         assert!(!is_weakly_connected(&g2));
-    }
-
-    #[test]
-    fn taskset_ops() {
-        let mut s = TaskSet::new(130);
-        s.insert(0);
-        s.insert(64);
-        s.insert(129);
-        assert_eq!(s.count(), 3);
-        assert!(s.contains(64));
-        assert!(!s.contains(1));
-        let mut s2 = TaskSet::new(130);
-        s2.insert(1);
-        s2.union_with(&s);
-        assert_eq!(s2.count(), 4);
     }
 }

@@ -40,7 +40,7 @@ pub fn fft(n: usize, work: f64, volume: f64) -> Dag {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::metrics::{width_lower_bound, DagStats};
+    use crate::metrics::{stats, DagStats};
     use crate::topology::{is_weakly_connected, levels};
 
     #[test]
@@ -62,7 +62,7 @@ mod tests {
     #[test]
     fn width_is_n() {
         let g = fft(8, 1.0, 1.0);
-        assert_eq!(width_lower_bound(&g), 8);
+        assert_eq!(stats(&g).width_lb, 8);
     }
 
     #[test]

@@ -57,7 +57,7 @@ pub fn gaussian_elimination(n: usize, work_scale: f64, volume_scale: f64) -> Dag
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::metrics::{stats, width_exact};
+    use crate::metrics::stats;
     use crate::topology::is_weakly_connected;
 
     #[test]
@@ -83,7 +83,7 @@ mod tests {
     #[test]
     fn width_is_n_minus_one() {
         let g = gaussian_elimination(6, 1.0, 1.0);
-        assert_eq!(width_exact(&g), 5);
+        assert_eq!(stats(&g).width_lb, 5);
     }
 
     #[test]

@@ -45,7 +45,7 @@ pub fn map_reduce(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::metrics::width_exact;
+    use crate::metrics::stats;
     use crate::topology::is_weakly_connected;
 
     #[test]
@@ -61,7 +61,7 @@ mod tests {
     #[test]
     fn width_is_max_stage() {
         let g = map_reduce(6, 2, 1.0, 1.0, 1.0);
-        assert_eq!(width_exact(&g), 6);
+        assert_eq!(stats(&g).width_lb, 6);
     }
 
     #[test]

@@ -35,7 +35,7 @@ pub fn stencil_1d(width: usize, steps: usize, work: f64, volume: f64) -> Dag {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::metrics::width_lower_bound;
+    use crate::metrics::stats;
     use crate::topology::{is_weakly_connected, levels};
 
     #[test]
@@ -52,7 +52,7 @@ mod tests {
         let g = stencil_1d(6, 3, 1.0, 1.0);
         let lv = levels(&g);
         assert_eq!(lv.iter().max(), Some(&2));
-        assert_eq!(width_lower_bound(&g), 6);
+        assert_eq!(stats(&g).width_lb, 6);
     }
 
     #[test]

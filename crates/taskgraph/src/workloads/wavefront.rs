@@ -32,7 +32,7 @@ pub fn wavefront(rows: usize, cols: usize, work: f64, volume: f64) -> Dag {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::metrics::{critical_path_length, width_exact};
+    use crate::metrics::{critical_path_length, stats};
     use crate::topology::{is_weakly_connected, levels};
 
     #[test]
@@ -54,7 +54,7 @@ mod tests {
     #[test]
     fn width_is_min_dimension() {
         let g = wavefront(3, 6, 1.0, 1.0);
-        assert_eq!(width_exact(&g), 3);
+        assert_eq!(stats(&g).width_lb, 3);
     }
 
     #[test]

@@ -8,9 +8,8 @@ use rand::SeedableRng;
 use taskgraph::generators::{
     erdos, fork_join, layered, ErdosConfig, ForkJoinConfig, LayeredConfig,
 };
-use taskgraph::metrics::{width_exact, width_lower_bound};
 use taskgraph::topology::{is_weakly_connected, levels};
-use taskgraph::Dag;
+use taskgraph::{Dag, TaskId};
 
 /// Oracle for the CSR flattening: rebuild the adjacency the way the
 /// pre-CSR `Vec<Vec<…>>` representation did — one push per edge, in
@@ -35,6 +34,21 @@ fn check_csr_matches_insertion_order(g: &Dag) {
     let exits: Vec<_> = g.tasks().filter(|&t| succs[t.index()].is_empty()).collect();
     assert_eq!(g.entries(), &entries[..]);
     assert_eq!(g.exits(), &exits[..]);
+}
+
+/// Whether each task lies at the end of a non-empty path from `from`.
+fn reachable_from(g: &Dag, from: TaskId) -> Vec<bool> {
+    let mut seen = vec![false; g.num_tasks()];
+    let mut stack = vec![from];
+    while let Some(t) = stack.pop() {
+        for &(s, _) in g.succs(t) {
+            if !seen[s.index()] {
+                seen[s.index()] = true;
+                stack.push(s);
+            }
+        }
+    }
+    seen
 }
 
 fn check_structural_sanity(g: &Dag) {
@@ -100,42 +114,35 @@ proptest! {
         check_structural_sanity(&g);
     }
 
-    #[test]
-    fn exact_width_dominates_level_bound(seed in 0u64..2_000, tasks in 1usize..60) {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let g = layered(&mut rng, &LayeredConfig::paper(tasks));
-        prop_assert!(width_exact(&g) >= width_lower_bound(&g));
-        prop_assert!(width_exact(&g) <= g.num_tasks());
-    }
-
     /// Theorem 4.2 relies on `|α| ≤ ω`: the set of simultaneously free
-    /// tasks is an antichain, so the maximum Kahn frontier is bounded by
-    /// the exact width.
+    /// tasks is an antichain (no free task reaches another), so it never
+    /// holds more tasks than the width.
     #[test]
     fn free_set_bounded_by_width(seed in 0u64..2_000, tasks in 1usize..50) {
         let mut rng = StdRng::seed_from_u64(seed);
         let g = layered(&mut rng, &LayeredConfig::paper(tasks));
-        let omega = width_exact(&g);
 
-        // Kahn's algorithm, tracking the largest frontier.
+        // Kahn's algorithm, checking every frontier.
         let mut indeg: Vec<usize> =
             g.tasks().map(|t| g.in_degree(t)).collect();
-        let mut free: Vec<taskgraph::TaskId> =
+        let mut free: Vec<TaskId> =
             g.tasks().filter(|&t| g.in_degree(t) == 0).collect();
-        let mut max_frontier = free.len();
-        while let Some(t) = free.pop() {
+        while !free.is_empty() {
+            for &a in &free {
+                let reach = reachable_from(&g, a);
+                prop_assert!(
+                    free.iter().all(|&b| !reach[b.index()]),
+                    "free task {a} reaches another free task"
+                );
+            }
+            let t = free.pop().unwrap();
             for &(s, _) in g.succs(t) {
                 indeg[s.index()] -= 1;
                 if indeg[s.index()] == 0 {
                     free.push(s);
                 }
             }
-            max_frontier = max_frontier.max(free.len());
         }
-        prop_assert!(
-            max_frontier <= omega,
-            "frontier {max_frontier} exceeded width {omega}"
-        );
     }
 
     #[test]
