@@ -27,8 +27,9 @@
 //!   σ-sets (ε = 1 vs 3 at v = 10000): row-width scaling, isolated from
 //!   the task-count scaling `large` tracks;
 //! * `scheduler/montecarlo` — the crash-campaign hot path
-//!   (`simulate_replication_outcomes_into`, flat `CrashWorkspace`
-//!   state, allocation-free after the first replication).
+//!   (`simulate_outcome_into` over `refill_uniform` draws, flat
+//!   `CrashWorkspace` state, allocation-free after the first
+//!   replication).
 //!
 //! Run a quick correctness pass (1 sample per benchmark) with
 //! `cargo bench --bench scheduler -- --test`.
@@ -36,9 +37,10 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use ftsched_bench::bench_instance;
 use ftsched_core::{schedule, schedule_into, Algorithm, ScheduleWorkspace};
+use platform::FailureScenario;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use simulator::crash::{simulate_replication_outcomes_into, CrashWorkspace, ReplicationOutcome};
+use simulator::crash::{simulate_outcome_into, CrashWorkspace, FallbackPolicy};
 
 /// The fig1 sweep sizes tracked by the baseline JSON.
 const SIZES: [usize; 3] = [100, 500, 1000];
@@ -305,12 +307,17 @@ fn bench_monte_carlo_replications(c: &mut Criterion) {
             &(inst, sched),
             |b, (inst, sched)| {
                 let mut ws = CrashWorkspace::new();
-                let mut out: Vec<ReplicationOutcome> = Vec::new();
+                let (mut scen, mut ids) = (FailureScenario::none(), Vec::new());
                 b.iter(|| {
-                    simulate_replication_outcomes_into(
-                        inst, sched, 2, reps, 0xCAFE, &mut out, &mut ws,
-                    );
-                    out.len()
+                    let mut rng = StdRng::seed_from_u64(0xCAFE);
+                    let mut completed = 0;
+                    for _ in 0..reps {
+                        scen.refill_uniform(&mut rng, inst.num_procs(), 2, &mut ids);
+                        let policy = FallbackPolicy::Rerouted;
+                        let out = simulate_outcome_into(inst, sched, &scen, policy, &mut ws);
+                        completed += usize::from(out.completed());
+                    }
+                    completed
                 })
             },
         );

@@ -174,7 +174,7 @@ fn edited(
     edit: impl FnOnce(&mut Vec<Vec<Replica>>, &mut Order, &mut CommSelection),
 ) -> String {
     let s = &bundle.schedule;
-    let mut replicas = s.replica_lists();
+    let mut replicas = s.tasks_replicas().map(<[Replica]>::to_vec).collect();
     let mut order: Order = (0..s.num_procs())
         .map(|j| s.proc_order(j).to_vec())
         .collect();
@@ -800,19 +800,21 @@ fn a_full_device_fails_a_bundle_of_many_pieces() {
     let _ = std::fs::remove_file(graph);
 }
 
-/// A campaign spec whose platform point asks for more processors than a
-/// platform may have is refused before any platform is drawn, from
-/// `run` and from the binary (exit 1), instead of aborting on a
-/// terabyte delay matrix.
-#[test]
-fn a_campaign_spec_with_too_many_processors_is_a_named_error() {
-    let spec = run(&["campaign", "--preset", "ci-smoke", "--dump-spec"]).expect("dump");
+/// Runs `campaign --spec` on `preset`'s spec after `edit`, through `run`
+/// and through the binary, and checks both refuse it with `expected`
+/// (exit 1).
+fn assert_spec_refused(
+    preset: &str,
+    name: &str,
+    edit: impl FnOnce(&mut experiments::campaign::CampaignSpec),
+    expected: &str,
+) {
+    let spec = run(&["campaign", "--preset", preset, "--dump-spec"]).expect("dump");
     let mut spec = experiments::campaign::CampaignSpec::from_json(&spec).expect("parse");
-    spec.platforms[0].procs = 1_000_000;
-    let path = scratch("too-many-procs.json");
+    edit(&mut spec);
+    let path = scratch(name);
     std::fs::write(&path, spec.to_json().expect("serialize")).expect("write the spec");
-    let expected = "platform point with 1000000 processors (at most 4096)";
-    let err = run(&["campaign", "--spec", &path]).expect_err("too many processors");
+    let err = run(&["campaign", "--spec", &path]).expect_err("refused spec");
     assert!(err.contains(expected), "{err}");
     let output = Command::new(env!("CARGO_BIN_EXE_ftsched"))
         .args(["campaign", "--spec", &path])
@@ -825,6 +827,37 @@ fn a_campaign_spec_with_too_many_processors_is_a_named_error() {
         "expected `{expected}` in: {stderr}"
     );
     let _ = std::fs::remove_file(path);
+}
+
+/// A campaign spec whose platform point asks for more processors than a
+/// platform may have is refused before any platform is drawn, from
+/// `run` and from the binary (exit 1), instead of aborting on a
+/// terabyte delay matrix.
+#[test]
+fn a_campaign_spec_with_too_many_processors_is_a_named_error() {
+    assert_spec_refused(
+        "ci-smoke",
+        "too-many-procs.json",
+        |spec| spec.platforms[0].procs = 1_000_000,
+        "platform point with 1000000 processors (at most 4096)",
+    );
+}
+
+/// Exact reliability enumerates `2^m` failure patterns, up to 24
+/// processors: a spec asking for it on 25 is refused by `validate`
+/// (exit 1), where it used to pass and panic mid-campaign (exit 101).
+#[test]
+fn a_reliability_spec_beyond_the_exact_bound_is_a_named_error() {
+    assert_spec_refused(
+        "reliability",
+        "exact-reliability-25.json",
+        |spec| {
+            spec.platforms[0].procs = 25;
+            spec.epsilons = vec![1];
+        },
+        "exact reliability enumerates every failure pattern, so it takes at most 24 \
+         processors; platform point has 25",
+    );
 }
 
 /// Options a command does not declare, or declared ones in the wrong

@@ -58,8 +58,6 @@ impl<K: Ord + Copy, const D: usize> EpochHeap<K, D> {
     }
 
     /// Number of entries physically stored — live *and* tombstoned.
-    /// (Live counts require the caller's epoch array; see
-    /// [`EpochHeap::live_len`].)
     #[inline]
     pub fn raw_len(&self) -> usize {
         self.data.len()
@@ -69,15 +67,6 @@ impl<K: Ord + Copy, const D: usize> EpochHeap<K, D> {
     #[inline]
     pub fn is_empty(&self) -> bool {
         self.data.is_empty()
-    }
-
-    /// Number of live entries under `epochs` — O(n), for tests and
-    /// diagnostics.
-    pub fn live_len(&self, epochs: &[u32]) -> usize {
-        self.data
-            .iter()
-            .filter(|e| epochs[e.id as usize] == e.epoch)
-            .count()
     }
 
     /// Removes every entry, keeping the allocated capacity.
@@ -240,7 +229,6 @@ mod tests {
         h.push(2, 2, 80);
         h.push(0, 0, 85);
         assert_eq!(h.raw_len(), 4);
-        assert_eq!(h.live_len(&epochs), 2);
         assert_eq!(h.pop(&epochs), Some((0, 85)));
         assert_eq!(h.pop(&epochs), Some((2, 80)));
         assert_eq!(h.pop(&epochs), None);

@@ -156,11 +156,10 @@
 //! every prune is by *sound* bound or *exact* value, so a skipped task
 //! can never have been the unique max of `(σ, token)` — the only thing
 //! the step observes. The naive loop survives as
-//! [`ListScheduler::run_into_reference_pressure`], a debug-assert
-//! exhaustive cross-check as `run_into_xcheck_pressure`, and a proptest
-//! oracle (`tests/pressure_incremental.rs`) pins the equivalence across
-//! random DAG families, ε values and seeds; the golden suite pins it
-//! against the seed implementations.
+//! [`ListScheduler::run_into_reference_pressure`], and a proptest oracle
+//! (`tests/pressure_incremental.rs`) pins the equivalence across random
+//! DAG families, ε values and seeds; the golden suite pins it against
+//! the seed implementations.
 //!
 //! Composition rule: [`CommAxis::Matched`] disables the duplication half
 //! of [`PlacementAxis::MinStart`]. Matched schedules give every replica
@@ -259,30 +258,10 @@ pub struct ListScheduler {
 pub(crate) enum PressureImpl {
     /// The production path: lazy urgency max-heap + guard queues.
     Heap,
-    /// The heap path with a per-step exhaustive-argmax cross-check
-    /// (active in debug builds only) — the oracle suite drives this via
-    /// `run_into_xcheck_pressure`, production never does.
-    Checked,
     /// The exhaustive reference sweep of
-    /// `run_into_reference_pressure`: every free task × every
-    /// processor, every step.
+    /// `run_into_reference_pressure` over a plain free list: every free
+    /// task × every processor, every step.
     Reference,
-}
-
-impl PressureImpl {
-    /// Whether this implementation maintains the heap + guard state.
-    #[inline]
-    fn uses_heap(self) -> bool {
-        !matches!(self, PressureImpl::Reference)
-    }
-
-    /// Whether this implementation maintains the plain free list (the
-    /// reference sweep iterates it; the checked path mirrors it for the
-    /// exhaustive argmax).
-    #[inline]
-    fn uses_free_list(self) -> bool {
-        !matches!(self, PressureImpl::Heap)
-    }
 }
 
 /// Task-selection state operating on workspace buffers: the heap-backed
@@ -410,23 +389,6 @@ impl ListScheduler {
         Ok(&ws.sched)
     }
 
-    /// [`ListScheduler::run_into`] with the heap-driven pressure path
-    /// cross-checked per step against an exhaustive argmax recomputation
-    /// (active in debug builds; a release build behaves exactly like
-    /// [`ListScheduler::run_into`]). Only the proptest oracle suite
-    /// drives this — production code never pays for the check.
-    #[doc(hidden)]
-    pub fn run_into_xcheck_pressure<'w>(
-        &self,
-        inst: &Instance,
-        epsilon: usize,
-        rng: &mut impl Rng,
-        ws: &'w mut ScheduleWorkspace,
-    ) -> Result<&'w Schedule, ScheduleError> {
-        self.run_core(inst, epsilon, rng, None, None, PressureImpl::Checked, ws)?;
-        Ok(&ws.sched)
-    }
-
     /// The workspace-reusing core: one loop, three axes, no allocation
     /// in the steady state. `deadlines` (when `Some`) aborts the run at
     /// the first task that misses its Section 4.3 deadline; `floors`
@@ -507,22 +469,22 @@ impl ListScheduler {
             }
             PriorityAxis::Pressure => {
                 pressure.reset(dag.num_tasks(), replicas, m);
-                if pimpl.uses_free_list() {
-                    free.extend_from_slice(dag.entries());
-                }
                 for &t in dag.entries() {
                     token[t.index()] = rng.gen();
                     pressure.stale[t.index()] = true;
                     pressure.dirty[t.index()] = true;
-                    if pimpl.uses_heap() {
+                    match pimpl {
                         // Never-evaluated tasks start hot: their cached
                         // σ starts are +∞, so the hot bound check is
                         // vacuously +∞ and they always qualify for
                         // their first evaluation, exactly like the
                         // reference's vacuous prune bound.
-                        pressure.in_free[t.index()] = true;
-                        pressure.hot.push(t.index() as u32);
-                        pressure.free_len += 1;
+                        PressureImpl::Heap => {
+                            pressure.in_free[t.index()] = true;
+                            pressure.hot.push(t.index() as u32);
+                            pressure.free_len += 1;
+                        }
+                        PressureImpl::Reference => free.push(t),
                     }
                 }
                 SelKind::Pressure { r_len: 0.0, pimpl }
@@ -613,7 +575,13 @@ impl ListScheduler {
             // yet — `in_free` gates them out; they enter hot fresh when
             // released below.)
             if !pressure.dups.is_empty() {
-                let use_heap = matches!(&sel, SelKind::Pressure { pimpl, .. } if pimpl.uses_heap());
+                let use_heap = matches!(
+                    sel,
+                    SelKind::Pressure {
+                        pimpl: PressureImpl::Heap,
+                        ..
+                    }
+                );
                 let PressureCache {
                     dups,
                     stale,
@@ -643,10 +611,12 @@ impl ListScheduler {
             // placements — primaries, matched replicas and duplicates —
             // land on `procs`, so these are exactly the processors whose
             // ready times moved.
-            if let SelKind::Pressure { pimpl, .. } = &sel {
-                if pimpl.uses_heap() {
-                    drain_ready_guards(&eng, pressure, procs);
-                }
+            if let SelKind::Pressure {
+                pimpl: PressureImpl::Heap,
+                ..
+            } = sel
+            {
+                drain_ready_guards(&eng, pressure, procs);
             }
 
             // Refresh successor priorities and release the ones that
@@ -699,17 +669,8 @@ fn select_next(
                 if free.is_empty() {
                     return None;
                 }
-                let fi = exhaustive_argmax(
-                    eng,
-                    free,
-                    token,
-                    s_latest,
-                    replicas,
-                    r,
-                    row,
-                    sweep,
-                    Some(chosen),
-                );
+                let fi =
+                    exhaustive_argmax(eng, free, token, s_latest, replicas, r, row, sweep, chosen);
                 return Some((free.swap_remove(fi), true));
             }
             // Heap-driven selection, three phases (see the workspace
@@ -1014,27 +975,7 @@ fn select_next(
                     ));
                 }
             }
-            let t = TaskId(ti as u32);
-            if pimpl.uses_free_list() {
-                // Checked mode: mirror free list feeds the exhaustive
-                // argmax cross-check (debug builds only).
-                #[cfg(debug_assertions)]
-                {
-                    let xi = exhaustive_argmax(
-                        eng, free, token, s_latest, replicas, r, row, sweep, None,
-                    );
-                    assert_eq!(
-                        free[xi], t,
-                        "heap-driven pressure selection diverged from the exhaustive argmax"
-                    );
-                }
-                let fi = free
-                    .iter()
-                    .position(|&x| x == t)
-                    .expect("checked free mirror contains the winner");
-                free.swap_remove(fi);
-            }
-            Some((t, true))
+            Some((TaskId(ti as u32), true))
         }
     }
 }
@@ -1042,8 +983,8 @@ fn select_next(
 /// The exhaustive `(σ, token)` argmax over the free list, FTBAR's
 /// reference sweep: every free task re-runs the full σ-selection against
 /// the current schedule length `r`. Returns the winner's index in
-/// `free`; with `chosen` given, the winner's σ set is left there (the
-/// two scratch buffers swap whenever the lead changes).
+/// `free` and leaves its σ set in `chosen` (the two scratch buffers swap
+/// whenever the lead changes).
 #[allow(clippy::too_many_arguments)]
 fn exhaustive_argmax(
     eng: &Engine<'_>,
@@ -1054,7 +995,7 @@ fn exhaustive_argmax(
     r: f64,
     row: &mut Vec<f64>,
     sweep: &mut Vec<(usize, f64)>,
-    mut chosen: Option<&mut Vec<(usize, f64)>>,
+    chosen: &mut Vec<(usize, f64)>,
 ) -> usize {
     let m = eng.inst.num_procs();
     let mut best: Option<(usize, f64, u64)> = None;
@@ -1077,9 +1018,7 @@ fn exhaustive_argmax(
         };
         if better {
             best = Some((fi, urgency, tok));
-            if let Some(chosen) = chosen.as_deref_mut() {
-                std::mem::swap(chosen, sweep);
-            }
+            std::mem::swap(chosen, sweep);
         }
     }
     best.expect("free list nonempty").0
@@ -1136,16 +1075,16 @@ fn after_schedule(
                     token[si] = rng.gen();
                     pc.stale[si] = true;
                     pc.dirty[si] = true;
-                    if pimpl.uses_heap() {
+                    match pimpl {
                         // Released tasks enter hot with +∞ cached σ
                         // starts: their bound check is vacuous and they
                         // always qualify for their first evaluation.
-                        pc.in_free[si] = true;
-                        pc.hot.push(si as u32);
-                        pc.free_len += 1;
-                    }
-                    if pimpl.uses_free_list() {
-                        free.push(s);
+                        PressureImpl::Heap => {
+                            pc.in_free[si] = true;
+                            pc.hot.push(si as u32);
+                            pc.free_len += 1;
+                        }
+                        PressureImpl::Reference => free.push(s),
                     }
                 }
             }

@@ -314,11 +314,6 @@ impl Schedule {
         self.replicas.iter()
     }
 
-    /// Per-task replica lists in nested form (allocates; for tests).
-    pub fn replica_lists(&self) -> Vec<Vec<Replica>> {
-        self.replicas.iter().map(<[Replica]>::to_vec).collect()
-    }
-
     /// Placement order of processor `j` as `(task, replica index)` pairs.
     #[inline]
     pub fn proc_order(&self, j: usize) -> &[(TaskId, u32)] {
@@ -327,37 +322,9 @@ impl Schedule {
     }
 
     /// The latency lower bound `M*` (equation 2): the makespan achieved
-    /// when no processor fails — max over *exit* tasks of the earliest
-    /// replica finish. Requires the exit set of the scheduled DAG.
-    pub fn latency_lower_bound_for(&self, dag: &Dag) -> f64 {
-        dag.exits()
-            .iter()
-            .map(|&t| {
-                self.replicas_of(t)
-                    .iter()
-                    .map(|r| r.finish_lb)
-                    .fold(f64::INFINITY, f64::min)
-            })
-            .fold(0.0, f64::max)
-    }
-
-    /// The latency upper bound `M` (equation 4): guaranteed even under
-    /// `ε` failures — max over exit tasks of the latest replica finish.
-    pub fn latency_upper_bound_for(&self, dag: &Dag) -> f64 {
-        dag.exits()
-            .iter()
-            .map(|&t| {
-                self.replicas_of(t)
-                    .iter()
-                    .map(|r| r.finish_ub)
-                    .fold(f64::NEG_INFINITY, f64::max)
-            })
-            .fold(0.0, f64::max)
-    }
-
-    /// Cached bound: `M*` over all tasks (equals
-    /// [`Schedule::latency_lower_bound_for`] because inner tasks always
-    /// finish before the exits they feed).
+    /// when no processor fails — the max over tasks of the earliest
+    /// replica finish (over the exit tasks in the paper; the same value,
+    /// since inner tasks finish before the exits they feed).
     pub fn latency_lower_bound(&self) -> f64 {
         self.replicas
             .iter()
@@ -366,7 +333,8 @@ impl Schedule {
             .fold(0.0, f64::max)
     }
 
-    /// Cached bound: `M` over all tasks.
+    /// The latency upper bound `M` (equation 4): guaranteed even under
+    /// `ε` failures — the max over tasks of the latest replica finish.
     pub fn latency_upper_bound(&self) -> f64 {
         self.replicas
             .iter()
@@ -413,11 +381,6 @@ impl Schedule {
             }
         }
         count
-    }
-
-    /// Number of processors that execute at least one replica.
-    pub fn procs_used(&self) -> usize {
-        self.order.off.windows(2).filter(|w| w[0] != w[1]).count()
     }
 }
 
@@ -629,9 +592,7 @@ mod tests {
 
     #[test]
     fn bounds_from_exits() {
-        let (dag, s) = two_task_schedule();
-        assert_eq!(s.latency_lower_bound_for(&dag), 4.0);
-        assert_eq!(s.latency_upper_bound_for(&dag), 6.0);
+        let (_, s) = two_task_schedule();
         assert_eq!(s.latency_lower_bound(), 4.0);
         assert_eq!(s.latency_upper_bound(), 6.0);
     }
@@ -649,12 +610,6 @@ mod tests {
         s.comm = CommSelection::Matched(vec![(0, 1), (1, 0)]);
         // (rep0@P0 → rep1@P2) inter; (rep1@P1 → rep0@P1) intra → 1.
         assert_eq!(s.message_count(&dag), 1);
-    }
-
-    #[test]
-    fn busy_time_and_procs_used() {
-        let (_, s) = two_task_schedule();
-        assert_eq!(s.procs_used(), 3);
     }
 
     #[test]
@@ -708,7 +663,6 @@ mod tests {
             s.proc_order(2),
             [(TaskId(0), 1), (TaskId(2), 0), (TaskId(1), 1)]
         );
-        assert_eq!(s.procs_used(), 2);
         // A rebuild over a shorter log reuses the buffers.
         s.order.rebuild(3, &log[..1], &s.replicas);
         assert_eq!(s.proc_order(0), [(TaskId(0), 0)]);

@@ -279,7 +279,7 @@ pub struct ScheduleWorkspace {
     pub(crate) alpha: BinaryHeap<(OrdF64, u64, u32)>,
     /// Dynamic top levels `tℓ`.
     pub(crate) tl: Vec<f64>,
-    /// FTBAR's plain free list.
+    /// The reference pressure sweep's plain free list.
     pub(crate) free: Vec<TaskId>,
     /// Random urgency tie-break tokens for the pressure sweep.
     pub(crate) token: Vec<u64>,

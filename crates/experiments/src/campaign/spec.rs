@@ -12,6 +12,7 @@ use ftsched_core::Algorithm;
 use platform::FailureModel;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
+use simulator::reliability::MAX_EXACT_PROCS;
 use simulator::streaming::ArrivalProcess;
 use taskgraph::generators::{
     erdos, fork_join, layered, series_parallel, ErdosConfig, ForkJoinConfig, LayeredConfig,
@@ -612,6 +613,13 @@ impl CampaignSpec {
                     );
                 }
             }
+            if !self.measures.reliability.is_empty() && p.procs > MAX_EXACT_PROCS {
+                return Err(format!(
+                    "exact reliability enumerates every failure pattern, so it takes at \
+                     most {MAX_EXACT_PROCS} processors; platform point has {}",
+                    p.procs
+                ));
+            }
             if !(p.heterogeneity.is_finite() && p.heterogeneity >= 0.0) {
                 return Err(format!(
                     "platform heterogeneity {} invalid (must be finite and >= 0)",
@@ -922,6 +930,29 @@ mod tests {
             spec.validate(),
             Err("platform point with 4097 processors (at most 4096)".into())
         );
+    }
+
+    #[test]
+    fn validation_bounds_the_exact_reliability_platform() {
+        // Exact reliability enumerates 2^m failure patterns and asserts
+        // m <= 24; validation refuses a larger point from the spec alone,
+        // before anything is drawn or scheduled.
+        let mut spec = small_spec();
+        spec.measures.reliability = vec![0.1];
+        spec.platforms[0].procs = MAX_EXACT_PROCS;
+        assert_eq!(spec.validate(), Ok(()));
+        spec.platforms[0].procs = MAX_EXACT_PROCS + 1;
+        assert_eq!(
+            spec.validate(),
+            Err(
+                "exact reliability enumerates every failure pattern, so it takes at most \
+                 24 processors; platform point has 25"
+                    .into()
+            )
+        );
+        // Without the measure, the same point is fine.
+        spec.measures.reliability.clear();
+        assert_eq!(spec.validate(), Ok(()));
     }
 
     #[test]

@@ -157,11 +157,6 @@ impl Store {
         })
     }
 
-    /// The data directory.
-    pub fn dir(&self) -> &Path {
-        &self.dir
-    }
-
     /// Running totals over every WAL writer this store handed out.
     pub fn wal_counters(&self) -> &WalCounters {
         &self.counters

@@ -64,13 +64,12 @@ pub mod prelude {
     pub use platform::{ExecutionMatrix, FailureScenario, Instance, Platform, ProcId};
     pub use simulator::contention::{simulate_contention, ContentionResult, PortModel};
     pub use simulator::crash::{
-        simulate_into, simulate_outcome_into, simulate_replication_outcomes_into,
-        summarize_replications, CrashWorkspace, FallbackPolicy, ReplicationOutcome,
-        ReplicationSummary,
+        simulate_into, simulate_outcome_into, summarize_replications, CrashWorkspace,
+        FallbackPolicy, ReplicationOutcome, ReplicationSummary,
     };
     pub use simulator::reliability::{design_point_probability, survival_probability_exact};
     pub use simulator::trace::{gantt, trace};
-    pub use simulator::{simulate, SimOutcome, SimResult};
+    pub use simulator::{simulate, SimResult};
     pub use taskgraph::generators::{
         erdos, fork_join, layered, series_parallel, ErdosConfig, ForkJoinConfig, LayeredConfig,
         SeriesParallelConfig,

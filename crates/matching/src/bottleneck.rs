@@ -34,10 +34,8 @@ pub struct BottleneckScratch {
 
 /// Rebuilds the `≤ threshold` residual CSR adjacency and reports whether a
 /// maximum matching on it saturates every free left node. Edge indices stay
-/// in ascending order per left node — the order
-/// [`maximum_matching`](crate::maximum_matching) lists them in, so the
-/// Hopcroft–Karp traversal (and therefore the selected matching) is
-/// deterministic.
+/// in ascending (insertion) order per left node, so the Hopcroft–Karp
+/// traversal (and therefore the selected matching) is deterministic.
 #[allow(clippy::too_many_arguments)]
 fn feasible(
     g: &BipartiteGraph,

@@ -8,33 +8,6 @@
 
 use crate::bipartite::BipartiteGraph;
 
-/// Result of a maximum-matching computation.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct MatchResult {
-    /// Number of matched pairs.
-    pub size: usize,
-    /// `match_left[l]` = the right node matched to left node `l`.
-    pub match_left: Vec<Option<usize>>,
-    /// `match_right[r]` = the left node matched to right node `r`.
-    pub match_right: Vec<Option<usize>>,
-}
-
-impl MatchResult {
-    /// Whether every left node is matched.
-    pub fn saturates_left(&self) -> bool {
-        self.match_left.iter().all(|m| m.is_some())
-    }
-
-    /// The matched pairs as `(left, right)` tuples.
-    pub fn pairs(&self) -> Vec<(usize, usize)> {
-        self.match_left
-            .iter()
-            .enumerate()
-            .filter_map(|(l, r)| r.map(|r| (l, r)))
-            .collect()
-    }
-}
-
 const INF: u32 = u32::MAX;
 
 /// Reusable buffers for [`maximum_matching_csr_into`]. After a call,
@@ -48,27 +21,6 @@ pub struct HopcroftKarpScratch {
     pub match_right: Vec<usize>,
     dist: Vec<u32>,
     queue: std::collections::VecDeque<usize>,
-}
-
-/// Computes a maximum matching of `g` using Hopcroft–Karp: builds the
-/// left-side CSR adjacency (each left node's edges in insertion order)
-/// and runs [`maximum_matching_csr_into`] on fresh buffers.
-pub fn maximum_matching(g: &BipartiteGraph) -> MatchResult {
-    let edges = g.edges();
-    // A stable sort keeps each left node's edges in insertion order.
-    let mut adj_edges: Vec<usize> = (0..edges.len()).collect();
-    adj_edges.sort_by_key(|&i| edges[i].left);
-    let adj_off: Vec<usize> = (0..=g.n_left())
-        .map(|l| adj_edges.partition_point(|&i| edges[i].left < l))
-        .collect();
-    let mut scratch = HopcroftKarpScratch::default();
-    let size = maximum_matching_csr_into(g, &adj_off, &adj_edges, &mut scratch);
-    let matched = |m: &usize| (*m != usize::MAX).then_some(*m);
-    MatchResult {
-        size,
-        match_left: scratch.match_left.iter().map(matched).collect(),
-        match_right: scratch.match_right.iter().map(matched).collect(),
-    }
 }
 
 /// Hopcroft–Karp over a flat CSR adjacency, reusing caller-provided
@@ -166,28 +118,6 @@ pub fn maximum_matching_csr_into(
     size
 }
 
-/// Exhaustive maximum matching by backtracking; exponential, test oracle
-/// only. Exposed so downstream crates' tests can reuse it.
-pub fn brute_force_max_matching(g: &BipartiteGraph) -> usize {
-    fn go(g: &BipartiteGraph, l: usize, used_right: &mut Vec<bool>) -> usize {
-        if l == g.n_left() {
-            return 0;
-        }
-        // Option 1: leave l unmatched.
-        let mut best = go(g, l + 1, used_right);
-        // Option 2: match l to any free neighbour.
-        for e in g.edges().iter().filter(|e| e.left == l) {
-            if !used_right[e.right] {
-                used_right[e.right] = true;
-                best = best.max(1 + go(g, l + 1, used_right));
-                used_right[e.right] = false;
-            }
-        }
-        best
-    }
-    go(g, 0, &mut vec![false; g.n_right()])
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -200,63 +130,91 @@ mod tests {
         g
     }
 
+    /// Each left node's edges in insertion order, as CSR.
+    fn csr(g: &BipartiteGraph) -> (Vec<usize>, Vec<usize>) {
+        let mut adj_off = vec![0usize];
+        let mut adj_edges = Vec::new();
+        for l in 0..g.n_left() {
+            adj_edges.extend((0..g.edges().len()).filter(|&i| g.edges()[i].left == l));
+            adj_off.push(adj_edges.len());
+        }
+        (adj_off, adj_edges)
+    }
+
+    /// The matching's size and the scratch holding it, on fresh buffers.
+    fn matching(g: &BipartiteGraph) -> (usize, HopcroftKarpScratch) {
+        let (off, edges) = csr(g);
+        let mut scratch = HopcroftKarpScratch::default();
+        let size = maximum_matching_csr_into(g, &off, &edges, &mut scratch);
+        (size, scratch)
+    }
+
+    /// The matched `(left, right)` pairs.
+    fn pairs(m: &HopcroftKarpScratch) -> Vec<(usize, usize)> {
+        let matched = m.match_left.iter().enumerate();
+        matched
+            .filter(|&(_, &r)| r != usize::MAX)
+            .map(|(l, &r)| (l, r))
+            .collect()
+    }
+
     #[test]
     fn empty_graph() {
         let g = graph(3, 3, &[]);
-        let m = maximum_matching(&g);
-        assert_eq!(m.size, 0);
-        assert!(!m.saturates_left());
+        let (size, m) = matching(&g);
+        assert_eq!(size, 0);
+        assert!(m.match_left.iter().all(|&r| r == usize::MAX));
     }
 
     #[test]
     fn perfect_matching_on_identity() {
         let g = graph(4, 4, &[(0, 0), (1, 1), (2, 2), (3, 3)]);
-        let m = maximum_matching(&g);
-        assert_eq!(m.size, 4);
-        assert!(m.saturates_left());
-        assert_eq!(m.pairs(), vec![(0, 0), (1, 1), (2, 2), (3, 3)]);
+        let (size, m) = matching(&g);
+        assert_eq!(size, 4);
+        assert_eq!(pairs(&m), vec![(0, 0), (1, 1), (2, 2), (3, 3)]);
     }
 
     #[test]
     fn augmenting_path_needed() {
         // Greedy l0->r0 would block l1; HK must augment.
         let g = graph(2, 2, &[(0, 0), (0, 1), (1, 0)]);
-        let m = maximum_matching(&g);
-        assert_eq!(m.size, 2);
-        assert!(m.saturates_left());
+        let (size, m) = matching(&g);
+        assert_eq!(size, 2);
+        assert_eq!(pairs(&m), vec![(0, 1), (1, 0)]);
     }
 
     #[test]
     fn unbalanced_sides() {
         let g = graph(2, 5, &[(0, 4), (1, 4), (1, 3)]);
-        let m = maximum_matching(&g);
-        assert_eq!(m.size, 2);
+        assert_eq!(matching(&g).0, 2);
     }
 
     #[test]
     fn bottlenecked_structure() {
         // All left nodes fight over one right node.
         let g = graph(3, 1, &[(0, 0), (1, 0), (2, 0)]);
-        let m = maximum_matching(&g);
-        assert_eq!(m.size, 1);
+        assert_eq!(matching(&g).0, 1);
     }
 
-    type Case = (usize, usize, Vec<(usize, usize)>);
+    type Case = (usize, usize, Vec<(usize, usize)>, usize);
 
     #[test]
     fn matches_brute_force_on_fixed_cases() {
+        // The maximum sizes, worked out by hand (`tests/proptest_matching.rs`
+        // checks random graphs against an exhaustive search).
         let cases: Vec<Case> = vec![
-            (3, 3, vec![(0, 0), (0, 1), (1, 1), (2, 1), (2, 2)]),
-            (4, 3, vec![(0, 0), (1, 0), (2, 1), (3, 2), (3, 1)]),
+            (3, 3, vec![(0, 0), (0, 1), (1, 1), (2, 1), (2, 2)], 3),
+            // l0 and l1 share their only neighbour r0.
+            (4, 3, vec![(0, 0), (1, 0), (2, 1), (3, 2), (3, 1)], 3),
             (
                 5,
                 5,
                 vec![(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (0, 0), (4, 4)],
+                5,
             ),
         ];
-        for (nl, nr, edges) in cases {
-            let g = graph(nl, nr, &edges);
-            assert_eq!(maximum_matching(&g).size, brute_force_max_matching(&g));
+        for (nl, nr, edges, max) in cases {
+            assert_eq!(matching(&graph(nl, nr, &edges)).0, max);
         }
     }
 
@@ -266,15 +224,6 @@ mod tests {
         // the same matching as fresh buffers do.
         let big = graph(5, 5, &[(0, 0), (1, 1), (2, 2), (3, 3), (4, 4)]);
         let g = graph(4, 4, &[(0, 1), (1, 1), (1, 2), (2, 0), (3, 3), (3, 0)]);
-        let csr = |g: &BipartiteGraph| {
-            let mut adj_off = vec![0usize];
-            let mut adj_edges = Vec::new();
-            for l in 0..g.n_left() {
-                adj_edges.extend((0..g.edges().len()).filter(|&i| g.edges()[i].left == l));
-                adj_off.push(adj_edges.len());
-            }
-            (adj_off, adj_edges)
-        };
         let mut scratch = HopcroftKarpScratch::default();
         let (off, edges) = csr(&big);
         assert_eq!(
@@ -284,22 +233,19 @@ mod tests {
         let (off, edges) = csr(&g);
         let size = maximum_matching_csr_into(&g, &off, &edges, &mut scratch);
 
-        let fresh = maximum_matching(&g);
-        assert_eq!(size, fresh.size);
-        assert_eq!(size, brute_force_max_matching(&g));
-        let warm = |m: &[usize]| -> Vec<Option<usize>> {
-            m.iter().map(|&x| (x != usize::MAX).then_some(x)).collect()
-        };
-        assert_eq!(warm(&scratch.match_left), fresh.match_left);
-        assert_eq!(warm(&scratch.match_right), fresh.match_right);
+        let (fresh_size, fresh) = matching(&g);
+        assert_eq!(size, fresh_size);
+        assert_eq!(size, 4);
+        assert_eq!(scratch.match_left, fresh.match_left);
+        assert_eq!(scratch.match_right, fresh.match_right);
     }
 
     #[test]
     fn matching_is_consistent() {
         let g = graph(4, 4, &[(0, 1), (1, 1), (1, 2), (2, 0), (3, 3), (3, 0)]);
-        let m = maximum_matching(&g);
-        for (l, r) in m.pairs() {
-            assert_eq!(m.match_right[r], Some(l));
+        let (_, m) = matching(&g);
+        for (l, r) in pairs(&m) {
+            assert_eq!(m.match_right[r], l);
             // Every matched pair must be an actual edge.
             assert!(g.edges().iter().any(|e| e.left == l && e.right == r));
         }

@@ -13,15 +13,17 @@
 //!
 //! * [`bottleneck_matching_into`] — the polynomial-time optimal variant:
 //!   binary search on the threshold `T` over the set of edge weights,
-//!   feasibility decided by a maximum-matching
-//!   ([Hopcroft–Karp][hopcroft_karp]) run on the `≤ T` subgraph.
+//!   feasibility decided by a Hopcroft–Karp maximum matching
+//!   ([`maximum_matching_csr_into`], on a CSR adjacency and caller-held
+//!   buffers) run on the `≤ T` subgraph.
 //! * [`greedy_matching_into`] — the greedy variant used in the paper's
 //!   experiments: forced internal edges first, then edges in
 //!   non-decreasing weight order, keeping an edge iff it saturates a new
 //!   left node *and* a new right node.
 //!
-//! The crate is self-contained and generic; the scheduler core builds the
-//! per-predecessor bipartite graphs and interprets the returned pairs.
+//! Both take a [`BipartiteGraph`]. The crate is self-contained and
+//! generic; the scheduler core builds the per-predecessor bipartite
+//! graphs and interprets the returned pairs.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -34,7 +36,7 @@ pub mod hopcroft_karp;
 pub use bipartite::{BipartiteGraph, Edge};
 pub use bottleneck::{bottleneck_matching_into, BottleneckScratch};
 pub use greedy::{greedy_matching_into, GreedyScratch};
-pub use hopcroft_karp::{maximum_matching, HopcroftKarpScratch, MatchResult};
+pub use hopcroft_karp::{maximum_matching_csr_into, HopcroftKarpScratch};
 
 /// Owned-result wrappers and checks over the selectors' pair lists.
 #[cfg(test)]

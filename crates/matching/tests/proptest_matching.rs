@@ -3,8 +3,8 @@
 //! robustness condition of Proposition 4.3.
 
 use matching::{
-    bottleneck_matching_into, greedy_matching_into, hopcroft_karp::brute_force_max_matching,
-    maximum_matching, BipartiteGraph, BottleneckScratch, GreedyScratch,
+    bottleneck_matching_into, greedy_matching_into, maximum_matching_csr_into, BipartiteGraph,
+    BottleneckScratch, GreedyScratch, HopcroftKarpScratch,
 };
 use proptest::prelude::*;
 
@@ -42,6 +42,28 @@ fn is_left_perfect(pairs: &[(usize, usize)], n_left: usize) -> bool {
     left_seen.iter().all(|&s| s)
 }
 
+/// Exhaustive maximum matching by backtracking; exponential, the
+/// oracle of `hopcroft_karp_is_maximum`.
+fn brute_force_max_matching(g: &BipartiteGraph) -> usize {
+    fn go(g: &BipartiteGraph, l: usize, used_right: &mut Vec<bool>) -> usize {
+        if l == g.n_left() {
+            return 0;
+        }
+        // Option 1: leave l unmatched.
+        let mut best = go(g, l + 1, used_right);
+        // Option 2: match l to any free neighbour.
+        for e in g.edges().iter().filter(|e| e.left == l) {
+            if !used_right[e.right] {
+                used_right[e.right] = true;
+                best = best.max(1 + go(g, l + 1, used_right));
+                used_right[e.right] = false;
+            }
+        }
+        best
+    }
+    go(g, 0, &mut vec![false; g.n_right()])
+}
+
 fn arb_graph(max_n: usize) -> impl Strategy<Value = BipartiteGraph> {
     (1..=max_n, 1..=max_n).prop_flat_map(|(nl, nr)| {
         proptest::collection::vec((0..nl, 0..nr, 0.0f64..100.0), 0..nl * nr).prop_map(
@@ -77,12 +99,25 @@ proptest! {
 
     #[test]
     fn hopcroft_karp_is_maximum(g in arb_graph(6)) {
-        let m = maximum_matching(&g);
-        prop_assert_eq!(m.size, brute_force_max_matching(&g));
-        // Consistency of the two match arrays.
-        for (l, r) in m.pairs() {
-            prop_assert_eq!(m.match_right[r], Some(l));
+        // Each left node's edges in insertion order, as CSR.
+        let mut adj_off = vec![0usize];
+        let mut adj_edges = Vec::new();
+        for l in 0..g.n_left() {
+            adj_edges.extend((0..g.edges().len()).filter(|&i| g.edges()[i].left == l));
+            adj_off.push(adj_edges.len());
         }
+        let mut m = HopcroftKarpScratch::default();
+        let size = maximum_matching_csr_into(&g, &adj_off, &adj_edges, &mut m);
+        prop_assert_eq!(size, brute_force_max_matching(&g));
+        // Consistency of the two match arrays, over `size` pairs.
+        let mut matched = 0;
+        for (l, &r) in m.match_left.iter().enumerate() {
+            if r != usize::MAX {
+                prop_assert_eq!(m.match_right[r], l);
+                matched += 1;
+            }
+        }
+        prop_assert_eq!(matched, size);
     }
 
     #[test]

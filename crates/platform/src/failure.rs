@@ -192,14 +192,6 @@ impl FailureScenario {
         self.failures.is_empty()
     }
 
-    /// The failure time of `p`, or `None` if `p` stays alive.
-    pub fn failure_time(&self, p: ProcId) -> Option<f64> {
-        self.failures
-            .iter()
-            .find(|&&(q, _)| q == p)
-            .map(|&(_, t)| t)
-    }
-
     /// Iterates over `(processor, time)` pairs.
     pub fn iter(&self) -> impl Iterator<Item = (ProcId, f64)> + '_ {
         self.failures.iter().copied()
@@ -390,7 +382,7 @@ mod tests {
     fn empty_scenario() {
         let s = FailureScenario::none();
         assert!(s.is_empty());
-        assert!(s.failure_time(ProcId(0)).is_none());
+        assert_eq!(s.iter().next(), None);
     }
 
     #[test]
@@ -409,10 +401,9 @@ mod tests {
     fn uniform_all_processors() {
         let mut rng = StdRng::seed_from_u64(2);
         let s = FailureScenario::uniform(&mut rng, 4, 4);
-        assert_eq!(s.len(), 4);
-        for p in 0..4 {
-            assert!(s.failure_time(ProcId(p)).is_some());
-        }
+        let mut procs: Vec<usize> = s.iter().map(|(p, _)| p.index()).collect();
+        procs.sort_unstable();
+        assert_eq!(procs, [0, 1, 2, 3]);
     }
 
     #[test]
@@ -447,13 +438,6 @@ mod tests {
         for (_, t) in s.iter() {
             assert!((0.0..=100.0).contains(&t));
         }
-    }
-
-    #[test]
-    fn failure_time_lookup() {
-        let s = FailureScenario::new(vec![(ProcId(2), 7.5)]);
-        assert_eq!(s.failure_time(ProcId(2)), Some(7.5));
-        assert_eq!(s.failure_time(ProcId(3)), None);
     }
 
     #[test]

@@ -1,6 +1,5 @@
 //! The processor set and link-delay matrix.
 
-use crate::failure::ProcId;
 use serde::{Deserialize, Serialize};
 
 /// A fully connected heterogeneous platform: `m` processors and the
@@ -122,11 +121,6 @@ impl Platform {
         let take = count.min(ds.len());
         ds[..take].iter().sum::<f64>() / take as f64
     }
-
-    /// All processor ids.
-    pub fn procs(&self) -> impl Iterator<Item = ProcId> + '_ {
-        (0..self.m as u32).map(ProcId)
-    }
 }
 
 impl Deserialize for Platform {
@@ -222,13 +216,5 @@ mod tests {
                 .to_string();
             assert!(e.contains(why), "{bad}: {e}");
         }
-    }
-
-    #[test]
-    fn procs_iterator() {
-        let p = Platform::uniform_delay(3, 1.0);
-        let ids: Vec<_> = p.procs().collect();
-        assert_eq!(ids.len(), 3);
-        assert_eq!(ids[0].index(), 0);
     }
 }

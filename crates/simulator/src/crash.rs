@@ -160,13 +160,12 @@
 //! processor's next position, in both engines. `prepare` rebuilds
 //! `rep_off`, `rep_proc` and `rep_pos` per call; `slot_off` is built
 //! only when the event loop runs. Reusing the workspace across runs
-//! makes everything after the first replication allocation-free:
-//! [`simulate_replication_outcomes_into`] is the sequential
-//! zero-allocation driver (pinned by the root `tests/alloc_counter.rs`
-//! suite), and the parallel campaign ([`summarize_replications`]) gives
-//! each worker one workspace and folds the outcomes into a
-//! [`ReplicationSummary`] as they come back in order, so its memory does
-//! not grow with the replication count.
+//! makes every replay after the first allocation-free: a warm
+//! [`simulate_outcome_into`] allocates nothing (pinned by the root
+//! `tests/alloc_counter.rs` suite), and the Monte-Carlo campaign
+//! ([`summarize_replications`]) gives each worker one workspace and
+//! folds the outcomes into a [`ReplicationSummary`] as they come back in
+//! order, so its memory does not grow with the replication count.
 
 use ftcollections::OrdF64;
 use ftsched_core::{CommSelection, Schedule};
@@ -186,26 +185,14 @@ pub enum FallbackPolicy {
     Rerouted,
 }
 
-/// Whether the application survived the scenario.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SimOutcome {
-    /// Every task completed at least one replica.
-    Completed,
-    /// Some task lost all its replicas.
-    Failed {
-        /// The first task (by id) with no surviving replica.
-        lost_task: TaskId,
-    },
-}
-
 /// Result of a crash simulation.
 #[derive(Debug, Clone)]
 pub struct SimResult {
     /// Achieved application latency: max over exit tasks of the earliest
-    /// completed replica. `f64::INFINITY` when the outcome is `Failed`.
+    /// completed replica. `f64::INFINITY` when a task was lost.
     pub latency: f64,
-    /// Outcome of the run.
-    pub outcome: SimOutcome,
+    /// The first task (by id) that lost every replica, if any.
+    pub lost_task: Option<TaskId>,
     /// Per task, per replica: simulated `(start, finish)` of a replica
     /// that ran to completion; `None` for one that never did (hosted on
     /// a failed processor, killed mid-run, starved of an input, or
@@ -216,7 +203,7 @@ pub struct SimResult {
 impl SimResult {
     /// Whether the application completed.
     pub fn completed(&self) -> bool {
-        matches!(self.outcome, SimOutcome::Completed)
+        self.lost_task.is_none()
     }
 }
 
@@ -1114,7 +1101,7 @@ impl CrashWorkspace {
     /// (allocates the per-replica payload).
     fn to_result(&self, inst: &Instance) -> SimResult {
         let dag = &inst.dag;
-        let out = self.outcome(inst);
+        let ReplicationOutcome { latency, lost_task } = self.outcome(inst);
         // A replay sets a replica's times only when it runs to completion,
         // and ends with nothing running.
         debug_assert!(self
@@ -1131,11 +1118,8 @@ impl CrashWorkspace {
             })
             .collect();
         SimResult {
-            latency: out.latency,
-            outcome: match out.lost_task {
-                None => SimOutcome::Completed,
-                Some(lost_task) => SimOutcome::Failed { lost_task },
-            },
+            latency,
+            lost_task,
             times,
         }
     }
@@ -1351,29 +1335,6 @@ pub(crate) fn prepared_workspace(inst: &Instance, sched: &Schedule) -> CrashWork
     let mut ws = CrashWorkspace::new();
     ws.prepare(inst, sched, FallbackPolicy::Rerouted);
     ws
-}
-
-/// Sequential zero-allocation Monte-Carlo driver: runs `replications`
-/// scenarios into `out` (cleared first) reusing `ws` throughout. After
-/// the first replication on a warm workspace, the entire campaign
-/// performs **no** heap allocation — the counting-allocator regression
-/// test at the repo root pins this. Folded in order, the outcomes give
-/// [`summarize_replications`]' summary bit for bit.
-pub fn simulate_replication_outcomes_into(
-    inst: &Instance,
-    sched: &Schedule,
-    crashes: usize,
-    replications: usize,
-    base_seed: u64,
-    out: &mut Vec<ReplicationOutcome>,
-    ws: &mut CrashWorkspace,
-) {
-    out.clear();
-    out.reserve(replications);
-    ws.prepare(inst, sched, FallbackPolicy::Rerouted);
-    for r in 0..replications as u32 {
-        out.push(replication_outcome(inst, sched, crashes, base_seed, r, ws));
-    }
 }
 
 /// One replication against a workspace already `prepare`d for
@@ -1771,32 +1732,23 @@ mod tests {
 
     #[test]
     fn outcomes_agree_with_full_results() {
-        // The parallel campaign's summary must be the sequential
-        // zero-allocation driver's outcomes folded in order, and each
-        // replication must equal a full `simulate` of the scenario its
-        // seed draws.
+        // The campaign's summary at any thread count must be a full
+        // `simulate` of each replication's seeded draw, folded in order.
         let mut r = rng(92);
         let inst = paper_instance(&mut r, &PaperInstanceConfig::default());
         let s = schedule(&inst, 2, Algorithm::McFtsaGreedy, &mut rng(92)).unwrap();
-        let mut seq = Vec::new();
-        let mut ws = CrashWorkspace::new();
-        simulate_replication_outcomes_into(&inst, &s, 2, 24, 0xBEEF, &mut seq, &mut ws);
-        assert_eq!(seq.len(), 24);
         let mut folded = ReplicationSummary::default();
-        for o in &seq {
-            folded.add(o.completed().then_some(o.latency));
+        for i in 0..24 {
+            let mut draw = StdRng::seed_from_u64(crate::replication_seed(0xBEEF, i));
+            let scen = FailureScenario::uniform(&mut draw, inst.num_procs(), 2);
+            let f = simulate(&inst, &s, &scen);
+            folded.add(f.completed().then_some(f.latency));
         }
+        assert_eq!(folded.replications, 24);
         for threads in [1, 2, 4] {
             let sum = summarize_replications(&inst, &s, 2, 24, 0xBEEF, threads);
             assert_eq!(sum.latency_sum.to_bits(), folded.latency_sum.to_bits());
             assert_eq!(sum, folded);
-        }
-        for (i, o) in seq.iter().enumerate() {
-            let mut draw = StdRng::seed_from_u64(crate::replication_seed(0xBEEF, i as u64));
-            let scen = FailureScenario::uniform(&mut draw, inst.num_procs(), 2);
-            let f = simulate(&inst, &s, &scen);
-            assert_eq!(f.latency.to_bits(), o.latency.to_bits());
-            assert_eq!(f.completed(), o.completed());
         }
     }
 
@@ -1865,7 +1817,7 @@ mod tests {
                         b.latency.to_bits(),
                         "{alg:?} seed {seed} probe {probe}"
                     );
-                    assert_eq!(a.outcome, b.outcome);
+                    assert_eq!(a.lost_task, b.lost_task);
                     assert_eq!(a.times, b.times, "full trace must agree");
                 }
             }

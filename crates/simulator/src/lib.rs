@@ -73,7 +73,7 @@ pub mod streaming;
 pub mod trace;
 
 pub use contention::{simulate_contention, simulate_contention_into, ContentionResult, PortModel};
-pub use crash::{simulate, SimOutcome, SimResult};
+pub use crash::{simulate, SimResult};
 pub use streaming::{
     run_stream_into, ArrivalProcess, DagOutcome, PoissonArrivals, StreamWorkspace, TraceArrivals,
 };

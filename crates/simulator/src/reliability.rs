@@ -10,8 +10,8 @@
 //! * [`survival_probability_exact`] — sums over all `2^m` failure
 //!   patterns. The per-pattern check reduces to bitmask tests: a task
 //!   dies iff the failure mask covers its replica-processor mask, so the
-//!   exact computation handles `m ≤ ~24` comfortably after mask
-//!   deduplication.
+//!   exact computation handles up to [`MAX_EXACT_PROCS`] processors
+//!   comfortably after mask deduplication.
 //! * [`survival_probability_monte_carlo_par`] — samples failure
 //!   patterns and replays each through the static crash pass (rerouted
 //!   delivery) on its worker's [`CrashWorkspace`], prepared once for the
@@ -34,6 +34,11 @@ use ftsched_core::Schedule;
 use platform::Instance;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+
+/// The most processors [`survival_probability_exact`] enumerates the
+/// `2^m` failure patterns of; a campaign spec asking for exact
+/// reliability on a larger platform point fails its `validate`.
+pub const MAX_EXACT_PROCS: usize = 24;
 
 /// Per-task replica-processor masks, deduplicated. The schedule fails
 /// under failure mask `F` iff some task mask `T` satisfies `T & F == T`.
@@ -65,12 +70,17 @@ fn task_masks(sched: &Schedule, m: usize) -> Vec<u64> {
 /// Exact probability that the schedule survives iid per-processor
 /// failure probability `p` (any number of failures may occur — this goes
 /// beyond the `≤ ε` design point).
+///
+/// # Panics
+///
+/// If `p` is outside `[0, 1]` or the instance has more than
+/// [`MAX_EXACT_PROCS`] processors.
 pub fn survival_probability_exact(inst: &Instance, sched: &Schedule, p: f64) -> f64 {
     assert!((0.0..=1.0).contains(&p));
     let m = inst.num_procs();
     assert!(
-        m <= 24,
-        "exact enumeration is exponential; use Monte Carlo beyond 24"
+        m <= MAX_EXACT_PROCS,
+        "exact enumeration is exponential; use Monte Carlo beyond {MAX_EXACT_PROCS}"
     );
     let masks = task_masks(sched, m);
     if masks.is_empty() {

@@ -90,7 +90,7 @@ mod tests {
     use super::*;
     use crate::crash::simulate;
     use ftsched_core::{schedule, Algorithm};
-    use platform::{ExecutionMatrix, FailureScenario, Platform};
+    use platform::{ExecutionMatrix, FailureScenario, Platform, ProcId};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use taskgraph::DagBuilder;
@@ -137,7 +137,7 @@ mod tests {
     fn gantt_of_empty_sim() {
         let inst = instance();
         let s = schedule(&inst, 0, Algorithm::Ftsa, &mut StdRng::seed_from_u64(3)).unwrap();
-        let scen = FailureScenario::at_time_zero(inst.platform.procs());
+        let scen = FailureScenario::at_time_zero((0..inst.num_procs() as u32).map(ProcId));
         let sim = simulate(&inst, &s, &scen);
         let g = gantt(&inst, &s, &sim, 30);
         assert!(!g.contains('#'), "nothing executed, nothing drawn");

@@ -12,7 +12,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use simulator::crash::{
     simulate_event_loop_into, simulate_into, simulate_outcome_from_into, CrashWorkspace,
-    FallbackPolicy, SimOutcome, SimResult,
+    FallbackPolicy, SimResult,
 };
 use taskgraph::{DagBuilder, TaskId};
 
@@ -43,10 +43,10 @@ fn same_bits(pass: &SimResult, oracle: &SimResult) -> Result<(), String> {
     if pass.latency.to_bits() != oracle.latency.to_bits() {
         return Err(format!("latency {} vs {}", pass.latency, oracle.latency));
     }
-    if pass.outcome != oracle.outcome {
+    if pass.lost_task != oracle.lost_task {
         return Err(format!(
-            "outcome {:?} vs {:?}",
-            pass.outcome, oracle.outcome
+            "lost task {:?} vs {:?}",
+            pass.lost_task, oracle.lost_task
         ));
     }
     let bits = |r: &SimResult| -> Vec<Vec<Option<(u64, u64)>>> {
@@ -361,7 +361,7 @@ fn receiver_of_a_later_duplicate_is_blocked_not_dead() {
     let sched = late_duplicate_schedule(&t, 3);
     check_all_small_failure_sets(&inst, &sched);
     let sim = simulate_into(&inst, &sched, &scen, FallbackPolicy::Rerouted, &mut ws);
-    assert_eq!(sim.outcome, SimOutcome::Failed { lost_task: t[0] });
+    assert_eq!(sim.lost_task, Some(t[0]));
     assert_eq!(sim.times[1], vec![None, None]);
     assert_eq!(ws.last_pass(), Some((1, 1)));
 }

@@ -36,6 +36,12 @@ impl ErdosConfig {
 
 /// Generates a random DAG by sampling forward edges over a random
 /// permutation of the tasks, then connecting stray components.
+///
+/// Each task's forward pairs are edges independently with probability
+/// `p`, in permutation order, until `max_out_degree` of them are. The
+/// draw skips straight to the next edge: the number of non-edges before
+/// it is geometric, `⌊ln U / ln(1 − p)⌋` for `U` uniform on `(0, 1]`, so
+/// a draw takes time linear in tasks plus edges, not in forward pairs.
 pub fn erdos(rng: &mut impl Rng, cfg: &ErdosConfig) -> Dag {
     assert!(cfg.tasks > 0);
     assert!((0.0..=1.0).contains(&cfg.edge_prob));
@@ -52,16 +58,24 @@ pub fn erdos(rng: &mut impl Rng, cfg: &ErdosConfig) -> Dag {
         order.swap(i, j);
     }
 
-    for i in 0..cfg.tasks {
-        let mut out = 0usize;
-        for j in (i + 1)..cfg.tasks {
-            if out >= cfg.max_out_degree {
+    // ln(1 − p), exact for small p; −∞ at p = 1, where every gap is 0.
+    // At p = 0 every gap would be infinite, so no task draws.
+    let ln_miss = (-cfg.edge_prob).ln_1p();
+    let drawing = if cfg.edge_prob > 0.0 { cfg.tasks } else { 0 };
+    for i in 0..drawing {
+        let (mut j, mut out) = (i + 1, 0usize);
+        while out < cfg.max_out_degree && j < cfg.tasks {
+            // 1 − U lies in (0, 1], so its log is finite. A gap past the
+            // last task saturates the cast.
+            let u = 1.0 - rng.gen::<f64>();
+            let gap = (u.ln() / ln_miss).floor() as usize;
+            if gap >= cfg.tasks - j {
                 break;
             }
-            if rng.gen_bool(cfg.edge_prob) {
-                b.add_edge(ids[order[i]], ids[order[j]], cfg.volumes.sample(rng));
-                out += 1;
-            }
+            j += gap;
+            b.add_edge(ids[order[i]], ids[order[j]], cfg.volumes.sample(rng));
+            out += 1;
+            j += 1;
         }
     }
 
@@ -117,6 +131,41 @@ mod tests {
         assert!(is_weakly_connected(&g));
         // Connecting 20 isolated nodes takes >= 19 edges.
         assert!(g.num_edges() >= 19);
+    }
+
+    /// A `RngCore` that counts the words drawn from it.
+    struct Counting(StdRng, u64);
+
+    impl rand::RngCore for Counting {
+        fn next_u64(&mut self) -> u64 {
+            self.1 += 1;
+            self.0.next_u64()
+        }
+    }
+
+    #[test]
+    fn draws_are_linear_in_tasks_and_edges() {
+        // One pair-by-pair draw per forward pair would be about 1.25e7
+        // words at v = 5000; skipping the gaps takes a few per task and
+        // per edge.
+        let mut rng = Counting(StdRng::seed_from_u64(4), 0);
+        let g = erdos(&mut rng, &ErdosConfig::sparse(5000));
+        let (v, e) = (g.num_tasks() as u64, g.num_edges() as u64);
+        assert!(e > v, "a sparse draw still has about 3 edges a task");
+        assert!(rng.1 <= 4 * (v + e), "{} words for v = {v}, e = {e}", rng.1);
+    }
+
+    #[test]
+    fn every_pair_is_an_edge_at_probability_one() {
+        let mut rng = StdRng::seed_from_u64(6);
+        let cfg = ErdosConfig {
+            tasks: 12,
+            edge_prob: 1.0,
+            max_out_degree: usize::MAX,
+            work: DEFAULT_WORK,
+            volumes: PAPER_VOLUMES,
+        };
+        assert_eq!(erdos(&mut rng, &cfg).num_edges(), 12 * 11 / 2);
     }
 
     #[test]

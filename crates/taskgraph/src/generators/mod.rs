@@ -121,17 +121,22 @@ pub(crate) fn connect_components(dag: Dag, rng: &mut impl Rng, volumes: Range) -
             reps.push(i);
         }
     }
-    // Collect main-component members once.
+    // Collect main-component members once, and per level their positions
+    // in that list: a representative's candidates are the members off its
+    // level, and the k-th of them is found by binary search, so linking
+    // costs O(log n) per component, not a pass over the main component.
     let main_members: Vec<usize> = (0..n).filter(|&i| roots[i] == main_root).collect();
+    let mut at_level: Vec<Vec<usize>> = vec![Vec::new(); lv.iter().max().map_or(0, |&l| l + 1)];
+    for (pos, &mm) in main_members.iter().enumerate() {
+        at_level[lv[mm]].push(pos);
+    }
     for rep in reps {
         // Pick a main-component node at a strictly different level; edge
         // direction follows the level order, so no cycle can form.
-        let candidates: Vec<usize> = main_members
-            .iter()
-            .copied()
-            .filter(|&mmm| lv[mmm] != lv[rep])
-            .collect();
-        let (src, dst) = if let Some(&mm) = pick(rng, &candidates) {
+        let same = &at_level[lv[rep]];
+        let candidates = main_members.len() - same.len();
+        let (src, dst) = if candidates > 0 {
+            let mm = main_members[kth_outside(same, rng.gen_range(0..candidates))];
             if lv[mm] < lv[rep] {
                 (mm, rep)
             } else {
@@ -140,7 +145,7 @@ pub(crate) fn connect_components(dag: Dag, rng: &mut impl Rng, volumes: Range) -
         } else {
             // Entire main component sits on the same level as `rep` (an
             // antichain); a direct edge is still acyclic.
-            let mm = *pick(rng, &main_members).expect("main component nonempty");
+            let mm = main_members[rng.gen_range(0..main_members.len())];
             (rep, mm)
         };
         b.add_edge(TaskId(src as u32), TaskId(dst as u32), volumes.sample(rng));
@@ -149,12 +154,20 @@ pub(crate) fn connect_components(dag: Dag, rng: &mut impl Rng, volumes: Range) -
         .expect("level-respecting extra edges keep the DAG acyclic")
 }
 
-fn pick<'a, T>(rng: &mut impl Rng, xs: &'a [T]) -> Option<&'a T> {
-    if xs.is_empty() {
-        None
-    } else {
-        Some(&xs[rng.gen_range(0..xs.len())])
+/// The position of the `k`-th (from 0) position not in `taken`, a
+/// strictly increasing list: `taken[i] - i` free positions precede
+/// `taken[i]`, so a binary search counts the taken ones before it.
+fn kth_outside(taken: &[usize], k: usize) -> usize {
+    let (mut below, mut hi) = (0, taken.len());
+    while below < hi {
+        let mid = (below + hi) / 2;
+        if taken[mid] - mid <= k {
+            below = mid + 1;
+        } else {
+            hi = mid;
+        }
     }
+    k + below
 }
 
 #[cfg(test)]
@@ -193,6 +206,19 @@ mod tests {
         assert!(is_weakly_connected(&g2));
         assert_eq!(g2.num_tasks(), 6);
         assert!(g2.num_edges() >= 5);
+    }
+
+    #[test]
+    fn kth_outside_skips_the_taken_positions() {
+        let mut rng = StdRng::seed_from_u64(11);
+        for _ in 0..200 {
+            let n = rng.gen_range(1..40usize);
+            let taken: Vec<usize> = (0..n).filter(|_| rng.gen_bool(0.4)).collect();
+            let free: Vec<usize> = (0..n).filter(|p| !taken.contains(p)).collect();
+            for (k, &p) in free.iter().enumerate() {
+                assert_eq!(kth_outside(&taken, k), p, "{taken:?}, k = {k}");
+            }
+        }
     }
 
     #[test]

@@ -11,10 +11,10 @@
 //! * repeated `schedule_into` runs over one `ScheduleWorkspace`, for
 //!   every pipeline configuration — the bottleneck matcher included,
 //!   now that its binary-search scratch lives in the workspace;
-//! * a full Monte-Carlo crash campaign through
-//!   `simulate_replication_outcomes_into` after an identical warm-up
-//!   campaign — i.e. every replication after the first allocates
-//!   nothing;
+//! * a Monte-Carlo crash campaign, `simulate_outcome_into` over
+//!   `refill_uniform` draws on one `CrashWorkspace`, after an identical
+//!   warm-up campaign — i.e. every replication after the first
+//!   allocates nothing;
 //! * campaign cells through `evaluate_cell_into`, the one-port
 //!   contention measure included: its replays run on the cell's crash
 //!   workspace;
@@ -45,7 +45,7 @@ use ftsched_core::{schedule_into, ScheduleWorkspace};
 use platform::{FailureModel, UniformFailures};
 use rand::{rngs::StdRng, SeedableRng};
 use simulator::crash::{
-    simulate_replication_outcomes_into, summarize_replications, CrashWorkspace, ReplicationOutcome,
+    simulate_outcome_into, summarize_replications, CrashWorkspace, ReplicationOutcome,
 };
 use simulator::reliability::survival_probability_monte_carlo_par;
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -467,6 +467,34 @@ fn steady_state_schedule_reuse_allocates_nothing() {
     }
 }
 
+/// A Monte-Carlo crash campaign's warm state: the replay workspace, the
+/// scenario each replication redraws in place with its scratch, and the
+/// outcomes of the last run.
+#[derive(Default)]
+struct CrashCampaign {
+    ws: CrashWorkspace,
+    scen: FailureScenario,
+    ids: Vec<u32>,
+    out: Vec<ReplicationOutcome>,
+}
+
+impl CrashCampaign {
+    /// Replays `reps` draws of `crashes` fail-at-time-zero processors
+    /// from `seed` through `simulate_outcome_into`.
+    fn run(&mut self, inst: &Instance, sched: &Schedule, crashes: usize, reps: usize, seed: u64) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        self.out.clear();
+        for _ in 0..reps {
+            let m = inst.num_procs();
+            self.scen
+                .refill_uniform(&mut rng, m, crashes, &mut self.ids);
+            let policy = FallbackPolicy::Rerouted;
+            let outcome = simulate_outcome_into(inst, sched, &self.scen, policy, &mut self.ws);
+            self.out.push(outcome);
+        }
+    }
+}
+
 fn monte_carlo_replications_after_first_allocate_nothing() {
     let inst = test_instance();
     let mut ws = ScheduleWorkspace::new();
@@ -481,23 +509,22 @@ fn monte_carlo_replications_after_first_allocate_nothing() {
     .clone();
 
     const REPS: usize = 50;
-    let mut crash_ws = CrashWorkspace::new();
-    let mut out: Vec<ReplicationOutcome> = Vec::new();
-    // Warm-up campaign: sizes the replay state for the largest scenario
-    // and the output buffer for REPS outcomes.
-    simulate_replication_outcomes_into(&inst, &sched, 2, REPS, 0xCAFE, &mut out, &mut crash_ws);
-    let warm: Vec<ReplicationOutcome> = out.clone();
+    let mut campaign = CrashCampaign::default();
+    // Warm-up campaign: sizes the replay state and the scenario for the
+    // largest draw, and the output buffer for REPS outcomes.
+    campaign.run(&inst, &sched, 2, REPS, 0xCAFE);
+    let warm: Vec<ReplicationOutcome> = campaign.out.clone();
 
     let before = allocations();
-    simulate_replication_outcomes_into(&inst, &sched, 2, REPS, 0xCAFE, &mut out, &mut crash_ws);
+    campaign.run(&inst, &sched, 2, REPS, 0xCAFE);
     let counted = allocations() - before;
     assert_eq!(
         counted, 0,
         "steady-state Monte-Carlo campaign performed {counted} heap \
          allocations across {REPS} replications (contract: zero)"
     );
-    assert_eq!(out, warm, "reuse must not change the outcomes");
-    assert!(out.iter().all(ReplicationOutcome::completed));
+    assert_eq!(campaign.out, warm, "reuse must not change the outcomes");
+    assert!(campaign.out.iter().all(ReplicationOutcome::completed));
 }
 
 fn monte_carlo_driver_memory_does_not_grow_with_samples() {
@@ -645,12 +672,11 @@ fn matched_campaign_after_first_allocates_nothing() {
     .clone();
 
     const REPS: usize = 30;
-    let mut crash_ws = CrashWorkspace::new();
-    let mut out: Vec<ReplicationOutcome> = Vec::new();
-    simulate_replication_outcomes_into(&inst, &sched, 1, REPS, 0xF00D, &mut out, &mut crash_ws);
+    let mut campaign = CrashCampaign::default();
+    campaign.run(&inst, &sched, 1, REPS, 0xF00D);
 
     let before = allocations();
-    simulate_replication_outcomes_into(&inst, &sched, 1, REPS, 0xF00D, &mut out, &mut crash_ws);
+    campaign.run(&inst, &sched, 1, REPS, 0xF00D);
     assert_eq!(
         allocations() - before,
         0,

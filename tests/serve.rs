@@ -248,6 +248,35 @@ fn a_platform_point_with_too_many_processors_answers_400() {
 }
 
 #[test]
+fn exact_reliability_beyond_its_processor_bound_answers_400() {
+    // Exact reliability enumerates 2^m failure patterns, up to 24
+    // processors. A spec asking for it on 25 used to pass `validate`,
+    // answer 200 and panic its handler mid-stream, leaving the run
+    // listed as running; `validate` now refuses it before any run is
+    // registered.
+    let addr = spawn_server(ServeConfig::default());
+    let mut spec = presets::preset("reliability", None).expect("reliability preset");
+    spec.platforms[0].procs = 25;
+    spec.epsilons = vec![1];
+    let res = post_campaign(addr, &spec.to_json().expect("serializes"));
+    assert_eq!(res.status, "HTTP/1.1 400 Bad Request", "{}", res.body);
+    assert!(
+        res.body
+            .contains("at most 24 processors; platform point has 25"),
+        "{}",
+        res.body
+    );
+    let listing = request(
+        addr,
+        "GET /campaigns HTTP/1.1\r\nHost: x\r\nConnection: close\r\n\r\n",
+    );
+    assert_eq!(listing.status, "HTTP/1.1 200 OK");
+    assert_eq!(listing.body, "{\n  \"runs\": []\n}");
+    let res = request(addr, "GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n");
+    assert_eq!(res.status, "HTTP/1.1 200 OK");
+}
+
+#[test]
 fn a_workload_with_too_many_tasks_answers_400() {
     // A paper-layered range up to 10^11 tasks would ask for about 20 TB
     // at its first cell; `validate` refuses it from its shape alone,
