@@ -21,8 +21,6 @@
 //! * `scheduler/fold` — the arrival-row folds of `ftcollections::fold`
 //!   against their scalar references, at the scheduler's row width
 //!   (m = 20) and at a vectorization-friendly width (m = 1024);
-//! * `scheduler/heap` — the tombstone/epoch heap under the half-stale
-//!   churn pattern heap-driven pressure selection produces;
 //! * `scheduler/locality` — the pred-major arrival arena under widening
 //!   σ-sets (ε = 1 vs 3 at v = 10000): row-width scaling, isolated from
 //!   the task-count scaling `large` tracks;
@@ -187,47 +185,6 @@ fn bench_folds(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_epoch_heap(c: &mut Criterion) {
-    // The tombstone/epoch heap under the access pattern pressure
-    // selection actually produces: a push-heavy fill, then a pop phase
-    // where half the entries have been invalidated by epoch bumps (a
-    // placement bumps every rival it re-evaluates). Lazy deletion means
-    // the stale half is paid for at pop time — this series watches that
-    // cost at the scheduler's working-set size and at 64× it.
-    use ftcollections::{EpochHeap, OrdF64};
-    let mut group = c.benchmark_group("scheduler/heap");
-    group.sample_size(10);
-    for n in [1024usize, 65536] {
-        group.bench_with_input(BenchmarkId::new("churn-half-stale", n), &n, |b, &n| {
-            let mut heap: EpochHeap<OrdF64> = EpochHeap::new();
-            let mut epochs = vec![0u32; n];
-            b.iter(|| {
-                heap.clear();
-                for e in epochs.iter_mut() {
-                    *e = 0;
-                }
-                for i in 0..n {
-                    // Deterministic shuffled keys (Weyl sequence).
-                    let key = ((i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 11) as f64;
-                    heap.push(i as u32, 0, OrdF64::new(key));
-                }
-                // Invalidate every other entry, then re-push it with a
-                // new key at the bumped epoch — the rival cycle.
-                for i in (0..n).step_by(2) {
-                    epochs[i] = 1;
-                    heap.push(i as u32, 1, OrdF64::new(i as f64));
-                }
-                let mut live = 0usize;
-                while heap.pop(&epochs).is_some() {
-                    live += 1;
-                }
-                live
-            })
-        });
-    }
-    group.finish();
-}
-
 fn bench_arena_locality(c: &mut Criterion) {
     // The cache-resident arrival arena under widening σ-sets: raising ε
     // multiplies the replicas folded per predecessor row, so this series
@@ -331,7 +288,6 @@ criterion_group!(
     bench_schedule_large,
     bench_pressure_reference,
     bench_folds,
-    bench_epoch_heap,
     bench_arena_locality,
     bench_schedule_reuse,
     bench_schedule_high_replication,

@@ -860,6 +860,20 @@ fn a_reliability_spec_beyond_the_exact_bound_is_a_named_error() {
     );
 }
 
+/// A platform heterogeneity of 1 would draw execution-time factors down
+/// to 0: `validate` refuses it (exit 1), where it used to pass and panic
+/// mid-campaign (exit 101).
+#[test]
+fn a_campaign_spec_with_a_heterogeneity_of_one_is_a_named_error() {
+    assert_spec_refused(
+        "ci-smoke",
+        "heterogeneity-1.json",
+        |spec| spec.platforms[0].heterogeneity = 1.0,
+        "platform heterogeneity 1 outside [0, 1): execution times are scaled by factors \
+         down to 1 − heterogeneity, which must stay positive",
+    );
+}
+
 /// Options a command does not declare, or declared ones in the wrong
 /// shape, with the start of the error each must name. Each used to be
 /// dropped silently: the command ran with the option ignored (exit 0),

@@ -96,6 +96,7 @@
 pub mod bicriteria;
 pub mod bounds;
 pub(crate) mod engine;
+mod epoch_heap;
 pub mod error;
 #[cfg(test)]
 mod ftbar;

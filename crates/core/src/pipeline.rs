@@ -112,8 +112,9 @@
 //!
 //! The production path therefore never sweeps. Free tasks live in one
 //! of four *families*, each paying exactly the per-step cost its
-//! volatility warrants, with membership tracked through the shared
-//! tombstone/epoch discipline of [`ftcollections::EpochHeap`]:
+//! volatility warrants, with membership tracked through one shared
+//! tombstone/epoch rule over std `BinaryHeap`s (an entry is live while
+//! its epoch equals its task's; see the workspace's `PressureCache`):
 //!
 //! * **clean** — cached σ-set *stable*: every selected start strictly
 //!   exceeds its processor's ready time. The task sits in the lazy max-
@@ -169,6 +170,7 @@
 //! sender replicas.
 
 use crate::engine::Engine;
+use crate::epoch_heap::Tombstoned;
 use crate::error::ScheduleError;
 use crate::schedule::{CommSelection, Replica, Schedule};
 use crate::workspace::{PressureCache, ScheduleWorkspace};
@@ -725,13 +727,9 @@ fn select_next(
             }
             pc.stats.steps += 1;
             let cap = 2 * token.len() + 64;
-            if pc.heap.raw_len() > cap {
-                pc.heap.compact(&pc.epoch);
-            }
-            if pc.dstat.raw_len() > cap {
-                pc.dstat.compact(&pc.epoch);
-            }
-            let mut bu: Option<f64> = pc.heap.peek(&pc.epoch).map(|(_, key)| key.0.get() - r);
+            pc.heap.compact(&pc.epoch, cap);
+            pc.dstat.compact(&pc.epoch, cap);
+            let mut bu: Option<f64> = pc.heap.peek_live(&pc.epoch).map(|key| key.0.get() - r);
             // Per-step ready-time order statistics: the minimum (the
             // fully-ready-dominated witness threshold) and the
             // `(ε+1)`-th smallest (every FRD task's exact σ slot).
@@ -776,13 +774,11 @@ fn select_next(
             // drain — their urgency qualifies against itself, so
             // re-pushing mid-loop would pop them forever. Their entries
             // stay live: no epoch bump, the same key.
-            if pc.frd.raw_len() > cap {
-                pc.frd.compact(&pc.epoch);
-            }
+            pc.frd.compact(&pc.epoch, cap);
             pc.requeue.clear();
             while let Some((id, key)) = pc
                 .frd
-                .pop_if(&pc.epoch, |k| bu.map_or(true, |b| (rdk + k.get()) - r >= b))
+                .pop_live_if(&pc.epoch, |k| bu.map_or(true, |b| (rdk + k.get()) - r >= b))
             {
                 let u = (rdk + key.get()) - r;
                 if bu.map_or(true, |b| u > b) {
@@ -793,7 +789,7 @@ fn select_next(
             }
             while let Some(id) = pc.requeue.pop() {
                 let ti = id as usize;
-                pc.frd.push(id, pc.epoch[ti], OrdF64::new(s_latest[ti]));
+                pc.frd.push((OrdF64::new(s_latest[ti]), id, pc.epoch[ti]));
             }
             let mut i = 0;
             while i < pc.hot.len() {
@@ -848,12 +844,12 @@ fn select_next(
                                 pc.hot.swap_remove(i);
                             }
                             Disposition::Frd => {
-                                pc.frd.push(id, pc.epoch[ti], OrdF64::new(s_latest[ti]));
+                                pc.frd.push((OrdF64::new(s_latest[ti]), id, pc.epoch[ti]));
                                 pc.hot.swap_remove(i);
                             }
                         }
                     } else if migrate {
-                        pc.frd.push(id, pc.epoch[ti], OrdF64::new(s_latest[ti]));
+                        pc.frd.push((OrdF64::new(s_latest[ti]), id, pc.epoch[ti]));
                         pc.hot.swap_remove(i);
                     } else {
                         i += 1;
@@ -863,59 +859,58 @@ fn select_next(
                     // tasks hold no live entries, so no epoch bump is
                     // needed before pushing at the current epoch.
                     let ep = pc.epoch[ti];
-                    pc.dstat.push(id, ep, OrdF64::new(pc.urgency[ti]));
+                    pc.dstat.push((OrdF64::new(pc.urgency[ti]), id, ep));
                     for k in 0..replicas {
-                        pc.dproc[pc.proc[base + k] as usize].push(
+                        pc.dproc[pc.proc[base + k] as usize].push((
+                            OrdF64::new(s_latest[ti]),
                             id,
                             ep,
-                            OrdF64::new(s_latest[ti]),
-                        );
+                        ));
                     }
                     pc.hot.swap_remove(i);
                 }
             }
             while let Some((id, _)) = pc
                 .dstat
-                .pop_if(&pc.epoch, |k| bu.map_or(true, |b| k.get() - r >= b))
+                .pop_live_if(&pc.epoch, |k| bu.map_or(true, |b| k.get() - r >= b))
             {
                 match evaluate(pc, id, &mut bu, &mut cand) {
                     Disposition::Clean => {}
                     Disposition::Frd => {
-                        pc.frd.push(
+                        pc.frd.push((
+                            OrdF64::new(s_latest[id as usize]),
                             id,
                             pc.epoch[id as usize],
-                            OrdF64::new(s_latest[id as usize]),
-                        );
+                        ));
                     }
                     Disposition::Hot => pc.hot.push(id),
                 }
             }
             for j in 0..m {
-                if pc.dproc[j].raw_len() > cap {
-                    pc.dproc[j].compact(&pc.epoch);
-                }
+                pc.dproc[j].compact(&pc.epoch, cap);
                 let rj = eng.ready_lb[j];
-                while let Some((id, _)) =
-                    pc.dproc[j].pop_if(&pc.epoch, |k| bu.map_or(true, |b| (rj + k.get()) - r >= b))
+                while let Some((id, _)) = pc.dproc[j]
+                    .pop_live_if(&pc.epoch, |k| bu.map_or(true, |b| (rj + k.get()) - r >= b))
                 {
                     match evaluate(pc, id, &mut bu, &mut cand) {
                         Disposition::Clean => {}
                         Disposition::Frd => {
-                            pc.frd.push(
+                            pc.frd.push((
+                                OrdF64::new(s_latest[id as usize]),
                                 id,
                                 pc.epoch[id as usize],
-                                OrdF64::new(s_latest[id as usize]),
-                            );
+                            ));
                         }
                         Disposition::Hot => pc.hot.push(id),
                     }
                 }
             }
             pc.popped.clear();
-            let mut wmain = pc.heap.pop(&pc.epoch);
+            let mut wmain = pc.heap.pop_live_if(&pc.epoch, |_| true);
             if let Some((mut gid, mut gkey)) = wmain {
                 let gu = gkey.0.get() - r;
-                while let Some((id, key)) = pc.heap.pop_if(&pc.epoch, |k| k.0.get() - r >= gu) {
+                while let Some((id, key)) = pc.heap.pop_live_if(&pc.epoch, |k| k.0.get() - r >= gu)
+                {
                     debug_assert!(key.0.get() - r == gu, "heap order bounds ties from above");
                     if key.1 > gkey.1 {
                         pc.popped.push((gid, gkey));
@@ -945,7 +940,7 @@ fn select_next(
                 }
             };
             for &(id, key) in pc.popped.iter() {
-                pc.heap.push(id, pc.epoch[id as usize], key);
+                pc.heap.push((key, id, pc.epoch[id as usize]));
             }
             pc.free_len -= 1;
             // The winner leaves its family: a clean winner's main entry
@@ -1239,10 +1234,10 @@ fn evaluate_pressure_task(
         pc.dirty[ti] = false;
         let ep = pc.epoch[ti];
         pc.heap
-            .push(ti as u32, ep, (OrdF64::new(pc.urgency[ti]), token[ti]));
+            .push(((OrdF64::new(pc.urgency[ti]), token[ti]), ti as u32, ep));
         for i in 0..replicas {
             let j = pc.proc[base + i] as usize;
-            pc.guards[j].push(ti as u32, ep, Reverse(OrdF64::new(pc.start[base + i])));
+            pc.guards[j].push((Reverse(OrdF64::new(pc.start[base + i])), ti as u32, ep));
         }
         Disposition::Clean
     } else {
@@ -1264,10 +1259,9 @@ fn drain_ready_guards(eng: &Engine<'_>, pc: &mut PressureCache, procs: &[usize])
     let cap = 2 * pc.stale.len() + 64;
     for &j in procs {
         let rj = eng.ready_lb[j];
-        if pc.guards[j].raw_len() > cap {
-            pc.guards[j].compact(&pc.epoch);
-        }
-        while let Some((id, _)) = pc.guards[j].pop_if(&pc.epoch, |&Reverse(th)| th.get() < rj) {
+        pc.guards[j].compact(&pc.epoch, cap);
+        while let Some((id, _)) = pc.guards[j].pop_live_if(&pc.epoch, |&Reverse(th)| th.get() < rj)
+        {
             let ti = id as usize;
             pc.stats.fires += 1;
             pc.dirty[ti] = true;

@@ -38,7 +38,7 @@
 
 use crate::levels::AverageCosts;
 use crate::schedule::{Replica, Schedule};
-use ftcollections::{EpochHeap, OrdF64};
+use ftcollections::OrdF64;
 use matching::{BipartiteGraph, BottleneckScratch, GreedyScratch};
 use platform::Instance;
 use std::cmp::Reverse;
@@ -131,22 +131,22 @@ pub(crate) struct PressureCache {
     /// being placed or still-waiting successors.
     pub in_free: Vec<bool>,
     /// Per-task entry epoch; bumping tombstones every outstanding entry
-    /// of the task across *all* heaps below at once.
+    /// of the task across *all* heaps below at once (see [`Tombstoned`](crate::epoch_heap::Tombstoned)).
     pub epoch: Vec<u32>,
     /// Clean-family max-heap over `(exact raw urgency, token)`.
-    pub heap: EpochHeap<(OrdF64, u64)>,
+    pub heap: BinaryHeap<((OrdF64, u64), u32, u32)>,
     /// Per-processor guard min-queues keyed by the cached σ start:
     /// a clean task's guard on processor `j` fires when `ready_lb[j]`
     /// moves strictly past it, demoting the task to the dirty family.
-    pub guards: Vec<EpochHeap<Reverse<OrdF64>>>,
+    pub guards: Vec<BinaryHeap<(Reverse<OrdF64>, u32, u32)>>,
     /// Dirty-family max-heap over the *static* bound part — the cached
     /// raw urgency (`max_i startᵢ + s(t)`; `+∞` for never-evaluated
     /// tasks, which therefore always qualify for evaluation).
-    pub dstat: EpochHeap<OrdF64>,
+    pub dstat: BinaryHeap<(OrdF64, u32, u32)>,
     /// Dirty-family per-processor max-heaps over `s(t)`, one entry per
     /// cached σ processor: the dynamic bound part `ready_j + s(t)` is
     /// monotone in the key, so qualifying tasks are a heap prefix.
-    pub dproc: Vec<EpochHeap<OrdF64>>,
+    pub dproc: Vec<BinaryHeap<(OrdF64, u32, u32)>>,
     /// The *hot* subset of the dirty family: frontier rivals whose σ
     /// starts ride the advancing ready times. They hold **no** heap
     /// entries; each selection re-checks their bound with the six-flop
@@ -167,7 +167,7 @@ pub(crate) struct PressureCache {
     /// task wins: the per-step qualification `rd₍ε+1₎ + s − R ≥ bu` is
     /// monotone in `s`, making qualifiers a heap prefix — the bulk of
     /// the frontier rivals cost nothing per step.
-    pub frd: EpochHeap<OrdF64>,
+    pub frd: BinaryHeap<(OrdF64, u32, u32)>,
     /// Per-step scratch: fully-ready-dominated tasks ranked this step,
     /// re-pushed into [`frd`](Self::frd) after the drain (re-pushing
     /// mid-loop would pop them again — their exact urgency qualifies
@@ -231,14 +231,14 @@ impl PressureCache {
         self.epoch.resize(v, 0);
         self.heap.clear();
         if self.guards.len() < m {
-            self.guards.resize_with(m, EpochHeap::new);
+            self.guards.resize_with(m, BinaryHeap::new);
         }
         for g in &mut self.guards {
             g.clear();
         }
         self.dstat.clear();
         if self.dproc.len() < m {
-            self.dproc.resize_with(m, EpochHeap::new);
+            self.dproc.resize_with(m, BinaryHeap::new);
         }
         for g in &mut self.dproc {
             g.clear();

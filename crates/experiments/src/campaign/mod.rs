@@ -225,6 +225,12 @@ pub fn normalization(inst: &Instance) -> f64 {
     (total / e as f64).max(f64::MIN_POSITIVE)
 }
 
+/// The most entries a [`SeriesKey`] tells apart in each of the lists it
+/// indexes (extra algorithms, failure models, reliability
+/// probabilities): its indices are `u8`s. [`CampaignSpec::validate`]
+/// refuses a longer list.
+pub(crate) const MAX_SERIES_INDICES: usize = u8::MAX as usize + 1;
+
 /// Compact identity of one measured series within a cell — a `Copy` key
 /// so the evaluation hot loop records `(key, value)` pairs without
 /// allocating; human-readable names are rendered once per group at

@@ -8,7 +8,9 @@
 //! [`crate::campaign::presets`] build the paper's own evaluations as
 //! specs.
 
+use super::MAX_SERIES_INDICES;
 use ftsched_core::Algorithm;
+use platform::exec::SPREADS;
 use platform::FailureModel;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
@@ -327,7 +329,8 @@ pub struct PlatformSpec {
     /// `granularity` as `granularity = 1 / ccr` (the two are reciprocal
     /// views of the same rescaling).
     pub ccr: f64,
-    /// Unrelated-machines heterogeneity spread of execution times.
+    /// Unrelated-machines heterogeneity spread of execution times, in
+    /// [`SPREADS`].
     pub heterogeneity: f64,
 }
 
@@ -578,6 +581,26 @@ impl CampaignSpec {
         if self.repetitions == 0 {
             return Err("campaign needs at least one repetition".into());
         }
+        for (i, alg) in self.algorithms.iter().enumerate() {
+            if self.algorithms[..i].contains(alg) {
+                return Err(format!(
+                    "primary algorithm {} is listed twice, so its series would merge",
+                    alg.name()
+                ));
+            }
+        }
+        for (what, len) in [
+            ("extra algorithms", self.extra_algorithms.len()),
+            ("failure models", self.measures.failures.len()),
+            ("reliability probabilities", self.measures.reliability.len()),
+        ] {
+            if len > MAX_SERIES_INDICES {
+                return Err(format!(
+                    "campaign lists {len} {what}, more than the {MAX_SERIES_INDICES} \
+                     a series key can tell apart"
+                ));
+            }
+        }
         for w in &self.workloads {
             w.validate()?;
         }
@@ -620,10 +643,11 @@ impl CampaignSpec {
                     p.procs
                 ));
             }
-            if !(p.heterogeneity.is_finite() && p.heterogeneity >= 0.0) {
+            if !SPREADS.contains(&p.heterogeneity) {
                 return Err(format!(
-                    "platform heterogeneity {} invalid (must be finite and >= 0)",
-                    p.heterogeneity
+                    "platform heterogeneity {} outside [{}, {}): execution times are scaled \
+                     by factors down to 1 − heterogeneity, which must stay positive",
+                    p.heterogeneity, SPREADS.start, SPREADS.end
                 ));
             }
             for &eps in &self.epsilons {
@@ -953,6 +977,43 @@ mod tests {
         // Without the measure, the same point is fine.
         spec.measures.reliability.clear();
         assert_eq!(spec.validate(), Ok(()));
+    }
+
+    #[test]
+    fn validation_refuses_series_that_would_collide() {
+        // A repeated primary algorithm would list each of its series
+        // twice in every group, and a group's mean reads the first.
+        let mut spec = small_spec();
+        spec.algorithms = vec![Algorithm::Ftsa, Algorithm::McFtsaGreedy, Algorithm::Ftsa];
+        assert_eq!(
+            spec.validate(),
+            Err("primary algorithm FTSA is listed twice, so its series would merge".into())
+        );
+        // Series keys index extra algorithms, failure models and
+        // reliability probabilities with a `u8`: a 257th entry would
+        // merge into the first one's series.
+        let mut spec = small_spec();
+        spec.extra_algorithms = vec![Algorithm::FtsaPressure; 256];
+        spec.measures.failures = vec![FailureModel::Epsilon; 256];
+        spec.measures.reliability = vec![0.1; 256];
+        assert_eq!(spec.validate(), Ok(()));
+        let refused = |bad: CampaignSpec, what: &str| {
+            assert_eq!(
+                bad.validate(),
+                Err(format!(
+                    "campaign lists 257 {what}, more than the 256 a series key can tell apart"
+                ))
+            );
+        };
+        let mut bad = spec.clone();
+        bad.extra_algorithms.push(Algorithm::Ftbar);
+        refused(bad, "extra algorithms");
+        let mut bad = spec.clone();
+        bad.measures.failures.push(FailureModel::Epsilon);
+        refused(bad, "failure models");
+        let mut bad = spec;
+        bad.measures.reliability.push(0.1);
+        refused(bad, "reliability probabilities");
     }
 
     #[test]

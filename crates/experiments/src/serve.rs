@@ -142,15 +142,17 @@
 //! immediate `503` with a `Retry-After` header, the acceptor never
 //! blocks), and the per-run result sink is **lossless** — group results
 //! are never dropped. If a cell fails mid-run (an instance that cannot
-//! take its granularity, [`CampaignError::Granularity`]), or the durable
-//! store fails a persistence operation ([`CampaignError::Store`]), the
+//! take its granularity, [`CampaignError::Granularity`]), the durable
+//! store fails a persistence operation ([`CampaignError::Store`]), or
+//! the run's computation panics (a spec shape `validate` missed), the
 //! run halts loudly: the groups before it are still made durable and
 //! streamed (a failing group ends its batch, and the groups ahead of it
 //! in the batch are committed and sent first), no further group is
 //! started, the error is logged, the chunked stream is cut without its
 //! terminating chunk (clients see a transfer error, never silently
-//! truncated data), the run slot is marked failed — and the server
-//! itself stays alive.
+//! truncated data), the run slot is marked failed (a panic's message
+//! quotes its payload) — and the server and the handler thread stay
+//! alive.
 
 use crate::campaign::{
     evaluate_group, CampaignError, CampaignSpec, CellContext, CellPlan, StoreIoError,
@@ -158,9 +160,11 @@ use crate::campaign::{
 use crate::output::{json_document, json_group, json_group_lead, json_head, JSON_TAIL};
 use crate::parallel::{default_threads, parallel_map_into};
 use crate::store::{fnv1a, key_hex, Fingerprint, RunState, Store, WalWriter};
+use std::any::Any;
 use std::collections::HashMap;
 use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::panic::{self, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::mpsc::{sync_channel, TrySendError};
 use std::sync::{Arc, Condvar, Mutex};
@@ -951,8 +955,24 @@ fn compute_run(
         debug_assert_eq!(groups_done, 0);
     }
 
-    match stream_run(stream, spec, threads, replayed, wal.as_mut()) {
-        Ok(run) => {
+    // Lossless sink, halting loudly: the failure is recorded and
+    // reported, nothing is silently dropped, the server lives on.
+    let halt = |reason: String| {
+        let msg = format!("campaign halted: {reason}");
+        eprintln!("serve: campaign {} halted: {reason}", spec.id);
+        if let Some(store) = &registry.store {
+            let _ = store.fail_run(key, &msg);
+        }
+        settle(slot, SlotState::Failed(msg));
+        Ok(())
+    };
+    // A panic anywhere in the run, sink included, halts it like a failing
+    // group: the unwind stops here, so the slot settles and the handler
+    // thread lives on.
+    match panic::catch_unwind(AssertUnwindSafe(|| {
+        stream_run(stream, spec, threads, replayed, wal.as_mut())
+    })) {
+        Ok(Ok(run)) => {
             if let Some(store) = &registry.store {
                 if let Err(e) = store.complete_run(key, run.fingerprint) {
                     // Best-effort: every group frame is already durable,
@@ -966,18 +986,9 @@ fn compute_run(
             settle(slot, SlotState::Done(Arc::new(run.body)));
             Ok(())
         }
-        Err(StreamError::Campaign(e)) => {
-            // Lossless sink, halting loudly: the failure is recorded and
-            // reported, nothing is silently dropped, the server lives on.
-            let msg = format!("campaign halted: {e}");
-            eprintln!("serve: campaign {} halted: {e}", spec.id);
-            if let Some(store) = &registry.store {
-                let _ = store.fail_run(key, &msg);
-            }
-            settle(slot, SlotState::Failed(msg));
-            Ok(())
-        }
-        Err(StreamError::Io(e)) => {
+        Ok(Err(StreamError::Campaign(e))) => halt(e.to_string()),
+        Err(payload) => halt(format!("the run panicked: {}", panic_text(&*payload))),
+        Ok(Err(StreamError::Io(e))) => {
             // The run itself did not fail — the client went away. The
             // slot goes back to resumable with its durable checkpoints
             // intact; a retry resumes instead of starting over.
@@ -1000,6 +1011,14 @@ impl From<io::Error> for StreamError {
     fn from(e: io::Error) -> Self {
         StreamError::Io(e)
     }
+}
+
+/// The message of a panic payload (`panic!` and `assert!` leave a
+/// `&str` or a `String`).
+fn panic_text(payload: &(dyn Any + Send)) -> &str {
+    (payload.downcast_ref::<&str>().copied())
+        .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
+        .unwrap_or("a panic without a message")
 }
 
 struct RunOutcome {
@@ -1168,6 +1187,59 @@ mod tests {
         let run = stream_run(&mut Vec::new(), &spec, 2, Vec::new(), None)
             .unwrap_or_else(|_| panic!("stream"));
         assert_eq!(run.fingerprint, expected.finish());
+    }
+
+    /// A run whose computation panics settles its slot as failed and
+    /// returns, with a store and without. The spec skips `validate`: a
+    /// heterogeneity of 1 on the second platform point asserts in the
+    /// execution-time draw of group `ε-count`, after the groups of the
+    /// first point. Those stay committed, the stream is cut without its
+    /// last chunk, and the store reads the run as failed.
+    #[test]
+    fn a_panicking_run_settles_its_slot_as_failed() {
+        let mut spec = presets::preset("ci-smoke", Some(1)).expect("preset");
+        spec.platforms[1].heterogeneity = 1.0;
+        let canonical = spec.to_json().expect("spec serializes");
+        let key = fnv1a(canonical.bytes());
+        let committed = spec.epsilons.len();
+        let dir = std::env::temp_dir().join(format!("ftsched_serve_panic_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        for store in [None, Some(Store::open(&dir).expect("store"))] {
+            let registry = Registry {
+                runs: Mutex::new(HashMap::new()),
+                store,
+            };
+            let slot = RunSlot {
+                campaign: spec.id.clone(),
+                groups: spec.num_groups(),
+                state: Mutex::new(SlotState::Running),
+                ready: Condvar::new(),
+            };
+            let mut wire = Vec::new();
+            compute_run(
+                &mut wire, &registry, &slot, key, &spec, &canonical, 2, false, 0,
+            )
+            .expect("the run halts, the connection does not fail");
+            let Claim::Failed(msg) = claim_slot(&slot) else {
+                panic!("the slot must settle as failed");
+            };
+            assert!(
+                msg.starts_with("campaign halted: the run panicked: spread 1 outside 0.0..1.0"),
+                "{msg}"
+            );
+            assert!(!wire.ends_with(LAST_CHUNK), "the stream is cut");
+            let text = String::from_utf8_lossy(&wire);
+            assert!(text.contains(&format!(";seq={committed}\r\n")));
+            assert!(!text.contains(&format!(";seq={}\r\n", committed + 1)));
+            if let Some(store) = &registry.store {
+                let runs = store.recover().expect("recover");
+                assert_eq!(runs.len(), 1);
+                assert_eq!(runs[0].record.state, RunState::Failed);
+                assert_eq!(runs[0].record.error.as_deref(), Some(msg.as_str()));
+                assert_eq!(runs[0].groups_done, committed);
+            }
+        }
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     /// A socket stand-in that checks, on every write, that each group

@@ -61,7 +61,7 @@ pub enum RunState {
     Resumable,
     /// All groups are in the WAL and the fingerprint is recorded.
     Completed,
-    /// The run halted on a typed campaign/store error; sticky.
+    /// The run halted on a typed campaign/store error or a panic; sticky.
     Failed,
 }
 

@@ -168,18 +168,20 @@ fn validate_rejects_every_panic_feeding_shape() {
     })];
     assert!(zero_lo.validate().is_err());
 
-    // Platform hardening: non-finite axis values.
+    // Platform hardening: non-finite or out-of-range axis values (a
+    // heterogeneity of 1 or more would draw a time factor of 0 or less).
     for patch in [
         (|p: &mut PlatformSpec| p.granularity = f64::NAN) as fn(&mut PlatformSpec),
         |p| p.ccr = f64::INFINITY,
         |p| p.heterogeneity = f64::NAN,
         |p| p.heterogeneity = -1.0,
+        |p| p.heterogeneity = 1.0,
     ] {
         let mut bad = valid_spec();
         patch(&mut bad.platforms[0]);
         assert!(
             bad.validate().is_err(),
-            "non-finite platform field must be rejected"
+            "non-finite or out-of-range platform field must be rejected"
         );
     }
 }

@@ -5,6 +5,12 @@ use serde::{Deserialize, Serialize};
 use std::ops::Range;
 use taskgraph::{Dag, TaskId};
 
+/// The spreads [`ExecutionMatrix::unrelated_with_procs`] takes: a factor
+/// drawn from `[1 − spread, 1 + spread]` must stay positive, and so must
+/// every execution time. A campaign spec's platform heterogeneity is
+/// checked against this range before anything is drawn.
+pub const SPREADS: Range<f64> = 0.0..1.0;
+
 /// The `v × m` matrix of task execution times: `E(t, P_j)` is the time
 /// task `t` takes on processor `P_j`.
 ///
@@ -72,8 +78,15 @@ impl ExecutionMatrix {
     /// paper's general model: each `(task, processor)` pair draws an
     /// independent factor in `[1 − spread, 1 + spread]` applied to the
     /// task's work.
+    ///
+    /// # Panics
+    ///
+    /// If `spread` lies outside [`SPREADS`], or `m == 0`.
     pub fn unrelated_with_procs(dag: &Dag, m: usize, rng: &mut impl Rng, spread: f64) -> Self {
-        assert!((0.0..1.0).contains(&spread));
+        assert!(
+            SPREADS.contains(&spread),
+            "spread {spread} outside {SPREADS:?}"
+        );
         assert!(m >= 1);
         let mut times = Vec::with_capacity(dag.num_tasks() * m);
         for t in dag.tasks() {

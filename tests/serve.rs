@@ -277,6 +277,32 @@ fn exact_reliability_beyond_its_processor_bound_answers_400() {
 }
 
 #[test]
+fn a_heterogeneity_of_one_answers_400() {
+    // A platform point with heterogeneity 1 would draw execution-time
+    // factors down to 0: it used to pass `validate`, answer 200 and
+    // panic its handler mid-stream, leaving the run listed as running;
+    // `validate` now refuses it before any run is registered.
+    let addr = spawn_server(ServeConfig::default());
+    let mut spec = smoke_spec();
+    spec.platforms[0].heterogeneity = 1.0;
+    let res = post_campaign(addr, &spec.to_json().expect("serializes"));
+    assert_eq!(res.status, "HTTP/1.1 400 Bad Request", "{}", res.body);
+    assert!(
+        res.body.contains("platform heterogeneity 1 outside [0, 1)"),
+        "{}",
+        res.body
+    );
+    let listing = request(
+        addr,
+        "GET /campaigns HTTP/1.1\r\nHost: x\r\nConnection: close\r\n\r\n",
+    );
+    assert_eq!(listing.status, "HTTP/1.1 200 OK");
+    assert_eq!(listing.body, "{\n  \"runs\": []\n}");
+    let res = request(addr, "GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n");
+    assert_eq!(res.status, "HTTP/1.1 200 OK");
+}
+
+#[test]
 fn a_workload_with_too_many_tasks_answers_400() {
     // A paper-layered range up to 10^11 tasks would ask for about 20 TB
     // at its first cell; `validate` refuses it from its shape alone,
